@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import AnnulusTooWide, TrackingCollision
 from .surface import DefiningEquation, fiber_at, monodromy
-from .tracker import Arc, SegmentTracker, loop_path
+from .tracker import Arc, SegmentTracker, continue_fiber, loop_path, polyline
 
 __all__ = [
     "PuiseuxExpansion",
@@ -182,7 +182,8 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
 
     if consistency_check:
         # continue the germ radially inward, then sample again at eps/2
-        inner = _radial_step(eq, a, epsilon, fiber_out.roots, pos, tol)
+        inner = continue_fiber(eq, fiber_out.roots, polyline(a + epsilon, a + 0.5 * epsilon),
+                               tol, delta_path=0.25 * epsilon)
         samples2 = _sample_cycle(eq, a, inner[pos], inner, m, 0.5 * epsilon,
                                  n_samples, tol, pos)
         raw2 = _extract_coeffs(samples2, m, 0.5 * epsilon, n_max)
@@ -218,16 +219,6 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
         coeffs = {n: b * zeta ** (n * best_j) for n, b in coeffs.items()}
     start_sheet = cycle[best_j % m]
     return PuiseuxExpansion(a, m, u, coeffs, cycle, start_sheet, epsilon, n_max)
-
-
-def _radial_step(eq: DefiningEquation, a: complex, epsilon: float,
-                 fiber: Sequence[complex], pos: int, tol: Tolerances) -> list[complex]:
-    from .tracker import Line
-
-    seg = Line(a + epsilon, a + 0.5 * epsilon)
-    trk = SegmentTracker(eq, seg, list(fiber), tol, h_min=tol.h_min_frac)
-    trk.advance_to(1.0)
-    return trk.fiber
 
 
 def residue(exp: PuiseuxExpansion) -> complex:

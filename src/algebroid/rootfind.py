@@ -2,6 +2,8 @@
 
 Primary solver is Aberth-Ehrlich simultaneous iteration; the companion
 matrix (numpy eigenvalues) is the fallback for stalled or degenerate cases.
+newton_polish and residual_scale are also the corrector and residual gate
+that surface and tracker apply to the coefficients of Psi(., z).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import RootFindingFailure
 
-__all__ = ["all_roots", "newton_polish", "poly_eval", "residual_scale"]
+__all__ = ["all_roots", "newton_polish", "poly_eval", "poly_eval_pair", "residual_scale"]
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -24,7 +26,7 @@ def poly_eval(coeffs, z: complex) -> complex:
     return acc
 
 
-def _poly_eval_pair(coeffs, z: complex) -> tuple[complex, complex]:
+def poly_eval_pair(coeffs, z: complex) -> tuple[complex, complex]:
     """(p(z), p'(z)) in one Horner pass."""
     p = 0j
     dp = 0j
@@ -48,14 +50,14 @@ def residual_scale(coeffs, z: complex) -> float:
 def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
     """Newton iteration on p; returns the refined root or None on stall."""
     for _ in range(max_iter):
-        p, dp = _poly_eval_pair(coeffs, w)
+        p, dp = poly_eval_pair(coeffs, w)
         if dp == 0:
             return None
         step = p / dp
         w = w - step
         if abs(step) <= tol * (1.0 + abs(w)):
             return w
-    p, _ = _poly_eval_pair(coeffs, w)
+    p, _ = poly_eval_pair(coeffs, w)
     if abs(p) <= 1e-10 * residual_scale(coeffs, w):
         return w
     return None
@@ -83,7 +85,7 @@ def _aberth(coeffs, eps: float, max_iter: int):
         moved = 0.0
         new_roots = list(roots)
         for i, w in enumerate(roots):
-            p, dp = _poly_eval_pair(monic, w)
+            p, dp = poly_eval_pair(monic, w)
             if dp == 0:
                 return None
             newton = p / dp

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .config import DEFAULT, Tolerances
 from .errors import NearCriticalPoint, RootFindingFailure, TrackingCollision
 from .exactalg import GaussianRational, RatFunc, discriminant, parse_coefficient
-from .rootfind import all_roots, newton_polish
+from .rootfind import all_roots, newton_polish, poly_eval, poly_eval_pair, residual_scale
 
 __all__ = [
     "DefiningEquation",
@@ -66,34 +66,21 @@ class DefiningEquation:
         vals = self.a_values(z)
         return list(reversed(vals)) + [1.0 + 0j]
 
+    def psi_z_coeffs_at(self, z: complex) -> list[complex]:
+        """Coefficients of Psi_z(., z) ascending in W."""
+        return [0j if d.is_zero() else d.eval_complex(z) for d in reversed(self._dcoeffs)]
+
     def psi(self, w: complex, z: complex) -> complex:
-        acc = 1.0 + 0j
-        for a in self.a_values(z):
-            acc = acc * w + a
-        return acc
+        return poly_eval(self.psi_coeffs_at(z), w)
 
     def psi_w(self, w: complex, z: complex) -> complex:
-        vals = self.a_values(z)
-        k = self.k
-        acc = complex(k)
-        for j in range(1, k):
-            acc = acc * w + (k - j) * vals[j - 1]
-        return acc
+        return poly_eval_pair(self.psi_coeffs_at(z), w)[1]
 
     def psi_z(self, w: complex, z: complex) -> complex:
-        acc = 0j
-        for d in self._dcoeffs:
-            acc = acc * w + (0j if d.is_zero() else d.eval_complex(z))
-        return acc
+        return poly_eval(self.psi_z_coeffs_at(z), w)
 
     def residual_scale(self, w: complex, z: complex) -> float:
-        aw = abs(w)
-        s = aw**self.k
-        power = aw ** (self.k - 1)
-        for a in self.a_values(z):
-            s += abs(a) * power
-            power = power / aw if aw > 0 else 0.0
-        return max(s, 1.0)
+        return residual_scale(self.psi_coeffs_at(z), w)
 
     def critical(self, tol: Tolerances = DEFAULT) -> "CriticalSet":
         cached = self._critical_cache.get(tol)
@@ -163,6 +150,17 @@ class CriticalSet:
         return len(self.points)
 
 
+def min_pairwise_distance(ws: Sequence[complex]) -> float:
+    """Smallest distance between two entries; inf for fewer than two."""
+    best = float("inf")
+    for i, a in enumerate(ws):
+        for b in ws[i + 1:]:
+            d = abs(a - b)
+            if d < best:
+                best = d
+    return best
+
+
 @dataclass(frozen=True)
 class Fiber:
     z: complex
@@ -174,12 +172,7 @@ class Fiber:
 
     @property
     def min_separation(self) -> float:
-        rs = self.roots
-        if len(rs) < 2:
-            return float("inf")
-        return min(
-            abs(rs[i] - rs[j]) for i in range(len(rs)) for j in range(i + 1, len(rs))
-        )
+        return min_pairwise_distance(self.roots)
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fib
         p = newton_polish(coeffs, r)
         polished.append(p if p is not None else r)
     for w in polished:
-        if abs(eq.psi(w, z)) > tol.eps_root * eq.residual_scale(w, z):
+        if abs(poly_eval(coeffs, w)) > tol.eps_root * residual_scale(coeffs, w):
             raise RootFindingFailure(f"fiber root residual too large at z={z}")
     fiber = Fiber(z, tuple(sorted(polished, key=lambda w: (w.real, w.imag))))
     if fiber.min_separation < tol.delta_sep * fiber.scale:

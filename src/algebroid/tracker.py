@@ -1,11 +1,12 @@
 """Paths in the base plane and analytic continuation along them.
 
 Continuation tracks the whole fiber at once: a first-order predictor from
-the implicit derivative dw/dz = -Psi_z/Psi_W, a Newton corrector on
-Psi(., z) = 0, and nearest-neighbor matching between predicted and
-corrected roots. The adaptive step keeps per-step root movement below a
-quarter of the current minimal pairwise root separation, which is what
-prevents two sheets from silently swapping.
+the implicit derivative dw/dz = -Psi_z/Psi_W, and a corrector that is
+rootfind.newton_polish on the coefficients of Psi(., z), evaluated once per
+z and gated by rootfind.residual_scale. The adaptive step keeps per-step
+root movement below a quarter of the current minimal pairwise root
+separation, and each corrected root within a quarter of it from its
+prediction, which is what prevents two sheets from silently swapping.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .errors import (
     StepUnderflow,
     TrackingCollision,
 )
-from .surface import DefiningEquation, fiber_at, match_to_fiber
+from .rootfind import newton_polish, poly_eval, poly_eval_pair, residual_scale
+from .surface import DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance
 
 __all__ = [
     "Line",
@@ -225,46 +227,27 @@ class TrackResult:
 
 def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFAULT) -> SurfacePoint:
     """Polish and validate a germ; rejects irregular (critical) germs."""
-    refined = _newton_root(eq, w, z, tol)
+    coeffs = eq.psi_coeffs_at(z)
+    refined = _polish(coeffs, w, tol)
     if refined is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
-    dw = eq.psi_w(refined, z)
+    dw = poly_eval_pair(coeffs, refined)[1]
     k = eq.k
     dscale = k * max(1.0, abs(refined)) ** (k - 1)
-    for j, a in enumerate(eq.a_values(z)[:-1] if k > 1 else []):
+    for j, a in enumerate(reversed(coeffs[1:-1])):  # A_1, ..., A_{k-1}
         dscale += (k - 1 - j) * abs(a) * max(1.0, abs(refined)) ** (k - 2 - j)
     if abs(dw) <= 1e-8 * max(1.0, dscale):
         raise TrackingCollision(f"germ at ({refined}, {z}) is not regular: Psi_W too small")
     return SurfacePoint(z, refined)
 
 
-def _newton_root(eq: DefiningEquation, w: complex, z: complex, tol: Tolerances,
-                 max_iter: int = 30) -> Optional[complex]:
-    for _ in range(max_iter):
-        p = eq.psi(w, z)
-        dp = eq.psi_w(w, z)
-        if dp == 0:
-            return None
-        step = p / dp
-        w = w - step
-        if abs(step) <= 1e-15 * (1.0 + abs(w)):
-            break
-    if abs(eq.psi(w, z)) <= tol.eps_root * eq.residual_scale(w, z):
-        return w
-    return None
-
-
-def _min_pairwise(ws: Sequence[complex]) -> float:
-    n = len(ws)
-    if n < 2:
-        return float("inf")
-    best = float("inf")
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(ws[i] - ws[j])
-            if d < best:
-                best = d
-    return best
+def _polish(coeffs: Sequence[complex], w: complex, tol: Tolerances) -> Optional[complex]:
+    """Newton-corrected root near w, or None when Newton stalls or the
+    residual exceeds eps_root times the residual scale."""
+    w = newton_polish(coeffs, w, max_iter=30)
+    if w is None or abs(poly_eval(coeffs, w)) > tol.eps_root * residual_scale(coeffs, w):
+        return None
+    return w
 
 
 class SegmentTracker:
@@ -284,7 +267,7 @@ class SegmentTracker:
         self.h = h0
         self.h_min = h_min
         self.steps = 0
-        self.min_sep_seen = _min_pairwise(fiber)
+        self.min_sep_seen = min_pairwise_distance(fiber)
         self.on_step = on_step
 
     def clone(self) -> "SegmentTracker":
@@ -299,68 +282,49 @@ class SegmentTracker:
             raise ValueError("SegmentTracker only advances forward")
         eq, seg, tol = self.eq, self.seg, self.tol
         while self.t < t_target - 1e-15:
+            z0 = seg.at(self.t)
+            min_sep0 = min_pairwise_distance(self.fiber)
+            scale = 1.0 + max(abs(w) for w in self.fiber)
+            if min_sep0 < tol.delta_sep * scale:
+                raise TrackingCollision(
+                    f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
+                )
+            cap = min(0.25 * min_sep0, 0.5 * scale)
+            coeffs0 = eq.psi_coeffs_at(z0)
+            zcoeffs0 = eq.psi_z_coeffs_at(z0)
+            slopes = []  # dw/dz of each root at z0
+            for w in self.fiber:
+                dw = poly_eval_pair(coeffs0, w)[1]
+                if dw == 0:  # no step can be predicted; halving h cannot help
+                    raise StepUnderflow(f"continuation step underflow near z={z0}")
+                slopes.append(-poly_eval(zcoeffs0, w) / dw)
             h = min(self.h, t_target - self.t)
-            accepted = False
             while True:
-                z0 = seg.at(self.t)
                 z1 = seg.at(self.t + h)
                 dz = z1 - z0
-                min_sep0 = _min_pairwise(self.fiber)
-                scale = 1.0 + max(abs(w) for w in self.fiber)
-                if min_sep0 < tol.delta_sep * scale:
-                    raise TrackingCollision(
-                        f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
-                    )
-                cap = min(0.25 * min_sep0, 0.5 * scale)
-                preds = []
-                feasible = True
-                move = 0.0
-                for w in self.fiber:
-                    dw = eq.psi_w(w, z0)
-                    if dw == 0:
-                        feasible = False
+                moves = [d * dz for d in slopes]
+                move = max(abs(m) for m in moves)
+                corrected = None
+                if move <= cap:
+                    coeffs1 = eq.psi_coeffs_at(z1)
+                    preds = [w + m for w, m in zip(self.fiber, moves)]
+                    corrected = [_polish(coeffs1, p, tol) for p in preds]
+                if corrected is not None and None not in corrected:
+                    min_sep1 = min_pairwise_distance(corrected)
+                    drift = max(abs(c - p) for c, p in zip(corrected, preds))
+                    if drift <= 0.25 * min(min_sep0, min_sep1):
+                        self.t += h
+                        self.fiber = corrected
+                        self.steps += 1
+                        self.min_sep_seen = min(self.min_sep_seen, min_sep1)
+                        if self.on_step is not None:
+                            self.on_step(self.t, z1, self.fiber)
+                        self.h = min(0.5, h * 1.5) if move < 0.1 * cap else h
                         break
-                    d = -eq.psi_z(w, z0) / dw
-                    preds.append(w + d * dz)
-                    move = max(move, abs(d * dz))
-                if feasible and move > cap:
-                    feasible = False
-                if feasible:
-                    corrected = []
-                    for p in preds:
-                        c = _newton_root(eq, p, z1, tol)
-                        if c is None:
-                            feasible = False
-                            break
-                        corrected.append(c)
-                if feasible:
-                    min_sep1 = _min_pairwise(corrected)
-                    drift = max(
-                        (abs(c - p) for c, p in zip(corrected, preds)), default=0.0
-                    )
-                    if drift > 0.25 * min(min_sep0, min_sep1):
-                        feasible = False
-                if feasible:
-                    self.t += h
-                    self.fiber = corrected
-                    self.steps += 1
-                    self.min_sep_seen = min(self.min_sep_seen, min_sep1)
-                    if self.on_step is not None:
-                        self.on_step(self.t, z1, self.fiber)
-                    if move < 0.1 * cap:
-                        self.h = min(0.5, h * 1.5)
-                    else:
-                        self.h = h
-                    accepted = True
-                    break
                 if h <= self.h_min:
-                    raise StepUnderflow(
-                        f"continuation step underflow near z={seg.at(self.t)}"
-                    )
+                    raise StepUnderflow(f"continuation step underflow near z={z0}")
                 h *= 0.5
                 self.h = h
-            if not accepted:  # pragma: no cover - loop always exits via break/raise
-                break
 
 
 def ensure_path_clear(path: BasePath, critical_locs: Sequence[complex], margin: float):
@@ -387,7 +351,7 @@ def _run_path(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
     ensure_path_clear(path, eq.critical(tol).locations, margin)
     total_len = path.length
     steps = 0
-    min_sep = _min_pairwise(fiber)
+    min_sep = min_pairwise_distance(fiber)
     done_len = 0.0
     current = list(fiber)
     for seg in path.segments:

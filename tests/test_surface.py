@@ -10,6 +10,7 @@ from algebroid.errors import (
     NearCriticalPoint,
 )
 from algebroid.exactalg import GaussianRational, parse_coefficient
+from algebroid.rootfind import residual_scale
 from algebroid.surface import (
     KIND_DISC,
     KIND_POLE,
@@ -32,6 +33,15 @@ def test_psi_evaluation(sqrt_z):
     assert sqrt_z.psi(2.0, 4.0) == pytest.approx(0.0)
     assert sqrt_z.psi_w(2.0, 4.0) == pytest.approx(4.0)
     assert sqrt_z.psi_z(2.0, 4.0) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("w", [0j, 0.7 - 1.3j])
+def test_residual_scale_keeps_constant_term(w):
+    # at w == 0 the scale is |A_2(z)| = 6, not the floor 1
+    eq = DefiningEquation.from_strings(["0", "-(z+5)"])
+    expected = residual_scale(eq.psi_coeffs_at(1.0), w)
+    assert eq.residual_scale(w, 1.0) == pytest.approx(expected)
+    assert expected == pytest.approx(6.0 + abs(w) ** 2)
 
 
 def test_critical_points_sqrt_z(sqrt_z):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from algebroid.config import DEFAULT
-from algebroid.errors import PathTooCloseToCritical
+from algebroid.errors import PathTooCloseToCritical, TrackingCollision
 from algebroid.surface import fiber_at
 from algebroid.tracker import (
     Arc,
@@ -90,6 +90,18 @@ def test_arc_min_dist_partial():
 def test_germ_polishing(sqrt_z):
     g = germ_at(sqrt_z, 4.0 + 0j, 2.0 + 1e-9j)
     assert g.w == pytest.approx(2.0, abs=1e-12)
+
+
+def test_germ_rejects_stalled_newton(sqrt_z):
+    # Psi_W(0, z) = 0, so Newton cannot start from w = 0
+    with pytest.raises(TrackingCollision, match="does not polish"):
+        germ_at(sqrt_z, 1.0 + 0j, 0j)
+
+
+def test_germ_rejects_irregular_point(sqrt_z):
+    # w = 1e-10 is a root at z = 1e-20, but Psi_W = 2e-10 is below the regularity floor
+    with pytest.raises(TrackingCollision, match="not regular"):
+        germ_at(sqrt_z, 1e-20 + 0j, 1e-10 + 0j)
 
 
 def test_continue_branch_principal_sqrt(sqrt_z):
