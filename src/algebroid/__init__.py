@@ -43,6 +43,7 @@ from .quad import (
     SurfaceIntegralResult,
     c_ab,
     closed_loop_integral,
+    fiber_integral,
     integral_element_continuation_check,
     path_independence_audit,
     residue_theorem_check,
@@ -101,6 +102,7 @@ __all__ = [
     "cycle_structure",
     "discriminant",
     "fiber_at",
+    "fiber_integral",
     "fit_rational",
     "growth_bound",
     "integral_element_continuation_check",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .puiseux import cycle_structure, puiseux_expand
-from .quad import surface_integral
+from .quad import fiber_integral, surface_integral
 from .surface import DefiningEquation, fiber_at, irreducibility_check, match_to_fiber
 from .surface import generator_loops
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line
@@ -136,7 +136,8 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
 
     Entry j is c_{a, b_j} for the j-th germ of fiber_at(eq, z), reached by
     the router's loop word followed by a straight (detoured if necessary)
-    connector from the base point.
+    connector from the base point; one fiber_integral carries all k sheets
+    along the connector.
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
@@ -151,13 +152,10 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
     margin = _path_margin(eq, tol, None)
     connector = safe_line(router.base.z, z, eq.critical(tol).locations, margin, rng)
     fiber_t = fiber_at(eq, z, tol)
+    values, ends = fiber_integral(eq, [router.germs[s] for s in range(k)], connector, tol)
     out: list[Optional[complex]] = [None] * k
     for s in range(k):
-        res = surface_integral(
-            eq, SurfacePoint(router.base.z, router.germs[s]), connector, tol
-        )
-        tgt = match_to_fiber(res.endpoint.w, fiber_t, tol)
-        out[tgt] = router.values[s] + res.value
+        out[match_to_fiber(ends[s], fiber_t, tol)] = router.values[s] + values[s]
     if any(v is None for v in out):  # pragma: no cover - connector is a bijection
         raise UnreachableSheet(f"connector did not cover every sheet over {z}")
     return out  # type: ignore[return-value]

@@ -2,7 +2,10 @@
 
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
-until the whole-piece and two-half estimates agree. Because admissible
+until the whole-piece and two-half estimates agree. Bisection runs on
+every tracked sheet at once: a piece is split until each sheet passes its
+own test, so fiber_integral integrates a whole fiber in one tracking pass
+where surface_integral integrates one sheet. Because admissible
 paths keep a margin from the critical set, the integrand is analytic and
 the per-piece rule converges spectrally.
 """
@@ -36,6 +39,7 @@ __all__ = [
     "AuditReport",
     "ResidueCheck",
     "surface_integral",
+    "fiber_integral",
     "closed_loop_integral",
     "residue_theorem_check",
     "c_ab",
@@ -86,36 +90,65 @@ class AuditReport:
     enclosed_residue_data: tuple[ResidueCheck, ...]
 
 
-def _eval_piece(state: SegmentTracker, t0: float, t1: float, pos: int):
+def _eval_piece(state: SegmentTracker, t0: float, t1: float, positions: Sequence[int]):
     tr = state.clone()
     seg = tr.seg
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t1 + t0)
-    acc = 0j
+    acc = [0j] * len(positions)
     for x, wt in zip(_GL_X, _GL_W):
         tt = mid + half * x
         tr.advance_to(tt)
-        acc += wt * tr.fiber[pos] * seg.deriv(tt)
+        d = seg.deriv(tt)
+        for i, pos in enumerate(positions):
+            acc[i] += wt * tr.fiber[pos] * d
     tr.advance_to(t1)
-    return acc * half, tr
+    return [a * half for a in acc], tr
 
 
-def _bisect(state0: SegmentTracker, t0: float, t1: float, whole: complex,
-            pos: int, tol_abs: float, tol_rel: float, depth: int):
+def _bisect(state0: SegmentTracker, t0: float, t1: float, whole: Sequence[complex],
+            positions: Sequence[int], tol_abs: float, tol_rel: float, depth: int):
+    """Per-position values and error estimates on [t0, t1], and the tracker
+    at t1. A piece is split until every position passes its own test."""
     tm = 0.5 * (t0 + t1)
-    left, st_m = _eval_piece(state0, t0, tm, pos)
-    right, st_end = _eval_piece(st_m, tm, t1, pos)
-    halves = left + right
-    err = abs(whole - halves)
-    if err <= tol_abs * (t1 - t0) + tol_rel * abs(halves):
-        return halves, err, st_end
+    left, st_m = _eval_piece(state0, t0, tm, positions)
+    right, st_end = _eval_piece(st_m, tm, t1, positions)
+    halves = [l + r for l, r in zip(left, right)]
+    errs = [abs(w - h) for w, h in zip(whole, halves)]
+    if all(e <= tol_abs * (t1 - t0) + tol_rel * abs(h) for e, h in zip(errs, halves)):
+        return halves, errs, st_end
     if depth >= _MAX_DEPTH:
         raise QuadratureStall(
-            f"adaptive bisection stalled on [{t0}, {t1}] (err {err:.3e})"
+            f"adaptive bisection stalled on [{t0}, {t1}] (err {max(errs):.3e})"
         )
-    lv, le, st_after_left = _bisect(state0, t0, tm, left, pos, tol_abs, tol_rel, depth + 1)
-    rv, re_, st_end = _bisect(st_after_left, tm, t1, right, pos, tol_abs, tol_rel, depth + 1)
-    return lv + rv, le + re_, st_end
+    lv, le, st_after_left = _bisect(state0, t0, tm, left, positions, tol_abs, tol_rel, depth + 1)
+    rv, re_, st_end = _bisect(st_after_left, tm, t1, right, positions, tol_abs, tol_rel, depth + 1)
+    return [a + b for a, b in zip(lv, rv)], [a + b for a, b in zip(le, re_)], st_end
+
+
+def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
+               tol: Tolerances, delta_path: Optional[float], positions: Sequence[int]):
+    """Integrals of w dz on the given fiber positions along a nonempty path:
+    (values, error estimates, end fiber in position order)."""
+    margin = _path_margin(eq, tol, delta_path)
+    ensure_path_clear(path, eq.critical(tol).locations, margin)
+    total_len = path.length
+    totals = [0j] * len(positions)
+    errs = [0.0] * len(positions)
+    for seg in path.segments:
+        frac = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+        st0 = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
+        whole, _ = _eval_piece(st0, 0.0, 1.0, positions)
+        vals, es, st_end = _bisect(
+            st0, 0.0, 1.0, whole, positions,
+            tol_abs=tol.quad_tol * max(frac, 1e-3),
+            tol_rel=tol.quad_tol,
+            depth=0,
+        )
+        totals = [a + b for a, b in zip(totals, vals)]
+        errs = [a + b for a, b in zip(errs, es)]
+        fiber = st_end.fiber
+    return totals, errs, fiber
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
@@ -127,30 +160,12 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
         return SurfaceIntegralResult(0j, 0.0, start, True)
     if abs(path.start_z - start.z) > 1e-9 * (1.0 + abs(start.z)):
         raise ValueError(f"path starts at {path.start_z}, germ sits at {start.z}")
-    margin = _path_margin(eq, tol, delta_path)
-    ensure_path_clear(path, eq.critical(tol).locations, margin)
 
     fiber0 = fiber_at(eq, start.z, tol)
     pos = match_to_fiber(start.w, fiber0, tol)
     fiber = list(fiber0.roots)
     fiber[pos] = start.w
-
-    total_len = path.length
-    total = 0j
-    err = 0.0
-    for seg in path.segments:
-        frac = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
-        st0 = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
-        whole, _ = _eval_piece(st0, 0.0, 1.0, pos)
-        val, e, st_end = _bisect(
-            st0, 0.0, 1.0, whole, pos,
-            tol_abs=tol.quad_tol * max(frac, 1e-3),
-            tol_rel=tol.quad_tol,
-            depth=0,
-        )
-        total += val
-        err += e
-        fiber = st_end.fiber
+    (total,), (err,), fiber = _integrate(eq, fiber, path, tol, delta_path, (pos,))
 
     end_w = fiber[pos]
     endpoint = SurfacePoint(path.end_z, end_w)
@@ -161,6 +176,22 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
             start.w, end_fiber, tol
         )
     return SurfaceIntegralResult(total, err, endpoint, closed)
+
+
+def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
+                   tol: Tolerances = DEFAULT,
+                   delta_path: Optional[float] = None) -> tuple[list[complex], list[complex]]:
+    """Integrals of w(z) dz along the lifts of the path from every root of a
+    fiber over its start, in one tracking pass.
+
+    Returns (values, end roots) in position order: entry j belongs to the
+    lift that starts at roots[j], as in continue_fiber.
+    """
+    roots = list(roots)
+    if not path.segments:
+        return [0j] * len(roots), roots
+    values, _, end = _integrate(eq, roots, path, tol, delta_path, range(len(roots)))
+    return values, end
 
 
 def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePath,

@@ -7,6 +7,9 @@ z and gated by rootfind.residual_scale. The adaptive step keeps per-step
 root movement below a quarter of the current minimal pairwise root
 separation, and each corrected root within a quarter of it from its
 prediction, which is what prevents two sheets from silently swapping.
+A step clipped to land on a target t (a quadrature node, a segment end)
+may grow the step size but never shrinks it, so closely spaced targets do
+not make the tracker relearn its step after each one.
 """
 
 from __future__ import annotations
@@ -299,6 +302,7 @@ class SegmentTracker:
                     raise StepUnderflow(f"continuation step underflow near z={z0}")
                 slopes.append(-poly_eval(zcoeffs0, w) / dw)
             h = min(self.h, t_target - self.t)
+            clipped = h < self.h
             while True:
                 z1 = seg.at(self.t + h)
                 dz = z1 - z0
@@ -319,7 +323,10 @@ class SegmentTracker:
                         self.min_sep_seen = min(self.min_sep_seen, min_sep1)
                         if self.on_step is not None:
                             self.on_step(self.t, z1, self.fiber)
-                        self.h = min(0.5, h * 1.5) if move < 0.1 * cap else h
+                        grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
+                        # a step cut short to land on the target says nothing
+                        # about the step the path allows
+                        self.h = max(self.h, grown) if clipped else grown
                         break
                 if h <= self.h_min:
                     raise StepUnderflow(f"continuation step underflow near z={z0}")

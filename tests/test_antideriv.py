@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroid.antideriv import (
+    SheetRouter,
     branch_integrals_at,
     build_antiderivative,
     constant_family,
@@ -24,7 +25,7 @@ from algebroid.errors import (
     UnreachableSheet,
 )
 from algebroid.exactalg import RatFunc, parse_coefficient
-from algebroid.surface import DefiningEquation
+from algebroid.surface import DefiningEquation, fiber_at
 from algebroid.tracker import SurfacePoint
 
 
@@ -88,6 +89,19 @@ def test_branch_integrals_sqrt_z(sqrt_z):
     # canonical fiber at 4 is (-2, 2): sheet for -2 carries -6, sheet for 2 carries 14/3
     assert vals[0] == pytest.approx(-6.0, abs=1e-8)
     assert vals[1] == pytest.approx(14.0 / 3.0, abs=1e-8)
+
+
+def test_branch_integrals_cube_root_closed_form():
+    # W^3 - z: the integral of w dz is (3/4) z w, so entry j over z is
+    # (3/4)(z w_j - w_b) for the j-th root w_j of the canonical fiber
+    eq = DefiningEquation.from_strings(["0", "0", "-z"])
+    for w_b in fiber_at(eq, 1.0 + 0j).roots:
+        base = SurfacePoint(1.0 + 0j, w_b)
+        router = SheetRouter(eq, base)
+        for z in (2 + 1j, -3 + 0.2j, 0.5 - 2j):
+            vals = branch_integrals_at(eq, base, z, router)
+            for w_j, v in zip(fiber_at(eq, z).roots, vals):
+                assert abs(v - 0.75 * (z * w_j - w_b)) < 1e-9
 
 
 def test_branch_integrals_at_base_point(sqrt_z):

@@ -12,17 +12,19 @@ from algebroid.exactalg import GaussianRational
 from algebroid.quad import (
     c_ab,
     closed_loop_integral,
+    fiber_integral,
     integral_element_continuation_check,
     path_independence_audit,
     residue_theorem_check,
     surface_integral,
 )
-from algebroid.surface import fiber_at
+from algebroid.surface import DefiningEquation, fiber_at
 from algebroid.tracker import (
     Arc,
     BasePath,
     Line,
     SurfacePoint,
+    continue_fiber,
     loop_path,
     polyline,
     reverse,
@@ -51,6 +53,31 @@ def test_gamma2_loop_vanishes(sqrt_z):
 def test_recip_unit_circle_classical_residue(recip_z):
     res = surface_integral(recip_z, SurfacePoint(1, 1), loop_path(0, 1.0, 1))
     assert res.value == pytest.approx(TWO_PI_I, abs=1e-10)
+
+
+@pytest.mark.parametrize("coeffs, path", [
+    (["0", "0", "-z"], polyline(1, 3 + 2j)),
+    (["0", "0", "-z"], polyline(1, 1j, -2 + 0.5j)),
+    (["0", "-1/z"], polyline(1, 2j, -1)),
+])
+def test_fiber_integral_matches_per_sheet_integrals(coeffs, path):
+    eq = DefiningEquation.from_strings(coeffs)
+    roots = fiber_at(eq, path.start_z).roots
+    values, end_roots = fiber_integral(eq, roots, path)
+    assert len(values) == len(end_roots) == eq.k
+    for w, value in zip(roots, values):
+        single = surface_integral(eq, SurfacePoint(path.start_z, w), path).value
+        assert abs(value - single) < 1e-10 * (1 + abs(single))
+    expected_end = continue_fiber(eq, roots, path)
+    assert max(abs(a - b) for a, b in zip(end_roots, expected_end)) < 1e-12
+
+
+def test_fiber_integral_empty_path():
+    eq = DefiningEquation.from_strings(["0", "0", "-z"])
+    roots = fiber_at(eq, 1.0 + 0j).roots
+    values, end_roots = fiber_integral(eq, roots, BasePath(()))
+    assert values == [0j, 0j, 0j]
+    assert end_roots == list(roots)
 
 
 def test_closed_loop_lift_not_closed(sqrt_z):

@@ -8,11 +8,12 @@ import pytest
 
 from algebroid.config import DEFAULT
 from algebroid.errors import PathTooCloseToCritical, TrackingCollision
-from algebroid.surface import fiber_at
+from algebroid.surface import DefiningEquation, fiber_at
 from algebroid.tracker import (
     Arc,
     BasePath,
     Line,
+    SegmentTracker,
     SurfacePoint,
     continue_branch,
     germ_at,
@@ -102,6 +103,30 @@ def test_germ_rejects_irregular_point(sqrt_z):
     # w = 1e-10 is a root at z = 1e-20, but Psi_W = 2e-10 is below the regularity floor
     with pytest.raises(TrackingCollision, match="not regular"):
         germ_at(sqrt_z, 1e-20 + 0j, 1e-10 + 0j)
+
+
+@pytest.mark.parametrize("coeffs, seg", [
+    (["0", "-z"], Line(1, 4)),
+    (["0", "0", "-z"], Line(1, 3 + 2j)),
+    (["0", "-1/z"], Line(1, -1 + 0.5j)),
+])
+def test_clipped_step_keeps_step_size(coeffs, seg):
+    eq = DefiningEquation.from_strings(coeffs)
+    fiber = fiber_at(eq, seg.start).roots
+
+    def fresh():
+        return SegmentTracker(eq, seg, fiber, DEFAULT, h_min=DEFAULT.h_min_frac)
+
+    direct = fresh()
+    direct.advance_to(1.0)
+    trk = fresh()
+    h0 = trk.h
+    trk.advance_to(1e-6)
+    assert trk.h == h0  # a step cut short to land on t = 1e-6 leaves h alone
+    before = trk.steps
+    trk.advance_to(1.0)
+    assert trk.steps - before <= direct.steps + 1
+    assert max(abs(a - b) for a, b in zip(trk.fiber, direct.fiber)) < 1e-12
 
 
 def test_continue_branch_principal_sqrt(sqrt_z):
