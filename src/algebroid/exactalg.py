@@ -3,12 +3,16 @@
 Polynomials and rational functions in z with Q(i) coefficients carry the
 structural layer of the toolkit: defining-equation coefficients, resultants,
 discriminants, and Laurent orders are all computed here without rounding.
+A resultant clears the denominators of its Sylvester matrix once per block
+and takes the determinant by fraction-free Bareiss elimination over
+Gaussian-integer polynomials in z, held as lists of (re, im) int pairs.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent, and parentheses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -358,9 +362,10 @@ class RatFunc:
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
+            if den.degree > 0:  # a constant denominator has only unit gcds
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num.exact_div(g), den.exact_div(g)
             lead = den.leading()
             if lead != _GR_ONE:
                 num = Poly([c / lead for c in num.coeffs])
@@ -633,39 +638,128 @@ def w_poly_derivative(f: WPoly) -> list[RatFunc]:
     return _trim_w([c * RatFunc.constant(n) for n, c in enumerate(f) if n > 0])
 
 
-def _bareiss_det(mat: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials."""
+# A polynomial over the Gaussian integers Z[i][z] is a list of (re, im) int
+# pairs, ascending in z, with no trailing (0, 0); [] is the zero polynomial.
+_GZ_ONE = [(1, 0)]
+
+
+def _gz_of(p: Poly, scale: int) -> list[tuple[int, int]]:
+    """scale * p as int pairs; scale must be a multiple of every denominator."""
+    return [
+        (c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator))
+        for c in p.coeffs
+    ]
+
+
+def _gz_cross(p, a, b, c) -> list[tuple[int, int]]:
+    """p*a - b*c over Z[i][z]."""
+    size = max(len(p) + len(a), len(b) + len(c)) - 1
+    re, im = [0] * size, [0] * size
+    for i, (xr, xi) in enumerate(p):
+        for j, (yr, yi) in enumerate(a, i):
+            re[j] += xr * yr - xi * yi
+            im[j] += xr * yi + xi * yr
+    for i, (xr, xi) in enumerate(b):
+        for j, (yr, yi) in enumerate(c, i):
+            re[j] -= xr * yr - xi * yi
+            im[j] -= xr * yi + xi * yr
+    while re and not re[-1] and not im[-1]:
+        re.pop()
+        im.pop()
+    return list(zip(re, im))
+
+
+def _gz_exact_div(num, den) -> list[tuple[int, int]]:
+    """num / den by long division in Z[i][z]; ArithmeticError unless exact."""
+    if den == _GZ_ONE or not num:
+        return num
+    dlen = len(den)
+    dq = len(num) - dlen
+    if dq < 0:
+        raise ArithmeticError("division was not exact")
+    lr, li = den[-1]
+    norm = lr * lr + li * li
+    re = [c[0] for c in num]
+    im = [c[1] for c in num]
+    quot = [(0, 0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        nr, ni = re[k + dlen - 1], im[k + dlen - 1]
+        if not nr and not ni:
+            continue
+        # (nr + i ni) / (lr + i li) = (nr + i ni)(lr - i li) / norm
+        qr, rr = divmod(nr * lr + ni * li, norm)
+        qi, ri = divmod(ni * lr - nr * li, norm)
+        if rr or ri:
+            raise ArithmeticError("division was not exact")
+        quot[k] = (qr, qi)
+        for j, (dr, di) in enumerate(den, k):
+            re[j] -= qr * dr - qi * di
+            im[j] -= qr * di + qi * dr
+    if any(re[: dlen - 1]) or any(im[: dlen - 1]):
+        raise ArithmeticError("division was not exact")
+    return quot
+
+
+def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]]:
+    """Fraction-free determinant (Bareiss) of a square matrix over Z[i][z].
+
+    Each division by the previous pivot is exact by Sylvester's identity;
+    it is checked all the same and raises ArithmeticError if it is not.
+    """
     n = len(mat)
     if n == 0:
-        return _P_ONE
+        return _GZ_ONE
     sign = 1
-    prev = _P_ONE
+    prev = _GZ_ONE
     for col in range(n - 1):
-        if mat[col][col].is_zero():
+        if not mat[col][col]:
             for r in range(col + 1, n):
-                if not mat[r][col].is_zero():
+                if mat[r][col]:
                     mat[col], mat[r] = mat[r], mat[col]
                     sign = -sign
                     break
             else:
-                return _P_ZERO
-        pivot = mat[col][col]
+                return []
+        pivot_row = mat[col]
+        pivot = pivot_row[col]
         for i in range(col + 1, n):
+            row = mat[i]
+            lead = row[col]
             for j in range(col + 1, n):
-                num = pivot * mat[i][j] - mat[i][col] * mat[col][j]
-                mat[i][j] = num.exact_div(prev)
-            mat[i][col] = _P_ZERO
+                row[j] = _gz_exact_div(_gz_cross(pivot, row[j], lead, pivot_row[j]), prev)
+            row[col] = []
         prev = pivot
     det = mat[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else [(-re, -im) for re, im in det]
+
+
+def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], Poly]:
+    """One Sylvester block's entries over Z[i][z], and the factor that cleared them.
+
+    Every row of a block is a shift of the same coefficients, so one lcm of
+    their denominators, times the integer lcm of the Fraction denominators
+    left after it, clears the whole block.
+    """
+    lcm = _P_ONE
+    for c in coeffs:
+        if c.den.degree > 0:
+            lcm = poly_lcm(lcm, c.den)
+    polys = [c.num * lcm.exact_div(c.den) for c in coeffs]
+    scale = 1
+    for p in polys:
+        for c in p.coeffs:
+            scale = math.lcm(scale, c.re.denominator, c.im.denominator)
+    return [_gz_of(p, scale) for p in polys], lcm.scale(scale)
 
 
 def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     """Resultant in W of two polynomials with rational-function coefficients.
 
-    Computed as the Sylvester determinant over Q(i)(z): rows are cleared of
-    denominators, the polynomial determinant is taken by fraction-free
-    elimination, and the row multipliers are divided back out.
+    Computed as the Sylvester determinant over Q(i)(z): the f rows and the
+    g rows are each cleared of denominators by one factor per block, the
+    determinant is taken by fraction-free Bareiss elimination over
+    Gaussian-integer polynomials in z, and the block factors are divided
+    back out.
     """
     fc, gc = _trim_w(f), _trim_w(g)
     if not fc or not gc:
@@ -674,24 +768,16 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     if m == 0 and n == 0:
         return _R_ONE
     size = m + n
-    rows: list[list[RatFunc]] = []
-    fdesc = list(reversed(fc))
-    gdesc = list(reversed(gc))
+    fdesc, fscale = _clear_block(fc[::-1])
+    gdesc, gscale = _clear_block(gc[::-1])
+    rows = []
     for sh in range(n):
-        rows.append([_R_ZERO] * sh + fdesc + [_R_ZERO] * (size - sh - m - 1))
+        rows.append([[]] * sh + fdesc + [[]] * (size - sh - m - 1))
     for sh in range(m):
-        rows.append([_R_ZERO] * sh + gdesc + [_R_ZERO] * (size - sh - n - 1))
-
-    cleared: list[list[Poly]] = []
-    multiplier = _P_ONE
-    for row in rows:
-        lcm = _P_ONE
-        for entry in row:
-            lcm = poly_lcm(lcm, entry.den)
-        cleared.append([e.num * lcm.exact_div(e.den) for e in row])
-        multiplier = multiplier * lcm
-    det = _bareiss_det(cleared)
-    return RatFunc(det, multiplier)
+        rows.append([[]] * sh + gdesc + [[]] * (size - sh - n - 1))
+    det = _bareiss_det(rows)
+    det_poly = Poly([GaussianRational(Fraction(re), Fraction(im)) for re, im in det])
+    return RatFunc(det_poly, fscale**n * gscale**m)
 
 
 def discriminant(eq) -> RatFunc:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,9 +236,13 @@ def test_load_problem_round_trip(tmp_path):
 def test_module_entry_point(tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(SQRT_Z))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "algebroid", "critical", str(f)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

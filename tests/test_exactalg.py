@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroid.errors import (
@@ -15,6 +15,7 @@ from algebroid.exactalg import (
     GaussianRational,
     Poly,
     RatFunc,
+    _gz_exact_div,
     discriminant,
     laurent_order,
     parse_coefficient,
@@ -217,6 +218,104 @@ def test_discriminant_numeric_cross_check():
     expected = np.linalg.det(m)
     got = disc.eval_complex(z0)
     assert abs(got - expected) <= 1e-10 * abs(expected)
+
+
+def scalar_det(mat):
+    """Determinant over GaussianRational by Gaussian elimination (independent oracle)."""
+    mat = [list(row) for row in mat]
+    n = len(mat)
+    det = GaussianRational.of(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col]), None)
+        if pivot is None:
+            return GaussianRational()
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        for r in range(col + 1, n):
+            factor = mat[r][col] / mat[col][col]
+            for j in range(col, n):
+                mat[r][j] = mat[r][j] - factor * mat[col][j]
+    return det
+
+
+def scalar_sylvester(f, g):
+    """Sylvester matrix of two scalar polynomials given ascending in W."""
+    m, n = len(f) - 1, len(g) - 1
+    zero = GaussianRational()
+    rows = [[zero] * sh + f[::-1] + [zero] * (n - 1 - sh) for sh in range(n)]
+    rows += [[zero] * sh + g[::-1] + [zero] * (m - 1 - sh) for sh in range(m)]
+    return rows
+
+
+proper_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def non_integer_gaussians(draw):
+    v = GaussianRational(draw(proper_fracs), draw(proper_fracs))
+    if v.re.denominator == 1 and v.im.denominator == 1:
+        v = v + GaussianRational(Fraction(1, 3), Fraction(1, 2))
+    return v
+
+
+@st.composite
+def sylvester_cases(draw):
+    """A_1..A_k with Gaussian-rational numerators and some linear denominators."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    coeffs = []
+    for _ in range(k):
+        num = Poly(draw(st.lists(non_integer_gaussians(), min_size=1, max_size=3)))
+        den = Poly([1])
+        if draw(st.booleans()):
+            den = Poly([-draw(non_integer_gaussians()), 1])
+        coeffs.append(RatFunc(num, den))
+    z0 = draw(non_integer_gaussians())
+    assume(all(c.den.eval_exact(z0) for c in coeffs))
+    return coeffs, z0
+
+
+@settings(max_examples=30, deadline=None)
+@given(sylvester_cases())
+def test_discriminant_matches_scalar_sylvester_oracle(case):
+    # disc(z0) is the Sylvester determinant of Psi(., z0) and Psi_W(., z0)
+    coeffs, z0 = case
+    psi = [c.eval_exact(z0) for c in reversed(coeffs)] + [GaussianRational.of(1)]
+    psi_w = [c * n for n, c in enumerate(psi) if n > 0]
+    expected = scalar_det(scalar_sylvester(psi, psi_w))
+    try:
+        got = discriminant(coeffs).eval_exact(z0)
+    except IdenticallyZeroDiscriminant:
+        got = GaussianRational()
+    assert got == expected
+
+
+def test_resultant_constant_first_argument():
+    # m = 0: the Sylvester matrix is n copies of the constant on the diagonal
+    c = rf("(1/3 + i/2)*z + 1/(z-1)")
+    g = [rf("z"), rf("2/3"), rf("-i"), ONE]
+    assert resultant_w([c], g) == c**3
+    assert resultant_w([c], [rf("5"), rf("1/7")]) == c
+
+
+def test_discriminant_rejects_repeated_rational_factor():
+    # (W - (1/3 + i/2)/(z - 1))^2 (W + z/5) has a square factor
+    p = rf("(1/3 + i/2)/(z - 1)")
+    psi = w_poly_mul(w_poly_mul([-p, ONE], [-p, ONE]), [rf("z/5"), ONE])
+    with pytest.raises(IdenticallyZeroDiscriminant):
+        discriminant(list(reversed(psi[:-1])))
+
+
+def test_gaussian_integer_division_checks_remainder():
+    assert _gz_exact_div([(-1, 0), (0, 0), (1, 0)], [(-1, 0), (1, 0)]) == [(1, 0), (1, 0)]
+    assert _gz_exact_div([(3, 1), (1, 3)], [(1, 1)]) == [(2, -1), (2, 1)]
+    with pytest.raises(ArithmeticError):
+        _gz_exact_div([(1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)])  # z^2 + 1 by z + 1
+    with pytest.raises(ArithmeticError):
+        _gz_exact_div([(2, 1)], [(1, 1)])  # (2 + i)/(1 + i) is not in Z[i]
+    with pytest.raises(ArithmeticError):
+        _gz_exact_div([(1, 0)], [(0, 0), (1, 0)])  # 1 by z
 
 
 def test_w_poly_derivative():
