@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +28,11 @@ from .errors import (
     UnreachableSheet,
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
-from .puiseux import cycle_structure, puiseux_expand
+from .puiseux import singular_elements
 from .quad import fiber_integral, surface_integral
 from .surface import DefiningEquation, fiber_at, irreducibility_check, match_to_fiber
 from .surface import generator_loops
-from .tracker import BasePath, SurfacePoint, germ_at, safe_line
+from .tracker import SurfacePoint, germ_at, safe_line
 from .tracker import _path_margin
 
 __all__ = [
@@ -335,10 +335,9 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
         )
     offenders = []
     for cp in eq.critical(tol).points:
-        for cycle in cycle_structure(eq, cp.location, tol=tol):
-            exp = puiseux_expand(eq, cp.location, cycle, tol=tol)
-            if abs(exp.residue) > tol.residue_tol:
-                offenders.append((cp.location, cycle, exp.residue))
+        for cyc in singular_elements(eq, cp.location, tol=tol).cycles:
+            if abs(cyc.residue) > tol.residue_tol:
+                offenders.append((cp.location, cyc.sheets, cyc.residue))
     if offenders:
         raise RefusedNonzeroResidue(
             "singular elements with nonzero residue: "
@@ -385,14 +384,7 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
     model = AntiderivativeModel(eq.k, base, c, tuple(coeffs), diag)
     if verify:
         defect = verify_antiderivative(model, eq, tol=tol)
-        diag = FitDiagnostics(
-            residuals=diag.residuals,
-            sample_grid=diag.sample_grid,
-            degrees=diag.degrees,
-            single_valuedness_defect=diag.single_valuedness_defect,
-            derivative_defect=defect,
-        )
-        model = AntiderivativeModel(eq.k, base, c, tuple(coeffs), diag)
+        model = replace(model, diagnostics=replace(diag, derivative_defect=defect))
     return model
 
 

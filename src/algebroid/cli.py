@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -21,7 +22,7 @@ from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError
 from .puiseux import residue_by_contour, singular_elements
-from .quad import c_ab, path_independence_audit, surface_integral
+from .quad import path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path
 
@@ -95,45 +96,45 @@ def _complex_from_json(value, where) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(v, (int, float)) for v in value)):
         raise SchemaError(f"{where} must be a [re, im] pair")
-    return complex(value[0], value[1])
+    return complex(*_finite(value, where))
+
+
+def _finite(values: Sequence[float], where: str) -> Sequence[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(f"{where} must be finite numbers, got {list(values)}")
+    return values
 
 
 def parse_path_json(segments, where="path") -> BasePath:
     if not isinstance(segments, (list, tuple)):
         raise SchemaError(f"{where} must be a list of segment objects")
-    parts = []
-    for idx, seg in enumerate(segments):
-        spot = f"{where}[{idx}]"
-        if not isinstance(seg, dict) or len(seg) != 1:
-            raise SchemaError(f"{spot} must be a one-key object (line or arc)")
-        if "line" in seg:
-            ends = seg["line"]
-            if not (isinstance(ends, (list, tuple)) and len(ends) == 2):
-                raise SchemaError(f"{spot}.line must hold two [re, im] pairs")
-            parts.append(
-                Line(
-                    _complex_from_json(ends[0], f"{spot}.line[0]"),
-                    _complex_from_json(ends[1], f"{spot}.line[1]"),
-                )
-            )
-        elif "arc" in seg:
-            data = seg["arc"]
-            if not isinstance(data, dict):
-                raise SchemaError(f"{spot}.arc must be an object")
-            parts.append(
-                Arc(
-                    _complex_from_json(_want(data, "center", (list, tuple), spot), spot),
-                    float(_want(data, "radius", (int, float), spot)),
-                    float(_want(data, "theta_from", (int, float), spot)),
-                    float(_want(data, "theta_to", (int, float), spot)),
-                )
-            )
-        else:
-            raise SchemaError(f"{spot} must be a line or an arc")
     try:
-        return BasePath(tuple(parts))
-    except ValueError as exc:
+        return BasePath(tuple(_segment_json(seg, f"{where}[{idx}]")
+                              for idx, seg in enumerate(segments)))
+    except ValueError as exc:  # an arc radius <= 0, or segments that do not join
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _segment_json(seg, spot):
+    if not isinstance(seg, dict) or len(seg) != 1:
+        raise SchemaError(f"{spot} must be a one-key object (line or arc)")
+    if "line" in seg:
+        ends = seg["line"]
+        if not (isinstance(ends, (list, tuple)) and len(ends) == 2):
+            raise SchemaError(f"{spot}.line must hold two [re, im] pairs")
+        return Line(
+            _complex_from_json(ends[0], f"{spot}.line[0]"),
+            _complex_from_json(ends[1], f"{spot}.line[1]"),
+        )
+    if "arc" in seg:
+        data = seg["arc"]
+        if not isinstance(data, dict):
+            raise SchemaError(f"{spot}.arc must be an object")
+        center = _complex_from_json(_want(data, "center", (list, tuple), spot), spot)
+        reals = [float(_want(data, key, (int, float), spot))
+                 for key in ("radius", "theta_from", "theta_to")]
+        return Arc(center, *_finite(reals, f"{spot}.arc radius and angles"))
+    raise SchemaError(f"{spot} must be a line or an arc")
 
 
 def path_to_json(path: BasePath) -> list:
@@ -156,6 +157,8 @@ def load_problem(filename: str) -> Problem:
     if not isinstance(raw, dict):
         raise SchemaError(f"{filename}: top level must be an object")
     k = _want(raw, "k", int, filename)
+    if k < 1:
+        raise SchemaError(f"{filename}: sheet count k must be at least 1")
     exprs = _want(raw, "coefficients", list, filename)
     if len(exprs) != k or not all(isinstance(e, str) for e in exprs):
         raise SchemaError(f"{filename}: coefficients must be {k} expression strings")
@@ -333,16 +336,18 @@ def cmd_family(problem: Problem, base: SurfacePoint, c: complex, shift: complex,
 # --- argument plumbing ----------------------------------------------------------
 
 
+def _parse_reals(parts: Sequence[str], flag: str, text: str) -> Sequence[float]:
+    try:
+        return _finite([float(p) for p in parts], flag)
+    except ValueError:
+        raise SchemaError(f"{flag} expects numbers, got {text!r}") from None
+
+
 def _parse_complex_flag(text: str, flag: str) -> complex:
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise SchemaError(f"{flag} expects RE or RE,IM, got {text!r}")
+    if len(parts) not in (1, 2):
+        raise SchemaError(f"{flag} expects RE or RE,IM, got {text!r}")
+    return complex(*_parse_reals(parts, flag, text))
 
 
 def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
@@ -350,15 +355,18 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
     for pair in pairs or ():
         if "=" not in pair:
             raise SchemaError(f"--tol expects NAME=VALUE, got {pair!r}")
-        name, _, value = pair.partition("=")
-        if not hasattr(tol, name):
+        name, _, text = pair.partition("=")
+        if name not in {f.name for f in dataclasses.fields(Tolerances)}:
             raise SchemaError(f"unknown tolerance {name!r}")
-        current = getattr(tol, name)
-        tol = tol.replace(**{name: type(current)(float(value))})
+        (value,) = _parse_reals([text], f"--tol {name}", text)
+        kind = type(getattr(tol, name))
+        if kind is int and not value.is_integer():
+            raise SchemaError(f"--tol {name} expects an integer, got {text!r}")
+        tol = tol.replace(**{name: kind(value)})
     return tol
 
 
-def _resolve_path(problem: Problem, args, flag_prefix: str = "path") -> BasePath:
+def _resolve_path(problem: Problem, args) -> BasePath:
     name = getattr(args, "path", None)
     inline = getattr(args, "path_json", None)
     loop = getattr(args, "loop", None)
@@ -378,9 +386,14 @@ def _resolve_path(problem: Problem, args, flag_prefix: str = "path") -> BasePath
     parts = loop.split(",")
     if len(parts) not in (4, 6):
         raise SchemaError("--loop expects CX,CY,R,TURNS[,AX,AY]")
-    cx, cy, r, turns = (float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
-    anchor = complex(float(parts[4]), float(parts[5])) if len(parts) == 6 else None
-    return loop_path(complex(cx, cy), r, turns, anchor)
+    nums = _parse_reals(parts, "--loop", loop)
+    if not nums[3].is_integer():
+        raise SchemaError(f"--loop TURNS must be an integer, got {parts[3]!r}")
+    anchor = complex(nums[4], nums[5]) if len(parts) == 6 else None
+    try:
+        return loop_path(complex(nums[0], nums[1]), nums[2], int(nums[3]), anchor)
+    except ValueError as exc:
+        raise SchemaError(f"--loop: {exc}") from exc
 
 
 def _resolve_start(problem: Problem, args) -> SurfacePoint:

@@ -5,6 +5,10 @@ w = sum_n B_n (z - a)^(n/m). Coefficients are extracted numerically: the
 branch is tracked around the m-turn circle of radius eps, sampled at
 equispaced angles, and Fourier-analyzed in t = eps^(1/m) e^(i theta / m).
 The residue of the singular element is m * B_{-m}.
+
+singular_elements is the one route to a critical point's local data: quad's
+residue checks, the antiderivative's zero-residue gate and growth_bound all
+iterate its cycles. Every entry point resolves its radius through _radius.
 """
 
 from __future__ import annotations
@@ -87,23 +91,28 @@ def default_radius(eq: DefiningEquation, a: complex, tol: Tolerances = DEFAULT) 
     return 0.5
 
 
-def _check_radius(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances):
-    if epsilon <= 0:
+def _radius(eq: DefiningEquation, a: complex, epsilon: Optional[float],
+            tol: Tolerances) -> float:
+    """The given sampling radius, or default_radius when it is None, checked
+    to be positive and below half the gap to the nearest other critical point."""
+    if epsilon is None:
+        epsilon = default_radius(eq, a, tol)
+    if not epsilon > 0:
         raise ValueError("sampling radius must be positive")
     d = eq.critical(tol).nearest_other_dist(a)
-    if epsilon >= 0.5 * d:
+    if not epsilon < 0.5 * d:
         raise ValueError(
             f"sampling radius {epsilon} is not below half the distance "
             f"{d} to the nearest other critical point"
         )
+    return epsilon
 
 
 def cycle_structure(eq: DefiningEquation, a: complex,
                     epsilon: Optional[float] = None,
                     tol: Tolerances = DEFAULT) -> list[tuple[int, ...]]:
     """Monodromy orbits of the small circle about a, in cycle order."""
-    epsilon = default_radius(eq, a, tol) if epsilon is None else epsilon
-    _check_radius(eq, a, epsilon, tol)
+    epsilon = _radius(eq, a, epsilon, tol)
     loop = loop_path(a, epsilon, 1, anchor=a + epsilon)
     sigma = monodromy(eq, loop, tol, delta_path=0.5 * epsilon)
     return sigma.orbits()
@@ -167,8 +176,7 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     disagree, which signals a radius outside the convergence annulus.
     """
     n_max = tol.n_max if n_max is None else n_max
-    epsilon = default_radius(eq, a, tol) if epsilon is None else epsilon
-    _check_radius(eq, a, epsilon, tol)
+    epsilon = _radius(eq, a, epsilon, tol)
     cycle = tuple(cycle)
     m = len(cycle)
     n_samples = max(8, 1 << math.ceil(math.log2(max(8 * n_max, 8))))
@@ -229,20 +237,15 @@ def residue(exp: PuiseuxExpansion) -> complex:
 def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
                        epsilon: Optional[float] = None,
                        tol: Tolerances = DEFAULT) -> complex:
-    """Residue as (1/2 pi i) times the m-turn loop integral around a."""
-    from .quad import surface_integral
-    from .tracker import SurfacePoint
+    """Residue as (1/2 pi i) times the m-turn loop integral around a.
 
-    epsilon = default_radius(eq, a, tol) if epsilon is None else epsilon
-    _check_radius(eq, a, epsilon, tol)
-    cycle = tuple(cycle)
-    m = len(cycle)
-    anchor = a + epsilon
-    fiber0 = fiber_at(eq, anchor, tol)
-    start = SurfacePoint(anchor, fiber0.roots[cycle[0]])
-    loop = loop_path(a, epsilon, m, anchor=anchor)
-    res = surface_integral(eq, start, loop, tol, delta_path=0.5 * epsilon)
-    return res.value / (2j * math.pi)
+    Raises LiftNotClosed when the sheets are not a cycle of the monodromy
+    about a, since the m-turn lift then does not close.
+    """
+    from .quad import _cycle_loop_value
+
+    epsilon = _radius(eq, a, epsilon, tol)
+    return _cycle_loop_value(eq, a, tuple(cycle), epsilon, tol) / (2j * math.pi)
 
 
 def _classify(exp: PuiseuxExpansion) -> str:
@@ -262,7 +265,7 @@ def singular_elements(eq: DefiningEquation, a: complex,
                       epsilon: Optional[float] = None,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
     """All cycles at a critical point with expansions and classifications."""
-    epsilon = default_radius(eq, a, tol) if epsilon is None else epsilon
+    epsilon = _radius(eq, a, epsilon, tol)
     reports = []
     for cycle in cycle_structure(eq, a, epsilon, tol):
         exp = puiseux_expand(eq, a, cycle, n_max, epsilon, tol)
@@ -277,8 +280,8 @@ def growth_bound(eq: DefiningEquation, z0: complex, tol: Tolerances = DEFAULT) -
         return 0
     center = min(crit.points, key=lambda p: abs(p.location - z0)).location
     bound = 0
-    for cycle in cycle_structure(eq, center, tol=tol):
-        exp = puiseux_expand(eq, center, cycle, tol=tol)
+    for c in singular_elements(eq, center, tol=tol).cycles:
+        exp = c.expansion
         if exp.coeffs and exp.u < 0:
             bound = max(bound, -(exp.u // exp.m))
     return bound

@@ -7,12 +7,14 @@ every tracked sheet at once: a piece is split until each sheet passes its
 own test, so fiber_integral integrates a whole fiber in one tracking pass
 where surface_integral integrates one sheet. Because admissible
 paths keep a margin from the critical set, the integrand is analytic and
-the per-piece rule converges spectrally.
+the per-piece rule converges spectrally; tracker._segments, the split the
+tracker's one walk uses, checks that margin once. Residue checks read their
+cycles from puiseux.singular_elements, the one route to local data, and
+share the m-turn loop integral _cycle_loop_value with residue_by_contour.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,16 +24,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
 from .surface import DefiningEquation, fiber_at, match_to_fiber
-from .tracker import (
-    BasePath,
-    SegmentTracker,
-    SurfacePoint,
-    ensure_path_clear,
-    germ_at,
-    loop_path,
-    safe_line,
-)
-from .tracker import _path_margin  # shared margin policy
+from .tracker import BasePath, SegmentTracker, SurfacePoint, germ_at, loop_path, safe_line
+from .tracker import _path_margin, _segments  # shared margin policy and path split
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -130,13 +124,9 @@ def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
                tol: Tolerances, delta_path: Optional[float], positions: Sequence[int]):
     """Integrals of w dz on the given fiber positions along a nonempty path:
     (values, error estimates, end fiber in position order)."""
-    margin = _path_margin(eq, tol, delta_path)
-    ensure_path_clear(path, eq.critical(tol).locations, margin)
-    total_len = path.length
     totals = [0j] * len(positions)
     errs = [0.0] * len(positions)
-    for seg in path.segments:
-        frac = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+    for seg, frac in _segments(eq, path, tol, delta_path):
         st0 = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
         whole, _ = _eval_piece(st0, 0.0, 1.0, positions)
         vals, es, st_end = _bisect(
@@ -212,32 +202,36 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
     return res
 
 
+def _cycle_loop_value(eq: DefiningEquation, a: complex, cycle: Sequence[int],
+                      epsilon: float, tol: Tolerances) -> complex:
+    """Integral of w dz over the m-turn circle of radius epsilon about a,
+    m = len(cycle), lifted from sheet cycle[0] over a + epsilon."""
+    anchor = a + epsilon
+    start = SurfacePoint(anchor, fiber_at(eq, anchor, tol).roots[cycle[0]])
+    loop = loop_path(a, epsilon, len(cycle), anchor=anchor)
+    return closed_loop_integral(eq, start, loop, tol, delta_path=0.5 * epsilon).value
+
+
 def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    from . import puiseux
+    from .puiseux import singular_elements
 
-    epsilon = puiseux.default_radius(eq, a, tol) if epsilon is None else epsilon
-    anchor = a + epsilon
-    fiber0 = fiber_at(eq, anchor, tol)
+    report = singular_elements(eq, a, epsilon=epsilon, tol=tol)
     checks = []
-    for cycle in puiseux.cycle_structure(eq, a, epsilon, tol):
-        m = len(cycle)
-        exp = puiseux.puiseux_expand(eq, a, cycle, epsilon=epsilon, tol=tol)
-        loop = loop_path(a, epsilon, m, anchor=anchor)
-        start = SurfacePoint(anchor, fiber0.roots[cycle[0]])
-        res = closed_loop_integral(eq, start, loop, tol, delta_path=0.5 * epsilon)
-        expected = 2j * math.pi * exp.residue
+    for c in report.cycles:
+        value = _cycle_loop_value(eq, a, c.sheets, c.expansion.radius, tol)
+        expected = 2j * math.pi * c.residue
         checks.append(
             ResidueCheck(
                 center=a,
-                cycle=cycle,
-                m=m,
-                loop_value=res.value,
-                residue=exp.residue,
+                cycle=c.sheets,
+                m=c.expansion.m,
+                loop_value=value,
+                residue=c.residue,
                 expected=expected,
-                discrepancy=abs(res.value - expected),
+                discrepancy=abs(value - expected),
             )
         )
     return checks

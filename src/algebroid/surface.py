@@ -341,7 +341,7 @@ def generator_loops(
 
     crit = eq.critical(tol)
     loops = []
-    margin = tol.delta_path_factor * crit.scale
+    margin = tracker._path_margin(eq, tol, None)
     for cp in crit.points:
         d_other = crit.nearest_other_dist(cp.location)
         if d_other < float("inf"):

@@ -10,14 +10,19 @@ prediction, which is what prevents two sheets from silently swapping.
 A step clipped to land on a target t (a quadrature node, a segment end)
 may grow the step size but never shrinks it, so closely spaced targets do
 not make the tracker relearn its step after each one.
+
+There is one walk along a path, _walk: it yields (path parameter, z, fiber)
+after every accepted step. continue_fiber keeps its last fiber and
+continue_branch records one sheet; _segments, which checks the path's
+margin from the critical set once, splits the path for it and for quad.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -256,12 +261,10 @@ def _polish(coeffs: Sequence[complex], w: complex, tol: Tolerances) -> Optional[
 class SegmentTracker:
     """Continues a fiber monotonically along one segment."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "h_min", "steps",
-                 "min_sep_seen", "on_step")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "h_min", "steps")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
-                 tol: Tolerances, h_min: float, h0: float = 0.25,
-                 on_step: Optional[Callable] = None):
+                 tol: Tolerances, h_min: float, h0: float = 0.25):
         self.eq = eq
         self.seg = seg
         self.tol = tol
@@ -270,77 +273,66 @@ class SegmentTracker:
         self.h = h0
         self.h_min = h_min
         self.steps = 0
-        self.min_sep_seen = min_pairwise_distance(fiber)
-        self.on_step = on_step
 
     def clone(self) -> "SegmentTracker":
         c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol, self.h_min, self.h)
         c.t = self.t
         c.steps = self.steps
-        c.min_sep_seen = self.min_sep_seen
         return c
 
     def advance_to(self, t_target: float):
         if t_target < self.t - 1e-15:
             raise ValueError("SegmentTracker only advances forward")
-        eq, seg, tol = self.eq, self.seg, self.tol
         while self.t < t_target - 1e-15:
-            z0 = seg.at(self.t)
-            min_sep0 = min_pairwise_distance(self.fiber)
-            scale = 1.0 + max(abs(w) for w in self.fiber)
-            if min_sep0 < tol.delta_sep * scale:
-                raise TrackingCollision(
-                    f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
-                )
-            cap = min(0.25 * min_sep0, 0.5 * scale)
-            coeffs0 = eq.psi_coeffs_at(z0)
-            zcoeffs0 = eq.psi_z_coeffs_at(z0)
-            slopes = []  # dw/dz of each root at z0
-            for w in self.fiber:
-                dw = poly_eval_pair(coeffs0, w)[1]
-                if dw == 0:  # no step can be predicted; halving h cannot help
-                    raise StepUnderflow(f"continuation step underflow near z={z0}")
-                slopes.append(-poly_eval(zcoeffs0, w) / dw)
-            h = min(self.h, t_target - self.t)
-            clipped = h < self.h
-            while True:
-                z1 = seg.at(self.t + h)
-                dz = z1 - z0
-                moves = [d * dz for d in slopes]
-                move = max(abs(m) for m in moves)
-                corrected = None
-                if move <= cap:
-                    coeffs1 = eq.psi_coeffs_at(z1)
-                    preds = [w + m for w, m in zip(self.fiber, moves)]
-                    corrected = [_polish(coeffs1, p, tol) for p in preds]
-                if corrected is not None and None not in corrected:
-                    min_sep1 = min_pairwise_distance(corrected)
-                    drift = max(abs(c - p) for c, p in zip(corrected, preds))
-                    if drift <= 0.25 * min(min_sep0, min_sep1):
-                        self.t += h
-                        self.fiber = corrected
-                        self.steps += 1
-                        self.min_sep_seen = min(self.min_sep_seen, min_sep1)
-                        if self.on_step is not None:
-                            self.on_step(self.t, z1, self.fiber)
-                        grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
-                        # a step cut short to land on the target says nothing
-                        # about the step the path allows
-                        self.h = max(self.h, grown) if clipped else grown
-                        break
-                if h <= self.h_min:
-                    raise StepUnderflow(f"continuation step underflow near z={z0}")
-                h *= 0.5
-                self.h = h
+            self._step(t_target)
 
-
-def ensure_path_clear(path: BasePath, critical_locs: Sequence[complex], margin: float):
-    for c in critical_locs:
-        d = path.min_dist_to(c)
-        if d < margin:
-            raise PathTooCloseToCritical(
-                f"path passes within {d:.3e} of critical point {c} (margin {margin:.3e})"
+    def _step(self, t_target: float) -> complex:
+        """One accepted step towards t_target; returns the z it reaches."""
+        eq, seg, tol = self.eq, self.seg, self.tol
+        z0 = seg.at(self.t)
+        min_sep0 = min_pairwise_distance(self.fiber)
+        scale = 1.0 + max(abs(w) for w in self.fiber)
+        if min_sep0 < tol.delta_sep * scale:
+            raise TrackingCollision(
+                f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
             )
+        cap = min(0.25 * min_sep0, 0.5 * scale)
+        coeffs0 = eq.psi_coeffs_at(z0)
+        zcoeffs0 = eq.psi_z_coeffs_at(z0)
+        slopes = []  # dw/dz of each root at z0
+        for w in self.fiber:
+            dw = poly_eval_pair(coeffs0, w)[1]
+            if dw == 0:  # no step can be predicted; halving h cannot help
+                raise StepUnderflow(f"continuation step underflow near z={z0}")
+            slopes.append(-poly_eval(zcoeffs0, w) / dw)
+        h = min(self.h, t_target - self.t)
+        clipped = h < self.h
+        while True:
+            z1 = seg.at(self.t + h)
+            dz = z1 - z0
+            moves = [d * dz for d in slopes]
+            move = max(abs(m) for m in moves)
+            corrected = None
+            if move <= cap:
+                coeffs1 = eq.psi_coeffs_at(z1)
+                preds = [w + m for w, m in zip(self.fiber, moves)]
+                corrected = [_polish(coeffs1, p, tol) for p in preds]
+            if corrected is not None and None not in corrected:
+                min_sep1 = min_pairwise_distance(corrected)
+                drift = max(abs(c - p) for c, p in zip(corrected, preds))
+                if drift <= 0.25 * min(min_sep0, min_sep1):
+                    self.t += h
+                    self.fiber = corrected
+                    self.steps += 1
+                    grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
+                    # a step cut short to land on the target says nothing
+                    # about the step the path allows
+                    self.h = max(self.h, grown) if clipped else grown
+                    return z1
+            if h <= self.h_min:
+                raise StepUnderflow(f"continuation step underflow near z={z0}")
+            h *= 0.5
+            self.h = h
 
 
 def _path_margin(eq: DefiningEquation, tol: Tolerances, delta_path: Optional[float]) -> float:
@@ -350,40 +342,43 @@ def _path_margin(eq: DefiningEquation, tol: Tolerances, delta_path: Optional[flo
     return tol.delta_path_factor * crit.scale
 
 
-def _run_path(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-              tol: Tolerances, delta_path: Optional[float],
-              on_step: Optional[Callable] = None):
-    """Continue a whole fiber through every segment of a path."""
+def _segments(eq: DefiningEquation, path: BasePath, tol: Tolerances,
+              delta_path: Optional[float]) -> Iterator[tuple[Segment, float]]:
+    """Each segment of a path with its share of the path length, once the
+    whole path is checked to keep its margin from the critical set."""
     margin = _path_margin(eq, tol, delta_path)
-    ensure_path_clear(path, eq.critical(tol).locations, margin)
+    for c in eq.critical(tol).locations:
+        d = path.min_dist_to(c)
+        if d < margin:
+            raise PathTooCloseToCritical(
+                f"path passes within {d:.3e} of critical point {c} (margin {margin:.3e})"
+            )
     total_len = path.length
-    steps = 0
-    min_sep = min_pairwise_distance(fiber)
-    done_len = 0.0
-    current = list(fiber)
     for seg in path.segments:
-        seg_w = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
-        base = done_len
+        yield seg, seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
 
-        cb = None
-        if on_step is not None:
-            cb = lambda t, z, f, base=base, seg_w=seg_w: on_step(base + t * seg_w, z, f)
-        trk = SegmentTracker(
-            eq, seg, current, tol,
-            h_min=tol.h_min_frac, on_step=cb,
-        )
-        trk.advance_to(1.0)
-        current = trk.fiber
-        steps += trk.steps
-        min_sep = min(min_sep, trk.min_sep_seen)
-        done_len += seg_w
-    return current, steps, min_sep
+
+def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
+          tol: Tolerances, delta_path: Optional[float]
+          ) -> Iterator[tuple[float, complex, list[complex]]]:
+    """Continue a whole fiber along a path, yielding (path parameter, z,
+    fiber in position order) after each accepted step."""
+    done = 0.0
+    for seg, share in _segments(eq, path, tol, delta_path):
+        trk = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
+        while trk.t < 1.0 - 1e-15:
+            z = trk._step(1.0)
+            yield done + trk.t * share, z, trk.fiber
+        fiber = trk.fiber
+        done += share
 
 
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
                    tol: Tolerances = DEFAULT, delta_path: Optional[float] = None) -> list[complex]:
     """End fiber in position order (position j continues the j-th start root)."""
-    end, _, _ = _run_path(eq, fiber, path, tol, delta_path)
+    end = list(fiber)
+    for _, _, end in _walk(eq, fiber, path, tol, delta_path):
+        pass
     return end
 
 
@@ -401,13 +396,12 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     roots[pos] = start.w  # keep the polished germ value
 
     samples = [(0.0, start.z, start.w)]
-
-    def record(t, z, fiber):
+    min_sep = min_pairwise_distance(roots)
+    for t, z, fiber in _walk(eq, roots, path, tol, delta_path):
         samples.append((t, z, fiber[pos]))
-
-    end, steps, min_sep = _run_path(eq, roots, path, tol, delta_path, on_step=record)
-    endpoint = SurfacePoint(path.end_z, end[pos])
-    return TrackResult(endpoint, tuple(samples), steps, min_sep)
+        min_sep = min(min_sep, min_pairwise_distance(fiber))
+    endpoint = SurfacePoint(path.end_z, samples[-1][2])
+    return TrackResult(endpoint, tuple(samples), len(samples) - 1, min_sep)
 
 
 # --- deterministic path construction ----------------------------------------

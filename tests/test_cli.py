@@ -220,6 +220,64 @@ def test_bad_tol_name(capsys, sqrt_file):
     assert code == 3
 
 
+PROBLEM = "<problem file>"
+
+
+def _schema_error_exit(capsys, tmp_path, problem, argv):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))  # NaN and Infinity serialize as bare literals
+    code = main([str(f) if a == PROBLEM else a for a in argv])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+
+
+def _with_arc_radius(radius):
+    arc = {"arc": {"center": [0, 0], "radius": radius, "theta_from": 0.0, "theta_to": 1.0}}
+    return dict(SQRT_Z, paths={"bad": [arc]})
+
+
+@pytest.mark.parametrize("problem, argv", [
+    (SQRT_Z, ["--tol", "quad_tol=abc", "critical", PROBLEM]),
+    (SQRT_Z, ["--tol", "replace=1", "critical", PROBLEM]),
+    ({"k": 0, "coefficients": []}, ["critical", PROBLEM]),
+    (_with_arc_radius(0.0), ["critical", PROBLEM]),
+    (_with_arc_radius(-1.0), ["critical", PROBLEM]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,-1,1"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,0"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,one"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,1,0,0"]),
+], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
+        "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
+        "loop-turns-not-a-number", "loop-anchor-at-center"])
+def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
+    _schema_error_exit(capsys, tmp_path, problem, argv)
+
+
+@pytest.mark.parametrize("problem, argv", [
+    (SQRT_Z, ["fiber", PROBLEM, "--z", "nan"]),
+    (SQRT_Z, ["fiber", PROBLEM, "--z", "1,inf"]),
+    (dict(SQRT_Z, base={"z": [float("nan"), 0], "w": [1, 0]}), ["critical", PROBLEM]),
+    (dict(SQRT_Z, paths={"bad": [{"line": [[1, 0], [float("inf"), 0]]}]}), ["critical", PROBLEM]),
+    (_with_arc_radius(float("nan")), ["critical", PROBLEM]),
+    (SQRT_Z, ["--tol", "residue_tol=nan", "critical", PROBLEM]),
+    (SQRT_Z, ["--tol", "sv_tol=inf", "critical", PROBLEM]),
+    (SQRT_Z, ["--tol", "n_max=32.7", "critical", PROBLEM]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,nan,1"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,1.5"]),
+], ids=["z-nan", "z-inf", "json-base-nan", "json-line-inf", "json-arc-radius-nan",
+        "tol-nan", "tol-inf", "tol-int-fraction", "loop-nan", "loop-turns-fraction"])
+def test_non_finite_or_fractional_number_is_a_schema_error(capsys, tmp_path, problem, argv):
+    _schema_error_exit(capsys, tmp_path, problem, argv)
+
+
+def test_integral_tolerance_accepts_integral_value(capsys, sqrt_file):
+    code = main(["--tol", "n_max=16.0", "puiseux", sqrt_file, "--point", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"]["cycles"][0]["expansion"]["m"] == 2
+
+
 def test_path_json_schema_error():
     with pytest.raises(SchemaError):
         parse_path_json([{"segment": []}])

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from algebroid.config import DEFAULT
+from algebroid.errors import LiftNotClosed
 from algebroid.puiseux import (
     PuiseuxExpansion,
     cycle_structure,
@@ -171,3 +172,9 @@ def test_pole_branch_point_is_both():
     assert cyc.expansion.u == -1
     assert abs(cyc.residue) < 1e-9
     assert growth_bound(eq, 0j) == 1
+
+
+def test_residue_by_contour_refuses_a_sheet_set_that_is_not_a_cycle(sqrt_z):
+    # one turn about a square-root branch point lands on the other sheet
+    with pytest.raises(LiftNotClosed):
+        residue_by_contour(sqrt_z, 0j, (0,))

@@ -9,6 +9,7 @@ import pytest
 from algebroid.config import DEFAULT
 from algebroid.errors import EndpointGermMismatch, LiftNotClosed
 from algebroid.exactalg import GaussianRational
+from algebroid.puiseux import residue_by_contour
 from algebroid.quad import (
     c_ab,
     closed_loop_integral,
@@ -249,3 +250,12 @@ def test_subdivision_adds(sqrt_z):
         b = surface_integral(sqrt_z, a.endpoint, second)
         c = surface_integral(sqrt_z, SurfacePoint(1, 1), joined)
         assert abs(a.value + b.value - c.value) < 1e-10
+
+
+def test_residue_check_loop_is_the_contour_residue_loop():
+    # W^2 - 1/z: one 2-cycle at the pole, which is also a branch point
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    checks = residue_theorem_check(eq, 0j)
+    assert [rc.cycle for rc in checks] == [(0, 1)]
+    for rc in checks:
+        assert rc.loop_value / (2j * math.pi) == residue_by_contour(eq, 0j, rc.cycle)

@@ -8,14 +8,16 @@ import pytest
 
 from algebroid.config import DEFAULT
 from algebroid.errors import PathTooCloseToCritical, TrackingCollision
-from algebroid.surface import DefiningEquation, fiber_at
+from algebroid.surface import DefiningEquation, fiber_at, min_pairwise_distance
 from algebroid.tracker import (
     Arc,
     BasePath,
     Line,
     SegmentTracker,
     SurfacePoint,
+    _walk,
     continue_branch,
+    continue_fiber,
     germ_at,
     loop_path,
     polyline,
@@ -208,3 +210,25 @@ def test_multi_turn_continuation_closes(sqrt_z):
     loop = loop_path(0, 1.0, 2, anchor=1.0 + 0j)
     res = continue_branch(sqrt_z, SurfacePoint(1.0 + 0j, 1.0 + 0j), loop)
     assert res.endpoint.w == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("coeffs, path", [
+    (["0", "-z"], polyline(1, 2 + 1j, 3)),
+    (["0", "-(1+z^2)"], loop_path(0, 2.0, 1, anchor=3.0 + 0j)),
+    (["0", "0", "-1/z"], loop_path(0, 1.0, 3, anchor=1.0 + 0j)),
+])
+def test_continue_branch_agrees_with_continue_fiber(coeffs, path):
+    eq = DefiningEquation.from_strings(coeffs)
+    fiber = fiber_at(eq, path.start_z)
+    start = SurfacePoint(path.start_z, fiber.roots[0])
+    roots = list(fiber.roots)
+    roots[0] = germ_at(eq, start.z, start.w).w  # the germ continue_branch tracks
+    res = continue_branch(eq, start, path)
+    assert res.endpoint.w == continue_fiber(eq, roots, path)[0]
+    assert len(res.samples) == res.step_count + 1
+    ts = [t for t, _, _ in res.samples]
+    assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    fibers = [roots] + [f for _, _, f in _walk(eq, roots, path, DEFAULT, None)]
+    assert [f[0] for f in fibers] == [w for _, _, w in res.samples]
+    assert res.min_root_separation == min(min_pairwise_distance(f) for f in fibers)
