@@ -7,6 +7,10 @@ signed elementary symmetric functions of the k branch integrals
 F_j(z) = c + integral from a fixed base germ to the j-th germ over z; they
 are sampled on a grid, fitted as rational functions, and verified through
 the implicit derivative identity M'(z) = W(z).
+
+build_antiderivative reads irreducibility, the sheet values and the
+single-valuedness audit from SheetRouter's one fiber_integral per monodromy
+generator, and expands residues only where a coefficient has a pole.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from .errors import (
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .puiseux import singular_elements
-from .quad import fiber_integral, surface_integral
-from .surface import DefiningEquation, fiber_at, irreducibility_check, match_to_fiber
-from .surface import generator_loops
+# surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
+from .quad import fiber_integral, surface_integral  # noqa: F401
+from .surface import KIND_DISC, DefiningEquation, SheetPermutation, fiber_at, match_to_fiber
+from .surface import _orbits, _sheet_permutation, generator_loops
 from .tracker import SurfacePoint, germ_at, safe_line
 from .tracker import _path_margin
 
@@ -71,12 +76,12 @@ class AntiderivativeModel:
 
 
 class SheetRouter:
-    """Deterministic access to every sheet over the base point.
-
-    Breadth-first search over the monodromy generators, shortest word first
-    with ties broken by generator index. For each reachable sheet s the
-    router stores the germ over the base point, the generator word, and the
-    accumulated loop integral (the c-value of that sheet's germ).
+    """Every sheet over the base point, from one whole-fiber pass per
+    monodromy generator loop g: gens[g] is its sheet permutation and
+    periods[g][s] its loop integral from germs[s], the base fiber with base.w
+    at the base sheet. Breadth-first search over gens, shortest word first
+    with ties broken by generator index, sums periods into values[s], the
+    c-value of sheet s's germ.
     """
 
     def __init__(self, eq: DefiningEquation, base: SurfacePoint,
@@ -84,49 +89,27 @@ class SheetRouter:
         base = germ_at(eq, base.z, base.w, tol)
         self.eq = eq
         self.base = base
-        self.tol = tol
-        self.rng = rng
-        self.loops = generator_loops(eq, base.z, tol, rng)
-        self.fiber = fiber_at(eq, base.z, tol)
-        self.base_sheet = match_to_fiber(base.w, self.fiber, tol)
+        fiber = fiber_at(eq, base.z, tol)
+        self.base_sheet = match_to_fiber(base.w, fiber, tol)
+        self.germs = list(fiber.roots)
+        self.germs[self.base_sheet] = base.w
+        self.gens: list[SheetPermutation] = []
+        self.periods: list[list[complex]] = []
+        for loop in generator_loops(eq, base.z, tol, rng):
+            periods, ends = fiber_integral(eq, self.germs, loop, tol)
+            self.gens.append(_sheet_permutation(ends, fiber, tol))
+            self.periods.append(periods)
         self.values: dict[int, complex] = {self.base_sheet: 0j}
-        self.germs: dict[int, complex] = {self.base_sheet: base.w}
-        self.words: dict[int, tuple[int, ...]] = {self.base_sheet: ()}
-        self._loop_cache: dict[tuple[int, int], tuple[complex, int]] = {}
         queue = [self.base_sheet]
         while queue:
             frontier = []
             for s in queue:
-                for gi in range(len(self.loops)):
-                    value, s2 = self.loop_data(s, gi)
+                for sigma, periods in zip(self.gens, self.periods):
+                    s2 = sigma(s)
                     if s2 not in self.values:
-                        self.values[s2] = self.values[s] + value
-                        self.words[s2] = self.words[s] + (gi,)
+                        self.values[s2] = self.values[s] + periods[s]
                         frontier.append(s2)
             queue = frontier
-
-    def loop_data(self, sheet: int, gi: int) -> tuple[complex, int]:
-        """(loop integral from the sheet's germ, landing sheet index)."""
-        key = (sheet, gi)
-        cached = self._loop_cache.get(key)
-        if cached is None:
-            res = surface_integral(
-                self.eq, SurfacePoint(self.base.z, self.germs[sheet]),
-                self.loops[gi], self.tol,
-            )
-            s2 = match_to_fiber(res.endpoint.w, self.fiber, self.tol)
-            if s2 not in self.germs:
-                self.germs[s2] = res.endpoint.w
-            cached = (res.value, s2)
-            self._loop_cache[key] = cached
-        return cached
-
-    @property
-    def complete(self) -> bool:
-        return len(self.values) == self.eq.k
-
-    def missing(self) -> list[int]:
-        return [s for s in range(self.eq.k) if s not in self.values]
 
 
 def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
@@ -141,24 +124,20 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
-    if not router.complete:
+    missing = [s for s in range(eq.k) if s not in router.values]
+    if missing:
         raise UnreachableSheet(
-            f"sheets {router.missing()} are not reachable from the base sheet; "
+            f"sheets {missing} are not reachable from the base sheet; "
             "the defining equation is reducible"
         )
-    k = eq.k
     if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
-        return [router.values[s] for s in range(k)]
+        return [router.values[s] for s in range(eq.k)]
     margin = _path_margin(eq, tol, None)
     connector = safe_line(router.base.z, z, eq.critical(tol).locations, margin, rng)
     fiber_t = fiber_at(eq, z, tol)
-    values, ends = fiber_integral(eq, [router.germs[s] for s in range(k)], connector, tol)
-    out: list[Optional[complex]] = [None] * k
-    for s in range(k):
-        out[match_to_fiber(ends[s], fiber_t, tol)] = router.values[s] + values[s]
-    if any(v is None for v in out):  # pragma: no cover - connector is a bijection
-        raise UnreachableSheet(f"connector did not cover every sheet over {z}")
-    return out  # type: ignore[return-value]
+    values, ends = fiber_integral(eq, router.germs, connector, tol)
+    inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
+    return [router.values[s] + values[s] for s in inverse.image]
 
 
 def symmetric_coeffs(values: Sequence[complex]) -> list[complex]:
@@ -291,12 +270,8 @@ def _sv_audit(router: SheetRouter, c: complex, tol: Tolerances) -> float:
     e_ref = symmetric_coeffs(values)
     worst = 0.0
     worst_gen = -1
-    for gi in range(len(router.loops)):
-        moved = [0j] * k
-        for s in range(k):
-            p, s2 = router.loop_data(s, gi)
-            moved[s2] = values[s] + p
-        e_new = symmetric_coeffs(moved)
+    for gi, (sigma, periods) in enumerate(zip(router.gens, router.periods)):
+        e_new = symmetric_coeffs([values[s] + periods[s] for s in sigma.inverse().image])
         defect = max(
             abs(a - b) / max(1.0, abs(b)) for a, b in zip(e_new, e_ref)
         )
@@ -326,15 +301,18 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
     then samples branch integrals on the grid and fits each coefficient.
     """
     base = germ_at(eq, base.z, base.w, tol)
-    irr = irreducibility_check(eq, base.z, tol)
-    if not irr.transitive:
+    router = SheetRouter(eq, base, tol, rng)
+    orbits = _orbits(eq.k, router.gens)
+    if len(orbits) > 1:
         raise RefusedReducible(
-            f"monodromy orbits {irr.orbits} are intransitive; the defining "
+            f"monodromy orbits {orbits} are intransitive; the defining "
             "equation is reducible and the theorem does not apply",
-            orbits=irr.orbits,
+            orbits=orbits,
         )
     offenders = []
     for cp in eq.critical(tol).points:
+        if cp.kind == KIND_DISC:
+            continue  # no A_j has a pole: the branches are bounded, the residue is 0
         for cyc in singular_elements(eq, cp.location, tol=tol).cycles:
             if abs(cyc.residue) > tol.residue_tol:
                 offenders.append((cp.location, cyc.sheets, cyc.residue))
@@ -343,12 +321,6 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
             "singular elements with nonzero residue: "
             + ", ".join(f"center {z}, cycle {cyc}, residue {r}" for z, cyc, r in offenders),
             offenders=offenders,
-        )
-
-    router = SheetRouter(eq, base, tol, rng)
-    if not router.complete:
-        raise UnreachableSheet(
-            f"sheets {router.missing()} unreachable from the base sheet"
         )
     sv_defect = _sv_audit(router, c, tol)
 

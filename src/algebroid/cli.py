@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError
-from .puiseux import residue_by_contour, singular_elements
+from .puiseux import _radius, residue_by_contour, singular_elements
 from .quad import path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path
@@ -366,6 +366,18 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
     return tol
 
 
+def _check_radius(problem: Problem, centers: Sequence[complex],
+                  radius: Optional[float], tol: Tolerances) -> None:
+    """--radius must be finite, positive and below half the gap at every center."""
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise SchemaError(f"--radius must be a finite positive number, got {radius}")
+    for a in centers:
+        try:
+            _radius(problem.eq, a, radius, tol)
+        except ValueError as exc:
+            raise SchemaError(f"--radius: {exc}") from exc
+
+
 def _resolve_path(problem: Problem, args) -> BasePath:
     name = getattr(args, "path", None)
     inline = getattr(args, "path_json", None)
@@ -506,6 +518,9 @@ def _run(args) -> tuple[dict, dict]:
     tol = _resolve_tol(args.tol)
     rng = random.Random(args.seed)
     problem = load_problem(args.problem)
+    for flag, n_max in (("--nmax", getattr(args, "nmax", None)), ("--tol n_max", tol.n_max)):
+        if n_max is not None and n_max < problem.eq.k:
+            raise SchemaError(f"{flag} must be at least k = {problem.eq.k}, got {n_max}")
     inputs = {
         "problem": args.problem,
         "k": problem.eq.k,
@@ -534,8 +549,10 @@ def _run(args) -> tuple[dict, dict]:
     elif cmd == "puiseux":
         point = _parse_complex_flag(args.point, "--point")
         inputs["point"] = _cpx(point)
+        _check_radius(problem, [point], args.radius, tol)
         results = cmd_puiseux(problem, point, args.nmax, args.radius, tol)
     elif cmd == "residues":
+        _check_radius(problem, problem.eq.critical(tol).locations, args.radius, tol)
         results = cmd_residues(problem, args.radius, args.contour_check, tol)
     elif cmd == "integrate":
         path = _resolve_path(problem, args)

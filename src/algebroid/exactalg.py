@@ -95,9 +95,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -402,9 +399,6 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     @property
     def degree(self) -> int:

@@ -179,6 +179,8 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     epsilon = _radius(eq, a, epsilon, tol)
     cycle = tuple(cycle)
     m = len(cycle)
+    if n_max < m:
+        raise ValueError(f"n_max {n_max} is below the cycle length {m}: B_-m is out of range")
     n_samples = max(8, 1 << math.ceil(math.log2(max(8 * n_max, 8))))
 
     fiber_out = fiber_at(eq, a + epsilon, tol)

@@ -305,13 +305,19 @@ def monodromy(
     if not loop.is_closed():
         raise ValueError("monodromy requires a closed base loop")
     fiber0 = fiber_at(eq, z0, tol)
-    end_roots = tracker.continue_fiber(eq, fiber0.roots, loop, tol, delta_path)
-    image = []
-    for w in end_roots:
-        image.append(match_to_fiber(w, fiber0, tol))
-    if sorted(image) != list(range(eq.k)):
+    return _sheet_permutation(
+        tracker.continue_fiber(eq, fiber0.roots, loop, tol, delta_path), fiber0, tol
+    )
+
+
+def _sheet_permutation(end_roots: Sequence[complex], fiber: Fiber,
+                       tol: Tolerances) -> SheetPermutation:
+    """Entry j is the index in fiber of end_roots[j]; raises TrackingCollision
+    when the matching is not a bijection."""
+    image = tuple(match_to_fiber(w, fiber, tol) for w in end_roots)
+    if sorted(image) != list(range(len(fiber.roots))):
         raise TrackingCollision("fiber continuation did not produce a bijection")
-    return SheetPermutation(tuple(image))
+    return SheetPermutation(image)
 
 
 @dataclass(frozen=True)
@@ -374,7 +380,13 @@ def irreducibility_check(
     if eq.k == 1:
         return IrreducibilityResult(True, ((0,),), ())
     gens = tuple(monodromy(eq, loop, tol) for loop in generator_loops(eq, base, tol))
-    parent = list(range(eq.k))
+    orbits = _orbits(eq.k, gens)
+    return IrreducibilityResult(len(orbits) == 1, orbits, gens)
+
+
+def _orbits(k: int, gens: Sequence[SheetPermutation]) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by gens on range(k), each sorted."""
+    parent = list(range(k))
 
     def find(x):
         while parent[x] != x:
@@ -383,12 +395,11 @@ def irreducibility_check(
         return x
 
     for g in gens:
-        for j in range(eq.k):
+        for j in range(k):
             rj, rm = find(j), find(g(j))
             if rj != rm:
                 parent[rj] = rm
     groups: dict[int, list[int]] = {}
-    for j in range(eq.k):
+    for j in range(k):
         groups.setdefault(find(j), []).append(j)
-    orbits = tuple(sorted(tuple(sorted(v)) for v in groups.values()))
-    return IrreducibilityResult(len(orbits) == 1, orbits, gens)
+    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))

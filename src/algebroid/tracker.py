@@ -222,7 +222,6 @@ class SurfacePoint:
 
     z: complex
     w: complex
-    sheet_hint: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from algebroid.errors import (
     UnreachableSheet,
 )
 from algebroid.exactalg import RatFunc, parse_coefficient
-from algebroid.surface import DefiningEquation, fiber_at
+from algebroid.surface import DefiningEquation, fiber_at, irreducibility_check
 from algebroid.tracker import SurfacePoint
 
 
@@ -115,6 +115,28 @@ def test_branch_integrals_unreachable_sheet(split_eq):
         branch_integrals_at(split_eq, SurfacePoint(1, 1), 2.0 + 0j)
 
 
+@pytest.mark.parametrize("coeffs", [["0", "0", "-z"], ["0", "-(z^2-1)"]],
+                         ids=["cube-root", "two-branch-points"])
+def test_router_generators_are_the_monodromy_generators(coeffs):
+    eq = DefiningEquation.from_strings(coeffs)
+    base = SurfacePoint(1.5 + 0.5j, fiber_at(eq, 1.5 + 0.5j).roots[0])
+    router = SheetRouter(eq, base)
+    assert tuple(router.gens) == irreducibility_check(eq, base.z).generators
+    assert sorted(router.values) == list(range(eq.k))
+
+
+def test_router_periods_cube_root_closed_form():
+    # W^3 - z: the loop integral from sheet s is (3/4) z (w_{g(s)} - w_s)
+    eq = DefiningEquation.from_strings(["0", "0", "-z"])
+    z = 1.0 + 0j
+    w = fiber_at(eq, z).roots
+    router = SheetRouter(eq, SurfacePoint(z, w[0]))
+    assert router.gens and all(not g.is_identity() for g in router.gens)
+    for g, periods in zip(router.gens, router.periods):
+        for s in range(3):
+            assert abs(periods[s] - 0.75 * z * (w[g(s)] - w[s])) < 1e-9
+
+
 # --- rational fitting ---------------------------------------------------------
 
 
@@ -182,6 +204,28 @@ def test_build_refuses_reducible(split_eq):
 def test_build_refuses_nonzero_residue(recip_z):
     with pytest.raises(RefusedNonzeroResidue):
         build_antiderivative(recip_z, SurfacePoint(1, 1))
+
+
+def test_build_refuses_reducible_before_nonzero_residue():
+    # sheets 1/z and 1/z + 1: each has residue 1 at the pole, but the
+    # equation is reducible, and that refusal comes first
+    eq = DefiningEquation.from_strings(["-(2/z + 1)", "(1+z)/z^2"])
+    with pytest.raises(RefusedReducible) as info:
+        build_antiderivative(eq, SurfacePoint(1, 1))
+    assert info.value.orbits == ((0,), (1,))
+
+
+def test_residue_gate_skips_points_where_no_coefficient_has_a_pole(sqrt_z, monkeypatch):
+    # W^2 - z has only a discriminant zero: its residue is exactly 0 and the
+    # gate computes no local expansion
+    import algebroid.antideriv as antideriv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular_elements called at a discriminant-only point")
+
+    monkeypatch.setattr(antideriv, "singular_elements", refuse)
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    assert model.diagnostics.derivative_defect < 1e-7
 
 
 def test_build_flags_period_at_infinity(circle_eq):

@@ -25,6 +25,9 @@ RECIP_Z = {
     },
 }
 
+# W^3 - (1 + z^2) W + z: the critical point nearest to i is 2i, at distance 1
+CUBIC_TWO_POINTS = {"k": 3, "coefficients": ["0", "-(1+z^2)", "z"]}
+
 
 @pytest.fixture
 def sqrt_file(tmp_path):
@@ -247,9 +250,21 @@ def _with_arc_radius(radius):
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,0"]),
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,one"]),
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,1,0,0"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--radius", "0"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--radius", "-1"]),
+    (SQRT_Z, ["residues", PROBLEM, "--radius", "0"]),
+    (SQRT_Z, ["residues", PROBLEM, "--radius", "-1"]),
+    (CUBIC_TWO_POINTS, ["puiseux", PROBLEM, "--point", "0,1", "--radius", "5"]),
+    (CUBIC_TWO_POINTS, ["residues", PROBLEM, "--radius", "5"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "-3"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "1"]),
+    (RECIP_Z, ["--tol", "n_max=0", "residues", PROBLEM]),
 ], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
-        "loop-turns-not-a-number", "loop-anchor-at-center"])
+        "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
+        "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
+        "puiseux-radius-over-gap", "residues-radius-over-gap", "nmax-negative",
+        "nmax-below-k", "tol-n-max-below-k"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 
@@ -265,8 +280,14 @@ def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     (SQRT_Z, ["--tol", "n_max=32.7", "critical", PROBLEM]),
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,nan,1"]),
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,1.5"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--radius", "nan"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--radius", "inf"]),
+    (SQRT_Z, ["residues", PROBLEM, "--radius", "nan"]),
+    (SQRT_Z, ["residues", PROBLEM, "--radius", "inf"]),
 ], ids=["z-nan", "z-inf", "json-base-nan", "json-line-inf", "json-arc-radius-nan",
-        "tol-nan", "tol-inf", "tol-int-fraction", "loop-nan", "loop-turns-fraction"])
+        "tol-nan", "tol-inf", "tol-int-fraction", "loop-nan", "loop-turns-fraction",
+        "puiseux-radius-nan", "puiseux-radius-inf", "residues-radius-nan",
+        "residues-radius-inf"])
 def test_non_finite_or_fractional_number_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 

@@ -178,3 +178,12 @@ def test_residue_by_contour_refuses_a_sheet_set_that_is_not_a_cycle(sqrt_z):
     # one turn about a square-root branch point lands on the other sheet
     with pytest.raises(LiftNotClosed):
         residue_by_contour(sqrt_z, 0j, (0,))
+
+
+def test_puiseux_expand_refuses_n_max_below_cycle_length(sqrt_z, recip_z):
+    # B_{-m} lies outside -n_max..n_max, so the residue could not be read
+    with pytest.raises(ValueError):
+        puiseux_expand(sqrt_z, 0j, (0, 1), n_max=1)
+    with pytest.raises(ValueError):
+        puiseux_expand(recip_z, 0j, (0,), n_max=0)
+    assert puiseux_expand(recip_z, 0j, (0,), n_max=1).residue == pytest.approx(1.0)
