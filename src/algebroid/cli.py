@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError
-from .puiseux import _radius, residue_by_contour, singular_elements
-from .quad import path_independence_audit, surface_integral
+from .puiseux import _radius, singular_elements
+from .quad import _cycle_loop_values, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path
 
@@ -244,8 +244,11 @@ def cmd_residues(problem: Problem, radius: Optional[float], contour_check: bool,
     centers = []
     for cp in problem.eq.critical(tol).points:
         rep = singular_elements(problem.eq, cp.location, None, radius, tol)
+        sheets = [c.sheets for c in rep.cycles]
+        if contour_check:
+            loop_values = _cycle_loop_values(problem.eq, cp.location, sheets, radius, tol)
         cycles = []
-        for c in rep.cycles:
+        for i, c in enumerate(rep.cycles):
             entry = {
                 "sheets": list(c.sheets),
                 "m": c.expansion.m,
@@ -254,7 +257,7 @@ def cmd_residues(problem: Problem, radius: Optional[float], contour_check: bool,
                 "residue": _cpx(c.residue),
             }
             if contour_check:
-                rc = residue_by_contour(problem.eq, cp.location, c.sheets, radius, tol)
+                rc = loop_values[i] / (2j * math.pi)
                 entry["contour_residue"] = _cpx(rc)
                 entry["discrepancy"] = abs(rc - c.residue)
             cycles.append(entry)

@@ -1,14 +1,18 @@
 """Local expansions at critical points: cycles, Puiseux coefficients, residues.
 
 A cycle of m sheets around a critical point a carries a fractional series
-w = sum_n B_n (z - a)^(n/m). Coefficients are extracted numerically: the
-branch is tracked around the m-turn circle of radius eps, sampled at
-equispaced angles, and Fourier-analyzed in t = eps^(1/m) e^(i theta / m).
-The residue of the singular element is m * B_{-m}.
+w = sum_n B_n (z - a)^(n/m). Coefficients are extracted numerically: one
+turn of the whole fiber around the circle of radius eps, sampled at equal
+angles, gives the cycles as its permutation's orbits, and each cycle's
+m-turn series as the rows of the sheets its lift passes, joined turn after
+turn and Fourier-analyzed in t = eps^(1/m) e^(i theta / m). The two-radius
+check adds one radial leg and one sampled turn at eps/2. The residue of the
+singular element is m * B_{-m}.
 
 singular_elements is the one route to a critical point's local data: quad's
 residue checks, the antiderivative's zero-residue gate and growth_bound all
-iterate its cycles. Every entry point resolves its radius through _radius.
+iterate its cycles. Every entry point resolves its radius through _radius,
+whose eps < d/2 keeps each circle more than eps from other critical points.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AnnulusTooWide, TrackingCollision
-from .surface import DefiningEquation, fiber_at, monodromy
-from .tracker import Arc, SegmentTracker, continue_fiber, loop_path, polyline
+from .errors import AnnulusTooWide
+from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
+from .tracker import Arc, SegmentTracker, continue_fiber, polyline
 
 __all__ = [
     "PuiseuxExpansion",
@@ -108,40 +112,51 @@ def _radius(eq: DefiningEquation, a: complex, epsilon: Optional[float],
     return epsilon
 
 
+def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
+          epsilon: float, n_samples: int, tol: Tolerances):
+    """Track the fiber `roots` over a + epsilon once around a, sampling it at
+    n_samples equal angles: (one row per sample, columns in the position order
+    of roots; the circle's sheet permutation of roots)."""
+    trk = SegmentTracker(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol,
+                         h_min=tol.h_min_frac)
+    rows = np.empty((n_samples, len(roots)), dtype=complex)
+    for j in range(n_samples):
+        trk.advance_to(j / n_samples)
+        rows[j] = trk.fiber
+    trk.advance_to(1.0)
+    return rows, _sheet_permutation(trk.fiber, Fiber(a + epsilon, tuple(roots)), tol)
+
+
+def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
+                 tol: Tolerances, consistency_check: bool):
+    """The sampled turn at epsilon and, with consistency_check, one more at
+    epsilon/2 reached by one radial leg (else None). Both keep the position
+    order of the fiber over a + epsilon."""
+    n_samples = max(8, 1 << math.ceil(math.log2(max(8 * n_max, 8))))
+    roots = fiber_at(eq, a + epsilon, tol).roots
+    outer = _turn(eq, a, roots, epsilon, n_samples, tol)
+    if not consistency_check:
+        return outer, None
+    inner_roots = continue_fiber(eq, roots, polyline(a + epsilon, a + 0.5 * epsilon),
+                                 tol, delta_path=0.25 * epsilon)
+    return outer, _turn(eq, a, inner_roots, 0.5 * epsilon, n_samples, tol)
+
+
 def cycle_structure(eq: DefiningEquation, a: complex,
                     epsilon: Optional[float] = None,
                     tol: Tolerances = DEFAULT) -> list[tuple[int, ...]]:
     """Monodromy orbits of the small circle about a, in cycle order."""
     epsilon = _radius(eq, a, epsilon, tol)
-    loop = loop_path(a, epsilon, 1, anchor=a + epsilon)
-    sigma = monodromy(eq, loop, tol, delta_path=0.5 * epsilon)
+    _, sigma = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
     return sigma.orbits()
 
 
-def _sample_cycle(eq: DefiningEquation, a: complex, start_w: complex,
-                  fiber0: Sequence[complex], m: int, epsilon: float,
-                  n_samples: int, tol: Tolerances, pos: int) -> list[complex]:
-    """Track the fiber m turns around a, sampling the lift at equal angles."""
-    arc = Arc(a, epsilon, 0.0, 2.0 * math.pi * m)
-    fiber = list(fiber0)
-    fiber[pos] = start_w
-    trk = SegmentTracker(eq, arc, fiber, tol, h_min=tol.h_min_frac)
-    samples = [start_w]
-    for j in range(1, n_samples):
-        trk.advance_to(j / n_samples)
-        samples.append(trk.fiber[pos])
-    trk.advance_to(1.0)
-    if abs(trk.fiber[pos] - start_w) > 1e-6 * (1.0 + abs(start_w)):
-        raise TrackingCollision(
-            f"lift did not close after {m} turns around {a}; cycle data inconsistent"
-        )
-    return samples
-
-
-def _extract_coeffs(samples: Sequence[complex], m: int, epsilon: float,
+def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], epsilon: float,
                     n_max: int) -> dict[int, complex]:
-    """Fourier coefficients B_n from equispaced samples of the lifted branch."""
-    arr = np.asarray(samples, dtype=complex)
+    """Fourier coefficients B_n of the lift that passes the given sheets, one
+    per turn: its samples are the columns of those sheets joined turn after turn."""
+    m = len(sheets)
+    arr = np.concatenate([rows[:, s] for s in sheets])
     n_samples = len(arr)
     hat = np.fft.fft(arr) / n_samples
     w_scale = float(np.max(np.abs(arr))) if n_samples else 0.0
@@ -172,31 +187,29 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
 
     The branch of t = (z-a)^(1/m) is normalized so the leading coefficient
     has principal argument; the sheet realizing that branch is recorded.
-    Raises AnnulusTooWide when coefficients extracted at eps and eps/2
+    Raises LiftNotClosed when the m-turn lift from cycle[0] does not close,
+    and AnnulusTooWide when coefficients extracted at eps and eps/2
     disagree, which signals a radius outside the convergence annulus.
     """
     n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
-    cycle = tuple(cycle)
+    outer, inner = _local_turns(eq, a, epsilon, n_max, tol, consistency_check)
+    return _expand(a, tuple(cycle), outer, inner, epsilon, n_max, tol)
+
+
+def _expand(a: complex, cycle: tuple[int, ...], outer, inner, epsilon: float,
+            n_max: int, tol: Tolerances) -> PuiseuxExpansion:
+    """Expansion of one cycle from the sampled turns of _local_turns."""
     m = len(cycle)
     if n_max < m:
         raise ValueError(f"n_max {n_max} is below the cycle length {m}: B_-m is out of range")
-    n_samples = max(8, 1 << math.ceil(math.log2(max(8 * n_max, 8))))
+    rows, sigma = outer
+    sheets = _lift_sheets(sigma, cycle)
+    raw = _extract_coeffs(rows, sheets, epsilon, n_max)
 
-    fiber_out = fiber_at(eq, a + epsilon, tol)
-    pos = cycle[0]
-    start_w = fiber_out.roots[pos]
-    samples = _sample_cycle(eq, a, start_w, fiber_out.roots, m, epsilon,
-                            n_samples, tol, pos)
-    raw = _extract_coeffs(samples, m, epsilon, n_max)
-
-    if consistency_check:
-        # continue the germ radially inward, then sample again at eps/2
-        inner = continue_fiber(eq, fiber_out.roots, polyline(a + epsilon, a + 0.5 * epsilon),
-                               tol, delta_path=0.25 * epsilon)
-        samples2 = _sample_cycle(eq, a, inner[pos], inner, m, 0.5 * epsilon,
-                                 n_samples, tol, pos)
-        raw2 = _extract_coeffs(samples2, m, 0.5 * epsilon, n_max)
+    if inner is not None:
+        rows2, sigma2 = inner
+        raw2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), 0.5 * epsilon, n_max)
         scale = max(
             max((abs(b) for b in raw.values()), default=0.0),
             max((abs(b) for b in raw2.values()), default=0.0),
@@ -227,8 +240,7 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
             best_j, best_arg = j, ang
     if best_j:
         coeffs = {n: b * zeta ** (n * best_j) for n, b in coeffs.items()}
-    start_sheet = cycle[best_j % m]
-    return PuiseuxExpansion(a, m, u, coeffs, cycle, start_sheet, epsilon, n_max)
+    return PuiseuxExpansion(a, m, u, coeffs, cycle, sheets[best_j], epsilon, n_max)
 
 
 def residue(exp: PuiseuxExpansion) -> complex:
@@ -244,10 +256,10 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     Raises LiftNotClosed when the sheets are not a cycle of the monodromy
     about a, since the m-turn lift then does not close.
     """
-    from .quad import _cycle_loop_value
+    from .quad import _cycle_loop_values  # quad imports this module
 
-    epsilon = _radius(eq, a, epsilon, tol)
-    return _cycle_loop_value(eq, a, tuple(cycle), epsilon, tol) / (2j * math.pi)
+    (value,) = _cycle_loop_values(eq, a, [tuple(cycle)], epsilon, tol)
+    return value / (2j * math.pi)
 
 
 def _classify(exp: PuiseuxExpansion) -> str:
@@ -266,11 +278,14 @@ def singular_elements(eq: DefiningEquation, a: complex,
                       n_max: Optional[int] = None,
                       epsilon: Optional[float] = None,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
-    """All cycles at a critical point with expansions and classifications."""
+    """All cycles at a critical point with expansions and classifications,
+    read from one sampled turn at the radius and one at half of it."""
+    n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
+    outer, inner = _local_turns(eq, a, epsilon, n_max, tol, True)
     reports = []
-    for cycle in cycle_structure(eq, a, epsilon, tol):
-        exp = puiseux_expand(eq, a, cycle, n_max, epsilon, tol)
+    for cycle in outer[1].orbits():
+        exp = _expand(a, cycle, outer, inner, epsilon, n_max, tol)
         reports.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
     return SingularElementReport(a, tuple(reports))
 

@@ -10,7 +10,8 @@ paths keep a margin from the critical set, the integrand is analytic and
 the per-piece rule converges spectrally; tracker._segments, the split the
 tracker's one walk uses, checks that margin once. Residue checks read their
 cycles from puiseux.singular_elements, the one route to local data, and
-share the m-turn loop integral _cycle_loop_value with residue_by_contour.
+share the m-turn loop integrals _cycle_loop_values, one fiber_integral turn
+per center, with residue_by_contour and the CLI's contour check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
-from .surface import DefiningEquation, fiber_at, match_to_fiber
+from .puiseux import _radius, singular_elements
+from .surface import DefiningEquation, _lift_sheets, _sheet_permutation, fiber_at, match_to_fiber
 from .tracker import BasePath, SegmentTracker, SurfacePoint, germ_at, loop_path, safe_line
 from .tracker import _path_margin, _segments  # shared margin policy and path split
 
@@ -202,26 +204,28 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
     return res
 
 
-def _cycle_loop_value(eq: DefiningEquation, a: complex, cycle: Sequence[int],
-                      epsilon: float, tol: Tolerances) -> complex:
-    """Integral of w dz over the m-turn circle of radius epsilon about a,
-    m = len(cycle), lifted from sheet cycle[0] over a + epsilon."""
-    anchor = a + epsilon
-    start = SurfacePoint(anchor, fiber_at(eq, anchor, tol).roots[cycle[0]])
-    loop = loop_path(a, epsilon, len(cycle), anchor=anchor)
-    return closed_loop_integral(eq, start, loop, tol, delta_path=0.5 * epsilon).value
+def _cycle_loop_values(eq: DefiningEquation, a: complex, cycles: Sequence[Sequence[int]],
+                       epsilon: Optional[float], tol: Tolerances) -> list[complex]:
+    """Per cycle, the integral of w dz over the m-turn circle about a lifted
+    from sheet cycle[0] over a + epsilon, m = len(cycle): the sum of the
+    one-turn integrals of the sheets that lift passes, from one fiber_integral
+    turn. The radius resolves through puiseux._radius."""
+    epsilon = _radius(eq, a, epsilon, tol)
+    fiber = fiber_at(eq, a + epsilon, tol)
+    loop = loop_path(a, epsilon, 1)
+    values, end = fiber_integral(eq, fiber.roots, loop, tol, delta_path=0.5 * epsilon)
+    sigma = _sheet_permutation(end, fiber, tol)
+    return [sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
 
 
 def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    from .puiseux import singular_elements
-
     report = singular_elements(eq, a, epsilon=epsilon, tol=tol)
+    values = _cycle_loop_values(eq, a, [c.sheets for c in report.cycles], epsilon, tol)
     checks = []
-    for c in report.cycles:
-        value = _cycle_loop_value(eq, a, c.sheets, c.expansion.radius, tol)
+    for c, value in zip(report.cycles, values):
         expected = 2j * math.pi * c.residue
         checks.append(
             ResidueCheck(

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import RootFindingFailure
 
-__all__ = ["all_roots", "newton_polish", "poly_eval", "poly_eval_pair", "residual_scale"]
+__all__ = ["all_roots", "newton_polish", "poly_eval", "poly_eval_pair", "polish_roots",
+           "residual_scale"]
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -61,6 +62,15 @@ def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
     if abs(p) <= 1e-10 * residual_scale(coeffs, w):
         return w
     return None
+
+
+def polish_roots(coeffs, roots) -> list[complex]:
+    """newton_polish each root; a root where Newton stalls is kept as given."""
+    polished = []
+    for r in roots:
+        p = newton_polish(coeffs, r)
+        polished.append(r if p is None else p)
+    return polished
 
 
 def _trim(coeffs) -> list[complex]:
@@ -128,12 +138,7 @@ def all_roots(coeffs, eps: float = 1e-14) -> list[complex]:
     roots = _aberth(cs, eps, max_iter=120)
     if roots is None:
         arr = np.array(list(reversed(cs)), dtype=complex)
-        roots = [complex(r) for r in np.roots(arr)]
-        polished = []
-        for r in roots:
-            p = newton_polish(cs, r)
-            polished.append(p if p is not None else r)
-        roots = polished
+        roots = polish_roots(cs, [complex(r) for r in np.roots(arr)])
 
     for r in roots:
         if abs(poly_eval(cs, r)) > 1e-8 * residual_scale(cs, r):

@@ -9,12 +9,12 @@ distinct roots; loops in the punctured plane permute them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .config import DEFAULT, Tolerances
-from .errors import NearCriticalPoint, RootFindingFailure, TrackingCollision
+from .errors import LiftNotClosed, NearCriticalPoint, RootFindingFailure, TrackingCollision
 from .exactalg import GaussianRational, RatFunc, discriminant, parse_coefficient
-from .rootfind import all_roots, newton_polish, poly_eval, poly_eval_pair, residual_scale
+from .rootfind import all_roots, poly_eval, poly_eval_pair, polish_roots, residual_scale
 
 __all__ = [
     "DefiningEquation",
@@ -219,18 +219,11 @@ class SheetPermutation:
 def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> CriticalSet:
     """Discriminant zeros and coefficient poles, clustered and tagged."""
     candidates: list[tuple[complex, str]] = []
-    disc_num = eq.disc.num
-    if disc_num.degree >= 1:
-        fc = disc_num._float_coeffs()
-        for r in all_roots(fc):
-            p = newton_polish(fc, r)
-            candidates.append((p if p is not None else r, KIND_DISC))
-    for c in eq.coeffs:
-        if c.den.degree >= 1:
-            fc = c.den._float_coeffs()
-            for r in all_roots(fc):
-                p = newton_polish(fc, r)
-                candidates.append((p if p is not None else r, KIND_POLE))
+    polys = [(eq.disc.num, KIND_DISC)] + [(c.den, KIND_POLE) for c in eq.coeffs]
+    for poly, kind in polys:
+        if poly.degree >= 1:
+            fc = poly._float_coeffs()
+            candidates.extend((r, kind) for r in polish_roots(fc, all_roots(fc)))
 
     if not candidates:
         return CriticalSet(())
@@ -260,11 +253,7 @@ def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fib
     if crit.min_dist(z) < tol.tol_cluster * crit.scale:
         raise NearCriticalPoint(f"z={z} is within the critical-point exclusion zone")
     coeffs = eq.psi_coeffs_at(z)
-    roots = all_roots(coeffs)
-    polished = []
-    for r in roots:
-        p = newton_polish(coeffs, r)
-        polished.append(p if p is not None else r)
+    polished = polish_roots(coeffs, all_roots(coeffs))
     for w in polished:
         if abs(poly_eval(coeffs, w)) > tol.eps_root * residual_scale(coeffs, w):
             raise RootFindingFailure(f"fiber root residual too large at z={z}")
@@ -290,13 +279,9 @@ def match_to_fiber(w: complex, fiber: Fiber, tol: Tolerances = DEFAULT) -> int:
     return best
 
 
-def monodromy(
-    eq: DefiningEquation,
-    loop,
-    tol: Tolerances = DEFAULT,
-    delta_path: Optional[float] = None,
-) -> SheetPermutation:
-    """Sheet permutation from continuing the whole fiber around a closed loop."""
+def monodromy(eq: DefiningEquation, loop, tol: Tolerances = DEFAULT) -> SheetPermutation:
+    """Sheet permutation from continuing the whole fiber around a closed loop
+    that keeps the default path margin from the critical set."""
     from . import tracker  # deferred: tracker imports this module
 
     z0 = loop.start_z
@@ -305,9 +290,7 @@ def monodromy(
     if not loop.is_closed():
         raise ValueError("monodromy requires a closed base loop")
     fiber0 = fiber_at(eq, z0, tol)
-    return _sheet_permutation(
-        tracker.continue_fiber(eq, fiber0.roots, loop, tol, delta_path), fiber0, tol
-    )
+    return _sheet_permutation(tracker.continue_fiber(eq, fiber0.roots, loop, tol), fiber0, tol)
 
 
 def _sheet_permutation(end_roots: Sequence[complex], fiber: Fiber,
@@ -318,6 +301,19 @@ def _sheet_permutation(end_roots: Sequence[complex], fiber: Fiber,
     if sorted(image) != list(range(len(fiber.roots))):
         raise TrackingCollision("fiber continuation did not produce a bijection")
     return SheetPermutation(image)
+
+
+def _lift_sheets(sigma: SheetPermutation, cycle: Sequence[int]) -> tuple[int, ...]:
+    """Sheets, one per turn, that the m-turn lift from cycle[0] of a loop with
+    permutation sigma passes, m = len(cycle); LiftNotClosed unless it closes."""
+    sheets = [cycle[0]]
+    while len(sheets) <= len(cycle):
+        sheets.append(sigma(sheets[-1]))
+    if sheets[-1] != cycle[0]:
+        raise LiftNotClosed(f"sheets {tuple(cycle)} are not a cycle: the {len(cycle)}-turn "
+                            f"lift from sheet {cycle[0]} ends on sheet {sheets[-1]}",
+                            end_sheet=sheets[-1])
+    return tuple(sheets[:-1])
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,11 @@ def test_residue_by_contour_refuses_a_sheet_set_that_is_not_a_cycle(sqrt_z):
         residue_by_contour(sqrt_z, 0j, (0,))
 
 
+def test_puiseux_expand_refuses_a_sheet_set_that_is_not_a_cycle(sqrt_z):
+    with pytest.raises(LiftNotClosed):
+        puiseux_expand(sqrt_z, 0j, (0,))
+
+
 def test_puiseux_expand_refuses_n_max_below_cycle_length(sqrt_z, recip_z):
     # B_{-m} lies outside -n_max..n_max, so the residue could not be read
     with pytest.raises(ValueError):

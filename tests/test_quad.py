@@ -9,7 +9,8 @@ import pytest
 from algebroid.config import DEFAULT
 from algebroid.errors import EndpointGermMismatch, LiftNotClosed
 from algebroid.exactalg import GaussianRational
-from algebroid.puiseux import residue_by_contour
+from algebroid import quad
+from algebroid.puiseux import default_radius, residue_by_contour, singular_elements
 from algebroid.quad import (
     c_ab,
     closed_loop_integral,
@@ -24,6 +25,7 @@ from algebroid.tracker import (
     Arc,
     BasePath,
     Line,
+    SegmentTracker,
     SurfacePoint,
     continue_fiber,
     loop_path,
@@ -259,3 +261,48 @@ def test_residue_check_loop_is_the_contour_residue_loop():
     assert [rc.cycle for rc in checks] == [(0, 1)]
     for rc in checks:
         assert rc.loop_value / (2j * math.pi) == residue_by_contour(eq, 0j, rc.cycle)
+
+
+@pytest.mark.parametrize("coeffs, a, lengths", [
+    (["0", "-3", "-z"], 2.0 + 0j, [2, 1]),  # W^3 - 3W - z: a 2-cycle and a fixed sheet
+    (["0", "0", "-z"], 0j, [3]),  # W^3 - z
+    (["0", "-1/z"], 0j, [2]),  # W^2 - 1/z: a pole that is also a branch point
+])
+def test_contour_values_of_mixed_cycles_match_m_turn_loops(coeffs, a, lengths):
+    eq = DefiningEquation.from_strings(coeffs)
+    checks = residue_theorem_check(eq, a)
+    assert sorted(len(rc.cycle) for rc in checks) == sorted(lengths)
+    assert sorted(s for rc in checks for s in rc.cycle) == list(range(eq.k))
+    eps = default_radius(eq, a)
+    roots = fiber_at(eq, a + eps).roots
+    for rc in checks:
+        start = SurfacePoint(a + eps, roots[rc.cycle[0]])
+        loop = closed_loop_integral(eq, start, loop_path(a, eps, rc.m), delta_path=0.5 * eps)
+        assert abs(rc.loop_value - loop.value) < 1e-10
+        assert abs(rc.loop_value / TWO_PI_I - rc.residue) < 1e-8
+
+
+def test_one_center_costs_two_turns_one_leg_and_one_quadrature_turn(monkeypatch):
+    eq = DefiningEquation.from_strings(["0", "-3", "-z"])
+    segments = []
+    init = SegmentTracker.__init__
+
+    def counting_init(self, eq, seg, *args, **kwargs):
+        segments.append(seg)
+        init(self, eq, seg, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentTracker, "__init__", counting_init)
+    rep = singular_elements(eq, 2.0 + 0j)
+    assert [len(c.sheets) for c in rep.cycles] == [2, 1]
+    assert sorted(type(s).__name__ for s in segments) == ["Arc", "Arc", "Line"]
+
+    turns = []
+    fiber_integral_ = quad.fiber_integral
+
+    def counting_fiber_integral(*args, **kwargs):
+        turns.append(args[2])
+        return fiber_integral_(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "fiber_integral", counting_fiber_integral)
+    residue_theorem_check(eq, 2.0 + 0j)
+    assert len(turns) == 1
