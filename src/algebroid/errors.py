@@ -67,6 +67,12 @@ class AnnulusTooWide(AlgebroidError):
     exit_code = 11
 
 
+class PrincipalPartTruncated(AlgebroidError):
+    """Puiseux series has terms below B_(-n_max): the window cuts its principal part."""
+
+    exit_code = 20
+
+
 class QuadratureStall(AlgebroidError):
     """Adaptive bisection hit depth limit before reaching tolerance."""
 

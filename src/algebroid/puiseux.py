@@ -9,6 +9,14 @@ turn and Fourier-analyzed in t = eps^(1/m) e^(i theta / m). The two-radius
 check adds one radial leg and one sampled turn at eps/2. The residue of the
 singular element is m * B_{-m}.
 
+A turn walks the circle with the tracker's own steps and reads all its
+samples from them at once (tracker._sample_segment: Hermite prediction
+between the steps, one batched Newton pass under the gates of an accepted
+step, and a tracker stop for any sample that fails them). A series has
+finitely many negative terms, so one reaching below the window
+-n_max..n_max is refused (PrincipalPartTruncated), never read as a shorter
+principal part.
+
 singular_elements is the one route to a critical point's local data: quad's
 residue checks, the antiderivative's zero-residue gate and growth_bound all
 iterate its cycles. Every entry point resolves its radius through _radius,
@@ -25,9 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AnnulusTooWide
+from .errors import AnnulusTooWide, PrincipalPartTruncated
 from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
-from .tracker import Arc, SegmentTracker, continue_fiber, polyline
+from .tracker import Arc, _sample_segment, continue_fiber, polyline
 
 __all__ = [
     "PuiseuxExpansion",
@@ -117,14 +125,9 @@ def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
     """Track the fiber `roots` over a + epsilon once around a, sampling it at
     n_samples equal angles: (one row per sample, columns in the position order
     of roots; the circle's sheet permutation of roots)."""
-    trk = SegmentTracker(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol,
-                         h_min=tol.h_min_frac)
-    rows = np.empty((n_samples, len(roots)), dtype=complex)
-    for j in range(n_samples):
-        trk.advance_to(j / n_samples)
-        rows[j] = trk.fiber
-    trk.advance_to(1.0)
-    return rows, _sheet_permutation(trk.fiber, Fiber(a + epsilon, tuple(roots)), tol)
+    rows, end = _sample_segment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots,
+                                np.arange(n_samples) / n_samples, tol)
+    return rows, _sheet_permutation(end, Fiber(a + epsilon, tuple(roots)), tol)
 
 
 def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
@@ -132,7 +135,9 @@ def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
     """The sampled turn at epsilon and, with consistency_check, one more at
     epsilon/2 reached by one radial leg (else None). Both keep the position
     order of the fiber over a + epsilon."""
-    n_samples = max(8, 1 << math.ceil(math.log2(max(8 * n_max, 8))))
+    # positive orders alias into the bins below -n_max from order
+    # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
+    n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
     roots = fiber_at(eq, a + epsilon, tol).roots
     outer = _turn(eq, a, roots, epsilon, n_samples, tol)
     if not consistency_check:
@@ -151,23 +156,36 @@ def cycle_structure(eq: DefiningEquation, a: complex,
     return sigma.orbits()
 
 
-def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], epsilon: float,
-                    n_max: int) -> dict[int, complex]:
+def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
+                    epsilon: float, n_max: int) -> dict[int, complex]:
     """Fourier coefficients B_n of the lift that passes the given sheets, one
-    per turn: its samples are the columns of those sheets joined turn after turn."""
+    per turn: its samples are the columns of those sheets joined turn after turn.
+
+    A Puiseux series has finitely many negative terms, so a bin below -n_max
+    above the noise floor means the window -n_max..n_max cut its principal
+    part: PrincipalPartTruncated.
+    """
     m = len(sheets)
     arr = np.concatenate([rows[:, s] for s in sheets])
     n_samples = len(arr)
     hat = np.fft.fft(arr) / n_samples
     w_scale = float(np.max(np.abs(arr))) if n_samples else 0.0
+    # fft noise floor of a bin, amplified by 1/power for B_n
+    noise = 64.0 * _MACH * max(1.0, w_scale)
+    lo = (n_samples - 1) // 2  # bins -lo..-n_max-1 lie below the window
+    below = np.flatnonzero(np.abs(hat[n_samples - lo:n_samples - n_max]) > noise)
+    if len(below):
+        n = below[0] - lo
+        raise PrincipalPartTruncated(
+            f"the series of cycle {tuple(sheets)} at {center} has a term B_{n} below "
+            f"the window -n_max..n_max, n_max = {n_max}: its principal part is cut"
+        )
     out: dict[int, complex] = {}
     for n in range(-n_max, n_max + 1):
         c = complex(hat[n % n_samples])
         power = epsilon ** (n / m)
         b = c / power
-        # amplified fft noise floor at this index
-        floor = 64.0 * _MACH * max(1.0, w_scale) / power
-        if abs(b) > floor:
+        if abs(b) > noise / power:
             out[n] = b
     return out
 
@@ -205,11 +223,11 @@ def _expand(a: complex, cycle: tuple[int, ...], outer, inner, epsilon: float,
         raise ValueError(f"n_max {n_max} is below the cycle length {m}: B_-m is out of range")
     rows, sigma = outer
     sheets = _lift_sheets(sigma, cycle)
-    raw = _extract_coeffs(rows, sheets, epsilon, n_max)
+    raw = _extract_coeffs(rows, sheets, a, epsilon, n_max)
 
     if inner is not None:
         rows2, sigma2 = inner
-        raw2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), 0.5 * epsilon, n_max)
+        raw2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), a, 0.5 * epsilon, n_max)
         scale = max(
             max((abs(b) for b in raw.values()), default=0.0),
             max((abs(b) for b in raw2.values()), default=0.0),

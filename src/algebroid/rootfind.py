@@ -4,6 +4,8 @@ Primary solver is Aberth-Ehrlich simultaneous iteration; the companion
 matrix (numpy eigenvalues) is the fallback for stalled or degenerate cases.
 newton_polish and residual_scale are also the corrector and residual gate
 that surface and tracker apply to the coefficients of Psi(., z).
+newton_polish_pairs is the same iteration, with the same stopping rule, run
+at once on many (polynomial, start) pairs held in numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .errors import RootFindingFailure
 
-__all__ = ["all_roots", "newton_polish", "poly_eval", "poly_eval_pair", "polish_roots",
-           "residual_scale"]
+__all__ = ["all_roots", "newton_polish", "newton_polish_pairs", "poly_eval", "poly_eval_pair",
+           "poly_eval_pairs", "polish_roots", "residual_scale", "residual_scales"]
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -37,6 +39,16 @@ def poly_eval_pair(coeffs, z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
+def poly_eval_pairs(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """poly_eval_pair of each row of coeffs (ascending) at the matching entry of z."""
+    p = np.zeros(len(z), dtype=complex)
+    dp = np.zeros(len(z), dtype=complex)
+    for c in coeffs[:, ::-1].T:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
 def residual_scale(coeffs, z: complex) -> float:
     """Magnitude scale of p(z) for backward-stable residual checks."""
     s = 0.0
@@ -46,6 +58,17 @@ def residual_scale(coeffs, z: complex) -> float:
         s += abs(c) * power
         power *= az
     return max(s, 1.0)
+
+
+def residual_scales(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """residual_scale of each row of coeffs at the matching entry of z."""
+    s = np.zeros(len(z))
+    az = np.abs(z)
+    power = np.ones(len(z))
+    for c in coeffs.T:
+        s += np.abs(c) * power
+        power *= az
+    return np.maximum(s, 1.0)
 
 
 def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
@@ -62,6 +85,27 @@ def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
     if abs(p) <= 1e-10 * residual_scale(coeffs, w):
         return w
     return None
+
+
+def newton_polish_pairs(coeffs: np.ndarray, w: np.ndarray, max_iter: int = 40,
+                        tol: float = 1e-15) -> np.ndarray:
+    """newton_polish of each row of coeffs from the matching entry of w, all
+    at once; NaN where newton_polish returns None."""
+    w = np.array(w, dtype=complex)
+    active = np.arange(len(w))  # entries still iterating
+    for _ in range(max_iter):
+        if not len(active):
+            return w
+        p, dp = poly_eval_pairs(coeffs[active], w[active])
+        stalled = dp == 0
+        w[active[stalled]] = np.nan
+        active, p, dp = active[~stalled], p[~stalled], dp[~stalled]
+        step = p / dp
+        w[active] -= step
+        active = active[~(np.abs(step) <= tol * (1.0 + np.abs(w[active])))]
+    p, _ = poly_eval_pairs(coeffs[active], w[active])
+    w[active[~(np.abs(p) <= 1e-10 * residual_scales(coeffs[active], w[active]))]] = np.nan
+    return w
 
 
 def polish_roots(coeffs, roots) -> list[complex]:

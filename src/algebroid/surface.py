@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT, Tolerances
 from .errors import LiftNotClosed, NearCriticalPoint, RootFindingFailure, TrackingCollision
 from .exactalg import GaussianRational, RatFunc, discriminant, parse_coefficient
@@ -70,6 +72,15 @@ class DefiningEquation:
         """Coefficients of Psi_z(., z) ascending in W."""
         return [0j if d.is_zero() else d.eval_complex(z) for d in reversed(self._dcoeffs)]
 
+    def psi_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
+        """psi_coeffs_at of each z in an array, one row per z."""
+        return np.column_stack([_values_on(c, zs) for c in reversed(self.coeffs)]
+                               + [np.ones(len(zs), dtype=complex)])
+
+    def psi_z_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
+        """psi_z_coeffs_at of each z in an array, one row per z."""
+        return np.column_stack([_values_on(d, zs) for d in reversed(self._dcoeffs)])
+
     def psi(self, w: complex, z: complex) -> complex:
         return poly_eval(self.psi_coeffs_at(z), w)
 
@@ -110,6 +121,12 @@ class DefiningEquation:
     def __repr__(self) -> str:
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"DefiningEquation(k={self.k}, [{terms}])"
+
+
+def _values_on(f: RatFunc, zs: np.ndarray) -> np.ndarray:
+    """f.eval_complex at each z in an array, by the same Horner passes."""
+    return (np.polyval(f.num._float_coeffs()[::-1], zs)
+            / np.polyval(f.den._float_coeffs()[::-1], zs))
 
 
 @dataclass(frozen=True)

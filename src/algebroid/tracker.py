@@ -15,6 +15,14 @@ There is one walk along a path, _walk: it yields (path parameter, z, fiber)
 after every accepted step. continue_fiber keeps its last fiber and
 continue_branch records one sheet; _segments, which checks the path's
 margin from the critical set once, splits the path for it and for quad.
+
+_sample_segment gives the fiber at many parameters of one segment (puiseux
+samples its turns with it) without a step per sample: it keeps each
+accepted step's fiber and dw/dt as a knot, predicts every sample by cubic
+Hermite interpolation between knots, corrects all of them in one batched
+Newton pass (rootfind.newton_polish_pairs) and holds each to the gates of
+an accepted step. A sample that fails becomes a stop of the tracker and the
+segment is walked again.
 """
 
 from __future__ import annotations
@@ -24,13 +32,23 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .config import DEFAULT, Tolerances
 from .errors import (
     PathTooCloseToCritical,
     StepUnderflow,
     TrackingCollision,
 )
-from .rootfind import newton_polish, poly_eval, poly_eval_pair, residual_scale
+from .rootfind import (
+    newton_polish,
+    newton_polish_pairs,
+    poly_eval,
+    poly_eval_pair,
+    poly_eval_pairs,
+    residual_scale,
+    residual_scales,
+)
 from .surface import DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance
 
 __all__ = [
@@ -332,6 +350,95 @@ class SegmentTracker:
                 raise StepUnderflow(f"continuation step underflow near z={z0}")
             h *= 0.5
             self.h = h
+
+
+def _sample_segment(eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
+                    ts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[complex]]:
+    """The fiber at each parameter of the ascending ts in [0, 1) along one
+    segment (one row per parameter, position order) and the end fiber.
+
+    The segment is walked with the tracker's own steps. Each accepted step is
+    a knot holding t, the fiber and dw/dt; a sample is predicted by cubic
+    Hermite interpolation between the knots around it, and all samples are
+    corrected by one batched Newton pass. A sample must pass the gates of an
+    accepted step: the residual gate, no collision, and a drift from its
+    prediction within a quarter of the root separation of both the predicted
+    and the corrected row. A sample that fails becomes a stop of the tracker,
+    whose fiber there is the sample, and the segment is walked again; with
+    every sample a stop this is advance_to each sample in turn.
+    """
+    rows = np.empty((len(ts), len(fiber)), dtype=complex)
+    stops = np.zeros(len(ts), dtype=bool)
+    while True:
+        trk = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
+        knot_t, knot_z, knot_w = [0.0], [seg.at(0.0)], [list(fiber)]
+        for j in [*np.flatnonzero(stops), None]:
+            target = 1.0 if j is None else ts[j]
+            while trk.t < target - 1e-15:
+                knot_z.append(trk._step(target))
+                knot_t.append(trk.t)
+                knot_w.append(trk.fiber)
+            if j is not None:
+                rows[j] = trk.fiber
+        free = np.flatnonzero(~stops)
+        if not len(free):
+            return rows, trk.fiber
+        with np.errstate(all="ignore"):  # a sample gone astray fails its gates
+            knots = np.array(knot_w)
+            slopes = _slopes(eq, np.array(knot_z), knots)
+            slopes *= np.array([seg.deriv(t) for t in knot_t])[:, None]
+            pred = _hermite(np.array(knot_t), knots, slopes, ts[free])
+            new, ok = _correct(eq, np.array([seg.at(t) for t in ts[free]]), pred, tol)
+        rows[free[ok]] = new[ok]
+        if ok.all():
+            return rows, trk.fiber
+        stops[free[~ok]] = True
+
+
+def _slopes(eq: DefiningEquation, zs: np.ndarray, fibers: np.ndarray) -> np.ndarray:
+    """dw/dz = -Psi_z/Psi_W at each root of each fiber (one row per z)."""
+    k = fibers.shape[1]
+    w = fibers.ravel()
+    _, dpsi_w = poly_eval_pairs(np.repeat(eq.psi_coeffs_on(zs), k, axis=0), w)
+    psi_z, _ = poly_eval_pairs(np.repeat(eq.psi_z_coeffs_on(zs), k, axis=0), w)
+    return (-psi_z / dpsi_w).reshape(fibers.shape)
+
+
+def _hermite(knot_t: np.ndarray, knots: np.ndarray, slopes: np.ndarray,
+             ts: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of the knot fibers (rows) with their dw/dt
+    slopes, at each of ts, from the two knots around it."""
+    i = np.clip(np.searchsorted(knot_t, ts, side="right") - 1, 0, len(knot_t) - 2)
+    h = (knot_t[i + 1] - knot_t[i])[:, None]
+    s = (ts - knot_t[i])[:, None] / h
+    return ((1 + 2 * s) * (1 - s) ** 2 * knots[i] + s * (1 - s) ** 2 * h * slopes[i]
+            + s ** 2 * (3 - 2 * s) * knots[i + 1] - s ** 2 * (1 - s) * h * slopes[i + 1])
+
+
+def _correct(eq: DefiningEquation, zs: np.ndarray, pred: np.ndarray,
+             tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-corrected fibers from the predicted rows, and which rows pass
+    the gates of an accepted step (_polish's residual gate, the collision
+    check, the drift bound)."""
+    k = pred.shape[1]
+    coeffs = np.repeat(eq.psi_coeffs_on(zs), k, axis=0)
+    w = newton_polish_pairs(coeffs, pred.ravel(), max_iter=30)
+    residual = np.abs(poly_eval_pairs(coeffs, w)[0])
+    new = w.reshape(pred.shape)
+    sep = _row_separations(new)
+    drift = np.abs(new - pred).max(axis=1)
+    ok = ((residual <= tol.eps_root * residual_scales(coeffs, w)).reshape(pred.shape).all(axis=1)
+          & (sep >= tol.delta_sep * (1.0 + np.abs(new).max(axis=1)))
+          & (drift <= 0.25 * np.minimum(_row_separations(pred), sep)))
+    return new, ok
+
+
+def _row_separations(rows: np.ndarray) -> np.ndarray:
+    """min_pairwise_distance of each row."""
+    k = rows.shape[1]
+    d = np.abs(rows[:, :, None] - rows[:, None, :])
+    d[:, np.arange(k), np.arange(k)] = np.inf
+    return d.min(axis=(1, 2))
 
 
 def _path_margin(eq: DefiningEquation, tol: Tolerances, delta_path: Optional[float]) -> float:

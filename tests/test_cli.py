@@ -299,6 +299,21 @@ def test_integral_tolerance_accepts_integral_value(capsys, sqrt_file):
     assert report["results"]["cycles"][0]["expansion"]["m"] == 2
 
 
+@pytest.mark.parametrize("n_max, code", [(2, 20), (3, 0)])
+def test_principal_part_cut_by_the_window_is_a_typed_refusal(capsys, tmp_path, n_max, code):
+    # W - 1/z^3 at 0: B_-3 needs n_max >= 3
+    f = tmp_path / "cube.json"
+    f.write_text(json.dumps({"k": 1, "coefficients": ["-1/z^3"]}))
+    got, report = run_cli(capsys, "--tol", f"n_max={n_max}", "puiseux", str(f), "--point", "0")
+    assert got == code
+    if code:
+        assert report["error"]["type"] == "PrincipalPartTruncated"
+        assert "at 0j" in report["error"]["message"] and "(0,)" in report["error"]["message"]
+    else:
+        (cycle,) = report["results"]["cycles"]
+        assert (cycle["expansion"]["u"], cycle["classification"]) == (-3, "pole-element")
+
+
 def test_path_json_schema_error():
     with pytest.raises(SchemaError):
         parse_path_json([{"segment": []}])

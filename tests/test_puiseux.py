@@ -3,12 +3,16 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from algebroid import tracker
 from algebroid.config import DEFAULT
-from algebroid.errors import LiftNotClosed
+from algebroid.errors import LiftNotClosed, PrincipalPartTruncated
 from algebroid.puiseux import (
     PuiseuxExpansion,
+    _local_turns,
+    _turn,
     cycle_structure,
     default_radius,
     growth_bound,
@@ -17,7 +21,7 @@ from algebroid.puiseux import (
     residue_by_contour,
     singular_elements,
 )
-from algebroid.surface import fiber_at
+from algebroid.surface import DefiningEquation, Fiber, _sheet_permutation, fiber_at
 from algebroid.tracker import Arc, SegmentTracker
 
 
@@ -192,3 +196,106 @@ def test_puiseux_expand_refuses_n_max_below_cycle_length(sqrt_z, recip_z):
     with pytest.raises(ValueError):
         puiseux_expand(recip_z, 0j, (0,), n_max=0)
     assert puiseux_expand(recip_z, 0j, (0,), n_max=1).residue == pytest.approx(1.0)
+
+
+TURN_CASES = [
+    (["0", "-z"], 0j),
+    (["0", "-3", "-z"], 2.0 + 0j),
+    (["0", "0", "-z"], 0j),
+    (["0", "-1/z"], 0j),
+    (["0", "-(1+z^2)"], 1j),
+]
+
+
+def _stepwise_turn(eq, a, roots, eps, n_samples):
+    """The turn tracked with one tracker stop per sample."""
+    trk = SegmentTracker(eq, Arc(a, eps, 0.0, 2 * math.pi), roots, DEFAULT,
+                         h_min=DEFAULT.h_min_frac)
+    rows = np.empty((n_samples, len(roots)), dtype=complex)
+    for j in range(n_samples):
+        trk.advance_to(j / n_samples)
+        rows[j] = trk.fiber
+    trk.advance_to(1.0)
+    return rows, _sheet_permutation(trk.fiber, Fiber(a + eps, tuple(roots)), DEFAULT)
+
+
+@pytest.mark.parametrize("coeffs, a", TURN_CASES)
+def test_batched_turn_matches_a_stop_per_sample(coeffs, a):
+    eq = DefiningEquation.from_strings(coeffs)
+    eps = default_radius(eq, a)
+    for radius in (eps, 0.5 * eps):
+        roots = fiber_at(eq, a + radius).roots
+        rows, sigma = _turn(eq, a, roots, radius, 256, DEFAULT)
+        ref_rows, ref_sigma = _stepwise_turn(eq, a, roots, radius, 256)
+        assert sigma == ref_sigma
+        assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
+
+
+def test_turn_takes_only_the_tracker_steps(monkeypatch, sqrt_z):
+    # the default n_max 32 asks for 256 samples; the circle needs far fewer steps
+    steps = []
+    step = SegmentTracker._step
+
+    def counting_step(self, t_target):
+        steps.append(t_target)
+        return step(self, t_target)
+
+    monkeypatch.setattr(SegmentTracker, "_step", counting_step)
+    eps = default_radius(sqrt_z, 0j)
+    (rows, _), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT.n_max, DEFAULT, False)
+    assert len(rows) == 256
+    assert len(steps) <= 32
+
+
+def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
+    # push one prediction most of the way to the other sheet: Newton lands
+    # there, the gates refuse it, and the tracker stops at the sample
+    hermite = tracker._hermite
+    bad = 37
+
+    def perturbed(knot_t, knots, slopes, ts):
+        pred = hermite(knot_t, knots, slopes, ts)
+        hit = ts == bad / 256
+        pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
+        return pred
+
+    targets = []
+    step = SegmentTracker._step
+
+    def recording_step(self, t_target):
+        targets.append(t_target)
+        return step(self, t_target)
+
+    monkeypatch.setattr(tracker, "_hermite", perturbed)
+    monkeypatch.setattr(SegmentTracker, "_step", recording_step)
+    eps = default_radius(sqrt_z, 0j)
+    roots = fiber_at(sqrt_z, eps).roots
+    rows, sigma = _turn(sqrt_z, 0j, roots, eps, 256, DEFAULT)
+    assert bad / 256 in targets
+    trk = SegmentTracker(sqrt_z, Arc(0j, eps, 0.0, 2 * math.pi), roots, DEFAULT,
+                         h_min=DEFAULT.h_min_frac)
+    trk.advance_to(bad / 256)
+    assert list(rows[bad]) == trk.fiber
+    ref_rows, ref_sigma = _stepwise_turn(sqrt_z, 0j, roots, eps, 256)
+    assert sigma == ref_sigma
+    assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
+
+
+def test_principal_part_below_the_window_is_refused():
+    # W - 1/z^3: B_-3 lies outside -2..2 but inside -3..3
+    eq = DefiningEquation.from_strings(["-1/z^3"])
+    with pytest.raises(PrincipalPartTruncated, match="n_max = 2"):
+        singular_elements(eq, 0j, n_max=2)
+    (cyc,) = singular_elements(eq, 0j, n_max=3).cycles
+    assert cyc.expansion.u == -3
+    assert cyc.classification == "pole-element"
+    assert cyc.expansion.coeffs[-3] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [2, 8])
+def test_small_n_max_is_not_aliased(circle_eq, n_max):
+    # n_max 2 alone would ask for 16 samples per turn, whose aliasing reads a
+    # pole (u = -1) into this bounded branch
+    (cyc,) = singular_elements(circle_eq, 1j, n_max=n_max).cycles
+    assert (cyc.expansion.u, cyc.classification) == (1, "algebraic-element")
+    assert cyc.expansion.coeffs[1] == pytest.approx(cmath.sqrt(2j), abs=1e-8)

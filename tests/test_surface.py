@@ -2,6 +2,7 @@
 
 import cmath
 
+import numpy as np
 import pytest
 
 from algebroid.config import DEFAULT
@@ -10,7 +11,7 @@ from algebroid.errors import (
     NearCriticalPoint,
 )
 from algebroid.exactalg import GaussianRational, parse_coefficient
-from algebroid.rootfind import residual_scale
+from algebroid.rootfind import newton_polish, newton_polish_pairs, residual_scale
 from algebroid.surface import (
     KIND_DISC,
     KIND_POLE,
@@ -42,6 +43,39 @@ def test_residual_scale_keeps_constant_term(w):
     expected = residual_scale(eq.psi_coeffs_at(1.0), w)
     assert eq.residual_scale(w, 1.0) == pytest.approx(expected)
     assert expected == pytest.approx(6.0 + abs(w) ** 2)
+
+
+def test_coefficient_rows_match_pointwise_coefficients():
+    eq = DefiningEquation.from_strings(["z/(z-3)", "-3", "-z^2+1/(z+2)"])
+    zs = np.array([0.3 + 0.2j, 1 - 1j, 2j, -5.0])
+    assert np.array_equal(eq.psi_coeffs_on(zs), [eq.psi_coeffs_at(z) for z in zs])
+    assert np.array_equal(eq.psi_z_coeffs_on(zs), [eq.psi_z_coeffs_at(z) for z in zs])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_newton_matches_newton_polish(seed):
+    # one Newton semantics: same stopping rule and fallback, entry by entry
+    rng = np.random.default_rng(seed)
+    n, k = 400, 1 + seed
+    coeffs = rng.normal(size=(n, k + 1)) + 1j * rng.normal(size=(n, k + 1))
+    coeffs[:, -1] = 1.0
+    starts = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([0.1, 1.0, 10.0], size=n)
+    batched = newton_polish_pairs(coeffs, starts, max_iter=30)
+    for c, w, b in zip(coeffs, starts, batched):
+        w1 = newton_polish(list(c), complex(w), max_iter=30)
+        if w1 is None:
+            assert np.isnan(b)
+        else:
+            # the two may stop one step apart; a last step is <= 1e-15 (1 + |w|)
+            assert abs(b - w1) <= 2e-15 * (1.0 + abs(w1))
+
+
+def test_batched_newton_reports_a_stall_as_nan():
+    # p'(w) == 0 at the start: newton_polish returns None
+    coeffs = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]], dtype=complex)
+    out = newton_polish_pairs(coeffs, np.array([0j, 2.0 + 0j]))
+    assert newton_polish(list(coeffs[0]), 0j) is None
+    assert np.isnan(out[0]) and out[1] == newton_polish(list(coeffs[1]), 2.0 + 0j)
 
 
 def test_critical_points_sqrt_z(sqrt_z):
