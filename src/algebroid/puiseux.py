@@ -9,13 +9,13 @@ turn and Fourier-analyzed in t = eps^(1/m) e^(i theta / m). The two-radius
 check adds one radial leg and one sampled turn at eps/2. The residue of the
 singular element is m * B_{-m}.
 
-A turn walks the circle with the tracker's own steps and reads all its
-samples from them at once (tracker._sample_segment: Hermite prediction
-between the steps, one batched Newton pass under the gates of an accepted
-step, and a tracker stop for any sample that fails them). A series has
-finitely many negative terms, so one reaching below the window
--n_max..n_max is refused (PrincipalPartTruncated), never read as a shorter
-principal part.
+A turn walks the circle once with the tracker's own steps and reads all
+its samples from that walked segment's rows (tracker._WalkedSegment:
+Hermite prediction between the steps, one batched Newton pass under the
+gates of an accepted step, and a tracker stop for any sample that fails
+them). A series has finitely many negative terms, so one reaching below
+the window -n_max..n_max is refused (PrincipalPartTruncated), never read as
+a shorter principal part.
 
 singular_elements is the one route to a critical point's local data: quad's
 residue checks, the antiderivative's zero-residue gate and growth_bound all
@@ -35,7 +35,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import AnnulusTooWide, PrincipalPartTruncated
 from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
-from .tracker import Arc, _sample_segment, continue_fiber, polyline
+from .tracker import Arc, _WalkedSegment, continue_fiber, polyline
 
 __all__ = [
     "PuiseuxExpansion",
@@ -125,9 +125,9 @@ def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
     """Track the fiber `roots` over a + epsilon once around a, sampling it at
     n_samples equal angles: (one row per sample, columns in the position order
     of roots; the circle's sheet permutation of roots)."""
-    rows, end = _sample_segment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots,
-                                np.arange(n_samples) / n_samples, tol)
-    return rows, _sheet_permutation(end, Fiber(a + epsilon, tuple(roots)), tol)
+    turn = _WalkedSegment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol)
+    rows = turn.rows(np.arange(n_samples) / n_samples)
+    return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol)
 
 
 def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,

@@ -7,8 +7,10 @@ every tracked sheet at once: a piece is split until each sheet passes its
 own test, so fiber_integral integrates a whole fiber in one tracking pass
 where surface_integral integrates one sheet. Because admissible
 paths keep a margin from the critical set, the integrand is analytic and
-the per-piece rule converges spectrally; tracker._segments, the split the
-tracker's one walk uses, checks that margin once. Residue checks read their
+the per-piece rule converges spectrally; tracker._walk checks that margin
+once and walks each segment once, and every piece reads the fiber at its 16
+Gauss nodes from that walked segment's rows, so quadrature takes the
+tracker's own steps and no step per node. Residue checks read their
 cycles from puiseux.singular_elements, the one route to local data, and
 share the m-turn loop integrals _cycle_loop_values, one fiber_integral turn
 per center, with residue_by_contour and the CLI's contour check.
@@ -26,8 +28,8 @@ from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
 from .puiseux import _radius, singular_elements
 from .surface import DefiningEquation, _lift_sheets, _sheet_permutation, fiber_at, match_to_fiber
-from .tracker import BasePath, SegmentTracker, SurfacePoint, germ_at, loop_path, safe_line
-from .tracker import _path_margin, _segments  # shared margin policy and path split
+from .tracker import BasePath, SurfacePoint, germ_at, loop_path, safe_line
+from .tracker import _WalkedSegment, _path_margin, _walk  # the one walk and its margin policy
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -86,40 +88,38 @@ class AuditReport:
     enclosed_residue_data: tuple[ResidueCheck, ...]
 
 
-def _eval_piece(state: SegmentTracker, t0: float, t1: float, positions: Sequence[int]):
-    tr = state.clone()
-    seg = tr.seg
+def _eval_piece(walked: _WalkedSegment, t0: float, t1: float, positions: Sequence[int]):
+    """16-point Gauss-Legendre values of w dz on [t0, t1] per position, with
+    the fiber at the nodes read from the walked segment."""
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t1 + t0)
+    ts = [mid + half * x for x in _GL_X]
     acc = [0j] * len(positions)
-    for x, wt in zip(_GL_X, _GL_W):
-        tt = mid + half * x
-        tr.advance_to(tt)
-        d = seg.deriv(tt)
+    for tt, wt, fiber in zip(ts, _GL_W, walked.rows(ts).tolist()):
+        d = walked.seg.deriv(tt)
         for i, pos in enumerate(positions):
-            acc[i] += wt * tr.fiber[pos] * d
-    tr.advance_to(t1)
-    return [a * half for a in acc], tr
+            acc[i] += wt * fiber[pos] * d
+    return [a * half for a in acc]
 
 
-def _bisect(state0: SegmentTracker, t0: float, t1: float, whole: Sequence[complex],
+def _bisect(walked: _WalkedSegment, t0: float, t1: float, whole: Sequence[complex],
             positions: Sequence[int], tol_abs: float, tol_rel: float, depth: int):
-    """Per-position values and error estimates on [t0, t1], and the tracker
-    at t1. A piece is split until every position passes its own test."""
+    """Per-position values and error estimates on [t0, t1]. A piece is split
+    until every position passes its own test."""
     tm = 0.5 * (t0 + t1)
-    left, st_m = _eval_piece(state0, t0, tm, positions)
-    right, st_end = _eval_piece(st_m, tm, t1, positions)
+    left = _eval_piece(walked, t0, tm, positions)
+    right = _eval_piece(walked, tm, t1, positions)
     halves = [l + r for l, r in zip(left, right)]
     errs = [abs(w - h) for w, h in zip(whole, halves)]
     if all(e <= tol_abs * (t1 - t0) + tol_rel * abs(h) for e, h in zip(errs, halves)):
-        return halves, errs, st_end
+        return halves, errs
     if depth >= _MAX_DEPTH:
         raise QuadratureStall(
             f"adaptive bisection stalled on [{t0}, {t1}] (err {max(errs):.3e})"
         )
-    lv, le, st_after_left = _bisect(state0, t0, tm, left, positions, tol_abs, tol_rel, depth + 1)
-    rv, re_, st_end = _bisect(st_after_left, tm, t1, right, positions, tol_abs, tol_rel, depth + 1)
-    return [a + b for a, b in zip(lv, rv)], [a + b for a, b in zip(le, re_)], st_end
+    lv, le = _bisect(walked, t0, tm, left, positions, tol_abs, tol_rel, depth + 1)
+    rv, re_ = _bisect(walked, tm, t1, right, positions, tol_abs, tol_rel, depth + 1)
+    return [a + b for a, b in zip(lv, rv)], [a + b for a, b in zip(le, re_)]
 
 
 def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
@@ -128,19 +128,16 @@ def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
     (values, error estimates, end fiber in position order)."""
     totals = [0j] * len(positions)
     errs = [0.0] * len(positions)
-    for seg, frac in _segments(eq, path, tol, delta_path):
-        st0 = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
-        whole, _ = _eval_piece(st0, 0.0, 1.0, positions)
-        vals, es, st_end = _bisect(
-            st0, 0.0, 1.0, whole, positions,
-            tol_abs=tol.quad_tol * max(frac, 1e-3),
+    for _, share, walked in _walk(eq, fiber, path, tol, delta_path):
+        vals, es = _bisect(
+            walked, 0.0, 1.0, _eval_piece(walked, 0.0, 1.0, positions), positions,
+            tol_abs=tol.quad_tol * max(share, 1e-3),
             tol_rel=tol.quad_tol,
             depth=0,
         )
         totals = [a + b for a, b in zip(totals, vals)]
         errs = [a + b for a, b in zip(errs, es)]
-        fiber = st_end.fiber
-    return totals, errs, fiber
+    return totals, errs, walked.end
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,

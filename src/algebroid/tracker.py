@@ -7,22 +7,22 @@ z and gated by rootfind.residual_scale. The adaptive step keeps per-step
 root movement below a quarter of the current minimal pairwise root
 separation, and each corrected root within a quarter of it from its
 prediction, which is what prevents two sheets from silently swapping.
-A step clipped to land on a target t (a quadrature node, a segment end)
-may grow the step size but never shrinks it, so closely spaced targets do
-not make the tracker relearn its step after each one.
+A step clipped to land on a target t (a stop, the segment's end) may grow
+the step size but never shrinks it, so closely spaced targets do not make
+the tracker relearn its step after each one.
 
-There is one walk along a path, _walk: it yields (path parameter, z, fiber)
-after every accepted step. continue_fiber keeps its last fiber and
-continue_branch records one sheet; _segments, which checks the path's
-margin from the critical set once, splits the path for it and for quad.
-
-_sample_segment gives the fiber at many parameters of one segment (puiseux
-samples its turns with it) without a step per sample: it keeps each
-accepted step's fiber and dw/dt as a knot, predicts every sample by cubic
-Hermite interpolation between knots, corrects all of them in one batched
-Newton pass (rootfind.newton_polish_pairs) and holds each to the gates of
-an accepted step. A sample that fails becomes a stop of the tracker and the
-segment is walked again.
+Every reader of a fiber along a path reads one walk per segment,
+_WalkedSegment: it keeps the knots (t, z, fiber) of the accepted steps and
+the end fiber, and gives the fiber at any parameters (rows) by cubic Hermite
+interpolation between the knots with their dw/dt and one batched Newton
+pass (rootfind.newton_polish_pairs), each sample held to the gates of an
+accepted step: residual, no collision, and a drift within a quarter of the
+root separation of both the predicted and the corrected row. A sample that
+fails becomes a stop of the tracker, whose fiber there is the sample, and
+the segment is walked again. _walk checks a path's margin from the critical
+set once and walks its segments in turn: continue_fiber reads the end
+fibers, continue_branch the knots, puiseux the rows of its sampled turns and
+quad the Gauss nodes of its pieces.
 """
 
 from __future__ import annotations
@@ -287,6 +287,8 @@ class SegmentTracker:
         self.tol = tol
         self.t = 0.0
         self.fiber = list(fiber)
+        if len(self.fiber) != eq.k:
+            raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
         self.h = h0
         self.h_min = h_min
         self.steps = 0
@@ -352,56 +354,58 @@ class SegmentTracker:
             self.h = h
 
 
-def _sample_segment(eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
-                    ts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[complex]]:
-    """The fiber at each parameter of the ascending ts in [0, 1) along one
-    segment (one row per parameter, position order) and the end fiber.
+class _WalkedSegment:
+    """One segment walked from a start fiber with the tracker's own steps:
+    the knots (t, z, fiber) of its accepted steps, its end fiber, and rows,
+    the fiber at any parameters read from those knots."""
 
-    The segment is walked with the tracker's own steps. Each accepted step is
-    a knot holding t, the fiber and dw/dt; a sample is predicted by cubic
-    Hermite interpolation between the knots around it, and all samples are
-    corrected by one batched Newton pass. A sample must pass the gates of an
-    accepted step: the residual gate, no collision, and a drift from its
-    prediction within a quarter of the root separation of both the predicted
-    and the corrected row. A sample that fails becomes a stop of the tracker,
-    whose fiber there is the sample, and the segment is walked again; with
-    every sample a stop this is advance_to each sample in turn.
-    """
-    rows = np.empty((len(ts), len(fiber)), dtype=complex)
-    stops = np.zeros(len(ts), dtype=bool)
-    while True:
-        trk = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
-        knot_t, knot_z, knot_w = [0.0], [seg.at(0.0)], [list(fiber)]
-        for j in [*np.flatnonzero(stops), None]:
-            target = 1.0 if j is None else ts[j]
-            while trk.t < target - 1e-15:
-                knot_z.append(trk._step(target))
-                knot_t.append(trk.t)
-                knot_w.append(trk.fiber)
-            if j is not None:
-                rows[j] = trk.fiber
-        free = np.flatnonzero(~stops)
-        if not len(free):
-            return rows, trk.fiber
-        with np.errstate(all="ignore"):  # a sample gone astray fails its gates
-            knots = np.array(knot_w)
-            slopes = _slopes(eq, np.array(knot_z), knots)
-            slopes *= np.array([seg.deriv(t) for t in knot_t])[:, None]
-            pred = _hermite(np.array(knot_t), knots, slopes, ts[free])
-            new, ok = _correct(eq, np.array([seg.at(t) for t in ts[free]]), pred, tol)
-        rows[free[ok]] = new[ok]
-        if ok.all():
-            return rows, trk.fiber
-        stops[free[~ok]] = True
+    __slots__ = ("eq", "seg", "tol", "start", "stops", "t", "z", "fibers", "_dense")
 
+    def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
+                 tol: Tolerances):
+        self.eq, self.seg, self.tol, self.start = eq, seg, tol, list(fiber)
+        self.stops: dict[float, list[complex]] = {}  # parameter -> tracked fiber; 1.0 too
+        self._walk()
 
-def _slopes(eq: DefiningEquation, zs: np.ndarray, fibers: np.ndarray) -> np.ndarray:
-    """dw/dz = -Psi_z/Psi_W at each root of each fiber (one row per z)."""
-    k = fibers.shape[1]
-    w = fibers.ravel()
-    _, dpsi_w = poly_eval_pairs(np.repeat(eq.psi_coeffs_on(zs), k, axis=0), w)
-    psi_z, _ = poly_eval_pairs(np.repeat(eq.psi_z_coeffs_on(zs), k, axis=0), w)
-    return (-psi_z / dpsi_w).reshape(fibers.shape)
+    def _walk(self):
+        trk = SegmentTracker(self.eq, self.seg, self.start, self.tol, h_min=self.tol.h_min_frac)
+        self.t, self.z, self.fibers, self._dense = [0.0], [self.seg.at(0.0)], [trk.fiber], None
+        for stop in sorted({*self.stops, 1.0}):
+            while trk.t < stop - 1e-15:
+                self.z.append(trk._step(stop))
+                self.t.append(trk.t)
+                self.fibers.append(trk.fiber)
+            self.stops[stop] = trk.fiber
+
+    @property
+    def end(self) -> list[complex]:
+        return self.fibers[-1]
+
+    def rows(self, ts: Sequence[float]) -> np.ndarray:
+        """The fiber at each parameter of ts in [0, 1], one row per parameter
+        in position order: Hermite-predicted from the knots and corrected in
+        one batched Newton pass under the gates of an accepted step. A sample
+        that fails becomes a stop of the tracker and the segment is walked
+        again, so every sample a stop is advance_to each sample in turn."""
+        ts = np.asarray(ts, dtype=float)
+        while True:
+            with np.errstate(all="ignore"):  # a sample gone astray fails its gates
+                if self._dense is None:  # the knots with their slopes dw/dt
+                    knots, zs, k = np.array(self.fibers), np.array(self.z), len(self.start)
+                    w = knots.ravel()
+                    _, dpsi_w = poly_eval_pairs(np.repeat(self.eq.psi_coeffs_on(zs), k, 0), w)
+                    psi_z, _ = poly_eval_pairs(np.repeat(self.eq.psi_z_coeffs_on(zs), k, 0), w)
+                    dzdt = np.array([self.seg.deriv(t) for t in self.t])[:, None]
+                    slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
+                    self._dense = np.array(self.t), knots, slopes
+                rows, ok = _correct(self.eq, np.array([self.seg.at(t) for t in ts]),
+                                    _hermite(*self._dense, ts), self.tol)
+            for j in np.flatnonzero([t in self.stops for t in ts]):
+                rows[j], ok[j] = self.stops[ts[j]], True
+            if ok.all():
+                return rows
+            self.stops.update(dict.fromkeys(ts[~ok]))
+            self._walk()
 
 
 def _hermite(knot_t: np.ndarray, knots: np.ndarray, slopes: np.ndarray,
@@ -448,10 +452,13 @@ def _path_margin(eq: DefiningEquation, tol: Tolerances, delta_path: Optional[flo
     return tol.delta_path_factor * crit.scale
 
 
-def _segments(eq: DefiningEquation, path: BasePath, tol: Tolerances,
-              delta_path: Optional[float]) -> Iterator[tuple[Segment, float]]:
-    """Each segment of a path with its share of the path length, once the
-    whole path is checked to keep its margin from the critical set."""
+def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
+          tol: Tolerances, delta_path: Optional[float]
+          ) -> Iterator[tuple[float, float, _WalkedSegment]]:
+    """Walk a whole fiber along a path, once the path is checked to keep its
+    margin from the critical set: (path parameter at the segment's start,
+    its share of the path length, the walked segment) for each segment in
+    turn, each walked from the end fiber of the one before."""
     margin = _path_margin(eq, tol, delta_path)
     for c in eq.critical(tol).locations:
         d = path.min_dist_to(c)
@@ -460,22 +467,12 @@ def _segments(eq: DefiningEquation, path: BasePath, tol: Tolerances,
                 f"path passes within {d:.3e} of critical point {c} (margin {margin:.3e})"
             )
     total_len = path.length
-    for seg in path.segments:
-        yield seg, seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
-
-
-def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-          tol: Tolerances, delta_path: Optional[float]
-          ) -> Iterator[tuple[float, complex, list[complex]]]:
-    """Continue a whole fiber along a path, yielding (path parameter, z,
-    fiber in position order) after each accepted step."""
     done = 0.0
-    for seg, share in _segments(eq, path, tol, delta_path):
-        trk = SegmentTracker(eq, seg, fiber, tol, h_min=tol.h_min_frac)
-        while trk.t < 1.0 - 1e-15:
-            z = trk._step(1.0)
-            yield done + trk.t * share, z, trk.fiber
-        fiber = trk.fiber
+    for seg in path.segments:
+        share = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+        walked = _WalkedSegment(eq, seg, fiber, tol)
+        yield done, share, walked
+        fiber = walked.end
         done += share
 
 
@@ -483,8 +480,8 @@ def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePat
                    tol: Tolerances = DEFAULT, delta_path: Optional[float] = None) -> list[complex]:
     """End fiber in position order (position j continues the j-th start root)."""
     end = list(fiber)
-    for _, _, end in _walk(eq, fiber, path, tol, delta_path):
-        pass
+    for _, _, walked in _walk(eq, fiber, path, tol, delta_path):
+        end = walked.end
     return end
 
 
@@ -503,9 +500,10 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
 
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
-    for t, z, fiber in _walk(eq, roots, path, tol, delta_path):
-        samples.append((t, z, fiber[pos]))
-        min_sep = min(min_sep, min_pairwise_distance(fiber))
+    for done, share, walked in _walk(eq, roots, path, tol, delta_path):
+        for t, z, fiber in zip(walked.t[1:], walked.z[1:], walked.fibers[1:]):
+            samples.append((done + t * share, z, fiber[pos]))
+            min_sep = min(min_sep, min_pairwise_distance(fiber))
     endpoint = SurfacePoint(path.end_z, samples[-1][2])
     return TrackResult(endpoint, tuple(samples), len(samples) - 1, min_sep)
 

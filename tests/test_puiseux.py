@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from algebroid import tracker
+from algebroid import quad, tracker
 from algebroid.config import DEFAULT
 from algebroid.errors import LiftNotClosed, PrincipalPartTruncated
 from algebroid.puiseux import (
@@ -21,8 +21,9 @@ from algebroid.puiseux import (
     residue_by_contour,
     singular_elements,
 )
+from algebroid.quad import fiber_integral
 from algebroid.surface import DefiningEquation, Fiber, _sheet_permutation, fiber_at
-from algebroid.tracker import Arc, SegmentTracker
+from algebroid.tracker import Arc, SegmentTracker, polyline
 
 
 def test_cycle_structure_sqrt_z(sqrt_z):
@@ -247,15 +248,15 @@ def test_turn_takes_only_the_tracker_steps(monkeypatch, sqrt_z):
     assert len(steps) <= 32
 
 
-def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
-    # push one prediction most of the way to the other sheet: Newton lands
-    # there, the gates refuse it, and the tracker stops at the sample
+def _push_prediction_to_other_sheet(monkeypatch, bad):
+    """Push the prediction at parameter bad most of the way to the other
+    sheet, so Newton lands there and the gates refuse it; returns the list
+    the _step targets are recorded in."""
     hermite = tracker._hermite
-    bad = 37
 
     def perturbed(knot_t, knots, slopes, ts):
         pred = hermite(knot_t, knots, slopes, ts)
-        hit = ts == bad / 256
+        hit = ts == bad
         pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
         return pred
 
@@ -268,6 +269,13 @@ def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
 
     monkeypatch.setattr(tracker, "_hermite", perturbed)
     monkeypatch.setattr(SegmentTracker, "_step", recording_step)
+    return targets
+
+
+def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
+    # the tracker stops at the refused sample
+    bad = 37
+    targets = _push_prediction_to_other_sheet(monkeypatch, bad / 256)
     eps = default_radius(sqrt_z, 0j)
     roots = fiber_at(sqrt_z, eps).roots
     rows, sigma = _turn(sqrt_z, 0j, roots, eps, 256, DEFAULT)
@@ -279,6 +287,19 @@ def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
     ref_rows, ref_sigma = _stepwise_turn(sqrt_z, 0j, roots, eps, 256)
     assert sigma == ref_sigma
     assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
+
+
+def test_gauss_node_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
+    path = polyline(1, 4)
+    roots = fiber_at(sqrt_z, 1.0).roots
+    ref_values, ref_end = fiber_integral(sqrt_z, roots, path)
+    bad = 0.5 + 0.5 * quad._GL_X[5]  # a node of the whole segment's piece
+    targets = _push_prediction_to_other_sheet(monkeypatch, bad)
+    values, end = fiber_integral(sqrt_z, roots, path)
+    assert bad in targets
+    scale = max(abs(v) for v in ref_values)
+    assert max(abs(v - r) for v, r in zip(values, ref_values)) <= 1e-13 * scale
+    assert max(abs(w - r) for w, r in zip(end, ref_end)) <= 1e-13 * max(abs(r) for r in ref_end)
 
 
 def test_principal_part_below_the_window_is_refused():

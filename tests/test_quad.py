@@ -27,6 +27,7 @@ from algebroid.tracker import (
     Line,
     SegmentTracker,
     SurfacePoint,
+    _walk,
     continue_fiber,
     loop_path,
     polyline,
@@ -306,3 +307,56 @@ def test_one_center_costs_two_turns_one_leg_and_one_quadrature_turn(monkeypatch)
     monkeypatch.setattr(quad, "fiber_integral", counting_fiber_integral)
     residue_theorem_check(eq, 2.0 + 0j)
     assert len(turns) == 1
+
+
+NODE_CASES = [
+    (["0", "-z"], polyline(1, 4)),
+    (["0", "0", "-z"], loop_path(0, 1.0, 1)),
+    (["0", "-1/z"], polyline(1, -1 + 0.5j)),
+    (["0", "-3", "-z"], loop_path(2.0, 0.5, 1)),
+]
+
+
+def _gauss_nodes(t0, t1):
+    return [0.5 * (t1 + t0) + 0.5 * (t1 - t0) * x for x in quad._GL_X]
+
+
+@pytest.mark.parametrize("coeffs, path", NODE_CASES)
+def test_walked_rows_match_a_stop_per_gauss_node(coeffs, path):
+    eq = DefiningEquation.from_strings(coeffs)
+    roots = fiber_at(eq, path.start_z).roots
+    for _, _, walked in _walk(eq, roots, path, DEFAULT, None):
+        for piece in ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0)):
+            ts = _gauss_nodes(*piece)
+            trk = SegmentTracker(eq, walked.seg, walked.start, DEFAULT,
+                                 h_min=DEFAULT.h_min_frac)
+            ref = []
+            for t in ts:
+                trk.advance_to(t)
+                ref.append(trk.fiber)
+            ref = np.array(ref)
+            assert np.abs(walked.rows(ts) - ref).max() <= 1e-13 * np.abs(ref).max()
+    values, end = fiber_integral(eq, roots, path)
+    assert all(type(v) is complex for v in values)
+    assert end == continue_fiber(eq, roots, path)
+
+
+@pytest.mark.parametrize("path, most", [(polyline(1, 4), 8), (loop_path(0, 1.0, 1), 16)])
+def test_fiber_integral_takes_only_the_tracker_steps(monkeypatch, sqrt_z, path, most):
+    # one step per Gauss node took 51 steps and 3 clones on either path
+    calls = {"step": 0, "clone": 0}
+    step, clone = SegmentTracker._step, SegmentTracker.clone
+
+    def counting_step(self, t_target):
+        calls["step"] += 1
+        return step(self, t_target)
+
+    def counting_clone(self):
+        calls["clone"] += 1
+        return clone(self)
+
+    monkeypatch.setattr(SegmentTracker, "_step", counting_step)
+    monkeypatch.setattr(SegmentTracker, "clone", counting_clone)
+    fiber_integral(sqrt_z, fiber_at(sqrt_z, path.start_z).roots, path)
+    assert calls["step"] <= most
+    assert calls["clone"] == 0

@@ -8,6 +8,7 @@ import pytest
 
 from algebroid.config import DEFAULT
 from algebroid.errors import PathTooCloseToCritical, TrackingCollision
+from algebroid.quad import fiber_integral
 from algebroid.surface import DefiningEquation, fiber_at, min_pairwise_distance
 from algebroid.tracker import (
     Arc,
@@ -229,6 +230,21 @@ def test_continue_branch_agrees_with_continue_fiber(coeffs, path):
     ts = [t for t, _, _ in res.samples]
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
     assert all(a < b for a, b in zip(ts, ts[1:]))
-    fibers = [roots] + [f for _, _, f in _walk(eq, roots, path, DEFAULT, None)]
+    fibers = [roots] + [f for _, _, walked in _walk(eq, roots, path, DEFAULT, None)
+                        for f in walked.fibers[1:]]
     assert [f[0] for f in fibers] == [w for _, _, w in res.samples]
     assert res.min_root_separation == min(min_pairwise_distance(f) for f in fibers)
+
+
+def test_partial_start_fiber_is_refused():
+    # with one root there is no root separation, so neither the step cap nor
+    # the drift gate would bind and the lone root can end on another sheet
+    eq = DefiningEquation.from_strings(["0", "0", "-(z^3-1)"])
+    path = polyline(1.221794470523415 - 0.9312336619949568j,
+                    -0.8673157737221344 + 1.297928575807748j)
+    roots = fiber_at(eq, path.start_z).roots
+    assert continue_fiber(eq, roots, path)[0] == pytest.approx(-0.5962 - 1.2827j, abs=1e-4)
+    with pytest.raises(ValueError, match="k = 3 roots, got 1"):
+        continue_fiber(eq, [roots[0]], path)
+    with pytest.raises(ValueError, match="k = 3 roots, got 1"):
+        fiber_integral(eq, [roots[0]], path)
