@@ -87,14 +87,14 @@ def _want(mapping, key, types, where):
     if key not in mapping:
         raise SchemaError(f"missing key {key!r} in {where}")
     value = mapping[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):  # a JSON true is a Python int
         raise SchemaError(f"key {key!r} in {where} has wrong type")
     return value
 
 
 def _complex_from_json(value, where) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise SchemaError(f"{where} must be a [re, im] pair")
     return complex(*_finite(value, where))
 
@@ -362,6 +362,8 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
         if name not in {f.name for f in dataclasses.fields(Tolerances)}:
             raise SchemaError(f"unknown tolerance {name!r}")
         (value,) = _parse_reals([text], f"--tol {name}", text)
+        if value <= 0:
+            raise SchemaError(f"--tol {name} must be positive, got {text!r}")
         kind = type(getattr(tol, name))
         if kind is int and not value.is_integer():
             raise SchemaError(f"--tol {name} expects an integer, got {text!r}")

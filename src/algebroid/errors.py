@@ -74,7 +74,7 @@ class PrincipalPartTruncated(AlgebroidError):
 
 
 class QuadratureStall(AlgebroidError):
-    """Adaptive bisection hit depth limit before reaching tolerance."""
+    """Adaptive bisection hit its depth or width limit before reaching tolerance."""
 
     exit_code = 12
 

@@ -2,18 +2,19 @@
 
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
-until the whole-piece and two-half estimates agree. Bisection runs on
-every tracked sheet at once: a piece is split until each sheet passes its
-own test, so fiber_integral integrates a whole fiber in one tracking pass
-where surface_integral integrates one sheet. Because admissible
-paths keep a margin from the critical set, the integrand is analytic and
-the per-piece rule converges spectrally; tracker._walk checks that margin
-once and walks each segment once, and every piece reads the fiber at its 16
-Gauss nodes from that walked segment's rows, so quadrature takes the
-tracker's own steps and no step per node. Residue checks read their
-cycles from puiseux.singular_elements, the one route to local data, and
-share the m-turn loop integrals _cycle_loop_values, one fiber_integral turn
-per center, with residue_by_contour and the CLI's contour check.
+until the whole-piece and two-half estimates agree. Bisection runs a level
+at a time over the whole fiber: each level reads the nodes of both halves
+of every pending piece in one batch, and a piece is split until every
+sheet passes its own test. fiber_integral returns the whole fiber's
+integrals, and surface_integral is one sheet's column of them. Because
+admissible paths keep a margin from the critical set, the integrand is
+analytic and the per-piece rule converges spectrally; tracker._walk checks
+that margin once and walks each segment once, and every level reads the
+fiber at its Gauss nodes from that walked segment's rows, so quadrature
+takes the tracker's own steps and no step per node. Residue checks read
+their cycles from puiseux.singular_elements, the one route to local data,
+and share the m-turn loop integrals _cycle_loop_values, one fiber_integral
+turn per center, with residue_by_contour and the CLI's contour check.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ __all__ = [
 ]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_X = tuple(float(x) for x in _GL_X)
-_GL_W = tuple(float(w) for w in _GL_W)
 _MAX_DEPTH = 30
+_MAX_PIECES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -88,56 +88,53 @@ class AuditReport:
     enclosed_residue_data: tuple[ResidueCheck, ...]
 
 
-def _eval_piece(walked: _WalkedSegment, t0: float, t1: float, positions: Sequence[int]):
-    """16-point Gauss-Legendre values of w dz on [t0, t1] per position, with
-    the fiber at the nodes read from the walked segment."""
+def _gauss(walked: _WalkedSegment, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre values of w dz on each piece [t0[i], t1[i]],
+    one row of fiber positions per piece, from one read of the walked
+    segment's rows."""
     half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t1 + t0)
-    ts = [mid + half * x for x in _GL_X]
-    acc = [0j] * len(positions)
-    for tt, wt, fiber in zip(ts, _GL_W, walked.rows(ts).tolist()):
-        d = walked.seg.deriv(tt)
-        for i, pos in enumerate(positions):
-            acc[i] += wt * fiber[pos] * d
-    return [a * half for a in acc]
-
-
-def _bisect(walked: _WalkedSegment, t0: float, t1: float, whole: Sequence[complex],
-            positions: Sequence[int], tol_abs: float, tol_rel: float, depth: int):
-    """Per-position values and error estimates on [t0, t1]. A piece is split
-    until every position passes its own test."""
-    tm = 0.5 * (t0 + t1)
-    left = _eval_piece(walked, t0, tm, positions)
-    right = _eval_piece(walked, tm, t1, positions)
-    halves = [l + r for l, r in zip(left, right)]
-    errs = [abs(w - h) for w, h in zip(whole, halves)]
-    if all(e <= tol_abs * (t1 - t0) + tol_rel * abs(h) for e, h in zip(errs, halves)):
-        return halves, errs
-    if depth >= _MAX_DEPTH:
-        raise QuadratureStall(
-            f"adaptive bisection stalled on [{t0}, {t1}] (err {max(errs):.3e})"
-        )
-    lv, le = _bisect(walked, t0, tm, left, positions, tol_abs, tol_rel, depth + 1)
-    rv, re_ = _bisect(walked, tm, t1, right, positions, tol_abs, tol_rel, depth + 1)
-    return [a + b for a, b in zip(lv, rv)], [a + b for a, b in zip(le, re_)]
+    ts = ((0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X).ravel()
+    a = walked.rows(ts).reshape(len(t0), len(_GL_X), -1) * _GL_W[:, None]
+    d = np.array([walked.seg.deriv(t) for t in ts]).reshape(len(t0), -1, 1)
+    # (wt w) dz in Python's complex arithmetic: numpy's complex multiply may use
+    # FMA, which moves values by an ulp and can flip an accept decision
+    terms = np.empty_like(a)
+    terms.real, terms.imag = a.real * d.real - a.imag * d.imag, a.real * d.imag + a.imag * d.real
+    return sum(terms.swapaxes(0, 1), 0j) * half[:, None]  # node by node, from 0j
 
 
 def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-               tol: Tolerances, delta_path: Optional[float], positions: Sequence[int]):
-    """Integrals of w dz on the given fiber positions along a nonempty path:
-    (values, error estimates, end fiber in position order)."""
-    totals = [0j] * len(positions)
-    errs = [0.0] * len(positions)
+               tol: Tolerances, delta_path: Optional[float]):
+    """Integrals of w dz on every fiber position along a nonempty path:
+    (values, error estimates, end fiber) in position order. Each segment is
+    bisected a level at a time: one _gauss read gives both halves of every
+    pending piece, and a piece is split until every position passes its own
+    test."""
+    total, err = 0j, 0.0
     for _, share, walked in _walk(eq, fiber, path, tol, delta_path):
-        vals, es = _bisect(
-            walked, 0.0, 1.0, _eval_piece(walked, 0.0, 1.0, positions), positions,
-            tol_abs=tol.quad_tol * max(share, 1e-3),
-            tol_rel=tol.quad_tol,
-            depth=0,
-        )
-        totals = [a + b for a, b in zip(totals, vals)]
-        errs = [a + b for a, b in zip(errs, es)]
-    return totals, errs, walked.end
+        tol_abs = tol.quad_tol * max(share, 1e-3)
+        t0, t1 = np.zeros(1), np.ones(1)
+        whole = _gauss(walked, t0, t1)
+        for depth in range(_MAX_DEPTH + 1):
+            tm = 0.5 * (t0 + t1)
+            left, right = np.split(_gauss(walked, np.r_[t0, tm], np.r_[tm, t1]), 2)
+            halves = left + right
+            errs = np.abs(whole - halves)
+            ok = (errs <= tol_abs * (t1 - t0)[:, None] + tol.quad_tol * np.abs(halves)).all(axis=1)
+            total, err = total + halves[ok].sum(axis=0), err + errs[ok].sum(axis=0)
+            if ok.all():
+                break
+            # Below round-off no piece passes and the pending count doubles with
+            # each level until _MAX_DEPTH; refuse once a level would hold more
+            # pieces than a convergent integral needs (the benchmark's hold 4).
+            if depth == _MAX_DEPTH or 2 * np.count_nonzero(~ok) > _MAX_PIECES:
+                i = np.flatnonzero(~ok)[0]
+                raise QuadratureStall(
+                    f"adaptive bisection stalled on [{t0[i]}, {t1[i]}] (err {errs[i].max():.3e})"
+                )
+            t0, t1 = np.c_[t0, tm][~ok].ravel(), np.c_[tm, t1][~ok].ravel()
+            whole = np.stack((left, right), axis=1)[~ok].reshape(len(t0), -1)
+    return total.tolist(), err.tolist(), walked.end
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
@@ -154,7 +151,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     pos = match_to_fiber(start.w, fiber0, tol)
     fiber = list(fiber0.roots)
     fiber[pos] = start.w
-    (total,), (err,), fiber = _integrate(eq, fiber, path, tol, delta_path, (pos,))
+    values, errs, fiber = _integrate(eq, fiber, path, tol, delta_path)
 
     end_w = fiber[pos]
     endpoint = SurfacePoint(path.end_z, end_w)
@@ -164,7 +161,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
         closed = match_to_fiber(end_w, end_fiber, tol) == match_to_fiber(
             start.w, end_fiber, tol
         )
-    return SurfaceIntegralResult(total, err, endpoint, closed)
+    return SurfaceIntegralResult(values[pos], errs[pos], endpoint, closed)
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
@@ -179,7 +176,7 @@ def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePat
     roots = list(roots)
     if not path.segments:
         return [0j] * len(roots), roots
-    values, _, end = _integrate(eq, roots, path, tol, delta_path, range(len(roots)))
+    values, _, end = _integrate(eq, roots, path, tol, delta_path)
     return values, end
 
 

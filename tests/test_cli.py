@@ -25,6 +25,9 @@ RECIP_Z = {
     },
 }
 
+# W^2 - 1/z: a pole at 0 that is also a branch point
+RECIP_SQRT_Z = {"k": 2, "coefficients": ["0", "-1/z"], "base": {"z": [1, 0], "w": [1, 0]}}
+
 # W^3 - (1 + z^2) W + z: the critical point nearest to i is 2i, at distance 1
 CUBIC_TWO_POINTS = {"k": 3, "coefficients": ["0", "-(1+z^2)", "z"]}
 
@@ -223,6 +226,16 @@ def test_bad_tol_name(capsys, sqrt_file):
     assert code == 3
 
 
+def test_quadrature_below_round_off_is_a_stall(capsys, tmp_path):
+    f = tmp_path / "recip_sqrt.json"
+    f.write_text(json.dumps(RECIP_SQRT_Z))
+    code, report = run_cli(capsys, "--tol", "quad_tol=1e-17", "integrate", str(f),
+                           "--path-json", '[{"line": [[1, 0], [-1, 0.01]]}]')
+    assert code == 12
+    assert report["error"]["type"] == "QuadratureStall"
+    assert report["error"]["exit_code"] == 12
+
+
 PROBLEM = "<problem file>"
 
 
@@ -259,12 +272,21 @@ def _with_arc_radius(radius):
     (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "-3"]),
     (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "1"]),
     (RECIP_Z, ["--tol", "n_max=0", "residues", PROBLEM]),
+    # a zero margin lets the line run onto the pole at 0
+    (RECIP_SQRT_Z, ["--tol", "delta_path_factor=0", "integrate", PROBLEM,
+                    "--path-json", '[{"line": [[1, 0], [0, 0]]}]']),
+    (SQRT_Z, ["--tol", "quad_tol=-1", "critical", PROBLEM]),
+    ({"k": True, "coefficients": ["-z"], "base": {"z": [1, 0], "w": [1, 0]}}, ["critical", PROBLEM]),
+    ({"k": 1, "coefficients": ["-z"], "base": {"z": [True, False], "w": [1, 0]}},
+     ["critical", PROBLEM]),
+    (_with_arc_radius(True), ["critical", PROBLEM]),
 ], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
         "puiseux-radius-over-gap", "residues-radius-over-gap", "nmax-negative",
-        "nmax-below-k", "tol-n-max-below-k"])
+        "nmax-below-k", "tol-n-max-below-k", "tol-zero", "tol-negative", "k-bool",
+        "json-base-bool", "json-arc-radius-bool"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from algebroid.config import DEFAULT
-from algebroid.errors import EndpointGermMismatch, LiftNotClosed
+from algebroid.errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
 from algebroid.exactalg import GaussianRational
 from algebroid import quad
 from algebroid.puiseux import default_radius, residue_by_contour, singular_elements
@@ -27,6 +27,7 @@ from algebroid.tracker import (
     Line,
     SegmentTracker,
     SurfacePoint,
+    _WalkedSegment,
     _walk,
     continue_fiber,
     loop_path,
@@ -360,3 +361,53 @@ def test_fiber_integral_takes_only_the_tracker_steps(monkeypatch, sqrt_z, path, 
     fiber_integral(sqrt_z, fiber_at(sqrt_z, path.start_z).roots, path)
     assert calls["step"] <= most
     assert calls["clone"] == 0
+
+
+def _count_rows(monkeypatch):
+    reads = {"calls": 0, "nodes": 0}
+    rows = _WalkedSegment.rows
+
+    def counting_rows(self, ts):
+        reads["calls"] += 1
+        reads["nodes"] += len(ts)
+        return rows(self, ts)
+
+    monkeypatch.setattr(_WalkedSegment, "rows", counting_rows)
+    return reads
+
+
+@pytest.mark.parametrize("coeffs, path, nodes, most", [
+    (["0", "-z"], polyline(1, 4), 48, 2),
+    (["0", "-1/z"], polyline(1, -1 + 0.5j), 176, 4),
+    (["0", "-1/z"], polyline(1, -1 + 0.01j), 880, 9),
+    (["0", "0", "-z"], loop_path(0, 1.0, 1), 48, 2),
+])
+def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, most):
+    # nodes: as many as the recursive per-piece bisection read, so every
+    # accept decision is the same; it took 3, 11, 55 and 3 reads
+    eq = DefiningEquation.from_strings(coeffs)
+    start = SurfacePoint(path.start_z, fiber_at(eq, path.start_z).roots[0])
+    reads = _count_rows(monkeypatch)
+    surface_integral(eq, start, path)
+    assert reads["nodes"] == nodes
+    assert reads["calls"] <= most
+
+
+def test_single_sheet_integral_is_its_column_of_the_fiber_integral():
+    eq = DefiningEquation.from_strings(["0", "-3", "-z"])  # W^3 - 3W - z
+    path = polyline(3, -1 + 2j)
+    roots = fiber_at(eq, 3.0).roots
+    values, _ = fiber_integral(eq, roots, path)
+    for w, value in zip(roots, values):
+        assert surface_integral(eq, SurfacePoint(3, w), path).value == value
+
+
+def test_tolerance_below_round_off_stalls_within_bounded_work(monkeypatch):
+    # no piece passes below round-off, so the pending pieces double each
+    # level; the stall must come before that width costs more reads
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    reads = _count_rows(monkeypatch)
+    with pytest.raises(QuadratureStall, match="stalled on"):
+        surface_integral(eq, SurfacePoint(1, 1), polyline(1, -1 + 0.01j),
+                         DEFAULT.replace(quad_tol=1e-17))
+    assert reads["calls"] <= quad._MAX_DEPTH + 2
