@@ -12,10 +12,11 @@ Problem files are read from DIR/cases, so replays of one DIR against two
 source trees see the same inputs.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
-the exit-code and non-numeric differences, and the largest
-|dx| / max(1, |x|) over the numbers of the JSON reports. It exits 1 on any
-exit-code or non-numeric difference, or on a number that moves by more than
-1e-13 * max(1, |x|). Standard library only.
+the exit-code and non-numeric differences, the largest |dx| / max(1, |x|)
+over the numbers of the JSON reports, and every key path (list indices
+dropped) whose number moves by more than 1e-13 * max(1, |x|), with the count
+of cases in which it moves. It exits 1 on any exit-code or non-numeric
+difference, or on such a move. Standard library only.
 """
 
 import contextlib
@@ -61,26 +62,31 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _diff(a, b, where: str, found: dict) -> None:
-    """Record in found the largest relative number move and every
-    non-numeric difference between two parsed reports."""
+def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
+    """Record in found the largest relative number move, the cases in which
+    each key path moves by more than REL_TOL, and every non-numeric
+    difference between two parsed reports. key is where without the case
+    and the list indices."""
     if _is_number(a) and _is_number(b):
         rel = abs(a - b) / max(1.0, abs(a))
         if rel > found["largest"][0]:
             found["largest"] = (rel, where)
+        if rel > REL_TOL:
+            found["moved"].setdefault(key, set()).add(case)
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for key in a:
-            _diff(a[key], b[key], f"{where}.{key}", found)
+        for name in a:
+            _diff(a[name], b[name], f"{where}.{name}", found, case,
+                  f"{key}.{name}" if key else name)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff(x, y, f"{where}[{i}]", found)
+            _diff(x, y, f"{where}[{i}]", found, case, key)
     elif a != b or type(a) is not type(b):
         found["non_numeric"].append(where)
 
 
 def compare(a: dict, b: dict) -> dict:
     found = {"cases": len(a.keys() | b.keys()), "identical": 0, "exit": [],
-             "non_numeric": [], "largest": (0.0, None)}
+             "non_numeric": [], "largest": (0.0, None), "moved": {}}
     for case in sorted(a.keys() | b.keys()):
         if case not in a or case not in b:
             found["non_numeric"].append(f"{case}: replayed on one side only")
@@ -92,7 +98,7 @@ def compare(a: dict, b: dict) -> dict:
             found["identical"] += 1
             continue
         try:
-            _diff(json.loads(x["stdout"]), json.loads(y["stdout"]), case, found)
+            _diff(json.loads(x["stdout"]), json.loads(y["stdout"]), case, found, case)
         except json.JSONDecodeError:
             found["non_numeric"].append(f"{case}: stdout is not JSON")
     return found
@@ -111,7 +117,11 @@ def main(argv: list) -> int:
         print(f"non-numeric differences {len(found['non_numeric'])}",
               *found["non_numeric"], sep="\n  ")
         print(f"largest |dx| / max(1, |x|) {rel:.3e}" + (f" at {where}" if where else ""))
-        return int(bool(found["exit"] or found["non_numeric"]) or rel > REL_TOL)
+        moved = found["moved"]
+        print(f"key paths moved by more than {REL_TOL:g} * max(1, |x|) {len(moved)}",
+              *(f"{key}: {len(cases)} cases" for key, cases in sorted(moved.items())),
+              sep="\n  ")
+        return int(bool(found["exit"] or found["non_numeric"] or moved))
     raise SystemExit(__doc__)
 
 

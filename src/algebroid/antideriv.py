@@ -1,12 +1,21 @@
-"""Antiderivative reconstruction: branch integrals, symmetric coefficients,
-rational fitting, and the constant family.
+"""Antiderivative reconstruction in the function field of the equation.
 
-The antiderivative of an irreducible equation with all-zero residues is
-again a k-valued algebroid function. Its defining coefficients are the
-signed elementary symmetric functions of the k branch integrals
-F_j(z) = c + integral from a fixed base germ to the j-th germ over z; they
-are sampled on a grid, fitted as rational functions, and verified through
-the implicit derivative identity M'(z) = W(z).
+The antiderivative M of an irreducible equation with all-zero residues and
+periods is a meromorphic function on the same Riemann surface, so it lies in
+the function field: M = C + sum_{i<k} r_i(z) W^i with every r_i in Q(i)(z)
+(Trager 1984). build_antiderivative samples the k branch integrals
+F_s(z) = c + integral from the base germ to the s-th germ over z on a small
+grid, solves the k x k Vandermonde system sum_i r_i W_s^i = F_s at each grid
+point, and fits each r_i as a rational function. The fit is then certified
+exactly in Q(i)(z)[W]/(Psi): R' = W holds for R = sum r_i W^i if and only if
+
+    Psi_W * sum r_i' W^i - Psi_z * sum i r_i W^(i-1) - W * Psi_W = 0 mod Psi,
+
+so a certified fit is right whatever the grid. The constant C (the constant
+term of r_0's polynomial part) is fixed once by M = c at the base germ and is
+the only number snapped from a float. The defining coefficients B_j of M,
+prod_s (M - F_s) = M^k + sum B_j M^(k-j), follow exactly from the power sums
+Tr((C + R)^n) and Newton's identities.
 
 build_antiderivative reads irreducibility, the sheet values and the
 single-valuedness audit from SheetRouter's one fiber_integral per monodromy
@@ -32,6 +41,7 @@ from .errors import (
     UnreachableSheet,
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
+from .exactalg import w_poly_derivative, w_poly_mul
 from .puiseux import singular_elements
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import fiber_integral, surface_integral  # noqa: F401
@@ -56,11 +66,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """residuals: the fit residual of each r_i; degrees: (num, den) of each
+    exact B_j; sample_grid: the grid the certified fit came from;
+    constant_snap: |C - snapped C| for the float constant C, and
+    constant_fine_den whether C needed a denominator above 10**6.
+    """
+
     residuals: tuple[float, ...]
     sample_grid: tuple[complex, ...]
     degrees: tuple[tuple[int, int], ...]
     single_valuedness_defect: float
     derivative_defect: Optional[float] = None
+    constant_snap: float = 0.0
+    constant_fine_den: bool = False
 
 
 @dataclass(frozen=True)
@@ -288,17 +306,142 @@ def _sv_audit(router: SheetRouter, c: complex, tol: Tolerances) -> float:
     return worst
 
 
+def _coarse(x) -> GaussianRational:
+    """x snapped to a denominator of at most 10**6, never the fine branch."""
+    return snap_to_gaussian(complex(x), fine_den=10**6)
+
+
+def _without_constant(r0: RatFunc) -> RatFunc:
+    """r0 less the constant term of its polynomial part, every other
+    coefficient snapped to a small denominator: an irrational constant that
+    a fitted denominator has spread over the numerator is taken out here."""
+    quo, rem = r0.num.divmod(r0.den)
+    poly = Poly([GaussianRational()] + [_coarse(x) for x in quo.coeffs[1:]])
+    return RatFunc(poly) + RatFunc(Poly([_coarse(x) for x in rem.coeffs]), r0.den)
+
+
+def _interpolate(ws: Sequence[complex], fs: Sequence[complex]) -> np.ndarray:
+    """Coefficients r, ascending, of the polynomial with sum_i r_i w^i = f at
+    each (w, f). This is the Vandermonde solve in Lagrange form, because
+    np.linalg.solve maps LAPACK code that nothing else here touches: about
+    0.4 MB more peak resident memory per process."""
+    ws = np.asarray(ws)
+    out = np.zeros(len(ws), dtype=complex)
+    for s, f in enumerate(fs):
+        others = np.delete(ws, s)
+        out += f * np.atleast_1d(np.poly(others))[::-1] / np.prod(ws[s] - others)
+    return out
+
+
+def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
+           grid: Sequence[complex], bounds: tuple[int, int], tol: Tolerances,
+           rng) -> tuple[list[RatFunc], list[float], float, bool]:
+    """The r_i of M = sum r_i W^i from the branch integrals on the grid, C
+    included in r_0, with the fit residual of each r_i, |C - snapped C| and
+    whether C needed the fine denominator. Raises FitNotConverged naming the
+    r_i whose scan failed, or all of them when the certificate fails."""
+    samples = []
+    for z in grid:
+        values = branch_integrals_at(eq, router.base, z, router, tol, rng)
+        samples.append(_interpolate(fiber_at(eq, z, tol).roots, [c + v for v in values]))
+    r, residuals = [], []
+    for i, column in enumerate(np.asarray(samples).T):
+        try:
+            rf, resid = fit_rational(list(zip(grid, column)), bounds, tol)
+        except FitNotConverged as exc:
+            raise FitNotConverged(f"r_{i}: {exc}") from None
+        r.append(rf)
+        residuals.append(resid)
+    r[0] = _without_constant(r[0])
+    # C = c - R(z0, w0), summed exactly from the float base germ
+    z0, w0 = GaussianRational.of(router.base.z), GaussianRational.of(router.base.w)
+    terms, power = [], GaussianRational.of(1)
+    for ri in r:
+        terms.append(ri.eval_exact(z0) * power)
+        power = power * w0
+    exact = GaussianRational.of(c) - sum(terms, GaussianRational())
+    # C is then known to a few rounding errors of the germ: a small-denominator
+    # fraction farther away than that is not C, which snaps on the fine branch
+    noise = 64 * float(np.finfo(float).eps) * (abs(c) + sum(abs(complex(t)) for t in terms))
+    constant = snap_to_gaussian(complex(exact), rel_tol=noise)
+    r[0] = r[0] + RatFunc.constant(constant)
+    if not _certify(eq, r):
+        raise FitNotConverged(
+            "fitted " + ", ".join(f"r_{i} = {ri}" for i, ri in enumerate(r))
+            + " fail the exact certificate R' = W"
+        )
+    fine = constant != _coarse(complex(exact))
+    return r, residuals, abs(complex(exact - constant)), fine
+
+
+def _psi(eq: DefiningEquation) -> list[RatFunc]:
+    """Psi ascending in W: A_k, ..., A_1, 1."""
+    return list(reversed(eq.coeffs)) + [RatFunc.one()]
+
+
+def _mod_psi(f: Sequence[RatFunc], psi: Sequence[RatFunc]) -> list[RatFunc]:
+    """f reduced modulo the monic Psi: ascending in W, at most k terms."""
+    k = len(psi) - 1
+    f = list(f)
+    for top in range(len(f) - 1, k - 1, -1):
+        lead = f.pop()
+        if not lead.is_zero():
+            for j in range(k):
+                f[top - k + j] = f[top - k + j] - lead * psi[j]
+    return f
+
+
+def _certify(eq: DefiningEquation, r: Sequence[RatFunc]) -> bool:
+    """Exactly whether R = sum r_i W^i has R' = W on the surface of Psi:
+    Psi_W (sum r_i' W^i - W) - Psi_z sum i r_i W^(i-1) = 0 mod Psi."""
+    psi = _psi(eq)
+    zero = RatFunc.zero()
+    r_z_less_w = [a - b for a, b in itertools.zip_longest(
+        [ri.derivative() for ri in r], [zero, RatFunc.one()], fillvalue=zero)]
+    left = w_poly_mul(w_poly_derivative(psi), r_z_less_w)
+    right = w_poly_mul([a.derivative() for a in psi], w_poly_derivative(r))
+    defect = [a - b for a, b in itertools.zip_longest(left, right, fillvalue=zero)]
+    return all(d.is_zero() for d in _mod_psi(defect, psi))
+
+
+def _coeffs_from_power_sums(eq: DefiningEquation, r: Sequence[RatFunc]) -> list[RatFunc]:
+    """The B_j of prod_s (M - M_s) = M^k + sum B_j M^(k-j) for M = sum r_i W^i,
+    from the traces Tr(M^n), n = 1..k, and Newton's identities."""
+    k, psi = eq.k, _psi(eq)
+    a = [RatFunc.one()] + list(eq.coeffs)
+    traces_w = [RatFunc.constant(k)]  # Tr(W^i), from Newton's identities on Psi
+    for i in range(1, k):
+        acc = RatFunc.constant(i) * a[i]
+        for j in range(1, i):
+            acc = acc + a[j] * traces_w[i - j]
+        traces_w.append(-acc)
+    traces, power = [], [RatFunc.one()]
+    for _ in range(k):
+        power = _mod_psi(w_poly_mul(power, r), psi)
+        traces.append(sum((p * t for p, t in zip(power, traces_w)), RatFunc.zero()))
+    e = [RatFunc.one()]
+    for n in range(1, k + 1):
+        acc = RatFunc.zero()
+        for i in range(1, n + 1):
+            term = e[n - i] * traces[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc / RatFunc.constant(n))
+    return [e[j] if j % 2 == 0 else -e[j] for j in range(1, k + 1)]
+
+
 def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
                          c: complex = 0j,
                          grid: Optional[Sequence[complex]] = None,
                          bounds: Optional[tuple[int, int]] = None,
                          tol: Tolerances = DEFAULT, rng=None,
                          verify: bool = True) -> AntiderivativeModel:
-    """Fit the defining equation of the antiderivative of W(z).
+    """Build the defining equation of the antiderivative of W(z).
 
     Refuses reducible equations and nonzero residues, audits single-
     valuedness of the symmetric values around every monodromy generator,
-    then samples branch integrals on the grid and fits each coefficient.
+    then fits the r_i of M = C + sum r_i W^i on a grid and certifies
+    R' = W exactly. The default grid has 8 points, with one retry on
+    4 * max(bounds) points per circle; a given grid is used as is.
     """
     base = germ_at(eq, base.z, base.w, tol)
     router = SheetRouter(eq, base, tol, rng)
@@ -327,31 +470,25 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
     if bounds is None:
         d = eq.k * max(eq.max_coeff_degree, 1) + 4
         bounds = (d, d)
-    if grid is None:
-        grid = _default_grid(eq, 4 * max(bounds), tol)
-    grid = [complex(z) for z in grid]
-
-    per_coeff: list[list[tuple[complex, complex]]] = [[] for _ in range(eq.k)]
-    for z in grid:
-        values = branch_integrals_at(eq, base, z, router, tol, rng)
-        bvec = symmetric_coeffs([c + v for v in values])
-        for j in range(eq.k):
-            per_coeff[j].append((z, bvec[j]))
-
-    coeffs = []
-    residuals = []
-    degrees = []
-    for j in range(eq.k):
-        rf, resid = fit_rational(per_coeff[j], bounds, tol)
-        coeffs.append(rf)
-        residuals.append(resid)
-        degrees.append((rf.num.degree, rf.den.degree))
+    if grid is not None:
+        grid = [complex(z) for z in grid]
+        r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+    else:
+        grid = _default_grid(eq, 4, tol)
+        try:
+            r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+        except FitNotConverged:
+            grid = _default_grid(eq, max(4, 4 * max(bounds)), tol)
+            r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+    coeffs = _coeffs_from_power_sums(eq, r)
 
     diag = FitDiagnostics(
         residuals=tuple(residuals),
         sample_grid=tuple(grid),
-        degrees=tuple(degrees),
+        degrees=tuple((b.num.degree, b.den.degree) for b in coeffs),
         single_valuedness_defect=sv_defect,
+        constant_snap=snap,
+        constant_fine_den=fine,
     )
     model = AntiderivativeModel(eq.k, base, c, tuple(coeffs), diag)
     if verify:

@@ -319,21 +319,31 @@ def _model_json(model) -> dict:
     return out
 
 
+def _model_warnings(model) -> list[str]:
+    diag = model.diagnostics
+    if not diag.constant_fine_den:
+        return []
+    return [f"the constant of integration C is not a Gaussian rational with denominator at most "
+            f"10^6; it was snapped by {diag.constant_snap:.1e} to a larger denominator, "
+            "so the constant terms of the coefficients are approximate"]
+
+
 def cmd_antiderivative(problem: Problem, base: SurfacePoint, c: complex,
                        bounds: Optional[tuple[int, int]], tol: Tolerances,
-                       rng=None) -> dict:
+                       rng=None) -> tuple[dict, list[str]]:
     model = build_antiderivative(problem.eq, base, c, bounds=bounds, tol=tol, rng=rng)
-    return _model_json(model)
+    return _model_json(model), _model_warnings(model)
 
 
 def cmd_family(problem: Problem, base: SurfacePoint, c: complex, shift: complex,
-               bounds: Optional[tuple[int, int]], tol: Tolerances, rng=None) -> dict:
+               bounds: Optional[tuple[int, int]], tol: Tolerances,
+               rng=None) -> tuple[dict, list[str]]:
     model = build_antiderivative(problem.eq, base, c, bounds=bounds, tol=tol, rng=rng)
     shifted = constant_family(model, shift)
     out = _model_json(model)
     out["family_constant"] = _cpx(complex(shift))
     out["family_coefficients"] = [str(c) for c in shifted]
-    return out
+    return out, _model_warnings(model)
 
 
 # --- argument plumbing ----------------------------------------------------------
@@ -516,10 +526,13 @@ def _bounds_from(args) -> Optional[tuple[int, int]]:
     dn, dd = args.num_degree, args.den_degree
     if (dn is None) != (dd is None):
         raise SchemaError("--num-degree and --den-degree must be given together")
+    for flag, value in (("--num-degree", dn), ("--den-degree", dd)):
+        if value is not None and value < 0:
+            raise SchemaError(f"{flag} must be at least 0, got {value}")
     return None if dn is None else (dn, dd)
 
 
-def _run(args) -> tuple[dict, dict]:
+def _run(args) -> tuple[dict, dict, list[str]]:
     tol = _resolve_tol(args.tol)
     rng = random.Random(args.seed)
     problem = load_problem(args.problem)
@@ -533,6 +546,7 @@ def _run(args) -> tuple[dict, dict]:
         "seed": args.seed,
     }
     plot_samples = None
+    warnings: list[str] = []
     cmd = args.command
 
     if cmd == "critical":
@@ -595,17 +609,17 @@ def _run(args) -> tuple[dict, dict]:
         inputs["start"] = {"z": _cpx(start.z), "w": _cpx(start.w)}
         inputs["constant"] = _cpx(c)
         if cmd == "antiderivative":
-            results = cmd_antiderivative(problem, start, c, bounds, tol, rng)
+            results, warnings = cmd_antiderivative(problem, start, c, bounds, tol, rng)
         else:
             shift = _parse_complex_flag(args.shift, "--shift")
             inputs["shift"] = _cpx(shift)
-            results = cmd_family(problem, start, c, shift, bounds, tol, rng)
+            results, warnings = cmd_family(problem, start, c, shift, bounds, tol, rng)
     else:  # pragma: no cover - argparse enforces the choices
         raise SchemaError(f"unknown command {cmd!r}")
 
     if plot_samples is not None and args.plot_data:
         _write_plot_csv(args.plot_data, plot_samples)
-    return inputs, results
+    return inputs, results, warnings
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -613,7 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, results = _run(args)
+        inputs, results, warnings = _run(args)
     except AlgebroidError as exc:
         report = {
             "schema": "algebroid-report-v1",
@@ -639,7 +653,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "warnings": [],
+        "warnings": warnings,
     }
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - started

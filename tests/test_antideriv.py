@@ -1,5 +1,6 @@
 """Antiderivative construction, symmetric coefficients, and the constant family."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,12 +20,13 @@ from algebroid.antideriv import (
 )
 from algebroid.config import DEFAULT
 from algebroid.errors import (
+    FitNotConverged,
     RefusedNonzeroResidue,
     RefusedReducible,
     SingleValuednessViolation,
     UnreachableSheet,
 )
-from algebroid.exactalg import RatFunc, parse_coefficient
+from algebroid.exactalg import GaussianRational, Poly, RatFunc, parse_coefficient
 from algebroid.surface import DefiningEquation, fiber_at, irreducibility_check
 from algebroid.tracker import SurfacePoint
 
@@ -306,6 +308,169 @@ def test_build_antiderivative_pole_branch_point():
     assert model.coeffs[0] == rf("4")
     assert model.coeffs[1] == rf("4 - 4*z")
     assert model.diagnostics.derivative_defect < 1e-7
+
+
+def test_float_base_coefficients_are_exactly_consistent_k2():
+    # W^2 + L with L = 4 + (-1+i) z: M = C + r_1 W with r_1 = -(1+i) L / 3, so
+    # B_2 - B_1^2 / 4 = r_1^2 L = (2i/9) L^3 whatever the float constant C
+    eq = DefiningEquation.from_strings(["0", "4 + (-1+i)*z"])
+    z0 = 1.3 + 0.2j
+    model = build_antiderivative(eq, SurfacePoint(z0, cmath.sqrt(-(4 + (-1 + 1j) * z0))))
+    b1, b2 = model.coeffs
+    assert b2 - b1 * b1 / RatFunc.constant(4) == rf("(2*i/9)*(4 + (-1+i)*z)^3")
+
+
+def test_float_base_coefficients_are_exactly_consistent_k3():
+    # W^3 - 2z: M = C + (3/4) z W with C = -(3/4) 2^(1/3) from (1, 2^(1/3)),
+    # so (M - C)^3 = (27/32) z^4 ties every B_j to B_1 = -3C
+    eq = DefiningEquation.from_strings(["0", "0", "-2*z"])
+    model = build_antiderivative(eq, SurfacePoint(1, 2 ** (1 / 3)))
+    b1, b2, b3 = model.coeffs
+    assert b2 == b1 * b1 / RatFunc.constant(3)
+    assert b3 == b1 * b1 * b1 / RatFunc.constant(27) - rf("(27/32)*z^4")
+    assert abs(b1.eval_complex(0) - 2.25 * 2 ** (1 / 3)) < 1e-14
+    # C is irrational: no small-denominator fraction lies within its noise
+    assert model.diagnostics.constant_fine_den
+    assert model.diagnostics.constant_snap < 1e-15
+
+
+def test_constant_is_taken_out_of_a_fitted_denominator():
+    # W = -1/z^2 from (1.3, -1/1.3^2): r_0 = C + 1/z = (C z + 1)/z is fitted
+    # with C spread over its numerator; only the 1/z is kept, and C = -10/13
+    # is read at the base germ
+    eq = DefiningEquation.from_strings(["1/z^2"])
+    model = build_antiderivative(eq, SurfacePoint(1.3, -1 / 1.3**2))
+    assert model.coeffs == (rf("10/13 - 1/z"),)
+    assert not model.diagnostics.constant_fine_den
+
+
+def test_r_i_above_the_degree_bounds_is_refused_by_name(sqrt_z):
+    # r_0 = C is a constant, but r_1 = (2/3) z has degree 1
+    with pytest.raises(FitNotConverged, match=r"^r_1: "):
+        build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, bounds=(0, 0))
+
+
+def _count_connectors(monkeypatch):
+    import algebroid.antideriv as antideriv
+
+    calls = []
+    real = antideriv.fiber_integral
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(antideriv, "fiber_integral", counted)
+    return calls
+
+
+def _certify_failing(monkeypatch, times):
+    import algebroid.antideriv as antideriv
+
+    calls = []
+    real = antideriv._certify
+
+    def certify(eq, r):
+        calls.append(1)
+        return len(calls) > times and real(eq, r)
+
+    monkeypatch.setattr(antideriv, "_certify", certify)
+    return calls
+
+
+def test_default_grid_has_eight_connectors(sqrt_z, monkeypatch):
+    connectors = _count_connectors(monkeypatch)
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    # one fiber_integral is the router's loop about the one critical point
+    assert len(connectors) - 1 == len(model.diagnostics.sample_grid) == 8
+
+
+def test_failed_certificate_retries_once_on_the_full_grid(sqrt_z, monkeypatch):
+    connectors = _count_connectors(monkeypatch)
+    certified = _certify_failing(monkeypatch, times=1)
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    # default bounds (6, 6): 4 * 6 points on each of the two circles
+    assert len(model.diagnostics.sample_grid) == 48
+    assert len(certified) == 2
+    assert len(connectors) - 1 == 8 + 48
+    assert model.coeffs[1] == rf("-(4/9)*z^3")
+
+
+def test_given_grid_is_not_retried(sqrt_z, monkeypatch):
+    _certify_failing(monkeypatch, times=1)
+    grid = [2.0 * np.exp(2j * math.pi * (j + 0.5) / 10) for j in range(10)]
+    with pytest.raises(FitNotConverged):
+        build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, grid=grid)
+
+
+def test_failed_certificate_is_refused_naming_the_r_i(sqrt_z, monkeypatch):
+    certified = _certify_failing(monkeypatch, times=2)
+    with pytest.raises(FitNotConverged, match="exact certificate") as info:
+        build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    # c = 2/3 is M at the base germ (1, 1), so C = 0
+    assert "r_0 = 0, r_1 = (2/3)*z" in str(info.value)
+    assert len(certified) == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=3, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_interpolate_is_the_vandermonde_solve(ws, rand):
+    from algebroid.antideriv import _interpolate
+
+    assume(all(abs(a - b) > 0.3 for i, a in enumerate(ws) for b in ws[i + 1:]))
+    fs = [complex(rand.uniform(-2, 2), rand.uniform(-2, 2)) for _ in ws]
+    reference = np.linalg.solve(np.vander(ws, len(ws), increasing=True), fs)
+    assert np.allclose(_interpolate(ws, fs), reference, rtol=0, atol=1e-12)
+
+
+# --- the exact certificate R' = W ---------------------------------------------
+
+_small = st.integers(min_value=-3, max_value=3)
+_gaussian = st.builds(lambda re, im, den: GaussianRational.of(complex(re, im)) / den,
+                      _small, _small, st.integers(min_value=1, max_value=4))
+_nonzero = _gaussian.filter(bool)
+
+
+@st.composite
+def _planted(draw):
+    """(eq, r) with R' = W exactly, r ascending in W."""
+    family = draw(st.sampled_from([(2, -1), (2, 1), (3, -1), (3, 1), (3, 2), "quadratic"]))
+    if family == "quadratic":
+        # W = 2z + sqrt(z): M = -z^2/3 + (2/3) z W
+        return (DefiningEquation.from_strings(["-4*z", "4*z^2 - z"]),
+                [rf("-z^2/3"), rf("(2/3)*z")])
+    k, j = family
+    c, a = draw(_nonzero), draw(_gaussian)
+    z_less_a = RatFunc(Poly([-a, 1]))
+    eq = DefiningEquation(k, [RatFunc.zero()] * (k - 1) + [-RatFunc.constant(c) * z_less_a**j])
+    r1 = RatFunc.constant(GaussianRational.of(k) / (j + k)) * z_less_a
+    return eq, [RatFunc.zero(), r1] + [RatFunc.zero()] * (k - 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted(), st.data())
+def test_certificate_accepts_planted_and_rejects_shifted(planted, data):
+    from algebroid.antideriv import _certify
+
+    eq, r = planted
+    assert _certify(eq, r)
+    # a constant C in r_0 is invisible to R' = W
+    assert _certify(eq, [r[0] + RatFunc.constant(data.draw(_gaussian))] + r[1:])
+    i = data.draw(st.integers(min_value=0, max_value=eq.k - 1))
+    ri = r[i]
+    if ri.is_zero() or data.draw(st.booleans()):
+        power = data.draw(st.integers(min_value=1 if i == 0 else 0,
+                                      max_value=max(ri.num.degree, 0) + 1))
+        coeffs = list(ri.num.coeffs) + [GaussianRational()] * (power + 1 - len(ri.num.coeffs))
+        coeffs[power] = coeffs[power] + data.draw(_nonzero)
+        shifted = RatFunc(Poly(coeffs), ri.den)
+    else:
+        # the denominator 1 becomes 1 + s, for s != -1
+        s = data.draw(_nonzero.filter(lambda g: g != GaussianRational.of(-1)))
+        shifted = RatFunc(ri.num, Poly([GaussianRational.of(1) + s]))
+    assert not _certify(eq, r[:i] + [shifted] + r[i + 1:])
 
 
 # --- the constant family ------------------------------------------------------

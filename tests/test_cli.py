@@ -154,6 +154,22 @@ def test_antiderivative_command(capsys, sqrt_file):
     assert diff.is_zero() or all(abs(complex(c)) < 1e-5 for c in diff.num.coeffs)
 
 
+def test_antiderivative_warns_when_the_constant_is_no_small_fraction(capsys, tmp_path):
+    # W^3 - 2z from (1, 2^(1/3)) with c = 0: C = -(3/4) 2^(1/3) is irrational
+    f = tmp_path / "cube.json"
+    f.write_text(json.dumps({"k": 3, "coefficients": ["0", "0", "-2*z"],
+                             "base": {"z": [1, 0], "w": [2 ** (1 / 3), 0]}}))
+    code, report = run_cli(capsys, "antiderivative", str(f))
+    assert code == 0
+    (warning,) = report["warnings"]
+    assert "constant of integration" in warning
+    # an exact constant gives no warning
+    code, report = run_cli(capsys, "antiderivative", str(f), "--constant",
+                           repr(0.75 * 2 ** (1 / 3)))
+    assert code == 0
+    assert report["warnings"] == []
+
+
 def test_family_command(capsys, sqrt_file):
     code, report = run_cli(
         capsys, "family", sqrt_file,
@@ -280,13 +296,16 @@ def _with_arc_radius(radius):
     ({"k": 1, "coefficients": ["-z"], "base": {"z": [True, False], "w": [1, 0]}},
      ["critical", PROBLEM]),
     (_with_arc_radius(True), ["critical", PROBLEM]),
+    (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "-1", "--den-degree", "2"]),
+    (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "2", "--den-degree", "-1"]),
 ], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
         "puiseux-radius-over-gap", "residues-radius-over-gap", "nmax-negative",
         "nmax-below-k", "tol-n-max-below-k", "tol-zero", "tol-negative", "k-bool",
-        "json-base-bool", "json-arc-radius-bool"])
+        "json-base-bool", "json-arc-radius-bool", "num-degree-negative",
+        "den-degree-negative"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 

@@ -95,6 +95,23 @@ def test_replay_compare(tmp_path, capsys, changed, code, shown):
     assert shown in out
 
 
+def test_replay_compare_counts_cases_per_moved_key_path(tmp_path, capsys):
+    def report(residual, grid):
+        return {"results": {"coefficients": ["0", "-z"],
+                            "diagnostics": {"residuals": [residual, 1e-16], "grid_size": grid}}}
+
+    a = _replay(tmp_path, "a.json", {"s/0": (0, report(1e-15, 48)), "s/1": (0, report(2e-15, 48)),
+                                     "s/2": (0, report(3e-15, 48))})
+    b = _replay(tmp_path, "b.json", {"s/0": (0, report(4e-15, 8)), "s/1": (0, report(2e-15, 8)),
+                                     "s/2": (0, report(3e-15, 48))})
+    assert replay_cases.main(["compare", a, b]) == 1
+    out = capsys.readouterr().out
+    assert ("key paths moved by more than 1e-13 * max(1, |x|) 1\n"
+            "  results.diagnostics.grid_size: 2 cases\n") in out
+    # a move within 1e-13 * max(1, |x|) is no key path of its own
+    assert "residuals" not in out.split("largest")[1]
+
+
 def test_replay_run_reads_problems_from_the_case_directory(tmp_path):
     cases = tmp_path / "critical-seed1-trace0" / "cases"
     cases.mkdir(parents=True)
