@@ -142,6 +142,12 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
+    return _fiber_and_branch_integrals(eq, z, router, tol, rng)[1]
+
+
+def _fiber_and_branch_integrals(eq: DefiningEquation, z: complex, router: SheetRouter,
+                                tol: Tolerances, rng):
+    """(fiber_at(eq, z), the branch integrals of branch_integrals_at over it)."""
     missing = [s for s in range(eq.k) if s not in router.values]
     if missing:
         raise UnreachableSheet(
@@ -149,13 +155,13 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
             "the defining equation is reducible"
         )
     if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
-        return [router.values[s] for s in range(eq.k)]
+        return fiber_at(eq, z, tol), [router.values[s] for s in range(eq.k)]
     margin = _path_margin(eq, tol, None)
     connector = safe_line(router.base.z, z, eq.critical(tol).locations, margin, rng)
     fiber_t = fiber_at(eq, z, tol)
     values, ends = fiber_integral(eq, router.germs, connector, tol)
     inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
-    return [router.values[s] + values[s] for s in inverse.image]
+    return fiber_t, [router.values[s] + values[s] for s in inverse.image]
 
 
 def symmetric_coeffs(values: Sequence[complex]) -> list[complex]:
@@ -342,8 +348,8 @@ def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
     r_i whose scan failed, or all of them when the certificate fails."""
     samples = []
     for z in grid:
-        values = branch_integrals_at(eq, router.base, z, router, tol, rng)
-        samples.append(_interpolate(fiber_at(eq, z, tol).roots, [c + v for v in values]))
+        fiber, values = _fiber_and_branch_integrals(eq, z, router, tol, rng)
+        samples.append(_interpolate(fiber.roots, [c + v for v in values]))
     r, residuals = [], []
     for i, column in enumerate(np.asarray(samples).T):
         try:

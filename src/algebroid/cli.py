@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError
-from .puiseux import _radius, singular_elements
+from .puiseux import _local_data, _radius, singular_elements
 from .quad import _cycle_loop_values, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path
@@ -243,10 +243,9 @@ def cmd_residues(problem: Problem, radius: Optional[float], contour_check: bool,
                  tol: Tolerances) -> dict:
     centers = []
     for cp in problem.eq.critical(tol).points:
-        rep = singular_elements(problem.eq, cp.location, None, radius, tol)
-        sheets = [c.sheets for c in rep.cycles]
+        rep, turn = _local_data(problem.eq, cp.location, None, radius, tol)
         if contour_check:
-            loop_values = _cycle_loop_values(problem.eq, cp.location, sheets, radius, tol)
+            loop_values = _cycle_loop_values(turn, [c.sheets for c in rep.cycles], tol)
         cycles = []
         for i, c in enumerate(rep.cycles):
             entry = {

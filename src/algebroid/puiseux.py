@@ -6,8 +6,9 @@ turn of the whole fiber around the circle of radius eps, sampled at equal
 angles, gives the cycles as its permutation's orbits, and each cycle's
 m-turn series as the rows of the sheets its lift passes, joined turn after
 turn and Fourier-analyzed in t = eps^(1/m) e^(i theta / m). The two-radius
-check adds one radial leg and one sampled turn at eps/2. The residue of the
-singular element is m * B_{-m}.
+check adds one radial leg and one sampled turn at eps/2, and each B_n with
+|n| <= n_max/2 must agree there to 16 times the sum of its noise floors. The
+residue of the singular element is m * B_{-m}.
 
 A turn walks the circle once with the tracker's own steps and reads all
 its samples from that walked segment's rows (tracker._WalkedSegment:
@@ -17,10 +18,10 @@ them). A series has finitely many negative terms, so one reaching below
 the window -n_max..n_max is refused (PrincipalPartTruncated), never read as
 a shorter principal part.
 
-singular_elements is the one route to a critical point's local data: quad's
-residue checks, the antiderivative's zero-residue gate and growth_bound all
-iterate its cycles. Every entry point resolves its radius through _radius,
-whose eps < d/2 keeps each circle more than eps from other critical points.
+singular_elements is the one route to a critical point's local data; quad's
+residue checks take it with its outer turn (_local_data) and integrate that
+walked circle. Every entry point resolves its radius through _radius, whose
+eps < d/2 keeps each circle more than eps from other critical points.
 """
 
 from __future__ import annotations
@@ -124,24 +125,21 @@ def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
           epsilon: float, n_samples: int, tol: Tolerances):
     """Track the fiber `roots` over a + epsilon once around a, sampling it at
     n_samples equal angles: (one row per sample, columns in the position order
-    of roots; the circle's sheet permutation of roots)."""
+    of roots; the circle's sheet permutation of roots; the walked circle)."""
     turn = _WalkedSegment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol)
     rows = turn.rows(np.arange(n_samples) / n_samples)
-    return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol)
+    return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol), turn
 
 
 def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
-                 tol: Tolerances, consistency_check: bool):
-    """The sampled turn at epsilon and, with consistency_check, one more at
-    epsilon/2 reached by one radial leg (else None). Both keep the position
-    order of the fiber over a + epsilon."""
+                 tol: Tolerances):
+    """The sampled turn at epsilon and one more at epsilon/2 reached by one
+    radial leg. Both keep the position order of the fiber over a + epsilon."""
     # positive orders alias into the bins below -n_max from order
     # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
     n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
     roots = fiber_at(eq, a + epsilon, tol).roots
     outer = _turn(eq, a, roots, epsilon, n_samples, tol)
-    if not consistency_check:
-        return outer, None
     inner_roots = continue_fiber(eq, roots, polyline(a + epsilon, a + 0.5 * epsilon),
                                  tol, delta_path=0.25 * epsilon)
     return outer, _turn(eq, a, inner_roots, 0.5 * epsilon, n_samples, tol)
@@ -152,14 +150,16 @@ def cycle_structure(eq: DefiningEquation, a: complex,
                     tol: Tolerances = DEFAULT) -> list[tuple[int, ...]]:
     """Monodromy orbits of the small circle about a, in cycle order."""
     epsilon = _radius(eq, a, epsilon, tol)
-    _, sigma = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
+    _, sigma, _ = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
     return sigma.orbits()
 
 
 def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
-                    epsilon: float, n_max: int) -> dict[int, complex]:
+                    epsilon: float, n_max: int) -> tuple[dict[int, complex], float]:
     """Fourier coefficients B_n of the lift that passes the given sheets, one
-    per turn: its samples are the columns of those sheets joined turn after turn.
+    per turn: its samples are the columns of those sheets joined turn after
+    turn. Returned with the fft noise floor of a bin; B_n's floor is that
+    noise / epsilon^(n/m).
 
     A Puiseux series has finitely many negative terms, so a bin below -n_max
     above the noise floor means the window -n_max..n_max cut its principal
@@ -187,7 +187,7 @@ def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
         b = c / power
         if abs(b) > noise / power:
             out[n] = b
-    return out
+    return out, noise
 
 
 def _apply_cutoff(raw: dict[int, complex], tol_coeff: float) -> dict[int, complex]:
@@ -199,8 +199,7 @@ def _apply_cutoff(raw: dict[int, complex], tol_coeff: float) -> dict[int, comple
 
 def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
                    n_max: Optional[int] = None, epsilon: Optional[float] = None,
-                   tol: Tolerances = DEFAULT,
-                   consistency_check: bool = True) -> PuiseuxExpansion:
+                   tol: Tolerances = DEFAULT) -> PuiseuxExpansion:
     """Numeric Puiseux expansion of one cycle about a critical point.
 
     The branch of t = (z-a)^(1/m) is normalized so the leading coefficient
@@ -211,7 +210,7 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     """
     n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, n_max, tol, consistency_check)
+    outer, inner = _local_turns(eq, a, epsilon, n_max, tol)
     return _expand(a, tuple(cycle), outer, inner, epsilon, n_max, tol)
 
 
@@ -221,28 +220,19 @@ def _expand(a: complex, cycle: tuple[int, ...], outer, inner, epsilon: float,
     m = len(cycle)
     if n_max < m:
         raise ValueError(f"n_max {n_max} is below the cycle length {m}: B_-m is out of range")
-    rows, sigma = outer
+    rows, sigma, _ = outer
     sheets = _lift_sheets(sigma, cycle)
-    raw = _extract_coeffs(rows, sheets, a, epsilon, n_max)
-
-    if inner is not None:
-        rows2, sigma2 = inner
-        raw2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), a, 0.5 * epsilon, n_max)
-        scale = max(
-            max((abs(b) for b in raw.values()), default=0.0),
-            max((abs(b) for b in raw2.values()), default=0.0),
-            1e-300,
-        )
-        for n in range(-(n_max // 2), n_max // 2 + 1):
-            b1 = raw.get(n, 0j)
-            b2 = raw2.get(n, 0j)
-            if max(abs(b1), abs(b2)) <= tol.tol_coeff * scale:
-                continue
-            if abs(b1 - b2) > 1e-7 * scale:
-                raise AnnulusTooWide(
-                    f"coefficient B_{n} disagrees between radii "
-                    f"{epsilon} and {0.5 * epsilon}: {b1} vs {b2}"
-                )
+    raw, noise = _extract_coeffs(rows, sheets, a, epsilon, n_max)
+    rows2, sigma2, _ = inner
+    raw2, noise2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), a, 0.5 * epsilon, n_max)
+    for n in range(-(n_max // 2), n_max // 2 + 1):
+        b1, b2 = raw.get(n, 0j), raw2.get(n, 0j)
+        floor = noise / epsilon ** (n / m) + noise2 / (0.5 * epsilon) ** (n / m)
+        if abs(b1 - b2) > 16.0 * floor:
+            raise AnnulusTooWide(
+                f"coefficient B_{n} disagrees between radii {epsilon} and {0.5 * epsilon}: "
+                f"{b1} vs {b2}, beyond 16 times their noise floors {floor:.3e}"
+            )
 
     coeffs = _apply_cutoff(raw, tol.tol_coeff)
     if not coeffs:
@@ -276,7 +266,9 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     """
     from .quad import _cycle_loop_values  # quad imports this module
 
-    (value,) = _cycle_loop_values(eq, a, [tuple(cycle)], epsilon, tol)
+    epsilon = _radius(eq, a, epsilon, tol)
+    turn = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
+    (value,) = _cycle_loop_values(turn, [tuple(cycle)], tol)
     return value / (2j * math.pi)
 
 
@@ -298,14 +290,21 @@ def singular_elements(eq: DefiningEquation, a: complex,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
     """All cycles at a critical point with expansions and classifications,
     read from one sampled turn at the radius and one at half of it."""
+    return _local_data(eq, a, n_max, epsilon, tol)[0]
+
+
+def _local_data(eq: DefiningEquation, a: complex, n_max: Optional[int],
+                epsilon: Optional[float], tol: Tolerances):
+    """singular_elements' report with the outer turn it was read from, whose
+    walked circle quad._cycle_loop_values integrates."""
     n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, n_max, tol, True)
+    outer, inner = _local_turns(eq, a, epsilon, n_max, tol)
     reports = []
     for cycle in outer[1].orbits():
         exp = _expand(a, cycle, outer, inner, epsilon, n_max, tol)
         reports.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
-    return SingularElementReport(a, tuple(reports))
+    return SingularElementReport(a, tuple(reports)), outer
 
 
 def growth_bound(eq: DefiningEquation, z0: complex, tol: Tolerances = DEFAULT) -> int:

@@ -11,10 +11,10 @@ admissible paths keep a margin from the critical set, the integrand is
 analytic and the per-piece rule converges spectrally; tracker._walk checks
 that margin once and walks each segment once, and every level reads the
 fiber at its Gauss nodes from that walked segment's rows, so quadrature
-takes the tracker's own steps and no step per node. Residue checks read
-their cycles from puiseux.singular_elements, the one route to local data,
-and share the m-turn loop integrals _cycle_loop_values, one fiber_integral
-turn per center, with residue_by_contour and the CLI's contour check.
+takes the tracker's own steps and no step per node. Residue checks take
+their cycles and the outer Puiseux turn from puiseux._local_data, the one
+route to local data, and integrate that walked circle (_cycle_loop_values)
+for the m-turn loop integrals, as residue_by_contour and the CLI do.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
-from .puiseux import _radius, singular_elements
-from .surface import DefiningEquation, _lift_sheets, _sheet_permutation, fiber_at, match_to_fiber
-from .tracker import BasePath, SurfacePoint, germ_at, loop_path, safe_line
+from .puiseux import _local_data
+from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
+from .tracker import BasePath, SurfacePoint, germ_at, safe_line
 from .tracker import _WalkedSegment, _path_margin, _walk  # the one walk and its margin policy
 
 __all__ = [
@@ -103,15 +103,14 @@ def _gauss(walked: _WalkedSegment, t0: np.ndarray, t1: np.ndarray) -> np.ndarray
     return sum(terms.swapaxes(0, 1), 0j) * half[:, None]  # node by node, from 0j
 
 
-def _integrate(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-               tol: Tolerances, delta_path: Optional[float]):
-    """Integrals of w dz on every fiber position along a nonempty path:
-    (values, error estimates, end fiber) in position order. Each segment is
-    bisected a level at a time: one _gauss read gives both halves of every
-    pending piece, and a piece is split until every position passes its own
-    test."""
+def _integrate(walked_segments, tol: Tolerances):
+    """Integrals of w dz on every fiber position along the walked segments of
+    a nonempty path, given as _walk yields them: (values, error estimates,
+    end fiber) in position order. Each segment is bisected a level at a time:
+    one _gauss read gives both halves of every pending piece, and a piece is
+    split until every position passes its own test."""
     total, err = 0j, 0.0
-    for _, share, walked in _walk(eq, fiber, path, tol, delta_path):
+    for _, share, walked in walked_segments:
         tol_abs = tol.quad_tol * max(share, 1e-3)
         t0, t1 = np.zeros(1), np.ones(1)
         whole = _gauss(walked, t0, t1)
@@ -151,7 +150,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     pos = match_to_fiber(start.w, fiber0, tol)
     fiber = list(fiber0.roots)
     fiber[pos] = start.w
-    values, errs, fiber = _integrate(eq, fiber, path, tol, delta_path)
+    values, errs, fiber = _integrate(_walk(eq, fiber, path, tol, delta_path), tol)
 
     end_w = fiber[pos]
     endpoint = SurfacePoint(path.end_z, end_w)
@@ -176,7 +175,7 @@ def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePat
     roots = list(roots)
     if not path.segments:
         return [0j] * len(roots), roots
-    values, _, end = _integrate(eq, roots, path, tol, delta_path)
+    values, _, end = _integrate(_walk(eq, roots, path, tol, delta_path), tol)
     return values, end
 
 
@@ -198,17 +197,14 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
     return res
 
 
-def _cycle_loop_values(eq: DefiningEquation, a: complex, cycles: Sequence[Sequence[int]],
-                       epsilon: Optional[float], tol: Tolerances) -> list[complex]:
-    """Per cycle, the integral of w dz over the m-turn circle about a lifted
-    from sheet cycle[0] over a + epsilon, m = len(cycle): the sum of the
-    one-turn integrals of the sheets that lift passes, from one fiber_integral
-    turn. The radius resolves through puiseux._radius."""
-    epsilon = _radius(eq, a, epsilon, tol)
-    fiber = fiber_at(eq, a + epsilon, tol)
-    loop = loop_path(a, epsilon, 1)
-    values, end = fiber_integral(eq, fiber.roots, loop, tol, delta_path=0.5 * epsilon)
-    sigma = _sheet_permutation(end, fiber, tol)
+def _cycle_loop_values(turn, cycles: Sequence[Sequence[int]],
+                       tol: Tolerances) -> list[complex]:
+    """Per cycle, the integral of w dz over the m-turn circle lifted from
+    sheet cycle[0], m = len(cycle): the sum of the one-turn integrals of the
+    sheets that lift passes, integrated on the walked circle of a
+    puiseux._turn and read through its permutation."""
+    _, sigma, walked = turn
+    values, _, _ = _integrate([(0.0, 1.0, walked)], tol)
     return [sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
 
 
@@ -216,8 +212,8 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    report = singular_elements(eq, a, epsilon=epsilon, tol=tol)
-    values = _cycle_loop_values(eq, a, [c.sheets for c in report.cycles], epsilon, tol)
+    report, turn = _local_data(eq, a, None, epsilon, tol)
+    values = _cycle_loop_values(turn, [c.sheets for c in report.cycles], tol)
     checks = []
     for c, value in zip(report.cycles, values):
         expected = 2j * math.pi * c.residue

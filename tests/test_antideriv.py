@@ -385,6 +385,24 @@ def test_default_grid_has_eight_connectors(sqrt_z, monkeypatch):
     assert len(connectors) - 1 == len(model.diagnostics.sample_grid) == 8
 
 
+def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
+    # the Vandermonde solve reads the fiber that ordered the connector's sheets
+    import algebroid.antideriv as antideriv
+
+    zs = []
+    real = antideriv.fiber_at
+
+    def counted(eq, z, *args, **kwargs):
+        zs.append(z)
+        return real(eq, z, *args, **kwargs)
+
+    monkeypatch.setattr(antideriv, "fiber_at", counted)
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
+    grid = model.diagnostics.sample_grid
+    assert len(grid) == 8
+    assert [zs.count(z) for z in grid] == [1] * 8
+
+
 def test_failed_certificate_retries_once_on_the_full_grid(sqrt_z, monkeypatch):
     connectors = _count_connectors(monkeypatch)
     certified = _certify_failing(monkeypatch, times=1)

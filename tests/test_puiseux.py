@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from algebroid import quad, tracker
+from algebroid import puiseux, quad, tracker
 from algebroid.config import DEFAULT
-from algebroid.errors import LiftNotClosed, PrincipalPartTruncated
+from algebroid.errors import AnnulusTooWide, LiftNotClosed, PrincipalPartTruncated
 from algebroid.puiseux import (
     PuiseuxExpansion,
     _local_turns,
@@ -21,7 +21,7 @@ from algebroid.puiseux import (
     residue_by_contour,
     singular_elements,
 )
-from algebroid.quad import fiber_integral
+from algebroid.quad import fiber_integral, residue_theorem_check
 from algebroid.surface import DefiningEquation, Fiber, _sheet_permutation, fiber_at
 from algebroid.tracker import Arc, SegmentTracker, polyline
 
@@ -103,8 +103,8 @@ def test_two_radius_consistency(sqrt_z, recip_z):
     for eq in (sqrt_z, recip_z):
         eps = default_radius(eq, 0j)
         cycle = cycle_structure(eq, 0j)[0]
-        a = puiseux_expand(eq, 0j, cycle, epsilon=eps, consistency_check=False)
-        b = puiseux_expand(eq, 0j, cycle, epsilon=eps / 2, consistency_check=False)
+        a = puiseux_expand(eq, 0j, cycle, epsilon=eps)
+        b = puiseux_expand(eq, 0j, cycle, epsilon=eps / 2)
         scale = max(max(abs(v) for v in a.coeffs.values()),
                     max(abs(v) for v in b.coeffs.values()))
         for n in range(-DEFAULT.n_max // 2, DEFAULT.n_max // 2 + 1):
@@ -112,6 +112,35 @@ def test_two_radius_consistency(sqrt_z, recip_z):
             vb = b.coeffs.get(n, 0j)
             if max(abs(va), abs(vb)) > DEFAULT.tol_coeff * scale:
                 assert abs(va - vb) <= 1e-8 * scale
+
+
+def test_close_critical_points_pass_the_two_radius_check():
+    # the depressed cubic W^3 + (2i - 3z)W + (-3 - i + (2+3i)z + (1+i)z^2) has two
+    # critical points 0.80 apart; its high-order B_n agree between the radii
+    # to their noise floors but not to 1e-7 of the largest coefficient
+    eq = DefiningEquation.from_strings(["0", "2*i - 3*z", "-3 - i + (2+3*i)*z + (1+i)*z^2"])
+    points = eq.critical().points
+    assert len(points) == 4
+    for cp in points:
+        checks = residue_theorem_check(eq, cp.location)
+        assert sorted(s for rc in checks for s in rc.cycle) == [0, 1, 2]
+        for rc in checks:
+            assert abs(rc.loop_value / (2j * math.pi) - rc.residue) < 1e-8
+
+
+def test_planted_inner_turn_inconsistency_is_refused(monkeypatch, sqrt_z):
+    turn = puiseux._turn
+    eps = default_radius(sqrt_z, 0j)
+
+    def planted(eq, a, roots, epsilon, n_samples, tol):
+        rows, sigma, walked = turn(eq, a, roots, epsilon, n_samples, tol)
+        if epsilon < eps:  # the inner turn's rows move by 1e-9, so B_0 does
+            rows = rows + 1e-9
+        return rows, sigma, walked
+
+    monkeypatch.setattr(puiseux, "_turn", planted)
+    with pytest.raises(AnnulusTooWide, match="B_0 "):
+        singular_elements(sqrt_z, 0j)
 
 
 def test_reconstruction_matches_tracked_branch(circle_eq):
@@ -226,7 +255,7 @@ def test_batched_turn_matches_a_stop_per_sample(coeffs, a):
     eps = default_radius(eq, a)
     for radius in (eps, 0.5 * eps):
         roots = fiber_at(eq, a + radius).roots
-        rows, sigma = _turn(eq, a, roots, radius, 256, DEFAULT)
+        rows, sigma, _ = _turn(eq, a, roots, radius, 256, DEFAULT)
         ref_rows, ref_sigma = _stepwise_turn(eq, a, roots, radius, 256)
         assert sigma == ref_sigma
         assert np.abs(rows - ref_rows).max() <= 1e-13 * np.abs(ref_rows).max()
@@ -238,14 +267,14 @@ def test_turn_takes_only_the_tracker_steps(monkeypatch, sqrt_z):
     step = SegmentTracker._step
 
     def counting_step(self, t_target):
-        steps.append(t_target)
+        steps.append(self.seg)
         return step(self, t_target)
 
     monkeypatch.setattr(SegmentTracker, "_step", counting_step)
     eps = default_radius(sqrt_z, 0j)
-    (rows, _), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT.n_max, DEFAULT, False)
+    (rows, _, outer), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT.n_max, DEFAULT)
     assert len(rows) == 256
-    assert len(steps) <= 32
+    assert 0 < steps.count(outer.seg) <= 32
 
 
 def _push_prediction_to_other_sheet(monkeypatch, bad):
@@ -278,7 +307,7 @@ def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
     targets = _push_prediction_to_other_sheet(monkeypatch, bad / 256)
     eps = default_radius(sqrt_z, 0j)
     roots = fiber_at(sqrt_z, eps).roots
-    rows, sigma = _turn(sqrt_z, 0j, roots, eps, 256, DEFAULT)
+    rows, sigma, _ = _turn(sqrt_z, 0j, roots, eps, 256, DEFAULT)
     assert bad / 256 in targets
     trk = SegmentTracker(sqrt_z, Arc(0j, eps, 0.0, 2 * math.pi), roots, DEFAULT,
                          h_min=DEFAULT.h_min_frac)

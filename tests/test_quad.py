@@ -1,6 +1,7 @@
 """Surface integrals, the loop-residue identity, and path audits."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from algebroid.config import DEFAULT
 from algebroid.errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
 from algebroid.exactalg import GaussianRational
 from algebroid import quad
-from algebroid.puiseux import default_radius, residue_by_contour, singular_elements
+from algebroid.cli import main
+from algebroid.puiseux import default_radius, residue_by_contour
 from algebroid.quad import (
     c_ab,
     closed_loop_integral,
@@ -284,30 +286,51 @@ def test_contour_values_of_mixed_cycles_match_m_turn_loops(coeffs, a, lengths):
         assert abs(rc.loop_value / TWO_PI_I - rc.residue) < 1e-8
 
 
-def test_one_center_costs_two_turns_one_leg_and_one_quadrature_turn(monkeypatch):
-    eq = DefiningEquation.from_strings(["0", "-3", "-z"])
-    segments = []
+def _count_walks(monkeypatch):
+    """Record the segment of every SegmentTracker built and every call of
+    quad.fiber_integral or quad._walk."""
+    segments, walks = [], []
     init = SegmentTracker.__init__
 
     def counting_init(self, eq, seg, *args, **kwargs):
-        segments.append(seg)
+        segments.append(type(seg).__name__)
         init(self, eq, seg, *args, **kwargs)
 
+    def counting(name):
+        real = getattr(quad, name)
+
+        def counted(*args, **kwargs):
+            walks.append(name)
+            return real(*args, **kwargs)
+        return counted
+
     monkeypatch.setattr(SegmentTracker, "__init__", counting_init)
-    rep = singular_elements(eq, 2.0 + 0j)
-    assert [len(c.sheets) for c in rep.cycles] == [2, 1]
-    assert sorted(type(s).__name__ for s in segments) == ["Arc", "Arc", "Line"]
+    for name in ("fiber_integral", "_walk"):
+        monkeypatch.setattr(quad, name, counting(name))
+    return segments, walks
 
-    turns = []
-    fiber_integral_ = quad.fiber_integral
 
-    def counting_fiber_integral(*args, **kwargs):
-        turns.append(args[2])
-        return fiber_integral_(*args, **kwargs)
+def test_one_center_costs_two_turns_one_leg_and_one_quadrature_turn(monkeypatch):
+    # the contour check integrates the outer Puiseux turn: no walk of its own
+    eq = DefiningEquation.from_strings(["0", "-3", "-z"])
+    segments, walks = _count_walks(monkeypatch)
+    checks = residue_theorem_check(eq, 2.0 + 0j)
+    assert [len(rc.cycle) for rc in checks] == [2, 1]
+    assert sorted(segments) == ["Arc", "Arc", "Line"]
+    assert walks == []
 
-    monkeypatch.setattr(quad, "fiber_integral", counting_fiber_integral)
-    residue_theorem_check(eq, 2.0 + 0j)
-    assert len(turns) == 1
+
+def test_cli_contour_check_walks_two_turns_and_one_leg_per_center(monkeypatch, tmp_path, capsys):
+    # W^3 - 3W - z has its two critical points at +-2
+    problem = tmp_path / "cubic.json"
+    problem.write_text(json.dumps({"k": 3, "coefficients": ["0", "-3", "-z"]}))
+    segments, walks = _count_walks(monkeypatch)
+    assert main(["residues", str(problem), "--contour-check"]) == 0
+    centers = json.loads(capsys.readouterr().out)["results"]["centers"]
+    assert len(centers) == 2
+    assert all(c["discrepancy"] < 1e-8 for center in centers for c in center["cycles"])
+    assert sorted(segments) == ["Arc"] * 4 + ["Line"] * 2
+    assert walks == []
 
 
 NODE_CASES = [
