@@ -7,8 +7,10 @@
 Each DIR is a benchmark/out/<workload>-seed<n>-trace0 directory written by
 benchmark/run.py. Per label and workload the summary gives the seeds, the
 failed and attempted operation counts, the first quartile, median and third
-quartile of each end-to-end metric (names and units from BENCHMARK.json) and
-the host fields of the runs' environment. Standard library only.
+quartile of each end-to-end metric (names and units from BENCHMARK.json), the
+median scaled seconds of each slot over the runs' operations (which slots
+move a tail) and the host fields of the runs' environment. Standard library
+only.
 """
 
 import json
@@ -44,11 +46,16 @@ def summarize(pairs: list, spec: dict) -> dict:
             for m in spec["end_to_end"]:
                 q1, median, q3 = _quartiles([r["metrics"][m["name"]]["value"] for r in reports])
                 metrics[m["name"]] = {"unit": m["unit"], "q1": q1, "median": median, "q3": q3}
+            slots: dict = {}
+            for op in ops:
+                slots.setdefault(op["slot"], []).append(op["seconds"])
             out.setdefault(label, {})[workload] = {
                 "seeds": sorted(r["environment"]["seed"] for r in reports),
                 "failed": sum(not op["solved"] for op in ops),
                 "attempted": len(ops),
                 "metrics": metrics,
+                "slot_median_s": {slot: statistics.median(seconds)
+                                  for slot, seconds in sorted(slots.items())},
                 "host": hosts[0],
             }
     return out

@@ -3,17 +3,22 @@
 Polynomials and rational functions in z with Q(i) coefficients carry the
 structural layer of the toolkit: defining-equation coefficients, resultants,
 discriminants, and Laurent orders are all computed here without rounding.
-A resultant clears the denominators of its Sylvester matrix once per block
-and takes the determinant by fraction-free Bareiss elimination over
-Gaussian-integer polynomials in z, held as lists of (re, im) int pairs.
+A Gaussian rational is held as the int triple (a, b, d) of (a + b*i)/d with
+d > 0 and gcd(a, b, d) = 1, so field operations are a few int operations
+and one gcd. A resultant clears the denominators of its Sylvester matrix
+once per block and takes the determinant by fraction-free Bareiss
+elimination over Gaussian-integer polynomials in z, held as lists of
+(re, im) int pairs. Every factor of the block multiplier divides the product
+of the two block factors, so the determinant's shared factors are stripped
+by gcds against that low-degree product alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
-`+ - * /`, `^` with a nonnegative integer exponent, and parentheses.
+`+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
+parentheses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -35,79 +40,137 @@ __all__ = [
 _FractionLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + b*i)/d, held as the canonical int triple
+    with d > 0 and gcd(a, b, d) = 1; immutable."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: _FractionLike = 0, im: _FractionLike = 0):
+        re, im = Fraction(re), Fraction(im)
+        # with re = p/q and im = r/s reduced, gcd(a, b, lcm(q, s)) is already 1
+        q, s = re.denominator, im.denominator
+        d = math.lcm(q, s)
+        _set_a(self, re.numerator * (d // q))
+        _set_b(self, im.numerator * (d // s))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value))
-        if isinstance(value, float):
-            return GaussianRational(Fraction(value))
+        if isinstance(value, int):
+            return _make(value, 0, 1)
+        if isinstance(value, (Fraction, float)):
+            value = Fraction(value)
+            return _make(value.numerator, 0, value.denominator)
         if isinstance(value, complex):
             return GaussianRational(Fraction(value.real), Fraction(value.imag))
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a + other._a, self._b + other._b, d1)
+        return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a - other._a, self._b - other._b, d1)
+        return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n2 = other.re * other.re + other.im * other.im
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
+        n2 = a2 * a2 + b2 * b2
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n2)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self._b:
             return _frac_str(self.re)
-        if self.re == 0:
+        if not self._a:
             return _imag_str(self.im)
         return f"{_frac_str(self.re)} {_imag_str(self.im, signed=True)}"
 
 
-_GR_ZERO = GaussianRational()
-_GR_ONE = GaussianRational(Fraction(1))
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced to its canonical triple."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    obj = object.__new__(GaussianRational)
+    _set_a(obj, a)
+    _set_b(obj, b)
+    _set_d(obj, d)
+    return obj
+
+
+_GR_ZERO = _make(0, 0, 1)
+_GR_ONE = _make(1, 0, 1)
+_GR_MINUS_ONE = _make(-1, 0, 1)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -320,7 +383,7 @@ def _term_str(coef: GaussianRational, power: int) -> str:
         return f"({s})" if coef.re != 0 and coef.im != 0 else s
     if coef == _GR_ONE:
         head = ""
-    elif coef == GaussianRational(Fraction(-1)):
+    elif coef == _GR_MINUS_ONE:
         head = "-"
     else:
         s = str(coef)
@@ -358,15 +421,24 @@ class RatFunc:
             raise DivisionByZeroPoly("denominator is identically zero")
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
-        else:
-            if den.degree > 0:  # a constant denominator has only unit gcds
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num.exact_div(g), den.exact_div(g)
-            lead = den.leading()
-            if lead != _GR_ONE:
-                num = Poly([c / lead for c in num.coeffs])
-                den = den.monic()
+        elif den.degree > 0:  # a constant denominator has only unit gcds
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
+        self._set_monic(num, den)
+
+    @staticmethod
+    def _reduced(num: Poly, den: Poly) -> "RatFunc":
+        """num/den for coprime num and den != 0: only den is made monic."""
+        out = object.__new__(RatFunc)
+        out._set_monic(num, den)
+        return out
+
+    def _set_monic(self, num: Poly, den: Poly) -> None:
+        lead = den.leading()
+        if lead != _GR_ONE:
+            num = Poly([c / lead for c in num.coeffs])
+            den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -494,6 +566,8 @@ def ratfunc_arith(lhs: RatFunc, rhs: RatFunc, kind: str) -> RatFunc:
 # --- expression parser -----------------------------------------------------
 
 _SYMBOLS = set("+-*/^()")
+# a larger power would be computed in full before any error could be raised
+_MAX_EXPONENT = 64
 
 
 def _tokenize(text: str) -> list:
@@ -580,6 +654,8 @@ class _Parser:
             tok = self.take()
             if tok[0] != "int":
                 raise SyntaxError("exponent must be a nonnegative integer literal")
+            if tok[1] > _MAX_EXPONENT:
+                raise SyntaxError(f"exponent {tok[1]} is above the limit {_MAX_EXPONENT}")
             base = base ** tok[1]
             if self.peek() == "^":
                 raise SyntaxError("chained exponentiation is not allowed")
@@ -590,7 +666,7 @@ class _Parser:
         if kind == "int":
             return RatFunc.constant(value)
         if kind == "i":
-            return RatFunc.constant(GaussianRational(Fraction(0), Fraction(1)))
+            return RatFunc.constant(_make(0, 1, 1))
         if kind == "z":
             return _R_Z
         if kind == "(":
@@ -639,10 +715,7 @@ _GZ_ONE = [(1, 0)]
 
 def _gz_of(p: Poly, scale: int) -> list[tuple[int, int]]:
     """scale * p as int pairs; scale must be a multiple of every denominator."""
-    return [
-        (c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator))
-        for c in p.coeffs
-    ]
+    return [(c._a * (scale // c._d), c._b * (scale // c._d)) for c in p.coeffs]
 
 
 def _gz_cross(p, a, b, c) -> list[tuple[int, int]]:
@@ -731,19 +804,33 @@ def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], Po
     """One Sylvester block's entries over Z[i][z], and the factor that cleared them.
 
     Every row of a block is a shift of the same coefficients, so one lcm of
-    their denominators, times the integer lcm of the Fraction denominators
-    left after it, clears the whole block.
+    their denominators, times the integer lcm of the Gaussian-rational
+    denominators left after it, clears the whole block.
     """
     lcm = _P_ONE
     for c in coeffs:
         if c.den.degree > 0:
             lcm = poly_lcm(lcm, c.den)
     polys = [c.num * lcm.exact_div(c.den) for c in coeffs]
-    scale = 1
-    for p in polys:
-        for c in p.coeffs:
-            scale = math.lcm(scale, c.re.denominator, c.im.denominator)
+    scale = math.lcm(*(c._d for p in polys for c in p.coeffs))
     return [_gz_of(p, scale) for p in polys], lcm.scale(scale)
+
+
+def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[Poly, Poly, Poly]:
+    """The Sylvester determinant of fc and gc (ascending in W, of degrees m
+    and n) with each block cleared of denominators, and the two block
+    factors: the resultant is det / (fscale**n * gscale**m)."""
+    m, n = len(fc) - 1, len(gc) - 1
+    size = m + n
+    fdesc, fscale = _clear_block(fc[::-1])
+    gdesc, gscale = _clear_block(gc[::-1])
+    rows = []
+    for sh in range(n):
+        rows.append([[]] * sh + fdesc + [[]] * (size - sh - m - 1))
+    for sh in range(m):
+        rows.append([[]] * sh + gdesc + [[]] * (size - sh - n - 1))
+    det = _bareiss_det(rows)
+    return Poly([_make(re, im, 1) for re, im in det]), fscale, gscale
 
 
 def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
@@ -761,17 +848,18 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     m, n = len(fc) - 1, len(gc) - 1
     if m == 0 and n == 0:
         return _R_ONE
-    size = m + n
-    fdesc, fscale = _clear_block(fc[::-1])
-    gdesc, gscale = _clear_block(gc[::-1])
-    rows = []
-    for sh in range(n):
-        rows.append([[]] * sh + fdesc + [[]] * (size - sh - m - 1))
-    for sh in range(m):
-        rows.append([[]] * sh + gdesc + [[]] * (size - sh - n - 1))
-    det = _bareiss_det(rows)
-    det_poly = Poly([GaussianRational(Fraction(re), Fraction(im)) for re, im in det])
-    return RatFunc(det_poly, fscale**n * gscale**m)
+    num, fscale, gscale = _cleared_det(fc, gc)
+    if num.is_zero():
+        return _R_ZERO
+    den = fscale**n * gscale**m
+    # every factor of den divides fscale * gscale: strip the shared ones
+    # with gcds against that low-degree product, never against den itself
+    g = poly_gcd(fscale * gscale, num)
+    while g.degree > 0:
+        g = poly_gcd(den, g)
+        num, den = num.exact_div(g), den.exact_div(g)
+        g = poly_gcd(g, num)
+    return RatFunc._reduced(num, den)
 
 
 def discriminant(eq) -> RatFunc:

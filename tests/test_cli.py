@@ -298,6 +298,8 @@ def _with_arc_radius(radius):
     (_with_arc_radius(True), ["critical", PROBLEM]),
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "-1", "--den-degree", "2"]),
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "2", "--den-degree", "-1"]),
+    # refused before the power is computed, which would exhaust memory
+    ({"k": 2, "coefficients": ["0", "-z^100000000"]}, ["critical", PROBLEM]),
 ], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
@@ -305,7 +307,7 @@ def _with_arc_radius(radius):
         "puiseux-radius-over-gap", "residues-radius-over-gap", "nmax-negative",
         "nmax-below-k", "tol-n-max-below-k", "tol-zero", "tol-negative", "k-bool",
         "json-base-bool", "json-arc-radius-bool", "num-degree-negative",
-        "den-degree-negative"])
+        "den-degree-negative", "exponent-above-cap"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: parser, field ops, resultants, Laurent orders."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from algebroid.exactalg import (
     GaussianRational,
     Poly,
     RatFunc,
+    _MAX_EXPONENT,
+    _cleared_det,
     _gz_exact_div,
     discriminant,
     laurent_order,
@@ -64,6 +67,14 @@ def test_parse_rejects_malformed(bad):
         rf(bad)
 
 
+def test_parse_refuses_an_exponent_above_the_cap():
+    assert rf(f"z^{_MAX_EXPONENT}") == Z**_MAX_EXPONENT
+    # refused before the power is computed: z^100000000 would exhaust memory
+    for text in (f"z^{_MAX_EXPONENT + 1}", "(z+1/3)^400", "2^100000000"):
+        with pytest.raises(SyntaxError, match="above the limit"):
+            rf(text)
+
+
 def test_parse_zero_denominator():
     with pytest.raises(DivisionByZeroPoly):
         rf("1/(z-z)")
@@ -106,6 +117,57 @@ small_fracs = st.fractions(
 @st.composite
 def gaussian_rationals(draw):
     return GaussianRational(draw(small_fracs), draw(small_fracs))
+
+
+# --- the Gaussian-rational kernel, against a pair of Fractions --------------
+
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+kernel_fracs = st.one_of(small_fracs, wide_fracs)
+
+
+def _oracle_str(re: Fraction, im: Fraction) -> str:
+    def imag(q):
+        return "i" if q == 1 else "-i" if q == -1 else f"{q}*i"
+
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return imag(im)
+    return f"{re} {'+' if im > 0 else '-'} {imag(abs(im))}"
+
+
+def _assert_canonical(x: GaussianRational, re: Fraction, im: Fraction):
+    a, b, d = x._a, x._b, x._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (x.re, x.im) == (re, im)
+    assert str(x) == _oracle_str(re, im)
+    assert complex(x) == complex(float(re), float(im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_fracs, kernel_fracs, kernel_fracs, kernel_fracs)
+def test_gaussian_rational_kernel_matches_fraction_pairs(r1, i1, r2, i2):
+    x, y = GaussianRational(r1, i1), GaussianRational(r2, i2)
+    _assert_canonical(x, r1, i1)
+    _assert_canonical(-x, -r1, -i1)
+    _assert_canonical(x + y, r1 + r2, i1 + i2)
+    _assert_canonical(x - y, r1 - r2, i1 - i2)
+    _assert_canonical(x * y, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+    n2 = r2 * r2 + i2 * i2
+    if n2:
+        _assert_canonical(x / y, (r1 * r2 + i1 * i2) / n2, (i1 * r2 - r1 * i2) / n2)
+        # equal values reached by different routes hold equal triples
+        back = (x * y) / y
+        assert (back._a, back._b, back._d) == (x._a, x._b, x._d)
+        assert back == x and hash(back) == hash(x)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x == y) == ((r1, i1) == (r2, i2))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert GaussianRational.of(r1) == GaussianRational(r1) == GaussianRational(r1, 0)
+    assert x != (r1, i1) and GaussianRational.of(r1) != r1  # only equal to its own kind
 
 
 @st.composite
@@ -289,6 +351,25 @@ def test_discriminant_matches_scalar_sylvester_oracle(case):
     except IdenticallyZeroDiscriminant:
         got = GaussianRational()
     assert got == expected
+
+
+def test_resultant_strips_shared_and_repeated_denominators():
+    # (z - 1) divides the numerator of the cleared determinant more often
+    # than it divides fscale * gscale, so one gcd round cannot strip it
+    coeffs = [rf("z"), rf("1/3 + i/2"), rf("1/(z-1)^2"), rf("(z+2)/((z-1)*(z-i))")]
+    psi = list(reversed(coeffs)) + [ONE]
+    psi_w = w_poly_derivative(psi)
+    det, fscale, gscale = _cleared_det(psi, psi_w)
+    generic = RatFunc(det, fscale**3 * gscale**4)
+    one = GaussianRational.of(1)
+    assert det.root_multiplicity(one) > (fscale * gscale).root_multiplicity(one)
+    assert generic.den.root_multiplicity(one) > 0
+    assert resultant_w(psi, psi_w) == generic
+    assert discriminant(coeffs) == generic
+    z0 = GaussianRational(Fraction(1, 3), Fraction(-2, 5))
+    scalar = [c.eval_exact(z0) for c in psi]
+    expected = scalar_det(scalar_sylvester(scalar, [c * n for n, c in enumerate(scalar) if n > 0]))
+    assert discriminant(coeffs).eval_exact(z0) == expected
 
 
 def test_resultant_constant_first_argument():

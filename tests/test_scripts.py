@@ -41,7 +41,9 @@ def _fake_report(directory, seed, p50, solved):
     directory.mkdir()
     env = {"python": "3.11", "nproc": 2, "cpu_model": "cpu", "seed": seed}
     metrics = {"solve_s.p50": {"value": p50, "unit": "s"}}
-    ops = [{"solved": s} for s in solved]
+    # slot "a" takes p50 seconds in this run, slot "b" ten times that
+    ops = [{"solved": s, "slot": "ab"[n % 2], "seconds": p50 * (1 + 9 * (n % 2))}
+           for n, s in enumerate(solved)]
     (directory / "report.json").write_text(json.dumps({
         "workload": "critical", "environment": env, "metrics": metrics,
         "operations": {"untraced": ops}}))
@@ -58,6 +60,8 @@ def test_bench_summary_condenses_two_reports(tmp_path):
     assert (entry["failed"], entry["attempted"]) == (1, 5)
     assert entry["metrics"]["solve_s.p50"] == pytest.approx(
         {"unit": "s", "q1": 0.15, "median": 0.2, "q3": 0.25})
+    # slot medians pool the operations of both runs: a is 0.3, 0.3, 0.1; b is 3.0, 1.0
+    assert entry["slot_median_s"] == pytest.approx({"a": 0.3, "b": 2.0})
     assert entry["host"] == {"python": "3.11", "nproc": 2, "cpu_model": "cpu"}
 
 
