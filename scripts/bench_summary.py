@@ -9,8 +9,11 @@ benchmark/run.py. Per label and workload the summary gives the seeds, the
 failed and attempted operation counts, the first quartile, median and third
 quartile of each end-to-end metric (names and units from BENCHMARK.json), the
 median scaled seconds of each slot over the runs' operations (which slots
-move a tail) and the host fields of the runs' environment. Standard library
-only.
+move a tail) and the host fields of the runs' environment. Where a workload
+ran under both the labels `parent` and `change`, each end-to-end metric of
+`change` also gets a `pairs` block over the seeds the two share: in how many
+seeds change is better, worse or tied (by BENCHMARK.json's `better`), and the
+parent's interquartile range over those seeds. Standard library only.
 """
 
 import json
@@ -58,7 +61,30 @@ def summarize(pairs: list, spec: dict) -> dict:
                                   for slot, seconds in sorted(slots.items())},
                 "host": hosts[0],
             }
+    for workload, changed in out.get("change", {}).items():
+        if workload in out.get("parent", {}):
+            _add_pairs(runs["parent"][workload], runs["change"][workload], changed["metrics"], spec)
     return out
+
+
+def _add_pairs(parent: list, change: list, metrics: dict, spec: dict) -> None:
+    """Give each end-to-end metric of change a `pairs` block over the seeds
+    that parent and change share."""
+    def by_seed(reports, name):
+        return {r["environment"]["seed"]: r["metrics"][name]["value"] for r in reports}
+
+    for m in spec["end_to_end"]:
+        before, after = by_seed(parent, m["name"]), by_seed(change, m["name"])
+        seeds = sorted(before.keys() & after.keys())
+        if not seeds:
+            continue
+        sign = 1 if m["better"] == "lower" else -1
+        gains = [sign * (before[s] - after[s]) for s in seeds]
+        q1, _, q3 = _quartiles([before[s] for s in seeds])
+        metrics[m["name"]]["pairs"] = {
+            "seeds": len(seeds), "better": sum(g > 0 for g in gains),
+            "worse": sum(g < 0 for g in gains), "tied": sum(g == 0 for g in gains),
+            "parent_iqr": q3 - q1}
 
 
 def main(argv: list) -> int:

@@ -32,7 +32,8 @@ class IdenticallyZeroDiscriminant(AlgebroidError):
 
 
 class RootFindingFailure(AlgebroidError):
-    """Polynomial solver did not reach the requested residual."""
+    """Polynomial solver met a non-finite coefficient or did not reach the
+    requested residual."""
 
     exit_code = 6
 

@@ -48,7 +48,7 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MAX_DEPTH = 30
-_MAX_PIECES = 1 << 10
+_MAX_PIECES = 1 << 6
 
 
 @dataclass(frozen=True)

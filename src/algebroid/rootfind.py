@@ -1,24 +1,23 @@
 """Polynomial root finding on complex float coefficients.
 
-Primary solver is Aberth-Ehrlich simultaneous iteration; the companion
-matrix (numpy eigenvalues) is the fallback for stalled or degenerate cases.
+all_roots takes the eigenvalues of the companion matrix (numpy.roots, which
+is backward stable; Edelman & Murakami, Math. Comp. 1995) and Newton-polishes
+each one.
 newton_polish and residual_scale are also the corrector and residual gate
 that surface and tracker apply to the coefficients of Psi(., z).
 newton_polish_pairs is the same iteration, with the same stopping rule, run
 at once on many (polynomial, start) pairs held in numpy arrays.
+merge_double_roots turns the two scattered copies of a double root into one.
 """
 
 from __future__ import annotations
-
-import cmath
-import math
 
 import numpy as np
 
 from .errors import RootFindingFailure
 
-__all__ = ["all_roots", "newton_polish", "newton_polish_pairs", "poly_eval", "poly_eval_pair",
-           "poly_eval_pairs", "polish_roots", "residual_scale", "residual_scales"]
+__all__ = ["all_roots", "merge_double_roots", "newton_polish", "newton_polish_pairs", "poly_eval",
+           "poly_eval_pair", "poly_eval_pairs", "polish_roots", "residual_scale", "residual_scales"]
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -119,6 +118,8 @@ def polish_roots(coeffs, roots) -> list[complex]:
 
 def _trim(coeffs) -> list[complex]:
     cs = [complex(c) for c in coeffs]
+    if not np.isfinite(cs).all():
+        raise RootFindingFailure(f"non-finite polynomial coefficient in {cs}")
     biggest = max((abs(c) for c in cs), default=0.0)
     cutoff = biggest * 1e-300
     while cs and abs(cs[-1]) <= cutoff:
@@ -126,52 +127,12 @@ def _trim(coeffs) -> list[complex]:
     return cs
 
 
-def _aberth(coeffs, eps: float, max_iter: int):
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    radius = 1.0 + max(abs(c) for c in monic[:-1]) if n > 0 else 1.0
-    # symmetry-breaking offset keeps guesses off the real axis
-    roots = [
-        0.5 * radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)
-    ]
-    for _ in range(max_iter):
-        moved = 0.0
-        new_roots = list(roots)
-        for i, w in enumerate(roots):
-            p, dp = poly_eval_pair(monic, w)
-            if dp == 0:
-                return None
-            newton = p / dp
-            s = 0j
-            ok = True
-            for j, wj in enumerate(roots):
-                if j == i:
-                    continue
-                d = w - wj
-                if d == 0:
-                    ok = False
-                    break
-                s += 1.0 / d
-            if not ok:
-                return None
-            denom = 1.0 - newton * s
-            if denom == 0:
-                return None
-            step = newton / denom
-            new_roots[i] = w - step
-            moved = max(moved, abs(step) / (1.0 + abs(new_roots[i])))
-        roots = new_roots
-        if moved <= eps:
-            return roots
-    return None
+def all_roots(coeffs) -> list[complex]:
+    """All complex roots of an ascending-coefficient polynomial: companion-matrix
+    eigenvalues, each Newton-polished.
 
-
-def all_roots(coeffs, eps: float = 1e-14) -> list[complex]:
-    """All complex roots of an ascending-coefficient polynomial.
-
-    Raises RootFindingFailure when neither Aberth iteration nor the
-    companion-matrix fallback reaches a backward-stable residual.
+    Raises RootFindingFailure on a non-finite coefficient, or when a root
+    misses the backward-stable residual gate.
     """
     cs = _trim(coeffs)
     if len(cs) <= 1:
@@ -179,14 +140,38 @@ def all_roots(coeffs, eps: float = 1e-14) -> list[complex]:
     if len(cs) == 2:
         return [-cs[0] / cs[1]]
 
-    roots = _aberth(cs, eps, max_iter=120)
-    if roots is None:
-        arr = np.array(list(reversed(cs)), dtype=complex)
-        roots = polish_roots(cs, [complex(r) for r in np.roots(arr)])
-
+    roots = polish_roots(cs, [complex(r) for r in np.roots(cs[::-1])])
     for r in roots:
-        if abs(poly_eval(cs, r)) > 1e-8 * residual_scale(cs, r):
-            raise RootFindingFailure(
-                f"root residual {abs(poly_eval(cs, r)):.3e} too large at {r}"
-            )
+        residual = abs(poly_eval(cs, r))
+        if not residual <= 1e-8 * residual_scale(cs, r):  # NaN-safe
+            raise RootFindingFailure(f"root residual {residual:.3e} too large at {r}")
     return roots
+
+
+def merge_double_roots(coeffs, roots, radius: float, eps: float) -> list[complex]:
+    """roots with each isolated double root given once.
+
+    A double root is fixed by a residual at eps only to about sqrt(eps), so
+    the root finder returns it as two points up to that far apart, by an
+    amount that depends on round-off. Two roots within ``radius`` of each
+    other and of no third root are one double root m when Newton on p' from
+    their midpoint converges and |p(m)| passes the eps residual gate; m takes
+    the place of the first. Three or more roots within ``radius`` of each
+    other are kept as given.
+    """
+    near = [[j for j, s in enumerate(roots) if j != i and abs(r - s) <= radius]
+            for i, r in enumerate(roots)]
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    merged, dropped = [], set()
+    for i, r in enumerate(roots):
+        if i in dropped:
+            continue
+        if len(near[i]) == 1 and near[i][0] > i and near[near[i][0]] == [i]:
+            j = near[i][0]
+            m = newton_polish(dcoeffs, (r + roots[j]) / 2)
+            if m is not None and abs(poly_eval(coeffs, m)) <= eps * residual_scale(coeffs, m):
+                merged.append(m)
+                dropped.add(j)
+                continue
+        merged.append(r)
+    return merged

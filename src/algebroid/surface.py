@@ -8,6 +8,7 @@ distinct roots; loops in the punctured plane permute them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import LiftNotClosed, NearCriticalPoint, RootFindingFailure, TrackingCollision
 from .exactalg import GaussianRational, RatFunc, discriminant, parse_coefficient
-from .rootfind import all_roots, poly_eval, poly_eval_pair, polish_roots, residual_scale
+from .rootfind import (all_roots, merge_double_roots, poly_eval, poly_eval_pair, polish_roots,
+                       residual_scale)
 
 __all__ = [
     "DefiningEquation",
@@ -234,13 +236,18 @@ class SheetPermutation:
 
 
 def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> CriticalSet:
-    """Discriminant zeros and coefficient poles, clustered and tagged."""
+    """Discriminant zeros and coefficient poles, isolated double roots merged,
+    clustered and tagged."""
     candidates: list[tuple[complex, str]] = []
     polys = [(eq.disc.num, KIND_DISC)] + [(c.den, KIND_POLE) for c in eq.coeffs]
     for poly, kind in polys:
         if poly.degree >= 1:
             fc = poly._float_coeffs()
-            candidates.extend((r, kind) for r in polish_roots(fc, all_roots(fc)))
+            roots = polish_roots(fc, all_roots(fc))
+            # a double root comes back as two points up to sqrt(eps_root) apart
+            radius = math.sqrt(tol.eps_root) * max(1.0, max(abs(r) for r in roots))
+            roots = merge_double_roots(fc, roots, radius, tol.eps_root)
+            candidates.extend((r, kind) for r in roots)
 
     if not candidates:
         return CriticalSet(())
@@ -260,7 +267,10 @@ def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> Critical
         loc = sum(locs) / len(locs)
         kind = KIND_BOTH if len(kinds) > 1 else kinds.pop()
         points.append(CriticalPoint(loc, kind))
-    points.sort(key=lambda p: (p.location.real, p.location.imag))
+    # real parts in buckets of the cluster radius, so that two points whose
+    # real parts agree up to round-off are ordered by imag alone
+    points.sort(key=lambda p: (round(p.location.real / radius) if radius > 0 else p.location.real,
+                               p.location.imag))
     return CriticalSet(tuple(points))
 
 
@@ -272,7 +282,7 @@ def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fib
     coeffs = eq.psi_coeffs_at(z)
     polished = polish_roots(coeffs, all_roots(coeffs))
     for w in polished:
-        if abs(poly_eval(coeffs, w)) > tol.eps_root * residual_scale(coeffs, w):
+        if not abs(poly_eval(coeffs, w)) <= tol.eps_root * residual_scale(coeffs, w):
             raise RootFindingFailure(f"fiber root residual too large at z={z}")
     fiber = Fiber(z, tuple(sorted(polished, key=lambda w: (w.real, w.imag))))
     if fiber.min_separation < tol.delta_sep * fiber.scale:

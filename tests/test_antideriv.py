@@ -299,6 +299,33 @@ def test_build_antiderivative_cube_root():
     assert model.diagnostics.derivative_defect < 1e-7
 
 
+def test_build_antiderivative_shifted_cube_root():
+    # W^3 - (2+i)(z-1-i): the discriminant has a double root at 1+i, and
+    # B3 = -(2+i)(3/4)^3 (z-1-i)^4 when M(2+i) = (3/4) w0 (z0 - 1 - i)
+    eq = DefiningEquation.from_strings(["0", "0", "-(2+i)*(z-1-i)"])
+    w0 = (2 + 1j) ** (1 / 3)
+    model = build_antiderivative(eq, SurfacePoint(2 + 1j, w0), c=0.75 * w0)
+    want = [0, 0, rf("-(2+i)*(27/64)*(z-1-i)^4")]
+    for got, b in zip(model.coeffs, want):
+        diff = got - b
+        assert diff.is_zero() or all(abs(complex(co)) < 1e-6 for co in diff.num.coeffs)
+    assert model.diagnostics.derivative_defect < 1e-7
+
+
+def test_build_antiderivative_through_a_node():
+    # W^2 - (2z^2-1)^2/(z^2-1) is the derivative of z sqrt(z^2-1); its
+    # discriminant has double roots at +-1/sqrt(2), where no sheet branches
+    z0 = 2 + 1j
+    w0 = (2 * z0 ** 2 - 1) / cmath.sqrt(z0 ** 2 - 1)
+    eq = DefiningEquation.from_strings(["0", "-(2*z^2-1)^2/(z^2-1)"])
+    model = build_antiderivative(eq, SurfacePoint(z0, w0), c=z0 * cmath.sqrt(z0 ** 2 - 1))
+    b1, b2 = model.coeffs
+    assert b1.is_zero() or all(abs(complex(co)) < 1e-6 for co in b1.num.coeffs)
+    diff = b2 - rf("z^2 - z^4")
+    assert diff.is_zero() or all(abs(complex(co)) < 1e-6 for co in diff.num.coeffs)
+    assert model.diagnostics.derivative_defect < 1e-7
+
+
 def test_build_antiderivative_pole_branch_point():
     # W^2 - 1/z: the branch point at 0 is also a coefficient pole; residue
     # is still zero, and the branch integrals from (1,1) are +-2 sqrt(z) - 2

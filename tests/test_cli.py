@@ -228,6 +228,16 @@ def test_exit_code_domain_error(capsys, sqrt_file):
     assert report["error"]["type"] == "NearCriticalPoint"
 
 
+def test_non_finite_fiber_coefficients_are_a_root_finding_failure(capsys, tmp_path):
+    # -z^5 overflows to -inf at z = 1e80: a typed refusal, not NaN roots
+    f = tmp_path / "quintic.json"
+    f.write_text(json.dumps({"k": 2, "coefficients": ["0", "-z^5"]}))
+    code = main(["fiber", str(f), "--z", "1e80,0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 6
+    assert report["error"]["type"] == "RootFindingFailure"
+
+
 def test_tol_override_flag(capsys, sqrt_file):
     code, report = run_cli(
         capsys, "--tol", "quad_tol=1e-9", "integrate", sqrt_file,

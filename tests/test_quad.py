@@ -434,3 +434,4 @@ def test_tolerance_below_round_off_stalls_within_bounded_work(monkeypatch):
         surface_integral(eq, SurfacePoint(1, 1), polyline(1, -1 + 0.01j),
                          DEFAULT.replace(quad_tol=1e-17))
     assert reads["calls"] <= quad._MAX_DEPTH + 2
+    assert reads["nodes"] <= 8192

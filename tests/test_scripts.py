@@ -51,10 +51,20 @@ def _fake_report(directory, seed, p50, solved):
 
 
 def test_bench_summary_condenses_two_reports(tmp_path):
-    spec = {"end_to_end": [{"name": "solve_s.p50", "unit": "s"}]}
+    spec = {"end_to_end": [{"name": "solve_s.p50", "unit": "s", "better": "lower"}]}
     first = _fake_report(tmp_path / "a", 2, 0.3, [True, False, True])
     second = _fake_report(tmp_path / "b", 1, 0.1, [True, True])
-    summary = bench_summary.summarize([f"parent={first}", f"parent={second}"], spec)
+    # change: lower on seed 2, tied on seed 1, and seed 3 has no parent run
+    changed = [_fake_report(tmp_path / f"c{seed}", seed, p50, [True])
+               for seed, p50 in ((2, 0.2), (1, 0.1), (3, 0.4))]
+    runs = [f"parent={first}", f"parent={second}"] + [f"change={c}" for c in changed]
+    for better, counts in (("lower", (1, 0, 1)), ("higher", (0, 1, 1))):
+        spec["end_to_end"][0]["better"] = better
+        summary = bench_summary.summarize(runs, spec)
+        pairs = summary["change"]["critical"]["metrics"]["solve_s.p50"]["pairs"]
+        assert (pairs["seeds"], pairs["better"], pairs["worse"], pairs["tied"]) == (2, *counts)
+        assert pairs["parent_iqr"] == pytest.approx(0.1)
+        assert "pairs" not in summary["parent"]["critical"]["metrics"]["solve_s.p50"]
     entry = summary["parent"]["critical"]
     assert entry["seeds"] == [1, 2]
     assert (entry["failed"], entry["attempted"]) == (1, 5)

@@ -105,7 +105,30 @@ def test_critical_points_stable_under_tol_halving(sqrt_z, recip_z, circle_eq, sp
     for eq in (sqrt_z, recip_z, circle_eq, split_eq):
         coarse = critical_points(eq, DEFAULT)
         fine = critical_points(eq, DEFAULT.replace(tol_cluster=DEFAULT.tol_cluster / 2))
-        assert len(coarse) == len(fine)
+        exact = critical_points(eq, DEFAULT.replace(tol_cluster=0.0))  # no clustering
+        assert len(coarse) == len(fine) == len(exact)
+
+
+@pytest.mark.parametrize("disc, expected", [
+    ("(z^2-6*z+10)*(z-1)", [1, 3 - 1j, 3 + 1j]),
+    ("(z^2-2*z+5)*(z^2+1)", [-1j, 1j, 1 - 2j, 1 + 2j]),
+])
+def test_critical_points_with_tied_real_parts_order_by_imag(disc, expected):
+    # W^2 - disc: the computed real parts of a conjugate pair differ in their
+    # last bits, which must not decide the order
+    crit = critical_points(DefiningEquation.from_strings(["0", f"-({disc})"]))
+    assert list(crit.locations) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    (["0", "-(z-1)^2*(z+2)"], [-2, 1]),  # a node over z = 1
+    (["0", "0", "-(2+i)*(z-1-i)"], [1 + 1j]),  # discriminant -27 (2+i)^2 (z-1-i)^2
+    (["0", "-(2*z^2-1)^2/(z^2-1)"], [-1, -2 ** -0.5, 2 ** -0.5, 1]),
+])
+def test_double_discriminant_root_is_one_critical_point(coeffs, expected):
+    eq = DefiningEquation.from_strings(coeffs)
+    for tol in (DEFAULT, DEFAULT.replace(tol_cluster=0.0)):
+        assert list(critical_points(eq, tol).locations) == pytest.approx(expected, abs=1e-14)
 
 
 def test_fiber_at_square_roots(sqrt_z):
