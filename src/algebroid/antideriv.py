@@ -156,7 +156,7 @@ def _fiber_and_branch_integrals(eq: DefiningEquation, z: complex, router: SheetR
         )
     if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
         return fiber_at(eq, z, tol), [router.values[s] for s in range(eq.k)]
-    margin = _path_margin(eq, tol, None)
+    margin = _path_margin(eq, tol)
     connector = safe_line(router.base.z, z, eq.critical(tol).locations, margin, rng)
     fiber_t = fiber_at(eq, z, tol)
     values, ends = fiber_integral(eq, router.germs, connector, tol)
@@ -276,7 +276,7 @@ def _default_grid(eq: DefiningEquation, points_per_circle: int,
     locs = crit.locations
     centroid = sum(locs) / len(locs) if locs else 0j
     reach = max((abs(c - centroid) for c in locs), default=0.0)
-    margin = 2.0 * _path_margin(eq, tol, None)
+    margin = 2.0 * _path_margin(eq, tol)
     radii = [max(1.5 * reach, 1.0), max(3.0 * reach, 2.0)]
     grid = []
     for r in radii:

@@ -21,7 +21,9 @@ a shorter principal part.
 singular_elements is the one route to a critical point's local data; quad's
 residue checks take it with its outer turn (_local_data) and integrate that
 walked circle. Every entry point resolves its radius through _radius, whose
-eps < d/2 keeps each circle more than eps from other critical points.
+eps < d/2 keeps both turns and the radial leg more than eps from other
+critical points, so each is walked alone, not held to tracker._path_margin,
+which may exceed the leg's distance eps/2 from a.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import AnnulusTooWide, PrincipalPartTruncated
 from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
-from .tracker import Arc, _WalkedSegment, continue_fiber, polyline
+from .tracker import Arc, Line, _WalkedSegment
 
 __all__ = [
     "PuiseuxExpansion",
@@ -140,8 +142,7 @@ def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
     n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
     roots = fiber_at(eq, a + epsilon, tol).roots
     outer = _turn(eq, a, roots, epsilon, n_samples, tol)
-    inner_roots = continue_fiber(eq, roots, polyline(a + epsilon, a + 0.5 * epsilon),
-                                 tol, delta_path=0.25 * epsilon)
+    inner_roots = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol).end
     return outer, _turn(eq, a, inner_roots, 0.5 * epsilon, n_samples, tol)
 
 

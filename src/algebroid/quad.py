@@ -137,9 +137,9 @@ def _integrate(walked_segments, tol: Tolerances):
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
-                     tol: Tolerances = DEFAULT,
-                     delta_path: Optional[float] = None) -> SurfaceIntegralResult:
-    """Integral of w(z) dz along the lift of the path from the start germ."""
+                     tol: Tolerances = DEFAULT) -> SurfaceIntegralResult:
+    """Integral of w(z) dz along the lift of the path from the start germ;
+    PathTooCloseToCritical when the path enters tracker._path_margin."""
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return SurfaceIntegralResult(0j, 0.0, start, True)
@@ -150,7 +150,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     pos = match_to_fiber(start.w, fiber0, tol)
     fiber = list(fiber0.roots)
     fiber[pos] = start.w
-    values, errs, fiber = _integrate(_walk(eq, fiber, path, tol, delta_path), tol)
+    values, errs, fiber = _integrate(_walk(eq, fiber, path, tol), tol)
 
     end_w = fiber[pos]
     endpoint = SurfacePoint(path.end_z, end_w)
@@ -164,10 +164,10 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
-                   tol: Tolerances = DEFAULT,
-                   delta_path: Optional[float] = None) -> tuple[list[complex], list[complex]]:
+                   tol: Tolerances = DEFAULT) -> tuple[list[complex], list[complex]]:
     """Integrals of w(z) dz along the lifts of the path from every root of a
-    fiber over its start, in one tracking pass.
+    fiber over its start, in one tracking pass; PathTooCloseToCritical when
+    the path enters tracker._path_margin.
 
     Returns (values, end roots) in position order: entry j belongs to the
     lift that starts at roots[j], as in continue_fiber.
@@ -175,17 +175,17 @@ def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePat
     roots = list(roots)
     if not path.segments:
         return [0j] * len(roots), roots
-    values, _, end = _integrate(_walk(eq, roots, path, tol, delta_path), tol)
+    values, _, end = _integrate(_walk(eq, roots, path, tol), tol)
     return values, end
 
 
 def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePath,
-                         tol: Tolerances = DEFAULT,
-                         delta_path: Optional[float] = None) -> SurfaceIntegralResult:
-    """Integral over a closed base loop; the lift must close on the surface."""
+                         tol: Tolerances = DEFAULT) -> SurfaceIntegralResult:
+    """Integral over a closed base loop; the lift must close on the surface.
+    PathTooCloseToCritical when the loop enters tracker._path_margin."""
     if not loop.is_closed():
         raise ValueError("closed_loop_integral requires a closed base path")
-    res = surface_integral(eq, start, loop, tol, delta_path)
+    res = surface_integral(eq, start, loop, tol)
     if not res.closed_on_surface:
         end_fiber = fiber_at(eq, loop.start_z, tol)
         raise LiftNotClosed(
@@ -232,9 +232,9 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
 
 
 def c_ab(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
-         path: BasePath, tol: Tolerances = DEFAULT,
-         delta_path: Optional[float] = None) -> IntegralElement:
-    """Definite integral from the base germ to the target germ along a path."""
+         path: BasePath, tol: Tolerances = DEFAULT) -> IntegralElement:
+    """Definite integral from the base germ to the target germ along a path;
+    PathTooCloseToCritical when the path enters tracker._path_margin."""
     base = germ_at(eq, base.z, base.w, tol)
     target = germ_at(eq, target.z, target.w, tol)
     if not path.segments:
@@ -247,7 +247,7 @@ def c_ab(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
         return IntegralElement(base, target, 0j)
     if abs(path.end_z - target.z) > 1e-9 * (1.0 + abs(target.z)):
         raise ValueError(f"path ends at {path.end_z}, target sits at {target.z}")
-    res = surface_integral(eq, base, path, tol, delta_path)
+    res = surface_integral(eq, base, path, tol)
     fiber = fiber_at(eq, target.z, tol)
     got = match_to_fiber(res.endpoint.w, fiber, tol)
     want = match_to_fiber(target.w, fiber, tol)
@@ -292,7 +292,7 @@ def integral_element_continuation_check(
     closed loops formed by the two routes have zero period.
     """
     probe = germ_at(eq, probe.z, probe.w, tol)
-    margin = _path_margin(eq, tol, None)
+    margin = _path_margin(eq, tol)
     crit = eq.critical(tol).locations
     if path_target_to_probe is None:
         if abs(element.target.z - probe.z) <= 1e-12 * (1.0 + abs(probe.z)):

@@ -267,11 +267,14 @@ def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> Critical
         loc = sum(locs) / len(locs)
         kind = KIND_BOTH if len(kinds) > 1 else kinds.pop()
         points.append(CriticalPoint(loc, kind))
-    # real parts in buckets of the cluster radius, so that two points whose
-    # real parts agree up to round-off are ordered by imag alone
-    points.sort(key=lambda p: (round(p.location.real / radius) if radius > 0 else p.location.real,
-                               p.location.imag))
+    points.sort(key=lambda p: _plane_key(p.location, radius))
     return CriticalSet(tuple(points))
+
+
+def _plane_key(z: complex, width: float) -> tuple[float, float]:
+    """Sort key: the real part in buckets of width, then the imag part, so
+    that real parts which agree up to round-off do not decide the order."""
+    return (round(z.real / width) if width > 0 else z.real, z.imag)
 
 
 def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fiber:
@@ -284,7 +287,8 @@ def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fib
     for w in polished:
         if not abs(poly_eval(coeffs, w)) <= tol.eps_root * residual_scale(coeffs, w):
             raise RootFindingFailure(f"fiber root residual too large at z={z}")
-    fiber = Fiber(z, tuple(sorted(polished, key=lambda w: (w.real, w.imag))))
+    width = tol.delta_sep * (1.0 + max(abs(w) for w in polished))
+    fiber = Fiber(z, tuple(sorted(polished, key=lambda w: _plane_key(w, width))))
     if fiber.min_separation < tol.delta_sep * fiber.scale:
         raise RootFindingFailure(f"fiber roots not separated at z={z}")
     return fiber
@@ -370,7 +374,7 @@ def generator_loops(
 
     crit = eq.critical(tol)
     loops = []
-    margin = tracker._path_margin(eq, tol, None)
+    margin = tracker._path_margin(eq, tol)
     for cp in crit.points:
         d_other = crit.nearest_other_dist(cp.location)
         if d_other < float("inf"):

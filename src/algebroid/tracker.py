@@ -19,10 +19,10 @@ pass (rootfind.newton_polish_pairs), each sample held to the gates of an
 accepted step: residual, no collision, and a drift within a quarter of the
 root separation of both the predicted and the corrected row. A sample that
 fails becomes a stop of the tracker, whose fiber there is the sample, and
-the segment is walked again. _walk checks a path's margin from the critical
-set once and walks its segments in turn: continue_fiber reads the end
-fibers, continue_branch the knots, puiseux the rows of its sampled turns and
-quad the Gauss nodes of its pieces.
+the segment is walked again. _walk checks once that a path keeps the path
+margin (_path_margin) from the critical set and walks its segments in turn:
+continue_fiber reads the end fibers, continue_branch the knots and quad the
+Gauss nodes of its pieces; puiseux walks its circles and radial leg alone.
 """
 
 from __future__ import annotations
@@ -257,11 +257,8 @@ def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFA
     if refined is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
     dw = poly_eval_pair(coeffs, refined)[1]
-    k = eq.k
-    dscale = k * max(1.0, abs(refined)) ** (k - 1)
-    for j, a in enumerate(reversed(coeffs[1:-1])):  # A_1, ..., A_{k-1}
-        dscale += (k - 1 - j) * abs(a) * max(1.0, abs(refined)) ** (k - 2 - j)
-    if abs(dw) <= 1e-8 * max(1.0, dscale):
+    dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]  # Psi_W ascending in W
+    if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, abs(refined))):
         raise TrackingCollision(f"germ at ({refined}, {z}) is not regular: Psi_W too small")
     return SurfacePoint(z, refined)
 
@@ -278,10 +275,10 @@ def _polish(coeffs: Sequence[complex], w: complex, tol: Tolerances) -> Optional[
 class SegmentTracker:
     """Continues a fiber monotonically along one segment."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "h_min", "steps")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
-                 tol: Tolerances, h_min: float, h0: float = 0.25):
+                 tol: Tolerances):
         self.eq = eq
         self.seg = seg
         self.tol = tol
@@ -289,14 +286,12 @@ class SegmentTracker:
         self.fiber = list(fiber)
         if len(self.fiber) != eq.k:
             raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
-        self.h = h0
-        self.h_min = h_min
+        self.h = 0.25
         self.steps = 0
 
     def clone(self) -> "SegmentTracker":
-        c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol, self.h_min, self.h)
-        c.t = self.t
-        c.steps = self.steps
+        c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol)
+        c.t, c.h, c.steps = self.t, self.h, self.steps
         return c
 
     def advance_to(self, t_target: float):
@@ -348,7 +343,7 @@ class SegmentTracker:
                     # about the step the path allows
                     self.h = max(self.h, grown) if clipped else grown
                     return z1
-            if h <= self.h_min:
+            if h <= tol.h_min_frac:
                 raise StepUnderflow(f"continuation step underflow near z={z0}")
             h *= 0.5
             self.h = h
@@ -368,7 +363,7 @@ class _WalkedSegment:
         self._walk()
 
     def _walk(self):
-        trk = SegmentTracker(self.eq, self.seg, self.start, self.tol, h_min=self.tol.h_min_frac)
+        trk = SegmentTracker(self.eq, self.seg, self.start, self.tol)
         self.t, self.z, self.fibers, self._dense = [0.0], [self.seg.at(0.0)], [trk.fiber], None
         for stop in sorted({*self.stops, 1.0}):
             while trk.t < stop - 1e-15:
@@ -445,21 +440,19 @@ def _row_separations(rows: np.ndarray) -> np.ndarray:
     return d.min(axis=(1, 2))
 
 
-def _path_margin(eq: DefiningEquation, tol: Tolerances, delta_path: Optional[float]) -> float:
-    crit = eq.critical(tol)
-    if delta_path is not None:
-        return delta_path
-    return tol.delta_path_factor * crit.scale
+def _path_margin(eq: DefiningEquation, tol: Tolerances) -> float:
+    """The path margin, delta_path_factor times the critical set's scale: the
+    clearance _walk holds every path to. Tolerances is its one setting."""
+    return tol.delta_path_factor * eq.critical(tol).scale
 
 
 def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-          tol: Tolerances, delta_path: Optional[float]
-          ) -> Iterator[tuple[float, float, _WalkedSegment]]:
+          tol: Tolerances) -> Iterator[tuple[float, float, _WalkedSegment]]:
     """Walk a whole fiber along a path, once the path is checked to keep its
     margin from the critical set: (path parameter at the segment's start,
     its share of the path length, the walked segment) for each segment in
     turn, each walked from the end fiber of the one before."""
-    margin = _path_margin(eq, tol, delta_path)
+    margin = _path_margin(eq, tol)
     for c in eq.critical(tol).locations:
         d = path.min_dist_to(c)
         if d < margin:
@@ -477,17 +470,19 @@ def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
 
 
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
-                   tol: Tolerances = DEFAULT, delta_path: Optional[float] = None) -> list[complex]:
-    """End fiber in position order (position j continues the j-th start root)."""
+                   tol: Tolerances = DEFAULT) -> list[complex]:
+    """End fiber in position order (position j continues the j-th start root);
+    PathTooCloseToCritical when the path enters _path_margin."""
     end = list(fiber)
-    for _, _, walked in _walk(eq, fiber, path, tol, delta_path):
+    for _, _, walked in _walk(eq, fiber, path, tol):
         end = walked.end
     return end
 
 
 def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
-                    tol: Tolerances = DEFAULT, delta_path: Optional[float] = None) -> TrackResult:
-    """Analytic continuation of the start germ along the path."""
+                    tol: Tolerances = DEFAULT) -> TrackResult:
+    """Analytic continuation of the start germ along the path;
+    PathTooCloseToCritical when the path enters _path_margin."""
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return TrackResult(start, ((0.0, start.z, start.w),), 0, float("inf"))
@@ -500,7 +495,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
 
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
-    for done, share, walked in _walk(eq, roots, path, tol, delta_path):
+    for done, share, walked in _walk(eq, roots, path, tol):
         for t, z, fiber in zip(walked.t[1:], walked.z[1:], walked.fibers[1:]):
             samples.append((done + t * share, z, fiber[pos]))
             min_sep = min(min_sep, min_pairwise_distance(fiber))
@@ -553,12 +548,7 @@ def anchored_loop(center: complex, radius: float, base: complex,
     if abs(abs(rel) - radius) <= 1e-9 * radius:
         return BasePath((arc,))
     spoke_in = safe_line(base, arc.start, others, margin, rng)
-    spoke_out = reverse(BasePath(spoke_in.segments))
+    spoke_out = reverse(spoke_in)
     # splice so consecutive endpoints agree exactly
-    segs = spoke_in.segments + (arc,)
-    out_first = spoke_out.segments[0]
-    if isinstance(out_first, Line):
-        segs = segs + (Line(arc.end, out_first.z_to),) + spoke_out.segments[1:]
-    else:  # pragma: no cover - spokes are always lines
-        segs = segs + spoke_out.segments
-    return BasePath(segs)
+    return BasePath(spoke_in.segments + (arc, Line(arc.end, spoke_out.segments[0].z_to))
+                    + spoke_out.segments[1:])

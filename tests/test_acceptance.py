@@ -69,9 +69,7 @@ def test_criterion_01_sqrt_z_residue(tmp_path, capsys):
 def test_criterion_02_lemma2_identity(sqrt_z, recip_z):
     eps = 0.25
     loop2 = loop_path(0, eps, 2, anchor=eps)
-    val2 = surface_integral(
-        sqrt_z, SurfacePoint(eps, math.sqrt(eps)), loop2, delta_path=0.5 * eps
-    ).value
+    val2 = surface_integral(sqrt_z, SurfacePoint(eps, math.sqrt(eps)), loop2).value
     exp2 = puiseux_expand(sqrt_z, 0j, (0, 1))
     target2 = TWO_PI_I * exp2.m * exp2.coeffs.get(-exp2.m, 0j)
     ok = abs(val2 - target2) < 1e-8 and abs(val2) < 1e-8

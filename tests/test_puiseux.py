@@ -128,6 +128,19 @@ def test_close_critical_points_pass_the_two_radius_check():
             assert abs(rc.loop_value / (2j * math.pi) - rc.residue) < 1e-8
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1e-4])
+def test_radial_leg_inside_the_path_margin(delta):
+    # W^2 - (z^2 - delta^2): the leg from a + eps to a + eps/2 passes within
+    # eps/2 of a, inside the path margin of a walked path; the radius rule
+    # alone keeps the leg clear of the critical set
+    eq = DefiningEquation.from_strings(["0", f"-(z^2 - 1/{round(delta ** -2)})"])
+    assert eq.critical().locations == pytest.approx((-delta, delta), abs=1e-15)
+    for a in eq.critical().locations:
+        assert 0.5 * default_radius(eq, a) < tracker._path_margin(eq, DEFAULT)
+        (cycle,) = singular_elements(eq, a).cycles
+        assert cycle.sheets == (0, 1) and cycle.residue == 0
+
+
 def test_planted_inner_turn_inconsistency_is_refused(monkeypatch, sqrt_z):
     turn = puiseux._turn
     eps = default_radius(sqrt_z, 0j)
@@ -157,8 +170,7 @@ def test_reconstruction_matches_tracked_branch(circle_eq):
               key=lambda i: abs(fiber.roots[i] - exp.series_value(t0)))
     assert abs(fiber.roots[pos] - exp.series_value(t0)) < 1e-6 * w_scale
     arc = Arc(a, rho, 0.0, 2 * math.pi * exp.m)
-    trk = SegmentTracker(circle_eq, arc, list(fiber.roots), DEFAULT,
-                         h_min=DEFAULT.h_min_frac)
+    trk = SegmentTracker(circle_eq, arc, list(fiber.roots), DEFAULT)
     n_check = 16
     for j in range(1, n_check):
         t_par = j / n_check
@@ -239,8 +251,7 @@ TURN_CASES = [
 
 def _stepwise_turn(eq, a, roots, eps, n_samples):
     """The turn tracked with one tracker stop per sample."""
-    trk = SegmentTracker(eq, Arc(a, eps, 0.0, 2 * math.pi), roots, DEFAULT,
-                         h_min=DEFAULT.h_min_frac)
+    trk = SegmentTracker(eq, Arc(a, eps, 0.0, 2 * math.pi), roots, DEFAULT)
     rows = np.empty((n_samples, len(roots)), dtype=complex)
     for j in range(n_samples):
         trk.advance_to(j / n_samples)
@@ -309,8 +320,7 @@ def test_sample_failing_the_gates_becomes_a_tracker_stop(monkeypatch, sqrt_z):
     roots = fiber_at(sqrt_z, eps).roots
     rows, sigma, _ = _turn(sqrt_z, 0j, roots, eps, 256, DEFAULT)
     assert bad / 256 in targets
-    trk = SegmentTracker(sqrt_z, Arc(0j, eps, 0.0, 2 * math.pi), roots, DEFAULT,
-                         h_min=DEFAULT.h_min_frac)
+    trk = SegmentTracker(sqrt_z, Arc(0j, eps, 0.0, 2 * math.pi), roots, DEFAULT)
     trk.advance_to(bad / 256)
     assert list(rows[bad]) == trk.fiber
     ref_rows, ref_sigma = _stepwise_turn(sqrt_z, 0j, roots, eps, 256)

@@ -52,7 +52,7 @@ def test_gamma2_loop_vanishes(sqrt_z):
     eps = 0.25
     start = SurfacePoint(eps, math.sqrt(eps))
     loop = loop_path(0, eps, 2, anchor=eps)
-    res = surface_integral(sqrt_z, start, loop, delta_path=0.5 * eps)
+    res = surface_integral(sqrt_z, start, loop)
     assert abs(res.value) < 1e-9
     assert res.closed_on_surface
 
@@ -281,7 +281,7 @@ def test_contour_values_of_mixed_cycles_match_m_turn_loops(coeffs, a, lengths):
     roots = fiber_at(eq, a + eps).roots
     for rc in checks:
         start = SurfacePoint(a + eps, roots[rc.cycle[0]])
-        loop = closed_loop_integral(eq, start, loop_path(a, eps, rc.m), delta_path=0.5 * eps)
+        loop = closed_loop_integral(eq, start, loop_path(a, eps, rc.m))
         assert abs(rc.loop_value - loop.value) < 1e-10
         assert abs(rc.loop_value / TWO_PI_I - rc.residue) < 1e-8
 
@@ -349,11 +349,10 @@ def _gauss_nodes(t0, t1):
 def test_walked_rows_match_a_stop_per_gauss_node(coeffs, path):
     eq = DefiningEquation.from_strings(coeffs)
     roots = fiber_at(eq, path.start_z).roots
-    for _, _, walked in _walk(eq, roots, path, DEFAULT, None):
+    for _, _, walked in _walk(eq, roots, path, DEFAULT):
         for piece in ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0)):
             ts = _gauss_nodes(*piece)
-            trk = SegmentTracker(eq, walked.seg, walked.start, DEFAULT,
-                                 h_min=DEFAULT.h_min_frac)
+            trk = SegmentTracker(eq, walked.seg, walked.start, DEFAULT)
             ref = []
             for t in ts:
                 trk.advance_to(t)

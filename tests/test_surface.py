@@ -137,6 +137,14 @@ def test_fiber_at_square_roots(sqrt_z):
     assert fiber.roots[1] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("z", [-2.5, -3.0])
+def test_fiber_with_tied_real_parts_orders_by_imag(sqrt_z, z):
+    # the computed real parts of +-i sqrt|z| differ from zero in their last
+    # bits, which must not decide the sheet numbering
+    root = cmath.sqrt(z)
+    assert fiber_at(sqrt_z, complex(z)).roots == pytest.approx((-root, root), abs=1e-14)
+
+
 def test_fiber_at_rejects_critical(sqrt_z):
     with pytest.raises(NearCriticalPoint):
         fiber_at(sqrt_z, 0j)

@@ -118,7 +118,7 @@ def test_clipped_step_keeps_step_size(coeffs, seg):
     fiber = fiber_at(eq, seg.start).roots
 
     def fresh():
-        return SegmentTracker(eq, seg, fiber, DEFAULT, h_min=DEFAULT.h_min_frac)
+        return SegmentTracker(eq, seg, fiber, DEFAULT)
 
     direct = fresh()
     direct.advance_to(1.0)
@@ -230,7 +230,7 @@ def test_continue_branch_agrees_with_continue_fiber(coeffs, path):
     ts = [t for t, _, _ in res.samples]
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
     assert all(a < b for a, b in zip(ts, ts[1:]))
-    fibers = [roots] + [f for _, _, walked in _walk(eq, roots, path, DEFAULT, None)
+    fibers = [roots] + [f for _, _, walked in _walk(eq, roots, path, DEFAULT)
                         for f in walked.fibers[1:]]
     assert [f[0] for f in fibers] == [w for _, _, w in res.samples]
     assert res.min_root_separation == min(min_pairwise_distance(f) for f in fibers)
