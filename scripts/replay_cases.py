@@ -8,8 +8,8 @@
 as benchmark/run.py does. It calls ``algebroid.cli.main`` on the argv of every
 DIR/cases/*.argv, where each DIR is a benchmark/out/<workload>-seed<n>-trace<t>
 directory, and writes each case's exit code and standard output to OUT.json.
-Problem files are read from DIR/cases, so replays of one DIR against two
-source trees see the same inputs.
+Problem files are read from DIR/cases, with DIR made absolute, so replays of
+one DIR against two source trees see the same inputs however DIR is typed.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
 the exit-code and non-numeric differences, the largest |dx| / max(1, |x|)
@@ -43,7 +43,7 @@ def _import_cli(src_root: Path):
 
 def replay(cli, dirs: list) -> dict:
     cases = {}
-    for directory in map(Path, dirs):
+    for directory in (Path(d).resolve() for d in dirs):
         for argv_file in sorted((directory / "cases").glob("*.argv")):
             _, *argv = shlex.split(argv_file.read_text())
             argv = [str(argv_file.parent / Path(a).name)

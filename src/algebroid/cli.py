@@ -223,9 +223,9 @@ def _expansion_json(exp) -> dict:
     }
 
 
-def cmd_puiseux(problem: Problem, point: complex, n_max: Optional[int],
-                radius: Optional[float], tol: Tolerances) -> dict:
-    report = singular_elements(problem.eq, point, n_max, radius, tol)
+def cmd_puiseux(problem: Problem, point: complex, radius: Optional[float],
+                tol: Tolerances) -> dict:
+    report = singular_elements(problem.eq, point, radius, tol)
     return {
         "center": _cpx(report.center),
         "cycles": [
@@ -243,7 +243,7 @@ def cmd_residues(problem: Problem, radius: Optional[float], contour_check: bool,
                  tol: Tolerances) -> dict:
     centers = []
     for cp in problem.eq.critical(tol).points:
-        rep, turn = _local_data(problem.eq, cp.location, None, radius, tol)
+        rep, turn = _local_data(problem.eq, cp.location, radius, tol)
         if contour_check:
             loop_values = _cycle_loop_values(turn, [c.sheets for c in rep.cycles], tol)
         cycles = []
@@ -480,7 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("puiseux", "Puiseux data of every cycle at a critical point")
     p.add_argument("--point", required=True, metavar="RE[,IM]")
-    p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--radius", type=float, default=None)
 
     p = add("residues", "residues of all singular elements")
@@ -535,9 +534,8 @@ def _run(args) -> tuple[dict, dict, list[str]]:
     tol = _resolve_tol(args.tol)
     rng = random.Random(args.seed)
     problem = load_problem(args.problem)
-    for flag, n_max in (("--nmax", getattr(args, "nmax", None)), ("--tol n_max", tol.n_max)):
-        if n_max is not None and n_max < problem.eq.k:
-            raise SchemaError(f"{flag} must be at least k = {problem.eq.k}, got {n_max}")
+    if tol.n_max < problem.eq.k:
+        raise SchemaError(f"--tol n_max must be at least k = {problem.eq.k}, got {tol.n_max}")
     inputs = {
         "problem": args.problem,
         "k": problem.eq.k,
@@ -568,7 +566,7 @@ def _run(args) -> tuple[dict, dict, list[str]]:
         point = _parse_complex_flag(args.point, "--point")
         inputs["point"] = _cpx(point)
         _check_radius(problem, [point], args.radius, tol)
-        results = cmd_puiseux(problem, point, args.nmax, args.radius, tol)
+        results = cmd_puiseux(problem, point, args.radius, tol)
     elif cmd == "residues":
         _check_radius(problem, problem.eq.critical(tol).locations, args.radius, tol)
         results = cmd_residues(problem, args.radius, args.contour_check, tol)

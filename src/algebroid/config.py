@@ -24,7 +24,9 @@ class Tolerances:
     h_min_frac: float = 1e-10
     # Quadrature acceptance, applied both absolutely and relatively.
     quad_tol: float = 1e-11
-    # Puiseux truncation order and coefficient cutoff (relative).
+    # Puiseux window -n_max..n_max, and the coefficient cutoff: B_n is kept
+    # when |B_n| eps^(n/m) exceeds tol_coeff relative to the sampled circle's
+    # scale max(1, max|w|).
     n_max: int = 32
     tol_coeff: float = 1e-9
     # Single-valuedness audit threshold for symmetric coefficients.

@@ -10,6 +10,12 @@ check adds one radial leg and one sampled turn at eps/2, and each B_n with
 |n| <= n_max/2 must agree there to 16 times the sum of its noise floors. The
 residue of the singular element is m * B_{-m}.
 
+One rule truncates the series: B_n is kept exactly when its term
+|B_n| eps^(n/m) on the circle exceeds tol_coeff * max(1, max|w|) of the
+samples. A fraction of the largest |B_n| would not do: with another critical
+point R away the high-order B_n grow like R^(-n/m) and hide the principal
+part. tol_coeff and the window n_max are set only in Tolerances.
+
 A turn walks the circle once with the tracker's own steps and reads all
 its samples from that walked segment's rows (tracker._WalkedSegment:
 Hermite prediction between the steps, one batched Newton pass under the
@@ -60,8 +66,10 @@ _MACH = 2.2e-16
 class PuiseuxExpansion:
     """Truncated fractional series around a critical point.
 
-    coeffs maps n to B_n for u <= n <= n_max; entries below the relative
-    cutoff are dropped (reported as exact zero). start_sheet is the anchor
+    coeffs maps n to B_n for u <= n <= n_max, holding the B_n whose term
+    |B_n| radius^(n/m) on the sampled circle exceeds tol_coeff * max(1,
+    max|w|); the others are exact zeros. n_max is the window the expansion
+    was read with (Tolerances.n_max). start_sheet is the anchor
     fiber index whose lift the stored branch of t follows; coefficients of
     the other sheets in the cycle are the zeta-rotations B_n zeta^(n j).
     """
@@ -133,13 +141,12 @@ def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
     return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol), turn
 
 
-def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, n_max: int,
-                 tol: Tolerances):
+def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances):
     """The sampled turn at epsilon and one more at epsilon/2 reached by one
     radial leg. Both keep the position order of the fiber over a + epsilon."""
     # positive orders alias into the bins below -n_max from order
     # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
-    n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
+    n_samples = max(256, 1 << math.ceil(math.log2(8 * tol.n_max)))
     roots = fiber_at(eq, a + epsilon, tol).roots
     outer = _turn(eq, a, roots, epsilon, n_samples, tol)
     inner_roots = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol).end
@@ -156,11 +163,12 @@ def cycle_structure(eq: DefiningEquation, a: complex,
 
 
 def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
-                    epsilon: float, n_max: int) -> tuple[dict[int, complex], float]:
-    """Fourier coefficients B_n of the lift that passes the given sheets, one
-    per turn: its samples are the columns of those sheets joined turn after
-    turn. Returned with the fft noise floor of a bin; B_n's floor is that
-    noise / epsilon^(n/m).
+                    epsilon: float, n_max: int) -> tuple[dict[int, complex], float, float]:
+    """Fourier coefficients B_n, |n| <= n_max, of the lift that passes the
+    given sheets, one per turn: its samples are the columns of those sheets
+    joined turn after turn. Returned unfiltered with the fft noise floor of a
+    bin (B_n's floor is that noise / epsilon^(n/m)) and the sample scale
+    max(1, max|w|).
 
     A Puiseux series has finitely many negative terms, so a bin below -n_max
     above the noise floor means the window -n_max..n_max cut its principal
@@ -170,9 +178,8 @@ def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
     arr = np.concatenate([rows[:, s] for s in sheets])
     n_samples = len(arr)
     hat = np.fft.fft(arr) / n_samples
-    w_scale = float(np.max(np.abs(arr))) if n_samples else 0.0
-    # fft noise floor of a bin, amplified by 1/power for B_n
-    noise = 64.0 * _MACH * max(1.0, w_scale)
+    scale = max(1.0, float(np.max(np.abs(arr))))
+    noise = 64.0 * _MACH * scale
     lo = (n_samples - 1) // 2  # bins -lo..-n_max-1 lie below the window
     below = np.flatnonzero(np.abs(hat[n_samples - lo:n_samples - n_max]) > noise)
     if len(below):
@@ -181,25 +188,13 @@ def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
             f"the series of cycle {tuple(sheets)} at {center} has a term B_{n} below "
             f"the window -n_max..n_max, n_max = {n_max}: its principal part is cut"
         )
-    out: dict[int, complex] = {}
-    for n in range(-n_max, n_max + 1):
-        c = complex(hat[n % n_samples])
-        power = epsilon ** (n / m)
-        b = c / power
-        if abs(b) > noise / power:
-            out[n] = b
-    return out, noise
-
-
-def _apply_cutoff(raw: dict[int, complex], tol_coeff: float) -> dict[int, complex]:
-    if not raw:
-        return {}
-    scale = max(abs(b) for b in raw.values())
-    return {n: b for n, b in raw.items() if abs(b) > tol_coeff * scale}
+    coeffs = {n: complex(hat[n % n_samples]) / epsilon ** (n / m)
+              for n in range(-n_max, n_max + 1)}
+    return coeffs, noise, scale
 
 
 def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
-                   n_max: Optional[int] = None, epsilon: Optional[float] = None,
+                   epsilon: Optional[float] = None,
                    tol: Tolerances = DEFAULT) -> PuiseuxExpansion:
     """Numeric Puiseux expansion of one cycle about a critical point.
 
@@ -209,25 +204,24 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     and AnnulusTooWide when coefficients extracted at eps and eps/2
     disagree, which signals a radius outside the convergence annulus.
     """
-    n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, n_max, tol)
-    return _expand(a, tuple(cycle), outer, inner, epsilon, n_max, tol)
+    outer, inner = _local_turns(eq, a, epsilon, tol)
+    return _expand(a, tuple(cycle), outer, inner, epsilon, tol)
 
 
 def _expand(a: complex, cycle: tuple[int, ...], outer, inner, epsilon: float,
-            n_max: int, tol: Tolerances) -> PuiseuxExpansion:
+            tol: Tolerances) -> PuiseuxExpansion:
     """Expansion of one cycle from the sampled turns of _local_turns."""
-    m = len(cycle)
+    m, n_max = len(cycle), tol.n_max
     if n_max < m:
         raise ValueError(f"n_max {n_max} is below the cycle length {m}: B_-m is out of range")
     rows, sigma, _ = outer
     sheets = _lift_sheets(sigma, cycle)
-    raw, noise = _extract_coeffs(rows, sheets, a, epsilon, n_max)
+    raw, noise, scale = _extract_coeffs(rows, sheets, a, epsilon, n_max)
     rows2, sigma2, _ = inner
-    raw2, noise2 = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), a, 0.5 * epsilon, n_max)
+    raw2, noise2, _ = _extract_coeffs(rows2, _lift_sheets(sigma2, cycle), a, 0.5 * epsilon, n_max)
     for n in range(-(n_max // 2), n_max // 2 + 1):
-        b1, b2 = raw.get(n, 0j), raw2.get(n, 0j)
+        b1, b2 = raw[n], raw2[n]
         floor = noise / epsilon ** (n / m) + noise2 / (0.5 * epsilon) ** (n / m)
         if abs(b1 - b2) > 16.0 * floor:
             raise AnnulusTooWide(
@@ -235,7 +229,9 @@ def _expand(a: complex, cycle: tuple[int, ...], outer, inner, epsilon: float,
                 f"{b1} vs {b2}, beyond 16 times their noise floors {floor:.3e}"
             )
 
-    coeffs = _apply_cutoff(raw, tol.tol_coeff)
+    # the one truncation rule: B_n's bin against tol_coeff of the sample scale
+    coeffs = {n: b for n, b in raw.items()
+              if abs(b) * epsilon ** (n / m) > tol.tol_coeff * scale}
     if not coeffs:
         return PuiseuxExpansion(a, m, 0, {}, cycle, cycle[0], epsilon, n_max)
     u = min(coeffs)
@@ -286,24 +282,22 @@ def _classify(exp: PuiseuxExpansion) -> str:
 
 
 def singular_elements(eq: DefiningEquation, a: complex,
-                      n_max: Optional[int] = None,
                       epsilon: Optional[float] = None,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
     """All cycles at a critical point with expansions and classifications,
     read from one sampled turn at the radius and one at half of it."""
-    return _local_data(eq, a, n_max, epsilon, tol)[0]
+    return _local_data(eq, a, epsilon, tol)[0]
 
 
-def _local_data(eq: DefiningEquation, a: complex, n_max: Optional[int],
-                epsilon: Optional[float], tol: Tolerances):
+def _local_data(eq: DefiningEquation, a: complex, epsilon: Optional[float],
+                tol: Tolerances):
     """singular_elements' report with the outer turn it was read from, whose
     walked circle quad._cycle_loop_values integrates."""
-    n_max = tol.n_max if n_max is None else n_max
     epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, n_max, tol)
+    outer, inner = _local_turns(eq, a, epsilon, tol)
     reports = []
     for cycle in outer[1].orbits():
-        exp = _expand(a, cycle, outer, inner, epsilon, n_max, tol)
+        exp = _expand(a, cycle, outer, inner, epsilon, tol)
         reports.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
     return SingularElementReport(a, tuple(reports)), outer
 

@@ -156,10 +156,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     endpoint = SurfacePoint(path.end_z, end_w)
     closed = False
     if path.is_closed():
-        end_fiber = fiber_at(eq, path.start_z, tol)
-        closed = match_to_fiber(end_w, end_fiber, tol) == match_to_fiber(
-            start.w, end_fiber, tol
-        )
+        closed = match_to_fiber(end_w, fiber0, tol) == pos
     return SurfaceIntegralResult(values[pos], errs[pos], endpoint, closed)
 
 
@@ -212,7 +209,7 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    report, turn = _local_data(eq, a, None, epsilon, tol)
+    report, turn = _local_data(eq, a, epsilon, tol)
     values = _cycle_loop_values(turn, [c.sheets for c in report.cycles], tol)
     checks = []
     for c, value in zip(report.cycles, values):

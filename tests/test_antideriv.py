@@ -208,6 +208,17 @@ def test_build_refuses_nonzero_residue(recip_z):
         build_antiderivative(recip_z, SurfacePoint(1, 1))
 
 
+def test_build_refuses_the_residue_of_a_pole_near_other_critical_points():
+    # W^2 + ((-2+2i)/(3i - 2iz)) W + ((1-2i) + iz + (-2+2i)z^2): residue 1 + i
+    # at the pole 1.5, whose nearest other critical point is 0.25 away
+    eq = DefiningEquation.from_strings(["(-2+2*i)/(3*i - 2*i*z)", "(1-2*i) + i*z + (-2+2*i)*z^2"])
+    z0 = 3 + 1j
+    with pytest.raises(RefusedNonzeroResidue, match=r"center \(1\.5\+0j\)") as info:
+        build_antiderivative(eq, SurfacePoint(z0, fiber_at(eq, z0).roots[0]))
+    ((center, _, residue),) = info.value.offenders
+    assert center == 1.5 and residue == pytest.approx(1 + 1j, abs=1e-9)
+
+
 def test_build_refuses_reducible_before_nonzero_residue():
     # sheets 1/z and 1/z + 1: each has residue 1 at the pole, but the
     # equation is reducible, and that refusal comes first

@@ -295,8 +295,6 @@ def _with_arc_radius(radius):
     (SQRT_Z, ["residues", PROBLEM, "--radius", "-1"]),
     (CUBIC_TWO_POINTS, ["puiseux", PROBLEM, "--point", "0,1", "--radius", "5"]),
     (CUBIC_TWO_POINTS, ["residues", PROBLEM, "--radius", "5"]),
-    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "-3"]),
-    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--nmax", "1"]),
     (RECIP_Z, ["--tol", "n_max=0", "residues", PROBLEM]),
     # a zero margin lets the line run onto the pole at 0
     (RECIP_SQRT_Z, ["--tol", "delta_path_factor=0", "integrate", PROBLEM,
@@ -314,10 +312,9 @@ def _with_arc_radius(radius):
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
-        "puiseux-radius-over-gap", "residues-radius-over-gap", "nmax-negative",
-        "nmax-below-k", "tol-n-max-below-k", "tol-zero", "tol-negative", "k-bool",
-        "json-base-bool", "json-arc-radius-bool", "num-degree-negative",
-        "den-degree-negative", "exponent-above-cap"])
+        "puiseux-radius-over-gap", "residues-radius-over-gap", "tol-n-max-below-k",
+        "tol-zero", "tol-negative", "k-bool", "json-base-bool", "json-arc-radius-bool",
+        "num-degree-negative", "den-degree-negative", "exponent-above-cap"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 

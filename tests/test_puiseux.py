@@ -2,13 +2,19 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from algebroid import puiseux, quad, tracker
 from algebroid.config import DEFAULT
-from algebroid.errors import AnnulusTooWide, LiftNotClosed, PrincipalPartTruncated
+from algebroid.errors import (
+    AlgebroidError,
+    AnnulusTooWide,
+    LiftNotClosed,
+    PrincipalPartTruncated,
+)
 from algebroid.puiseux import (
     PuiseuxExpansion,
     _local_turns,
@@ -22,7 +28,7 @@ from algebroid.puiseux import (
     singular_elements,
 )
 from algebroid.quad import fiber_integral, residue_theorem_check
-from algebroid.surface import DefiningEquation, Fiber, _sheet_permutation, fiber_at
+from algebroid.surface import KIND_DISC, DefiningEquation, Fiber, _sheet_permutation, fiber_at
 from algebroid.tracker import Arc, SegmentTracker, polyline
 
 
@@ -132,13 +138,16 @@ def test_close_critical_points_pass_the_two_radius_check():
 def test_radial_leg_inside_the_path_margin(delta):
     # W^2 - (z^2 - delta^2): the leg from a + eps to a + eps/2 passes within
     # eps/2 of a, inside the path margin of a walked path; the radius rule
-    # alone keeps the leg clear of the critical set
+    # alone keeps the leg clear of the critical set. W ~ c (z - a)^(1/2),
+    # though the other point's nearness makes the high-order B_n grow like
+    # delta^(-n/2)
     eq = DefiningEquation.from_strings(["0", f"-(z^2 - 1/{round(delta ** -2)})"])
     assert eq.critical().locations == pytest.approx((-delta, delta), abs=1e-15)
     for a in eq.critical().locations:
         assert 0.5 * default_radius(eq, a) < tracker._path_margin(eq, DEFAULT)
         (cycle,) = singular_elements(eq, a).cycles
         assert cycle.sheets == (0, 1) and cycle.residue == 0
+        assert cycle.expansion.u == 1
 
 
 def test_planted_inner_turn_inconsistency_is_refused(monkeypatch, sqrt_z):
@@ -234,10 +243,11 @@ def test_puiseux_expand_refuses_a_sheet_set_that_is_not_a_cycle(sqrt_z):
 def test_puiseux_expand_refuses_n_max_below_cycle_length(sqrt_z, recip_z):
     # B_{-m} lies outside -n_max..n_max, so the residue could not be read
     with pytest.raises(ValueError):
-        puiseux_expand(sqrt_z, 0j, (0, 1), n_max=1)
+        puiseux_expand(sqrt_z, 0j, (0, 1), tol=DEFAULT.replace(n_max=1))
     with pytest.raises(ValueError):
-        puiseux_expand(recip_z, 0j, (0,), n_max=0)
-    assert puiseux_expand(recip_z, 0j, (0,), n_max=1).residue == pytest.approx(1.0)
+        puiseux_expand(recip_z, 0j, (0,), tol=DEFAULT.replace(n_max=0))
+    exp = puiseux_expand(recip_z, 0j, (0,), tol=DEFAULT.replace(n_max=1))
+    assert exp.residue == pytest.approx(1.0)
 
 
 TURN_CASES = [
@@ -283,7 +293,7 @@ def test_turn_takes_only_the_tracker_steps(monkeypatch, sqrt_z):
 
     monkeypatch.setattr(SegmentTracker, "_step", counting_step)
     eps = default_radius(sqrt_z, 0j)
-    (rows, _, outer), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT.n_max, DEFAULT)
+    (rows, _, outer), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT)
     assert len(rows) == 256
     assert 0 < steps.count(outer.seg) <= 32
 
@@ -345,8 +355,8 @@ def test_principal_part_below_the_window_is_refused():
     # W - 1/z^3: B_-3 lies outside -2..2 but inside -3..3
     eq = DefiningEquation.from_strings(["-1/z^3"])
     with pytest.raises(PrincipalPartTruncated, match="n_max = 2"):
-        singular_elements(eq, 0j, n_max=2)
-    (cyc,) = singular_elements(eq, 0j, n_max=3).cycles
+        singular_elements(eq, 0j, tol=DEFAULT.replace(n_max=2))
+    (cyc,) = singular_elements(eq, 0j, tol=DEFAULT.replace(n_max=3)).cycles
     assert cyc.expansion.u == -3
     assert cyc.classification == "pole-element"
     assert cyc.expansion.coeffs[-3] == pytest.approx(1.0, abs=1e-12)
@@ -356,6 +366,64 @@ def test_principal_part_below_the_window_is_refused():
 def test_small_n_max_is_not_aliased(circle_eq, n_max):
     # n_max 2 alone would ask for 16 samples per turn, whose aliasing reads a
     # pole (u = -1) into this bounded branch
-    (cyc,) = singular_elements(circle_eq, 1j, n_max=n_max).cycles
+    (cyc,) = singular_elements(circle_eq, 1j, tol=DEFAULT.replace(n_max=n_max)).cycles
     assert (cyc.expansion.u, cyc.classification) == (1, "algebraic-element")
     assert cyc.expansion.coeffs[1] == pytest.approx(cmath.sqrt(2j), abs=1e-8)
+
+
+def _assert_series_residues_match_contour(eq, a):
+    for rc in residue_theorem_check(eq, a):
+        assert rc.discrepancy <= 1e-6 * max(1.0, abs(rc.loop_value))
+
+
+def test_pole_beside_close_branch_points_keeps_its_principal_part():
+    # W^2 - 1/(z^2 (z^2 - delta^2)), delta = 1e-3: W ~ +-1/(i delta z) at 0, and
+    # the critical points at +-delta make the high-order B_n grow like delta^-n
+    eq = DefiningEquation.from_strings(["0", "-1/(z^2*(z^2 - 1/1000000))"])
+    cycles = singular_elements(eq, 0j).cycles
+    assert [(c.sheets, c.expansion.u, c.classification) for c in cycles] == [
+        ((0,), -1, "pole-element"), ((1,), -1, "pole-element")]
+    assert [c.residue for c in cycles] == pytest.approx([-1000j, 1000j], rel=1e-9)
+    _assert_series_residues_match_contour(eq, 0j)
+
+
+def test_pole_near_other_critical_points_keeps_its_residue():
+    # W^2 + ((-2+2i)/(3i - 2iz)) W + ((1-2i) + iz + (-2+2i)z^2): a simple pole
+    # at 1.5, 0.25 from the nearest other critical point
+    eq = DefiningEquation.from_strings(["(-2+2*i)/(3*i - 2*i*z)", "(1-2*i) + i*z + (-2+2*i)*z^2"])
+    cycles = singular_elements(eq, 1.5).cycles
+    assert [(c.sheets, c.classification) for c in cycles] == [
+        ((0,), "regular"), ((1,), "pole-element")]
+    assert cycles[0].residue == 0
+    assert cycles[1].residue == pytest.approx(1 + 1j, abs=1e-9)
+    _assert_series_residues_match_contour(eq, 1.5)
+    assert growth_bound(eq, 1.5) == 1
+
+
+def _random_equation(rng, with_den):
+    """A k = 2 or 3 equation with Gaussian-integer polynomial coefficients of
+    degree <= 2; with_den puts a degree 1-2 denominator under one of them."""
+    def poly(deg):
+        return " + ".join(f"({rng.randint(-2, 2)}+{rng.randint(-2, 2)}*i)*z^{d}"
+                          for d in range(deg + 1))
+
+    while True:
+        exprs = [poly(rng.randint(0, 2)) for _ in range(rng.choice([2, 3]))]
+        if with_den:
+            j = rng.randrange(len(exprs))
+            exprs[j] = f"({exprs[j]})/({poly(rng.randint(1, 2))})"
+        try:
+            return DefiningEquation.from_strings(exprs)
+        except (ValueError, ZeroDivisionError, AlgebroidError):
+            continue  # a zero denominator or an identically zero discriminant
+
+
+def test_series_residues_match_contour_on_random_equations():
+    rng = random.Random(4)
+    for i in range(12):
+        eq = _random_equation(rng, with_den=i % 2 == 1)
+        for cp in eq.critical().points:
+            _assert_series_residues_match_contour(eq, cp.location)
+            if cp.kind == KIND_DISC:  # every branch is bounded there
+                assert all(c.expansion.u >= 0
+                           for c in singular_elements(eq, cp.location).cycles)

@@ -126,15 +126,29 @@ def test_replay_compare_counts_cases_per_moved_key_path(tmp_path, capsys):
     assert "residuals" not in out.split("largest")[1]
 
 
-def test_replay_run_reads_problems_from_the_case_directory(tmp_path):
+def _critical_case_dir(tmp_path):
+    """A benchmark output directory holding one `critical` case of W^2 - z."""
     cases = tmp_path / "critical-seed1-trace0" / "cases"
     cases.mkdir(parents=True)
     (cases / "000.json").write_text(json.dumps({"k": 2, "coefficients": ["0", "-z"]}))
     (cases / "000.argv").write_text(
         "algebroid critical benchmark/out/critical-seed1-trace0/cases/000.json\n")
+    return cases.parent
+
+
+def test_replay_run_reads_problems_from_the_case_directory(tmp_path):
+    directory = _critical_case_dir(tmp_path)
     out = tmp_path / "replay.json"
-    assert replay_cases.main(["run", str(ROOT), str(out), str(cases.parent)]) == 0
+    assert replay_cases.main(["run", str(ROOT), str(out), str(directory)]) == 0
     (case,) = json.loads(out.read_text()).items()
     assert case[0] == "critical-seed1-trace0/000"
     assert case[1]["exit"] == 0
     assert json.loads(case[1]["stdout"])["results"]["points"][0]["location"] == [0.0, 0.0]
+
+
+def test_replay_run_reports_the_same_inputs_for_a_relative_dir(tmp_path, monkeypatch):
+    directory = _critical_case_dir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, typed in (("abs.json", str(directory)), ("rel.json", directory.name)):
+        assert replay_cases.main(["run", str(ROOT), name, typed]) == 0
+    assert (tmp_path / "abs.json").read_text() == (tmp_path / "rel.json").read_text()
