@@ -341,15 +341,15 @@ def _interpolate(ws: Sequence[complex], fs: Sequence[complex]) -> np.ndarray:
 
 def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
            grid: Sequence[complex], bounds: tuple[int, int], tol: Tolerances,
-           rng) -> tuple[list[RatFunc], list[float], float, bool]:
-    """The r_i of M = sum r_i W^i from the branch integrals on the grid, C
-    included in r_0, with the fit residual of each r_i, |C - snapped C| and
-    whether C needed the fine denominator. Raises FitNotConverged naming the
-    r_i whose scan failed, or all of them when the certificate fails."""
-    samples = []
+           rng) -> tuple[list[RatFunc], list[float], float, bool, dict]:
+    """The r_i of M = sum r_i W^i from the branch integrals on the grid (C in
+    r_0), each r_i's fit residual, |C - snapped C|, whether C needed the fine
+    denominator and each grid point's fiber. Raises FitNotConverged naming
+    the r_i whose scan failed, or all of them when the certificate fails."""
+    samples, fibers = [], {}
     for z in grid:
-        fiber, values = _fiber_and_branch_integrals(eq, z, router, tol, rng)
-        samples.append(_interpolate(fiber.roots, [c + v for v in values]))
+        fibers[z], values = _fiber_and_branch_integrals(eq, z, router, tol, rng)
+        samples.append(_interpolate(fibers[z].roots, [c + v for v in values]))
     r, residuals = [], []
     for i, column in enumerate(np.asarray(samples).T):
         try:
@@ -377,7 +377,7 @@ def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
             + " fail the exact certificate R' = W"
         )
     fine = constant != _coarse(complex(exact))
-    return r, residuals, abs(complex(exact - constant)), fine
+    return r, residuals, abs(complex(exact - constant)), fine, fibers
 
 
 def _psi(eq: DefiningEquation) -> list[RatFunc]:
@@ -478,14 +478,14 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
         bounds = (d, d)
     if grid is not None:
         grid = [complex(z) for z in grid]
-        r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+        r, residuals, snap, fine, fibers = _fit_r(eq, router, c, grid, bounds, tol, rng)
     else:
         grid = _default_grid(eq, 4, tol)
         try:
-            r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+            r, residuals, snap, fine, fibers = _fit_r(eq, router, c, grid, bounds, tol, rng)
         except FitNotConverged:
             grid = _default_grid(eq, max(4, 4 * max(bounds)), tol)
-            r, residuals, snap, fine = _fit_r(eq, router, c, grid, bounds, tol, rng)
+            r, residuals, snap, fine, fibers = _fit_r(eq, router, c, grid, bounds, tol, rng)
     coeffs = _coeffs_from_power_sums(eq, r)
 
     diag = FitDiagnostics(
@@ -498,7 +498,7 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
     )
     model = AntiderivativeModel(eq.k, base, c, tuple(coeffs), diag)
     if verify:
-        defect = verify_antiderivative(model, eq, tol=tol)
+        defect = verify_antiderivative(model, eq, tol=tol, fibers=fibers)
         model = replace(model, diagnostics=replace(diag, derivative_defect=defect))
     return model
 
@@ -519,8 +519,9 @@ def _multiset_defect(left: Sequence[complex], right: Sequence[complex]) -> float
 
 def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
                           probes: Optional[Sequence[complex]] = None,
-                          tol: Tolerances = DEFAULT) -> float:
-    """Max defect of the implicit derivative identity M'(z) = W(z)."""
+                          tol: Tolerances = DEFAULT, fibers: Optional[dict] = None) -> float:
+    """Max defect of the implicit derivative identity M'(z) = W(z); fibers
+    may map probes to their fiber_at(eq, z, tol), already solved."""
     meq = model.as_equation()
     if probes is None:
         grid = model.diagnostics.sample_grid
@@ -531,7 +532,7 @@ def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
     for z in probes:
         try:
             mf = fiber_at(meq, z, tol)
-            wf = fiber_at(eq, z, tol)
+            wf = fibers[z] if fibers and z in fibers else fiber_at(eq, z, tol)
         except NearCriticalPoint:
             continue
         derivs = [-meq.psi_z(m, z) / meq.psi_w(m, z) for m in mf.roots]

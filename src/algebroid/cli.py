@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -446,6 +447,7 @@ def _write_plot_csv(filename: str, samples):
             )
 
 
+@functools.cache  # built on the first main() call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algebroid",
@@ -620,8 +622,7 @@ def _run(args) -> tuple[dict, dict, list[str]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         inputs, results, warnings = _run(args)

@@ -6,11 +6,13 @@ discriminants, and Laurent orders are all computed here without rounding.
 A Gaussian rational is held as the int triple (a, b, d) of (a + b*i)/d with
 d > 0 and gcd(a, b, d) = 1, so field operations are a few int operations
 and one gcd. A resultant clears the denominators of its Sylvester matrix
-once per block and takes the determinant by fraction-free Bareiss
-elimination over Gaussian-integer polynomials in z, held as lists of
-(re, im) int pairs. Every factor of the block multiplier divides the product
-of the two block factors, so the determinant's shared factors are stripped
-by gcds against that low-degree product alone.
+once per block and takes the determinant over Z[i][z] by fraction-free
+Bareiss elimination, run over Z[i] at the one point z = 2**B, with B from a
+bound on every minor: each pivot decision is the polynomial one, and the
+determinant unpacks into the same polynomial. Every factor of the block
+multiplier divides the product of the two block factors, so the
+determinant's shared factors are stripped by gcds against that low-degree
+product alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
 parentheses.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZeroPoly, IdenticallyZeroDiscriminant, ZeroFunction
@@ -275,8 +278,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -479,12 +483,16 @@ class RatFunc:
 
     def __add__(self, other):
         other = RatFunc.of(other)
+        if self.den.degree == other.den.degree == 0:  # monic: both are 1
+            return RatFunc(self.num + other.num)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = RatFunc.of(other)
+        if self.den.degree == other.den.degree == 0:  # monic: both are 1
+            return RatFunc(self.num - other.num)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
@@ -492,6 +500,8 @@ class RatFunc:
 
     def __mul__(self, other):
         other = RatFunc.of(other)
+        if self.den.degree == other.den.degree == 0:  # monic: both are 1
+            return RatFunc(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -513,7 +523,7 @@ class RatFunc:
             if self.is_zero():
                 raise DivisionByZeroPoly("zero function to a negative power")
             return RatFunc(self.den**-n, self.num**-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc(self.num**n, self.den**n if self.den.degree else _P_ONE)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(
@@ -710,7 +720,6 @@ def w_poly_derivative(f: WPoly) -> list[RatFunc]:
 
 # A polynomial over the Gaussian integers Z[i][z] is a list of (re, im) int
 # pairs, ascending in z, with no trailing (0, 0); [] is the zero polynomial.
-_GZ_ONE = [(1, 0)]
 
 
 def _gz_of(p: Poly, scale: int) -> list[tuple[int, int]]:
@@ -718,86 +727,76 @@ def _gz_of(p: Poly, scale: int) -> list[tuple[int, int]]:
     return [(c._a * (scale // c._d), c._b * (scale // c._d)) for c in p.coeffs]
 
 
-def _gz_cross(p, a, b, c) -> list[tuple[int, int]]:
-    """p*a - b*c over Z[i][z]."""
-    size = max(len(p) + len(a), len(b) + len(c)) - 1
-    re, im = [0] * size, [0] * size
-    for i, (xr, xi) in enumerate(p):
-        for j, (yr, yi) in enumerate(a, i):
-            re[j] += xr * yr - xi * yi
-            im[j] += xr * yi + xi * yr
-    for i, (xr, xi) in enumerate(b):
-        for j, (yr, yi) in enumerate(c, i):
-            re[j] -= xr * yr - xi * yi
-            im[j] -= xr * yi + xi * yr
-    while re and not re[-1] and not im[-1]:
-        re.pop()
-        im.pop()
-    return list(zip(re, im))
+def _gz_pack(p: list[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """p at z = 2**bits, as the (re, im) pair of a Gaussian integer."""
+    re = im = 0
+    for r, i in reversed(p):
+        re, im = (re << bits) + r, (im << bits) + i
+    return re, im
 
 
-def _gz_exact_div(num, den) -> list[tuple[int, int]]:
-    """num / den by long division in Z[i][z]; ArithmeticError unless exact."""
-    if den == _GZ_ONE or not num:
-        return num
-    dlen = len(den)
-    dq = len(num) - dlen
-    if dq < 0:
+def _gz_unpack(re: int, im: int, bits: int) -> list[tuple[int, int]]:
+    """The p with _gz_pack(p, bits) == (re, im) whose coefficients all lie in
+    [-2**(bits-1), 2**(bits-1)), read as signed base-2**bits digits."""
+    half, mask, parts = 1 << (bits - 1), (1 << bits) - 1, ([], [])
+    for x, digits in zip((re, im), parts):
+        while x:
+            d = ((x + half) & mask) - half
+            digits.append(d)
+            x = (x - d) >> bits
+    return list(zip_longest(*parts, fillvalue=0))
+
+
+def _gi_exact_div(nr: int, ni: int, dr: int, di: int) -> tuple[int, int]:
+    """(nr + i ni) / (dr + i di) in Z[i]; ArithmeticError unless exact."""
+    norm = dr * dr + di * di
+    qr, rr = divmod(nr * dr + ni * di, norm)
+    qi, ri = divmod(ni * dr - nr * di, norm)
+    if rr or ri:
         raise ArithmeticError("division was not exact")
-    lr, li = den[-1]
-    norm = lr * lr + li * li
-    re = [c[0] for c in num]
-    im = [c[1] for c in num]
-    quot = [(0, 0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        nr, ni = re[k + dlen - 1], im[k + dlen - 1]
-        if not nr and not ni:
-            continue
-        # (nr + i ni) / (lr + i li) = (nr + i ni)(lr - i li) / norm
-        qr, rr = divmod(nr * lr + ni * li, norm)
-        qi, ri = divmod(ni * lr - nr * li, norm)
-        if rr or ri:
-            raise ArithmeticError("division was not exact")
-        quot[k] = (qr, qi)
-        for j, (dr, di) in enumerate(den, k):
-            re[j] -= qr * dr - qi * di
-            im[j] -= qr * di + qi * dr
-    if any(re[: dlen - 1]) or any(im[: dlen - 1]):
-        raise ArithmeticError("division was not exact")
-    return quot
+    return qr, qi
 
 
 def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]]:
     """Fraction-free determinant (Bareiss) of a square matrix over Z[i][z].
 
-    Each division by the previous pivot is exact by Sylvester's identity;
-    it is checked all the same and raises ArithmeticError if it is not.
+    The elimination runs over Z[i] at the one point z = 2**B (Kronecker
+    substitution). Every Bareiss entry is a minor of the matrix, and the sum
+    over its coefficients of |re| + |im| is at most M, the product over rows
+    of max(1, the row's sum over entries and coefficients of |re| + |im|).
+    With B = bitlen(M) + 2, every coefficient of every entry lies below
+    2**(B-1) in absolute value, so z -> 2**B is one-to-one on the entries:
+    each zero test and pivot choice is the one the polynomial elimination
+    makes, each division by the previous pivot, exact over Z[i][z] by
+    Sylvester's identity, is exact over Z[i] too (it is checked all the same
+    and raises ArithmeticError if not), and the determinant unpacks by
+    signed B-bit digits into the same polynomial.
     """
     n = len(mat)
     if n == 0:
-        return _GZ_ONE
+        return [(1, 0)]
+    bits = math.prod(max(1, sum(abs(r) + abs(i) for entry in row for r, i in entry))
+                     for row in mat).bit_length() + 2
+    mat = [[_gz_pack(entry, bits) for entry in row] for row in mat]
     sign = 1
-    prev = _GZ_ONE
+    vr, vi = 1, 0  # the previous pivot
     for col in range(n - 1):
-        if not mat[col][col]:
-            for r in range(col + 1, n):
-                if mat[r][col]:
-                    mat[col], mat[r] = mat[r], mat[col]
-                    sign = -sign
-                    break
-            else:
+        if mat[col][col] == (0, 0):
+            r = next((r for r in range(col + 1, n) if mat[r][col] != (0, 0)), None)
+            if r is None:
                 return []
+            mat[col], mat[r], sign = mat[r], mat[col], -sign
         pivot_row = mat[col]
-        pivot = pivot_row[col]
-        for i in range(col + 1, n):
-            row = mat[i]
-            lead = row[col]
+        pr, pi = pivot_row[col]
+        for row in mat[col + 1:]:
+            lr, li = row[col]
             for j in range(col + 1, n):
-                row[j] = _gz_exact_div(_gz_cross(pivot, row[j], lead, pivot_row[j]), prev)
-            row[col] = []
-        prev = pivot
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else [(-re, -im) for re, im in det]
+                (xr, xi), (yr, yi) = row[j], pivot_row[j]
+                row[j] = _gi_exact_div(pr * xr - pi * xi - lr * yr + li * yi,
+                                       pr * xi + pi * xr - lr * yi - li * yr, vr, vi)
+        vr, vi = pr, pi
+    re, im = mat[n - 1][n - 1]
+    return _gz_unpack(sign * re, sign * im, bits)
 
 
 def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], Poly]:
@@ -838,9 +837,9 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
 
     Computed as the Sylvester determinant over Q(i)(z): the f rows and the
     g rows are each cleared of denominators by one factor per block, the
-    determinant is taken by fraction-free Bareiss elimination over
-    Gaussian-integer polynomials in z, and the block factors are divided
-    back out.
+    determinant is taken by fraction-free Bareiss elimination over Z[i][z]
+    (run at one packed point, see _bareiss_det), and the block factors are
+    divided back out.
     """
     fc, gc = _trim_w(f), _trim_w(g)
     if not fc or not gc:

@@ -57,6 +57,7 @@ class SurfaceIntegralResult:
     error_estimate: float
     endpoint: SurfacePoint
     closed_on_surface: bool
+    end_sheet: Optional[int] = None  # closed nonempty path: the lift's end in fiber_at(start)
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,9 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     values, errs, fiber = _integrate(_walk(eq, fiber, path, tol), tol)
 
     end_w = fiber[pos]
-    endpoint = SurfacePoint(path.end_z, end_w)
-    closed = False
-    if path.is_closed():
-        closed = match_to_fiber(end_w, fiber0, tol) == pos
-    return SurfaceIntegralResult(values[pos], errs[pos], endpoint, closed)
+    end_sheet = match_to_fiber(end_w, fiber0, tol) if path.is_closed() else None
+    return SurfaceIntegralResult(values[pos], errs[pos], SurfacePoint(path.end_z, end_w),
+                                 end_sheet == pos, end_sheet)
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
@@ -184,12 +183,11 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
         raise ValueError("closed_loop_integral requires a closed base path")
     res = surface_integral(eq, start, loop, tol)
     if not res.closed_on_surface:
-        end_fiber = fiber_at(eq, loop.start_z, tol)
         raise LiftNotClosed(
             "the lift of the loop ends on a different sheet; iterate the loop "
             "to its cycle length to close it on the surface",
             value=res.value,
-            end_sheet=match_to_fiber(res.endpoint.w, end_fiber, tol),
+            end_sheet=res.end_sheet,
         )
     return res
 

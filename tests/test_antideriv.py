@@ -441,6 +441,27 @@ def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
     assert [zs.count(z) for z in grid] == [1] * 8
 
 
+def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
+    import algebroid.antideriv as antideriv
+
+    zs = []
+    real = antideriv.fiber_at
+
+    def counted(eq, z, *args, **kwargs):
+        zs.append(z)
+        return real(eq, z, *args, **kwargs)
+
+    monkeypatch.setattr(antideriv, "fiber_at", counted)
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    # the base fiber, 8 grid fibers, and M's fiber at each of the 6 probes:
+    # W's fiber at a probe is the grid fiber _fit_r solved
+    assert len(zs) == 1 + 8 + 6
+    monkeypatch.undo()
+    plain = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
+    assert model.coeffs == plain.coeffs
+    assert model.diagnostics.derivative_defect == verify_antiderivative(plain, sqrt_z)
+
+
 def test_failed_certificate_retries_once_on_the_full_grid(sqrt_z, monkeypatch):
     connectors = _count_connectors(monkeypatch)
     certified = _certify_failing(monkeypatch, times=1)

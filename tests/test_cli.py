@@ -393,6 +393,48 @@ def test_module_entry_point(tmp_path):
     assert report["command"] == "critical"
 
 
+def test_main_reuses_one_parser_and_carries_nothing_over(capsys, sqrt_file):
+    import algebroid.cli as cli
+
+    calls = [
+        ["critical", sqrt_file],
+        ["critical", sqrt_file, "--no-such-flag"],  # an argparse error
+        ["--tol", "n_max=40", "puiseux", sqrt_file, "--point", "0"],
+        ["puiseux", sqrt_file, "--point", "0"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert fresh[1][0] == ("SystemExit", 2)
+    # n_max shows in the puiseux report, so a --tol carried over would too
+    assert fresh[2][1] != fresh[3][1]
+
+
+def test_import_builds_no_parser():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import algebroid.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
 def test_dumps_report_float_formatting():
     text = dumps_report({"x": 1.0 / 3.0, "n": 3, "flag": True, "none": None})
     assert "0.33333333333333331" in text

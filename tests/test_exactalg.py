@@ -17,8 +17,11 @@ from algebroid.exactalg import (
     Poly,
     RatFunc,
     _MAX_EXPONENT,
+    _bareiss_det,
     _cleared_det,
-    _gz_exact_div,
+    _gi_exact_div,
+    _gz_pack,
+    _gz_unpack,
     discriminant,
     laurent_order,
     parse_coefficient,
@@ -191,6 +194,33 @@ def test_field_mul_div_cancels(r, s):
 @given(rat_funcs(), rat_funcs(), rat_funcs())
 def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+polynomials = st.lists(gaussian_rationals(), max_size=4).map(lambda cs: RatFunc(Poly(cs)))
+polys_or_rat_funcs = st.one_of(polynomials, rat_funcs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_or_rat_funcs, st.integers(min_value=0, max_value=7))
+def test_power_matches_repeated_multiplication(r, n):
+    num, den = Poly([1]), Poly([1])
+    for _ in range(n):
+        num, den = num * r.num, den * r.den
+    assert r.num**n == num and r.den**n == den
+    assert r**n == RatFunc(num, den)
+    assert str(r**n) == str(RatFunc(num, den))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_or_rat_funcs, polys_or_rat_funcs)
+def test_field_ops_match_the_general_construction(a, b):
+    # polynomial operands skip their unit denominators; the result is the same
+    for got, want in [
+        (a + b, RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)),
+        (a - b, RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)),
+        (a * b, RatFunc(a.num * b.num, a.den * b.den)),
+    ]:
+        assert got == want and str(got) == str(want)
 
 
 # --- resultants -------------------------------------------------------------
@@ -389,14 +419,104 @@ def test_discriminant_rejects_repeated_rational_factor():
 
 
 def test_gaussian_integer_division_checks_remainder():
-    assert _gz_exact_div([(-1, 0), (0, 0), (1, 0)], [(-1, 0), (1, 0)]) == [(1, 0), (1, 0)]
-    assert _gz_exact_div([(3, 1), (1, 3)], [(1, 1)]) == [(2, -1), (2, 1)]
+    # polynomial quotients, packed at z = 2**8 as the determinant packs its entries
+    def div(num, den):
+        return _gz_unpack(*_gi_exact_div(*_gz_pack(num, 8), *_gz_pack(den, 8)), 8)
+
+    assert div([(-1, 0), (0, 0), (1, 0)], [(-1, 0), (1, 0)]) == [(1, 0), (1, 0)]
+    assert div([(3, 1), (1, 3)], [(1, 1)]) == [(2, -1), (2, 1)]
+    assert _gi_exact_div(3, 1, 1, 1) == (2, -1)
     with pytest.raises(ArithmeticError):
-        _gz_exact_div([(1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)])  # z^2 + 1 by z + 1
+        div([(1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)])  # z^2 + 1 by z + 1
     with pytest.raises(ArithmeticError):
-        _gz_exact_div([(2, 1)], [(1, 1)])  # (2 + i)/(1 + i) is not in Z[i]
+        _gi_exact_div(2, 1, 1, 1)  # (2 + i)/(1 + i) is not in Z[i]
     with pytest.raises(ArithmeticError):
-        _gz_exact_div([(1, 0)], [(0, 0), (1, 0)])  # 1 by z
+        div([(1, 0)], [(0, 0), (1, 0)])  # 1 by z
+
+
+def gz_poly(p):
+    """A Z[i][z] list of (re, im) pairs as a Poly."""
+    return Poly([GaussianRational(re, im) for re, im in p])
+
+
+def laplace_det(mat):
+    """Determinant over Poly by cofactor expansion along the first row (independent oracle)."""
+    if not mat:
+        return Poly([1])
+    total = Poly()
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = gz_poly(entry) * laplace_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def bareiss(mat):
+    return gz_poly(_bareiss_det(mat))
+
+
+def test_bareiss_swaps_rows_past_a_zero_pivot():
+    p, q, r = [(1, 2), (0, -3)], [(-5, 0), (0, 0), (2, 1)], [(7, -1)]
+    # a zero first pivot, then a zero second pivot once the first column is cleared
+    mat = [[[], p, q], [r, [], p], [r, q, q]]
+    got = bareiss(mat)
+    assert got == laplace_det(mat) and not got.is_zero()
+    assert bareiss([[[], p], [q, r]]) == -(gz_poly(p) * gz_poly(q))
+
+
+def test_bareiss_singular_matrix_is_zero():
+    p, q = [(1, 1), (-2, 0)], [(0, -3), (4, 0), (1, 0)]
+    assert _bareiss_det([[p, q], [p, q]]) == []  # cancels to zero
+    assert _bareiss_det([[[], p], [[], q]]) == []  # no pivot in the first column
+    assert _bareiss_det([[p, q, q], [q, [], p], [p, q, q]]) == []
+
+
+def test_bareiss_reaches_the_packing_bound():
+    # a diagonal determinant's one coefficient is the whole bound M, negative
+    a, b = -(2**61 - 1), 2**50 + 3
+    mat = [[[(0, 0), (0, 0), (0, 0), (a, 0)], []], [[], [(0, 0), (b, 0)]]]
+    assert _bareiss_det(mat) == [(0, 0)] * 4 + [(a * b, 0)]
+    assert bareiss(mat) == laplace_det(mat)
+
+
+def test_signed_digits_round_trip_near_the_digit_limit():
+    bits = 20
+    top = 2 ** (bits - 1)
+    p = [(top - 1, -top), (-top, 0), (0, top - 1), (-1, 1), (top - 1, -top + 1)]
+    assert _gz_unpack(*_gz_pack(p, bits), bits) == p
+    assert _gz_unpack(*_gz_pack([(-top, 0)] + p[:2], bits), bits) == [(-top, 0)] + p[:2]
+
+
+gz_coeffs = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def gz_matrices(draw):
+    """Square Z[i][z] matrices with many zero entries, so pivots are zero often."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(
+        st.just([]),
+        st.lists(st.tuples(gz_coeffs, gz_coeffs), min_size=1, max_size=3)
+        .filter(lambda p: p[-1] != (0, 0)),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gz_matrices())
+def test_bareiss_matches_cofactor_expansion(mat):
+    assert bareiss(mat) == laplace_det(mat)
+
+
+def test_discriminant_k5_degree4_matches_scalar_sylvester_oracle():
+    coeffs = [rf("(1/3 + i/2)*z^4 - 2*z + 5"), rf("-z^4 + (2 - i)*z^3 + 1/7"),
+              rf("3*i*z^4 - z^2 + 1"), rf("(z^4 - 4)/(z - 1/2)"),
+              rf("(-2 + 3*i)*z^4 + z^3 - (5/4)*z")]
+    disc = discriminant(coeffs)
+    for z0 in (GaussianRational(Fraction(1, 3), Fraction(-2, 5)), GaussianRational(-2, 1)):
+        psi = [c.eval_exact(z0) for c in reversed(coeffs)] + [GaussianRational.of(1)]
+        psi_w = [c * n for n, c in enumerate(psi) if n > 0]
+        assert disc.eval_exact(z0) == scalar_det(scalar_sylvester(psi, psi_w))
 
 
 def test_w_poly_derivative():

@@ -22,7 +22,7 @@ from algebroid.quad import (
     residue_theorem_check,
     surface_integral,
 )
-from algebroid.surface import DefiningEquation, fiber_at
+from algebroid.surface import DefiningEquation, fiber_at, match_to_fiber
 from algebroid.tracker import (
     Arc,
     BasePath,
@@ -90,6 +90,23 @@ def test_fiber_integral_empty_path():
 def test_closed_loop_lift_not_closed(sqrt_z):
     with pytest.raises(LiftNotClosed):
         closed_loop_integral(sqrt_z, SurfacePoint(1, 1), loop_path(0, 1.0, 1))
+
+
+def test_lift_not_closed_names_the_end_sheet_from_one_fiber_solve(sqrt_z, monkeypatch):
+    zs = []
+    real = quad.fiber_at
+
+    def counted(eq, z, *args, **kwargs):
+        zs.append(z)
+        return real(eq, z, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "fiber_at", counted)
+    with pytest.raises(LiftNotClosed) as info:
+        closed_loop_integral(sqrt_z, SurfacePoint(1, 1), loop_path(0, 1.0, 1))
+    assert zs == [1]
+    # the lift of sqrt(z) once about 0 ends at -1; (2/3) z^(3/2) gains -4/3
+    assert info.value.end_sheet == match_to_fiber(-1, fiber_at(sqrt_z, 1.0 + 0j), DEFAULT)
+    assert info.value.value == pytest.approx(-4.0 / 3.0, abs=1e-10)
 
 
 def test_closed_loop_no_singular_element(sqrt_z):
