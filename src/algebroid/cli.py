@@ -1,8 +1,13 @@
 """Command-line front end: JSON problem files in, JSON reports out.
 
-Subcommands map onto the public operations. Reports are deterministic:
-fixed field order, floats at 17 significant digits, no timestamps unless
---timing is requested. Complex numbers serialize as [re, im] pairs.
+One function per subcommand, bound to its subparser by set_defaults, parses
+its own flags, appends its keys to the report's inputs and returns (results,
+warnings). Shared flag groups are parent parsers. A global flag, such as
+--stats, is declared once on the top-level parser and read in _run or main.
+
+Reports are deterministic: fixed field order, floats at 17 significant
+digits, no timestamps unless --timing is requested. Complex numbers
+serialize as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import AlgebroidError, SchemaError
 from .puiseux import _local_data, _radius, singular_elements
 from .quad import _cycle_loop_values, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
-from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path
+from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
 
 __all__ = ["main", "load_problem", "dumps_report"]
 
@@ -185,167 +190,6 @@ def load_problem(filename: str) -> Problem:
     return Problem(eq, base, paths, raw)
 
 
-# --- command implementations ---------------------------------------------------
-
-
-def cmd_critical(problem: Problem, tol: Tolerances) -> dict:
-    crit = problem.eq.critical(tol)
-    return {
-        "points": [
-            {"location": _cpx(p.location), "kind": p.kind} for p in crit.points
-        ]
-    }
-
-
-def cmd_fiber(problem: Problem, z: complex, tol: Tolerances) -> dict:
-    fiber = fiber_at(problem.eq, z, tol)
-    return {"z": _cpx(z), "roots": [_cpx(r) for r in fiber.roots]}
-
-
-def cmd_monodromy(problem: Problem, loop: BasePath, tol: Tolerances) -> dict:
-    sigma = monodromy(problem.eq, loop, tol)
-    return {
-        "permutation": list(sigma.image),
-        "orbits": [list(o) for o in sigma.orbits()],
-        "is_identity": sigma.is_identity(),
-    }
-
-
-def _expansion_json(exp) -> dict:
-    return {
-        "m": exp.m,
-        "u": exp.u,
-        "residue": _cpx(exp.residue),
-        "start_sheet": exp.start_sheet,
-        "radius": exp.radius,
-        "coefficients": [
-            {"n": n, "value": _cpx(b)} for n, b in sorted(exp.coeffs.items())
-        ],
-    }
-
-
-def cmd_puiseux(problem: Problem, point: complex, radius: Optional[float],
-                tol: Tolerances) -> dict:
-    report = singular_elements(problem.eq, point, radius, tol)
-    return {
-        "center": _cpx(report.center),
-        "cycles": [
-            {
-                "sheets": list(c.sheets),
-                "classification": c.classification,
-                "expansion": _expansion_json(c.expansion),
-            }
-            for c in report.cycles
-        ],
-    }
-
-
-def cmd_residues(problem: Problem, radius: Optional[float], contour_check: bool,
-                 tol: Tolerances) -> dict:
-    centers = []
-    for cp in problem.eq.critical(tol).points:
-        rep, turn = _local_data(problem.eq, cp.location, radius, tol)
-        if contour_check:
-            loop_values = _cycle_loop_values(turn, [c.sheets for c in rep.cycles], tol)
-        cycles = []
-        for i, c in enumerate(rep.cycles):
-            entry = {
-                "sheets": list(c.sheets),
-                "m": c.expansion.m,
-                "u": c.expansion.u,
-                "classification": c.classification,
-                "residue": _cpx(c.residue),
-            }
-            if contour_check:
-                rc = loop_values[i] / (2j * math.pi)
-                entry["contour_residue"] = _cpx(rc)
-                entry["discrepancy"] = abs(rc - c.residue)
-            cycles.append(entry)
-        centers.append({"center": _cpx(cp.location), "kind": cp.kind, "cycles": cycles})
-    return {"centers": centers}
-
-
-def cmd_integrate(problem: Problem, path: BasePath, start: SurfacePoint,
-                  tol: Tolerances) -> dict:
-    res = surface_integral(problem.eq, start, path, tol)
-    return {
-        "value": _cpx(res.value),
-        "error_estimate": res.error_estimate,
-        "endpoint": {"z": _cpx(res.endpoint.z), "w": _cpx(res.endpoint.w)},
-        "closed_on_surface": res.closed_on_surface,
-    }
-
-
-def cmd_audit(problem: Problem, base: SurfacePoint, target: SurfacePoint,
-              paths: Sequence[BasePath], tol: Tolerances) -> dict:
-    rep = path_independence_audit(problem.eq, base, target, paths, tol)
-    return {
-        "c_values": [_cpx(v) for v in rep.c_values],
-        "pairs": [
-            {"first": i, "second": j, "discrepancy": d} for i, j, d in rep.pairs
-        ],
-        "max_discrepancy": rep.max_discrepancy,
-        "verdict": rep.verdict,
-        "residue_data": [
-            {
-                "center": _cpx(rc.center),
-                "cycle": list(rc.cycle),
-                "m": rc.m,
-                "residue": _cpx(rc.residue),
-                "loop_period": _cpx(rc.loop_value),
-                "discrepancy": rc.discrepancy,
-            }
-            for rc in rep.enclosed_residue_data
-        ],
-    }
-
-
-def _model_json(model) -> dict:
-    diag = model.diagnostics
-    out = {
-        "k": model.k,
-        "base": {"z": _cpx(model.base.z), "w": _cpx(model.base.w)},
-        "constant": _cpx(model.c),
-        "coefficients": [str(c) for c in model.coeffs],
-        "diagnostics": {
-            "residuals": list(diag.residuals),
-            "degrees": [list(d) for d in diag.degrees],
-            "grid_size": len(diag.sample_grid),
-            "single_valuedness_defect": diag.single_valuedness_defect,
-        },
-    }
-    if diag.derivative_defect is not None:
-        out["diagnostics"]["derivative_defect"] = diag.derivative_defect
-    return out
-
-
-def _model_warnings(model) -> list[str]:
-    diag = model.diagnostics
-    if not diag.constant_fine_den:
-        return []
-    return [f"the constant of integration C is not a Gaussian rational with denominator at most "
-            f"10^6; it was snapped by {diag.constant_snap:.1e} to a larger denominator, "
-            "so the constant terms of the coefficients are approximate"]
-
-
-def cmd_antiderivative(problem: Problem, base: SurfacePoint, c: complex,
-                       bounds: Optional[tuple[int, int]], tol: Tolerances,
-                       rng=None) -> tuple[dict, list[str]]:
-    model = build_antiderivative(problem.eq, base, c, bounds=bounds, tol=tol, rng=rng)
-    return _model_json(model), _model_warnings(model)
-
-
-def cmd_family(problem: Problem, base: SurfacePoint, c: complex, shift: complex,
-               bounds: Optional[tuple[int, int]], tol: Tolerances,
-               rng=None) -> tuple[dict, list[str]]:
-    model = build_antiderivative(problem.eq, base, c, bounds=bounds, tol=tol, rng=rng)
-    shifted = constant_family(model, shift)
-    out = _model_json(model)
-    out["family_constant"] = _cpx(complex(shift))
-    out["family_coefficients"] = [str(c) for c in shifted]
-    return out, _model_warnings(model)
-
-
 # --- argument plumbing ----------------------------------------------------------
 
 
@@ -393,23 +237,33 @@ def _check_radius(problem: Problem, centers: Sequence[complex],
             raise SchemaError(f"--radius: {exc}") from exc
 
 
-def _resolve_path(problem: Problem, args) -> BasePath:
-    name = getattr(args, "path", None)
-    inline = getattr(args, "path_json", None)
-    loop = getattr(args, "loop", None)
+def _check_ends(where: str, path: BasePath, start: complex,
+                target: Optional[complex] = None) -> None:
+    """The path must start at start and, given a target, end there, by the
+    rule (tracker.same_z) the continuation and the integrals apply."""
+    first, last = (path.start_z, path.end_z) if path.segments else (start, start)
+    if not same_z(first, start):
+        raise SchemaError(f"{where} starts at {first}, the start germ sits at {start}")
+    if target is not None and not same_z(last, target):
+        raise SchemaError(f"{where} ends at {last}, the target sits at {target}")
+
+
+def _resolve_path(problem: Problem, args) -> tuple[BasePath, str]:
+    """The path of --path, --path-json or --loop, and how to name it in a refusal."""
+    name, inline, loop = args.path, args.path_json, args.loop
     given = [x for x in (name, inline, loop) if x]
     if len(given) != 1:
         raise SchemaError("give exactly one of --path, --path-json, --loop")
     if name:
         if name not in problem.paths:
             raise SchemaError(f"path {name!r} not defined in the problem file")
-        return problem.paths[name]
+        return problem.paths[name], f"path {name!r}"
     if inline:
         try:
             data = json.loads(inline)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"--path-json is not valid JSON: {exc}") from exc
-        return parse_path_json(data, where="--path-json")
+        return parse_path_json(data, where="--path-json"), "--path-json"
     parts = loop.split(",")
     if len(parts) not in (4, 6):
         raise SchemaError("--loop expects CX,CY,R,TURNS[,AX,AY]")
@@ -418,33 +272,233 @@ def _resolve_path(problem: Problem, args) -> BasePath:
         raise SchemaError(f"--loop TURNS must be an integer, got {parts[3]!r}")
     anchor = complex(nums[4], nums[5]) if len(parts) == 6 else None
     try:
-        return loop_path(complex(nums[0], nums[1]), nums[2], int(nums[3]), anchor)
+        return loop_path(complex(nums[0], nums[1]), nums[2], int(nums[3]), anchor), "--loop"
     except ValueError as exc:
         raise SchemaError(f"--loop: {exc}") from exc
 
 
-def _resolve_start(problem: Problem, args) -> SurfacePoint:
-    sz = getattr(args, "start_z", None)
-    sw = getattr(args, "start_w", None)
+def _resolve_start(problem: Problem, args, inputs: dict) -> SurfacePoint:
+    """The germ of --start-z/--start-w, else the problem's base; added to inputs."""
+    sz, sw = args.start_z, args.start_w
     if (sz is None) != (sw is None):
         raise SchemaError("--start-z and --start-w must be given together")
-    if sz is not None:
-        return SurfacePoint(
-            _parse_complex_flag(sz, "--start-z"), _parse_complex_flag(sw, "--start-w")
-        )
-    if problem.base is None:
+    if sz is None and problem.base is None:
         raise SchemaError("no base germ in the problem file; pass --start-z/--start-w")
-    return problem.base
+    start = problem.base if sz is None else SurfacePoint(
+        _parse_complex_flag(sz, "--start-z"), _parse_complex_flag(sw, "--start-w"))
+    inputs["start"] = _germ_json(start)
+    return start
 
 
-def _write_plot_csv(filename: str, samples):
+def _fit_flags(problem: Problem, args,
+               inputs: dict) -> tuple[SurfacePoint, complex, Optional[tuple[int, int]]]:
+    """Start germ, constant and degree bounds of a fit, with their inputs."""
+    start = _resolve_start(problem, args, inputs)
+    c = _parse_complex_flag(args.constant, "--constant")
+    dn, dd = args.num_degree, args.den_degree
+    if (dn is None) != (dd is None):
+        raise SchemaError("--num-degree and --den-degree must be given together")
+    for flag, value in (("--num-degree", dn), ("--den-degree", dd)):
+        if value is not None and value < 0:
+            raise SchemaError(f"{flag} must be at least 0, got {value}")
+    inputs["constant"] = _cpx(c)
+    return start, c, None if dn is None else (dn, dd)
+
+
+def _germ_json(p: SurfacePoint) -> dict:
+    return {"z": _cpx(p.z), "w": _cpx(p.w)}
+
+
+def _model_report(model) -> tuple[dict, list[str]]:
+    diag = model.diagnostics
+    out = {
+        "k": model.k,
+        "base": _germ_json(model.base),
+        "constant": _cpx(model.c),
+        "coefficients": [str(c) for c in model.coeffs],
+        "diagnostics": {
+            "residuals": list(diag.residuals),
+            "degrees": [list(d) for d in diag.degrees],
+            "grid_size": len(diag.sample_grid),
+            "single_valuedness_defect": diag.single_valuedness_defect,
+        },
+    }
+    if diag.derivative_defect is not None:
+        out["diagnostics"]["derivative_defect"] = diag.derivative_defect
+    if not diag.constant_fine_den:
+        return out, []
+    return out, [f"the constant of integration C is not a Gaussian rational with denominator "
+                 f"at most 10^6; it was snapped by {diag.constant_snap:.1e} to a larger "
+                 "denominator, so the constant terms of the coefficients are approximate"]
+
+
+def _plot_track(filename: str, eq: DefiningEquation, start: SurfacePoint, path: BasePath,
+                tol: Tolerances) -> None:
+    """--plot-data: the lift of the path from start, one CSV row per track sample."""
+    samples = continue_branch(eq, start, path, tol).samples
     with open(filename, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "re_z", "im_z", "re_w", "im_w"])
-        for t, z, w in samples:
-            writer.writerow(
-                [format(v, ".17g") for v in (t, z.real, z.imag, w.real, w.imag)]
-            )
+        writer.writerows([format(v, ".17g") for v in (t, z.real, z.imag, w.real, w.imag)]
+                         for t, z, w in samples)
+
+
+# --- subcommands ----------------------------------------------------------------
+
+
+def _critical(args, problem, tol, rng, inputs):
+    crit = problem.eq.critical(tol)
+    return {"points": [{"location": _cpx(p.location), "kind": p.kind} for p in crit.points]}, []
+
+
+def _fiber(args, problem, tol, rng, inputs):
+    z = _parse_complex_flag(args.z, "--z")
+    inputs["z"] = _cpx(z)
+    fiber = fiber_at(problem.eq, z, tol)
+    return {"z": _cpx(z), "roots": [_cpx(r) for r in fiber.roots]}, []
+
+
+def _monodromy(args, problem, tol, rng, inputs):
+    loop, where = _resolve_path(problem, args)
+    inputs["path"] = path_to_json(loop)
+    if not (loop.segments and loop.is_closed()):
+        raise SchemaError(f"{where} is {'open' if loop.segments else 'empty'}; "
+                          "monodromy needs a closed loop")
+    sigma = monodromy(problem.eq, loop, tol)
+    if args.plot_data:
+        w = fiber_at(problem.eq, loop.start_z, tol).roots[0]
+        _plot_track(args.plot_data, problem.eq, SurfacePoint(loop.start_z, w), loop, tol)
+    return {
+        "permutation": list(sigma.image),
+        "orbits": [list(o) for o in sigma.orbits()],
+        "is_identity": sigma.is_identity(),
+    }, []
+
+
+def _puiseux(args, problem, tol, rng, inputs):
+    point = _parse_complex_flag(args.point, "--point")
+    inputs["point"] = _cpx(point)
+    _check_radius(problem, [point], args.radius, tol)
+    report = singular_elements(problem.eq, point, args.radius, tol)
+    return {
+        "center": _cpx(report.center),
+        "cycles": [
+            {
+                "sheets": list(c.sheets),
+                "classification": c.classification,
+                "expansion": {
+                    "m": c.expansion.m,
+                    "u": c.expansion.u,
+                    "residue": _cpx(c.expansion.residue),
+                    "start_sheet": c.expansion.start_sheet,
+                    "radius": c.expansion.radius,
+                    "coefficients": [{"n": n, "value": _cpx(b)}
+                                     for n, b in sorted(c.expansion.coeffs.items())],
+                },
+            }
+            for c in report.cycles
+        ],
+    }, []
+
+
+def _residues(args, problem, tol, rng, inputs):
+    crit = problem.eq.critical(tol)
+    _check_radius(problem, crit.locations, args.radius, tol)
+    centers = []
+    for cp in crit.points:
+        rep, turn = _local_data(problem.eq, cp.location, args.radius, tol)
+        cycles = [
+            {
+                "sheets": list(c.sheets),
+                "m": c.expansion.m,
+                "u": c.expansion.u,
+                "classification": c.classification,
+                "residue": _cpx(c.residue),
+            }
+            for c in rep.cycles
+        ]
+        if args.contour_check:
+            loop_values = _cycle_loop_values(turn, [c.sheets for c in rep.cycles], tol)
+            for entry, c, value in zip(cycles, rep.cycles, loop_values):
+                rc = value / (2j * math.pi)
+                entry.update(contour_residue=_cpx(rc), discrepancy=abs(rc - c.residue))
+        centers.append({"center": _cpx(cp.location), "kind": cp.kind, "cycles": cycles})
+    return {"centers": centers}, []
+
+
+def _integrate(args, problem, tol, rng, inputs):
+    path, where = _resolve_path(problem, args)
+    inputs["path"] = path_to_json(path)
+    start = _resolve_start(problem, args, inputs)
+    _check_ends(where, path, start.z)
+    res = surface_integral(problem.eq, start, path, tol)
+    if args.plot_data:
+        _plot_track(args.plot_data, problem.eq, start, path, tol)
+    return {
+        "value": _cpx(res.value),
+        "error_estimate": res.error_estimate,
+        "endpoint": _germ_json(res.endpoint),
+        "closed_on_surface": res.closed_on_surface,
+    }, []
+
+
+def _audit(args, problem, tol, rng, inputs):
+    start = _resolve_start(problem, args, inputs)
+    target = SurfacePoint(
+        _parse_complex_flag(args.target_z, "--target-z"),
+        _parse_complex_flag(args.target_w, "--target-w"),
+    )
+    names = [n.strip() for n in args.paths.split(",") if n.strip()]
+    missing = [n for n in names if n not in problem.paths]
+    if missing:
+        raise SchemaError(f"paths not defined in the problem file: {missing}")
+    if len(set(names)) < 2:
+        raise SchemaError(f"--paths needs two or more distinct path names, got {names}")
+    paths = [problem.paths[n] for n in names]
+    for name, path in zip(names, paths):
+        _check_ends(f"path {name!r}", path, start.z, target.z)
+    inputs["target"] = _germ_json(target)
+    inputs["paths"] = names
+    rep = path_independence_audit(problem.eq, start, target, paths, tol)
+    if args.plot_data:
+        for idx, path in enumerate(paths):
+            _plot_track(f"{args.plot_data}.{idx}.csv", problem.eq, start, path, tol)
+    return {
+        "c_values": [_cpx(v) for v in rep.c_values],
+        "pairs": [
+            {"first": i, "second": j, "discrepancy": d} for i, j, d in rep.pairs
+        ],
+        "max_discrepancy": rep.max_discrepancy,
+        "verdict": rep.verdict,
+        "residue_data": [
+            {
+                "center": _cpx(rc.center),
+                "cycle": list(rc.cycle),
+                "m": rc.m,
+                "residue": _cpx(rc.residue),
+                "loop_period": _cpx(rc.loop_value),
+                "discrepancy": rc.discrepancy,
+            }
+            for rc in rep.enclosed_residue_data
+        ],
+    }, []
+
+
+def _antiderivative(args, problem, tol, rng, inputs):
+    start, c, bounds = _fit_flags(problem, args, inputs)
+    model = build_antiderivative(problem.eq, start, c, bounds=bounds, tol=tol, rng=rng)
+    return _model_report(model)
+
+
+def _family(args, problem, tol, rng, inputs):
+    start, c, bounds = _fit_flags(problem, args, inputs)
+    shift = _parse_complex_flag(args.shift, "--shift")
+    inputs["shift"] = _cpx(shift)
+    model = build_antiderivative(problem.eq, start, c, bounds=bounds, tol=tol, rng=rng)
+    results, warnings = _model_report(model)
+    results["family_constant"] = _cpx(shift)
+    results["family_coefficients"] = [str(b) for b in constant_family(model, shift)]
+    return results, warnings
 
 
 @functools.cache  # built on the first main() call, then reused: parse_args keeps no state
@@ -465,71 +519,46 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(breaks byte-for-byte determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    path_flags = argparse.ArgumentParser(add_help=False)
+    path_flags.add_argument("--path", metavar="NAME")
+    path_flags.add_argument("--path-json", metavar="JSON")
+    path_flags.add_argument("--loop", metavar="CX,CY,R,TURNS[,AX,AY]")
+    start_flags = argparse.ArgumentParser(add_help=False)
+    start_flags.add_argument("--start-z", metavar="RE[,IM]")
+    start_flags.add_argument("--start-w", metavar="RE[,IM]")
+    fit_flags = argparse.ArgumentParser(add_help=False, parents=[start_flags])
+    fit_flags.add_argument("--constant", default="0", metavar="RE[,IM]")
+    fit_flags.add_argument("--num-degree", type=int, default=None)
+    fit_flags.add_argument("--den-degree", type=int, default=None)
+
+    def add(name, run, help_text, *flag_groups):
+        p = sub.add_parser(name, help=help_text, parents=flag_groups)
         p.add_argument("problem", help="problem JSON file")
+        p.set_defaults(run=run)
         return p
 
-    add("critical", "critical points with kinds")
-
-    p = add("fiber", "all k roots over a regular point")
-    p.add_argument("--z", required=True, metavar="RE[,IM]")
-
-    p = add("monodromy", "sheet permutation of a closed loop")
-    p.add_argument("--path", metavar="NAME")
-    p.add_argument("--path-json", metavar="JSON")
-    p.add_argument("--loop", metavar="CX,CY,R,TURNS[,AX,AY]")
-
-    p = add("puiseux", "Puiseux data of every cycle at a critical point")
+    add("critical", _critical, "critical points with kinds")
+    add("fiber", _fiber, "all k roots over a regular point").add_argument(
+        "--z", required=True, metavar="RE[,IM]")
+    add("monodromy", _monodromy, "sheet permutation of a closed loop", path_flags)
+    p = add("puiseux", _puiseux, "Puiseux data of every cycle at a critical point")
     p.add_argument("--point", required=True, metavar="RE[,IM]")
     p.add_argument("--radius", type=float, default=None)
-
-    p = add("residues", "residues of all singular elements")
+    p = add("residues", _residues, "residues of all singular elements")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--contour-check", action="store_true",
                    help="cross-check residues by contour integration")
-
-    p = add("integrate", "surface integral along a path")
-    p.add_argument("--path", metavar="NAME")
-    p.add_argument("--path-json", metavar="JSON")
-    p.add_argument("--loop", metavar="CX,CY,R,TURNS[,AX,AY]")
-    p.add_argument("--start-z", metavar="RE[,IM]")
-    p.add_argument("--start-w", metavar="RE[,IM]")
-
-    p = add("audit", "path-independence audit between two germs")
+    add("integrate", _integrate, "surface integral along a path", path_flags, start_flags)
+    p = add("audit", _audit, "path-independence audit between two germs", start_flags)
     p.add_argument("--target-z", required=True, metavar="RE[,IM]")
     p.add_argument("--target-w", required=True, metavar="RE[,IM]")
     p.add_argument("--paths", required=True,
-                   help="comma-separated path names from the problem file")
-    p.add_argument("--start-z", metavar="RE[,IM]")
-    p.add_argument("--start-w", metavar="RE[,IM]")
-
-    p = add("antiderivative", "fit the defining equation of the antiderivative")
-    p.add_argument("--constant", default="0", metavar="RE[,IM]")
-    p.add_argument("--num-degree", type=int, default=None)
-    p.add_argument("--den-degree", type=int, default=None)
-    p.add_argument("--start-z", metavar="RE[,IM]")
-    p.add_argument("--start-w", metavar="RE[,IM]")
-
-    p = add("family", "antiderivative family member with a shifted constant")
-    p.add_argument("--constant", default="0", metavar="RE[,IM]")
-    p.add_argument("--shift", required=True, metavar="RE[,IM]")
-    p.add_argument("--num-degree", type=int, default=None)
-    p.add_argument("--den-degree", type=int, default=None)
-    p.add_argument("--start-z", metavar="RE[,IM]")
-    p.add_argument("--start-w", metavar="RE[,IM]")
-
+                   help="comma-separated path names from the problem file (two or more)")
+    add("antiderivative", _antiderivative, "fit the defining equation of the antiderivative",
+        fit_flags)
+    add("family", _family, "antiderivative family member with a shifted constant",
+        fit_flags).add_argument("--shift", required=True, metavar="RE[,IM]")
     return parser
-
-
-def _bounds_from(args) -> Optional[tuple[int, int]]:
-    dn, dd = args.num_degree, args.den_degree
-    if (dn is None) != (dd is None):
-        raise SchemaError("--num-degree and --den-degree must be given together")
-    for flag, value in (("--num-degree", dn), ("--den-degree", dd)):
-        if value is not None and value < 0:
-            raise SchemaError(f"{flag} must be at least 0, got {value}")
-    return None if dn is None else (dn, dd)
 
 
 def _run(args) -> tuple[dict, dict, list[str]]:
@@ -544,119 +573,27 @@ def _run(args) -> tuple[dict, dict, list[str]]:
         "coefficients": list(problem.source.get("coefficients", [])),
         "seed": args.seed,
     }
-    plot_samples = None
-    warnings: list[str] = []
-    cmd = args.command
-
-    if cmd == "critical":
-        results = cmd_critical(problem, tol)
-    elif cmd == "fiber":
-        z = _parse_complex_flag(args.z, "--z")
-        inputs["z"] = _cpx(z)
-        results = cmd_fiber(problem, z, tol)
-    elif cmd == "monodromy":
-        loop = _resolve_path(problem, args)
-        inputs["path"] = path_to_json(loop)
-        results = cmd_monodromy(problem, loop, tol)
-        if args.plot_data:
-            fiber = fiber_at(problem.eq, loop.start_z, tol)
-            track = continue_branch(
-                problem.eq, SurfacePoint(loop.start_z, fiber.roots[0]), loop, tol
-            )
-            plot_samples = track.samples
-    elif cmd == "puiseux":
-        point = _parse_complex_flag(args.point, "--point")
-        inputs["point"] = _cpx(point)
-        _check_radius(problem, [point], args.radius, tol)
-        results = cmd_puiseux(problem, point, args.radius, tol)
-    elif cmd == "residues":
-        _check_radius(problem, problem.eq.critical(tol).locations, args.radius, tol)
-        results = cmd_residues(problem, args.radius, args.contour_check, tol)
-    elif cmd == "integrate":
-        path = _resolve_path(problem, args)
-        start = _resolve_start(problem, args)
-        inputs["path"] = path_to_json(path)
-        inputs["start"] = {"z": _cpx(start.z), "w": _cpx(start.w)}
-        results = cmd_integrate(problem, path, start, tol)
-        if args.plot_data:
-            track = continue_branch(problem.eq, start, path, tol)
-            plot_samples = track.samples
-    elif cmd == "audit":
-        start = _resolve_start(problem, args)
-        target = SurfacePoint(
-            _parse_complex_flag(args.target_z, "--target-z"),
-            _parse_complex_flag(args.target_w, "--target-w"),
-        )
-        names = [n.strip() for n in args.paths.split(",") if n.strip()]
-        missing = [n for n in names if n not in problem.paths]
-        if missing:
-            raise SchemaError(f"paths not defined in the problem file: {missing}")
-        paths = [problem.paths[n] for n in names]
-        inputs["start"] = {"z": _cpx(start.z), "w": _cpx(start.w)}
-        inputs["target"] = {"z": _cpx(target.z), "w": _cpx(target.w)}
-        inputs["paths"] = names
-        results = cmd_audit(problem, start, target, paths, tol)
-        if args.plot_data:
-            stem = args.plot_data
-            for idx, p in enumerate(paths):
-                track = continue_branch(problem.eq, start, p, tol)
-                _write_plot_csv(f"{stem}.{idx}.csv", track.samples)
-    elif cmd in ("antiderivative", "family"):
-        start = _resolve_start(problem, args)
-        c = _parse_complex_flag(args.constant, "--constant")
-        bounds = _bounds_from(args)
-        inputs["start"] = {"z": _cpx(start.z), "w": _cpx(start.w)}
-        inputs["constant"] = _cpx(c)
-        if cmd == "antiderivative":
-            results, warnings = cmd_antiderivative(problem, start, c, bounds, tol, rng)
-        else:
-            shift = _parse_complex_flag(args.shift, "--shift")
-            inputs["shift"] = _cpx(shift)
-            results, warnings = cmd_family(problem, start, c, shift, bounds, tol, rng)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SchemaError(f"unknown command {cmd!r}")
-
-    if plot_samples is not None and args.plot_data:
-        _write_plot_csv(args.plot_data, plot_samples)
+    results, warnings = args.run(args, problem, tol, rng, inputs)
     return inputs, results, warnings
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    report = {"schema": "algebroid-report-v1", "command": args.command}
+    code = 0
     try:
         inputs, results, warnings = _run(args)
-    except AlgebroidError as exc:
-        report = {
-            "schema": "algebroid-report-v1",
-            "command": args.command,
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "exit_code": exc.exit_code,
-            },
-        }
-        print(dumps_report(report, args.json_indent))
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        report = {
-            "schema": "algebroid-report-v1",
-            "command": args.command,
-            "error": {"type": "FileNotFound", "message": str(exc), "exit_code": 2},
-        }
-        print(dumps_report(report, args.json_indent))
-        return 2
-    report = {
-        "schema": "algebroid-report-v1",
-        "command": args.command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": warnings,
-    }
-    if args.timing:
-        report["timing_seconds"] = time.perf_counter() - started
+    except (AlgebroidError, FileNotFoundError) as exc:
+        name, code = ((type(exc).__name__, exc.exit_code) if isinstance(exc, AlgebroidError)
+                      else ("FileNotFound", 2))
+        report["error"] = {"type": name, "message": str(exc), "exit_code": code}
+    else:
+        report.update(inputs=inputs, results=results, warnings=warnings)
+        if args.timing:
+            report["timing_seconds"] = time.perf_counter() - started
     print(dumps_report(report, args.json_indent))
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,7 @@ from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
 from .puiseux import _local_data
 from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
-from .tracker import BasePath, SurfacePoint, germ_at, safe_line
+from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
 from .tracker import _WalkedSegment, _path_margin, _walk  # the one walk and its margin policy
 
 __all__ = [
@@ -144,7 +144,7 @@ def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return SurfaceIntegralResult(0j, 0.0, start, True)
-    if abs(path.start_z - start.z) > 1e-9 * (1.0 + abs(start.z)):
+    if not same_z(path.start_z, start.z):
         raise ValueError(f"path starts at {path.start_z}, germ sits at {start.z}")
 
     fiber0 = fiber_at(eq, start.z, tol)
@@ -233,14 +233,13 @@ def c_ab(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
     base = germ_at(eq, base.z, base.w, tol)
     target = germ_at(eq, target.z, target.w, tol)
     if not path.segments:
-        same_z = abs(base.z - target.z) <= 1e-9 * (1.0 + abs(base.z))
-        if not same_z:
+        if not same_z(base.z, target.z):
             raise ValueError("empty path but distinct base and target points")
         fiber = fiber_at(eq, base.z, tol)
         if match_to_fiber(base.w, fiber, tol) != match_to_fiber(target.w, fiber, tol):
             raise EndpointGermMismatch("empty path cannot connect different sheets")
         return IntegralElement(base, target, 0j)
-    if abs(path.end_z - target.z) > 1e-9 * (1.0 + abs(target.z)):
+    if not same_z(path.end_z, target.z):
         raise ValueError(f"path ends at {path.end_z}, target sits at {target.z}")
     res = surface_integral(eq, base, path, tol)
     fiber = fiber_at(eq, target.z, tol)

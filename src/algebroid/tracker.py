@@ -61,6 +61,7 @@ __all__ = [
     "continue_fiber",
     "loop_path",
     "reverse",
+    "same_z",
     "safe_line",
     "anchored_loop",
     "polyline",
@@ -201,6 +202,12 @@ class BasePath:
 
     def __add__(self, other: "BasePath") -> "BasePath":
         return BasePath(self.segments + other.segments)
+
+
+def same_z(z: complex, at: complex) -> bool:
+    """True when z lies within 1e-9 * (1 + |at|) of at: the rule by which a
+    path must start at its start germ and end at its target."""
+    return abs(z - at) <= 1e-9 * (1.0 + abs(at))
 
 
 def reverse(path: BasePath) -> BasePath:
@@ -486,7 +493,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return TrackResult(start, ((0.0, start.z, start.w),), 0, float("inf"))
-    if abs(path.start_z - start.z) > 1e-9 * (1.0 + abs(start.z)):
+    if not same_z(path.start_z, start.z):
         raise ValueError(f"path starts at {path.start_z}, germ sits at {start.z}")
     fiber0 = fiber_at(eq, start.z, tol)
     pos = match_to_fiber(start.w, fiber0, tol)

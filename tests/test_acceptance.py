@@ -63,7 +63,7 @@ def test_criterion_01_sqrt_z_residue(tmp_path, capsys):
         exp = cycles[0]["expansion"]
         ok = ok and exp["m"] == 2 and exp["u"] == 1
         ok = ok and abs(complex(*exp["residue"])) < 1e-9
-        _report(1, "cmd_puiseux on W^2 - z at 0: m=2, u=1, |residue| < 1e-9", ok)
+        _report(1, "puiseux on W^2 - z at 0: m=2, u=1, |residue| < 1e-9", ok)
 
 
 def test_criterion_02_lemma2_identity(sqrt_z, recip_z):

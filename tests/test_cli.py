@@ -114,6 +114,19 @@ def test_integrate_plot_data(capsys, tmp_path, sqrt_file):
     assert len(lines) > 3
 
 
+def test_monodromy_plot_data_starts_at_the_loop_start(capsys, tmp_path, sqrt_file):
+    out = tmp_path / "loop.csv"
+    code, _ = run_cli(capsys, "--plot-data", str(out), "monodromy", sqrt_file,
+                      "--loop", "0,0,1,1")
+    assert code == 0
+    header, first, *rest = out.read_text().strip().splitlines()
+    assert header == "t,re_z,im_z,re_w,im_w"
+    t, re_z, im_z, re_w, im_w = map(float, first.split(","))
+    assert (t, re_z, im_z) == (0.0, 1.0, 0.0)
+    assert abs(complex(re_w, im_w) ** 2 - 1) < 1e-12  # a root of W^2 - z over z = 1
+    assert len(rest) > 3
+
+
 def test_audit_command_detects_period(capsys, recip_file):
     code, report = run_cli(
         capsys, "audit", recip_file,
@@ -180,6 +193,66 @@ def test_family_command(capsys, sqrt_file):
     from algebroid.exactalg import parse_coefficient
 
     assert parse_coefficient(fam[0]) == parse_coefficient("-2")
+
+
+def _key_paths(obj, prefix=""):
+    """Every key of a report section in order; a list of objects is read
+    through its first entry, written name[]."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + key
+            yield from _key_paths(value, prefix + key + ".")
+    elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        yield from _key_paths(obj[0], prefix[:-1] + "[].")
+
+
+COMMON_INPUTS = ["problem", "k", "coefficients", "seed"]
+START = ["start", "start.z", "start.w"]
+MODEL = ["k", "base", "base.z", "base.w", "constant", "coefficients", "diagnostics",
+         "diagnostics.residuals", "diagnostics.degrees", "diagnostics.grid_size",
+         "diagnostics.single_valuedness_defect", "diagnostics.derivative_defect"]
+LINE = ["--path-json", '[{"line": [[1, 0], [4, 0]]}]']
+AUDIT = ["--target-z=-1,0", "--target-w=-1,0", "--paths", "upper,lower"]
+
+
+@pytest.mark.parametrize("argv, inputs, results", [
+    (["critical", "sqrt"], [], ["points", "points[].location", "points[].kind"]),
+    (["fiber", "sqrt", "--z", "4"], ["z"], ["z", "roots"]),
+    (["monodromy", "sqrt", "--loop", "0,0,1,1"], ["path", "path[].arc", "path[].arc.center",
+                                                  "path[].arc.radius", "path[].arc.theta_from",
+                                                  "path[].arc.theta_to"],
+     ["permutation", "orbits", "is_identity"]),
+    (["puiseux", "sqrt", "--point", "0"], ["point"],
+     ["center", "cycles", "cycles[].sheets", "cycles[].classification", "cycles[].expansion",
+      "cycles[].expansion.m", "cycles[].expansion.u", "cycles[].expansion.residue",
+      "cycles[].expansion.start_sheet", "cycles[].expansion.radius",
+      "cycles[].expansion.coefficients", "cycles[].expansion.coefficients[].n",
+      "cycles[].expansion.coefficients[].value"]),
+    (["residues", "recip", "--contour-check"], [],
+     ["centers", "centers[].center", "centers[].kind", "centers[].cycles",
+      "centers[].cycles[].sheets", "centers[].cycles[].m", "centers[].cycles[].u",
+      "centers[].cycles[].classification", "centers[].cycles[].residue",
+      "centers[].cycles[].contour_residue", "centers[].cycles[].discrepancy"]),
+    (["integrate", "sqrt", *LINE], ["path", "path[].line", *START],
+     ["value", "error_estimate", "endpoint", "endpoint.z", "endpoint.w", "closed_on_surface"]),
+    (["audit", "recip", *AUDIT], [*START, "target", "target.z", "target.w", "paths"],
+     ["c_values", "pairs", "pairs[].first", "pairs[].second", "pairs[].discrepancy",
+      "max_discrepancy", "verdict", "residue_data", "residue_data[].center",
+      "residue_data[].cycle", "residue_data[].m", "residue_data[].residue",
+      "residue_data[].loop_period", "residue_data[].discrepancy"]),
+    (["antiderivative", "sqrt", "--constant", "0.66666666666666663"], [*START, "constant"],
+     MODEL),
+    (["family", "sqrt", "--constant", "0.66666666666666663", "--shift", "1"],
+     [*START, "constant", "shift"], [*MODEL, "family_constant", "family_coefficients"]),
+], ids=["critical", "fiber", "monodromy", "puiseux", "residues", "integrate", "audit",
+        "antiderivative", "family"])
+def test_report_layout_is_fixed(capsys, sqrt_file, recip_file, argv, inputs, results):
+    files = {"sqrt": sqrt_file, "recip": recip_file}
+    code, report = run_cli(capsys, argv[0], files[argv[1]], *argv[2:])
+    assert code == 0
+    assert list(report) == ["schema", "command", "inputs", "results", "warnings"]
+    assert list(_key_paths(report["inputs"])) == COMMON_INPUTS + inputs
+    assert list(_key_paths(report["results"])) == results
 
 
 def test_reports_are_byte_identical(capsys, sqrt_file):
@@ -274,6 +347,10 @@ def _schema_error_exit(capsys, tmp_path, problem, argv):
     assert report["error"]["type"] == "SchemaError"
 
 
+def _with_paths(**paths):
+    return dict(SQRT_Z, paths={name: [{"line": ends}] for name, ends in paths.items()})
+
+
 def _with_arc_radius(radius):
     arc = {"arc": {"center": [0, 0], "radius": radius, "theta_from": 0.0, "theta_to": 1.0}}
     return dict(SQRT_Z, paths={"bad": [arc]})
@@ -308,13 +385,31 @@ def _with_arc_radius(radius):
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "2", "--den-degree", "-1"]),
     # refused before the power is computed, which would exhaust memory
     ({"k": 2, "coefficients": ["0", "-z^100000000"]}, ["critical", PROBLEM]),
+    # paths the numeric layer refuses with a bare ValueError
+    (SQRT_Z, ["monodromy", PROBLEM, "--path-json", "[]"]),
+    (_with_paths(open=[[1, 0], [2, 0]]), ["monodromy", PROBLEM, "--path", "open"]),
+    (_with_paths(far=[[3, 0], [4, 0]]), ["integrate", PROBLEM, "--path", "far"]),
+    (_with_paths(far=[[3, 0], [4, 0]], near=[[1, 0], [4, 0]]),
+     ["audit", PROBLEM, "--target-z=4", "--target-w=2", "--paths", "far,near"]),
+    (_with_paths(short=[[1, 0], [3, 0]], near=[[1, 0], [4, 0]]),
+     ["audit", PROBLEM, "--target-z=4", "--target-w=2", "--paths", "near,short"]),
+    (dict(SQRT_Z, paths={"empty": [], "near": [{"line": [[1, 0], [4, 0]]}]}),
+     ["audit", PROBLEM, "--target-z=4", "--target-w=2", "--paths", "near,empty"]),
+    # an audit over fewer than two paths has no verdict to give
+    (RECIP_Z, ["audit", PROBLEM, "--target-z=-1,0", "--target-w=-1,0", "--paths=,"]),
+    (RECIP_Z, ["audit", PROBLEM, "--target-z=-1,0", "--target-w=-1,0", "--paths=upper"]),
+    (RECIP_Z, ["audit", PROBLEM, "--target-z=-1,0", "--target-w=-1,0",
+               "--paths=upper,upper"]),
 ], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
         "puiseux-radius-over-gap", "residues-radius-over-gap", "tol-n-max-below-k",
         "tol-zero", "tol-negative", "k-bool", "json-base-bool", "json-arc-radius-bool",
-        "num-degree-negative", "den-degree-negative", "exponent-above-cap"])
+        "num-degree-negative", "den-degree-negative", "exponent-above-cap",
+        "monodromy-empty-path", "monodromy-open-path", "integrate-path-off-start",
+        "audit-path-off-start", "audit-path-off-target", "audit-empty-path-off-target",
+        "audit-no-paths", "audit-one-path", "audit-one-distinct-path"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
 
