@@ -18,8 +18,11 @@ prod_s (M - F_s) = M^k + sum B_j M^(k-j), follow exactly from the power sums
 Tr((C + R)^n) and Newton's identities.
 
 build_antiderivative reads irreducibility, the sheet values and the
-single-valuedness audit from SheetRouter's one fiber_integral per monodromy
-generator, and expands residues only where a coefficient has a pole.
+single-valuedness audit from SheetRouter's one whole-fiber integral per
+monodromy generator, and expands residues only where a coefficient has a
+pole. The router integrates all its loops in one batch (quad._integrate,
+one batched fiber read per bisection level), and the fit all its grid
+connectors in one more.
 """
 
 from __future__ import annotations
@@ -39,15 +42,18 @@ from .errors import (
     RefusedReducible,
     SingleValuednessViolation,
     UnreachableSheet,
+    held,
+    settle,
+    then,
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
 from .puiseux import singular_elements
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
-from .quad import fiber_integral, surface_integral  # noqa: F401
+from .quad import _fiber_integrals, surface_integral  # noqa: F401
 from .surface import KIND_DISC, DefiningEquation, SheetPermutation, fiber_at, match_to_fiber
 from .surface import _orbits, _sheet_permutation, generator_loops
-from .tracker import SurfacePoint, germ_at, safe_line
+from .tracker import BasePath, SurfacePoint, germ_at, safe_line
 from .tracker import _path_margin
 
 __all__ = [
@@ -111,12 +117,15 @@ class SheetRouter:
         self.base_sheet = match_to_fiber(base.w, fiber, tol)
         self.germs = list(fiber.roots)
         self.germs[self.base_sheet] = base.w
-        self.gens: list[SheetPermutation] = []
-        self.periods: list[list[complex]] = []
-        for loop in generator_loops(eq, base.z, tol, rng):
-            periods, ends = fiber_integral(eq, self.germs, loop, tol)
-            self.gens.append(_sheet_permutation(ends, fiber, tol))
-            self.periods.append(periods)
+
+        def generator(integral):
+            periods, _, ends = integral
+            return _sheet_permutation(ends, fiber, tol), periods
+
+        loops = generator_loops(eq, base.z, tol, rng)  # every loop integrated in one batch
+        gens = settle(then(generator, _fiber_integrals(eq, [(self.germs, g) for g in loops], tol)))
+        self.gens: list[SheetPermutation] = [sigma for sigma, _ in gens]
+        self.periods: list[list[complex]] = [periods for _, periods in gens]
         self.values: dict[int, complex] = {self.base_sheet: 0j}
         queue = [self.base_sheet]
         while queue:
@@ -137,31 +146,45 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
 
     Entry j is c_{a, b_j} for the j-th germ of fiber_at(eq, z), reached by
     the router's loop word followed by a straight (detoured if necessary)
-    connector from the base point; one fiber_integral carries all k sheets
-    along the connector.
+    connector from the base point; one whole-fiber integral carries all k
+    sheets along the connector.
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
-    return _fiber_and_branch_integrals(eq, z, router, tol, rng)[1]
+    return _fiber_and_branch_integrals(eq, [z], router, tol, rng)[0][1]
 
 
-def _fiber_and_branch_integrals(eq: DefiningEquation, z: complex, router: SheetRouter,
-                                tol: Tolerances, rng):
-    """(fiber_at(eq, z), the branch integrals of branch_integrals_at over it)."""
+def _fiber_and_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
+                                router: SheetRouter, tol: Tolerances, rng) -> list:
+    """Per z of zs: (fiber_at(eq, z), the branch integrals of branch_integrals_at
+    over it). The connectors of all z are integrated in one batch, and the
+    first refusal in the order of zs is raised."""
     missing = [s for s in range(eq.k) if s not in router.values]
     if missing:
         raise UnreachableSheet(
             f"sheets {missing} are not reachable from the base sheet; "
             "the defining equation is reducible"
         )
-    if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
-        return fiber_at(eq, z, tol), [router.values[s] for s in range(eq.k)]
     margin = _path_margin(eq, tol)
-    connector = safe_line(router.base.z, z, eq.critical(tol).locations, margin, rng)
-    fiber_t = fiber_at(eq, z, tol)
-    values, ends = fiber_integral(eq, router.germs, connector, tol)
-    inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
-    return fiber_t, [router.values[s] + values[s] for s in inverse.image]
+    locations = eq.critical(tol).locations
+
+    def connector(z):
+        if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
+            return BasePath(()), fiber_at(eq, z, tol)
+        path = safe_line(router.base.z, z, locations, margin, rng)
+        return path, fiber_at(eq, z, tol)
+
+    def branch_integrals(integral, start):
+        path, fiber_t = start
+        if not path.segments:
+            return fiber_t, [router.values[s] for s in range(eq.k)]
+        values, _, ends = integral
+        inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
+        return fiber_t, [router.values[s] + values[s] for s in inverse.image]
+
+    starts = [held(connector, z) for z in zs]
+    integrals = _fiber_integrals(eq, then(lambda start: (router.germs, start[0]), starts), tol)
+    return settle(then(branch_integrals, integrals, starts))
 
 
 def symmetric_coeffs(values: Sequence[complex]) -> list[complex]:
@@ -347,9 +370,9 @@ def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
     denominator and each grid point's fiber. Raises FitNotConverged naming
     the r_i whose scan failed, or all of them when the certificate fails."""
     samples, fibers = [], {}
-    for z in grid:
-        fibers[z], values = _fiber_and_branch_integrals(eq, z, router, tol, rng)
-        samples.append(_interpolate(fibers[z].roots, [c + v for v in values]))
+    for z, (fiber, values) in zip(grid, _fiber_and_branch_integrals(eq, grid, router, tol, rng)):
+        fibers[z] = fiber
+        samples.append(_interpolate(fiber.roots, [c + v for v in values]))
     r, residuals = [], []
     for i, column in enumerate(np.asarray(samples).T):
         try:

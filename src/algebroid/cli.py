@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
-from .errors import AlgebroidError, SchemaError
-from .puiseux import _local_data, _radius, singular_elements
-from .quad import _cycle_loop_values, path_independence_audit, surface_integral
+from .errors import AlgebroidError, SchemaError, settle
+from .puiseux import _radius, singular_elements
+from .quad import _residue_loops, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
 
@@ -155,11 +155,18 @@ def path_to_json(path: BasePath) -> list:
 
 
 def load_problem(filename: str) -> Problem:
-    with open(filename, "r", encoding="utf-8") as fh:
-        try:
+    """The problem file's equation, base germ and named paths; SchemaError
+    names the file when it is not a UTF-8 JSON file (a missing one raises
+    FileNotFoundError)."""
+    try:
+        with open(filename, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{filename}: not valid JSON: {exc}") from exc
+    except IsADirectoryError as exc:
+        raise SchemaError(f"{filename}: is a directory, not a problem file") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{filename}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{filename}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{filename}: top level must be an object")
     k = _want(raw, "k", int, filename)
@@ -404,9 +411,13 @@ def _puiseux(args, problem, tol, rng, inputs):
 def _residues(args, problem, tol, rng, inputs):
     crit = problem.eq.critical(tol)
     _check_radius(problem, crit.locations, args.radius, tol)
+    locations = [cp.location for cp in crit.points]
+    if args.contour_check:  # every center's outer turn integrated in one batch
+        local = settle(_residue_loops(problem.eq, locations, args.radius, tol))
+    else:
+        local = [(singular_elements(problem.eq, a, args.radius, tol), None) for a in locations]
     centers = []
-    for cp in crit.points:
-        rep, turn = _local_data(problem.eq, cp.location, args.radius, tol)
+    for cp, (rep, loop_values) in zip(crit.points, local):
         cycles = [
             {
                 "sheets": list(c.sheets),
@@ -417,8 +428,7 @@ def _residues(args, problem, tol, rng, inputs):
             }
             for c in rep.cycles
         ]
-        if args.contour_check:
-            loop_values = _cycle_loop_values(turn, [c.sheets for c in rep.cycles], tol)
+        if loop_values is not None:
             for entry, c, value in zip(cycles, rep.cycles, loop_values):
                 rc = value / (2j * math.pi)
                 entry.update(contour_residue=_cpx(rc), discrepancy=abs(rc - c.residue))

@@ -1,4 +1,9 @@
-"""Error taxonomy. Every domain error carries a CLI exit code."""
+"""Error taxonomy. Every domain error carries a CLI exit code.
+
+A batch that integrates many paths at once holds each path's refusal (held,
+then) until the batch ends; settle then raises the first in path order, the
+refusal that doing the paths one after another would have raised.
+"""
 
 
 class AlgebroidError(Exception):
@@ -138,3 +143,28 @@ class SingleValuednessViolation(AlgebroidError):
         super().__init__(message)
         self.defect = defect
         self.generator = generator
+
+
+def held(fn, *args):
+    """fn(*args), or the AlgebroidError it raises, held in place of its result."""
+    try:
+        return fn(*args)
+    except AlgebroidError as exc:
+        return exc
+
+
+def then(fn, outcomes, *columns) -> list:
+    """held(fn, outcome, *entries) for each outcome of a batch and the matching
+    entries of the columns; an outcome that is a held refusal stays one."""
+    return [o if isinstance(o, AlgebroidError) else held(fn, o, *rest)
+            for o, *rest in zip(outcomes, *columns)]
+
+
+def settle(outcomes) -> list:
+    """The outcomes of a batch, once none is a held refusal: the first one in
+    path order is raised."""
+    outcomes = list(outcomes)
+    for o in outcomes:
+        if isinstance(o, AlgebroidError):
+            raise o
+    return outcomes

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AnnulusTooWide, PrincipalPartTruncated
+from .errors import AnnulusTooWide, PrincipalPartTruncated, settle
 from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
 from .tracker import Arc, Line, _WalkedSegment
 
@@ -135,9 +135,10 @@ def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
           epsilon: float, n_samples: int, tol: Tolerances):
     """Track the fiber `roots` over a + epsilon once around a, sampling it at
     n_samples equal angles: (one row per sample, columns in the position order
-    of roots; the circle's sheet permutation of roots; the walked circle)."""
+    of roots, or None for no samples; the circle's sheet permutation of roots;
+    the walked circle)."""
     turn = _WalkedSegment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol)
-    rows = turn.rows(np.arange(n_samples) / n_samples)
+    rows = turn.rows(np.arange(n_samples) / n_samples) if n_samples else None
     return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol), turn
 
 
@@ -158,7 +159,7 @@ def cycle_structure(eq: DefiningEquation, a: complex,
                     tol: Tolerances = DEFAULT) -> list[tuple[int, ...]]:
     """Monodromy orbits of the small circle about a, in cycle order."""
     epsilon = _radius(eq, a, epsilon, tol)
-    _, sigma, _ = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
+    _, sigma, _ = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 0, tol)
     return sigma.orbits()
 
 
@@ -264,8 +265,8 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     from .quad import _cycle_loop_values  # quad imports this module
 
     epsilon = _radius(eq, a, epsilon, tol)
-    turn = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 1, tol)
-    (value,) = _cycle_loop_values(turn, [tuple(cycle)], tol)
+    turn = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 0, tol)
+    ((value,),) = settle(_cycle_loop_values([(turn, [tuple(cycle)])], tol))
     return value / (2j * math.pi)
 
 

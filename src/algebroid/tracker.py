@@ -13,21 +13,26 @@ the tracker relearn its step after each one.
 
 Every reader of a fiber along a path reads one walk per segment,
 _WalkedSegment: it keeps the knots (t, z, fiber) of the accepted steps and
-the end fiber, and gives the fiber at any parameters (rows) by cubic Hermite
-interpolation between the knots with their dw/dt and one batched Newton
-pass (rootfind.newton_polish_pairs), each sample held to the gates of an
-accepted step: residual, no collision, and a drift within a quarter of the
-root separation of both the predicted and the corrected row. A sample that
-fails becomes a stop of the tracker, whose fiber there is the sample, and
-the segment is walked again. _walk checks once that a path keeps the path
-margin (_path_margin) from the critical set and walks its segments in turn:
-continue_fiber reads the end fibers, continue_branch the knots and quad the
-Gauss nodes of its pieces; puiseux walks its circles and radial leg alone.
+the end fiber. _read gives the fiber at any parameters of many walked
+segments at once: cubic Hermite interpolation between each segment's own
+knots with their dw/dt, then one batched Newton pass
+(rootfind.newton_polish_pairs) over the rows of all of them, each sample
+held to the gates of an accepted step: residual, no collision, and a drift
+within a quarter of the root separation of both the predicted and the
+corrected row. A sample that fails becomes a stop of its own segment's
+tracker, whose fiber there is the sample, and that segment alone is walked
+again and read again. rows is the one-segment call of _read. _walk checks
+once that a path keeps the path margin (_path_margin) from the critical set
+and walks its segments in turn: continue_fiber reads the end fibers,
+continue_branch the knots and quad the Gauss nodes of its pieces, for many
+paths in one _read per bisection level; puiseux walks its circles and
+radial leg alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -39,6 +44,8 @@ from .errors import (
     PathTooCloseToCritical,
     StepUnderflow,
     TrackingCollision,
+    held,
+    settle,
 )
 from .rootfind import (
     newton_polish,
@@ -385,29 +392,69 @@ class _WalkedSegment:
 
     def rows(self, ts: Sequence[float]) -> np.ndarray:
         """The fiber at each parameter of ts in [0, 1], one row per parameter
-        in position order: Hermite-predicted from the knots and corrected in
-        one batched Newton pass under the gates of an accepted step. A sample
-        that fails becomes a stop of the tracker and the segment is walked
-        again, so every sample a stop is advance_to each sample in turn."""
-        ts = np.asarray(ts, dtype=float)
-        while True:
+        in position order: the one-segment call of _read."""
+        return settle(_read([self], [ts]))[0]
+
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The knot parameters and fibers with their slopes dw/dt, for _hermite."""
+        if self._dense is None:
+            knots, zs, k = np.array(self.fibers), np.array(self.z), len(self.start)
+            w = knots.ravel()
+            _, dpsi_w = poly_eval_pairs(np.repeat(self.eq.psi_coeffs_on(zs), k, 0), w)
+            psi_z, _ = poly_eval_pairs(np.repeat(self.eq.psi_z_coeffs_on(zs), k, 0), w)
+            dzdt = np.array([self.seg.deriv(t) for t in self.t])[:, None]
+            slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
+            self._dense = np.array(self.t), knots, slopes
+        return self._dense
+
+
+def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> list:
+    """The fiber at each parameter of tss[i] in [0, 1] on walked[i], one row
+    per parameter in position order, or the refusal held for that segment.
+
+    Every row is Hermite-predicted from its own segment's knots, and the rows
+    of all segments of one equation are corrected in one batched Newton pass
+    under the gates of an accepted step. A sample that fails becomes a stop
+    of its segment's tracker; that segment alone is walked again and all its
+    parameters read again, in one pass with the other segments that failed,
+    so every sample a stop is advance_to each sample in turn.
+    """
+    tss = [np.asarray(ts, dtype=float) for ts in tss]
+    out: list = [None] * len(walked)
+    todo = list(range(len(walked)))
+    while todo:
+        again = []
+        for group in _by_equation(walked, todo):
+            eq, tol = walked[group[0]].eq, walked[group[0]].tol
             with np.errstate(all="ignore"):  # a sample gone astray fails its gates
-                if self._dense is None:  # the knots with their slopes dw/dt
-                    knots, zs, k = np.array(self.fibers), np.array(self.z), len(self.start)
-                    w = knots.ravel()
-                    _, dpsi_w = poly_eval_pairs(np.repeat(self.eq.psi_coeffs_on(zs), k, 0), w)
-                    psi_z, _ = poly_eval_pairs(np.repeat(self.eq.psi_z_coeffs_on(zs), k, 0), w)
-                    dzdt = np.array([self.seg.deriv(t) for t in self.t])[:, None]
-                    slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
-                    self._dense = np.array(self.t), knots, slopes
-                rows, ok = _correct(self.eq, np.array([self.seg.at(t) for t in ts]),
-                                    _hermite(*self._dense, ts), self.tol)
-            for j in np.flatnonzero([t in self.stops for t in ts]):
-                rows[j], ok[j] = self.stops[ts[j]], True
-            if ok.all():
-                return rows
-            self.stops.update(dict.fromkeys(ts[~ok]))
-            self._walk()
+                zs = np.array([walked[i].seg.at(t) for i in group for t in tss[i]])
+                pred = np.concatenate([_hermite(*walked[i]._knots(), tss[i]) for i in group])
+                rows, ok = _correct(eq, zs, pred, tol)
+            bounds = list(itertools.accumulate((len(tss[i]) for i in group), initial=0))
+            for i, lo, hi in zip(group, bounds, bounds[1:]):
+                seg, ts, seg_rows, seg_ok = walked[i], tss[i], rows[lo:hi], ok[lo:hi]
+                for j in np.flatnonzero([t in seg.stops for t in ts]):
+                    seg_rows[j], seg_ok[j] = seg.stops[ts[j]], True
+                if seg_ok.all():
+                    out[i] = seg_rows
+                    continue
+                seg.stops.update(dict.fromkeys(ts[~seg_ok]))
+                refusal = held(seg._walk)
+                if refusal is None:
+                    again.append(i)
+                else:
+                    out[i] = refusal
+        todo = again
+    return out
+
+
+def _by_equation(walked: Sequence[_WalkedSegment], indices: Sequence[int]) -> list[list[int]]:
+    """The indices grouped by the equation and Tolerances of their walked
+    segments, each group in the given order."""
+    groups: dict = {}
+    for i in indices:
+        groups.setdefault((id(walked[i].eq), walked[i].tol), []).append(i)
+    return list(groups.values())
 
 
 def _hermite(knot_t: np.ndarray, knots: np.ndarray, slopes: np.ndarray,
@@ -466,14 +513,20 @@ def _walk(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
             raise PathTooCloseToCritical(
                 f"path passes within {d:.3e} of critical point {c} (margin {margin:.3e})"
             )
-    total_len = path.length
     done = 0.0
-    for seg in path.segments:
-        share = seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+    for seg, share in zip(path.segments, _shares(path)):
         walked = _WalkedSegment(eq, seg, fiber, tol)
         yield done, share, walked
         fiber = walked.end
         done += share
+
+
+def _shares(path: BasePath) -> list[float]:
+    """Each segment's share of the path length (equal shares on a path of
+    length 0)."""
+    total_len = path.length
+    return [seg.length / total_len if total_len > 0 else 1.0 / len(path.segments)
+            for seg in path.segments]
 
 
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,

@@ -389,16 +389,17 @@ def test_r_i_above_the_degree_bounds_is_refused_by_name(sqrt_z):
 
 
 def _count_connectors(monkeypatch):
+    """One entry per path handed to the batched fiber integral: loops and connectors."""
     import algebroid.antideriv as antideriv
 
     calls = []
-    real = antideriv.fiber_integral
+    real = antideriv._fiber_integrals
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(eq, starts, tol):
+        calls.extend(1 for _ in starts)
+        return real(eq, starts, tol)
 
-    monkeypatch.setattr(antideriv, "fiber_integral", counted)
+    monkeypatch.setattr(antideriv, "_fiber_integrals", counted)
     return calls
 
 
@@ -419,8 +420,26 @@ def _certify_failing(monkeypatch, times):
 def test_default_grid_has_eight_connectors(sqrt_z, monkeypatch):
     connectors = _count_connectors(monkeypatch)
     model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
-    # one fiber_integral is the router's loop about the one critical point
+    # one path is the router's loop about the one critical point
     assert len(connectors) - 1 == len(model.diagnostics.sample_grid) == 8
+
+
+def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
+    # one Newton pass per bisection level over all the router's loops, then
+    # over all connectors; one pass per segment per level took 26 passes
+    from algebroid import tracker
+
+    passes = []
+    correct = tracker._correct
+
+    def counting_correct(eq, zs, pred, tol):
+        passes.append(len(pred))
+        return correct(eq, zs, pred, tol)
+
+    monkeypatch.setattr(tracker, "_correct", counting_correct)
+    build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    assert len(passes) <= 6
+    assert sum(passes) == 784
 
 
 def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):

@@ -278,6 +278,21 @@ def test_exit_code_missing_file(capsys):
     assert report["error"]["type"] == "FileNotFound"
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "is a directory"),
+    (lambda path: path.write_bytes(b"\xff\xfe{}"), "not UTF-8"),
+])
+def test_unreadable_problem_file_is_a_schema_error(capsys, tmp_path, make, reason):
+    problem = tmp_path / "problem.json"
+    make(problem)
+    code = main(["critical", str(problem)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert str(problem) in report["error"]["message"]
+    assert reason in report["error"]["message"]
+
+
 def test_exit_code_schema_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"k": 2, "coefficients": ["0"]}))

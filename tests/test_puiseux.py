@@ -47,6 +47,23 @@ def test_cycle_structure_split(split_eq):
     assert cycles == [(0,), (1,)]
 
 
+def test_cycle_structure_reads_no_samples(monkeypatch, sqrt_z, recip_z):
+    # the permutation and the walked circle need no Newton-corrected sample
+    passes = []
+    correct = tracker._correct
+
+    def counting_correct(eq, zs, pred, tol):
+        passes.append(len(pred))
+        return correct(eq, zs, pred, tol)
+
+    monkeypatch.setattr(tracker, "_correct", counting_correct)
+    assert cycle_structure(sqrt_z, 0j) == [(0, 1)]
+    assert passes == []
+    # the contour residue reads only its quadrature nodes, the whole turn's first
+    residue_by_contour(recip_z, 0j, (0,))
+    assert passes[0] == len(quad._GL_X)
+
+
 def test_cycles_partition_sheets(sqrt_z, circle_eq, split_eq, recip_z):
     for eq in (sqrt_z, circle_eq, split_eq, recip_z):
         for cp in eq.critical().points:

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from algebroid.config import DEFAULT
-from algebroid.errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall
+from algebroid.errors import (
+    EndpointGermMismatch,
+    LiftNotClosed,
+    PathTooCloseToCritical,
+    QuadratureStall,
+    settle,
+)
 from algebroid.exactalg import GaussianRational
-from algebroid import quad
+from algebroid import quad, tracker
 from algebroid.cli import main
 from algebroid.puiseux import default_radius, residue_by_contour
 from algebroid.quad import (
@@ -29,7 +35,6 @@ from algebroid.tracker import (
     Line,
     SegmentTracker,
     SurfacePoint,
-    _WalkedSegment,
     _walk,
     continue_fiber,
     loop_path,
@@ -403,15 +408,16 @@ def test_fiber_integral_takes_only_the_tracker_steps(monkeypatch, sqrt_z, path, 
 
 
 def _count_rows(monkeypatch):
+    """Calls of the batched fiber read quadrature makes, and the parameters they ask for."""
     reads = {"calls": 0, "nodes": 0}
-    rows = _WalkedSegment.rows
+    read = quad._read
 
-    def counting_rows(self, ts):
+    def counting_read(walked, tss):
         reads["calls"] += 1
-        reads["nodes"] += len(ts)
-        return rows(self, ts)
+        reads["nodes"] += sum(len(ts) for ts in tss)
+        return read(walked, tss)
 
-    monkeypatch.setattr(_WalkedSegment, "rows", counting_rows)
+    monkeypatch.setattr(quad, "_read", counting_read)
     return reads
 
 
@@ -451,3 +457,66 @@ def test_tolerance_below_round_off_stalls_within_bounded_work(monkeypatch):
                          DEFAULT.replace(quad_tol=1e-17))
     assert reads["calls"] <= quad._MAX_DEPTH + 2
     assert reads["nodes"] <= 8192
+
+
+def _refuse_one_sample(monkeypatch, start, bad):
+    """Push the prediction at parameter bad of the segment that starts at
+    the fiber start most of the way to another sheet, so that sample fails
+    its gates and that segment alone is walked again."""
+    hermite = tracker._hermite
+
+    def perturbed(knot_t, knots, slopes, ts):
+        pred = hermite(knot_t, knots, slopes, ts)
+        if list(knots[0]) == list(start):
+            hit = ts == bad
+            pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
+        return pred
+
+    monkeypatch.setattr(tracker, "_hermite", perturbed)
+
+
+def test_batched_integrals_equal_each_path_alone(monkeypatch):
+    # W^3 - z around a loop spoked from 4: the refused sample re-walks the
+    # spoke and moves its end fiber by an ulp, so the arc is walked again
+    # from the new end, as integrating the spoke first and then the arc does
+    spoked = (["0", "0", "-z"], loop_path(0, 3.0, 1, anchor=4))
+    cases = NODE_CASES + [spoked]
+    starts = []
+    for coeffs, path in cases:
+        eq = DefiningEquation.from_strings(coeffs)
+        starts.append((eq, fiber_at(eq, path.start_z).roots, path))
+    bad = _gauss_nodes(0.0, 1.0)[4]
+    _refuse_one_sample(monkeypatch, starts[-1][1], bad)
+
+    def lifts():
+        return [quad._Lift(eq, roots, path, DEFAULT) for eq, roots, path in starts]
+
+    first_spoke_end = lifts()[-1].parts[0].walked.end
+    alone = [quad._integrate([lift])[0] for lift in lifts()]
+    batch = lifts()
+    assert quad._integrate(batch) == alone
+    spoke, arc = batch[-1].parts[:2]
+    assert bad in spoke.walked.stops
+    assert spoke.walked.end != first_spoke_end
+    assert arc.walked.start == spoke.walked.end
+    for (eq, roots, path), (values, _, end) in zip(starts, alone):
+        assert (values, end) == fiber_integral(eq, roots, path)
+
+
+def test_batch_raises_the_refusal_of_the_first_path_that_fails():
+    # path 0 stalls in quadrature, path 1 is refused before any walk
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    tol = DEFAULT.replace(quad_tol=1e-17)
+    roots = fiber_at(eq, 1.0).roots
+    stalls, too_close = polyline(1, -1 + 0.01j), polyline(1, -1)
+    with pytest.raises(QuadratureStall):
+        settle(quad._fiber_integrals(eq, [(roots, stalls), (roots, too_close)], tol))
+    with pytest.raises(PathTooCloseToCritical):
+        settle(quad._fiber_integrals(eq, [(roots, too_close), (roots, stalls)], tol))
+    # so does the audit, whose c_ab paths are one batch
+    base, target = SurfacePoint(1, 1), SurfacePoint(-1 + 0.01j, fiber_at(eq, -1 + 0.01j).roots[0])
+    detour = polyline(1, 0.001, -1 + 0.01j)
+    with pytest.raises(QuadratureStall):
+        path_independence_audit(eq, base, target, [stalls, detour], tol)
+    with pytest.raises(PathTooCloseToCritical):
+        path_independence_audit(eq, base, target, [detour, stalls], tol)
