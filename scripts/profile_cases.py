@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Profile algebroid.cli.main alone over benchmark cases.
+
+    python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--callers REGEX]
+
+Imports algebroid from SRC_ROOT/src only, as ``replay_cases.py run`` does,
+and runs cProfile around each ``algebroid.cli.main`` call on the argv of
+every DIR/cases/*.argv, where each DIR is a
+benchmark/out/<workload>-seed<n>-trace<t> directory. Only those calls are
+profiled: not the benchmark's calibration kernel, not the imports. Prints
+the number of cases, each case whose call raised, and the top N functions
+(default 25) by self time, and with --callers the callers of every function
+whose name matches REGEX.
+Standard library only.
+"""
+
+import argparse
+import contextlib
+import cProfile
+import io
+import pstats
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import replay_cases  # noqa: E402
+
+
+def profile(cli, dirs: list) -> tuple[int, list, cProfile.Profile]:
+    """The number of cases, the cases whose cli.main call raised, and the
+    profile of all their cli.main calls."""
+    prof, count, raised = cProfile.Profile(), 0, []
+    for case, argv in replay_cases.case_argvs(dirs):
+        with contextlib.redirect_stdout(io.StringIO()):
+            prof.enable()
+            try:
+                cli.main(argv)
+            except (Exception, SystemExit) as exc:  # profiled like any outcome, and named
+                raised.append(f"{case}: {type(exc).__name__}")
+            finally:
+                prof.disable()
+        count += 1
+    return count, raised, prof
+
+
+def main(argv: list) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src_root", type=Path)
+    parser.add_argument("dirs", nargs="+")
+    parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--callers")
+    args = parser.parse_args(argv)
+    count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs)
+    print(f"cases {count}, raised {len(raised)}", *raised, sep="\n  ")
+    stats = pstats.Stats(prof, stream=sys.stdout).strip_dirs().sort_stats("tottime")
+    stats.print_stats(args.top)
+    if args.callers:
+        stats.print_callers(args.callers)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

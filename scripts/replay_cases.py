@@ -41,20 +41,27 @@ def _import_cli(src_root: Path):
     return algebroid.cli
 
 
-def replay(cli, dirs: list) -> dict:
-    cases = {}
+def case_argvs(dirs: list):
+    """(DIR name/case stem, argv of algebroid.cli.main) for every
+    DIR/cases/*.argv, each problem file read from DIR/cases."""
     for directory in (Path(d).resolve() for d in dirs):
         for argv_file in sorted((directory / "cases").glob("*.argv")):
             _, *argv = shlex.split(argv_file.read_text())
             argv = [str(argv_file.parent / Path(a).name)
                     if (argv_file.parent / Path(a).name).is_file() else a for a in argv]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                try:
-                    code = cli.main(argv)
-                except (Exception, SystemExit) as exc:  # a crash is an outcome to compare
-                    code = f"raised:{type(exc).__name__}"
-            cases[f"{directory.name}/{argv_file.stem}"] = {"exit": code, "stdout": out.getvalue()}
+            yield f"{directory.name}/{argv_file.stem}", argv
+
+
+def replay(cli, dirs: list) -> dict:
+    cases = {}
+    for case, argv in case_argvs(dirs):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                code = cli.main(argv)
+            except (Exception, SystemExit) as exc:  # a crash is an outcome to compare
+                code = f"raised:{type(exc).__name__}"
+        cases[case] = {"exit": code, "stdout": out.getvalue()}
     return cases
 
 

@@ -3,7 +3,7 @@
 One function per subcommand, bound to its subparser by set_defaults, parses
 its own flags, appends its keys to the report's inputs and returns (results,
 warnings). Shared flag groups are parent parsers. A global flag, such as
---stats, is declared once on the top-level parser and read in _run or main.
+--timing, is declared once on the top-level parser and read in _run or main.
 
 Reports are deterministic: fixed field order, floats at 17 significant
 digits, no timestamps unless --timing is requested. Complex numbers

@@ -12,7 +12,9 @@ the per-piece rule converges spectrally.
 _integrate takes many paths at once. Each path is walked segment by
 segment from its own start fiber by tracker._walk, which checks the margin
 once; then each level reads the Gauss nodes of every pending piece of
-every segment of every path in one batched read (tracker._read), so
+every segment of every path in one batched read (tracker._read): one
+array pass per equation for the nodes, the Hermite prediction and the
+Newton correction, with dz/dt from the segments' array form (derivs), so
 quadrature takes the tracker's own steps and no step per node. A segment
 sees the reads, stops and re-walks it would see alone, so every value is
 the one a path integrated alone gets, and one path is a batch of one. A
@@ -27,7 +29,6 @@ for the m-turn loop integrals, as residue_by_contour and the CLI do.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,7 +41,7 @@ from .errors import held, settle, then
 from .puiseux import _local_data
 from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
-from .tracker import _WalkedSegment, _by_equation, _path_margin, _read, _shares, _walk
+from .tracker import _WalkedSegment, _bounds, _by_equation, _path_margin, _read, _shares, _walk
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -113,8 +114,7 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
     for group in _by_equation(walked, live):
         rows = np.concatenate([reads[i] for i in group])
         a = rows.reshape(-1, len(_GL_X), rows.shape[1]) * _GL_W[:, None]
-        d = np.array([walked[i].seg.deriv(t) for i in group for t in tss[i]])
-        d = d.reshape(len(a), -1, 1)
+        d = np.concatenate([walked[i].seg.derivs(tss[i]) for i in group]).reshape(len(a), -1, 1)
         # (wt w) dz in Python's complex arithmetic: numpy's complex multiply may use
         # FMA, which moves values by an ulp and can flip an accept decision
         terms = np.empty_like(a)
@@ -122,7 +122,7 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
         terms.imag = a.real * d.imag + a.imag * d.real
         half = np.concatenate([halves[i] for i in group])[:, None]
         values = sum(terms.swapaxes(0, 1), 0j) * half  # node by node, from 0j
-        bounds = list(itertools.accumulate((len(halves[i]) for i in group), initial=0))
+        bounds = _bounds([halves[i] for i in group])
         for i, lo, hi in zip(group, bounds, bounds[1:]):
             reads[i] = values[lo:hi]
     return reads

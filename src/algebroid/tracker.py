@@ -14,19 +14,21 @@ the tracker relearn its step after each one.
 Every reader of a fiber along a path reads one walk per segment,
 _WalkedSegment: it keeps the knots (t, z, fiber) of the accepted steps and
 the end fiber. _read gives the fiber at any parameters of many walked
-segments at once: cubic Hermite interpolation between each segment's own
-knots with their dw/dt, then one batched Newton pass
-(rootfind.newton_polish_pairs) over the rows of all of them, each sample
-held to the gates of an accepted step: residual, no collision, and a drift
-within a quarter of the root separation of both the predicted and the
-corrected row. A sample that fails becomes a stop of its own segment's
-tracker, whose fiber there is the sample, and that segment alone is walked
-again and read again. rows is the one-segment call of _read. _walk checks
-once that a path keeps the path margin (_path_margin) from the critical set
-and walks its segments in turn: continue_fiber reads the end fibers,
-continue_branch the knots and quad the Gauss nodes of its pieces, for many
-paths in one _read per bisection level; puiseux walks its circles and
-radial leg alone.
+segments at once, in one array pass per equation: the nodes of every
+segment (Line.ats, Arc.ats, bit for bit the scalar at), the knot slopes
+dw/dt of every segment not read before (_knot_slopes), one cubic Hermite
+prediction over the knots of them all, each node placed among its own
+segment's knots (_hermite), then one batched Newton pass
+(rootfind.newton_polish_pairs) over all the rows, each sample held to the
+gates of an accepted step: residual, no collision, and a drift within a
+quarter of the root separation of both the predicted and the corrected row.
+A sample that fails becomes a stop of its own segment's tracker, whose
+fiber there is the sample, and that segment alone is walked again and read
+again. rows is the one-segment call of _read. _walk checks once that a path
+keeps the path margin (_path_margin) from the critical set and walks its
+segments in turn: continue_fiber reads the end fibers, continue_branch the
+knots and quad the Gauss nodes of its pieces, for many paths in one _read
+per bisection level; puiseux walks its circles and radial leg alone.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ class Line:
     def deriv(self, t: float) -> complex:
         return self.z_to - self.z_from
 
+    def ats(self, ts: np.ndarray) -> np.ndarray:
+        """at of each parameter of an array, bit for bit."""
+        return self.z_from + ts * (self.z_to - self.z_from)
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        """deriv of each parameter of an array."""
+        return np.full(len(ts), self.z_to - self.z_from)
+
     def reversed(self) -> "Line":
         return Line(self.z_to, self.z_from)
 
@@ -147,6 +157,17 @@ class Arc:
     def deriv(self, t: float) -> complex:
         theta = self.theta_from + t * (self.theta_to - self.theta_from)
         return 1j * self.radius * (self.theta_to - self.theta_from) * cmath.exp(1j * theta)
+
+    def ats(self, ts: np.ndarray) -> np.ndarray:
+        """at of each parameter of an array, bit for bit: the same operations
+        in the same order, with np.exp for cmath.exp."""
+        theta = self.theta_from + ts * (self.theta_to - self.theta_from)
+        return self.center + self.radius * np.exp(1j * theta)
+
+    def derivs(self, ts: np.ndarray) -> np.ndarray:
+        """deriv of each parameter of an array, bit for bit."""
+        theta = self.theta_from + ts * (self.theta_to - self.theta_from)
+        return 1j * self.radius * (self.theta_to - self.theta_from) * np.exp(1j * theta)
 
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.theta_to, self.theta_from)
@@ -395,29 +416,20 @@ class _WalkedSegment:
         in position order: the one-segment call of _read."""
         return settle(_read([self], [ts]))[0]
 
-    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The knot parameters and fibers with their slopes dw/dt, for _hermite."""
-        if self._dense is None:
-            knots, zs, k = np.array(self.fibers), np.array(self.z), len(self.start)
-            w = knots.ravel()
-            _, dpsi_w = poly_eval_pairs(np.repeat(self.eq.psi_coeffs_on(zs), k, 0), w)
-            psi_z, _ = poly_eval_pairs(np.repeat(self.eq.psi_z_coeffs_on(zs), k, 0), w)
-            dzdt = np.array([self.seg.deriv(t) for t in self.t])[:, None]
-            slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
-            self._dense = np.array(self.t), knots, slopes
-        return self._dense
-
 
 def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> list:
     """The fiber at each parameter of tss[i] in [0, 1] on walked[i], one row
     per parameter in position order, or the refusal held for that segment.
 
-    Every row is Hermite-predicted from its own segment's knots, and the rows
-    of all segments of one equation are corrected in one batched Newton pass
-    under the gates of an accepted step. A sample that fails becomes a stop
-    of its segment's tracker; that segment alone is walked again and all its
-    parameters read again, in one pass with the other segments that failed,
-    so every sample a stop is advance_to each sample in turn.
+    The segments of one equation are read in one array pass: their nodes
+    (Line.ats, Arc.ats), the knot slopes of those not yet read (_knot_slopes),
+    one Hermite prediction over all their knots (_hermite) and one batched
+    Newton pass under the gates of an accepted step (_correct). A parameter
+    that is a stop of its segment reads the tracked fiber there. A sample that
+    fails becomes a stop of its segment's tracker; that segment alone is
+    walked again and all its parameters read again, in one pass with the
+    other segments that failed, until every sample passes its gates or is a
+    stop, which at worst is the tracker stepping to each sample in turn.
     """
     tss = [np.asarray(ts, dtype=float) for ts in tss]
     out: list = [None] * len(walked)
@@ -425,15 +437,16 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
     while todo:
         again = []
         for group in _by_equation(walked, todo):
-            eq, tol = walked[group[0]].eq, walked[group[0]].tol
+            segs, ts_group = [walked[i] for i in group], [tss[i] for i in group]
             with np.errstate(all="ignore"):  # a sample gone astray fails its gates
-                zs = np.array([walked[i].seg.at(t) for i in group for t in tss[i]])
-                pred = np.concatenate([_hermite(*walked[i]._knots(), tss[i]) for i in group])
-                rows, ok = _correct(eq, zs, pred, tol)
-            bounds = list(itertools.accumulate((len(tss[i]) for i in group), initial=0))
-            for i, lo, hi in zip(group, bounds, bounds[1:]):
-                seg, ts, seg_rows, seg_ok = walked[i], tss[i], rows[lo:hi], ok[lo:hi]
-                for j in np.flatnonzero([t in seg.stops for t in ts]):
+                _knot_slopes(segs)
+                zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(segs, ts_group)])
+                pred = _hermite([seg._dense for seg in segs], ts_group)
+                rows, ok = _correct(segs[0].eq, zs, pred, segs[0].tol)
+            bounds = _bounds(ts_group)
+            for i, seg, ts, lo, hi in zip(group, segs, ts_group, bounds, bounds[1:]):
+                seg_rows, seg_ok = rows[lo:hi], ok[lo:hi]
+                for j in np.flatnonzero(np.isin(ts, list(seg.stops))):
                     seg_rows[j], seg_ok[j] = seg.stops[ts[j]], True
                 if seg_ok.all():
                     out[i] = seg_rows
@@ -448,6 +461,12 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
     return out
 
 
+def _bounds(parts: Sequence) -> list[int]:
+    """Where each of parts starts and the last ends once they are
+    concatenated."""
+    return list(itertools.accumulate(map(len, parts), initial=0))
+
+
 def _by_equation(walked: Sequence[_WalkedSegment], indices: Sequence[int]) -> list[list[int]]:
     """The indices grouped by the equation and Tolerances of their walked
     segments, each group in the given order."""
@@ -457,13 +476,42 @@ def _by_equation(walked: Sequence[_WalkedSegment], indices: Sequence[int]) -> li
     return list(groups.values())
 
 
-def _hermite(knot_t: np.ndarray, knots: np.ndarray, slopes: np.ndarray,
-             ts: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of the knot fibers (rows) with their dw/dt
-    slopes, at each of ts, from the two knots around it."""
-    i = np.clip(np.searchsorted(knot_t, ts, side="right") - 1, 0, len(knot_t) - 2)
+def _knot_slopes(segs: Sequence[_WalkedSegment]):
+    """Set _dense, the knot parameters and fibers with their slopes dw/dt, on
+    each walked segment of segs, all of one equation, that lacks it, in one
+    pass over the knots of them all."""
+    segs = [seg for seg in segs if seg._dense is None]
+    if not segs:
+        return
+    eq, k = segs[0].eq, len(segs[0].start)
+    knots = np.array([fiber for seg in segs for fiber in seg.fibers])
+    zs = np.array([z for seg in segs for z in seg.z])
+    w = knots.ravel()
+    _, dpsi_w = poly_eval_pairs(np.repeat(eq.psi_coeffs_on(zs), k, 0), w)
+    psi_z, _ = poly_eval_pairs(np.repeat(eq.psi_z_coeffs_on(zs), k, 0), w)
+    knot_ts = [np.array(seg.t) for seg in segs]
+    dzdt = np.concatenate([seg.seg.derivs(ts) for seg, ts in zip(segs, knot_ts)])[:, None]
+    slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
+    bounds = _bounds(knot_ts)
+    for seg, ts, lo, hi in zip(segs, knot_ts, bounds, bounds[1:]):
+        seg._dense = ts, knots[lo:hi], slopes[lo:hi]
+
+
+def _hermite(dense: Sequence[tuple], tss: Sequence[np.ndarray]) -> np.ndarray:
+    """Cubic Hermite interpolant of the knot fibers (rows) of each segment
+    with their dw/dt slopes, dense[i] = (knot parameters, fibers, slopes), at
+    each parameter of tss[i] from the two knots around it: the rows of all
+    the segments in one array, segment after segment. Each parameter is
+    placed among its own segment's knots, so rows equal those of a one-segment
+    call."""
+    knot_t, knots, slopes = (np.concatenate(parts) for parts in zip(*dense))
+    counts = [len(ts) for ts in tss]
+    bounds = np.array(_bounds([d[0] for d in dense]))
+    first, last = np.repeat(bounds[:-1], counts), np.repeat(bounds[1:] - 2, counts)
+    i = np.concatenate([np.searchsorted(d[0], ts, side="right") for d, ts in zip(dense, tss)])
+    i = np.clip(first + i - 1, first, last)
     h = (knot_t[i + 1] - knot_t[i])[:, None]
-    s = (ts - knot_t[i])[:, None] / h
+    s = (np.concatenate(tss) - knot_t[i])[:, None] / h
     return ((1 + 2 * s) * (1 - s) ** 2 * knots[i] + s * (1 - s) ** 2 * h * slopes[i]
             + s ** 2 * (3 - 2 * s) * knots[i + 1] - s ** 2 * (1 - s) * h * slopes[i + 1])
 

@@ -321,9 +321,9 @@ def _push_prediction_to_other_sheet(monkeypatch, bad):
     the _step targets are recorded in."""
     hermite = tracker._hermite
 
-    def perturbed(knot_t, knots, slopes, ts):
-        pred = hermite(knot_t, knots, slopes, ts)
-        hit = ts == bad
+    def perturbed(dense, tss):
+        pred = hermite(dense, tss)
+        hit = np.concatenate(tss) == bad
         pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
         return pred
 

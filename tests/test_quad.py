@@ -465,11 +465,14 @@ def _refuse_one_sample(monkeypatch, start, bad):
     its gates and that segment alone is walked again."""
     hermite = tracker._hermite
 
-    def perturbed(knot_t, knots, slopes, ts):
-        pred = hermite(knot_t, knots, slopes, ts)
-        if list(knots[0]) == list(start):
-            hit = ts == bad
-            pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
+    def perturbed(dense, tss):
+        pred = hermite(dense, tss)
+        lo = 0
+        for (_, knots, _), ts in zip(dense, tss):
+            if list(knots[0]) == list(start):
+                hit = lo + np.flatnonzero(ts == bad)
+                pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
+            lo += len(ts)
         return pred
 
     monkeypatch.setattr(tracker, "_hermite", perturbed)

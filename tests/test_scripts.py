@@ -1,5 +1,6 @@
 """The demonstration scripts run to completion and print their verdicts;
-bench_summary condenses benchmark reports; replay_cases compares replays."""
+bench_summary condenses benchmark reports; replay_cases compares replays;
+profile_cases profiles the CLI over benchmark cases."""
 
 import importlib.util
 import json
@@ -17,6 +18,9 @@ _SPEC.loader.exec_module(bench_summary)
 _SPEC = importlib.util.spec_from_file_location("replay_cases", ROOT / "scripts" / "replay_cases.py")
 replay_cases = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(replay_cases)
+_SPEC = importlib.util.spec_from_file_location("profile_cases", ROOT / "scripts" / "profile_cases.py")
+profile_cases = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(profile_cases)
 
 
 @pytest.mark.parametrize("script, expected", [
@@ -152,3 +156,14 @@ def test_replay_run_reports_the_same_inputs_for_a_relative_dir(tmp_path, monkeyp
     for name, typed in (("abs.json", str(directory)), ("rel.json", directory.name)):
         assert replay_cases.main(["run", str(ROOT), name, typed]) == 0
     assert (tmp_path / "abs.json").read_text() == (tmp_path / "rel.json").read_text()
+
+
+def test_profile_cases_profiles_the_cli_over_a_case_directory(tmp_path, capsys):
+    directory = _critical_case_dir(tmp_path)
+    assert profile_cases.main([str(ROOT), str(directory), "--top", "5",
+                               "--callers", "critical_points"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cases 1, raised 0\n")
+    assert "Ordered by: internal time" in out
+    assert "List reduced from" in out and "to 5 due to restriction <5>" in out
+    assert "(critical_points)" in out.split("was called by...")[1]

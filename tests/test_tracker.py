@@ -16,7 +16,9 @@ from algebroid.tracker import (
     Line,
     SegmentTracker,
     SurfacePoint,
+    _read,
     _walk,
+    _WalkedSegment,
     continue_branch,
     continue_fiber,
     germ_at,
@@ -130,6 +132,49 @@ def test_clipped_step_keeps_step_size(coeffs, seg):
     trk.advance_to(1.0)
     assert trk.steps - before <= direct.steps + 1
     assert max(abs(a - b) for a, b in zip(trk.fiber, direct.fiber)) < 1e-12
+
+
+def test_array_forms_equal_the_scalar_forms_bit_for_bit():
+    # _read and quad._gauss take their nodes and dz/dt from ats and derivs,
+    # the tracker's steps from at and deriv: they must give the same floats
+    rng = np.random.default_rng(20)
+    ts = np.concatenate(([0.0, 1.0], rng.uniform(size=200)))
+    segs = []
+    for _ in range(40):
+        center = complex(*rng.normal(size=2)) * 4
+        theta = rng.uniform(-7.0, 7.0)
+        sweep = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 6.0) * math.pi  # up to three turns
+        arc = Arc(center, rng.uniform(1e-3, 10.0), theta, theta + sweep)
+        line = Line(center, complex(*rng.normal(size=2)) * 4)
+        segs += [arc, arc.reversed(), line, line.reversed()]
+    for seg in segs:
+        at, deriv = seg.ats(ts), seg.derivs(ts)
+        assert at.tolist() == [seg.at(t) for t in ts.tolist()]
+        assert deriv.tolist() == [seg.deriv(t) for t in ts.tolist()]
+
+
+def test_one_read_of_many_segments_equals_each_read_alone(sqrt_z):
+    # two equations; the W^3 - 3W - z arc already holds a stop at 0.3
+    cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
+    starts = [(sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0)),
+              (sqrt_z, Arc(0j, 2.0, 0.5, 7.0))]
+
+    def walked():
+        segs = [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                for eq, seg in starts]
+        segs[1].stops[0.3] = None
+        segs[1]._walk()
+        return segs
+
+    tss = [np.linspace(0.0, 1.0, 7), np.array([0.3, 0.05, 0.71, 1.0, 0.3]),
+           np.linspace(0.01, 0.99, 12)]
+    segs = walked()
+    stop = segs[1].stops[0.3]
+    batch = _read(segs, tss)
+    alone = [seg.rows(ts) for seg, ts in zip(walked(), tss)]
+    assert [rows.tolist() for rows in batch] == [rows.tolist() for rows in alone]
+    assert batch[1][0].tolist() == batch[1][4].tolist() == stop
+    assert batch[1][3].tolist() == segs[1].end
 
 
 def test_continue_branch_principal_sqrt(sqrt_z):
