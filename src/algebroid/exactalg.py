@@ -5,17 +5,31 @@ structural layer of the toolkit: defining-equation coefficients, resultants,
 discriminants, and Laurent orders are all computed here without rounding.
 A Gaussian rational is held as the int triple (a, b, d) of (a + b*i)/d with
 d > 0 and gcd(a, b, d) = 1, so field operations are a few int operations
-and one gcd. A resultant clears the denominators of its Sylvester matrix
-once per block and takes the determinant over Z[i][z] by fraction-free
-Bareiss elimination, run over Z[i] at the one point z = 2**B, with B from a
-bound on every minor: each pivot decision is the polynomial one, and the
+and one gcd. Poly and RatFunc store such triples, but their hot paths work
+on polynomials over the Gaussian integers Z[i][z], held as lists of
+(re, im) int pairs: a Poly enters that form once, as one list and one
+integer denominator, and leaves it once, with one reduction per
+coefficient. The product of two polynomials is the one Z[i][z] product. The
+parser carries each value as an unreduced Z[i][z] numerator and
+denominator and reduces once, at the end. A gcd is 1 without further work
+when the images mod a prime keep their degrees and are coprime (Brown,
+JACM 1971); otherwise it is Euclid's algorithm on primitive
+pseudo-remainders, and the cofactors come from exact long division by the
+primitive gcd, valid by Gauss's lemma (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 6).
+A resultant clears the denominators of its Sylvester matrix once per block
+and takes the determinant over Z[i][z] by fraction-free Bareiss
+elimination, run over Z[i] at the one point z = 2**B, with B from a bound
+on every minor: each pivot decision is the polynomial one, and the
 determinant unpacks into the same polynomial. Every factor of the block
 multiplier divides the product of the two block factors, so the
-determinant's shared factors are stripped by gcds against that low-degree
-product alone.
+determinant's shared factors are stripped, over Z[i][z], by gcds against
+that low-degree product alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
-parentheses.
+parentheses. A power whose numerator or denominator would pass degree 512,
+parentheses nested more than 100 deep and an integer literal longer than
+the interpreter converts are refused as SyntaxError before any work.
 """
 
 from __future__ import annotations
@@ -192,6 +206,237 @@ def _imag_str(q: Fraction, signed: bool = False) -> str:
     return f"{sign}{_frac_str(q)}*i"
 
 
+# --- polynomials over the Gaussian integers -------------------------------
+#
+# A polynomial over Z[i][z] is a list of (re, im) int pairs, ascending in z,
+# with no trailing (0, 0); [] is the zero polynomial. This is the working
+# form of the products, the parser and the resultant: a Poly p enters it once
+# as (q, d) with p = q / d (_gz_cleared) and leaves it once (_gz_poly).
+
+_GZ_ONE = [(1, 0)]
+
+
+def _gz_mul(a: list, b: list) -> list:
+    """a * b over Z[i][z], by the schoolbook product: the one polynomial product."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (ar, ai), = a
+        return [(ar * br - ai * bi, ar * bi + ai * br) for br, bi in b]
+    re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        if ar or ai:
+            for j, (br, bi) in enumerate(b, i):
+                re[j] += ar * br - ai * bi
+                im[j] += ar * bi + ai * br
+    return list(zip(re, im))
+
+
+def _gz_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(ar + br, ai + bi) for (ar, ai), (br, bi) in zip(a, b)] + a[len(b):]
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _gz_neg(a: list) -> list:
+    return [(-r, -i) for r, i in a]
+
+
+def _gz_pow(a: list, n: int) -> list:
+    result = _GZ_ONE
+    while n:
+        if n & 1:
+            result = a if result is _GZ_ONE else _gz_mul(result, a)
+        n >>= 1
+        if n:
+            a = _gz_mul(a, a)
+    return result
+
+
+def _gz_pack(p: list, bits: int) -> tuple[int, int]:
+    """p at z = 2**bits, as the (re, im) pair of a Gaussian integer."""
+    re = im = 0
+    for r, i in reversed(p):
+        re, im = (re << bits) + r, (im << bits) + i
+    return re, im
+
+
+def _gz_unpack(re: int, im: int, bits: int) -> list:
+    """The p with _gz_pack(p, bits) == (re, im) whose coefficients all lie in
+    [-2**(bits-1), 2**(bits-1)), read as signed base-2**bits digits."""
+    half, mask, parts = 1 << (bits - 1), (1 << bits) - 1, ([], [])
+    for x, digits in zip((re, im), parts):
+        while x:
+            d = ((x + half) & mask) - half
+            digits.append(d)
+            x = (x - d) >> bits
+    return list(zip_longest(*parts, fillvalue=0))
+
+
+def _gi_exact_div(nr: int, ni: int, dr: int, di: int) -> tuple[int, int]:
+    """(nr + i ni) / (dr + i di) in Z[i]; ArithmeticError unless exact."""
+    norm = dr * dr + di * di
+    qr, rr = divmod(nr * dr + ni * di, norm)
+    qi, ri = divmod(ni * dr - nr * di, norm)
+    if rr or ri:
+        raise ArithmeticError("division was not exact")
+    return qr, qi
+
+
+def _gi_gcd(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
+    """A greatest common divisor in Z[i] (up to a unit), by Euclid with the
+    rounded quotient: each remainder has at most half the divisor's norm."""
+    while br or bi:
+        norm = br * br + bi * bi
+        xr, xi = ar * br + ai * bi, ai * br - ar * bi  # a * conj(b)
+        qr, qi = (2 * xr + norm) // (2 * norm), (2 * xi + norm) // (2 * norm)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
+
+
+def _gz_exact_div(num: list, div: list) -> list:
+    """num / div over Z[i][z], by long division with exact Gaussian-integer
+    quotients; ArithmeticError unless div divides num over Z[i][z]. By Gauss's
+    lemma that holds whenever div is primitive and divides num over Q(i)."""
+    n = len(div) - 1
+    rem, quot = list(num), [(0, 0)] * max(0, len(num) - n)
+    dr, di = div[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        qr, qi = quot[k] = _gi_exact_div(*rem[k + n], dr, di)
+        if qr or qi:
+            for j in range(n):
+                (xr, xi), (yr, yi) = rem[k + j], div[j]
+                rem[k + j] = (xr - qr * yr + qi * yi, xi - qr * yi - qi * yr)
+    if any(r or i for r, i in rem[:n]):
+        raise ArithmeticError("division was not exact")
+    return quot
+
+
+def _gz_primitive(q: list) -> list:
+    """q divided by the Gaussian-integer gcd of its coefficients, for q != []."""
+    gr, gi = 0, 0
+    for r, i in q:
+        gr, gi = _gi_gcd(gr, gi, r, i)
+    if gr * gr + gi * gi == 1:
+        return q
+    return [_gi_exact_div(r, i, gr, gi) for r, i in q]
+
+
+def _gz_prem(f: list, g: list) -> list:
+    """A nonzero Z[i] multiple of f mod g, over Z[i][z], for g != []: each
+    step cancels the leading term by an exact Gaussian-integer quotient, or
+    where there is none, after scaling the remainder by g's leading
+    coefficient."""
+    r, n = list(f), len(g) - 1
+    gr, gi = g[-1]
+    norm = gr * gr + gi * gi
+    while len(r) > n:
+        cr, ci = r.pop()
+        k = len(r) - n
+        xr, xi = cr * gr + ci * gi, ci * gr - cr * gi  # lead(r) * conj(lead(g))
+        if xr % norm or xi % norm:
+            r = [(gr * sr - gi * si, gr * si + gi * sr) for sr, si in r]
+            qr, qi = cr, ci
+        else:
+            qr, qi = xr // norm, xi // norm
+        for j in range(n):
+            (sr, si), (yr, yi) = r[k + j], g[j]
+            r[k + j] = (sr - qr * yr + qi * yi, si - qr * yi - qi * yr)
+        while r and r[-1] == (0, 0):
+            r.pop()
+    return r
+
+
+# The prime of the modular coprimality test: _MOD_P = 1 mod 4, so i -> _I_MOD_P,
+# a square root of -1 mod _MOD_P, is a ring map from Z[i] onto GF(_MOD_P).
+_MOD_P = 998244353
+_I_MOD_P = 911660635  # 3**((_MOD_P - 1) // 4) % _MOD_P
+
+
+def _gz_gcd(f: list, g: list) -> list:
+    """A greatest common divisor over Z[i][z] of f, g != [], primitive.
+
+    A nonzero constant has gcd 1 with anything. Two polynomials of positive
+    degree whose images in GF(_MOD_P)[z] keep their degrees and are coprime
+    are coprime (Brown, JACM 1971): a common factor of positive degree,
+    taken primitive over the local ring of Z[i] at the kernel of the map,
+    would keep its degree there and divide both images. Only otherwise does
+    the Euclidean algorithm run.
+    """
+    if len(f) == 1 or len(g) == 1 or _coprime_mod_p(f, g):
+        return _GZ_ONE
+    return _gz_euclid(f, g)
+
+
+def _gz_euclid(f: list, g: list) -> list:
+    """The primitive gcd of f, g != [] by the Euclidean algorithm on
+    pseudo-remainders, each made primitive: each is a nonzero Gaussian-
+    integer multiple of the remainder over Q(i), so the last nonzero one is
+    a gcd."""
+    while g:
+        f, g = g, _gz_prem(f, g)
+        if g:
+            g = _gz_primitive(g)
+    return _gz_primitive(f)
+
+
+def _mod_p(q: list) -> list[int] | None:
+    """q's image in GF(_MOD_P)[z], descending; None when the image of its
+    leading coefficient is 0."""
+    out = [(r + i * _I_MOD_P) % _MOD_P for r, i in reversed(q)]
+    return out if out[0] else None
+
+
+def _gf_rem(f: list[int], g: list[int]) -> list[int]:
+    """f mod g in GF(_MOD_P)[z], descending, for g with a nonzero leading
+    coefficient; the remainder has no leading zeros ([] for zero)."""
+    n = len(g)
+    if len(f) < n:
+        return f
+    f, inv = list(f), pow(g[0], -1, _MOD_P)
+    for k in range(len(f) - n + 1):
+        c = f[k] * inv % _MOD_P
+        if c:
+            for j in range(1, n):
+                f[k + j] = (f[k + j] - c * g[j]) % _MOD_P
+    r = f[len(f) - n + 1:]
+    while r and not r[0]:
+        del r[0]
+    return r
+
+
+def _coprime_mod_p(f: list, g: list) -> bool:
+    """True when the images of f and g in GF(_MOD_P)[z] keep their degrees
+    and are coprime; f and g are then coprime over Q(i)."""
+    f, g = _mod_p(f), _mod_p(g)
+    if f is None or g is None:
+        return False
+    while len(g) > 1:
+        f, g = g, _gf_rem(f, g)
+    return bool(g)
+
+
+def _gz_cleared(p: "Poly") -> tuple[list, int]:
+    """(q, d) with p = q / d: q over Z[i][z], d the lcm of p's denominators."""
+    d = math.lcm(*(c._d for c in p.coeffs))
+    if d == 1:
+        return [(c._a, c._b) for c in p.coeffs], 1
+    return [(c._a * (d // c._d), c._b * (d // c._d)) for c in p.coeffs], d
+
+
+def _gz_poly(q: list, d: int = 1) -> "Poly":
+    """The Poly q / d, for q over Z[i][z] and an int d > 0."""
+    out = object.__new__(Poly)
+    _set_coeffs(out, tuple(_make(r, i, d) for r, i in q))
+    _set_fc(out, None)
+    return out
+
+
 class Poly:
     """Univariate polynomial in z over GaussianRational, ascending coefficients.
 
@@ -258,13 +503,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return _P_ZERO
-        out = [_GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        (a, da), (b, db) = _gz_cleared(self), _gz_cleared(other)
+        return _gz_poly(_gz_mul(a, b), da * db)
 
     def scale(self, c) -> "Poly":
         c = GaussianRational.of(c)
@@ -366,19 +606,22 @@ class Poly:
 _P_ZERO = Poly()
 _P_ONE = Poly([1])
 _P_Z = Poly([0, 1])
+_set_coeffs = Poly.coeffs.__set__
+_set_fc = Poly._fc.__set__
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+    """Monic greatest common divisor (see _gz_gcd)."""
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    return _gz_poly(_gz_gcd(_gz_cleared(a)[0], _gz_cleared(b)[0])).monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return _P_ZERO
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    g = poly_gcd(a, b)
+    return (a * b if g.degree == 0 else (a * b).exact_div(g)).monic()
 
 
 def _term_str(coef: GaussianRational, power: int) -> str:
@@ -426,9 +669,11 @@ class RatFunc:
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
         elif den.degree > 0:  # a constant denominator has only unit gcds
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
+            (qn, dn), (qd, dd) = _gz_cleared(num), _gz_cleared(den)
+            g = _gz_gcd(qn, qd)
+            if len(g) > 1:
+                num = _gz_poly(_gz_exact_div(qn, g), dn)
+                den = _gz_poly(_gz_exact_div(qd, g), dd)
         self._set_monic(num, den)
 
     @staticmethod
@@ -578,6 +823,12 @@ def ratfunc_arith(lhs: RatFunc, rhs: RatFunc, kind: str) -> RatFunc:
 _SYMBOLS = set("+-*/^()")
 # a larger power would be computed in full before any error could be raised
 _MAX_EXPONENT = 64
+# a power may not raise the degree of the numerator or denominator the
+# parser carries above this: nested powers multiply their exponents
+_MAX_DEGREE = 512
+# parentheses nested deeper than this are refused before the recursion
+# of the parser can reach the interpreter's limit
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list:
@@ -592,7 +843,11 @@ def _tokenize(text: str) -> list:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError:  # more digits than the interpreter converts
+                raise SyntaxError(
+                    f"integer literal of {j - i} digits at position {i} is too long") from None
             i = j
             continue
         if ch in ("i", "z"):
@@ -609,9 +864,13 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent over values (num, den): two Z[i][z] polynomials,
+    den != [], with no gcd taken until the one reduced RatFunc at the end."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -628,60 +887,79 @@ class _Parser:
         return tok
 
     def parse(self) -> RatFunc:
-        value = self.expr()
+        num, den = self.expr()
         self.expect("end")
-        return value
+        return RatFunc(_gz_poly(num), _gz_poly(den))
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expr(self) -> tuple[list, list]:
+        num, den = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            rnum, rden = self.term()
+            if op == "-":
+                rnum = _gz_neg(rnum)
+            if den == rden:
+                num = _gz_add(num, rnum)
+            else:
+                num, den = _gz_add(_gz_mul(num, rden), _gz_mul(rnum, den)), _gz_mul(den, rden)
+            if not num:
+                den = _GZ_ONE
+        return num, den
 
-    def term(self) -> RatFunc:
-        value = self.unary()
+    def term(self) -> tuple[list, list]:
+        num, den = self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()[0]
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+            rnum, rden = self.unary()
+            if op == "/":
+                if not rnum:
+                    raise DivisionByZeroPoly("division by the zero rational function")
+                rnum, rden = rden, rnum
+            num, den = _gz_mul(num, rnum), _gz_mul(den, rden)
+            if not num:
+                den = _GZ_ONE
+        return num, den
 
-    def unary(self) -> RatFunc:
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+    def unary(self) -> tuple[list, list]:
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take()[0] == "-"
+        num, den = self.power()
+        return (_gz_neg(num) if negate else num), den
 
-    def power(self) -> RatFunc:
-        base = self.atom()
+    def power(self) -> tuple[list, list]:
+        num, den = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if tok[0] != "int":
                 raise SyntaxError("exponent must be a nonnegative integer literal")
-            if tok[1] > _MAX_EXPONENT:
-                raise SyntaxError(f"exponent {tok[1]} is above the limit {_MAX_EXPONENT}")
-            base = base ** tok[1]
+            n = tok[1]
+            if n > _MAX_EXPONENT:
+                raise SyntaxError(f"exponent {n} is above the limit {_MAX_EXPONENT}")
+            degree = (max(len(num), len(den)) - 1) * n
+            if degree > _MAX_DEGREE:
+                raise SyntaxError(f"power of degree {degree} is above the limit {_MAX_DEGREE}")
+            num, den = _gz_pow(num, n), _gz_pow(den, n)
             if self.peek() == "^":
                 raise SyntaxError("chained exponentiation is not allowed")
-        return base
+        return num, den
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> tuple[list, list]:
         kind, value = self.take()
         if kind == "int":
-            return RatFunc.constant(value)
+            return ([(value, 0)] if value else []), _GZ_ONE
         if kind == "i":
-            return RatFunc.constant(_make(0, 1, 1))
+            return [(0, 1)], _GZ_ONE
         if kind == "z":
-            return _R_Z
+            return [(0, 0), (1, 0)], _GZ_ONE
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise SyntaxError(f"parentheses nested deeper than {_MAX_DEPTH}")
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise SyntaxError(f"unexpected token {kind!r}")
 
@@ -715,46 +993,9 @@ def w_poly_mul(f: WPoly, g: WPoly) -> list[RatFunc]:
 
 
 def w_poly_derivative(f: WPoly) -> list[RatFunc]:
-    return _trim_w([c * RatFunc.constant(n) for n, c in enumerate(f) if n > 0])
-
-
-# A polynomial over the Gaussian integers Z[i][z] is a list of (re, im) int
-# pairs, ascending in z, with no trailing (0, 0); [] is the zero polynomial.
-
-
-def _gz_of(p: Poly, scale: int) -> list[tuple[int, int]]:
-    """scale * p as int pairs; scale must be a multiple of every denominator."""
-    return [(c._a * (scale // c._d), c._b * (scale // c._d)) for c in p.coeffs]
-
-
-def _gz_pack(p: list[tuple[int, int]], bits: int) -> tuple[int, int]:
-    """p at z = 2**bits, as the (re, im) pair of a Gaussian integer."""
-    re = im = 0
-    for r, i in reversed(p):
-        re, im = (re << bits) + r, (im << bits) + i
-    return re, im
-
-
-def _gz_unpack(re: int, im: int, bits: int) -> list[tuple[int, int]]:
-    """The p with _gz_pack(p, bits) == (re, im) whose coefficients all lie in
-    [-2**(bits-1), 2**(bits-1)), read as signed base-2**bits digits."""
-    half, mask, parts = 1 << (bits - 1), (1 << bits) - 1, ([], [])
-    for x, digits in zip((re, im), parts):
-        while x:
-            d = ((x + half) & mask) - half
-            digits.append(d)
-            x = (x - d) >> bits
-    return list(zip_longest(*parts, fillvalue=0))
-
-
-def _gi_exact_div(nr: int, ni: int, dr: int, di: int) -> tuple[int, int]:
-    """(nr + i ni) / (dr + i di) in Z[i]; ArithmeticError unless exact."""
-    norm = dr * dr + di * di
-    qr, rr = divmod(nr * dr + ni * di, norm)
-    qi, ri = divmod(ni * dr - nr * di, norm)
-    if rr or ri:
-        raise ArithmeticError("division was not exact")
-    return qr, qi
+    # n * num and den stay coprime for an integer n > 0: no gcd is needed
+    return _trim_w([RatFunc._reduced(c.num.scale(n), c.den)
+                    for n, c in enumerate(_trim_w(f)) if n > 0])
 
 
 def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]]:
@@ -799,26 +1040,35 @@ def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]
     return _gz_unpack(sign * re, sign * im, bits)
 
 
-def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], Poly]:
-    """One Sylvester block's entries over Z[i][z], and the factor that cleared them.
+def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], list]:
+    """One Sylvester block's entries over Z[i][z], and the factor over
+    Z[i][z] that cleared them.
 
-    Every row of a block is a shift of the same coefficients, so one lcm of
-    their denominators, times the integer lcm of the Gaussian-rational
-    denominators left after it, clears the whole block.
+    Every row of a block is a shift of the same coefficients, so one factor
+    clears the whole block: the lcm of their denominators (none for a
+    polynomial block), times the integer lcm of the Gaussian-rational
+    denominators left after it.
     """
     lcm = _P_ONE
     for c in coeffs:
         if c.den.degree > 0:
             lcm = poly_lcm(lcm, c.den)
-    polys = [c.num * lcm.exact_div(c.den) for c in coeffs]
-    scale = math.lcm(*(c._d for p in polys for c in p.coeffs))
-    return [_gz_of(p, scale) for p in polys], lcm.scale(scale)
+    forms = []
+    for c in coeffs:
+        p = c.num
+        if c.den != lcm:
+            p = p * (lcm if c.den.degree == 0 else lcm.exact_div(c.den))
+        forms.append(_gz_cleared(p))
+    lcm_form, lcm_d = _gz_cleared(lcm)
+    scale = math.lcm(lcm_d, *(d for _, d in forms))
+    return ([[(r * (scale // d), i * (scale // d)) for r, i in q] for q, d in forms],
+            [(r * (scale // lcm_d), i * (scale // lcm_d)) for r, i in lcm_form])
 
 
-def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[Poly, Poly, Poly]:
+def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[list, list, list]:
     """The Sylvester determinant of fc and gc (ascending in W, of degrees m
     and n) with each block cleared of denominators, and the two block
-    factors: the resultant is det / (fscale**n * gscale**m)."""
+    factors, all over Z[i][z]: the resultant is det / (fscale**n * gscale**m)."""
     m, n = len(fc) - 1, len(gc) - 1
     size = m + n
     fdesc, fscale = _clear_block(fc[::-1])
@@ -828,8 +1078,7 @@ def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[Poly, Poly, Poly
         rows.append([[]] * sh + fdesc + [[]] * (size - sh - m - 1))
     for sh in range(m):
         rows.append([[]] * sh + gdesc + [[]] * (size - sh - n - 1))
-    det = _bareiss_det(rows)
-    return Poly([_make(re, im, 1) for re, im in det]), fscale, gscale
+    return _bareiss_det(rows), fscale, gscale
 
 
 def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
@@ -838,8 +1087,8 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     Computed as the Sylvester determinant over Q(i)(z): the f rows and the
     g rows are each cleared of denominators by one factor per block, the
     determinant is taken by fraction-free Bareiss elimination over Z[i][z]
-    (run at one packed point, see _bareiss_det), and the block factors are
-    divided back out.
+    (run at one packed point, see _bareiss_det), and the block factors'
+    shared factors are divided back out over Z[i][z].
     """
     fc, gc = _trim_w(f), _trim_w(g)
     if not fc or not gc:
@@ -848,17 +1097,17 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     if m == 0 and n == 0:
         return _R_ONE
     num, fscale, gscale = _cleared_det(fc, gc)
-    if num.is_zero():
+    if not num:
         return _R_ZERO
-    den = fscale**n * gscale**m
+    den = _gz_mul(_gz_pow(fscale, n), _gz_pow(gscale, m))
     # every factor of den divides fscale * gscale: strip the shared ones
     # with gcds against that low-degree product, never against den itself
-    g = poly_gcd(fscale * gscale, num)
-    while g.degree > 0:
-        g = poly_gcd(den, g)
-        num, den = num.exact_div(g), den.exact_div(g)
-        g = poly_gcd(g, num)
-    return RatFunc._reduced(num, den)
+    g = _gz_gcd(_gz_mul(fscale, gscale), num)
+    while len(g) > 1:
+        g = _gz_gcd(den, g)
+        num, den = _gz_exact_div(num, g), _gz_exact_div(den, g)
+        g = _gz_gcd(g, num)
+    return RatFunc._reduced(_gz_poly(num), _gz_poly(den))
 
 
 def discriminant(eq) -> RatFunc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,12 +52,16 @@ class DefiningEquation:
         self.k = k
         self.coeffs = coeffs
         self.disc = discriminant(coeffs)  # raises IdenticallyZeroDiscriminant
-        self._dcoeffs = tuple(c.derivative() for c in coeffs)
         self._critical_cache: dict[Tolerances, CriticalSet] = {}
 
     @classmethod
     def from_strings(cls, exprs: Sequence[str]) -> "DefiningEquation":
         return cls(len(exprs), [parse_coefficient(e) for e in exprs])
+
+    @cached_property
+    def _dcoeffs(self) -> tuple[RatFunc, ...]:
+        """dA_j/dz, taken on first use: only Psi_z reads them."""
+        return tuple(c.derivative() for c in self.coeffs)
 
     @property
     def max_coeff_degree(self) -> int:

@@ -400,6 +400,11 @@ def _with_arc_radius(radius):
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "2", "--den-degree", "-1"]),
     # refused before the power is computed, which would exhaust memory
     ({"k": 2, "coefficients": ["0", "-z^100000000"]}, ["critical", PROBLEM]),
+    ({"k": 2, "coefficients": ["0", "-((z+1)^64)^64"]}, ["critical", PROBLEM]),
+    # refused before the parser's recursion or int() can raise
+    ({"k": 2, "coefficients": ["0", "-" + "(" * 1200 + "z" + ")" * 1200]},
+     ["critical", PROBLEM]),
+    ({"k": 2, "coefficients": ["0", "-" + "7" * 5000 + "*z"]}, ["critical", PROBLEM]),
     # paths the numeric layer refuses with a bare ValueError
     (SQRT_Z, ["monodromy", PROBLEM, "--path-json", "[]"]),
     (_with_paths(open=[[1, 0], [2, 0]]), ["monodromy", PROBLEM, "--path", "open"]),
@@ -422,6 +427,7 @@ def _with_arc_radius(radius):
         "puiseux-radius-over-gap", "residues-radius-over-gap", "tol-n-max-below-k",
         "tol-zero", "tol-negative", "k-bool", "json-base-bool", "json-arc-radius-bool",
         "num-degree-negative", "den-degree-negative", "exponent-above-cap",
+        "nested-power-above-degree-cap", "parentheses-too-deep", "integer-literal-too-long",
         "monodromy-empty-path", "monodromy-open-path", "integrate-path-off-start",
         "audit-path-off-start", "audit-path-off-target", "audit-empty-path-off-target",
         "audit-no-paths", "audit-one-path", "audit-one-distinct-path"])

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from algebroid.errors import (
@@ -16,15 +16,24 @@ from algebroid.exactalg import (
     GaussianRational,
     Poly,
     RatFunc,
+    _I_MOD_P,
+    _MAX_DEGREE,
+    _MAX_DEPTH,
     _MAX_EXPONENT,
+    _MOD_P,
     _bareiss_det,
     _cleared_det,
     _gi_exact_div,
+    _gz_cleared,
+    _gz_euclid,
+    _gz_exact_div,
     _gz_pack,
+    _gz_poly,
     _gz_unpack,
     discriminant,
     laurent_order,
     parse_coefficient,
+    poly_gcd,
     ratfunc_arith,
     resultant_w,
     w_poly_derivative,
@@ -78,9 +87,140 @@ def test_parse_refuses_an_exponent_above_the_cap():
             rf(text)
 
 
+def test_parse_refuses_a_nested_power_above_the_degree_cap():
+    assert rf("((z+1)^64)^8").num.degree == _MAX_DEGREE
+    # the degree of a nested power is the product of its exponents: refused
+    # before anything is computed, where ((z+1)^64)^64 alone took seconds
+    for text in ("((z+1)^64)^64", "((z^64)^64)^64", "((1/(z-1))^64)^9"):
+        with pytest.raises(SyntaxError, match="above the limit 512"):
+            rf(text)
+    assert rf("((2^64)^64)") == RatFunc.constant(2**4096)  # constants have degree 0
+
+
+def test_parse_refuses_deep_nesting_and_overlong_literals():
+    assert rf("(" * _MAX_DEPTH + "z" + ")" * _MAX_DEPTH) == Z
+    assert rf("-" * 5001 + "z") == -Z  # signs are read in a loop, not recursively
+    with pytest.raises(SyntaxError, match="nested deeper than"):
+        rf("(" * 1200 + "z" + ")" * 1200)
+    with pytest.raises(SyntaxError, match="5000 digits"):
+        rf("7" * 5000 + "*z")
+
+
 def test_parse_zero_denominator():
     with pytest.raises(DivisionByZeroPoly):
         rf("1/(z-z)")
+
+
+def schoolbook(a: Poly, b: Poly) -> Poly:
+    """The Gaussian-rational schoolbook product (independent oracle)."""
+    out = [GaussianRational()] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def divmod_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid with Poly.divmod over Q(i) (independent oracle)."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+@st.composite
+def expression_trees(draw, depth=4):
+    """A random expression tree: ("int", n), ("i",), ("z",), (op, lhs, rhs)
+    for op in + - * /, ("neg", x) or ("^", x, n)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(st.tuples(st.just("int"), st.integers(0, 4)),
+                              st.just(("i",)), st.just(("z",)), st.just(("z",))))
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "/", "neg", "^"]))
+    if kind == "neg":
+        return (kind, draw(expression_trees(depth - 1)))
+    if kind == "^":
+        return (kind, draw(expression_trees(depth - 1)), draw(st.integers(0, 3)))
+    return (kind, draw(expression_trees(depth - 1)), draw(expression_trees(depth - 1)))
+
+
+def tree_text(t) -> str:
+    if t[0] == "int":
+        return str(t[1])
+    if t[0] in ("i", "z"):
+        return t[0]
+    if t[0] == "neg":
+        return f"-({tree_text(t[1])})"
+    if t[0] == "^":
+        return f"({tree_text(t[1])})^{t[2]}"
+    return f"({tree_text(t[1])}) {t[0]} ({tree_text(t[2])})"
+
+
+def tree_ratfunc(t) -> RatFunc:
+    """The tree's value by RatFunc field arithmetic."""
+    if t[0] == "int":
+        return RatFunc.constant(t[1])
+    if t[0] == "i":
+        return RatFunc.constant(GaussianRational(0, 1))
+    if t[0] == "z":
+        return Z
+    if t[0] == "neg":
+        return -tree_ratfunc(t[1])
+    if t[0] == "^":
+        return tree_ratfunc(t[1]) ** t[2]
+    return ratfunc_arith(tree_ratfunc(t[1]), tree_ratfunc(t[2]),
+                         {"+": "add", "-": "sub", "*": "mul", "/": "div"}[t[0]])
+
+
+def tree_pair(t) -> tuple[Poly, Poly]:
+    """The tree's value as an unreduced (num, den) of Polys, by schoolbook
+    products and Poly sums only (independent oracle)."""
+    if t[0] == "int":
+        return Poly([t[1]]), Poly([1])
+    if t[0] in ("i", "z"):
+        return Poly([GaussianRational(0, 1)] if t[0] == "i" else [0, 1]), Poly([1])
+    if t[0] == "neg":
+        num, den = tree_pair(t[1])
+        return -num, den
+    if t[0] == "^":
+        num, den = tree_pair(t[1])
+        pn, pd = Poly([1]), Poly([1])
+        for _ in range(t[2]):
+            pn, pd = schoolbook(pn, num), schoolbook(pd, den)
+        return pn, pd
+    (an, ad), (bn, bd) = tree_pair(t[1]), tree_pair(t[2])
+    if t[0] == "+":
+        return schoolbook(an, bd) + schoolbook(bn, ad), schoolbook(ad, bd)
+    if t[0] == "-":
+        return schoolbook(an, bd) - schoolbook(bn, ad), schoolbook(ad, bd)
+    if t[0] == "*":
+        return schoolbook(an, bn), schoolbook(ad, bd)
+    if bn.is_zero():
+        raise DivisionByZeroPoly("division by the zero rational function")
+    return schoolbook(an, bd), schoolbook(ad, bn)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DivisionByZeroPoly as exc:
+        return str(exc)
+
+
+@seed(22001)
+@settings(max_examples=300, deadline=None)
+@given(expression_trees())
+def test_parse_matches_field_arithmetic_on_random_trees(tree):
+    text = tree_text(tree)
+    got, want = _outcome(parse_coefficient, text), _outcome(tree_ratfunc, tree)
+    assert got == want and str(got) == str(want)
+    pair = _outcome(tree_pair, tree)
+    if isinstance(pair, str):
+        assert got == pair  # the same DivisionByZeroPoly message
+        return
+    num, den = pair
+    g = divmod_gcd(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading()
+    assert got.num == Poly([c / lead for c in num.coeffs]) and got.den == den.monic()
 
 
 def test_str_round_trip_on_awkward_cases():
@@ -221,6 +361,57 @@ def test_field_ops_match_the_general_construction(a, b):
         (a * b, RatFunc(a.num * b.num, a.den * b.den)),
     ]:
         assert got == want and str(got) == str(want)
+
+
+# --- the Z[i][z] kernels: product and gcd ----------------------------------
+
+big_gaussians = st.builds(GaussianRational, kernel_fracs, kernel_fracs)
+product_factors = st.one_of(
+    st.lists(big_gaussians, max_size=4),
+    # long factors with wide coefficients
+    st.lists(st.one_of(big_gaussians, st.just(GaussianRational(2**70 + 1, -(2**69)))),
+             min_size=8, max_size=11),
+).map(Poly)
+
+
+@seed(22002)
+@settings(max_examples=80, deadline=None)
+@given(product_factors, product_factors)
+def test_poly_product_matches_the_schoolbook_product(a, b):
+    got = a * b
+    assert got == schoolbook(a, b)
+    assert all(c.__class__ is GaussianRational for c in got.coeffs)
+    assert not got.coeffs or got.coeffs[-1]
+
+
+# coefficients the modular test's prime divides: p, 1/p and i - 911660635,
+# which maps to 0
+mod_p_gaussians = st.sampled_from([
+    GaussianRational(_MOD_P), GaussianRational(Fraction(1, _MOD_P)),
+    GaussianRational(-_I_MOD_P, 1)])
+gcd_factors = st.lists(st.one_of(gaussian_rationals(), mod_p_gaussians), max_size=4).map(Poly)
+
+
+@seed(22003)
+@settings(max_examples=200, deadline=None)
+@given(gcd_factors, gcd_factors, gcd_factors)
+def test_gcd_is_the_same_with_and_without_the_modular_test(a, b, common):
+    a, b = a * common, b * common
+    want = divmod_gcd(a, b)
+    assert poly_gcd(a, b) == want
+    if not a.is_zero() and not b.is_zero():
+        euclid = _gz_euclid(_gz_cleared(a)[0], _gz_cleared(b)[0])
+        assert _gz_poly(euclid).monic() == want
+
+
+def test_modular_test_refuses_images_that_lose_a_degree_or_share_a_factor():
+    # z and z + p share the factor z mod p, yet are coprime
+    assert poly_gcd(Poly([0, 1]), Poly([_MOD_P, 1])) == Poly([1])
+    # leading coefficients and denominators the prime divides
+    lead_p = Poly([1, _MOD_P])
+    assert poly_gcd(lead_p * Poly([2, 1]), Poly([2, 1]) * Poly([3, 1])) == Poly([2, 1])
+    den_p = Poly([GaussianRational(Fraction(1, _MOD_P)), 1])
+    assert poly_gcd(den_p * Poly([0, 1]), den_p * Poly([1, 1])) == den_p
 
 
 # --- resultants -------------------------------------------------------------
@@ -389,7 +580,7 @@ def test_resultant_strips_shared_and_repeated_denominators():
     coeffs = [rf("z"), rf("1/3 + i/2"), rf("1/(z-1)^2"), rf("(z+2)/((z-1)*(z-i))")]
     psi = list(reversed(coeffs)) + [ONE]
     psi_w = w_poly_derivative(psi)
-    det, fscale, gscale = _cleared_det(psi, psi_w)
+    det, fscale, gscale = map(gz_poly, _cleared_det(psi, psi_w))
     generic = RatFunc(det, fscale**3 * gscale**4)
     one = GaussianRational.of(1)
     assert det.root_multiplicity(one) > (fscale * gscale).root_multiplicity(one)
@@ -432,6 +623,13 @@ def test_gaussian_integer_division_checks_remainder():
         _gi_exact_div(2, 1, 1, 1)  # (2 + i)/(1 + i) is not in Z[i]
     with pytest.raises(ArithmeticError):
         div([(1, 0)], [(0, 0), (1, 0)])  # 1 by z
+    # the long division of the gcd strip: (z + i)(2z - 1 + i) by z + i
+    num = [(-1, -1), (-1, 3), (2, 0)]
+    assert _gz_exact_div(num, [(0, 1), (1, 0)]) == [(-1, 1), (2, 0)]
+    with pytest.raises(ArithmeticError):
+        _gz_exact_div(num, [(1, 0), (1, 0)])  # z + 1 does not divide
+    with pytest.raises(ArithmeticError):
+        _gz_exact_div([(2, 0), (2, 0)], [(0, 0), (2, 0)])  # 2z + 2 by 2z
 
 
 def gz_poly(p):
@@ -519,10 +717,60 @@ def test_discriminant_k5_degree4_matches_scalar_sylvester_oracle():
         assert disc.eval_exact(z0) == scalar_det(scalar_sylvester(psi, psi_w))
 
 
+# str(discriminant) of each equation, as recorded before the exact layer
+# moved onto Gaussian-integer polynomials
+GOLDEN_DISCRIMINANTS = [
+    (["z", "z^3 - 2*i*z + 1"],
+     "4*z^3 - z^2 + (-8*i)*z + 4"),
+    (["(1+i)*z", "z^2 - 3", "2*z^3 + i"],
+     "(60 - 22*i)*z^6 + (72 + 120*i)*z^4 + (10 + 82*i)*z^3 + (108 - 18*i)*z^2 + (-54 + "
+     "54*i)*z - 135"),
+    (["z^2/2 + i", "(2-i)*z", "-z^2 + 1/3", "(1+2*i)*z^2 - z + 5"],
+     "(89/16 - 27/4*i)*z^12 + (-45/8)*z^11 + (619/16 + 7/2*i)*z^10 + (-1029/8 + "
+     "797/2*i)*z^9 + (-1897/48 + 3299/12*i)*z^8 + (197/2 + 3445/4*i)*z^7 + (-244991/108 - "
+     "58493/18*i)*z^6 + (3693 - 1154/3*i)*z^5 + (-233462/9 + 127361/9*i)*z^4 + (-64436/9 -"
+     " 171880/9*i)*z^3 + (143354/9 + 488620/9*i)*z^2 + (-26000 + 12304/3*i)*z + (31328 - "
+     "43196/27*i)"),
+    (["z", "1", "i*z^2", "-2", "z - i"],
+     "16*z^12 + (92*i)*z^11 + 164*z^10 + (784*i)*z^9 + 1152*z^8 + (664*i)*z^7 + 3779*z^6 +"
+     " (-8962*i)*z^5 + 519*z^4 + (-11048*i)*z^3 + (-8239)*z^2 + (1118*i)*z - 17151"),
+    (["1/(z-1)", "(z+i)/(z+2)", "z"],
+     "(27*z^8 + 81*z^7 + (-95)*z^6 + (-345 - 6*i)*z^5 + (219 - 72*i)*z^4 + (451 + "
+     "84*i)*z^3 + (-273 + 70*i)*z^2 + (45 - 80*i)*z + (-2 + 4*i))/(z^6 + 3*z^5 + (-3)*z^4 "
+     "+ (-11)*z^3 + 6*z^2 + 12*z - 8)"),
+    (["z", "(2*z - i)/(z + 1 - i)", "3/(z - 2)", "(z^2 + 1)/(z + 1 - i)"],
+     "((-27)*z^15 + (135 + 81*i)*z^14 + (234 - 486*i)*z^13 + (-2152 + 144*i)*z^12 + (1569 "
+     "+ 3978*i)*z^11 + (7447 - 5713*i)*z^10 + (-14388 - 6216*i)*z^9 + (21686 + "
+     "18132*i)*z^8 + (-30433 - 51164*i)*z^7 + (-25871 + 106949*i)*z^6 + (83789 - "
+     "57746*i)*z^5 + (-91361 + 23625*i)*z^4 + (91488 + 54484*i)*z^3 + (39612 - "
+     "53492*i)*z^2 + (6876 - 19856*i)*z + (396 - 8620*i))/(z^9 + (-3 - 5*i)*z^8 + (-16 + "
+     "20*i)*z^7 + (68 + 20*i)*z^6 + (-4 - 160*i)*z^5 + (-244 + 84*i)*z^4 + (192 + "
+     "288*i)*z^3 + (224 - 224*i)*z^2 + (-192 - 128*i)*z + (-64 + 64*i))"),
+    (["(z + 1)/(z^2 + i*z - 2)", "1/(z^2 + 1)"],
+     "(3*z^4 + (-2 + 8*i)*z^3 + (-22)*z^2 + (-2 - 16*i)*z + 15)/(z^6 + (2*i)*z^5 + "
+     "(-4)*z^4 + (-2*i)*z^3 - z^2 + (-4*i)*z + 4)"),
+    (["1/(z - 1)^2", "(z + 2)/((z - 1)*(z - i))", "i/(z - 1)^3"],
+     "(4*z^9 + (-36)*z^7 + (-4 - 18*i)*z^6 + (152 + 100*i)*z^5 + (-103 - 170*i)*z^4 + "
+     "(-167 + 107*i)*z^3 + (283 - 19*i)*z^2 + (-149 + 5*i)*z + (28 - 13*i))/(z^12 + (-9 - "
+     "3*i)*z^11 + (33 + 27*i)*z^10 + (-57 - 107*i)*z^9 + (18 + 243*i)*z^8 + (126 - "
+     "342*i)*z^7 + (-294 + 294*i)*z^6 + (342 - 126*i)*z^5 + (-243 - 18*i)*z^4 + (107 + "
+     "57*i)*z^3 + (-27 - 33*i)*z^2 + (3 + 9*i)*z - i)"),
+]
+
+
+@pytest.mark.parametrize("coeffs, want", GOLDEN_DISCRIMINANTS, ids=[
+    "k2-poly", "k3-poly", "k4-poly-rational", "k5-poly",
+    "k3-lin-den", "k4-lin-den-shared", "k2-quad-den", "k3-repeated-den"])
+def test_discriminant_strings_are_unchanged(coeffs, want):
+    assert str(discriminant([rf(c) for c in coeffs])) == want
+
+
 def test_w_poly_derivative():
     # d/dW (W^2 - z) = 2W
     got = w_poly_derivative([-Z, RatFunc.zero(), ONE])
     assert got == [RatFunc.zero(), rf("2")]
+    psi = [rf("(1/3 + i/2)/(z - 1)^2"), RatFunc.zero(), rf("(z + i)/(2*z + 3)"), ONE]
+    assert w_poly_derivative(psi) == [c * RatFunc.constant(n) for n, c in enumerate(psi)][1:]
 
 
 # --- Laurent order ----------------------------------------------------------

@@ -47,9 +47,11 @@ def test_residual_scale_keeps_constant_term(w):
 
 def test_coefficient_rows_match_pointwise_coefficients():
     eq = DefiningEquation.from_strings(["z/(z-3)", "-3", "-z^2+1/(z+2)"])
+    assert "_dcoeffs" not in vars(eq)  # dA_j/dz is taken on first use only
     zs = np.array([0.3 + 0.2j, 1 - 1j, 2j, -5.0])
     assert np.array_equal(eq.psi_coeffs_on(zs), [eq.psi_coeffs_at(z) for z in zs])
     assert np.array_equal(eq.psi_z_coeffs_on(zs), [eq.psi_z_coeffs_at(z) for z in zs])
+    assert eq._dcoeffs == tuple(c.derivative() for c in eq.coeffs)
 
 
 @pytest.mark.parametrize("seed", range(4))
