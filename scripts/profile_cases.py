@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Profile algebroid.cli.main alone over benchmark cases.
 
-    python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--callers REGEX]
+    python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--sort KEY] [--callers REGEX]
 
 Imports algebroid from SRC_ROOT/src only, as ``replay_cases.py run`` does,
 and runs cProfile around each ``algebroid.cli.main`` call on the argv of
@@ -9,7 +9,8 @@ every DIR/cases/*.argv, where each DIR is a
 benchmark/out/<workload>-seed<n>-trace<t> directory. Only those calls are
 profiled: not the benchmark's calibration kernel, not the imports. Prints
 the number of cases, each case whose call raised, and the top N functions
-(default 25) by self time, and with --callers the callers of every function
+(default 25) by self time, or with --sort cumulative by the time spent in
+them and all they call, and with --callers the callers of every function
 whose name matches REGEX.
 Standard library only.
 """
@@ -48,11 +49,12 @@ def main(argv: list) -> int:
     parser.add_argument("src_root", type=Path)
     parser.add_argument("dirs", nargs="+")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
     parser.add_argument("--callers")
     args = parser.parse_args(argv)
     count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs)
     print(f"cases {count}, raised {len(raised)}", *raised, sep="\n  ")
-    stats = pstats.Stats(prof, stream=sys.stdout).strip_dirs().sort_stats("tottime")
+    stats = pstats.Stats(prof, stream=sys.stdout).strip_dirs().sort_stats(args.sort)
     stats.print_stats(args.top)
     if args.callers:
         stats.print_callers(args.callers)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, settle
-from .puiseux import _radius, singular_elements
+from .puiseux import _local_data, _radius, singular_elements
 from .quad import _residue_loops, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
@@ -412,10 +412,13 @@ def _residues(args, problem, tol, rng, inputs):
     crit = problem.eq.critical(tol)
     _check_radius(problem, crit.locations, args.radius, tol)
     locations = [cp.location for cp in crit.points]
-    if args.contour_check:  # every center's outer turn integrated in one batch
+    # the turns of every center read in one pass, and with --contour-check
+    # every center's outer turn integrated in one batch
+    if args.contour_check:
         local = settle(_residue_loops(problem.eq, locations, args.radius, tol))
     else:
-        local = [(singular_elements(problem.eq, a, args.radius, tol), None) for a in locations]
+        local = [(report, None) for report, _ in
+                 settle(_local_data(problem.eq, locations, args.radius, tol))]
     centers = []
     for cp, (rep, loop_values) in zip(crit.points, local):
         cycles = [

@@ -27,9 +27,10 @@ determinant's shared factors are stripped, over Z[i][z], by gcds against
 that low-degree product alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
-parentheses. A power whose numerator or denominator would pass degree 512,
-parentheses nested more than 100 deep and an integer literal longer than
-the interpreter converts are refused as SyntaxError before any work.
+parentheses. A power whose numerator or denominator would pass degree 512
+or hold a coefficient of more than 2^16 bits, parentheses nested more than
+100 deep and an integer literal longer than the interpreter converts are
+refused as SyntaxError before any work.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-from .errors import DivisionByZeroPoly, IdenticallyZeroDiscriminant, ZeroFunction
+from .errors import (DivisionByZeroPoly, IdenticallyZeroDiscriminant, RootFindingFailure,
+                     ZeroFunction)
 
 __all__ = [
     "GaussianRational",
@@ -245,6 +247,12 @@ def _gz_add(a: list, b: list) -> list:
 
 def _gz_neg(a: list) -> list:
     return [(-r, -i) for r, i in a]
+
+
+def _gz_norm1(a: list) -> int:
+    """The sum of |re| + |im| over the coefficients, a norm with
+    |ab| <= |a| |b| that bounds every coefficient."""
+    return sum(abs(r) + abs(i) for r, i in a)
 
 
 def _gz_pow(a: list, n: int) -> list:
@@ -567,9 +575,20 @@ class Poly:
         return acc
 
     def _float_coeffs(self) -> tuple[complex, ...]:
+        """The coefficients as complex floats, converted once;
+        RootFindingFailure names a coefficient beyond float range."""
         fc = self._fc
         if fc is None:
-            fc = tuple(complex(c) for c in self.coeffs)
+            fc = []
+            for n, c in enumerate(self.coeffs):
+                try:
+                    fc.append(complex(c))
+                except OverflowError:
+                    bits = max(abs(c._a), abs(c._b)).bit_length() - c._d.bit_length()
+                    raise RootFindingFailure(
+                        f"the coefficient of z^{n}, of magnitude about 2^{bits}, "
+                        "is beyond float range") from None
+            fc = tuple(fc)
             object.__setattr__(self, "_fc", fc)
         return fc
 
@@ -826,6 +845,9 @@ _MAX_EXPONENT = 64
 # a power may not raise the degree of the numerator or denominator the
 # parser carries above this: nested powers multiply their exponents
 _MAX_DEGREE = 512
+# nor give a coefficient of the numerator or denominator more bits than
+# this: nested powers of a constant multiply its bit length
+_MAX_BITS = 1 << 16
 # parentheses nested deeper than this are refused before the recursion
 # of the parser can reach the interpreter's limit
 _MAX_DEPTH = 100
@@ -940,6 +962,11 @@ class _Parser:
             degree = (max(len(num), len(den)) - 1) * n
             if degree > _MAX_DEGREE:
                 raise SyntaxError(f"power of degree {degree} is above the limit {_MAX_DEGREE}")
+            # no coefficient of p^n exceeds the n-th power of p's coefficient 1-norm
+            bits = n * max(_gz_norm1(num), _gz_norm1(den)).bit_length()
+            if bits > _MAX_BITS:
+                raise SyntaxError(f"power with coefficients of up to {bits} bits is above "
+                                  f"the limit {_MAX_BITS}")
             num, den = _gz_pow(num, n), _gz_pow(den, n)
             if self.peek() == "^":
                 raise SyntaxError("chained exponentiation is not allowed")

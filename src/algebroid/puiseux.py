@@ -16,20 +16,26 @@ samples. A fraction of the largest |B_n| would not do: with another critical
 point R away the high-order B_n grow like R^(-n/m) and hide the principal
 part. tol_coeff and the window n_max are set only in Tolerances.
 
-A turn walks the circle once with the tracker's own steps and reads all
-its samples from that walked segment's rows (tracker._WalkedSegment:
-Hermite prediction between the steps, one batched Newton pass under the
+A turn walks the circle once with the tracker's own steps
+(tracker._WalkedSegment), and its samples are read from the knots of those
+steps: Hermite prediction between them, one batched Newton pass under the
 gates of an accepted step, and a tracker stop for any sample that fails
-them). A series has finitely many negative terms, so one reaching below
-the window -n_max..n_max is refused (PrincipalPartTruncated), never read as
-a shorter principal part.
+them. An operation first walks, center by center, the outer circle, the
+radial leg and the inner circle of every center it needs, and then reads
+every turn of every center in one tracker._read (_local_turns). A turn's
+sheet permutation is taken after that read, which may walk the turn again
+and move its end. A series has finitely many negative terms, so one
+reaching below the window -n_max..n_max is refused (PrincipalPartTruncated),
+never read as a shorter principal part.
 
-singular_elements is the one route to a critical point's local data; quad's
-residue checks take it with its outer turn (_local_data) and integrate that
-walked circle. Every entry point resolves its radius through _radius, whose
-eps < d/2 keeps both turns and the radial leg more than eps from other
-critical points, so each is walked alone, not held to tracker._path_margin,
-which may exceed the leg's distance eps/2 from a.
+_local_turns is the one route to the sampled turns of critical points, and
+_local_data to their reports, for many centers at once: singular_elements
+and puiseux_expand are batches of one, and quad's residue checks take each
+report with its outer turn and integrate that walked circle. Every entry
+point resolves its radius through _radius, whose eps < d/2 keeps both turns
+and the radial leg more than eps from other critical points. So they are
+walked as segments, not as paths held to tracker._path_margin, which may
+exceed the leg's distance eps/2 from a.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AnnulusTooWide, PrincipalPartTruncated, settle
-from .surface import DefiningEquation, Fiber, _lift_sheets, _sheet_permutation, fiber_at
-from .tracker import Arc, Line, _WalkedSegment
+from .errors import AlgebroidError, AnnulusTooWide, PrincipalPartTruncated, held, settle, then
+from .surface import (DefiningEquation, Fiber, SheetPermutation, _lift_sheets, _sheet_permutation,
+                      fiber_at)
+from .tracker import Arc, Line, _read, _WalkedSegment
 
 __all__ = [
     "PuiseuxExpansion",
@@ -131,27 +138,64 @@ def _radius(eq: DefiningEquation, a: complex, epsilon: Optional[float],
     return epsilon
 
 
-def _turn(eq: DefiningEquation, a: complex, roots: Sequence[complex],
-          epsilon: float, n_samples: int, tol: Tolerances):
-    """Track the fiber `roots` over a + epsilon once around a, sampling it at
-    n_samples equal angles: (one row per sample, columns in the position order
-    of roots, or None for no samples; the circle's sheet permutation of roots;
-    the walked circle)."""
-    turn = _WalkedSegment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol)
-    rows = turn.rows(np.arange(n_samples) / n_samples) if n_samples else None
-    return rows, _sheet_permutation(turn.end, Fiber(a + epsilon, tuple(roots)), tol), turn
+def _circle(eq: DefiningEquation, a: complex, roots: Sequence[complex], epsilon: float,
+            tol: Tolerances) -> _WalkedSegment:
+    """The fiber `roots` over a + epsilon walked once around a."""
+    return _WalkedSegment(eq, Arc(a, epsilon, 0.0, 2.0 * math.pi), roots, tol)
 
 
-def _local_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances):
-    """The sampled turn at epsilon and one more at epsilon/2 reached by one
-    radial leg. Both keep the position order of the fiber over a + epsilon."""
+def _permutation(turn: _WalkedSegment) -> SheetPermutation:
+    """The sheet permutation of a walked circle: entry j is the position in
+    its start fiber at which the lift from position j ends."""
+    arc = turn.seg
+    return _sheet_permutation(turn.end, Fiber(arc.center + arc.radius, tuple(turn.start)),
+                              turn.tol)
+
+
+def _walk_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances) -> list:
+    """The walk phase of a center's local data: [the circle at epsilon walked
+    from the fiber over a + epsilon, the circle at epsilon/2 walked from the
+    end of one radial leg or the refusal held for the leg or that circle]."""
+    roots = fiber_at(eq, a + epsilon, tol).roots
+    outer = _circle(eq, a, roots, epsilon, tol)
+
+    def inner():
+        leg = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol)
+        return _circle(eq, a, leg.end, 0.5 * epsilon, tol)
+    return [outer, held(inner)]
+
+
+def _sampled(turns: Sequence[_WalkedSegment], n_samples: int) -> list:
+    """Each walked circle sampled at n_samples equal angles, all of them in
+    one tracker._read: per circle (one row per sample in position order, its
+    sheet permutation, the circle) or the refusal held for it. A permutation
+    is taken after the read, which may walk its circle again and move its
+    end."""
+    reads = _read(turns, [np.arange(n_samples) / n_samples] * len(turns))
+    return then(lambda rows, turn: (rows, _permutation(turn), turn), reads, turns)
+
+
+def _local_turns(eq: DefiningEquation, centers: Sequence[complex], radii: Sequence[float],
+                 tol: Tolerances) -> list:
+    """Per center and its radius: [the sampled turn at the radius, the one at
+    half of it], both in the position order of the fiber over center +
+    radius, or the refusal held for the center. The circles and leg of each
+    center are walked in turn (_walk_turns), then every circle of every
+    center is read in one pass (_sampled). A center's refusal is the first it
+    meets alone: its outer walk, that circle's read, the inner walks, the
+    inner circle's read."""
     # positive orders alias into the bins below -n_max from order
     # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
     n_samples = max(256, 1 << math.ceil(math.log2(8 * tol.n_max)))
-    roots = fiber_at(eq, a + epsilon, tol).roots
-    outer = _turn(eq, a, roots, epsilon, n_samples, tol)
-    inner_roots = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol).end
-    return outer, _turn(eq, a, inner_roots, 0.5 * epsilon, n_samples, tol)
+    walks = [held(_walk_turns, eq, a, eps, tol) for a, eps in zip(centers, radii)]
+    walked = [turn for walk in walks if not isinstance(walk, AlgebroidError)
+              for turn in walk if not isinstance(turn, AlgebroidError)]
+    sampled = iter(_sampled(walked, n_samples))
+
+    def read(walk):
+        return settle([turn if isinstance(turn, AlgebroidError) else next(sampled)
+                       for turn in walk])
+    return then(read, walks)
 
 
 def cycle_structure(eq: DefiningEquation, a: complex,
@@ -159,8 +203,8 @@ def cycle_structure(eq: DefiningEquation, a: complex,
                     tol: Tolerances = DEFAULT) -> list[tuple[int, ...]]:
     """Monodromy orbits of the small circle about a, in cycle order."""
     epsilon = _radius(eq, a, epsilon, tol)
-    _, sigma, _ = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 0, tol)
-    return sigma.orbits()
+    turn = _circle(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, tol)
+    return _permutation(turn).orbits()
 
 
 def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
@@ -206,7 +250,7 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     disagree, which signals a radius outside the convergence annulus.
     """
     epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, tol)
+    ((outer, inner),) = settle(_local_turns(eq, [a], [epsilon], tol))
     return _expand(a, tuple(cycle), outer, inner, epsilon, tol)
 
 
@@ -265,8 +309,9 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     from .quad import _cycle_loop_values  # quad imports this module
 
     epsilon = _radius(eq, a, epsilon, tol)
-    turn = _turn(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, 0, tol)
-    ((value,),) = settle(_cycle_loop_values([(turn, [tuple(cycle)])], tol))
+    turn = _circle(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, tol)
+    ((value,),) = settle(_cycle_loop_values([((None, _permutation(turn), turn), [tuple(cycle)])],
+                                            tol))
     return value / (2j * math.pi)
 
 
@@ -287,20 +332,25 @@ def singular_elements(eq: DefiningEquation, a: complex,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
     """All cycles at a critical point with expansions and classifications,
     read from one sampled turn at the radius and one at half of it."""
-    return _local_data(eq, a, epsilon, tol)[0]
+    return settle(_local_data(eq, [a], epsilon, tol))[0][0]
 
 
-def _local_data(eq: DefiningEquation, a: complex, epsilon: Optional[float],
-                tol: Tolerances):
-    """singular_elements' report with the outer turn it was read from, whose
-    walked circle quad._cycle_loop_values integrates."""
-    epsilon = _radius(eq, a, epsilon, tol)
-    outer, inner = _local_turns(eq, a, epsilon, tol)
-    reports = []
-    for cycle in outer[1].orbits():
-        exp = _expand(a, cycle, outer, inner, epsilon, tol)
-        reports.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
-    return SingularElementReport(a, tuple(reports)), outer
+def _local_data(eq: DefiningEquation, centers: Sequence[complex], epsilon: Optional[float],
+                tol: Tolerances) -> list:
+    """Per center: singular_elements' report with the outer turn it was read
+    from, whose walked circle quad._cycle_loop_values integrates, or the
+    refusal held for the center; the turns of all the centers are read in
+    one pass (_local_turns)."""
+    radii = [_radius(eq, a, epsilon, tol) for a in centers]
+
+    def report(turns, a, eps):
+        outer, inner = turns
+        cycles = []
+        for cycle in outer[1].orbits():
+            exp = _expand(a, cycle, outer, inner, eps, tol)
+            cycles.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
+        return SingularElementReport(a, tuple(cycles)), outer
+    return then(report, _local_turns(eq, centers, radii, tol), centers, radii)
 
 
 def growth_bound(eq: DefiningEquation, z0: complex, tol: Tolerances = DEFAULT) -> int:

@@ -22,9 +22,11 @@ refusal is held for its own path, and the callers that batch their paths
 (the audit's c_ab paths, SheetRouter's loops, the grid connectors, the
 contour residues of all centers) raise the first in path order: the one
 integrating the paths one after another would raise. Residue checks take
-their cycles and the outer Puiseux turn from puiseux._local_data, the one
-route to local data, and integrate that walked circle (_cycle_loop_values)
-for the m-turn loop integrals, as residue_by_contour and the CLI do.
+the local data of all their centers from puiseux._local_data, the one route
+to it, which reads every Puiseux turn of every center in one pass. They
+integrate the outer turns, every center's walked circle in one batch
+(_cycle_loop_values), for the m-turn loop integrals, as residue_by_contour
+and the CLI do, and raise the first refusal in center order.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
 
 
 def _cycle_loop_values(entries: Sequence, tol: Tolerances) -> list:
-    """For each (turn, cycles) of entries, turn a puiseux._turn: per cycle the
+    """For each (turn, cycles) of entries, turn a Puiseux turn (rows,
+    permutation, walked circle) as puiseux._sampled gives it: per cycle the
     integral of w dz over the m-turn circle lifted from sheet cycle[0],
     m = len(cycle), the sum of the one-turn integrals of the sheets that lift
     passes, read through the turn's permutation; or the refusal held for the
@@ -355,9 +358,10 @@ def _cycle_loop_values(entries: Sequence, tol: Tolerances) -> list:
 def _residue_loops(eq: DefiningEquation, centers: Sequence[complex],
                    epsilon: Optional[float], tol: Tolerances) -> list:
     """Per center: its singular_elements report and the m-turn loop integral
-    of each of its cycles, or the refusal held for it. Every center's outer
-    Puiseux turn is integrated in one batch (_cycle_loop_values)."""
-    local = [held(_local_data, eq, a, epsilon, tol) for a in centers]
+    of each of its cycles, or the refusal held for it. The Puiseux turns of
+    every center are read in one pass (puiseux._local_data), and every
+    center's outer turn is integrated in one batch (_cycle_loop_values)."""
+    local = _local_data(eq, centers, epsilon, tol)
     entries = then(lambda data: (data[1], [c.sheets for c in data[0].cycles]), local)
     return then(lambda loops, data: (data[0], loops), _cycle_loop_values(entries, tol), local)
 

@@ -71,9 +71,13 @@ def residual_scales(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
-    """Newton iteration on p; returns the refined root or None on stall."""
+    """Newton iteration on p; returns the refined root or None on stall.
+    Each iteration is poly_eval_pair's Horner pass, inline."""
     for _ in range(max_iter):
-        p, dp = poly_eval_pair(coeffs, w)
+        p = dp = 0j
+        for c in reversed(coeffs):
+            dp = dp * w + p
+            p = p * w + c
         if dp == 0:
             return None
         step = p / dp

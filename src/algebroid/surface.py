@@ -63,6 +63,12 @@ class DefiningEquation:
         """dA_j/dz, taken on first use: only Psi_z reads them."""
         return tuple(c.derivative() for c in self.coeffs)
 
+    @cached_property
+    def _tables(self) -> tuple["_FloatTable", "_FloatTable"]:
+        """The float tables (_FloatTable) of A_k..A_1 and of dA_k/dz..dA_1/dz,
+        built on first use: the exact layer never reads them."""
+        return _FloatTable(reversed(self.coeffs)), _FloatTable(reversed(self._dcoeffs))
+
     @property
     def max_coeff_degree(self) -> int:
         return max((c.degree for c in self.coeffs), default=0)
@@ -72,21 +78,22 @@ class DefiningEquation:
 
     def psi_coeffs_at(self, z: complex) -> list[complex]:
         """Coefficients of Psi(., z) ascending in W."""
-        vals = self.a_values(z)
-        return list(reversed(vals)) + [1.0 + 0j]
+        vals = self._tables[0].at(z)
+        vals.append(1.0 + 0j)
+        return vals
 
     def psi_z_coeffs_at(self, z: complex) -> list[complex]:
         """Coefficients of Psi_z(., z) ascending in W."""
-        return [0j if d.is_zero() else d.eval_complex(z) for d in reversed(self._dcoeffs)]
+        return self._tables[1].at(z)
 
     def psi_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
         """psi_coeffs_at of each z in an array, one row per z."""
-        return np.column_stack([_values_on(c, zs) for c in reversed(self.coeffs)]
-                               + [np.ones(len(zs), dtype=complex)])
+        vals = self._tables[0].on(zs)
+        return np.column_stack([vals, np.ones(len(vals), dtype=complex)])
 
     def psi_z_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
         """psi_z_coeffs_at of each z in an array, one row per z."""
-        return np.column_stack([_values_on(d, zs) for d in reversed(self._dcoeffs)])
+        return self._tables[1].on(zs)
 
     def psi(self, w: complex, z: complex) -> complex:
         return poly_eval(self.psi_coeffs_at(z), w)
@@ -130,10 +137,62 @@ class DefiningEquation:
         return f"DefiningEquation(k={self.k}, [{terms}])"
 
 
-def _values_on(f: RatFunc, zs: np.ndarray) -> np.ndarray:
-    """f.eval_complex at each z in an array, by the same Horner passes."""
-    return (np.polyval(f.num._float_coeffs()[::-1], zs)
-            / np.polyval(f.den._float_coeffs()[::-1], zs))
+class _FloatTable:
+    """Rational functions f_i = num_i / den_i of z held as the float
+    coefficients of num_i and den_i (Poly._float_coeffs), highest degree
+    first, evaluated at one z or at an array of them.
+
+    The two front ends keep their own arithmetic. at runs Horner in Python
+    complex arithmetic, the operations of RatFunc.eval_complex; on runs one
+    Horner pass over every numerator and one over every denominator with
+    np.polyval's operations, bit for bit its value per f_i. numpy's complex
+    multiply may use FMA, so the two may differ by an ulp.
+    """
+
+    __slots__ = ("pairs", "num", "den")
+
+    def __init__(self, funcs):
+        self.pairs = [(f.num._float_coeffs()[::-1], f.den._float_coeffs()[::-1]) for f in funcs]
+        self.num = _padded([num for num, _ in self.pairs])
+        self.den = _padded([den for _, den in self.pairs])
+
+    def at(self, z: complex) -> list[complex]:
+        """[f_i(z)]."""
+        vals = []
+        for num, den in self.pairs:
+            p = 0j
+            for c in num:
+                p = p * z + c
+            q = 0j
+            for c in den:
+                q = q * z + c
+            vals.append(p / q)
+        return vals
+
+    def on(self, zs: np.ndarray) -> np.ndarray:
+        """f_i of each z in an array: one row per z, one column per f_i."""
+        return np.ascontiguousarray((_horner(self.num, zs) / _horner(self.den, zs)).T)
+
+
+def _padded(polys: Sequence[tuple]) -> np.ndarray:
+    """Coefficient tuples, highest degree first, as the rows of one complex
+    array, each padded with leading zeros to the longest."""
+    width = max(map(len, polys), default=0)
+    table = np.zeros((len(polys), width), dtype=complex)
+    for row, poly in zip(table, polys):
+        row[width - len(poly):] = poly
+    return table
+
+
+def _horner(table: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """np.polyval of each row of table at zs, one row of values per row, in
+    one pass over the columns. A leading zero leaves the running value an
+    exact zero, as it is before np.polyval's first coefficient."""
+    zs = np.asanyarray(zs)
+    y = np.zeros((len(table), len(zs)), dtype=zs.dtype)
+    for col in table.T:
+        y = y * zs + col[:, None]
+    return y
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ again. rows is the one-segment call of _read. _walk checks once that a path
 keeps the path margin (_path_margin) from the critical set and walks its
 segments in turn: continue_fiber reads the end fibers, continue_branch the
 knots and quad the Gauss nodes of its pieces, for many paths in one _read
-per bisection level; puiseux walks its circles and radial leg alone.
+per bisection level. puiseux walks its circles and radial legs as segments,
+without that check, and reads the turns of all its centers in one _read.
 """
 
 from __future__ import annotations
@@ -300,17 +301,29 @@ def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFA
 
 def _polish(coeffs: Sequence[complex], w: complex, tol: Tolerances) -> Optional[complex]:
     """Newton-corrected root near w, or None when Newton stalls or the
-    residual exceeds eps_root times the residual scale."""
+    residual exceeds eps_root times the residual scale (poly_eval and
+    residual_scale, inline)."""
     w = newton_polish(coeffs, w, max_iter=30)
-    if w is None or abs(poly_eval(coeffs, w)) > tol.eps_root * residual_scale(coeffs, w):
+    if w is None:
+        return None
+    p = 0j
+    for c in reversed(coeffs):
+        p = p * w + c
+    s, aw, power = 0.0, abs(w), 1.0
+    for c in coeffs:
+        s += abs(c) * power
+        power *= aw
+    if abs(p) > tol.eps_root * max(s, 1.0):
         return None
     return w
 
 
 class SegmentTracker:
-    """Continues a fiber monotonically along one segment."""
+    """Continues a fiber monotonically along one segment. An accepted step
+    hands the coefficients of Psi(., z) and the root separation at the z it
+    reached to the next step, which starts there (_carry)."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps", "_carry")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
@@ -323,10 +336,11 @@ class SegmentTracker:
             raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
         self.h = 0.25
         self.steps = 0
+        self._carry = None
 
     def clone(self) -> "SegmentTracker":
         c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol)
-        c.t, c.h, c.steps = self.t, self.h, self.steps
+        c.t, c.h, c.steps, c._carry = self.t, self.h, self.steps, self._carry
         return c
 
     def advance_to(self, t_target: float):
@@ -339,14 +353,15 @@ class SegmentTracker:
         """One accepted step towards t_target; returns the z it reaches."""
         eq, seg, tol = self.eq, self.seg, self.tol
         z0 = seg.at(self.t)
-        min_sep0 = min_pairwise_distance(self.fiber)
-        scale = 1.0 + max(abs(w) for w in self.fiber)
+        carry = self._carry  # z0 is, bit for bit, the z the last step reached
+        min_sep0 = min_pairwise_distance(self.fiber) if carry is None else carry[1]
+        scale = 1.0 + max(map(abs, self.fiber))
         if min_sep0 < tol.delta_sep * scale:
             raise TrackingCollision(
                 f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
             )
         cap = min(0.25 * min_sep0, 0.5 * scale)
-        coeffs0 = eq.psi_coeffs_at(z0)
+        coeffs0 = eq.psi_coeffs_at(z0) if carry is None else carry[0]
         zcoeffs0 = eq.psi_z_coeffs_at(z0)
         slopes = []  # dw/dz of each root at z0
         for w in self.fiber:
@@ -360,7 +375,7 @@ class SegmentTracker:
             z1 = seg.at(self.t + h)
             dz = z1 - z0
             moves = [d * dz for d in slopes]
-            move = max(abs(m) for m in moves)
+            move = max(map(abs, moves))
             corrected = None
             if move <= cap:
                 coeffs1 = eq.psi_coeffs_at(z1)
@@ -372,6 +387,7 @@ class SegmentTracker:
                 if drift <= 0.25 * min(min_sep0, min_sep1):
                     self.t += h
                     self.fiber = corrected
+                    self._carry = coeffs1, min_sep1
                     self.steps += 1
                     grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
                     # a step cut short to land on the target says nothing

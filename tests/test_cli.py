@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,35 @@ def test_non_finite_fiber_coefficients_are_a_root_finding_failure(capsys, tmp_pa
     report = json.loads(capsys.readouterr().out)
     assert code == 6
     assert report["error"]["type"] == "RootFindingFailure"
+
+
+@pytest.mark.parametrize("coeffs, power", [
+    (["0", "-((2^64)^64)*z + 1"], "z^1"),  # the discriminant 4 * 2^4096 z - 4
+    (["0", "1/(z^2 + (2^64)^64)"], "z^0"),  # a pole polynomial
+])
+def test_coefficient_beyond_float_range_is_a_root_finding_failure(capsys, tmp_path, coeffs,
+                                                                   power):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"k": 2, "coefficients": coeffs}))
+    code = main(["critical", str(f)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 6
+    assert report["error"]["type"] == "RootFindingFailure"
+    assert f"coefficient of {power}" in report["error"]["message"]
+    assert "beyond float range" in report["error"]["message"]
+
+
+def test_power_of_a_huge_constant_is_a_schema_error(capsys, tmp_path):
+    # (((2^64)^64)^64)^64 would be a 16,777,217-bit integer: refused before it is built
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"k": 2, "coefficients": ["0", "-(((2^64)^64)^64)^64*z"]}))
+    start = time.perf_counter()
+    code = main(["critical", str(f)])
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert "bits is above the limit" in report["error"]["message"]
 
 
 def test_tol_override_flag(capsys, sqrt_file):

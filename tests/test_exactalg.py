@@ -17,6 +17,7 @@ from algebroid.exactalg import (
     Poly,
     RatFunc,
     _I_MOD_P,
+    _MAX_BITS,
     _MAX_DEGREE,
     _MAX_DEPTH,
     _MAX_EXPONENT,
@@ -95,6 +96,17 @@ def test_parse_refuses_a_nested_power_above_the_degree_cap():
         with pytest.raises(SyntaxError, match="above the limit 512"):
             rf(text)
     assert rf("((2^64)^64)") == RatFunc.constant(2**4096)  # constants have degree 0
+
+
+def test_parse_refuses_a_power_above_the_bit_cap():
+    # nested powers of a constant multiply its bit length; the bound is
+    # n times the bit length of the base's coefficient 1-norm
+    assert rf("((2^64)^64)^15") == RatFunc.constant(2**61440)
+    assert rf("(3*z - 5*i)^64").num.degree == 64
+    for text in ("((2^64)^64)^16", "(((2^64)^64)^64)^64", "1/((2^64)^64)^64",
+                 "((2^64)^64*z + 1)^16"):
+        with pytest.raises(SyntaxError, match=f"above the limit {_MAX_BITS}"):
+            rf(text)
 
 
 def test_parse_refuses_deep_nesting_and_overlong_literals():

@@ -14,11 +14,17 @@ from algebroid.errors import (
     AnnulusTooWide,
     LiftNotClosed,
     PrincipalPartTruncated,
+    StepUnderflow,
+    TrackingCollision,
+    settle,
 )
 from algebroid.puiseux import (
     PuiseuxExpansion,
+    _circle,
+    _local_data,
     _local_turns,
-    _turn,
+    _sampled,
+    _walk_turns,
     cycle_structure,
     default_radius,
     growth_bound,
@@ -29,7 +35,7 @@ from algebroid.puiseux import (
 )
 from algebroid.quad import fiber_integral, residue_theorem_check
 from algebroid.surface import KIND_DISC, DefiningEquation, Fiber, _sheet_permutation, fiber_at
-from algebroid.tracker import Arc, SegmentTracker, polyline
+from algebroid.tracker import Arc, SegmentTracker, SurfacePoint, polyline
 
 
 def test_cycle_structure_sqrt_z(sqrt_z):
@@ -168,18 +174,73 @@ def test_radial_leg_inside_the_path_margin(delta):
 
 
 def test_planted_inner_turn_inconsistency_is_refused(monkeypatch, sqrt_z):
-    turn = puiseux._turn
+    sampled = puiseux._sampled
     eps = default_radius(sqrt_z, 0j)
 
-    def planted(eq, a, roots, epsilon, n_samples, tol):
-        rows, sigma, walked = turn(eq, a, roots, epsilon, n_samples, tol)
-        if epsilon < eps:  # the inner turn's rows move by 1e-9, so B_0 does
-            rows = rows + 1e-9
-        return rows, sigma, walked
+    def planted(turns, n_samples):
+        out = []
+        for rows, sigma, walked in sampled(turns, n_samples):
+            if walked.seg.radius < eps:  # the inner turn's rows move by 1e-9, so B_0 does
+                rows = rows + 1e-9
+            out.append((rows, sigma, walked))
+        return out
 
-    monkeypatch.setattr(puiseux, "_turn", planted)
+    monkeypatch.setattr(puiseux, "_sampled", planted)
     with pytest.raises(AnnulusTooWide, match="B_0 "):
         singular_elements(sqrt_z, 0j)
+
+
+def test_turns_of_many_centers_read_in_one_batch_equal_each_turn_read_alone():
+    # W^2 - (z^3 - 1): three branch points
+    eq = DefiningEquation.from_strings(["0", "-(z^3 - 1)"])
+    centers = list(eq.critical().locations)
+    radii = [default_radius(eq, a) for a in centers]
+    batch = _local_turns(eq, centers, radii, DEFAULT)
+    assert len(batch) == 3
+    for a, eps, turns in zip(centers, radii, batch):
+        for (rows, sigma, walked), turn in zip(turns, _walk_turns(eq, a, eps, DEFAULT)):
+            ((ref_rows, ref_sigma, ref_walked),) = settle(_sampled([turn], len(rows)))
+            assert rows.tolist() == ref_rows.tolist() and sigma == ref_sigma
+            assert (walked.t, walked.z, walked.fibers) == (ref_walked.t, ref_walked.z,
+                                                            ref_walked.fibers)
+
+
+def test_a_refused_center_keeps_its_place_and_the_first_refusal_is_raised(monkeypatch):
+    # the second center's inner circle and the third center's whole walk are
+    # refused; the one read takes the first center's two turns and the
+    # second's outer turn
+    eq = DefiningEquation.from_strings(["0", "-(z^3 - 1)"])
+    centers = list(eq.critical().locations)
+    alone = singular_elements(eq, centers[0])
+    circle, walk_turns, read = puiseux._circle, puiseux._walk_turns, puiseux._read
+    reads = []
+
+    def planted_circle(eq, a, roots, epsilon, tol):
+        if a == centers[1] and epsilon < default_radius(eq, a):
+            raise StepUnderflow("planted at the inner circle of the second center")
+        return circle(eq, a, roots, epsilon, tol)
+
+    def planted_walk(eq, a, epsilon, tol):
+        if a == centers[2]:
+            raise TrackingCollision("planted at the third center")
+        return walk_turns(eq, a, epsilon, tol)
+
+    def counting_read(walked, tss):
+        reads.append(len(walked))
+        return read(walked, tss)
+
+    monkeypatch.setattr(puiseux, "_circle", planted_circle)
+    monkeypatch.setattr(puiseux, "_walk_turns", planted_walk)
+    monkeypatch.setattr(puiseux, "_read", counting_read)
+    local = _local_data(eq, centers, None, DEFAULT)
+    assert reads == [3]
+    assert local[0][0] == alone
+    assert [type(x) for x in local[1:]] == [StepUnderflow, TrackingCollision]
+    with pytest.raises(StepUnderflow, match="second center"):
+        settle(local)
+    germ = SurfacePoint(2, fiber_at(eq, 2).roots[0])
+    with pytest.raises(StepUnderflow, match="second center"):
+        quad.path_independence_audit(eq, germ, germ, [])
 
 
 def test_reconstruction_matches_tracked_branch(circle_eq):
@@ -276,6 +337,12 @@ TURN_CASES = [
 ]
 
 
+def _turn(eq, a, roots, epsilon, n_samples, tol):
+    """One circle walked and sampled alone: (rows, permutation, walked circle)."""
+    ((rows, sigma, walked),) = settle(_sampled([_circle(eq, a, roots, epsilon, tol)], n_samples))
+    return rows, sigma, walked
+
+
 def _stepwise_turn(eq, a, roots, eps, n_samples):
     """The turn tracked with one tracker stop per sample."""
     trk = SegmentTracker(eq, Arc(a, eps, 0.0, 2 * math.pi), roots, DEFAULT)
@@ -310,7 +377,7 @@ def test_turn_takes_only_the_tracker_steps(monkeypatch, sqrt_z):
 
     monkeypatch.setattr(SegmentTracker, "_step", counting_step)
     eps = default_radius(sqrt_z, 0j)
-    (rows, _, outer), _ = _local_turns(sqrt_z, 0j, eps, DEFAULT)
+    (((rows, _, outer), _),) = _local_turns(sqrt_z, [0j], [eps], DEFAULT)
     assert len(rows) == 256
     assert 0 < steps.count(outer.seg) <= 32
 

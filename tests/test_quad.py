@@ -16,7 +16,7 @@ from algebroid.errors import (
     settle,
 )
 from algebroid.exactalg import GaussianRational
-from algebroid import quad, tracker
+from algebroid import puiseux, quad, tracker
 from algebroid.cli import main
 from algebroid.puiseux import default_radius, residue_by_contour
 from algebroid.quad import (
@@ -347,12 +347,20 @@ def test_cli_contour_check_walks_two_turns_and_one_leg_per_center(monkeypatch, t
     problem = tmp_path / "cubic.json"
     problem.write_text(json.dumps({"k": 3, "coefficients": ["0", "-3", "-z"]}))
     segments, walks = _count_walks(monkeypatch)
+    reads, read = [], puiseux._read
+
+    def counting_read(walked, tss):
+        reads.append(len(walked))
+        return read(walked, tss)
+
+    monkeypatch.setattr(puiseux, "_read", counting_read)
     assert main(["residues", str(problem), "--contour-check"]) == 0
     centers = json.loads(capsys.readouterr().out)["results"]["centers"]
     assert len(centers) == 2
     assert all(c["discrepancy"] < 1e-8 for center in centers for c in center["cycles"])
     assert sorted(segments) == ["Arc"] * 4 + ["Line"] * 2
     assert walks == []
+    assert reads == [4]  # one read of the two turns of both centers
 
 
 NODE_CASES = [

@@ -167,3 +167,14 @@ def test_profile_cases_profiles_the_cli_over_a_case_directory(tmp_path, capsys):
     assert "Ordered by: internal time" in out
     assert "List reduced from" in out and "to 5 due to restriction <5>" in out
     assert "(critical_points)" in out.split("was called by...")[1]
+
+
+def test_profile_cases_sorts_by_cumulative_time_on_request(tmp_path, capsys):
+    directory = _critical_case_dir(tmp_path)
+    assert profile_cases.main([str(ROOT), str(directory), "--top", "3",
+                               "--sort", "cumulative"]) == 0
+    out = capsys.readouterr().out
+    assert "Ordered by: cumulative time" in out
+    assert "to 3 due to restriction <3>" in out
+    with pytest.raises(SystemExit):
+        profile_cases.main([str(ROOT), str(directory), "--sort", "ncalls"])

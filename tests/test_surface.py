@@ -54,6 +54,38 @@ def test_coefficient_rows_match_pointwise_coefficients():
     assert eq._dcoeffs == tuple(c.derivative() for c in eq.coeffs)
 
 
+def _bits(values) -> list:
+    """The IEEE bit patterns of complex values: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["3/7", "-(1+2*i)"],  # constants: every dA_j/dz is zero
+    ["z^2 - 3*i*z + 1/5", "-(z^3 - 1)"],  # polynomials
+    ["1/(z - 1/3)", "z^3 + i*z", "-5/(z^2 + 1)"],  # poles
+    ["0", "(1+z)/z^2", "-7", "z^4/(3*z - 2*i)"],  # a zero and a constant among them
+])
+def test_float_table_front_ends_are_bit_identical_to_the_old_forms(coeffs):
+    # at: per-coefficient RatFunc.eval_complex; on: per-coefficient np.polyval
+    eq = DefiningEquation.from_strings(coeffs)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5, 8, 17, 64, 257):
+        zs = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([0.1, 1.0, 10.0], size=n)
+        for z in zs.tolist():
+            assert _bits(eq.psi_coeffs_at(z)) == _bits(
+                [c.eval_complex(z) for c in reversed(eq.coeffs)] + [1.0 + 0j])
+            assert _bits(eq.psi_z_coeffs_at(z)) == _bits(
+                [0j if d.is_zero() else d.eval_complex(z) for d in reversed(eq._dcoeffs)])
+        for zz in (zs, zs.real):  # Line.ats of a real segment gives float nodes
+            def polyval(f):
+                return (np.polyval(f.num._float_coeffs()[::-1], zz)
+                        / np.polyval(f.den._float_coeffs()[::-1], zz))
+            assert _bits(eq.psi_coeffs_on(zz)) == _bits(np.column_stack(
+                [polyval(c) for c in reversed(eq.coeffs)] + [np.ones(n, dtype=complex)]))
+            assert _bits(eq.psi_z_coeffs_on(zz)) == _bits(np.column_stack(
+                [polyval(d) for d in reversed(eq._dcoeffs)]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_newton_matches_newton_polish(seed):
     # one Newton semantics: same stopping rule and fallback, entry by entry

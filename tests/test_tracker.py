@@ -134,6 +134,39 @@ def test_clipped_step_keeps_step_size(coeffs, seg):
     assert max(abs(a - b) for a, b in zip(trk.fiber, direct.fiber)) < 1e-12
 
 
+class _Recomputing(SegmentTracker):
+    """A tracker whose every step recomputes the coefficients and the root
+    separation at its start, instead of taking those of the step before."""
+
+    __slots__ = ()
+
+    def _step(self, t_target):
+        self._carry = None
+        return super()._step(t_target)
+
+
+@pytest.mark.parametrize("coeffs, seg", [
+    (["0", "-z"], Line(1, 4)),
+    (["0", "-3", "-z"], Arc(2.0, 0.5, 0.0, 2 * math.pi)),  # about a branch point
+    (["0", "-1/z"], Arc(0j, 1.0, 0.3, 0.3 + 4 * math.pi)),  # two turns about a pole
+    (["z/(z-3)", "-3", "-z^2+1/(z+2)"], Line(1j, -1 + 2j)),
+])
+def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
+    eq = DefiningEquation.from_strings(coeffs)
+    fiber = fiber_at(eq, seg.start).roots
+    knots = []
+    for cls in (SegmentTracker, _Recomputing):
+        trk = cls(eq, seg, fiber, DEFAULT)
+        walk = []
+        for stop in (0.3, 0.3 + 1e-9, 1.0):  # clipped steps too
+            while trk.t < stop - 1e-15:
+                z = trk._step(stop)
+                walk.append((trk.t, z, trk.fiber, trk.h))
+        knots.append(walk)
+    assert knots[0] == knots[1]
+    assert len(knots[0]) > 3
+
+
 def test_array_forms_equal_the_scalar_forms_bit_for_bit():
     # _read and quad._gauss take their nodes and dz/dt from ats and derivs,
     # the tracker's steps from at and deriv: they must give the same floats
