@@ -12,13 +12,15 @@ Problem files are read from DIR/cases, with DIR made absolute, so replays of
 one DIR against two source trees see the same inputs however DIR is typed.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
-the exit-code and non-numeric differences, the largest |dx| / max(1, |x|)
+the exit-code differences, the tally of exit codes on each side (a is A.json,
+b is B.json), the non-numeric differences, the largest |dx| / max(1, |x|)
 over the numbers of the JSON reports, and every key path (list indices
 dropped) whose number moves by more than 1e-13 * max(1, |x|), with the count
 of cases in which it moves. It exits 1 on any exit-code or non-numeric
 difference, or on such a move. Standard library only.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -91,6 +93,14 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
         found["non_numeric"].append(where)
 
 
+def exit_tally(cases: dict) -> str:
+    """How many cases exit with each code, e.g. ``0: 1326, 19: 144``; codes
+    are numbers or ``raised:<type>`` and sort numbers first."""
+    tally = collections.Counter(case["exit"] for case in cases.values())
+    return ", ".join(f"{code}: {n}" for code, n in
+                     sorted(tally.items(), key=lambda item: (isinstance(item[0], str), item[0])))
+
+
 def compare(a: dict, b: dict) -> dict:
     found = {"cases": len(a.keys() | b.keys()), "identical": 0, "exit": [],
              "non_numeric": [], "largest": (0.0, None), "moved": {}}
@@ -117,10 +127,12 @@ def main(argv: list) -> int:
         Path(argv[2]).write_text(json.dumps(replay(cli, argv[3:]), indent=1))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
-        found = compare(*(json.loads(Path(f).read_text()) for f in argv[1:]))
+        a, b = (json.loads(Path(f).read_text()) for f in argv[1:])
+        found = compare(a, b)
         rel, where = found["largest"]
         print(f"cases {found['cases']}, byte-identical {found['identical']}")
         print(f"exit-code differences {len(found['exit'])}", *found["exit"], sep="\n  ")
+        print(f"exit codes in a: {exit_tally(a)}", f"exit codes in b: {exit_tally(b)}", sep="\n")
         print(f"non-numeric differences {len(found['non_numeric'])}",
               *found["non_numeric"], sep="\n  ")
         print(f"largest |dx| / max(1, |x|) {rel:.3e}" + (f" at {where}" if where else ""))

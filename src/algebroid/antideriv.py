@@ -42,9 +42,7 @@ from .errors import (
     RefusedReducible,
     SingleValuednessViolation,
     UnreachableSheet,
-    held,
-    settle,
-    then,
+    in_order,
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
@@ -118,12 +116,11 @@ class SheetRouter:
         self.germs = list(fiber.roots)
         self.germs[self.base_sheet] = base.w
 
-        def generator(integral):
-            periods, _, ends = integral
-            return _sheet_permutation(ends, fiber, tol), periods
-
         loops = generator_loops(eq, base.z, tol, rng)  # every loop integrated in one batch
-        gens = settle(then(generator, _fiber_integrals(eq, [(self.germs, g) for g in loops], tol)))
+        gens = in_order(lambda gs: [
+            (_sheet_permutation(ends, fiber, tol), periods)
+            for periods, _, ends in _fiber_integrals(eq, [(self.germs, g) for g in gs], tol)
+        ], loops)
         self.gens: list[SheetPermutation] = [sigma for sigma, _ in gens]
         self.periods: list[list[complex]] = [periods for _, periods in gens]
         self.values: dict[int, complex] = {self.base_sheet: 0j}
@@ -157,8 +154,9 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
 def _fiber_and_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
                                 router: SheetRouter, tol: Tolerances, rng) -> list:
     """Per z of zs: (fiber_at(eq, z), the branch integrals of branch_integrals_at
-    over it). The connectors of all z are integrated in one batch, and the
-    first refusal in the order of zs is raised."""
+    over it). The connectors of all z are routed first, since routing may
+    draw from rng, then integrated in one batch (_branch_integrals), which
+    raises the first refusal in the order of zs (errors.in_order)."""
     missing = [s for s in range(eq.k) if s not in router.values]
     if missing:
         raise UnreachableSheet(
@@ -167,24 +165,25 @@ def _fiber_and_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
         )
     margin = _path_margin(eq, tol)
     locations = eq.critical(tol).locations
+    paths = [BasePath(()) if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z))
+             else safe_line(router.base.z, z, locations, margin, rng) for z in zs]
+    return in_order(lambda jobs: _branch_integrals(eq, jobs, router, tol), list(zip(zs, paths)))
 
-    def connector(z):
-        if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z)):
-            return BasePath(()), fiber_at(eq, z, tol)
-        path = safe_line(router.base.z, z, locations, margin, rng)
-        return path, fiber_at(eq, z, tol)
 
-    def branch_integrals(integral, start):
-        path, fiber_t = start
+def _branch_integrals(eq: DefiningEquation, jobs: Sequence, router: SheetRouter,
+                      tol: Tolerances) -> list:
+    """_fiber_and_branch_integrals for each (z, connector) of jobs, all the
+    connectors integrated in one batch."""
+    fibers = [fiber_at(eq, z, tol) for z, _ in jobs]
+    integrals = _fiber_integrals(eq, [(router.germs, path) for _, path in jobs], tol)
+    out = []
+    for (_, path), fiber_t, (values, _, ends) in zip(jobs, fibers, integrals):
         if not path.segments:
-            return fiber_t, [router.values[s] for s in range(eq.k)]
-        values, _, ends = integral
+            out.append((fiber_t, [router.values[s] for s in range(eq.k)]))
+            continue
         inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
-        return fiber_t, [router.values[s] + values[s] for s in inverse.image]
-
-    starts = [held(connector, z) for z in zs]
-    integrals = _fiber_integrals(eq, then(lambda start: (router.germs, start[0]), starts), tol)
-    return settle(then(branch_integrals, integrals, starts))
+        out.append((fiber_t, [router.values[s] + values[s] for s in inverse.image]))
+    return out
 
 
 def symmetric_coeffs(values: Sequence[complex]) -> list[complex]:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
-from .errors import AlgebroidError, SchemaError, settle
+from .errors import AlgebroidError, SchemaError, in_order
 from .puiseux import _local_data, _radius, singular_elements
 from .quad import _residue_loops, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
@@ -413,12 +413,13 @@ def _residues(args, problem, tol, rng, inputs):
     _check_radius(problem, crit.locations, args.radius, tol)
     locations = [cp.location for cp in crit.points]
     # the turns of every center read in one pass, and with --contour-check
-    # every center's outer turn integrated in one batch
+    # every center's outer turn integrated in one batch; the first refusal
+    # in center order is raised
     if args.contour_check:
-        local = settle(_residue_loops(problem.eq, locations, args.radius, tol))
+        local = in_order(lambda cs: _residue_loops(problem.eq, cs, args.radius, tol), locations)
     else:
         local = [(report, None) for report, _ in
-                 settle(_local_data(problem.eq, locations, args.radius, tol))]
+                 in_order(lambda cs: _local_data(problem.eq, cs, args.radius, tol), locations)]
     centers = []
     for cp, (rep, loop_values) in zip(crit.points, local):
         cycles = [

@@ -1,8 +1,8 @@
 """Error taxonomy. Every domain error carries a CLI exit code.
 
-A batch that integrates many paths at once holds each path's refusal (held,
-then) until the batch ends; settle then raises the first in path order, the
-refusal that doing the paths one after another would have raised.
+A batch that integrates many paths at once raises the first refusal it
+meets, which need not be the first job's; in_order runs a batch so that a
+refusal is the one doing the jobs one after another would raise.
 """
 
 
@@ -145,26 +145,17 @@ class SingleValuednessViolation(AlgebroidError):
         self.generator = generator
 
 
-def held(fn, *args):
-    """fn(*args), or the AlgebroidError it raises, held in place of its result."""
+def in_order(batch, jobs) -> list:
+    """batch(jobs), for a batch that gives each job the values it gets alone.
+    On a refusal each job is run again alone, in order, so the refusal raised
+    is the first job's that refuses, as doing the jobs one after another
+    raises; a batch of one job is not run again. batch must build what it
+    walks from its jobs, since a read changes what it walked."""
+    jobs = list(jobs)
     try:
-        return fn(*args)
-    except AlgebroidError as exc:
-        return exc
-
-
-def then(fn, outcomes, *columns) -> list:
-    """held(fn, outcome, *entries) for each outcome of a batch and the matching
-    entries of the columns; an outcome that is a held refusal stays one."""
-    return [o if isinstance(o, AlgebroidError) else held(fn, o, *rest)
-            for o, *rest in zip(outcomes, *columns)]
-
-
-def settle(outcomes) -> list:
-    """The outcomes of a batch, once none is a held refusal: the first one in
-    path order is raised."""
-    outcomes = list(outcomes)
-    for o in outcomes:
-        if isinstance(o, AlgebroidError):
-            raise o
-    return outcomes
+        return batch(jobs)
+    except AlgebroidError:
+        if len(jobs) > 1:
+            for job in jobs:
+                batch([job])
+        raise

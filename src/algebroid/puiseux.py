@@ -31,7 +31,9 @@ never read as a shorter principal part.
 _local_turns is the one route to the sampled turns of critical points, and
 _local_data to their reports, for many centers at once: singular_elements
 and puiseux_expand are batches of one, and quad's residue checks take each
-report with its outer turn and integrate that walked circle. Every entry
+report with its outer turn and integrate that walked circle. A batch of
+many centers raises the first refusal it meets; the audit and the CLI run it
+through errors.in_order for the first in center order. Every entry
 point resolves its radius through _radius, whose eps < d/2 keeps both turns
 and the radial leg more than eps from other critical points. So they are
 walked as segments, not as paths held to tracker._path_margin, which may
@@ -48,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AlgebroidError, AnnulusTooWide, PrincipalPartTruncated, held, settle, then
+from .errors import AnnulusTooWide, PrincipalPartTruncated
 from .surface import (DefiningEquation, Fiber, SheetPermutation, _lift_sheets, _sheet_permutation,
                       fiber_at)
 from .tracker import Arc, Line, _read, _WalkedSegment
@@ -155,47 +157,36 @@ def _permutation(turn: _WalkedSegment) -> SheetPermutation:
 def _walk_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances) -> list:
     """The walk phase of a center's local data: [the circle at epsilon walked
     from the fiber over a + epsilon, the circle at epsilon/2 walked from the
-    end of one radial leg or the refusal held for the leg or that circle]."""
+    end of one radial leg]."""
     roots = fiber_at(eq, a + epsilon, tol).roots
     outer = _circle(eq, a, roots, epsilon, tol)
-
-    def inner():
-        leg = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol)
-        return _circle(eq, a, leg.end, 0.5 * epsilon, tol)
-    return [outer, held(inner)]
+    leg = _WalkedSegment(eq, Line(a + epsilon, a + 0.5 * epsilon), roots, tol)
+    return [outer, _circle(eq, a, leg.end, 0.5 * epsilon, tol)]
 
 
 def _sampled(turns: Sequence[_WalkedSegment], n_samples: int) -> list:
     """Each walked circle sampled at n_samples equal angles, all of them in
     one tracker._read: per circle (one row per sample in position order, its
-    sheet permutation, the circle) or the refusal held for it. A permutation
-    is taken after the read, which may walk its circle again and move its
-    end."""
+    sheet permutation, the circle). A permutation is taken after the read,
+    which may walk its circle again and move its end."""
     reads = _read(turns, [np.arange(n_samples) / n_samples] * len(turns))
-    return then(lambda rows, turn: (rows, _permutation(turn), turn), reads, turns)
+    return [(rows, _permutation(turn), turn) for rows, turn in zip(reads, turns)]
 
 
 def _local_turns(eq: DefiningEquation, centers: Sequence[complex], radii: Sequence[float],
                  tol: Tolerances) -> list:
     """Per center and its radius: [the sampled turn at the radius, the one at
     half of it], both in the position order of the fiber over center +
-    radius, or the refusal held for the center. The circles and leg of each
-    center are walked in turn (_walk_turns), then every circle of every
-    center is read in one pass (_sampled). A center's refusal is the first it
-    meets alone: its outer walk, that circle's read, the inner walks, the
-    inner circle's read."""
+    radius. The circles and leg of each center are walked in turn
+    (_walk_turns), then every circle of every center is read in one pass
+    (_sampled); the first refusal met is raised. Alone, a center meets its
+    outer walk, the leg and inner walk, then the read."""
     # positive orders alias into the bins below -n_max from order
     # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
     n_samples = max(256, 1 << math.ceil(math.log2(8 * tol.n_max)))
-    walks = [held(_walk_turns, eq, a, eps, tol) for a, eps in zip(centers, radii)]
-    walked = [turn for walk in walks if not isinstance(walk, AlgebroidError)
-              for turn in walk if not isinstance(turn, AlgebroidError)]
-    sampled = iter(_sampled(walked, n_samples))
-
-    def read(walk):
-        return settle([turn if isinstance(turn, AlgebroidError) else next(sampled)
-                       for turn in walk])
-    return then(read, walks)
+    sampled = _sampled([turn for a, eps in zip(centers, radii)
+                        for turn in _walk_turns(eq, a, eps, tol)], n_samples)
+    return [sampled[i:i + 2] for i in range(0, len(sampled), 2)]
 
 
 def cycle_structure(eq: DefiningEquation, a: complex,
@@ -250,7 +241,7 @@ def puiseux_expand(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     disagree, which signals a radius outside the convergence annulus.
     """
     epsilon = _radius(eq, a, epsilon, tol)
-    ((outer, inner),) = settle(_local_turns(eq, [a], [epsilon], tol))
+    ((outer, inner),) = _local_turns(eq, [a], [epsilon], tol)
     return _expand(a, tuple(cycle), outer, inner, epsilon, tol)
 
 
@@ -310,8 +301,7 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
 
     epsilon = _radius(eq, a, epsilon, tol)
     turn = _circle(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, tol)
-    ((value,),) = settle(_cycle_loop_values([((None, _permutation(turn), turn), [tuple(cycle)])],
-                                            tol))
+    ((value,),) = _cycle_loop_values([((None, _permutation(turn), turn), [tuple(cycle)])], tol)
     return value / (2j * math.pi)
 
 
@@ -332,25 +322,23 @@ def singular_elements(eq: DefiningEquation, a: complex,
                       tol: Tolerances = DEFAULT) -> SingularElementReport:
     """All cycles at a critical point with expansions and classifications,
     read from one sampled turn at the radius and one at half of it."""
-    return settle(_local_data(eq, [a], epsilon, tol))[0][0]
+    return _local_data(eq, [a], epsilon, tol)[0][0]
 
 
 def _local_data(eq: DefiningEquation, centers: Sequence[complex], epsilon: Optional[float],
                 tol: Tolerances) -> list:
     """Per center: singular_elements' report with the outer turn it was read
-    from, whose walked circle quad._cycle_loop_values integrates, or the
-    refusal held for the center; the turns of all the centers are read in
-    one pass (_local_turns)."""
+    from, whose walked circle quad._cycle_loop_values integrates; the turns
+    of all the centers are read in one pass (_local_turns)."""
     radii = [_radius(eq, a, epsilon, tol) for a in centers]
-
-    def report(turns, a, eps):
-        outer, inner = turns
+    data = []
+    for a, eps, (outer, inner) in zip(centers, radii, _local_turns(eq, centers, radii, tol)):
         cycles = []
         for cycle in outer[1].orbits():
             exp = _expand(a, cycle, outer, inner, eps, tol)
             cycles.append(CycleReport(cycle, exp, exp.residue, _classify(exp)))
-        return SingularElementReport(a, tuple(cycles)), outer
-    return then(report, _local_turns(eq, centers, radii, tol), centers, radii)
+        data.append((SingularElementReport(a, tuple(cycles)), outer))
+    return data
 
 
 def growth_bound(eq: DefiningEquation, z0: complex, tol: Tolerances = DEFAULT) -> int:

@@ -18,15 +18,16 @@ Newton correction, with dz/dt from the segments' array form (derivs), so
 quadrature takes the tracker's own steps and no step per node. A segment
 sees the reads, stops and re-walks it would see alone, so every value is
 the one a path integrated alone gets, and one path is a batch of one. A
-refusal is held for its own path, and the callers that batch their paths
+batch raises the first refusal it meets; the callers that batch their paths
 (the audit's c_ab paths, SheetRouter's loops, the grid connectors, the
-contour residues of all centers) raise the first in path order: the one
-integrating the paths one after another would raise. Residue checks take
-the local data of all their centers from puiseux._local_data, the one route
-to it, which reads every Puiseux turn of every center in one pass. They
-integrate the outer turns, every center's walked circle in one batch
-(_cycle_loop_values), for the m-turn loop integrals, as residue_by_contour
-and the CLI do, and raise the first refusal in center order.
+contour residues of all centers) run the batch through errors.in_order,
+which then runs each path alone in turn, so the refusal raised is the first
+in path order: the one integrating the paths one after another raises.
+Residue checks take the local data of all their centers from
+puiseux._local_data, the one route to it, which reads every Puiseux turn of
+every center in one pass. They integrate the outer turns, every center's
+walked circle in one batch (_cycle_loop_values), for the m-turn loop
+integrals, as residue_by_contour and the CLI do.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AlgebroidError, EndpointGermMismatch, LiftNotClosed, QuadratureStall
-from .errors import held, settle, then
+from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall, in_order
 from .puiseux import _local_data
 from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
-from .tracker import _WalkedSegment, _bounds, _by_equation, _path_margin, _read, _shares, _walk
+from .tracker import _WalkedSegment, _bounds, _by_equation, _path_margin, _read, _shares
+from .tracker import _start_fiber, _walk
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -107,13 +108,12 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
     """16-point Gauss-Legendre values of w dz on the pieces [t0[i], t1[i]] of
     each walked segment, t0 and t1 its entries of t0s and t1s, from one
     batched read of all their rows (tracker._read): per segment one row of
-    fiber positions per piece, or the refusal held for it."""
+    fiber positions per piece."""
     halves = [0.5 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
     tss = [((0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X).ravel()
            for t0, t1, half in zip(t0s, t1s, halves)]
     reads = _read(walked, tss)
-    live = [i for i, rows in enumerate(reads) if not isinstance(rows, AlgebroidError)]
-    for group in _by_equation(walked, live):
+    for group in _by_equation(walked, range(len(walked))):
         rows = np.concatenate([reads[i] for i in group])
         a = rows.reshape(-1, len(_GL_X), rows.shape[1]) * _GL_W[:, None]
         d = np.concatenate([walked[i].seg.derivs(tss[i]) for i in group]).reshape(len(a), -1, 1)
@@ -179,22 +179,22 @@ class _Bisection:
                 f"adaptive bisection stalled on [{t0[i]}, {t1[i]}] (err {errs[i].max():.3e})"
             )
         self.depth += 1
-        self.t0, self.t1 = np.c_[t0, tm][~ok].ravel(), np.c_[tm, t1][~ok].ravel()
+        self.t0 = np.column_stack((t0, tm))[~ok].ravel()
+        self.t1 = np.column_stack((tm, t1))[~ok].ravel()
         self.whole = np.stack((left, right), axis=1)[~ok].reshape(len(self.t0), -1)
 
 
 class _Lift:
     """One path's lift for _integrate: its segments walked in a chain from the
-    start fiber by tracker._walk, each with its bisection, and the refusal
-    held for the path, which ends the chain where it was met. walked, a
-    segment already walked, is the whole path when given."""
+    start fiber by tracker._walk, each with its bisection. walked, a segment
+    already walked, is the whole path when given."""
 
-    __slots__ = ("eq", "tol", "roots", "path", "shares", "parts", "refusal")
+    __slots__ = ("eq", "tol", "roots", "path", "shares", "parts")
 
     def __init__(self, eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
                  tol: Tolerances, walked: Optional[_WalkedSegment] = None):
         self.eq, self.tol, self.roots, self.path = eq, tol, list(roots), path
-        self.shares, self.parts, self.refusal = _shares(path), [], None
+        self.shares, self.parts = _shares(path), []
         if walked is not None:
             self.parts.append(_Bisection(walked, 1.0, tol))
         elif path.segments:
@@ -203,23 +203,12 @@ class _Lift:
     def chain(self, j: int, fiber: Sequence[complex]):
         """Walk the segments from the j-th on, the j-th from fiber."""
         del self.parts[j:]
-        self.refusal = None
-        try:
-            for _, _, walked in _walk(self.eq, fiber, BasePath(self.path.segments[j:]), self.tol):
-                self.parts.append(_Bisection(walked, self.shares[len(self.parts)], self.tol))
-        except AlgebroidError as exc:
-            self.refusal = exc
+        for _, _, walked in _walk(self.eq, fiber, BasePath(self.path.segments[j:]), self.tol):
+            self.parts.append(_Bisection(walked, self.shares[len(self.parts)], self.tol))
 
-    def cut(self, j: int, refusal: AlgebroidError):
-        """End the path at its j-th segment with a refusal."""
-        del self.parts[j:]
-        self.refusal = refusal
-
-    def result(self):
+    def result(self) -> tuple[list[complex], list[float], list[complex]]:
         """(values, error estimates, end fiber) in position order, summed
-        segment by segment and level by level; or the held refusal."""
-        if self.refusal is not None:
-            return self.refusal
+        segment by segment and level by level."""
         total, err = np.zeros(len(self.roots), dtype=complex), np.zeros(len(self.roots))
         for part in self.parts:
             for value, error in part.accepted:
@@ -228,81 +217,66 @@ class _Lift:
         return total.tolist(), err.tolist(), end
 
 
-def _integrate(lifts: Sequence) -> list:
+def _integrate(lifts: Sequence[_Lift]) -> list:
     """Integrals of w dz on every fiber position along each lift: per lift
-    its _Lift.result, and a lift that is a held refusal stays one.
+    its _Lift.result.
 
     Each bisection level of every pending segment of every lift is read in
     one _gauss call. A segment is integrated exactly as alone: its reads,
     stops and re-walks are its own. A segment walked again whose end fiber
     moves walks the rest of its path again from there, since one after
     another each segment is walked from the end of the one before once that
-    is integrated. A refusal ends its own path only.
+    is integrated. The first refusal met is raised.
     """
     while True:
-        active = [(lift, j, part) for lift in lifts if isinstance(lift, _Lift)
+        active = [(lift, j, part) for lift in lifts
                   for j, part in enumerate(lift.parts) if not part.done]
         if not active:
-            return [lift.result() if isinstance(lift, _Lift) else lift for lift in lifts]
+            return [lift.result() for lift in lifts]
         ends = [part.walked.end for _, _, part in active]
         pieces = [part.pieces() for _, _, part in active]
         reads = _gauss([part.walked for _, _, part in active], *zip(*pieces))
         for (lift, j, part), end, values in zip(active, ends, reads):
-            if j >= len(lift.parts) or lift.parts[j] is not part:
-                continue  # an earlier segment of its path cut or re-walked the rest
-            if not isinstance(values, AlgebroidError):
-                values = held(part.take, values)
-            if isinstance(values, AlgebroidError):
-                lift.cut(j, values)
-            elif part.walked.end != end and j + 1 < len(lift.path.segments):
+            if lift.parts[j] is not part:
+                continue  # an earlier segment of its path re-walked the rest
+            part.take(values)
+            if part.walked.end != end and j + 1 < len(lift.path.segments):
                 lift.chain(j + 1, part.walked.end)
 
 
 def _fiber_integrals(eq: DefiningEquation, starts: Sequence, tol: Tolerances) -> list:
     """For each (roots, path) of starts, the integrals of w dz along the lifts
     of the path from every root, their error estimates and the end roots, in
-    position order, or the refusal held for that path. All the paths are
-    integrated in one batch (_integrate); a start that is a held refusal
-    stays one."""
-    return _integrate(then(lambda start: _Lift(eq, *start, tol), starts))
+    position order. All the paths are integrated in one batch (_integrate)."""
+    return _integrate([_Lift(eq, roots, path, tol) for roots, path in starts])
 
 
 def _surface_integrals(eq: DefiningEquation, jobs: Sequence, tol: Tolerances) -> list:
     """surface_integral for each (start germ, path) of jobs, all the paths
-    integrated in one batch: per job its result or the refusal held for it."""
-    def start(job):  # the polished germ, the fiber over it and its position there
-        germ, path = job
-        germ = germ_at(eq, germ.z, germ.w, tol)
+    integrated in one batch."""
+    germs = [germ_at(eq, germ.z, germ.w, tol) for germ, _ in jobs]
+    starts = [_start_fiber(eq, germ, path, tol) if path.segments else (None, None, [])
+              for germ, (_, path) in zip(germs, jobs)]
+    integrals = _fiber_integrals(eq, [(roots, path) for (*_, roots), (_, path)
+                                      in zip(starts, jobs)], tol)
+    results = []
+    for germ, (fiber0, pos, _), (_, path), integral in zip(germs, starts, jobs, integrals):
         if not path.segments:
-            return germ, None, None, [], path
-        if not same_z(path.start_z, germ.z):
-            raise ValueError(f"path starts at {path.start_z}, germ sits at {germ.z}")
-        fiber0 = fiber_at(eq, germ.z, tol)
-        pos = match_to_fiber(germ.w, fiber0, tol)
-        roots = list(fiber0.roots)
-        roots[pos] = germ.w
-        return germ, fiber0, pos, roots, path
-
-    def result(integral, start):
-        germ, fiber0, pos, _, path = start
-        if not path.segments:
-            return SurfaceIntegralResult(0j, 0.0, germ, True)
+            results.append(SurfaceIntegralResult(0j, 0.0, germ, True))
+            continue
         values, errs, fiber = integral
-        end_w = fiber[pos]
-        end_sheet = match_to_fiber(end_w, fiber0, tol) if path.is_closed() else None
-        return SurfaceIntegralResult(values[pos], errs[pos], SurfacePoint(path.end_z, end_w),
-                                     end_sheet == pos, end_sheet)
-
-    starts = then(start, jobs)
-    integrals = _fiber_integrals(eq, then(lambda s: s[3:], starts), tol)  # (roots, path)
-    return then(result, integrals, starts)
+        end_sheet = match_to_fiber(fiber[pos], fiber0, tol) if path.is_closed() else None
+        results.append(SurfaceIntegralResult(values[pos], errs[pos],
+                                             SurfacePoint(path.end_z, fiber[pos]),
+                                             end_sheet == pos, end_sheet))
+    return results
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
                      tol: Tolerances = DEFAULT) -> SurfaceIntegralResult:
     """Integral of w(z) dz along the lift of the path from the start germ;
     PathTooCloseToCritical when the path enters tracker._path_margin."""
-    return settle(_surface_integrals(eq, [(start, path)], tol))[0]
+    return _surface_integrals(eq, [(start, path)], tol)[0]
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
@@ -314,7 +288,7 @@ def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePat
     Returns (values, end roots) in position order: entry j belongs to the
     lift that starts at roots[j], as in continue_fiber.
     """
-    values, _, end = settle(_fiber_integrals(eq, [(roots, path)], tol))[0]
+    values, _, end = _fiber_integrals(eq, [(roots, path)], tol)[0]
     return values, end
 
 
@@ -340,30 +314,24 @@ def _cycle_loop_values(entries: Sequence, tol: Tolerances) -> list:
     permutation, walked circle) as puiseux._sampled gives it: per cycle the
     integral of w dz over the m-turn circle lifted from sheet cycle[0],
     m = len(cycle), the sum of the one-turn integrals of the sheets that lift
-    passes, read through the turn's permutation; or the refusal held for the
-    entry. Every walked circle is integrated in one batch, and an entry that
-    is a held refusal stays one."""
-    def lift(entry):
-        walked = entry[0][2]
-        return _Lift(walked.eq, walked.start, BasePath((walked.seg,)), tol, walked)
-
-    def loops(integral, entry):
-        (_, sigma, _), cycles = entry
-        values = integral[0]
-        return [sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
-
-    return then(loops, _integrate(then(lift, entries)), entries)
+    passes, read through the turn's permutation. Every walked circle is
+    integrated in one batch."""
+    lifts = [_Lift(walked.eq, walked.start, BasePath((walked.seg,)), tol, walked)
+             for (_, _, walked), _ in entries]
+    return [[sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
+            for ((_, sigma, _), cycles), (values, _, _) in zip(entries, _integrate(lifts))]
 
 
 def _residue_loops(eq: DefiningEquation, centers: Sequence[complex],
                    epsilon: Optional[float], tol: Tolerances) -> list:
     """Per center: its singular_elements report and the m-turn loop integral
-    of each of its cycles, or the refusal held for it. The Puiseux turns of
-    every center are read in one pass (puiseux._local_data), and every
-    center's outer turn is integrated in one batch (_cycle_loop_values)."""
+    of each of its cycles. The Puiseux turns of every center are read in one
+    pass (puiseux._local_data), and every center's outer turn is integrated
+    in one batch (_cycle_loop_values)."""
     local = _local_data(eq, centers, epsilon, tol)
-    entries = then(lambda data: (data[1], [c.sheets for c in data[0].cycles]), local)
-    return then(lambda loops, data: (data[0], loops), _cycle_loop_values(entries, tol), local)
+    loops = _cycle_loop_values([(turn, [c.sheets for c in report.cycles])
+                                for report, turn in local], tol)
+    return [(report, values) for (report, _), values in zip(local, loops)]
 
 
 def _residue_checks(a: complex, report, loops: Sequence[complex]) -> list[ResidueCheck]:
@@ -389,19 +357,16 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    ((report, loops),) = settle(_residue_loops(eq, [a], epsilon, tol))
+    ((report, loops),) = _residue_loops(eq, [a], epsilon, tol)
     return _residue_checks(a, report, loops)
 
 
 def _c_abs(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
            paths: Sequence[BasePath], tol: Tolerances) -> list:
-    """c_ab along each path, all the paths integrated in one batch: per path
-    its IntegralElement or the refusal held for it."""
-    def germs():
-        return germ_at(eq, base.z, base.w, tol), germ_at(eq, target.z, target.w, tol)
-
-    def ends(pair, path):
-        b, t = pair
+    """c_ab along each path as an IntegralElement, all the paths integrated
+    in one batch; the fiber over the target is solved once, after it."""
+    b, t = germ_at(eq, base.z, base.w, tol), germ_at(eq, target.z, target.w, tol)
+    for path in paths:
         if not path.segments:
             if not same_z(b.z, t.z):
                 raise ValueError("empty path but distinct base and target points")
@@ -410,39 +375,33 @@ def _c_abs(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
                 raise EndpointGermMismatch("empty path cannot connect different sheets")
         elif not same_z(path.end_z, t.z):
             raise ValueError(f"path ends at {path.end_z}, target sits at {t.z}")
-        return b, t, path
-
-    def element(res, job):
-        b, t, path = job
-        if not path.segments:
-            return IntegralElement(b, t, 0j)
-        fiber = fiber_at(eq, t.z, tol)
-        got = match_to_fiber(res.endpoint.w, fiber, tol)
-        want = match_to_fiber(t.w, fiber, tol)
-        if got != want:
-            raise EndpointGermMismatch(
-                f"lift reaches z={t.z} on sheet {got}, target germ is sheet {want}"
-            )
-        return IntegralElement(b, t, res.value)
-
-    jobs = then(ends, [held(germs)] * len(paths), paths)
-    integrals = _surface_integrals(eq, then(lambda job: (job[0], job[2]), jobs), tol)
-    return then(element, integrals, jobs)
+    integrals = _surface_integrals(eq, [(b, path) for path in paths], tol)
+    fiber = fiber_at(eq, t.z, tol) if any(path.segments for path in paths) else None
+    for path, res in zip(paths, integrals):
+        if path.segments:
+            got = match_to_fiber(res.endpoint.w, fiber, tol)
+            want = match_to_fiber(t.w, fiber, tol)
+            if got != want:
+                raise EndpointGermMismatch(
+                    f"lift reaches z={t.z} on sheet {got}, target germ is sheet {want}"
+                )
+    return [IntegralElement(b, t, res.value) for res in integrals]  # 0j on an empty path
 
 
 def c_ab(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
          path: BasePath, tol: Tolerances = DEFAULT) -> IntegralElement:
     """Definite integral from the base germ to the target germ along a path;
     PathTooCloseToCritical when the path enters tracker._path_margin."""
-    return settle(_c_abs(eq, base, target, [path], tol))[0]
+    return _c_abs(eq, base, target, [path], tol)[0]
 
 
 def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
                             target: SurfacePoint, paths: Sequence[BasePath],
                             tol: Tolerances = DEFAULT) -> AuditReport:
     """Pairwise c_ab comparison plus residue/period diagnostics; the paths are
-    integrated in one batch, then the outer turns of all critical points."""
-    values = tuple(e.c_ab for e in settle(_c_abs(eq, base, target, paths, tol)))
+    integrated in one batch, then the outer turns of all critical points, and
+    each raises the first refusal in path or center order (errors.in_order)."""
+    values = tuple(e.c_ab for e in in_order(lambda ps: _c_abs(eq, base, target, ps, tol), paths))
     pairs = []
     max_disc = 0.0
     for i in range(len(values)):
@@ -453,7 +412,8 @@ def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
     verdict = "independent" if max_disc < tol.audit_tol else "dependent"
     centers = [cp.location for cp in eq.critical(tol).points]
     residue_data = []
-    for a, (report, loops) in zip(centers, settle(_residue_loops(eq, centers, None, tol))):
+    local = in_order(lambda cs: _residue_loops(eq, cs, None, tol), centers)
+    for a, (report, loops) in zip(centers, local):
         residue_data.extend(_residue_checks(a, report, loops))
     return AuditReport(values, tuple(pairs), max_disc, verdict, tuple(residue_data))
 

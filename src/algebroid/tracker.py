@@ -43,13 +43,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    PathTooCloseToCritical,
-    StepUnderflow,
-    TrackingCollision,
-    held,
-    settle,
-)
+from .errors import PathTooCloseToCritical, StepUnderflow, TrackingCollision
 from .rootfind import (
     newton_polish,
     newton_polish_pairs,
@@ -59,7 +53,7 @@ from .rootfind import (
     residual_scale,
     residual_scales,
 )
-from .surface import DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance
+from .surface import DefiningEquation, Fiber, fiber_at, match_to_fiber, min_pairwise_distance
 
 __all__ = [
     "Line",
@@ -430,12 +424,12 @@ class _WalkedSegment:
     def rows(self, ts: Sequence[float]) -> np.ndarray:
         """The fiber at each parameter of ts in [0, 1], one row per parameter
         in position order: the one-segment call of _read."""
-        return settle(_read([self], [ts]))[0]
+        return _read([self], [ts])[0]
 
 
 def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> list:
     """The fiber at each parameter of tss[i] in [0, 1] on walked[i], one row
-    per parameter in position order, or the refusal held for that segment.
+    per parameter in position order.
 
     The segments of one equation are read in one array pass: their nodes
     (Line.ats, Arc.ats), the knot slopes of those not yet read (_knot_slopes),
@@ -445,7 +439,8 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
     fails becomes a stop of its segment's tracker; that segment alone is
     walked again and all its parameters read again, in one pass with the
     other segments that failed, until every sample passes its gates or is a
-    stop, which at worst is the tracker stepping to each sample in turn.
+    stop, which at worst is the tracker stepping to each sample in turn. A
+    walk that fails again raises its refusal at once.
     """
     tss = [np.asarray(ts, dtype=float) for ts in tss]
     out: list = [None] * len(walked)
@@ -468,11 +463,8 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
                     out[i] = seg_rows
                     continue
                 seg.stops.update(dict.fromkeys(ts[~seg_ok]))
-                refusal = held(seg._walk)
-                if refusal is None:
-                    again.append(i)
-                else:
-                    out[i] = refusal
+                seg._walk()
+                again.append(i)
         todo = again
     return out
 
@@ -593,6 +585,20 @@ def _shares(path: BasePath) -> list[float]:
             for seg in path.segments]
 
 
+def _start_fiber(eq: DefiningEquation, germ: SurfacePoint, path: BasePath,
+                 tol: Tolerances) -> tuple[Fiber, int, list[complex]]:
+    """The fiber over a polished germ at which a path starts, the germ's
+    position in it, and its roots with the germ's value at that position;
+    ValueError when the path does not start at the germ."""
+    if not same_z(path.start_z, germ.z):
+        raise ValueError(f"path starts at {path.start_z}, germ sits at {germ.z}")
+    fiber = fiber_at(eq, germ.z, tol)
+    pos = match_to_fiber(germ.w, fiber, tol)
+    roots = list(fiber.roots)
+    roots[pos] = germ.w  # keep the polished germ value
+    return fiber, pos, roots
+
+
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
                    tol: Tolerances = DEFAULT) -> list[complex]:
     """End fiber in position order (position j continues the j-th start root);
@@ -610,13 +616,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return TrackResult(start, ((0.0, start.z, start.w),), 0, float("inf"))
-    if not same_z(path.start_z, start.z):
-        raise ValueError(f"path starts at {path.start_z}, germ sits at {start.z}")
-    fiber0 = fiber_at(eq, start.z, tol)
-    pos = match_to_fiber(start.w, fiber0, tol)
-    roots = list(fiber0.roots)
-    roots[pos] = start.w  # keep the polished germ value
-
+    _, pos, roots = _start_fiber(eq, start, path, tol)
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
     for done, share, walked in _walk(eq, roots, path, tol):

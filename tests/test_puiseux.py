@@ -16,7 +16,7 @@ from algebroid.errors import (
     PrincipalPartTruncated,
     StepUnderflow,
     TrackingCollision,
-    settle,
+    in_order,
 )
 from algebroid.puiseux import (
     PuiseuxExpansion,
@@ -199,7 +199,7 @@ def test_turns_of_many_centers_read_in_one_batch_equal_each_turn_read_alone():
     assert len(batch) == 3
     for a, eps, turns in zip(centers, radii, batch):
         for (rows, sigma, walked), turn in zip(turns, _walk_turns(eq, a, eps, DEFAULT)):
-            ((ref_rows, ref_sigma, ref_walked),) = settle(_sampled([turn], len(rows)))
+            ((ref_rows, ref_sigma, ref_walked),) = _sampled([turn], len(rows))
             assert rows.tolist() == ref_rows.tolist() and sigma == ref_sigma
             assert (walked.t, walked.z, walked.fibers) == (ref_walked.t, ref_walked.z,
                                                             ref_walked.fibers)
@@ -207,13 +207,10 @@ def test_turns_of_many_centers_read_in_one_batch_equal_each_turn_read_alone():
 
 def test_a_refused_center_keeps_its_place_and_the_first_refusal_is_raised(monkeypatch):
     # the second center's inner circle and the third center's whole walk are
-    # refused; the one read takes the first center's two turns and the
-    # second's outer turn
+    # refused; the refusal raised is the first in center order
     eq = DefiningEquation.from_strings(["0", "-(z^3 - 1)"])
     centers = list(eq.critical().locations)
-    alone = singular_elements(eq, centers[0])
-    circle, walk_turns, read = puiseux._circle, puiseux._walk_turns, puiseux._read
-    reads = []
+    circle, walk_turns = puiseux._circle, puiseux._walk_turns
 
     def planted_circle(eq, a, roots, epsilon, tol):
         if a == centers[1] and epsilon < default_radius(eq, a):
@@ -225,22 +222,50 @@ def test_a_refused_center_keeps_its_place_and_the_first_refusal_is_raised(monkey
             raise TrackingCollision("planted at the third center")
         return walk_turns(eq, a, epsilon, tol)
 
-    def counting_read(walked, tss):
-        reads.append(len(walked))
-        return read(walked, tss)
-
     monkeypatch.setattr(puiseux, "_circle", planted_circle)
     monkeypatch.setattr(puiseux, "_walk_turns", planted_walk)
-    monkeypatch.setattr(puiseux, "_read", counting_read)
-    local = _local_data(eq, centers, None, DEFAULT)
-    assert reads == [3]
-    assert local[0][0] == alone
-    assert [type(x) for x in local[1:]] == [StepUnderflow, TrackingCollision]
+
+    def local(cs):
+        return _local_data(eq, cs, None, DEFAULT)
+
     with pytest.raises(StepUnderflow, match="second center"):
-        settle(local)
+        in_order(local, centers)
+    with pytest.raises(TrackingCollision, match="third center"):
+        in_order(local, centers[::-1])
     germ = SurfacePoint(2, fiber_at(eq, 2).roots[0])
     with pytest.raises(StepUnderflow, match="second center"):
         quad.path_independence_audit(eq, germ, germ, [])
+
+
+def test_a_read_refusal_is_raised_before_a_later_centers_walk_refusal(monkeypatch):
+    # the one batch walks every center before its read, so it meets the third
+    # center's walk refusal first; in center order the second center's read
+    # refusal comes first
+    eq = DefiningEquation.from_strings(["0", "-(z^3 - 1)"])
+    centers = list(eq.critical().locations)
+    walk_turns, read = puiseux._walk_turns, puiseux._read
+
+    def planted_walk(eq, a, epsilon, tol):
+        if a == centers[2]:
+            raise TrackingCollision("planted at the third center")
+        return walk_turns(eq, a, epsilon, tol)
+
+    def planted_read(walked, tss):
+        if any(w.seg.center == centers[1] for w in walked):
+            raise StepUnderflow("planted at the read of the second center")
+        return read(walked, tss)
+
+    monkeypatch.setattr(puiseux, "_walk_turns", planted_walk)
+    monkeypatch.setattr(puiseux, "_read", planted_read)
+
+    def local(cs):
+        return _local_data(eq, cs, None, DEFAULT)
+
+    with pytest.raises(TrackingCollision, match="third center"):
+        local(centers)
+    with pytest.raises(StepUnderflow, match="read of the second center"):
+        in_order(local, centers)
+    assert local(centers[:1])[0][0] == singular_elements(eq, centers[0])
 
 
 def test_reconstruction_matches_tracked_branch(circle_eq):
@@ -339,7 +364,7 @@ TURN_CASES = [
 
 def _turn(eq, a, roots, epsilon, n_samples, tol):
     """One circle walked and sampled alone: (rows, permutation, walked circle)."""
-    ((rows, sigma, walked),) = settle(_sampled([_circle(eq, a, roots, epsilon, tol)], n_samples))
+    ((rows, sigma, walked),) = _sampled([_circle(eq, a, roots, epsilon, tol)], n_samples)
     return rows, sigma, walked
 
 

@@ -13,7 +13,7 @@ from algebroid.errors import (
     LiftNotClosed,
     PathTooCloseToCritical,
     QuadratureStall,
-    settle,
+    in_order,
 )
 from algebroid.exactalg import GaussianRational
 from algebroid import puiseux, quad, tracker
@@ -106,6 +106,7 @@ def test_lift_not_closed_names_the_end_sheet_from_one_fiber_solve(sqrt_z, monkey
         return real(eq, z, *args, **kwargs)
 
     monkeypatch.setattr(quad, "fiber_at", counted)
+    monkeypatch.setattr(tracker, "fiber_at", counted)
     with pytest.raises(LiftNotClosed) as info:
         closed_loop_integral(sqrt_z, SurfacePoint(1, 1), loop_path(0, 1.0, 1))
     assert zs == [1]
@@ -185,6 +186,22 @@ def test_audit_independent_sqrt(sqrt_z):
     assert report.verdict == "independent"
     assert report.max_discrepancy < 1e-9
     assert all(abs(rc.residue) < 1e-9 for rc in report.enclosed_residue_data)
+
+
+def test_audit_solves_the_target_fiber_once_for_all_its_paths(sqrt_z, monkeypatch):
+    zs = []
+    real = quad.fiber_at
+
+    def counted(eq, z, *args, **kwargs):
+        zs.append(z)
+        return real(eq, z, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "fiber_at", counted)
+    base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
+    paths = [polyline(1, 4), polyline(1, 1 + 2j, 4 + 2j, 4), polyline(1, 1 - 2j, 4 - 2j, 4)]
+    report = path_independence_audit(sqrt_z, base, target, paths)
+    assert report.verdict == "independent"
+    assert zs == [4]
 
 
 def test_audit_dependent_recip(recip_z):
@@ -520,10 +537,14 @@ def test_batch_raises_the_refusal_of_the_first_path_that_fails():
     tol = DEFAULT.replace(quad_tol=1e-17)
     roots = fiber_at(eq, 1.0).roots
     stalls, too_close = polyline(1, -1 + 0.01j), polyline(1, -1)
+
+    def batch(starts):
+        return quad._fiber_integrals(eq, starts, tol)
+
     with pytest.raises(QuadratureStall):
-        settle(quad._fiber_integrals(eq, [(roots, stalls), (roots, too_close)], tol))
+        in_order(batch, [(roots, stalls), (roots, too_close)])
     with pytest.raises(PathTooCloseToCritical):
-        settle(quad._fiber_integrals(eq, [(roots, too_close), (roots, stalls)], tol))
+        in_order(batch, [(roots, too_close), (roots, stalls)])
     # so does the audit, whose c_ab paths are one batch
     base, target = SurfacePoint(1, 1), SurfacePoint(-1 + 0.01j, fiber_at(eq, -1 + 0.01j).roots[0])
     detour = polyline(1, 0.001, -1 + 0.01j)

@@ -113,6 +113,17 @@ def test_replay_compare(tmp_path, capsys, changed, code, shown):
     assert shown in out
 
 
+def test_replay_compare_tallies_the_exit_codes_of_each_side(tmp_path, capsys):
+    a = _replay(tmp_path, "a.json", dict(BASE, **{"c/2": (19, {}), "c/3": (19, {})}))
+    b = _replay(tmp_path, "b.json", dict(BASE, **{"c/2": (19, {}), "c/3": ("raised:KeyError", {})}))
+    assert replay_cases.main(["compare", a, b]) == 1
+    out = capsys.readouterr().out
+    assert ("cases 4, byte-identical 4\n"
+            "exit-code differences 1\n  c/3: 19 -> raised:KeyError\n"
+            "exit codes in a: 0: 1, 3: 1, 19: 2\n"
+            "exit codes in b: 0: 1, 3: 1, 19: 1, raised:KeyError: 1\n") in out
+
+
 def test_replay_compare_counts_cases_per_moved_key_path(tmp_path, capsys):
     def report(residual, grid):
         return {"results": {"coefficients": ["0", "-z"],
