@@ -43,8 +43,8 @@ from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall, in_ord
 from .puiseux import _local_data
 from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
-from .tracker import _WalkedSegment, _bounds, _by_equation, _path_margin, _read, _shares
-from .tracker import _start_fiber, _walk
+from .tracker import _WalkedSegment, _bounds, _by_equation, _by_row, _path_margin, _read, _shares
+from .tracker import _start_fibers, _walk
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -108,10 +108,13 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
     """16-point Gauss-Legendre values of w dz on the pieces [t0[i], t1[i]] of
     each walked segment, t0 and t1 its entries of t0s and t1s, from one
     batched read of all their rows (tracker._read): per segment one row of
-    fiber positions per piece."""
-    halves = [0.5 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
-    tss = [((0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X).ravel()
-           for t0, t1, half in zip(t0s, t1s, halves)]
+    fiber positions per piece. The nodes of every piece are placed in one
+    array pass."""
+    bounds = _bounds(t0s)
+    t0, t1 = np.concatenate(t0s), np.concatenate(t1s)
+    half = 0.5 * (t1 - t0)
+    nodes = (0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X
+    tss = [nodes[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
     reads = _read(walked, tss)
     for group in _by_equation(walked, range(len(walked))):
         rows = np.concatenate([reads[i] for i in group])
@@ -122,10 +125,10 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
         terms = np.empty_like(a)
         terms.real = a.real * d.real - a.imag * d.imag
         terms.imag = a.real * d.imag + a.imag * d.real
-        half = np.concatenate([halves[i] for i in group])[:, None]
-        values = sum(terms.swapaxes(0, 1), 0j) * half  # node by node, from 0j
-        bounds = _bounds([halves[i] for i in group])
-        for i, lo, hi in zip(group, bounds, bounds[1:]):
+        halves = np.concatenate([half[bounds[i]:bounds[i + 1]] for i in group])[:, None]
+        values = sum(terms.swapaxes(0, 1), 0j) * halves  # node by node, from 0j
+        at = _bounds([t0s[i] for i in group])
+        for i, lo, hi in zip(group, at, at[1:]):
             reads[i] = values[lo:hi]
     return reads
 
@@ -134,8 +137,8 @@ class _Bisection:
     """Adaptive bisection of one walked segment, a level at a time: its
     pending pieces [t0, t1] with their whole-piece values (None before the
     first read), and the sums of values and error estimates it accepted at
-    each level. A piece is split until every fiber position passes its own
-    test."""
+    each level (_take). A piece is split until every fiber position passes
+    its own test."""
 
     __slots__ = ("walked", "quad_tol", "tol_abs", "t0", "t1", "whole", "depth", "accepted",
                  "done")
@@ -147,41 +150,70 @@ class _Bisection:
         self.depth, self.accepted, self.done = 0, [], False
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pieces its next read needs: the whole segment, then both
-        halves of every pending piece."""
+        """The pieces its next read needs: the whole segment, then the two
+        halves of each pending piece in turn."""
         if self.whole is None:
             return self.t0, self.t1
         tm = 0.5 * (self.t0 + self.t1)
-        return np.concatenate((self.t0, tm)), np.concatenate((tm, self.t1))
+        return np.array((self.t0, tm)).T.ravel(), np.array((tm, self.t1)).T.ravel()
 
-    def take(self, values: np.ndarray):
-        """Take the values _gauss read on pieces(); QuadratureStall when a
-        level would hold more pieces than a convergent integral needs."""
-        if self.whole is None:
-            self.whole = values
-            return
-        t0, t1 = self.t0, self.t1
-        tm = 0.5 * (t0 + t1)
-        left, right = np.split(values, 2)
-        halves = left + right
-        errs = np.abs(self.whole - halves)
-        ok = (errs <= self.tol_abs * (t1 - t0)[:, None] + self.quad_tol * np.abs(halves)).all(axis=1)
-        self.accepted.append((halves[ok].sum(axis=0), errs[ok].sum(axis=0)))
-        if ok.all():
-            self.done = True
-            return
+
+def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
+    """Let each part take the values _gauss read on its pieces(), the parts
+    of one equation and Tolerances at once: per part the QuadratureStall it
+    meets, once a level would hold more pieces than a convergent integral
+    needs, or None.
+
+    The test of every pending piece of every part is one array pass; each
+    part then sums the values and error estimates of its accepted pieces
+    (the same sums, in the same order, as a part taken alone) and keeps its
+    failed pieces, halves as wholes, for the next level.
+    """
+    stalls = [None] * len(parts)
+    level = []
+    for n, (part, values) in enumerate(zip(parts, reads)):
+        if part.whole is None:
+            part.whole = values
+        else:
+            level.append(n)
+    if not level:
+        return stalls
+    held = [parts[n] for n in level]
+    t0, t1 = np.concatenate([p.t0 for p in held]), np.concatenate([p.t1 for p in held])
+    tm = 0.5 * (t0 + t1)
+    pairs = np.concatenate([reads[n] for n in level]).reshape(len(t0), 2, -1)
+    halves = pairs[:, 0] + pairs[:, 1]
+    errs = np.abs(np.concatenate([p.whole for p in held]) - halves)
+    bounds = _bounds([p.t0 for p in held])
+    tol_abs = np.array([p.tol_abs for p in held]).repeat([len(p.t0) for p in held])[:, None]
+    ok = _by_row(np.logical_and,
+                 errs <= tol_abs * (t1 - t0)[:, None] + held[0].quad_tol * np.abs(halves))
+    split = ~ok
+    at = np.concatenate(([0], split.cumsum()))
+    next_t0 = np.array((t0, tm)).T.compress(split, axis=0).ravel()
+    next_t1 = np.array((tm, t1)).T.compress(split, axis=0).ravel()
+    next_whole = pairs.compress(split, axis=0).reshape(-1, pairs.shape[2])
+    for n, part, lo, hi in zip(level, held, bounds, bounds[1:]):
+        good = ok[lo:hi]
+        part.accepted.append((halves[lo:hi].compress(good, axis=0).sum(axis=0),
+                              errs[lo:hi].compress(good, axis=0).sum(axis=0)))
+        failed = int(at[hi] - at[lo])
+        if not failed:
+            part.done = True
+            continue
         # Below round-off no piece passes and the pending count doubles with
         # each level until _MAX_DEPTH; refuse once a level would hold more
         # pieces than a convergent integral needs (the benchmark's hold 4).
-        if self.depth == _MAX_DEPTH or 2 * np.count_nonzero(~ok) > _MAX_PIECES:
-            i = np.flatnonzero(~ok)[0]
-            raise QuadratureStall(
+        if part.depth == _MAX_DEPTH or 2 * failed > _MAX_PIECES:
+            i = lo + np.flatnonzero(~good)[0]
+            stalls[n] = QuadratureStall(
                 f"adaptive bisection stalled on [{t0[i]}, {t1[i]}] (err {errs[i].max():.3e})"
             )
-        self.depth += 1
-        self.t0 = np.column_stack((t0, tm))[~ok].ravel()
-        self.t1 = np.column_stack((tm, t1))[~ok].ravel()
-        self.whole = np.stack((left, right), axis=1)[~ok].reshape(len(self.t0), -1)
+            continue
+        part.depth += 1
+        keep = slice(2 * at[lo], 2 * at[hi])
+        part.t0, part.t1, part.whole = next_t0[keep], next_t1[keep], next_whole[keep]
+    return stalls
 
 
 class _Lift:
@@ -222,11 +254,12 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
     its _Lift.result.
 
     Each bisection level of every pending segment of every lift is read in
-    one _gauss call. A segment is integrated exactly as alone: its reads,
-    stops and re-walks are its own. A segment walked again whose end fiber
-    moves walks the rest of its path again from there, since one after
-    another each segment is walked from the end of the one before once that
-    is integrated. The first refusal met is raised.
+    one _gauss call and tested in one _take pass per equation. A segment is
+    integrated exactly as alone: its reads, stops and re-walks are its own.
+    A segment walked again whose end fiber moves walks the rest of its path
+    again from there, since one after another each segment is walked from
+    the end of the one before once that is integrated. The first refusal
+    met is raised.
     """
     while True:
         active = [(lift, j, part) for lift in lifts
@@ -236,11 +269,26 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
         ends = [part.walked.end for _, _, part in active]
         pieces = [part.pieces() for _, _, part in active]
         reads = _gauss([part.walked for _, _, part in active], *zip(*pieces))
-        for (lift, j, part), end, values in zip(active, ends, reads):
-            if lift.parts[j] is not part:
-                continue  # an earlier segment of its path re-walked the rest
-            part.take(values)
-            if part.walked.end != end and j + 1 < len(lift.path.segments):
+        moved = [part.walked.end != end and j + 1 < len(lift.path.segments)
+                 for (lift, j, part), end in zip(active, ends)]
+        # a segment whose end moved walks the rest of its path again, so the
+        # later segments of that path take nothing at this level
+        live, rewalked = [], set()
+        for n, (lift, _, _) in enumerate(active):
+            if id(lift) not in rewalked:
+                live.append(n)
+                if moved[n]:
+                    rewalked.add(id(lift))
+        stalls = [None] * len(active)
+        for group in _by_equation([part.walked for _, _, part in active], live):
+            taken = _take([active[n][2] for n in group], [reads[n] for n in group])
+            for n, stall in zip(group, taken):
+                stalls[n] = stall
+        for n in live:
+            if stalls[n] is not None:
+                raise stalls[n]
+            if moved[n]:
+                lift, j, part = active[n]
                 lift.chain(j + 1, part.walked.end)
 
 
@@ -255,8 +303,7 @@ def _surface_integrals(eq: DefiningEquation, jobs: Sequence, tol: Tolerances) ->
     """surface_integral for each (start germ, path) of jobs, all the paths
     integrated in one batch."""
     germs = [germ_at(eq, germ.z, germ.w, tol) for germ, _ in jobs]
-    starts = [_start_fiber(eq, germ, path, tol) if path.segments else (None, None, [])
-              for germ, (_, path) in zip(germs, jobs)]
+    starts = _start_fibers(eq, [(germ, path) for germ, (_, path) in zip(germs, jobs)], tol)
     integrals = _fiber_integrals(eq, [(roots, path) for (*_, roots), (_, path)
                                       in zip(starts, jobs)], tol)
     results = []

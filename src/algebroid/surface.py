@@ -88,12 +88,14 @@ class DefiningEquation:
 
     def psi_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
         """psi_coeffs_at of each z in an array, one row per z."""
-        vals = self._tables[0].on(zs)
-        return np.column_stack([vals, np.ones(len(vals), dtype=complex)])
+        rows = np.empty((len(zs), self.k + 1), dtype=complex)
+        rows[:, :-1] = self._tables[0].on(zs).T
+        rows[:, -1] = 1.0
+        return rows
 
     def psi_z_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
         """psi_z_coeffs_at of each z in an array, one row per z."""
-        return self._tables[1].on(zs)
+        return self._tables[1].on(zs).T
 
     def psi(self, w: complex, z: complex) -> complex:
         return poly_eval(self.psi_coeffs_at(z), w)
@@ -146,7 +148,8 @@ class _FloatTable:
     complex arithmetic, the operations of RatFunc.eval_complex; on runs one
     Horner pass over every numerator and one over every denominator with
     np.polyval's operations, bit for bit its value per f_i. numpy's complex
-    multiply may use FMA, so the two may differ by an ulp.
+    multiply may use FMA, so the two may differ by an ulp (the rates are in
+    rootfind's arithmetic rule).
     """
 
     __slots__ = ("pairs", "num", "den")
@@ -170,8 +173,8 @@ class _FloatTable:
         return vals
 
     def on(self, zs: np.ndarray) -> np.ndarray:
-        """f_i of each z in an array: one row per z, one column per f_i."""
-        return np.ascontiguousarray((_horner(self.num, zs) / _horner(self.den, zs)).T)
+        """f_i of each z in an array: one row per f_i, one column per z."""
+        return _horner(self.num, zs) / _horner(self.den, zs)
 
 
 def _padded(polys: Sequence[tuple]) -> np.ndarray:

@@ -34,9 +34,12 @@ without that check, and reads the turns of all its centers in one _read.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -50,10 +53,11 @@ from .rootfind import (
     poly_eval,
     poly_eval_pair,
     poly_eval_pairs,
+    poly_evals,
     residual_scale,
     residual_scales,
 )
-from .surface import DefiningEquation, Fiber, fiber_at, match_to_fiber, min_pairwise_distance
+from .surface import DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance
 
 __all__ = [
     "Line",
@@ -283,39 +287,43 @@ class TrackResult:
 def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFAULT) -> SurfacePoint:
     """Polish and validate a germ; rejects irregular (critical) germs."""
     coeffs = eq.psi_coeffs_at(z)
-    refined = _polish(coeffs, w, tol)
-    if refined is None:
+    polished = _polish(coeffs, list(map(abs, coeffs)), w, tol)
+    if polished is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
-    dw = poly_eval_pair(coeffs, refined)[1]
+    refined, dw = polished
     dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]  # Psi_W ascending in W
     if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, abs(refined))):
         raise TrackingCollision(f"germ at ({refined}, {z}) is not regular: Psi_W too small")
     return SurfacePoint(z, refined)
 
 
-def _polish(coeffs: Sequence[complex], w: complex, tol: Tolerances) -> Optional[complex]:
-    """Newton-corrected root near w, or None when Newton stalls or the
-    residual exceeds eps_root times the residual scale (poly_eval and
-    residual_scale, inline)."""
+def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
+            tol: Tolerances) -> Optional[tuple[complex, complex]]:
+    """Newton-corrected root near w and Psi_W there, or None when Newton
+    stalls or the residual exceeds eps_root times the residual scale
+    (poly_eval_pair and residual_scale, inline, with sizes the |c| of
+    coeffs)."""
     w = newton_polish(coeffs, w, max_iter=30)
     if w is None:
         return None
-    p = 0j
+    p = dp = 0j
     for c in reversed(coeffs):
+        dp = dp * w + p
         p = p * w + c
     s, aw, power = 0.0, abs(w), 1.0
-    for c in coeffs:
-        s += abs(c) * power
+    for size in sizes:
+        s += size * power
         power *= aw
     if abs(p) > tol.eps_root * max(s, 1.0):
         return None
-    return w
+    return w, dp
 
 
 class SegmentTracker:
     """Continues a fiber monotonically along one segment. An accepted step
-    hands the coefficients of Psi(., z) and the root separation at the z it
-    reached to the next step, which starts there (_carry)."""
+    hands the coefficients of Psi(., z), the root separation and Psi_W at
+    each root at the z it reached to the next step, which starts there
+    (_carry)."""
 
     __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps", "_carry")
 
@@ -355,11 +363,14 @@ class SegmentTracker:
                 f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
             )
         cap = min(0.25 * min_sep0, 0.5 * scale)
-        coeffs0 = eq.psi_coeffs_at(z0) if carry is None else carry[0]
+        if carry is None:
+            coeffs0 = eq.psi_coeffs_at(z0)
+            dws = [poly_eval_pair(coeffs0, w)[1] for w in self.fiber]  # Psi_W at each root
+        else:
+            coeffs0, _, dws = carry
         zcoeffs0 = eq.psi_z_coeffs_at(z0)
         slopes = []  # dw/dz of each root at z0
-        for w in self.fiber:
-            dw = poly_eval_pair(coeffs0, w)[1]
+        for w, dw in zip(self.fiber, dws):
             if dw == 0:  # no step can be predicted; halving h cannot help
                 raise StepUnderflow(f"continuation step underflow near z={z0}")
             slopes.append(-poly_eval(zcoeffs0, w) / dw)
@@ -370,18 +381,20 @@ class SegmentTracker:
             dz = z1 - z0
             moves = [d * dz for d in slopes]
             move = max(map(abs, moves))
-            corrected = None
+            polished = None
             if move <= cap:
                 coeffs1 = eq.psi_coeffs_at(z1)
+                sizes = list(map(abs, coeffs1))
                 preds = [w + m for w, m in zip(self.fiber, moves)]
-                corrected = [_polish(coeffs1, p, tol) for p in preds]
-            if corrected is not None and None not in corrected:
+                polished = [_polish(coeffs1, sizes, p, tol) for p in preds]
+            if polished is not None and None not in polished:
+                corrected = [w for w, _ in polished]
                 min_sep1 = min_pairwise_distance(corrected)
-                drift = max(abs(c - p) for c, p in zip(corrected, preds))
+                drift = max(map(abs, map(operator.sub, corrected, preds)))
                 if drift <= 0.25 * min(min_sep0, min_sep1):
                     self.t += h
                     self.fiber = corrected
-                    self._carry = coeffs1, min_sep1
+                    self._carry = coeffs1, min_sep1, [dw for _, dw in polished]
                     self.steps += 1
                     grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
                     # a step cut short to land on the target says nothing
@@ -435,12 +448,14 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
     (Line.ats, Arc.ats), the knot slopes of those not yet read (_knot_slopes),
     one Hermite prediction over all their knots (_hermite) and one batched
     Newton pass under the gates of an accepted step (_correct). A parameter
-    that is a stop of its segment reads the tracked fiber there. A sample that
-    fails becomes a stop of its segment's tracker; that segment alone is
-    walked again and all its parameters read again, in one pass with the
-    other segments that failed, until every sample passes its gates or is a
-    stop, which at worst is the tracker stepping to each sample in turn. A
-    walk that fails again raises its refusal at once.
+    that is a stop of its segment reads the tracked fiber there; the stops
+    and the failed samples of all the segments are found in one pass
+    (_take_stops). A sample that fails becomes a stop of its segment's
+    tracker; that segment alone is walked again and all its parameters read
+    again, in one pass with the other segments that failed, until every
+    sample passes its gates or is a stop, which at worst is the tracker
+    stepping to each sample in turn. A walk that fails again raises its
+    refusal at once.
     """
     tss = [np.asarray(ts, dtype=float) for ts in tss]
     out: list = [None] * len(walked)
@@ -455,18 +470,31 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
                 pred = _hermite([seg._dense for seg in segs], ts_group)
                 rows, ok = _correct(segs[0].eq, zs, pred, segs[0].tol)
             bounds = _bounds(ts_group)
-            for i, seg, ts, lo, hi in zip(group, segs, ts_group, bounds, bounds[1:]):
-                seg_rows, seg_ok = rows[lo:hi], ok[lo:hi]
-                for j in np.flatnonzero(np.isin(ts, list(seg.stops))):
-                    seg_rows[j], seg_ok[j] = seg.stops[ts[j]], True
-                if seg_ok.all():
-                    out[i] = seg_rows
+            _take_stops(segs, np.concatenate(ts_group), bounds, rows, ok)
+            failed = set() if ok.all() else set(  # the segments of the failed samples
+                (np.searchsorted(bounds, np.flatnonzero(~ok), side="right") - 1).tolist())
+            for n, (i, seg, ts) in enumerate(zip(group, segs, ts_group)):
+                lo, hi = bounds[n], bounds[n + 1]
+                if n not in failed:
+                    out[i] = rows[lo:hi]
                     continue
-                seg.stops.update(dict.fromkeys(ts[~seg_ok]))
+                seg.stops.update(dict.fromkeys(ts[~ok[lo:hi]]))
                 seg._walk()
                 again.append(i)
         todo = again
     return out
+
+
+def _take_stops(segs: Sequence[_WalkedSegment], ts: np.ndarray, bounds: Sequence[int],
+                rows: np.ndarray, ok: np.ndarray):
+    """Give each row whose parameter is a stop of its own segment the tracked
+    fiber there, and mark it as passing. The rows of segs[n] are those from
+    bounds[n] to bounds[n + 1], at the parameters ts."""
+    stops = np.array(sorted({t for seg in segs for t in seg.stops}) + [np.inf])
+    for j in (stops[stops.searchsorted(ts)] == ts).nonzero()[0].tolist():
+        seg = segs[bisect.bisect_right(bounds, j) - 1]
+        if ts[j] in seg.stops:
+            rows[j], ok[j] = seg.stops[ts[j]], True
 
 
 def _bounds(parts: Sequence) -> list[int]:
@@ -479,8 +507,14 @@ def _by_equation(walked: Sequence[_WalkedSegment], indices: Sequence[int]) -> li
     """The indices grouped by the equation and Tolerances of their walked
     segments, each group in the given order."""
     groups: dict = {}
+    by_identity: dict = {}  # (equation, Tolerances) objects -> their group
     for i in indices:
-        groups.setdefault((id(walked[i].eq), walked[i].tol), []).append(i)
+        seg = walked[i]
+        group = by_identity.get((id(seg.eq), id(seg.tol)))
+        if group is None:
+            group = by_identity[id(seg.eq), id(seg.tol)] = groups.setdefault(
+                (id(seg.eq), seg.tol), [])
+        group.append(i)
     return list(groups.values())
 
 
@@ -495,8 +529,8 @@ def _knot_slopes(segs: Sequence[_WalkedSegment]):
     knots = np.array([fiber for seg in segs for fiber in seg.fibers])
     zs = np.array([z for seg in segs for z in seg.z])
     w = knots.ravel()
-    _, dpsi_w = poly_eval_pairs(np.repeat(eq.psi_coeffs_on(zs), k, 0), w)
-    psi_z, _ = poly_eval_pairs(np.repeat(eq.psi_z_coeffs_on(zs), k, 0), w)
+    _, dpsi_w = poly_eval_pairs(eq.psi_coeffs_on(zs).repeat(k, axis=0), w)
+    psi_z = poly_evals(eq.psi_z_coeffs_on(zs).repeat(k, axis=0), w)
     knot_ts = [np.array(seg.t) for seg in segs]
     dzdt = np.concatenate([seg.seg.derivs(ts) for seg, ts in zip(segs, knot_ts)])[:, None]
     slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
@@ -515,13 +549,17 @@ def _hermite(dense: Sequence[tuple], tss: Sequence[np.ndarray]) -> np.ndarray:
     knot_t, knots, slopes = (np.concatenate(parts) for parts in zip(*dense))
     counts = [len(ts) for ts in tss]
     bounds = np.array(_bounds([d[0] for d in dense]))
-    first, last = np.repeat(bounds[:-1], counts), np.repeat(bounds[1:] - 2, counts)
-    i = np.concatenate([np.searchsorted(d[0], ts, side="right") for d, ts in zip(dense, tss)])
-    i = np.clip(first + i - 1, first, last)
-    h = (knot_t[i + 1] - knot_t[i])[:, None]
-    s = (np.concatenate(tss) - knot_t[i])[:, None] / h
-    return ((1 + 2 * s) * (1 - s) ** 2 * knots[i] + s * (1 - s) ** 2 * h * slopes[i]
-            + s ** 2 * (3 - 2 * s) * knots[i + 1] - s ** 2 * (1 - s) * h * slopes[i + 1])
+    first, last = bounds[:-1].repeat(counts), (bounds[1:] - 2).repeat(counts)
+    i = np.concatenate([d[0].searchsorted(ts, side="right") for d, ts in zip(dense, tss)])
+    i = np.minimum(np.maximum(first + i - 1, first), last)
+    j = i + 1
+    t0 = knot_t[i]
+    h = (knot_t[j] - t0)[:, None]
+    s = (np.concatenate(tss) - t0)[:, None] / h
+    u, s2, two_s = 1 - s, s ** 2, 2 * s
+    u2 = u ** 2
+    return ((1 + two_s) * u2 * knots.take(i, axis=0) + s * u2 * h * slopes.take(i, axis=0)
+            + s2 * (3 - two_s) * knots.take(j, axis=0) - s2 * u * h * slopes.take(j, axis=0))
 
 
 def _correct(eq: DefiningEquation, zs: np.ndarray, pred: np.ndarray,
@@ -530,24 +568,33 @@ def _correct(eq: DefiningEquation, zs: np.ndarray, pred: np.ndarray,
     the gates of an accepted step (_polish's residual gate, the collision
     check, the drift bound)."""
     k = pred.shape[1]
-    coeffs = np.repeat(eq.psi_coeffs_on(zs), k, axis=0)
+    table = eq.psi_coeffs_on(zs)
+    coeffs = table.repeat(k, axis=0)
     w = newton_polish_pairs(coeffs, pred.ravel(), max_iter=30)
-    residual = np.abs(poly_eval_pairs(coeffs, w)[0])
     new = w.reshape(pred.shape)
+    size = np.abs(new)
+    scales = residual_scales(np.abs(table).repeat(k, axis=0), size.ravel())
+    passed = (np.abs(poly_evals(coeffs, w)) <= tol.eps_root * scales).reshape(pred.shape)
     sep = _row_separations(new)
-    drift = np.abs(new - pred).max(axis=1)
-    ok = ((residual <= tol.eps_root * residual_scales(coeffs, w)).reshape(pred.shape).all(axis=1)
-          & (sep >= tol.delta_sep * (1.0 + np.abs(new).max(axis=1)))
+    drift = _by_row(np.maximum, np.abs(new - pred))
+    ok = (_by_row(np.logical_and, passed)
+          & (sep >= tol.delta_sep * (1.0 + _by_row(np.maximum, size)))
           & (drift <= 0.25 * np.minimum(_row_separations(pred), sep)))
     return new, ok
 
 
 def _row_separations(rows: np.ndarray) -> np.ndarray:
-    """min_pairwise_distance of each row."""
-    k = rows.shape[1]
-    d = np.abs(rows[:, :, None] - rows[:, None, :])
-    d[:, np.arange(k), np.arange(k)] = np.inf
-    return d.min(axis=(1, 2))
+    """min_pairwise_distance of each row, over each pair of columns once."""
+    pairs = [np.abs(rows[:, i] - rows[:, j])
+             for i, j in itertools.combinations(range(rows.shape[1]), 2)]
+    return functools.reduce(np.minimum, pairs) if pairs else np.full(len(rows), np.inf)
+
+
+def _by_row(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(rows, axis=1) for an exact ufunc (np.maximum,
+    np.minimum, np.logical_and), as k - 1 passes over whole columns: a
+    reduction along rows of a few entries costs per row."""
+    return functools.reduce(ufunc, rows.T)
 
 
 def _path_margin(eq: DefiningEquation, tol: Tolerances) -> float:
@@ -585,18 +632,29 @@ def _shares(path: BasePath) -> list[float]:
             for seg in path.segments]
 
 
-def _start_fiber(eq: DefiningEquation, germ: SurfacePoint, path: BasePath,
-                 tol: Tolerances) -> tuple[Fiber, int, list[complex]]:
-    """The fiber over a polished germ at which a path starts, the germ's
-    position in it, and its roots with the germ's value at that position;
-    ValueError when the path does not start at the germ."""
-    if not same_z(path.start_z, germ.z):
-        raise ValueError(f"path starts at {path.start_z}, germ sits at {germ.z}")
-    fiber = fiber_at(eq, germ.z, tol)
-    pos = match_to_fiber(germ.w, fiber, tol)
-    roots = list(fiber.roots)
-    roots[pos] = germ.w  # keep the polished germ value
-    return fiber, pos, roots
+def _start_fibers(eq: DefiningEquation, starts: Sequence[tuple[SurfacePoint, BasePath]],
+                  tol: Tolerances) -> list[tuple]:
+    """For each (polished germ, path) of starts: the fiber over the germ at
+    which the path starts, the germ's position in it, and its roots with the
+    germ's value at that position; (None, None, []) for an empty path. Each
+    distinct germ z is solved once; ValueError when a path does not start at
+    its germ."""
+    fibers: dict = {}
+    out = []
+    for germ, path in starts:
+        if not path.segments:
+            out.append((None, None, []))
+            continue
+        if not same_z(path.start_z, germ.z):
+            raise ValueError(f"path starts at {path.start_z}, germ sits at {germ.z}")
+        if germ.z not in fibers:
+            fibers[germ.z] = fiber_at(eq, germ.z, tol)
+        fiber = fibers[germ.z]
+        pos = match_to_fiber(germ.w, fiber, tol)
+        roots = list(fiber.roots)
+        roots[pos] = germ.w  # keep the polished germ value
+        out.append((fiber, pos, roots))
+    return out
 
 
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
@@ -616,7 +674,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return TrackResult(start, ((0.0, start.z, start.w),), 0, float("inf"))
-    _, pos, roots = _start_fiber(eq, start, path, tol)
+    ((_, pos, roots),) = _start_fibers(eq, [(start, path)], tol)
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
     for done, share, walked in _walk(eq, roots, path, tol):

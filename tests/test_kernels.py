@@ -1,0 +1,291 @@
+"""The array kernels behind one fiber read and one quadrature level give
+the IEEE bits of their former forms, kept here as references: the
+gathering batched Newton, the k x k row separations, the per-segment stop
+lookup of a read, the per-segment bisection take and Gauss sum. (The
+tracker step's carried state is checked in test_tracker.)"""
+
+import numpy as np
+import pytest
+
+from algebroid import tracker
+from algebroid.config import DEFAULT
+from algebroid.errors import QuadratureStall
+from algebroid.quad import _GL_W, _GL_X, _MAX_DEPTH, _MAX_PIECES, _Bisection, _gauss, _take
+from algebroid.rootfind import newton_polish_pairs, poly_eval_pairs, residual_scale
+from algebroid.surface import DefiningEquation, fiber_at
+from algebroid.tracker import Arc, Line, _by_equation, _read, _row_separations, _WalkedSegment
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of float or complex entries: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values).view(np.int64).tolist()
+
+
+def _newton_reference(coeffs, w, max_iter=40, tol=1e-15):
+    """newton_polish_pairs as it gathered the entries still iterating on
+    every iteration."""
+    w = np.array(w, dtype=complex)
+    active = np.arange(len(w))
+    for _ in range(max_iter):
+        if not len(active):
+            return w
+        p, dp = poly_eval_pairs(coeffs[active], w[active])
+        stalled = dp == 0
+        w[active[stalled]] = np.nan
+        active, p, dp = active[~stalled], p[~stalled], dp[~stalled]
+        step = p / dp
+        w[active] -= step
+        active = active[~(np.abs(step) <= tol * (1.0 + np.abs(w[active])))]
+    p, _ = poly_eval_pairs(coeffs[active], w[active])
+    scales = np.array([residual_scale(list(c), x) for c, x in zip(coeffs[active], w[active])])
+    w[active[~(np.abs(p) <= 1e-10 * scales)]] = np.nan
+    return w
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_iter", [30, 3])
+def test_batched_newton_is_bit_identical_to_the_gathering_form(k, max_iter):
+    rng = np.random.default_rng(25 + k)
+    n = 300
+    coeffs = rng.normal(size=(n, k + 1)) + 1j * rng.normal(size=(n, k + 1))
+    coeffs[:, -1] = 1.0
+    starts = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([0.1, 1.0, 10.0], size=n)
+    # a stall: p'(0) = 0 for W^k - 1 (k > 1)
+    coeffs[0] = [-1.0] + [0.0] * (k - 1) + [1.0]
+    starts[0] = 0.0
+    # an exact root: the first step is 0, so it converges at iteration 1
+    coeffs[1] = [-4.0 ** k] + [0.0] * (k - 1) + [1.0]
+    starts[1] = 4.0
+    # runs to max_iter and fails the residual test: W^2 + 1 and W^4 + 1 from
+    # a real start stay real, and W^3 - 2W + 2 cycles 0, 1, 0, ...
+    cycling = {2: ([1.0, 0.0, 1.0], 0.3), 3: ([2.0, -2.0, 0.0, 1.0], 0.0),
+               4: ([1.0, 0.0, 0.0, 0.0, 1.0], 0.3)}
+    if k in cycling:
+        coeffs[2], starts[2] = cycling[k]
+    got = newton_polish_pairs(coeffs, starts, max_iter=max_iter)
+    want = _newton_reference(coeffs, starts, max_iter=max_iter)
+    assert _bits(got) == _bits(want)
+    assert np.isnan(got[0]) == (k > 1)
+    assert got[1] == 4.0
+    assert np.isnan(got[2]) == (k > 1)
+
+
+def _separations_reference(rows):
+    """_row_separations as the minimum over the full k x k distance table."""
+    k = rows.shape[1]
+    d = np.abs(rows[:, :, None] - rows[:, None, :])
+    d[:, np.arange(k), np.arange(k)] = np.inf
+    return d.min(axis=(1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_row_separations_are_bit_identical_to_the_full_table(k):
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(200, k)) + 1j * rng.normal(size=(200, k))
+    rows[:20] = rows[:20].real  # signed zeros in the imaginary parts
+    rows[20:40] *= -1
+    rows[40, 0] = np.nan
+    if k > 1:
+        rows[41, 1] = rows[41, 0]  # two equal roots
+    assert _bits(_row_separations(rows)) == _bits(_separations_reference(rows))
+
+
+def _read_reference(walked, tss):
+    """tracker._read with its former per-segment stop lookup (np.isin) and
+    per-segment pass and re-walk loop."""
+    tss = [np.asarray(ts, dtype=float) for ts in tss]
+    out = [None] * len(walked)
+    todo = list(range(len(walked)))
+    while todo:
+        again = []
+        for group in _by_equation(walked, todo):
+            segs, ts_group = [walked[i] for i in group], [tss[i] for i in group]
+            with np.errstate(all="ignore"):
+                tracker._knot_slopes(segs)
+                zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(segs, ts_group)])
+                pred = tracker._hermite([seg._dense for seg in segs], ts_group)
+                rows, ok = tracker._correct(segs[0].eq, zs, pred, segs[0].tol)
+            bounds = tracker._bounds(ts_group)
+            for i, seg, ts, lo, hi in zip(group, segs, ts_group, bounds, bounds[1:]):
+                seg_rows, seg_ok = rows[lo:hi], ok[lo:hi]
+                for j in np.flatnonzero(np.isin(ts, list(seg.stops))):
+                    seg_rows[j], seg_ok[j] = seg.stops[ts[j]], True
+                if seg_ok.all():
+                    out[i] = seg_rows
+                    continue
+                seg.stops.update(dict.fromkeys(ts[~seg_ok]))
+                seg._walk()
+                again.append(i)
+        todo = again
+    return out
+
+
+def test_read_takes_the_stops_of_each_segment_as_the_per_segment_lookup(monkeypatch, sqrt_z):
+    # the sample at 0.4 of the first arc is pushed to the other sheet: it
+    # fails its gates, becomes a stop in the middle of the arc, and the arc
+    # is walked again and read again; 0.3 is a stop of the cubic's line
+    # only, though the cubic's arc reads it too, and 1.0 ends every segment
+    cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
+    starts = [(sqrt_z, Arc(0j, 2.0, 0.5, 3.0)), (cubic, Line(2 + 1j, 3 - 1j)),
+              (sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0))]
+    tss = [np.array([0.1, 0.4, 0.7, 1.0]), np.array([0.3, 0.05, 1.0, 0.3]),
+           np.array([0.3, 0.4, 0.9]), np.append(np.linspace(0.0, 1.0, 9), 0.3)]
+    hermite = tracker._hermite
+
+    def perturbed(dense, ts_group):
+        pred = hermite(dense, ts_group)
+        lo = 0
+        for ts in ts_group:
+            if ts is tss[0]:
+                hit = lo + np.flatnonzero(ts == 0.4)
+                pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
+            lo += len(ts)
+        return pred
+
+    monkeypatch.setattr(tracker, "_hermite", perturbed)
+
+    def walked():
+        segs = [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                for eq, seg in starts]
+        segs[1].stops[0.3] = None
+        segs[1]._walk()
+        return segs
+
+    new, old = walked(), walked()
+    got, want = _read(new, tss), _read_reference(old, tss)
+    assert [_bits(rows) for rows in got] == [_bits(rows) for rows in want]
+    assert 0.4 in new[0].stops and 0.4 not in new[2].stops and 0.3 not in new[3].stops
+    assert got[0][1].tolist() == new[0].stops[0.4]
+    assert got[1][0].tolist() == got[1][3].tolist() == new[1].stops[0.3]
+    assert got[0][3].tolist() == new[0].end
+
+
+def _gauss_reference(walked, t0s, t1s):
+    """quad._gauss with its former per-segment node placement and sums."""
+    halves = [0.5 * (t1 - t0) for t0, t1 in zip(t0s, t1s)]
+    tss = [((0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X).ravel()
+           for t0, t1, half in zip(t0s, t1s, halves)]
+    out = []
+    for seg, rows, ts, half in zip(walked, _read(walked, tss), tss, halves):
+        a = rows.reshape(-1, len(_GL_X), rows.shape[1]) * _GL_W[:, None]
+        d = seg.seg.derivs(ts).reshape(len(a), -1, 1)
+        terms = np.empty_like(a)
+        terms.real = a.real * d.real - a.imag * d.imag
+        terms.imag = a.real * d.imag + a.imag * d.real
+        out.append(sum(terms.swapaxes(0, 1), 0j) * half[:, None])
+    return out
+
+
+def test_gauss_values_are_bit_identical_to_the_per_segment_form(sqrt_z):
+    cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
+    poles = DefiningEquation.from_strings(["z/(z-3)", "-3", "-z^2+1/(z+2)"])
+    starts = [(sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0)),
+              (sqrt_z, Arc(0j, 2.0, 0.5, 7.0)), (poles, Line(1j, -1 + 2j))]
+    rng = np.random.default_rng(7)
+    t0s, t1s = [], []
+    for n in (1, 3, 2, 5):
+        t0 = np.sort(rng.uniform(size=n))
+        t0s.append(t0)
+        t1s.append(t0 + rng.uniform(0.01, 1.0, size=n) * (1.0 - t0))
+
+    def walked():
+        return [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                for eq, seg in starts]
+
+    got, want = _gauss(walked(), t0s, t1s), _gauss_reference(walked(), t0s, t1s)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+class _Reference:
+    """_Bisection as it took its values alone: pieces() with every left half
+    before every right half, and take."""
+
+    def __init__(self, share, tol):
+        self.quad_tol, self.tol_abs = tol.quad_tol, tol.quad_tol * max(share, 1e-3)
+        self.t0, self.t1, self.whole = np.zeros(1), np.ones(1), None
+        self.depth, self.accepted, self.done = 0, [], False
+
+    def pieces(self):
+        if self.whole is None:
+            return self.t0, self.t1
+        tm = 0.5 * (self.t0 + self.t1)
+        return np.concatenate((self.t0, tm)), np.concatenate((tm, self.t1))
+
+    def take(self, values):
+        if self.whole is None:
+            self.whole = values
+            return
+        t0, t1 = self.t0, self.t1
+        tm = 0.5 * (t0 + t1)
+        left, right = np.split(values, 2)
+        halves = left + right
+        errs = np.abs(self.whole - halves)
+        bound = self.tol_abs * (t1 - t0)[:, None] + self.quad_tol * np.abs(halves)
+        ok = (errs <= bound).all(axis=1)
+        self.accepted.append((halves[ok].sum(axis=0), errs[ok].sum(axis=0)))
+        if ok.all():
+            self.done = True
+            return
+        if self.depth == _MAX_DEPTH or 2 * np.count_nonzero(~ok) > _MAX_PIECES:
+            i = np.flatnonzero(~ok)[0]
+            raise QuadratureStall(
+                f"adaptive bisection stalled on [{t0[i]}, {t1[i]}] (err {errs[i].max():.3e})"
+            )
+        self.depth += 1
+        self.t0 = np.column_stack((t0, tm))[~ok].ravel()
+        self.t1 = np.column_stack((tm, t1))[~ok].ravel()
+        self.whole = np.stack((left, right), axis=1)[~ok].reshape(len(self.t0), -1)
+
+
+def _integrand(t, k):
+    """A smooth fiber-valued test integrand, one column per position: its
+    value on [t0, t1] is a fixed combination of the piece's end points, so
+    a piece's halves sum to its whole up to a rounding-size error that
+    grows with the piece."""
+    j = np.arange(1, k + 1)
+    return (np.exp(1j * j * t[:, None]) - np.exp(1j * j * 0.0)) / (1j * j) * (1 + 0.3 * j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
+    # four segments of one equation, read level by level: each piece's value
+    # is its exact integral plus a noise of amp * length**power, so a piece
+    # passes once it is short enough; the first segment's noise never lets a
+    # piece pass, until a level would hold too many pieces
+    rng = np.random.default_rng(k)
+    shares, amp, power = [0.5, 0.25, 0.2, 0.05], [1e-6, 3e-11, 1e-10, 1e-17], [0.5, 2, 2, 0]
+    parts = [_Bisection(None, share, DEFAULT) for share in shares]
+    refs = [_Reference(share, DEFAULT) for share in shares]
+    stalled = 0
+    for level in range(_MAX_DEPTH):
+        live = [n for n, part in enumerate(parts) if not part.done]
+        if not live:
+            break
+        reads, ref_reads = [], []
+        for n in live:
+            t0, t1 = parts[n].pieces()
+            r0, r1 = refs[n].pieces()
+            assert sorted(zip(_bits(t0), _bits(t1))) == sorted(zip(_bits(r0), _bits(r1)))
+            noise = rng.normal(size=(len(t0), k)) * amp[n] * (t1 - t0)[:, None] ** power[n]
+            values = _integrand(t1, k) - _integrand(t0, k) + noise
+            reads.append(values)
+            # the reference reads the same pieces with every left half first
+            order = np.argsort(np.arange(len(t0)) % 2, kind="stable")
+            ref_reads.append(values[order] if parts[n].whole is not None else values)
+        stalls = _take([parts[n] for n in live], reads)
+        for n, values, stall in zip(live, ref_reads, stalls):
+            try:
+                refs[n].take(values)
+            except QuadratureStall as exc:
+                assert stall is not None and str(stall) == str(exc)
+                parts[n].done = refs[n].done = True
+                stalled += 1
+            else:
+                assert stall is None
+    assert stalled == 1 and parts[0].depth == 6  # 64 failed pieces at depth 6
+    assert len(parts[2].accepted) > 3 and len(parts[3].accepted) == 1
+    for part, ref in zip(parts, refs):
+        assert part.done == ref.done and part.depth == ref.depth
+        assert [(_bits(v), _bits(e)) for v, e in part.accepted] == [
+            (_bits(v), _bits(e)) for v, e in ref.accepted]
+        assert _bits(part.t0) == _bits(ref.t0) and _bits(part.t1) == _bits(ref.t1)

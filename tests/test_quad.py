@@ -204,6 +204,22 @@ def test_audit_solves_the_target_fiber_once_for_all_its_paths(sqrt_z, monkeypatc
     assert zs == [4]
 
 
+def test_audit_solves_the_start_fiber_once_for_all_its_paths(sqrt_z, monkeypatch):
+    zs = []
+    real = tracker.fiber_at
+
+    def counted(eq, z, *args, **kwargs):
+        zs.append(z)
+        return real(eq, z, *args, **kwargs)
+
+    monkeypatch.setattr(tracker, "fiber_at", counted)
+    base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
+    paths = [polyline(1, 4), polyline(1, 1 + 2j, 4 + 2j, 4), polyline(1, 1 - 2j, 4 - 2j, 4)]
+    report = path_independence_audit(sqrt_z, base, target, paths)
+    assert report.verdict == "independent"
+    assert zs == [1]
+
+
 def test_audit_dependent_recip(recip_z):
     base, target = SurfacePoint(1, 1), SurfacePoint(-1, -1)
     upper = BasePath((Arc(0, 1.0, 0.0, math.pi),))

@@ -1,10 +1,12 @@
 """The demonstration scripts run to completion and print their verdicts;
 bench_summary condenses benchmark reports; replay_cases compares replays;
-profile_cases profiles the CLI over benchmark cases."""
+profile_cases profiles the CLI over benchmark cases; ab_cases times two
+source trees against each other."""
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +191,28 @@ def test_profile_cases_sorts_by_cumulative_time_on_request(tmp_path, capsys):
     assert "to 3 due to restriction <3>" in out
     with pytest.raises(SystemExit):
         profile_cases.main([str(ROOT), str(directory), "--sort", "ncalls"])
+
+
+def _ab_cases(directory, a, b) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(a), str(b),
+         str(directory), "--reps", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert line.startswith("critical: cases 1, A median ")
+    assert "per-case B/A median " in line
+    return line
+
+
+def test_ab_cases_times_two_copies_of_one_tree_with_identical_outputs(tmp_path):
+    for name in ("a", "b", "c"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "c" / "src" / "algebroid" / "cli.py"
+    cli.write_text(cli.read_text().replace('"algebroid-report-v1"', '"algebroid-report-v0"'))
+    directory = _critical_case_dir(tmp_path)
+    assert _ab_cases(directory, tmp_path / "a", tmp_path / "b").endswith(", identical 1 of 1")
+    # each tree runs its own modules: c reports another schema
+    assert _ab_cases(directory, tmp_path / "a", tmp_path / "c").endswith(", identical 0 of 1")

@@ -9,6 +9,7 @@ import pytest
 from algebroid.config import DEFAULT
 from algebroid.errors import PathTooCloseToCritical, TrackingCollision
 from algebroid.quad import fiber_integral
+from algebroid.rootfind import poly_eval_pair
 from algebroid.surface import DefiningEquation, fiber_at, min_pairwise_distance
 from algebroid.tracker import (
     Arc,
@@ -135,8 +136,9 @@ def test_clipped_step_keeps_step_size(coeffs, seg):
 
 
 class _Recomputing(SegmentTracker):
-    """A tracker whose every step recomputes the coefficients and the root
-    separation at its start, instead of taking those of the step before."""
+    """A tracker whose every step recomputes the coefficients, the root
+    separation and Psi_W at each root at its start, instead of taking those
+    of the step before."""
 
     __slots__ = ()
 
@@ -150,6 +152,7 @@ class _Recomputing(SegmentTracker):
     (["0", "-3", "-z"], Arc(2.0, 0.5, 0.0, 2 * math.pi)),  # about a branch point
     (["0", "-1/z"], Arc(0j, 1.0, 0.3, 0.3 + 4 * math.pi)),  # two turns about a pole
     (["z/(z-3)", "-3", "-z^2+1/(z+2)"], Line(1j, -1 + 2j)),
+    (["1", "0", "-z", "z^2/(z-4)"], Arc(1 + 1j, 0.5, 0.0, 2 * math.pi)),
 ])
 def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
     eq = DefiningEquation.from_strings(coeffs)
@@ -161,10 +164,19 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
         for stop in (0.3, 0.3 + 1e-9, 1.0):  # clipped steps too
             while trk.t < stop - 1e-15:
                 z = trk._step(stop)
-                walk.append((trk.t, z, trk.fiber, trk.h))
+                walk.append(_bits([trk.t, z, *trk.fiber, trk.h]))
+                # the Psi_W carried to the next step is the one it would recompute
+                coeffs1, _, dws = trk._carry
+                assert _bits(coeffs1) == _bits(eq.psi_coeffs_at(z))
+                assert _bits(dws) == _bits([poly_eval_pair(coeffs1, w)[1] for w in trk.fiber])
         knots.append(walk)
     assert knots[0] == knots[1]
     assert len(knots[0]) > 3
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of complex values: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64).tolist()
 
 
 def test_array_forms_equal_the_scalar_forms_bit_for_bit():
