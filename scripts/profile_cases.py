@@ -11,7 +11,7 @@ profiled: not the benchmark's calibration kernel, not the imports. Prints
 the number of cases, each case whose call raised, and the top N functions
 (default 25) by self time, or with --sort cumulative by the time spent in
 them and all they call, and with --callers the callers of every function
-whose name matches REGEX.
+whose name matches REGEX. With no case it prints ``cases 0`` and exits 1.
 Standard library only.
 """
 
@@ -53,6 +53,9 @@ def main(argv: list) -> int:
     parser.add_argument("--callers")
     args = parser.parse_args(argv)
     count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs)
+    if not count:  # pstats has no profile to read
+        print("cases 0")
+        return 1
     print(f"cases {count}, raised {len(raised)}", *raised, sep="\n  ")
     stats = pstats.Stats(prof, stream=sys.stdout).strip_dirs().sort_stats(args.sort)
     stats.print_stats(args.top)

@@ -224,8 +224,8 @@ def _extract_coeffs(rows: np.ndarray, sheets: Sequence[int], center: complex,
             f"the series of cycle {tuple(sheets)} at {center} has a term B_{n} below "
             f"the window -n_max..n_max, n_max = {n_max}: its principal part is cut"
         )
-    coeffs = {n: complex(hat[n % n_samples]) / epsilon ** (n / m)
-              for n in range(-n_max, n_max + 1)}
+    bins = hat.tolist()
+    coeffs = {n: bins[n % n_samples] / epsilon ** (n / m) for n in range(-n_max, n_max + 1)}
     return coeffs, noise, scale
 
 

@@ -2,17 +2,18 @@
 
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
-until the whole-piece and two-half estimates agree. Bisection runs a level
-at a time over the whole fiber, and a piece is split until every sheet
-passes its own test. fiber_integral returns the whole fiber's integrals,
-and surface_integral is one sheet's column of them. Because admissible
-paths keep a margin from the critical set, the integrand is analytic and
-the per-piece rule converges spectrally.
+until the whole-piece and two-half estimates agree. Bisection runs over
+the whole fiber: the first read takes the whole segment and its two
+halves, each later read the halves of the pieces that failed, and a piece
+is split until every sheet passes its own test. fiber_integral returns the
+whole fiber's integrals, and surface_integral is one sheet's column of
+them. Because admissible paths keep a margin from the critical set, the
+integrand is analytic and the per-piece rule converges spectrally.
 
 _integrate takes many paths at once. Each path is walked segment by
 segment from its own start fiber by tracker._walk, which checks the margin
-once; then each level reads the Gauss nodes of every pending piece of
-every segment of every path in one batched read (tracker._read): one
+once; then each read takes the Gauss nodes of every pending piece of
+every segment of every path in one batch (tracker._read): one
 array pass per equation for the nodes, the Hermite prediction and the
 Newton correction, with dz/dt from the segments' array form (derivs), so
 quadrature takes the tracker's own steps and no step per node. A segment
@@ -134,11 +135,11 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
 
 
 class _Bisection:
-    """Adaptive bisection of one walked segment, a level at a time: its
-    pending pieces [t0, t1] with their whole-piece values (None before the
-    first read), and the sums of values and error estimates it accepted at
-    each level (_take). A piece is split until every fiber position passes
-    its own test."""
+    """Adaptive bisection of one walked segment: its pending pieces [t0, t1]
+    with their whole-piece values (None before the first read, which takes
+    the whole segment and its two halves), and the sums of values and error
+    estimates it accepted at each level (_take). A piece is split until every
+    fiber position passes its own test."""
 
     __slots__ = ("walked", "quad_tol", "tol_abs", "t0", "t1", "whole", "depth", "accepted",
                  "done")
@@ -150,12 +151,13 @@ class _Bisection:
         self.depth, self.accepted, self.done = 0, [], False
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pieces its next read needs: the whole segment, then the two
-        halves of each pending piece in turn."""
-        if self.whole is None:
-            return self.t0, self.t1
+        """The pieces its next read needs: the two halves of each pending
+        piece in turn, after the pending pieces themselves on the first read."""
         tm = 0.5 * (self.t0 + self.t1)
-        return np.array((self.t0, tm)).T.ravel(), np.array((tm, self.t1)).T.ravel()
+        t0, t1 = np.array((self.t0, tm)).T.ravel(), np.array((tm, self.t1)).T.ravel()
+        if self.whole is None:
+            return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
+        return t0, t1
 
 
 def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
@@ -164,36 +166,33 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
     meets, once a level would hold more pieces than a convergent integral
     needs, or None.
 
-    The test of every pending piece of every part is one array pass; each
-    part then sums the values and error estimates of its accepted pieces
-    (the same sums, in the same order, as a part taken alone) and keeps its
-    failed pieces, halves as wholes, for the next level.
+    A part's first read holds its whole pieces in its first rows, which it
+    takes as whole before the test. The test of every pending piece of every
+    part is one array pass; each part then sums the values and error
+    estimates of its accepted pieces (the same sums, in the same order, as a
+    part taken alone) and keeps its failed pieces, halves as wholes, for the
+    next level.
     """
     stalls = [None] * len(parts)
-    level = []
-    for n, (part, values) in enumerate(zip(parts, reads)):
+    reads = list(reads)
+    for n, part in enumerate(parts):
         if part.whole is None:
-            part.whole = values
-        else:
-            level.append(n)
-    if not level:
-        return stalls
-    held = [parts[n] for n in level]
-    t0, t1 = np.concatenate([p.t0 for p in held]), np.concatenate([p.t1 for p in held])
+            part.whole, reads[n] = np.split(reads[n], [len(part.t0)])
+    t0, t1 = np.concatenate([p.t0 for p in parts]), np.concatenate([p.t1 for p in parts])
     tm = 0.5 * (t0 + t1)
-    pairs = np.concatenate([reads[n] for n in level]).reshape(len(t0), 2, -1)
+    pairs = np.concatenate(reads).reshape(len(t0), 2, -1)
     halves = pairs[:, 0] + pairs[:, 1]
-    errs = np.abs(np.concatenate([p.whole for p in held]) - halves)
-    bounds = _bounds([p.t0 for p in held])
-    tol_abs = np.array([p.tol_abs for p in held]).repeat([len(p.t0) for p in held])[:, None]
+    errs = np.abs(np.concatenate([p.whole for p in parts]) - halves)
+    bounds = _bounds([p.t0 for p in parts])
+    tol_abs = np.array([p.tol_abs for p in parts]).repeat([len(p.t0) for p in parts])[:, None]
     ok = _by_row(np.logical_and,
-                 errs <= tol_abs * (t1 - t0)[:, None] + held[0].quad_tol * np.abs(halves))
+                 errs <= tol_abs * (t1 - t0)[:, None] + parts[0].quad_tol * np.abs(halves))
     split = ~ok
     at = np.concatenate(([0], split.cumsum()))
     next_t0 = np.array((t0, tm)).T.compress(split, axis=0).ravel()
     next_t1 = np.array((tm, t1)).T.compress(split, axis=0).ravel()
     next_whole = pairs.compress(split, axis=0).reshape(-1, pairs.shape[2])
-    for n, part, lo, hi in zip(level, held, bounds, bounds[1:]):
+    for n, (part, lo, hi) in enumerate(zip(parts, bounds, bounds[1:])):
         good = ok[lo:hi]
         part.accepted.append((halves[lo:hi].compress(good, axis=0).sum(axis=0),
                               errs[lo:hi].compress(good, axis=0).sum(axis=0)))
@@ -253,13 +252,14 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
     """Integrals of w dz on every fiber position along each lift: per lift
     its _Lift.result.
 
-    Each bisection level of every pending segment of every lift is read in
-    one _gauss call and tested in one _take pass per equation. A segment is
-    integrated exactly as alone: its reads, stops and re-walks are its own.
-    A segment walked again whose end fiber moves walks the rest of its path
-    again from there, since one after another each segment is walked from
-    the end of the one before once that is integrated. The first refusal
-    met is raised.
+    The next pieces of every pending segment of every lift (the whole
+    segment and its halves at first, then the halves of the failed pieces)
+    are read in one _gauss call and tested in one _take pass per equation.
+    A segment is integrated exactly as alone: its reads, stops and re-walks
+    are its own. A segment walked again whose end fiber moves walks the rest
+    of its path again from there, since one after another each segment is
+    walked from the end of the one before once that is integrated. The
+    first refusal met is raised.
     """
     while True:
         active = [(lift, j, part) for lift in lifts

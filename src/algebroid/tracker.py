@@ -290,16 +290,16 @@ def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFA
     polished = _polish(coeffs, list(map(abs, coeffs)), w, tol)
     if polished is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
-    refined, dw = polished
+    refined, dw, size = polished
     dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]  # Psi_W ascending in W
-    if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, abs(refined))):
+    if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, size)):
         raise TrackingCollision(f"germ at ({refined}, {z}) is not regular: Psi_W too small")
     return SurfacePoint(z, refined)
 
 
 def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
-            tol: Tolerances) -> Optional[tuple[complex, complex]]:
-    """Newton-corrected root near w and Psi_W there, or None when Newton
+            tol: Tolerances) -> Optional[tuple[complex, complex, float]]:
+    """Newton-corrected root near w, Psi_W and |w| there, or None when Newton
     stalls or the residual exceeds eps_root times the residual scale
     (poly_eval_pair and residual_scale, inline, with sizes the |c| of
     coeffs)."""
@@ -316,14 +316,14 @@ def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
         power *= aw
     if abs(p) > tol.eps_root * max(s, 1.0):
         return None
-    return w, dp
+    return w, dp, aw
 
 
 class SegmentTracker:
     """Continues a fiber monotonically along one segment. An accepted step
-    hands the coefficients of Psi(., z), the root separation and Psi_W at
-    each root at the z it reached to the next step, which starts there
-    (_carry)."""
+    hands the z it reached, the coefficients of Psi(., z), the root
+    separation, Psi_W at each root and the fiber scale 1 + max|w| there to
+    the next step, which starts there (_carry)."""
 
     __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps", "_carry")
 
@@ -354,10 +354,13 @@ class SegmentTracker:
     def _step(self, t_target: float) -> complex:
         """One accepted step towards t_target; returns the z it reaches."""
         eq, seg, tol = self.eq, self.seg, self.tol
-        z0 = seg.at(self.t)
-        carry = self._carry  # z0 is, bit for bit, the z the last step reached
-        min_sep0 = min_pairwise_distance(self.fiber) if carry is None else carry[1]
-        scale = 1.0 + max(map(abs, self.fiber))
+        carry = self._carry
+        if carry is None:
+            z0 = seg.at(self.t)
+            min_sep0 = min_pairwise_distance(self.fiber)
+            scale = 1.0 + max(map(abs, self.fiber))
+        else:  # z0 is, bit for bit, seg.at(self.t)
+            z0, coeffs0, min_sep0, dws, scale = carry
         if min_sep0 < tol.delta_sep * scale:
             raise TrackingCollision(
                 f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
@@ -366,8 +369,6 @@ class SegmentTracker:
         if carry is None:
             coeffs0 = eq.psi_coeffs_at(z0)
             dws = [poly_eval_pair(coeffs0, w)[1] for w in self.fiber]  # Psi_W at each root
-        else:
-            coeffs0, _, dws = carry
         zcoeffs0 = eq.psi_z_coeffs_at(z0)
         slopes = []  # dw/dz of each root at z0
         for w, dw in zip(self.fiber, dws):
@@ -388,13 +389,14 @@ class SegmentTracker:
                 preds = [w + m for w, m in zip(self.fiber, moves)]
                 polished = [_polish(coeffs1, sizes, p, tol) for p in preds]
             if polished is not None and None not in polished:
-                corrected = [w for w, _ in polished]
+                corrected = [w for w, _, _ in polished]
                 min_sep1 = min_pairwise_distance(corrected)
                 drift = max(map(abs, map(operator.sub, corrected, preds)))
                 if drift <= 0.25 * min(min_sep0, min_sep1):
                     self.t += h
                     self.fiber = corrected
-                    self._carry = coeffs1, min_sep1, [dw for _, dw in polished]
+                    self._carry = (z1, coeffs1, min_sep1, [dw for _, dw, _ in polished],
+                                   1.0 + max(map(operator.itemgetter(2), polished)))
                     self.steps += 1
                     grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
                     # a step cut short to land on the target says nothing

@@ -479,6 +479,71 @@ def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, m
     assert reads["calls"] <= most
 
 
+def test_an_integral_that_passes_at_the_first_test_takes_one_read(monkeypatch, sqrt_z):
+    # the first read takes the whole segment and its two halves; read a level
+    # at a time, the whole and the halves took a read each
+    reads = _count_rows(monkeypatch)
+    values, _ = fiber_integral(sqrt_z, fiber_at(sqrt_z, 1).roots, polyline(1, 4))
+    assert (reads["calls"], reads["nodes"]) == (1, 3 * len(quad._GL_X))
+    assert sorted(v.real for v in values) == pytest.approx([-14.0 / 3.0, 14.0 / 3.0], abs=1e-10)
+
+
+def _level_at_a_time(lifts):
+    """quad._integrate for lifts of one segment each, as it read a level at a
+    time: a first read of every whole segment alone, then one read of the
+    halves of every pending piece per level."""
+    parts = [lift.parts[0] for lift in lifts]
+    wholes = quad._gauss([p.walked for p in parts], [p.t0 for p in parts], [p.t1 for p in parts])
+    for part, whole in zip(parts, wholes):
+        part.whole = whole
+    while True:
+        live = [part for part in parts if not part.done]
+        if not live:
+            return [lift.result() for lift in lifts]
+        reads = quad._gauss([p.walked for p in live], *zip(*(p.pieces() for p in live)))
+        stalls = [None] * len(live)
+        for group in tracker._by_equation([p.walked for p in live], range(len(live))):
+            taken = quad._take([live[n] for n in group], [reads[n] for n in group])
+            for n, stall in zip(group, taken):
+                stalls[n] = stall
+        for stall in stalls:
+            if stall is not None:
+                raise stall
+
+
+def test_first_read_of_whole_and_halves_is_bit_identical_to_a_level_at_a_time(sqrt_z):
+    # one segment stalls below round-off, after another has taken 8 levels
+    # and a third passed at its first test
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    roots = fiber_at(eq, 1.0).roots
+    path = polyline(1, -1 + 0.01j)
+
+    def lifts():
+        return [quad._Lift(eq, roots, path, DEFAULT.replace(quad_tol=1e-17)),
+                quad._Lift(eq, roots, path, DEFAULT),
+                quad._Lift(sqrt_z, fiber_at(sqrt_z, 1).roots, polyline(1, 4), DEFAULT)]
+
+    got, want = lifts(), lifts()
+    with pytest.raises(QuadratureStall) as merged:
+        quad._integrate(got)
+    with pytest.raises(QuadratureStall) as levels:
+        _level_at_a_time(want)
+    assert str(merged.value) == str(levels.value)
+    for a, b in zip(got, want):
+        (pa,), (pb,) = a.parts, b.parts
+        assert (pa.done, pa.depth) == (pb.done, pb.depth)
+        assert [(_bits(v), _bits(e)) for v, e in pa.accepted] == [
+            (_bits(v), _bits(e)) for v, e in pb.accepted]
+        assert _bits(pa.t0) == _bits(pb.t0) and _bits(pa.whole) == _bits(pb.whole)
+        assert _bits(a.result()[0]) == _bits(b.result()[0])
+    assert [len(lift.parts[0].accepted) for lift in got] == [9, 8, 1]
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of complex values: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64).ravel().tolist()
+
+
 def test_single_sheet_integral_is_its_column_of_the_fiber_integral():
     eq = DefiningEquation.from_strings(["0", "-3", "-z"])  # W^3 - 3W - z
     path = polyline(3, -1 + 2j)

@@ -182,6 +182,12 @@ def test_profile_cases_profiles_the_cli_over_a_case_directory(tmp_path, capsys):
     assert "(critical_points)" in out.split("was called by...")[1]
 
 
+def test_profile_cases_reports_a_directory_without_cases(tmp_path, capsys):
+    (tmp_path / "cases").mkdir()
+    assert profile_cases.main([str(ROOT), str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "cases 0\n"
+
+
 def test_profile_cases_sorts_by_cumulative_time_on_request(tmp_path, capsys):
     directory = _critical_case_dir(tmp_path)
     assert profile_cases.main([str(ROOT), str(directory), "--top", "3",

@@ -136,9 +136,9 @@ def test_clipped_step_keeps_step_size(coeffs, seg):
 
 
 class _Recomputing(SegmentTracker):
-    """A tracker whose every step recomputes the coefficients, the root
-    separation and Psi_W at each root at its start, instead of taking those
-    of the step before."""
+    """A tracker whose every step recomputes its z, the coefficients, the
+    root separation, Psi_W at each root and the fiber scale at its start,
+    instead of taking those of the step before."""
 
     __slots__ = ()
 
@@ -165,10 +165,13 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
             while trk.t < stop - 1e-15:
                 z = trk._step(stop)
                 walk.append(_bits([trk.t, z, *trk.fiber, trk.h]))
-                # the Psi_W carried to the next step is the one it would recompute
-                coeffs1, _, dws = trk._carry
+                # the z, Psi_W and scale carried to the next step are the ones
+                # it would recompute
+                z1, coeffs1, _, dws, scale = trk._carry
+                assert _bits([z1]) == _bits([z]) == _bits([seg.at(trk.t)])
                 assert _bits(coeffs1) == _bits(eq.psi_coeffs_at(z))
                 assert _bits(dws) == _bits([poly_eval_pair(coeffs1, w)[1] for w in trk.fiber])
+                assert _bits([scale]) == _bits([1.0 + max(map(abs, trk.fiber))])
         knots.append(walk)
     assert knots[0] == knots[1]
     assert len(knots[0]) > 3
