@@ -25,7 +25,6 @@ from .exactalg import (
     discriminant,
     laurent_order,
     parse_coefficient,
-    ratfunc_arith,
     resultant_w,
 )
 from .puiseux import (
@@ -114,7 +113,6 @@ __all__ = [
     "path_independence_audit",
     "polyline",
     "puiseux_expand",
-    "ratfunc_arith",
     "residue",
     "residue_by_contour",
     "residue_theorem_check",

@@ -11,9 +11,12 @@ exactly in Q(i)(z)[W]/(Psi): R' = W holds for R = sum r_i W^i if and only if
 
     Psi_W * sum r_i' W^i - Psi_z * sum i r_i W^(i-1) - W * Psi_W = 0 mod Psi,
 
-so a certified fit is right whatever the grid. The constant C (the constant
-term of r_0's polynomial part) is fixed once by M = c at the base germ and is
-the only number snapped from a float. The defining coefficients B_j of M,
+so a certified fit is right whatever the grid. The identity is first taken
+at one fixed Gaussian-rational point where nothing has a pole: a wrong fit
+is refused there in milliseconds, before the exact check over Q(i)(z),
+whose gcds have no cost bound. The constant C (the constant term of r_0's
+polynomial part) is fixed once by M = c at the base germ and is the only
+number snapped from a float. The defining coefficients B_j of M,
 prod_s (M - F_s) = M^k + sum B_j M^(k-j), follow exactly from the power sums
 Tr((C + R)^n) and Newton's identities.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -419,17 +423,42 @@ def _mod_psi(f: Sequence[RatFunc], psi: Sequence[RatFunc]) -> list[RatFunc]:
     return f
 
 
-def _certify(eq: DefiningEquation, r: Sequence[RatFunc]) -> bool:
-    """Exactly whether R = sum r_i W^i has R' = W on the surface of Psi:
-    Psi_W (sum r_i' W^i - W) - Psi_z sum i r_i W^(i-1) = 0 mod Psi."""
-    psi = _psi(eq)
+# tried in order by _certify; fixed, so that the certificate draws nothing from rng
+_CHECK_POINTS = (GaussianRational(Fraction(1, 3), Fraction(2, 7)),
+                 GaussianRational(Fraction(-2, 5), Fraction(3, 11)),
+                 GaussianRational(Fraction(5, 13), Fraction(-7, 17)))
+
+
+def _defect(psi: list, psi_z: list, r: list, r_z: list) -> list[RatFunc]:
+    """Psi_W (sum r_i' W^i - W) - Psi_z sum i r_i W^(i-1) mod Psi, ascending in
+    W, from the coefficients ascending in W of the monic Psi, Psi_z, R = sum
+    r_i W^i and R_z: as functions of z, or as their values at one point."""
     zero = RatFunc.zero()
     r_z_less_w = [a - b for a, b in itertools.zip_longest(
-        [ri.derivative() for ri in r], [zero, RatFunc.one()], fillvalue=zero)]
+        r_z, [zero, RatFunc.one()], fillvalue=zero)]
     left = w_poly_mul(w_poly_derivative(psi), r_z_less_w)
-    right = w_poly_mul([a.derivative() for a in psi], w_poly_derivative(r))
+    right = w_poly_mul(psi_z, w_poly_derivative(r))
     defect = [a - b for a, b in itertools.zip_longest(left, right, fillvalue=zero)]
-    return all(d.is_zero() for d in _mod_psi(defect, psi))
+    return _mod_psi(defect, psi)
+
+
+def _certify(eq: DefiningEquation, r: Sequence[RatFunc]) -> bool:
+    """Exactly whether R = sum r_i W^i has R' = W on the surface of Psi: whether
+    _defect is 0. Psi is monic, so _defect divides by nothing, and it is
+    first taken at the first of _CHECK_POINTS where no A_j, r_i or their
+    derivatives has a pole. The defect of a right fit vanishes there, so
+    only a zero there leads to the exact check, whose cost has no bound."""
+    psi = _psi(eq)
+    forms = (psi, [a.derivative() for a in psi], list(r), [ri.derivative() for ri in r])
+    for z0 in _CHECK_POINTS:
+        try:
+            values = [[RatFunc.constant(c.eval_exact(z0)) for c in cs] for cs in forms]
+        except ZeroDivisionError:  # a pole at z0
+            continue
+        if not all(d.is_zero() for d in _defect(*values)):
+            return False
+        break
+    return all(d.is_zero() for d in _defect(*forms))
 
 
 def _coeffs_from_power_sums(eq: DefiningEquation, r: Sequence[RatFunc]) -> list[RatFunc]:

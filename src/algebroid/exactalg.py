@@ -5,11 +5,13 @@ structural layer of the toolkit: defining-equation coefficients, resultants,
 discriminants, and Laurent orders are all computed here without rounding.
 A Gaussian rational is held as the int triple (a, b, d) of (a + b*i)/d with
 d > 0 and gcd(a, b, d) = 1, so field operations are a few int operations
-and one gcd. Poly and RatFunc store such triples, but their hot paths work
-on polynomials over the Gaussian integers Z[i][z], held as lists of
-(re, im) int pairs: a Poly enters that form once, as one list and one
-integer denominator, and leaves it once, with one reduction per
-coefficient. The product of two polynomials is the one Z[i][z] product. The
+and one gcd. A Poly has one stored form, q / d: its coefficients over the
+Gaussian integers Z[i][z], as a tuple of (re, im) int pairs, over one
+integer denominator d, canonical by gcd(d, every re and im of q) = 1. Every
+operation but divmod runs on that form and ends with one integer gcd; its
+coefficients as Gaussian rationals are a view built on first use, read
+only at the edges: the formatter, divmod and the antiderivative's constant
+snap. The product of two polynomials is the one Z[i][z] product. The
 parser carries each value as an unreduced Z[i][z] numerator and
 denominator and reduces once, at the end. A gcd is 1 without further work
 when the images mod a prime keep their degrees and are coprime (Brown,
@@ -48,7 +50,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "parse_coefficient",
-    "ratfunc_arith",
     "resultant_w",
     "discriminant",
     "laurent_order",
@@ -109,12 +110,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _make(self._a - other._a, self._b - other._b, d1)
-        return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+        return self + -GaussianRational.of(other)
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
@@ -210,10 +206,10 @@ def _imag_str(q: Fraction, signed: bool = False) -> str:
 
 # --- polynomials over the Gaussian integers -------------------------------
 #
-# A polynomial over Z[i][z] is a list of (re, im) int pairs, ascending in z,
-# with no trailing (0, 0); [] is the zero polynomial. This is the working
-# form of the products, the parser and the resultant: a Poly p enters it once
-# as (q, d) with p = q / d (_gz_cleared) and leaves it once (_gz_poly).
+# A polynomial over Z[i][z] is a sequence of (re, im) int pairs, ascending
+# in z, with no trailing (0, 0); [] is the zero polynomial. It is the stored
+# form of Poly, over one integer denominator, and the working form of the
+# parser and the resultant.
 
 _GZ_ONE = [(1, 0)]
 
@@ -239,7 +235,8 @@ def _gz_mul(a: list, b: list) -> list:
 def _gz_add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = [(ar + br, ai + bi) for (ar, ai), (br, bi) in zip(a, b)] + a[len(b):]
+    out = [(ar + br, ai + bi) for (ar, ai), (br, bi) in zip(a, b)]
+    out += a[len(b):]
     while out and out[-1] == (0, 0):
         out.pop()
     return out
@@ -325,11 +322,17 @@ def _gz_exact_div(num: list, div: list) -> list:
     return quot
 
 
-def _gz_primitive(q: list) -> list:
-    """q divided by the Gaussian-integer gcd of its coefficients, for q != []."""
+def _gz_content(q) -> tuple[int, int]:
+    """The Gaussian-integer gcd of q's coefficients (up to a unit)."""
     gr, gi = 0, 0
     for r, i in q:
         gr, gi = _gi_gcd(gr, gi, r, i)
+    return gr, gi
+
+
+def _gz_primitive(q: list) -> list:
+    """q divided by the Gaussian-integer gcd of its coefficients, for q != []."""
+    gr, gi = _gz_content(q)
     if gr * gr + gi * gi == 1:
         return q
     return [_gi_exact_div(r, i, gr, gi) for r, i in q]
@@ -429,167 +432,168 @@ def _coprime_mod_p(f: list, g: list) -> bool:
     return bool(g)
 
 
-def _gz_cleared(p: "Poly") -> tuple[list, int]:
-    """(q, d) with p = q / d: q over Z[i][z], d the lcm of p's denominators."""
-    d = math.lcm(*(c._d for c in p.coeffs))
-    if d == 1:
-        return [(c._a, c._b) for c in p.coeffs], 1
-    return [(c._a * (d // c._d), c._b * (d // c._d)) for c in p.coeffs], d
-
-
-def _gz_poly(q: list, d: int = 1) -> "Poly":
-    """The Poly q / d, for q over Z[i][z] and an int d > 0."""
+def _poly(q, d: int = 1) -> "Poly":
+    """The Poly q / d, for q over Z[i][z] and an int d > 0, brought to the
+    canonical form by one gcd of d with every re and im of q."""
+    if d != 1:
+        g = math.gcd(d, *(x for pair in q for x in pair))
+        if g != 1:
+            q, d = [(r // g, i // g) for r, i in q], d // g
     out = object.__new__(Poly)
-    _set_coeffs(out, tuple(_make(r, i, d) for r, i in q))
+    _set_poly_q(out, tuple(q))
+    _set_poly_d(out, d)
+    _set_coeffs(out, None)
     _set_fc(out, None)
     return out
 
 
 class Poly:
-    """Univariate polynomial in z over GaussianRational, ascending coefficients.
+    """Univariate polynomial in z over the Gaussian rationals.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
+    Stored as q / d: q a tuple of (re, im) int pairs, the coefficients over
+    Z[i] ascending in z with no trailing (0, 0) (the zero polynomial has
+    q = ()), and an int d > 0 with gcd(d, every re and im of q) = 1. The
+    form is canonical, so equal polynomials have equal (q, d). coeffs views
+    the same coefficients as GaussianRationals.
     """
 
-    __slots__ = ("coeffs", "_fc")
+    __slots__ = ("q", "d", "_coeffs", "_fc")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [GaussianRational.of(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_fc", None)
+        # each triple is reduced, so a prime that divides d (the lcm of the
+        # denominators) and every entry of q would divide some a, b and d
+        d = math.lcm(*(c._d for c in cs))
+        _set_poly_q(self, tuple((c._a * (d // c._d), c._b * (d // c._d)) for c in cs))
+        _set_poly_d(self, d)
+        _set_coeffs(self, tuple(cs))
+        _set_fc(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def zero() -> "Poly":
-        return _P_ZERO
-
-    @staticmethod
-    def one() -> "Poly":
-        return _P_ONE
-
-    @staticmethod
-    def z() -> "Poly":
-        return _P_Z
-
-    @staticmethod
     def constant(c) -> "Poly":
-        return Poly([GaussianRational.of(c)])
+        return Poly([c])
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients as GaussianRationals, ascending; built once."""
+        cs = self._coeffs
+        if cs is None:
+            cs = tuple(_make(r, i, self.d) for r, i in self.q)
+            _set_coeffs(self, cs)
+        return cs
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.q) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.q
 
     def leading(self) -> GaussianRational:
-        if not self.coeffs:
+        if not self.q:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        a, b, d = self.q, other.q, self.d
+        if d != other.d:
+            d = math.lcm(d, other.d)
+            ma, mb = d // self.d, d // other.d
+            a, b = [(r * ma, i * ma) for r, i in a], [(r * mb, i * mb) for r, i in b]
+        return _poly(_gz_add(a, b), d)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly(_gz_neg(self.q), self.d)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return _P_ZERO
-        (a, da), (b, db) = _gz_cleared(self), _gz_cleared(other)
-        return _gz_poly(_gz_mul(a, b), da * db)
+        return _poly(_gz_mul(self.q, other.q), self.d * other.d)
 
     def scale(self, c) -> "Poly":
         c = GaussianRational.of(c)
-        return Poly([a * c for a in self.coeffs])
+        if not c:
+            return _P_ZERO
+        return _poly(_gz_mul(self.q, [(c._a, c._b)]), self.d * c._d)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = _P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _poly(_gz_pow(self.q, n), self.d**n)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return _P_ZERO, self
-        quot = [_GR_ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + k:
-                continue
-            c = rem[len(other.coeffs) - 1 + k] / lead
-            if not c:
-                continue
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[j + k] = rem[j + k] - c * b
+        rem, div = list(self.coeffs), other.coeffs
+        quot = [_GR_ZERO] * max(0, len(rem) - len(div) + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[k + len(div) - 1] / div[-1]
+            if c:
+                for j, b in enumerate(div):
+                    rem[j + k] -= c * b
         return Poly(quot), Poly(rem)
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("division was not exact")
-        return q
+        """self / other; ArithmeticError unless other divides self."""
+        if other.is_zero():
+            raise DivisionByZeroPoly("polynomial division by zero")
+        # other = c * prim / other.d with c its content, so self / other is
+        # (self.q / prim) * conj(c) * other.d / (self.d * |c|^2); the first
+        # quotient is over Z[i][z] by Gauss's lemma
+        cr, ci = _gz_content(other.q)
+        quot = _gz_exact_div(self.q, [_gi_exact_div(r, i, cr, ci) for r, i in other.q])
+        return _poly(_gz_mul(quot, [(cr * other.d, -ci * other.d)]),
+                     self.d * (cr * cr + ci * ci))
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        if lead == _GR_ONE:
+        lr, li = self.q[-1]
+        if lr == self.d and not li:
             return self
-        return Poly([c / lead for c in self.coeffs])
+        # the leading coefficient is (lr + li i) / d
+        return _poly(_gz_mul(self.q, [(lr, -li)]), lr * lr + li * li)
 
     def derivative(self) -> "Poly":
-        return Poly([c * n for n, c in enumerate(self.coeffs) if n > 0])
+        return _poly([(n * r, n * i) for n, (r, i) in enumerate(self.q) if n], self.d)
 
-    def eval_exact(self, z: GaussianRational) -> GaussianRational:
-        acc = _GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+    def eval_exact(self, z) -> GaussianRational:
+        """The value at z = (a + b i)/e, by Horner's rule over Z[i] on
+        sum q_n (a + b i)^n e^(deg - n), over d e^deg."""
+        if not self.q:
+            return _GR_ZERO
+        z = GaussianRational.of(z)
+        zr, zi, e = z._a, z._b, z._d
+        (ar, ai), w = self.q[-1], 1
+        for r, i in reversed(self.q[:-1]):
+            w *= e
+            ar, ai = ar * zr - ai * zi + r * w, ar * zi + ai * zr + i * w
+        return _make(ar, ai, self.d * w)
 
     def _float_coeffs(self) -> tuple[complex, ...]:
         """The coefficients as complex floats, converted once;
         RootFindingFailure names a coefficient beyond float range."""
         fc = self._fc
         if fc is None:
-            fc = []
-            for n, c in enumerate(self.coeffs):
-                try:
-                    fc.append(complex(c))
+            d, fc = self.d, []
+            for n, (r, i) in enumerate(self.q):
+                try:  # int true division is correctly rounded
+                    fc.append(complex(r / d, i / d))
                 except OverflowError:
+                    c = self.coeffs[n]
                     bits = max(abs(c._a), abs(c._b)).bit_length() - c._d.bit_length()
                     raise RootFindingFailure(
                         f"the coefficient of z^{n}, of magnitude about 2^{bits}, "
                         "is beyond float range") from None
             fc = tuple(fc)
-            object.__setattr__(self, "_fc", fc)
+            _set_fc(self, fc)
         return fc
 
     def eval_complex(self, z: complex) -> complex:
@@ -610,10 +614,10 @@ class Poly:
         return count
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.q, self.d))
 
     def __str__(self) -> str:
         return _format_poly(self)
@@ -622,25 +626,20 @@ class Poly:
         return f"Poly({_format_poly(self)})"
 
 
+_set_poly_q = Poly.q.__set__
+_set_poly_d = Poly.d.__set__
+_set_coeffs = Poly._coeffs.__set__
+_set_fc = Poly._fc.__set__
 _P_ZERO = Poly()
 _P_ONE = Poly([1])
 _P_Z = Poly([0, 1])
-_set_coeffs = Poly.coeffs.__set__
-_set_fc = Poly._fc.__set__
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor (see _gz_gcd)."""
     if a.is_zero() or b.is_zero():
         return (b if a.is_zero() else a).monic()
-    return _gz_poly(_gz_gcd(_gz_cleared(a)[0], _gz_cleared(b)[0])).monic()
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return _P_ZERO
-    g = poly_gcd(a, b)
-    return (a * b if g.degree == 0 else (a * b).exact_div(g)).monic()
+    return _poly(_gz_gcd(a.q, b.q)).monic()
 
 
 def _term_str(coef: GaussianRational, power: int) -> str:
@@ -662,12 +661,7 @@ def _term_str(coef: GaussianRational, power: int) -> str:
 def _format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    terms = []
-    for power in range(p.degree, -1, -1):
-        c = p.coeffs[power]
-        if not c:
-            continue
-        terms.append(_term_str(c, power))
+    terms = [_term_str(c, power) for power, c in reversed(list(enumerate(p.coeffs))) if c]
     out = terms[0]
     for t in terms[1:]:
         if t.startswith("-") and not t.startswith("-("):
@@ -688,11 +682,10 @@ class RatFunc:
         if num.is_zero():
             num, den = _P_ZERO, _P_ONE
         elif den.degree > 0:  # a constant denominator has only unit gcds
-            (qn, dn), (qd, dd) = _gz_cleared(num), _gz_cleared(den)
-            g = _gz_gcd(qn, qd)
+            g = _gz_gcd(num.q, den.q)
             if len(g) > 1:
-                num = _gz_poly(_gz_exact_div(qn, g), dn)
-                den = _gz_poly(_gz_exact_div(qd, g), dd)
+                num = _poly(_gz_exact_div(num.q, g), num.d)
+                den = _poly(_gz_exact_div(den.q, g), den.d)
         self._set_monic(num, den)
 
     @staticmethod
@@ -703,9 +696,10 @@ class RatFunc:
         return out
 
     def _set_monic(self, num: Poly, den: Poly) -> None:
-        lead = den.leading()
-        if lead != _GR_ONE:
-            num = Poly([c / lead for c in num.coeffs])
+        lr, li = den.q[-1]
+        if lr != den.d or li:
+            # num over den's leading coefficient (lr + li i) / den.d
+            num = _poly(_gz_mul(num.q, [(lr * den.d, -li * den.d)]), num.d * (lr * lr + li * li))
             den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -754,18 +748,13 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = RatFunc.of(other)
-        if self.den.degree == other.den.degree == 0:  # monic: both are 1
-            return RatFunc(self.num - other.num)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -RatFunc.of(other)
 
     def __rsub__(self, other):
         return RatFunc.of(other) - self
 
     def __mul__(self, other):
         other = RatFunc.of(other)
-        if self.den.degree == other.den.degree == 0:  # monic: both are 1
-            return RatFunc(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -780,7 +769,7 @@ class RatFunc:
         return RatFunc.of(other) / self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -799,10 +788,8 @@ class RatFunc:
         return self.num.eval_complex(z) / self.den.eval_complex(z)
 
     def eval_exact(self, z: GaussianRational) -> GaussianRational:
-        d = self.den.eval_exact(z)
-        if not d:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval_exact(z) / d
+        """The value at z; ZeroDivisionError at a pole."""
+        return self.num.eval_exact(z) / self.den.eval_exact(z)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -824,22 +811,9 @@ _R_ONE = RatFunc(_P_ONE)
 _R_Z = RatFunc(_P_Z)
 
 
-def ratfunc_arith(lhs: RatFunc, rhs: RatFunc, kind: str) -> RatFunc:
-    """Exact field arithmetic; kind is one of add|sub|mul|div."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 # --- expression parser -----------------------------------------------------
 
-_SYMBOLS = set("+-*/^()")
+_CHAR_TOKENS = set("+-*/^()iz")
 # a larger power would be computed in full before any error could be raised
 _MAX_EXPONENT = 64
 # a power may not raise the degree of the numerator or denominator the
@@ -872,11 +846,7 @@ def _tokenize(text: str) -> list:
                     f"integer literal of {j - i} digits at position {i} is too long") from None
             i = j
             continue
-        if ch in ("i", "z"):
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch in _SYMBOLS:
+        if ch in _CHAR_TOKENS:
             tokens.append((ch, ch))
             i += 1
             continue
@@ -911,7 +881,7 @@ class _Parser:
     def parse(self) -> RatFunc:
         num, den = self.expr()
         self.expect("end")
-        return RatFunc(_gz_poly(num), _gz_poly(den))
+        return RatFunc(_poly(num), _poly(den))
 
     def expr(self) -> tuple[list, list]:
         num, den = self.term()
@@ -1079,17 +1049,18 @@ def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], li
     lcm = _P_ONE
     for c in coeffs:
         if c.den.degree > 0:
-            lcm = poly_lcm(lcm, c.den)
+            lcm = (lcm * c.den).exact_div(poly_gcd(lcm, c.den)).monic()
     forms = []
     for c in coeffs:
         p = c.num
         if c.den != lcm:
             p = p * (lcm if c.den.degree == 0 else lcm.exact_div(c.den))
-        forms.append(_gz_cleared(p))
-    lcm_form, lcm_d = _gz_cleared(lcm)
-    scale = math.lcm(lcm_d, *(d for _, d in forms))
-    return ([[(r * (scale // d), i * (scale // d)) for r, i in q] for q, d in forms],
-            [(r * (scale // lcm_d), i * (scale // lcm_d)) for r, i in lcm_form])
+        forms.append(p)
+    forms.append(lcm)
+    scale = math.lcm(*(p.d for p in forms))
+    *entries, factor = [[(r * (scale // p.d), i * (scale // p.d)) for r, i in p.q]
+                        for p in forms]
+    return entries, factor
 
 
 def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[list, list, list]:
@@ -1134,7 +1105,7 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
         g = _gz_gcd(den, g)
         num, den = _gz_exact_div(num, g), _gz_exact_div(den, g)
         g = _gz_gcd(g, num)
-    return RatFunc._reduced(_gz_poly(num), _gz_poly(den))
+    return RatFunc._reduced(_poly(num), _poly(den))
 
 
 def discriminant(eq) -> RatFunc:

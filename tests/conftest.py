@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from algebroid.surface import DefiningEquation
@@ -25,3 +27,19 @@ def circle_eq():
 def split_eq():
     """W^2 - z^2 = 0: reducible, branches +-z."""
     return DefiningEquation.from_strings(["0", "-z^2"])
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds) makes the test raise TimeoutError once that much
+    wall time has passed, so that a test of a known hang fails and does not
+    stall the suite. Runs in the main thread only, on a platform with
+    SIGALRM; the timer is disarmed when the test ends."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

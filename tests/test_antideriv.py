@@ -569,6 +569,48 @@ def test_certificate_accepts_planted_and_rejects_shifted(planted, data):
     assert not _certify(eq, r[:i] + [shifted] + r[i + 1:])
 
 
+def test_certificate_skips_a_check_point_at_a_pole_of_r():
+    from algebroid.antideriv import _CHECK_POINTS, _certify
+
+    # M = sqrt(z) / (z - a) has M' = W for W^2 = z g^2, g = -(z + a) / (2 z (z - a)^2),
+    # and M = r_1 W with r_1 = -2 z (z - a) / (z + a): a pole at the first point
+    z, z0 = RatFunc.z(), _CHECK_POINTS[0]
+    a = RatFunc.constant(-z0)
+    g = -(z + a) / (2 * z * (z - a) ** 2)
+    eq = DefiningEquation(2, [RatFunc.zero(), -z * g * g])
+    r1 = 1 / (g * (z - a))
+    with pytest.raises(ZeroDivisionError):
+        r1.eval_exact(z0)
+    assert _certify(eq, [RatFunc.zero(), r1])
+    assert not _certify(eq, [RatFunc.zero(), r1 + z])
+
+
+def test_draw_whose_exact_certificate_ran_for_minutes_ends_in_time(time_limit):
+    # W = M' for M = sum r_i W0^i, W0^3 = p = -2 z^2, so W = sum s_i W0^i with
+    # s_i = r_i' + (i/3) r_i p'/p. The retry's fit snaps r_i of degrees near
+    # (9, 7), and their exact certificate spent minutes in one gcd: the
+    # defect at a fixed point refuses them in milliseconds
+    from algebroid.antideriv import _coeffs_from_power_sums
+
+    time_limit(30)
+    psi0 = DefiningEquation.from_strings(["0", "0", "2*z^2"])
+    p = rf("-2*z^2")
+    r = [rf("(2+2*i)*z^2 - 2*i*z - 1 - i"), rf("(2+2*i)*z^2 + (1-i)*z - 1 + 2*i"),
+         rf("(-2+i)*z^2 + (-2+i)*z - 2")]
+    s = [ri.derivative() + RatFunc.constant(GaussianRational.of(i) / 3) * ri * p.derivative() / p
+         for i, ri in enumerate(r)]
+    eq = DefiningEquation(3, _coeffs_from_power_sums(psi0, s))
+    z0 = 3 - 1j
+    w0 = (-2 * z0**2) ** (1 / 3)  # the principal branch of W0
+    w = sum(si.eval_complex(z0) * w0**i for i, si in enumerate(s))
+    c = sum(ri.eval_complex(z0) * w0**i for i, ri in enumerate(r))
+    try:
+        model = build_antiderivative(eq, SurfacePoint(z0, w), c=c)
+    except FitNotConverged:
+        return
+    assert list(model.coeffs) == _coeffs_from_power_sums(psi0, r)
+
+
 # --- the constant family ------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Exact-arithmetic layer: parser, field ops, resultants, Laurent orders."""
 
 import math
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -25,17 +27,15 @@ from algebroid.exactalg import (
     _bareiss_det,
     _cleared_det,
     _gi_exact_div,
-    _gz_cleared,
     _gz_euclid,
     _gz_exact_div,
     _gz_pack,
-    _gz_poly,
     _gz_unpack,
+    _poly,
     discriminant,
     laurent_order,
     parse_coefficient,
     poly_gcd,
-    ratfunc_arith,
     resultant_w,
     w_poly_derivative,
     w_poly_mul,
@@ -178,8 +178,8 @@ def tree_ratfunc(t) -> RatFunc:
         return -tree_ratfunc(t[1])
     if t[0] == "^":
         return tree_ratfunc(t[1]) ** t[2]
-    return ratfunc_arith(tree_ratfunc(t[1]), tree_ratfunc(t[2]),
-                         {"+": "add", "-": "sub", "*": "mul", "/": "div"}[t[0]])
+    op = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return op[t[0]](tree_ratfunc(t[1]), tree_ratfunc(t[2]))
 
 
 def tree_pair(t) -> tuple[Poly, Poly]:
@@ -233,6 +233,8 @@ def test_parse_matches_field_arithmetic_on_random_trees(tree):
     num, den = num.divmod(g)[0], den.divmod(g)[0]
     lead = den.leading()
     assert got.num == Poly([c / lead for c in num.coeffs]) and got.den == den.monic()
+    _assert_stored_form(got.num, [c / lead for c in num.coeffs])
+    _assert_stored_form(got.den, [c / lead for c in den.coeffs])
 
 
 def test_str_round_trip_on_awkward_cases():
@@ -247,21 +249,21 @@ def test_str_round_trip_on_awkward_cases():
 
 
 def test_additive_inverse():
-    assert ratfunc_arith(rf("1/z"), rf("-1/z"), "add") == RatFunc.zero()
+    assert rf("1/z") + rf("-1/z") == RatFunc.zero()
 
 
 def test_multiplicative_inverse():
-    assert ratfunc_arith(Z, rf("1/z"), "mul") == ONE
+    assert Z * rf("1/z") == ONE
 
 
 def test_division_reduces():
     # (z^2-1)/(z-1) = z+1 by long division
-    assert ratfunc_arith(rf("z^2-1"), rf("z-1"), "div") == rf("z+1")
+    assert rf("z^2-1") / rf("z-1") == rf("z+1")
 
 
 def test_division_by_zero_function():
     with pytest.raises(DivisionByZeroPoly):
-        ratfunc_arith(ONE, RatFunc.zero(), "div")
+        ONE / RatFunc.zero()
 
 
 small_fracs = st.fractions(
@@ -412,8 +414,7 @@ def test_gcd_is_the_same_with_and_without_the_modular_test(a, b, common):
     want = divmod_gcd(a, b)
     assert poly_gcd(a, b) == want
     if not a.is_zero() and not b.is_zero():
-        euclid = _gz_euclid(_gz_cleared(a)[0], _gz_cleared(b)[0])
-        assert _gz_poly(euclid).monic() == want
+        assert _poly(_gz_euclid(a.q, b.q)).monic() == want
 
 
 def test_modular_test_refuses_images_that_lose_a_degree_or_share_a_factor():
@@ -424,6 +425,67 @@ def test_modular_test_refuses_images_that_lose_a_degree_or_share_a_factor():
     assert poly_gcd(lead_p * Poly([2, 1]), Poly([2, 1]) * Poly([3, 1])) == Poly([2, 1])
     den_p = Poly([GaussianRational(Fraction(1, _MOD_P)), 1])
     assert poly_gcd(den_p * Poly([0, 1]), den_p * Poly([1, 1])) == den_p
+
+
+# --- the stored form of Poly -------------------------------------------------
+
+
+def _assert_stored_form(p: Poly, want) -> None:
+    """p is the canonical q / d, and its coeffs are want, a Gaussian-rational
+    reference, less trailing zeros."""
+    q, d = p.q, p.d
+    assert type(q) is tuple and type(d) is int and d > 0
+    assert all(type(r) is int and type(i) is int for r, i in q)
+    assert not q or q[-1] != (0, 0)
+    assert math.gcd(d, *(x for pair in q for x in pair)) == 1
+    want = list(want)
+    while want and not want[-1]:
+        want.pop()
+    assert p.coeffs == tuple(want)
+    assert p.coeffs == tuple(GaussianRational(Fraction(r, d), Fraction(i, d)) for r, i in q)
+
+
+HALF_ONE_PLUS_I = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+form_polys = st.lists(st.one_of(gaussian_rationals(), big_gaussians, st.just(HALF_ONE_PLUS_I)),
+                      max_size=4).map(Poly)
+
+
+@seed(27001)
+@settings(max_examples=150, deadline=None)
+@given(form_polys, form_polys, gaussian_rationals(), st.integers(0, 4))
+def test_every_operation_returns_the_canonical_stored_form(a, b, c, n):
+    ca, cb, zero = list(a.coeffs), list(b.coeffs), GaussianRational()
+    _assert_stored_form(a, ca)
+    _assert_stored_form(a + b, [x + y for x, y in zip_longest(ca, cb, fillvalue=zero)])
+    _assert_stored_form(a - b, [x - y for x, y in zip_longest(ca, cb, fillvalue=zero)])
+    _assert_stored_form(a * b, schoolbook(a, b).coeffs)
+    power = Poly([1])
+    for _ in range(n):
+        power = schoolbook(power, a)
+    _assert_stored_form(a**n, power.coeffs)
+    _assert_stored_form(a.scale(c), [x * c for x in ca])
+    _assert_stored_form(a.derivative(), [x * k for k, x in enumerate(ca) if k])
+    _assert_stored_form(a.monic(), [x / ca[-1] for x in ca] if ca else [])
+    monic_b = [x / cb[-1] for x in cb] if cb else []
+    _assert_stored_form(poly_gcd(schoolbook(a, b), b), monic_b)
+    if not b.is_zero():
+        _assert_stored_form(schoolbook(a, b).exact_div(b), ca)
+        quot, rem = a.divmod(b)
+        _assert_stored_form(quot, quot.coeffs)
+        _assert_stored_form(rem, rem.coeffs)
+        back = schoolbook(quot, b).coeffs
+        assert rem.degree < b.degree
+        assert [x + y for x, y in zip_longest(back, rem.coeffs, fillvalue=zero)] == ca
+        _assert_stored_form(poly_gcd(a, b), divmod_gcd(a, b).coeffs)
+
+
+def test_square_of_half_one_plus_i_is_i_over_two():
+    # the raw product is 2i / 4: one gcd brings it to i / 2
+    h = Poly([HALF_ONE_PLUS_I])
+    for got in (h * h, h**2, h.scale(HALF_ONE_PLUS_I)):
+        assert (got.q, got.d) == (((0, 1),), 2)
+        _assert_stored_form(got, [GaussianRational(0, Fraction(1, 2))])
+    assert (Poly([0, HALF_ONE_PLUS_I]) ** 2).q == ((0, 0), (0, 0), (0, 1))
 
 
 # --- resultants -------------------------------------------------------------
