@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two source trees against each other on benchmark cases, in one process.
 
-    python3 scripts/ab_cases.py SRC_A SRC_B DIR... [--reps N]
+    python3 scripts/ab_cases.py SRC_A SRC_B DIR... [--reps N] [--slots]
 
 Imports algebroid from SRC_A/src and from SRC_B/src, each only from there (as
 ``replay_cases.py run`` does), and keeps each tree's algebroid modules apart:
@@ -15,7 +15,10 @@ call alone.
 Prints per workload the number of cases, the median seconds of one
 operation on A and on B, the median over the cases of the ratio of a case's
 median seconds on B to those on A, and how many cases give the same exit
-code and standard output on both trees in every rep.
+code and standard output on both trees in every rep. With --slots it prints
+the same medians and ratio under each workload for each of its slots, a
+slot being a case stem without its NNN-NN- prefix (e.g. audit-k2-2pts-a),
+so that a claim can name the cost class it moves.
 
 It is for quick sizing: a claimed gain is measured with benchmark/run.py and
 scripts/bench_summary.py. Standard library only.
@@ -24,6 +27,7 @@ scripts/bench_summary.py. Standard library only.
 import argparse
 import contextlib
 import io
+import re
 import statistics
 import sys
 import time
@@ -90,17 +94,29 @@ def compare(trees: tuple, dirs: list, reps: int) -> dict:
     return found
 
 
-def summary(found: dict) -> list:
+def _slot(case: str) -> str:
+    """The slot of a case DIR name/stem: the stem without its NNN-NN- prefix."""
+    return re.sub(r"^\d+-\d+-", "", case.rsplit("/", 1)[-1])
+
+
+def _medians(a: dict, b: dict, cases: list) -> str:
+    ratio = statistics.median(statistics.median(b[c]) / statistics.median(a[c]) for c in cases)
+    return (f"A median {statistics.median(s for c in cases for s in a[c]):.6f} s, "
+            f"B median {statistics.median(s for c in cases for s in b[c]):.6f} s, "
+            f"per-case B/A median {ratio:.4f}")
+
+
+def summary(found: dict, slots: bool = False) -> list:
     lines = []
     for workload, entry in sorted(found.items()):
         a, b = entry["a"], entry["b"]
-        ratio = statistics.median(statistics.median(b[c]) / statistics.median(a[c]) for c in a)
-        lines.append(
-            f"{workload}: cases {len(a)}, "
-            f"A median {statistics.median(s for c in a for s in a[c]):.6f} s, "
-            f"B median {statistics.median(s for c in b for s in b[c]):.6f} s, "
-            f"per-case B/A median {ratio:.4f}, "
-            f"identical {len(a) - len(entry['differ'])} of {len(a)}")
+        lines.append(f"{workload}: cases {len(a)}, {_medians(a, b, list(a))}, "
+                     f"identical {len(a) - len(entry['differ'])} of {len(a)}")
+        by_slot: dict = {}
+        for case in a if slots else ():
+            by_slot.setdefault(_slot(case), []).append(case)
+        for slot, cases in sorted(by_slot.items()):
+            lines.append(f"  {slot}: cases {len(cases)}, {_medians(a, b, cases)}")
     return lines
 
 
@@ -110,9 +126,11 @@ def main(argv: list) -> int:
     parser.add_argument("src_b", type=Path)
     parser.add_argument("dirs", nargs="+")
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--slots", action="store_true",
+                        help="also summarize each slot of a workload")
     args = parser.parse_args(argv)
     trees = load(args.src_a), load(args.src_b)
-    print(*summary(compare(trees, args.dirs, args.reps)), sep="\n")
+    print(*summary(compare(trees, args.dirs, args.reps), args.slots), sep="\n")
     return 0
 
 

@@ -411,7 +411,7 @@ def _psi(eq: DefiningEquation) -> list[RatFunc]:
     return list(reversed(eq.coeffs)) + [RatFunc.one()]
 
 
-def _mod_psi(f: Sequence[RatFunc], psi: Sequence[RatFunc]) -> list[RatFunc]:
+def _mod_psi(f: Sequence, psi: Sequence) -> list:
     """f reduced modulo the monic Psi: ascending in W, at most k terms."""
     k = len(psi) - 1
     f = list(f)
@@ -429,13 +429,13 @@ _CHECK_POINTS = (GaussianRational(Fraction(1, 3), Fraction(2, 7)),
                  GaussianRational(Fraction(5, 13), Fraction(-7, 17)))
 
 
-def _defect(psi: list, psi_z: list, r: list, r_z: list) -> list[RatFunc]:
+def _defect(psi: list, psi_z: list, r: list, r_z: list) -> list:
     """Psi_W (sum r_i' W^i - W) - Psi_z sum i r_i W^(i-1) mod Psi, ascending in
     W, from the coefficients ascending in W of the monic Psi, Psi_z, R = sum
-    r_i W^i and R_z: as functions of z, or as their values at one point."""
-    zero = RatFunc.zero()
-    r_z_less_w = [a - b for a, b in itertools.zip_longest(
-        r_z, [zero, RatFunc.one()], fillvalue=zero)]
+    r_i W^i and R_z: as RatFuncs of z, or as their values at one point."""
+    one = psi[-1]  # Psi is monic
+    zero = one - one
+    r_z_less_w = [a - b for a, b in itertools.zip_longest(r_z, [zero, one], fillvalue=zero)]
     left = w_poly_mul(w_poly_derivative(psi), r_z_less_w)
     right = w_poly_mul(psi_z, w_poly_derivative(r))
     defect = [a - b for a, b in itertools.zip_longest(left, right, fillvalue=zero)]
@@ -452,7 +452,7 @@ def _certify(eq: DefiningEquation, r: Sequence[RatFunc]) -> bool:
     forms = (psi, [a.derivative() for a in psi], list(r), [ri.derivative() for ri in r])
     for z0 in _CHECK_POINTS:
         try:
-            values = [[RatFunc.constant(c.eval_exact(z0)) for c in cs] for cs in forms]
+            values = [[c.eval_exact(z0) for c in cs] for cs in forms]
         except ZeroDivisionError:  # a pole at z0
             continue
         if not all(d.is_zero() for d in _defect(*values)):

@@ -28,7 +28,7 @@ from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, in_order
 from .puiseux import _local_data, _radius, singular_elements
-from .quad import _residue_loops, path_independence_audit, surface_integral
+from .quad import _integrated, _residue_lifts, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
 
@@ -416,7 +416,8 @@ def _residues(args, problem, tol, rng, inputs):
     # every center's outer turn integrated in one batch; the first refusal
     # in center order is raised
     if args.contour_check:
-        local = in_order(lambda cs: _residue_loops(problem.eq, cs, args.radius, tol), locations)
+        local = in_order(lambda cs: _integrated(*_residue_lifts(problem.eq, cs, args.radius, tol)),
+                         locations)
     else:
         local = [(report, None) for report, _ in
                  in_order(lambda cs: _local_data(problem.eq, cs, args.radius, tol), locations)]

@@ -142,6 +142,9 @@ class GaussianRational:
     def __bool__(self):
         return bool(self._a or self._b)
 
+    def is_zero(self) -> bool:
+        return not (self._a or self._b)
+
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
             return NotImplemented
@@ -968,31 +971,33 @@ def parse_coefficient(text: str) -> RatFunc:
 
 # --- resultants and discriminants ------------------------------------------
 
-WPoly = Sequence[RatFunc]  # ascending coefficients in W
+# ascending coefficients in W, in a ring with +, -, * and is_zero: RatFunc,
+# or GaussianRational for the values at one point
+WPoly = Sequence
 
 
-def _trim_w(f: WPoly) -> list[RatFunc]:
-    out = [RatFunc.of(c) for c in f]
+def _trim_w(f: WPoly) -> list:
+    out = list(f)
     while out and out[-1].is_zero():
         out.pop()
     return out
 
 
-def w_poly_mul(f: WPoly, g: WPoly) -> list[RatFunc]:
+def w_poly_mul(f: WPoly, g: WPoly) -> list:
     a, b = _trim_w(f), _trim_w(g)
     if not a or not b:
         return []
-    out = [_R_ZERO] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
+            out[i + j] = ca * cb if out[i + j] is None else out[i + j] + ca * cb
     return _trim_w(out)
 
 
-def w_poly_derivative(f: WPoly) -> list[RatFunc]:
+def w_poly_derivative(f: WPoly) -> list:
     # n * num and den stay coprime for an integer n > 0: no gcd is needed
-    return _trim_w([RatFunc._reduced(c.num.scale(n), c.den)
-                    for n, c in enumerate(_trim_w(f)) if n > 0])
+    return _trim_w([RatFunc._reduced(c.num.scale(n), c.den) if isinstance(c, RatFunc)
+                    else c * n for n, c in enumerate(_trim_w(f)) if n > 0])
 
 
 def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]]:

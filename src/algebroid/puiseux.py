@@ -297,11 +297,12 @@ def residue_by_contour(eq: DefiningEquation, a: complex, cycle: Sequence[int],
     Raises LiftNotClosed when the sheets are not a cycle of the monodromy
     about a, since the m-turn lift then does not close.
     """
-    from .quad import _cycle_loop_values  # quad imports this module
+    from .quad import _cycle_lifts, _integrated  # quad imports this module
 
     epsilon = _radius(eq, a, epsilon, tol)
     turn = _circle(eq, a, fiber_at(eq, a + epsilon, tol).roots, epsilon, tol)
-    ((value,),) = _cycle_loop_values([((None, _permutation(turn), turn), [tuple(cycle)])], tol)
+    ((value,),) = _integrated(*_cycle_lifts([((None, _permutation(turn), turn),
+                                              [tuple(cycle)])], tol))
     return value / (2j * math.pi)
 
 
@@ -328,7 +329,7 @@ def singular_elements(eq: DefiningEquation, a: complex,
 def _local_data(eq: DefiningEquation, centers: Sequence[complex], epsilon: Optional[float],
                 tol: Tolerances) -> list:
     """Per center: singular_elements' report with the outer turn it was read
-    from, whose walked circle quad._cycle_loop_values integrates; the turns
+    from, whose walked circle quad._cycle_lifts integrates; the turns
     of all the centers are read in one pass (_local_turns)."""
     radii = [_radius(eq, a, epsilon, tol) for a in centers]
     data = []

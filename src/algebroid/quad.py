@@ -3,12 +3,13 @@
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
 until the whole-piece and two-half estimates agree. Bisection runs over
-the whole fiber: the first read takes the whole segment and its two
-halves, each later read the halves of the pieces that failed, and a piece
-is split until every sheet passes its own test. fiber_integral returns the
-whole fiber's integrals, and surface_integral is one sheet's column of
-them. Because admissible paths keep a margin from the critical set, the
-integrand is analytic and the per-piece rule converges spectrally.
+the whole fiber: the first read takes the whole segment, its halves and
+its quarters, so a segment whose whole fails takes its second level with
+no read; each later read takes the halves of the pieces that failed, and
+a piece is split until every sheet passes its own test. fiber_integral
+returns the whole fiber's integrals, and surface_integral is one sheet's
+column of them. Because admissible paths keep a margin from the critical
+set, the integrand is analytic and the per-piece rule converges spectrally.
 
 _integrate takes many paths at once. Each path is walked segment by
 segment from its own start fiber by tracker._walk, which checks the margin
@@ -20,15 +21,17 @@ quadrature takes the tracker's own steps and no step per node. A segment
 sees the reads, stops and re-walks it would see alone, so every value is
 the one a path integrated alone gets, and one path is a batch of one. A
 batch raises the first refusal it meets; the callers that batch their paths
-(the audit's c_ab paths, SheetRouter's loops, the grid connectors, the
-contour residues of all centers) run the batch through errors.in_order,
-which then runs each path alone in turn, so the refusal raised is the first
-in path order: the one integrating the paths one after another raises.
-Residue checks take the local data of all their centers from
-puiseux._local_data, the one route to it, which reads every Puiseux turn of
-every center in one pass. They integrate the outer turns, every center's
-walked circle in one batch (_cycle_loop_values), for the m-turn loop
-integrals, as residue_by_contour and the CLI do.
+(SheetRouter's loops, the grid connectors, the contour residues of all
+centers, the audit's c_ab paths with its centers' turns) run the batch
+through errors.in_order, which then runs each job alone in turn, so the
+refusal raised is the first in job order: the one doing the jobs one after
+another raises. Each kind of integral is staged as its lifts and the
+function that finishes their integrals (_surface_lifts, _c_ab_lifts,
+_cycle_lifts, _residue_lifts), so one batch can hold several kinds. Residue
+checks take the local data of all their centers from puiseux._local_data,
+which reads every Puiseux turn of every center in one pass, and integrate
+every center's outer turn in one batch for the m-turn loop integrals, as
+residue_by_contour and the CLI do.
 """
 
 from __future__ import annotations
@@ -134,29 +137,37 @@ def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
     return reads
 
 
+def _halves(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of each piece [t0[i], t1[i]] in turn."""
+    tm = 0.5 * (t0 + t1)
+    return np.array((t0, tm)).T.ravel(), np.array((tm, t1)).T.ravel()
+
+
 class _Bisection:
     """Adaptive bisection of one walked segment: its pending pieces [t0, t1]
     with their whole-piece values (None before the first read, which takes
-    the whole segment and its two halves), and the sums of values and error
-    estimates it accepted at each level (_take). A piece is split until every
-    fiber position passes its own test."""
+    the whole segment, its halves and its quarters), the rows of its next
+    level when the first read took them ahead (else None), and the sums of
+    values and error estimates it accepted at each level (_take). A piece is
+    split until every fiber position passes its own test."""
 
-    __slots__ = ("walked", "quad_tol", "tol_abs", "t0", "t1", "whole", "depth", "accepted",
-                 "done")
+    __slots__ = ("walked", "quad_tol", "tol_abs", "t0", "t1", "whole", "ahead", "depth",
+                 "accepted", "done")
 
     def __init__(self, walked: _WalkedSegment, share: float, tol: Tolerances):
         self.walked, self.quad_tol = walked, tol.quad_tol
         self.tol_abs = tol.quad_tol * max(share, 1e-3)
-        self.t0, self.t1, self.whole = np.zeros(1), np.ones(1), None
+        self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
         self.depth, self.accepted, self.done = 0, [], False
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """The pieces its next read needs: the two halves of each pending
-        piece in turn, after the pending pieces themselves on the first read."""
-        tm = 0.5 * (self.t0 + self.t1)
-        t0, t1 = np.array((self.t0, tm)).T.ravel(), np.array((tm, self.t1)).T.ravel()
+        piece in turn; on the first read the pending pieces themselves before
+        them and the halves of those halves after them."""
+        t0, t1 = _halves(self.t0, self.t1)
         if self.whole is None:
-            return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
+            q0, q1 = _halves(t0, t1)
+            return np.concatenate((self.t0, t0, q0)), np.concatenate((self.t1, t1, q1))
         return t0, t1
 
 
@@ -167,17 +178,20 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
     needs, or None.
 
     A part's first read holds its whole pieces in its first rows, which it
-    takes as whole before the test. The test of every pending piece of every
-    part is one array pass; each part then sums the values and error
-    estimates of its accepted pieces (the same sums, in the same order, as a
-    part taken alone) and keeps its failed pieces, halves as wholes, for the
-    next level.
+    takes as whole before the test, and the halves of its halves in its last
+    rows. The test of every pending piece of every part is one array pass;
+    each part then sums the values and error estimates of its accepted pieces
+    (the same sums, in the same order, as a part taken alone) and keeps its
+    failed pieces, halves as wholes, for the next level, with the rows of
+    their halves in ahead when its first read took them.
     """
     stalls = [None] * len(parts)
-    reads = list(reads)
+    reads, quarters = list(reads), [None] * len(parts)
     for n, part in enumerate(parts):
         if part.whole is None:
-            part.whole, reads[n] = np.split(reads[n], [len(part.t0)])
+            p = len(part.t0)
+            part.whole, reads[n], quarters[n] = np.split(reads[n], [p, 3 * p])
+        part.ahead = None
     t0, t1 = np.concatenate([p.t0 for p in parts]), np.concatenate([p.t1 for p in parts])
     tm = 0.5 * (t0 + t1)
     pairs = np.concatenate(reads).reshape(len(t0), 2, -1)
@@ -212,6 +226,8 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
         part.depth += 1
         keep = slice(2 * at[lo], 2 * at[hi])
         part.t0, part.t1, part.whole = next_t0[keep], next_t1[keep], next_whole[keep]
+        if quarters[n] is not None:
+            part.ahead = quarters[n].reshape(len(good), 4, -1)[~good].reshape(-1, pairs.shape[2])
     return stalls
 
 
@@ -253,13 +269,15 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
     its _Lift.result.
 
     The next pieces of every pending segment of every lift (the whole
-    segment and its halves at first, then the halves of the failed pieces)
-    are read in one _gauss call and tested in one _take pass per equation.
-    A segment is integrated exactly as alone: its reads, stops and re-walks
-    are its own. A segment walked again whose end fiber moves walks the rest
-    of its path again from there, since one after another each segment is
-    walked from the end of the one before once that is integrated. The
-    first refusal met is raised.
+    segment, its halves and its quarters at first, then the halves of the
+    failed pieces) are read in one _gauss call and tested in one _take pass
+    per equation; a segment that holds its next level's rows ahead is left
+    out of the read, and a level that every pending segment holds is not
+    read. A segment is integrated exactly as alone: its reads, stops and
+    re-walks are its own. A segment walked again whose end fiber moves walks
+    the rest of its path again from there, since one after another each
+    segment is walked from the end of the one before once that is
+    integrated. The first refusal met is raised.
     """
     while True:
         active = [(lift, j, part) for lift in lifts
@@ -267,8 +285,9 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
         if not active:
             return [lift.result() for lift in lifts]
         ends = [part.walked.end for _, _, part in active]
-        pieces = [part.pieces() for _, _, part in active]
-        reads = _gauss([part.walked for _, _, part in active], *zip(*pieces))
+        due = [part for _, _, part in active if part.ahead is None]
+        got = iter(_gauss([p.walked for p in due], *zip(*(p.pieces() for p in due))) if due else [])
+        reads = [next(got) if part.ahead is None else part.ahead for _, _, part in active]
         moved = [part.walked.end != end and j + 1 < len(lift.path.segments)
                  for (lift, j, part), end in zip(active, ends)]
         # a segment whose end moved walks the rest of its path again, so the
@@ -299,31 +318,39 @@ def _fiber_integrals(eq: DefiningEquation, starts: Sequence, tol: Tolerances) ->
     return _integrate([_Lift(eq, roots, path, tol) for roots, path in starts])
 
 
-def _surface_integrals(eq: DefiningEquation, jobs: Sequence, tol: Tolerances) -> list:
-    """surface_integral for each (start germ, path) of jobs, all the paths
-    integrated in one batch."""
+def _integrated(lifts: Sequence[_Lift], finish):
+    """A staged integral, its lifts integrated in one batch and finished."""
+    return finish(_integrate(lifts))
+
+
+def _surface_lifts(eq: DefiningEquation, jobs: Sequence, tol: Tolerances) -> tuple:
+    """The lifts of surface_integral for each (start germ, path) of jobs, and
+    the function that makes their SurfaceIntegralResults of their integrals."""
     germs = [germ_at(eq, germ.z, germ.w, tol) for germ, _ in jobs]
     starts = _start_fibers(eq, [(germ, path) for germ, (_, path) in zip(germs, jobs)], tol)
-    integrals = _fiber_integrals(eq, [(roots, path) for (*_, roots), (_, path)
-                                      in zip(starts, jobs)], tol)
-    results = []
-    for germ, (fiber0, pos, _), (_, path), integral in zip(germs, starts, jobs, integrals):
-        if not path.segments:
-            results.append(SurfaceIntegralResult(0j, 0.0, germ, True))
-            continue
-        values, errs, fiber = integral
-        end_sheet = match_to_fiber(fiber[pos], fiber0, tol) if path.is_closed() else None
-        results.append(SurfaceIntegralResult(values[pos], errs[pos],
+    lifts = [_Lift(eq, roots, path, tol) for (*_, roots), (_, path) in zip(starts, jobs)]
+
+    def results(integrals: Sequence) -> list:
+        out = []
+        for germ, (fiber0, pos, _), (_, path), integral in zip(germs, starts, jobs, integrals):
+            if not path.segments:
+                out.append(SurfaceIntegralResult(0j, 0.0, germ, True))
+                continue
+            values, errs, fiber = integral
+            end_sheet = match_to_fiber(fiber[pos], fiber0, tol) if path.is_closed() else None
+            out.append(SurfaceIntegralResult(values[pos], errs[pos],
                                              SurfacePoint(path.end_z, fiber[pos]),
                                              end_sheet == pos, end_sheet))
-    return results
+        return out
+
+    return lifts, results
 
 
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
                      tol: Tolerances = DEFAULT) -> SurfaceIntegralResult:
     """Integral of w(z) dz along the lift of the path from the start germ;
     PathTooCloseToCritical when the path enters tracker._path_margin."""
-    return _surface_integrals(eq, [(start, path)], tol)[0]
+    return _integrated(*_surface_lifts(eq, [(start, path)], tol))[0]
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
@@ -356,29 +383,31 @@ def closed_loop_integral(eq: DefiningEquation, start: SurfacePoint, loop: BasePa
     return res
 
 
-def _cycle_loop_values(entries: Sequence, tol: Tolerances) -> list:
+def _cycle_lifts(entries: Sequence, tol: Tolerances) -> tuple:
     """For each (turn, cycles) of entries, turn a Puiseux turn (rows,
-    permutation, walked circle) as puiseux._sampled gives it: per cycle the
-    integral of w dz over the m-turn circle lifted from sheet cycle[0],
-    m = len(cycle), the sum of the one-turn integrals of the sheets that lift
-    passes, read through the turn's permutation. Every walked circle is
-    integrated in one batch."""
+    permutation, walked circle) as puiseux._sampled gives it: the lift of the
+    walked circle, and the function that makes of their integrals, per entry
+    and cycle, the integral of w dz over the m-turn circle lifted from sheet
+    cycle[0], m = len(cycle): the sum of the one-turn integrals of the sheets
+    that lift passes, read through the turn's permutation."""
     lifts = [_Lift(walked.eq, walked.start, BasePath((walked.seg,)), tol, walked)
              for (_, _, walked), _ in entries]
-    return [[sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
-            for ((_, sigma, _), cycles), (values, _, _) in zip(entries, _integrate(lifts))]
+    return lifts, lambda integrals: [
+        [sum((values[s] for s in _lift_sheets(sigma, c)), 0j) for c in cycles]
+        for ((_, sigma, _), cycles), (values, _, _) in zip(entries, integrals)]
 
 
-def _residue_loops(eq: DefiningEquation, centers: Sequence[complex],
-                   epsilon: Optional[float], tol: Tolerances) -> list:
-    """Per center: its singular_elements report and the m-turn loop integral
-    of each of its cycles. The Puiseux turns of every center are read in one
-    pass (puiseux._local_data), and every center's outer turn is integrated
-    in one batch (_cycle_loop_values)."""
+def _residue_lifts(eq: DefiningEquation, centers: Sequence[complex],
+                   epsilon: Optional[float], tol: Tolerances) -> tuple:
+    """The lifts of every center's outer turn, once the Puiseux turns of every
+    center are read in one pass (puiseux._local_data), and the function that
+    makes of their integrals, per center, its singular_elements report and
+    the m-turn loop integral of each of its cycles (_cycle_lifts)."""
     local = _local_data(eq, centers, epsilon, tol)
-    loops = _cycle_loop_values([(turn, [c.sheets for c in report.cycles])
-                                for report, turn in local], tol)
-    return [(report, values) for (report, _), values in zip(local, loops)]
+    lifts, loops = _cycle_lifts([(turn, [c.sheets for c in report.cycles])
+                                 for report, turn in local], tol)
+    return lifts, lambda integrals: [(report, values) for (report, _), values
+                                     in zip(local, loops(integrals))]
 
 
 def _residue_checks(a: complex, report, loops: Sequence[complex]) -> list[ResidueCheck]:
@@ -386,17 +415,9 @@ def _residue_checks(a: complex, report, loops: Sequence[complex]) -> list[Residu
     checks = []
     for c, value in zip(report.cycles, loops):
         expected = 2j * math.pi * c.residue
-        checks.append(
-            ResidueCheck(
-                center=a,
-                cycle=c.sheets,
-                m=c.expansion.m,
-                loop_value=value,
-                residue=c.residue,
-                expected=expected,
-                discrepancy=abs(value - expected),
-            )
-        )
+        checks.append(ResidueCheck(center=a, cycle=c.sheets, m=c.expansion.m, loop_value=value,
+                                   residue=c.residue, expected=expected,
+                                   discrepancy=abs(value - expected)))
     return checks
 
 
@@ -404,14 +425,15 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
                           epsilon: Optional[float] = None,
                           tol: Tolerances = DEFAULT) -> list[ResidueCheck]:
     """Per cycle at a: the m-turn loop integral against 2*pi*i times the residue."""
-    ((report, loops),) = _residue_loops(eq, [a], epsilon, tol)
+    ((report, loops),) = _integrated(*_residue_lifts(eq, [a], epsilon, tol))
     return _residue_checks(a, report, loops)
 
 
-def _c_abs(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
-           paths: Sequence[BasePath], tol: Tolerances) -> list:
-    """c_ab along each path as an IntegralElement, all the paths integrated
-    in one batch; the fiber over the target is solved once, after it."""
+def _c_ab_lifts(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
+                paths: Sequence[BasePath], tol: Tolerances) -> tuple:
+    """The lifts of c_ab along each path, and the function that makes their
+    IntegralElements of their integrals; the fiber over the target is solved
+    once, after the integrals."""
     b, t = germ_at(eq, base.z, base.w, tol), germ_at(eq, target.z, target.w, tol)
     for path in paths:
         if not path.segments:
@@ -422,33 +444,50 @@ def _c_abs(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
                 raise EndpointGermMismatch("empty path cannot connect different sheets")
         elif not same_z(path.end_z, t.z):
             raise ValueError(f"path ends at {path.end_z}, target sits at {t.z}")
-    integrals = _surface_integrals(eq, [(b, path) for path in paths], tol)
-    fiber = fiber_at(eq, t.z, tol) if any(path.segments for path in paths) else None
-    for path, res in zip(paths, integrals):
-        if path.segments:
-            got = match_to_fiber(res.endpoint.w, fiber, tol)
-            want = match_to_fiber(t.w, fiber, tol)
-            if got != want:
-                raise EndpointGermMismatch(
-                    f"lift reaches z={t.z} on sheet {got}, target germ is sheet {want}"
-                )
-    return [IntegralElement(b, t, res.value) for res in integrals]  # 0j on an empty path
+    lifts, results = _surface_lifts(eq, [(b, path) for path in paths], tol)
+
+    def elements(integrals: Sequence) -> list:
+        ends = results(integrals)
+        fiber = fiber_at(eq, t.z, tol) if any(path.segments for path in paths) else None
+        for path, res in zip(paths, ends):
+            if path.segments:
+                got = match_to_fiber(res.endpoint.w, fiber, tol)
+                want = match_to_fiber(t.w, fiber, tol)
+                if got != want:
+                    raise EndpointGermMismatch(f"lift reaches z={t.z} on sheet {got}, "
+                                               f"target germ is sheet {want}")
+        return [IntegralElement(b, t, res.value) for res in ends]  # 0j on an empty path
+
+    return lifts, elements
 
 
 def c_ab(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
          path: BasePath, tol: Tolerances = DEFAULT) -> IntegralElement:
     """Definite integral from the base germ to the target germ along a path;
     PathTooCloseToCritical when the path enters tracker._path_margin."""
-    return _c_abs(eq, base, target, [path], tol)[0]
+    return _integrated(*_c_ab_lifts(eq, base, target, [path], tol))[0]
 
 
 def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
                             target: SurfacePoint, paths: Sequence[BasePath],
                             tol: Tolerances = DEFAULT) -> AuditReport:
-    """Pairwise c_ab comparison plus residue/period diagnostics; the paths are
-    integrated in one batch, then the outer turns of all critical points, and
-    each raises the first refusal in path or center order (errors.in_order)."""
-    values = tuple(e.c_ab for e in in_order(lambda ps: _c_abs(eq, base, target, ps, tol), paths))
+    """Pairwise c_ab comparison plus residue/period diagnostics. The c_ab
+    lifts of the paths are built (_c_ab_lifts), then the outer-turn lifts of
+    all critical points (_residue_lifts), and all of them are integrated in
+    one batch; that batch runs through errors.in_order over the jobs [paths,
+    then centers], so the refusal raised is the first path's, else the first
+    center's."""
+    jobs = [*paths, *(cp.location for cp in eq.critical(tol).points)]
+
+    def batch(todo: list) -> list:
+        own = [job for job in todo if isinstance(job, BasePath)]
+        path_lifts, elements = _c_ab_lifts(eq, base, target, own, tol)
+        center_lifts, reports = _residue_lifts(eq, todo[len(own):], None, tol)
+        integrals = _integrate(path_lifts + center_lifts)
+        return elements(integrals[:len(own)]) + reports(integrals[len(own):])
+
+    done = in_order(batch, jobs)
+    values = tuple(e.c_ab for e in done[:len(paths)])
     pairs = []
     max_disc = 0.0
     for i in range(len(values)):
@@ -457,10 +496,8 @@ def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
             pairs.append((i, j, d))
             max_disc = max(max_disc, d)
     verdict = "independent" if max_disc < tol.audit_tol else "dependent"
-    centers = [cp.location for cp in eq.critical(tol).points]
     residue_data = []
-    local = in_order(lambda cs: _residue_loops(eq, cs, None, tol), centers)
-    for a, (report, loops) in zip(centers, local):
+    for a, (report, loops) in zip(jobs[len(paths):], done[len(paths):]):
         residue_data.extend(_residue_checks(a, report, loops))
     return AuditReport(values, tuple(pairs), max_disc, verdict, tuple(residue_data))
 

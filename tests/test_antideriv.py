@@ -426,7 +426,8 @@ def test_default_grid_has_eight_connectors(sqrt_z, monkeypatch):
 
 def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
     # one Newton pass per bisection level over all the router's loops, then
-    # over all connectors; one pass per segment per level took 26 passes
+    # over all connectors, each segment's first read taking its quarters
+    # ahead (64 nodes more a segment); one pass per segment per level took 26
     from algebroid import tracker
 
     passes = []
@@ -439,7 +440,7 @@ def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
     monkeypatch.setattr(tracker, "_correct", counting_correct)
     build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
     assert len(passes) <= 6
-    assert sum(passes) == 784
+    assert sum(passes) == 1232
 
 
 def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
@@ -583,6 +584,26 @@ def test_certificate_skips_a_check_point_at_a_pole_of_r():
         r1.eval_exact(z0)
     assert _certify(eq, [RatFunc.zero(), r1])
     assert not _certify(eq, [RatFunc.zero(), r1 + z])
+
+
+def test_point_defect_over_gaussian_rationals_is_the_ratfunc_one():
+    from algebroid.antideriv import _CHECK_POINTS, _defect, _psi
+    from algebroid.exactalg import _trim_w
+
+    # W = 2z + sqrt(z), M = -z^2/3 + (2/3) z W; the shifted fit adds z^2 W
+    eq = DefiningEquation.from_strings(["-4*z", "4*z^2 - z"])
+    psi = _psi(eq)
+    fits = [([rf("-z^2/3"), rf("(2/3)*z")], True), ([rf("-z^2/3"), rf("(2/3)*z + z^2")], False)]
+    for r, right in fits:
+        forms = (psi, [a.derivative() for a in psi], r, [ri.derivative() for ri in r])
+        for z0 in _CHECK_POINTS:
+            values = [[c.eval_exact(z0) for c in cs] for cs in forms]
+            at_point = _trim_w(_defect(*values))
+            as_constants = _defect(*[[RatFunc.constant(v) for v in vs] for vs in values])
+            assert all(type(d) is GaussianRational for d in at_point)
+            assert at_point == _trim_w([d.eval_exact(z0) for d in as_constants])
+            assert at_point == _trim_w([d.eval_exact(z0) for d in _defect(*forms)])
+            assert (at_point == []) == right
 
 
 def test_draw_whose_exact_certificate_ran_for_minutes_ends_in_time(time_limit):

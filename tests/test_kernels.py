@@ -199,24 +199,32 @@ def test_gauss_values_are_bit_identical_to_the_per_segment_form(sqrt_z):
 class _Reference:
     """_Bisection as it took its values alone, a level at a time: pieces()
     with every left half before every right half, after the whole segment on
-    the first read, and take, of the whole and then of each level's halves."""
+    the first read and before the halves of those halves, which that read
+    takes ahead; and take, of the whole, then of each level's halves, the
+    second level's from the rows taken ahead."""
 
     def __init__(self, share, tol):
         self.quad_tol, self.tol_abs = tol.quad_tol, tol.quad_tol * max(share, 1e-3)
-        self.t0, self.t1, self.whole = np.zeros(1), np.ones(1), None
+        self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
         self.depth, self.accepted, self.done = 0, [], False
 
+    @staticmethod
+    def _halves(t0, t1):
+        tm = 0.5 * (t0 + t1)
+        return np.concatenate((t0, tm)), np.concatenate((tm, t1))
+
     def pieces(self):
-        tm = 0.5 * (self.t0 + self.t1)
-        t0, t1 = np.concatenate((self.t0, tm)), np.concatenate((tm, self.t1))
+        t0, t1 = self._halves(self.t0, self.t1)
         if self.whole is None:
-            return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
+            q0, q1 = self._halves(t0, t1)
+            return np.concatenate((self.t0, t0, q0)), np.concatenate((self.t1, t1, q1))
         return t0, t1
 
-    def take(self, values):
-        if self.whole is None:
-            self.whole = values
-            return
+    def take(self, values=None):
+        if values is None:  # the level taken ahead
+            values, self.ahead = self.ahead, None
+        elif self.whole is None:  # one whole piece, its halves, their halves
+            self.whole, values, self.ahead = np.split(values, [1, 3])
         t0, t1 = self.t0, self.t1
         tm = 0.5 * (t0 + t1)
         left, right = np.split(values, 2)
@@ -237,6 +245,11 @@ class _Reference:
         self.t0 = np.column_stack((t0, tm))[~ok].ravel()
         self.t1 = np.column_stack((tm, t1))[~ok].ravel()
         self.whole = np.stack((left, right), axis=1)[~ok].reshape(len(self.t0), -1)
+
+
+def _left_first(n):
+    """The order that puts every left half of n interleaved halves first."""
+    return np.argsort(np.arange(n) % 2, kind="stable")
 
 
 def _integrand(t, k):
@@ -265,6 +278,12 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
             break
         reads, ref_reads = [], []
         for n in live:
+            if parts[n].ahead is not None:  # the level its first read took ahead
+                assert refs[n].ahead is not None
+                reads.append(parts[n].ahead)
+                ref_reads.append(None)
+                continue
+            assert refs[n].ahead is None
             t0, t1 = parts[n].pieces()
             r0, r1 = refs[n].pieces()
             assert sorted(zip(_bits(t0), _bits(t1))) == sorted(zip(_bits(r0), _bits(r1)))
@@ -272,14 +291,13 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
             values = _integrand(t1, k) - _integrand(t0, k) + noise
             reads.append(values)
             # the reference reads the same pieces with every left half first
-            order = np.argsort(np.arange(len(t0)) % 2, kind="stable")
-            ref_reads.append(values[order] if parts[n].whole is not None else values)
+            if parts[n].whole is None:  # the whole, its halves, their halves
+                ref_reads.append(np.concatenate((values[:3], values[3:][_left_first(4)])))
+            else:
+                ref_reads.append(values[_left_first(len(t0))])
         stalls = _take([parts[n] for n in live], reads)
         for n, values, stall in zip(live, ref_reads, stalls):
             try:
-                if refs[n].whole is None:  # the whole, then the halves, of the first read
-                    refs[n].take(values[:1])
-                    values = values[1:]
                 refs[n].take(values)
             except QuadratureStall as exc:
                 assert stall is not None and str(stall) == str(exc)

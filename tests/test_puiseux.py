@@ -65,10 +65,10 @@ def test_cycle_structure_reads_no_samples(monkeypatch, sqrt_z, recip_z):
     monkeypatch.setattr(tracker, "_correct", counting_correct)
     assert cycle_structure(sqrt_z, 0j) == [(0, 1)]
     assert passes == []
-    # the contour residue reads only its quadrature nodes, the whole turn and
-    # its two halves first
+    # the contour residue reads only its quadrature nodes, the whole turn, its
+    # two halves and its four quarters first
     residue_by_contour(recip_z, 0j, (0,))
-    assert passes[0] == 3 * len(quad._GL_X)
+    assert passes[0] == 7 * len(quad._GL_X)
 
 
 def test_cycles_partition_sheets(sqrt_z, circle_eq, split_eq, recip_z):

@@ -13,6 +13,7 @@ from algebroid.errors import (
     LiftNotClosed,
     PathTooCloseToCritical,
     QuadratureStall,
+    StepUnderflow,
     in_order,
 )
 from algebroid.exactalg import GaussianRational
@@ -235,6 +236,99 @@ def test_audit_single_path_trivially_independent(sqrt_z):
     )
     assert report.verdict == "independent"
     assert report.max_discrepancy == 0.0
+
+
+def _count_reads(monkeypatch) -> list:
+    """The module of each tracker._read call, from the Puiseux turns or from
+    quadrature."""
+    calls = []
+    for module in (puiseux, quad):
+        def counting(walked, tss, read=module._read, name=module.__name__):
+            calls.append(name)
+            return read(walked, tss)
+
+        monkeypatch.setattr(module, "_read", counting)
+    return calls
+
+
+def test_audit_reads_each_level_once_for_its_paths_and_circles(monkeypatch, sqrt_z):
+    # its paths and its center's outer circle are one batch: it reads as many
+    # levels as the deepest of them alone, not the paths' and the circle's in turn
+    base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
+    paths = [polyline(1, 4), polyline(1, 1 + 2j, 4 + 2j, 4)]
+    calls = _count_reads(monkeypatch)
+    alone = []
+    for path in paths:
+        c_ab(sqrt_z, base, target, path)
+        alone.append(len(calls))
+        calls.clear()
+    residue_theorem_check(sqrt_z, 0j)
+    circle = calls.count("algebroid.quad")
+    calls.clear()
+    report = path_independence_audit(sqrt_z, base, target, paths)
+    assert report.verdict == "independent"
+    assert calls.count("algebroid.puiseux") == 1
+    assert calls.count("algebroid.quad") == max(alone + [circle]) < sum(alone) + circle
+    assert len(calls) == 2
+
+
+def _three_centers():
+    """W^2 - (z^3 - 1), its centers, a germ over 2 and two paths from it to a
+    germ over 2 + 2i that enclose no center."""
+    eq = DefiningEquation.from_strings(["0", "-(z^3 - 1)"])
+    base = SurfacePoint(2, fiber_at(eq, 2).roots[0])
+    paths = [polyline(2, 2 + 2j), polyline(2, 3 + 1j, 2 + 2j)]
+    target = surface_integral(eq, base, paths[0]).endpoint
+    return eq, list(eq.critical().locations), base, target, paths
+
+
+def _plant_refusals(monkeypatch, stalled, message, walk_refused):
+    """Stall the quadrature of every walked segment for which stalled(segment)
+    holds, with message, and refuse the Puiseux walk about the center
+    walk_refused."""
+    take, walk_turns = quad._take, puiseux._walk_turns
+
+    def planted_take(parts, reads):
+        return [QuadratureStall(message) if stalled(part.walked.seg) else stall
+                for part, stall in zip(parts, take(parts, reads))]
+
+    def planted_walk(eq, a, epsilon, tol):
+        if a == walk_refused:
+            raise StepUnderflow("planted at the walk of a center")
+        return walk_turns(eq, a, epsilon, tol)
+
+    monkeypatch.setattr(quad, "_take", planted_take)
+    monkeypatch.setattr(puiseux, "_walk_turns", planted_walk)
+
+
+def test_audit_raises_a_paths_refusal_before_a_centers(monkeypatch):
+    # the batch meets the center's walk refusal before it integrates the
+    # second path, whose stall comes first in job order
+    eq, centers, base, target, paths = _three_centers()
+    _plant_refusals(monkeypatch, lambda seg: seg == Line(2, 3 + 1j), "planted at a path",
+                    centers[0])
+    with pytest.raises(QuadratureStall, match="planted at a path"):
+        path_independence_audit(eq, base, target, paths)
+
+
+def test_audit_raises_the_first_refusing_centers_refusal(monkeypatch):
+    # the batch meets the third center's walk refusal before it integrates
+    # the second center's circle, whose stall comes first in center order
+    eq, centers, base, target, paths = _three_centers()
+    _plant_refusals(monkeypatch, lambda seg: isinstance(seg, Arc) and seg.center == centers[1],
+                    "planted at the second center", centers[2])
+    with pytest.raises(QuadratureStall, match="planted at the second center"):
+        path_independence_audit(eq, base, target, paths)
+
+
+def test_single_and_empty_path_audits_are_their_c_ab_and_residue_checks():
+    eq, centers, base, target, paths = _three_centers()
+    checks = tuple(c for a in centers for c in residue_theorem_check(eq, a))
+    single = path_independence_audit(eq, base, target, paths[:1])
+    assert single == quad.AuditReport((c_ab(eq, base, target, paths[0]).c_ab,), (), 0.0,
+                                      "independent", checks)
+    assert path_independence_audit(eq, base, base, []) == quad.AuditReport(
+        (), (), 0.0, "independent", checks)
 
 
 def test_integral_element_continuation(sqrt_z):
@@ -463,14 +557,15 @@ def _count_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("coeffs, path, nodes, most", [
-    (["0", "-z"], polyline(1, 4), 48, 2),
+    (["0", "-z"], polyline(1, 4), 112, 2),
     (["0", "-1/z"], polyline(1, -1 + 0.5j), 176, 4),
     (["0", "-1/z"], polyline(1, -1 + 0.01j), 880, 9),
-    (["0", "0", "-z"], loop_path(0, 1.0, 1), 48, 2),
+    (["0", "0", "-z"], loop_path(0, 1.0, 1), 112, 2),
 ])
 def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, most):
     # nodes: as many as the recursive per-piece bisection read, so every
-    # accept decision is the same; it took 3, 11, 55 and 3 reads
+    # accept decision is the same, and on a segment whose whole passes the
+    # 64 quarter nodes its first read took ahead; it took 3, 11, 55 and 3 reads
     eq = DefiningEquation.from_strings(coeffs)
     start = SurfacePoint(path.start_z, fiber_at(eq, path.start_z).roots[0])
     reads = _count_rows(monkeypatch)
@@ -480,27 +575,46 @@ def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, m
 
 
 def test_an_integral_that_passes_at_the_first_test_takes_one_read(monkeypatch, sqrt_z):
-    # the first read takes the whole segment and its two halves; read a level
-    # at a time, the whole and the halves took a read each
+    # the first read takes the whole segment, its two halves and its four
+    # quarters; read a level at a time, the whole and the halves took a read each
     reads = _count_rows(monkeypatch)
     values, _ = fiber_integral(sqrt_z, fiber_at(sqrt_z, 1).roots, polyline(1, 4))
-    assert (reads["calls"], reads["nodes"]) == (1, 3 * len(quad._GL_X))
+    assert (reads["calls"], reads["nodes"]) == (1, 7 * len(quad._GL_X))
     assert sorted(v.real for v in values) == pytest.approx([-14.0 / 3.0, 14.0 / 3.0], abs=1e-10)
 
 
+def test_an_integral_whose_halves_pass_at_the_second_test_takes_one_read(monkeypatch):
+    # 1/z from 1 to -1 + i: the whole fails its first test and both halves
+    # pass theirs, which the quarters read ahead decide with no second read
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    path = polyline(1, -1 + 1j)
+    lift = quad._Lift(eq, fiber_at(eq, 1).roots, path, DEFAULT)
+    reads = _count_rows(monkeypatch)
+    ((values, _, _),) = quad._integrate([lift])
+    (part,) = lift.parts
+    assert (part.depth, len(part.accepted), part.ahead) == (1, 2, None)
+    assert [len(v) for v, _ in part.accepted] == [2, 2]
+    assert (reads["calls"], reads["nodes"]) == (1, 7 * len(quad._GL_X))
+    # W^2 = 1/z: the branch 1/sqrt(z) integrates to 2 sqrt(z)
+    want = sorted([2 * (cmath.sqrt(-1 + 1j) - 1), -2 * (cmath.sqrt(-1 + 1j) - 1)],
+                  key=lambda v: v.real)
+    assert sorted(values, key=lambda v: v.real) == pytest.approx(want, abs=1e-10)
+
+
 def _level_at_a_time(lifts):
-    """quad._integrate for lifts of one segment each, as it read a level at a
-    time: a first read of every whole segment alone, then one read of the
-    halves of every pending piece per level."""
+    """quad._integrate for lifts of one segment each, read a level at a
+    time: a read of every whole segment alone, one of their halves and one
+    of their quarters, the first read's three levels, then one read of the
+    halves of every pending piece per level. A level whose rows a segment
+    holds ahead is read again, and the rows held must be the ones read."""
     parts = [lift.parts[0] for lift in lifts]
-    wholes = quad._gauss([p.walked for p in parts], [p.t0 for p in parts], [p.t1 for p in parts])
-    for part, whole in zip(parts, wholes):
-        part.whole = whole
+    walked = [p.walked for p in parts]
+    t0s, t1s, levels = [p.t0 for p in parts], [p.t1 for p in parts], []
+    for _ in range(3):
+        levels.append(quad._gauss(walked, t0s, t1s))
+        t0s, t1s = zip(*(quad._halves(t0, t1) for t0, t1 in zip(t0s, t1s)))
+    live, reads = parts, [np.concatenate(rows) for rows in zip(*levels)]
     while True:
-        live = [part for part in parts if not part.done]
-        if not live:
-            return [lift.result() for lift in lifts]
-        reads = quad._gauss([p.walked for p in live], *zip(*(p.pieces() for p in live)))
         stalls = [None] * len(live)
         for group in tracker._by_equation([p.walked for p in live], range(len(live))):
             taken = quad._take([live[n] for n in group], [reads[n] for n in group])
@@ -509,6 +623,12 @@ def _level_at_a_time(lifts):
         for stall in stalls:
             if stall is not None:
                 raise stall
+        live = [part for part in parts if not part.done]
+        if not live:
+            return [lift.result() for lift in lifts]
+        reads = quad._gauss([p.walked for p in live], *zip(*(p.pieces() for p in live)))
+        for part, rows in zip(live, reads):
+            assert part.ahead is None or _bits(part.ahead) == _bits(rows)
 
 
 def test_first_read_of_whole_and_halves_is_bit_identical_to_a_level_at_a_time(sqrt_z):

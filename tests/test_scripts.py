@@ -23,6 +23,9 @@ _SPEC.loader.exec_module(replay_cases)
 _SPEC = importlib.util.spec_from_file_location("profile_cases", ROOT / "scripts" / "profile_cases.py")
 profile_cases = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(profile_cases)
+_SPEC = importlib.util.spec_from_file_location("ab_cases", ROOT / "scripts" / "ab_cases.py")
+ab_cases = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_cases)
 
 
 @pytest.mark.parametrize("script, expected", [
@@ -222,3 +225,37 @@ def test_ab_cases_times_two_copies_of_one_tree_with_identical_outputs(tmp_path):
     assert _ab_cases(directory, tmp_path / "a", tmp_path / "b").endswith(", identical 1 of 1")
     # each tree runs its own modules: c reports another schema
     assert _ab_cases(directory, tmp_path / "a", tmp_path / "c").endswith(", identical 0 of 1")
+
+
+def test_ab_cases_summarizes_each_slot_of_a_workload(tmp_path):
+    runs = {"000-00-res-k2": ([1.0, 1.0], [0.5, 0.5]), "001-00-res-k2": ([2.0, 2.0], [2.0, 2.0]),
+            "000-01-audit-k2": ([4.0, 4.0], [3.0, 3.0])}
+    found = {"periods": {"a": {f"periods-seed1-trace0/{stem}": a for stem, (a, _) in runs.items()},
+                         "b": {f"periods-seed1-trace0/{stem}": b for stem, (_, b) in runs.items()},
+                         "differ": set()}}
+    lines = ab_cases.summary(found, slots=True)
+    assert lines == [
+        "periods: cases 3, A median 2.000000 s, B median 2.000000 s, "
+        "per-case B/A median 0.7500, identical 3 of 3",
+        "  audit-k2: cases 1, A median 4.000000 s, B median 3.000000 s, per-case B/A median 0.7500",
+        "  res-k2: cases 2, A median 1.500000 s, B median 1.250000 s, per-case B/A median 0.7500",
+    ]
+    assert ab_cases.summary(found) == lines[:1]
+    # end to end: one slot line under the workload's, for a case named as the benchmark names them
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    directory = _critical_case_dir(tmp_path)
+    for suffix in ("json", "argv"):
+        (directory / "cases" / f"000.{suffix}").rename(directory / "cases" / f"000-00-k2.{suffix}")
+    argv = directory / "cases" / "000-00-k2.argv"
+    argv.write_text(argv.read_text().replace("000.json", "000-00-k2.json"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(tmp_path / "a"),
+         str(tmp_path / "b"), str(directory), "--reps", "1", "--slots"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    workload, slot = proc.stdout.splitlines()
+    assert workload.startswith("critical: cases 1, ") and workload.endswith(", identical 1 of 1")
+    assert slot.startswith("  k2: cases 1, A median ") and "per-case B/A median " in slot
