@@ -2,6 +2,7 @@
 """Profile algebroid.cli.main alone over benchmark cases.
 
     python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--sort KEY] [--callers REGEX]
+                                     [--counts REGEX]
 
 Imports algebroid from SRC_ROOT/src only, as ``replay_cases.py run`` does,
 and runs cProfile around each ``algebroid.cli.main`` call on the argv of
@@ -10,8 +11,10 @@ benchmark/out/<workload>-seed<n>-trace<t> directory. Only those calls are
 profiled: not the benchmark's calibration kernel, not the imports. Prints
 the number of cases, each case whose call raised, and the top N functions
 (default 25) by self time, or with --sort cumulative by the time spent in
-them and all they call, and with --callers the callers of every function
-whose name matches REGEX. With no case it prints ``cases 0`` and exits 1.
+them and all they call, with --callers the callers of every function
+whose name matches REGEX, and with --counts the calls per case of every
+function whose own name matches REGEX (re.search), such as ``^_read$``.
+With no case it prints ``cases 0`` and exits 1.
 Standard library only.
 """
 
@@ -20,6 +23,7 @@ import contextlib
 import cProfile
 import io
 import pstats
+import re
 import sys
 from pathlib import Path
 
@@ -44,6 +48,15 @@ def profile(cli, dirs: list) -> tuple[int, list, cProfile.Profile]:
     return count, raised, prof
 
 
+def call_counts(stats: pstats.Stats, pattern: str, cases: int) -> list[tuple[str, float]]:
+    """(file:line(name), calls per case) of every profiled function whose
+    name matches pattern, in that order."""
+    regex = re.compile(pattern)
+    return sorted((f"{file}:{line}({name})", calls / cases)
+                  for (file, line, name), (_, calls, *_) in stats.stats.items()
+                  if regex.search(name))
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src_root", type=Path)
@@ -51,6 +64,7 @@ def main(argv: list) -> int:
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
     parser.add_argument("--callers")
+    parser.add_argument("--counts")
     args = parser.parse_args(argv)
     count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs)
     if not count:  # pstats has no profile to read
@@ -61,6 +75,10 @@ def main(argv: list) -> int:
     stats.print_stats(args.top)
     if args.callers:
         stats.print_callers(args.callers)
+    if args.counts:
+        print(f"calls per case of the functions named like {args.counts!r}")
+        for where, per_case in call_counts(stats, args.counts, count):
+            print(f"{per_case:14.3f}  {where}")
     return 0
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, in_order
-from .puiseux import _local_data, _radius, singular_elements
+from .puiseux import _local_data, _n_samples, _radius, singular_elements
 from .quad import _integrated, _residue_lifts, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
@@ -234,14 +234,20 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
 
 def _check_radius(problem: Problem, centers: Sequence[complex],
                   radius: Optional[float], tol: Tolerances) -> None:
-    """--radius must be finite, positive and below half the gap at every center."""
+    """--radius must be finite, positive and below half the gap at every
+    center, and --tol n_max must give a window that can be sampled there."""
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise SchemaError(f"--radius must be a finite positive number, got {radius}")
+    radii = []
     for a in centers:
         try:
-            _radius(problem.eq, a, radius, tol)
+            radii.append(_radius(problem.eq, a, radius, tol))
         except ValueError as exc:
             raise SchemaError(f"--radius: {exc}") from exc
+    try:
+        _n_samples(radii, tol.n_max)
+    except ValueError as exc:
+        raise SchemaError(f"--tol n_max: {exc}") from exc
 
 
 def _check_ends(where: str, path: BasePath, start: complex,

@@ -19,12 +19,11 @@ part. tol_coeff and the window n_max are set only in Tolerances.
 A turn walks the circle once with the tracker's own steps
 (tracker._WalkedSegment), and its samples are read from the knots of those
 steps: Hermite prediction between them, one batched Newton pass under the
-gates of an accepted step, and a tracker stop for any sample that fails
-them. An operation first walks, center by center, the outer circle, the
-radial leg and the inner circle of every center it needs, and then reads
-every turn of every center in one tracker._read (_local_turns). A turn's
-sheet permutation is taken after that read, which may walk the turn again
-and move its end. A series has finitely many negative terms, so one
+gates of an accepted step, and the tracker's step from the last knot for any
+sample that fails them. An operation first walks, center by center, the
+outer circle, the radial leg and the inner circle of every center it needs,
+and then reads every turn of every center in one tracker._read
+(_local_turns). A series has finitely many negative terms, so one
 reaching below the window -n_max..n_max is refused (PrincipalPartTruncated),
 never read as a shorter principal part.
 
@@ -154,6 +153,21 @@ def _permutation(turn: _WalkedSegment) -> SheetPermutation:
                               turn.tol)
 
 
+def _n_samples(radii: Sequence[float], n_max: int) -> int:
+    """The samples per turn of the window -n_max..n_max; ValueError when they
+    are more than 2^16, or when radius^(n/m) leaves float range over the
+    window (n_max |ln r| above 700) at a radius r of radii or at half of it."""
+    # positive orders alias into the bins below -n_max from order
+    # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
+    n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
+    if n_samples > 1 << 16:
+        raise ValueError(f"n_max {n_max} would sample {n_samples} points per turn, above 2^16")
+    for r in (r for eps in radii for r in (eps, 0.5 * eps)):
+        if n_max * abs(math.log(r)) > 700:
+            raise ValueError(f"n_max {n_max} takes radius^n_max out of float range at radius {r}")
+    return n_samples
+
+
 def _walk_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerances) -> list:
     """The walk phase of a center's local data: [the circle at epsilon walked
     from the fiber over a + epsilon, the circle at epsilon/2 walked from the
@@ -167,8 +181,7 @@ def _walk_turns(eq: DefiningEquation, a: complex, epsilon: float, tol: Tolerance
 def _sampled(turns: Sequence[_WalkedSegment], n_samples: int) -> list:
     """Each walked circle sampled at n_samples equal angles, all of them in
     one tracker._read: per circle (one row per sample in position order, its
-    sheet permutation, the circle). A permutation is taken after the read,
-    which may walk its circle again and move its end."""
+    sheet permutation, the circle)."""
     reads = _read(turns, [np.arange(n_samples) / n_samples] * len(turns))
     return [(rows, _permutation(turn), turn) for rows, turn in zip(reads, turns)]
 
@@ -179,11 +192,10 @@ def _local_turns(eq: DefiningEquation, centers: Sequence[complex], radii: Sequen
     half of it], both in the position order of the fiber over center +
     radius. The circles and leg of each center are walked in turn
     (_walk_turns), then every circle of every center is read in one pass
-    (_sampled); the first refusal met is raised. Alone, a center meets its
+    (_sampled); the first refusal met is raised. A window that cannot be
+    sampled (_n_samples) is refused before any walk. Alone, a center meets its
     outer walk, the leg and inner walk, then the read."""
-    # positive orders alias into the bins below -n_max from order
-    # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
-    n_samples = max(256, 1 << math.ceil(math.log2(8 * tol.n_max)))
+    n_samples = _n_samples(radii, tol.n_max)
     sampled = _sampled([turn for a, eps in zip(centers, radii)
                         for turn in _walk_turns(eq, a, eps, tol)], n_samples)
     return [sampled[i:i + 2] for i in range(0, len(sampled), 2)]

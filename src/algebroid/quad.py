@@ -11,27 +11,26 @@ returns the whole fiber's integrals, and surface_integral is one sheet's
 column of them. Because admissible paths keep a margin from the critical
 set, the integrand is analytic and the per-piece rule converges spectrally.
 
-_integrate takes many paths at once. Each path is walked segment by
-segment from its own start fiber by tracker._walk, which checks the margin
-once; then each read takes the Gauss nodes of every pending piece of
-every segment of every path in one batch (tracker._read): one
-array pass per equation for the nodes, the Hermite prediction and the
-Newton correction, with dz/dt from the segments' array form (derivs), so
-quadrature takes the tracker's own steps and no step per node. A segment
-sees the reads, stops and re-walks it would see alone, so every value is
-the one a path integrated alone gets, and one path is a batch of one. A
-batch raises the first refusal it meets; the callers that batch their paths
-(SheetRouter's loops, the grid connectors, the contour residues of all
-centers, the audit's c_ab paths with its centers' turns) run the batch
-through errors.in_order, which then runs each job alone in turn, so the
-refusal raised is the first in job order: the one doing the jobs one after
-another raises. Each kind of integral is staged as its lifts and the
-function that finishes their integrals (_surface_lifts, _c_ab_lifts,
-_cycle_lifts, _residue_lifts), so one batch can hold several kinds. Residue
-checks take the local data of all their centers from puiseux._local_data,
-which reads every Puiseux turn of every center in one pass, and integrate
-every center's outer turn in one batch for the m-turn loop integrals, as
-residue_by_contour and the CLI do.
+_integrate takes many paths of one equation under one Tolerances at once.
+Each path is walked segment by segment from its own start fiber by
+tracker._walk, which checks the margin once; then each read takes the Gauss
+nodes of every pending piece of every segment of every path in one batch
+(tracker._read): one array pass for the nodes, the Hermite prediction and
+the Newton correction, with dz/dt from the segments' array form (derivs),
+so quadrature takes the tracker's own steps and no step per node. No read
+changes a walk, so every value is the one a path integrated alone gets, and
+one path is a batch of one. A batch raises the first refusal it meets; the
+callers that batch their paths (SheetRouter's loops, the grid connectors,
+the contour residues of all centers, the audit's c_ab paths with its
+centers' turns) run the batch through errors.in_order, which then runs each
+job alone in turn, so the refusal raised is the first in job order: the one
+doing the jobs one after another raises. Each kind of integral is staged as
+its lifts and the function that finishes their integrals (_surface_lifts,
+_c_ab_lifts, _cycle_lifts, _residue_lifts), so one batch can hold several
+kinds. Residue checks take the local data of all their centers from
+puiseux._local_data, which reads every Puiseux turn of every center in one
+pass, and integrate every center's outer turn in one batch for the m-turn
+loop integrals, as residue_by_contour and the CLI do.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall, in_ord
 from .puiseux import _local_data
 from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
-from .tracker import _WalkedSegment, _bounds, _by_equation, _by_row, _path_margin, _read, _shares
+from .tracker import _WalkedSegment, _bounds, _by_row, _path_margin, _read
 from .tracker import _start_fibers, _walk
 
 __all__ = [
@@ -110,31 +109,25 @@ class AuditReport:
 def _gauss(walked: Sequence[_WalkedSegment], t0s: Sequence[np.ndarray],
            t1s: Sequence[np.ndarray]) -> list:
     """16-point Gauss-Legendre values of w dz on the pieces [t0[i], t1[i]] of
-    each walked segment, t0 and t1 its entries of t0s and t1s, from one
-    batched read of all their rows (tracker._read): per segment one row of
-    fiber positions per piece. The nodes of every piece are placed in one
-    array pass."""
+    each walked segment, t0 and t1 its entries of t0s and t1s, all of one
+    equation under one Tolerances, from one batched read of all their rows
+    (tracker._read): per segment one row of fiber positions per piece. The
+    nodes of every piece are placed in one array pass."""
     bounds = _bounds(t0s)
     t0, t1 = np.concatenate(t0s), np.concatenate(t1s)
     half = 0.5 * (t1 - t0)
     nodes = (0.5 * (t1 + t0))[:, None] + half[:, None] * _GL_X
     tss = [nodes[lo:hi].ravel() for lo, hi in zip(bounds, bounds[1:])]
-    reads = _read(walked, tss)
-    for group in _by_equation(walked, range(len(walked))):
-        rows = np.concatenate([reads[i] for i in group])
-        a = rows.reshape(-1, len(_GL_X), rows.shape[1]) * _GL_W[:, None]
-        d = np.concatenate([walked[i].seg.derivs(tss[i]) for i in group]).reshape(len(a), -1, 1)
-        # (wt w) dz in Python's complex arithmetic: numpy's complex multiply may use
-        # FMA, which moves values by an ulp and can flip an accept decision
-        terms = np.empty_like(a)
-        terms.real = a.real * d.real - a.imag * d.imag
-        terms.imag = a.real * d.imag + a.imag * d.real
-        halves = np.concatenate([half[bounds[i]:bounds[i + 1]] for i in group])[:, None]
-        values = sum(terms.swapaxes(0, 1), 0j) * halves  # node by node, from 0j
-        at = _bounds([t0s[i] for i in group])
-        for i, lo, hi in zip(group, at, at[1:]):
-            reads[i] = values[lo:hi]
-    return reads
+    rows = np.concatenate(_read(walked, tss))
+    a = rows.reshape(-1, len(_GL_X), rows.shape[1]) * _GL_W[:, None]
+    d = np.concatenate([seg.seg.derivs(ts) for seg, ts in zip(walked, tss)]).reshape(len(a), -1, 1)
+    # (wt w) dz in Python's complex arithmetic: numpy's complex multiply may use
+    # FMA, which moves values by an ulp and can flip an accept decision
+    terms = np.empty_like(a)
+    terms.real = a.real * d.real - a.imag * d.imag
+    terms.imag = a.real * d.imag + a.imag * d.real
+    values = sum(terms.swapaxes(0, 1), 0j) * half[:, None]  # node by node, from 0j
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _halves(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +144,10 @@ class _Bisection:
     values and error estimates it accepted at each level (_take). A piece is
     split until every fiber position passes its own test."""
 
-    __slots__ = ("walked", "quad_tol", "tol_abs", "t0", "t1", "whole", "ahead", "depth",
-                 "accepted", "done")
+    __slots__ = ("walked", "tol_abs", "t0", "t1", "whole", "ahead", "depth", "accepted", "done")
 
     def __init__(self, walked: _WalkedSegment, share: float, tol: Tolerances):
-        self.walked, self.quad_tol = walked, tol.quad_tol
-        self.tol_abs = tol.quad_tol * max(share, 1e-3)
+        self.walked, self.tol_abs = walked, tol.quad_tol * max(share, 1e-3)
         self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
         self.depth, self.accepted, self.done = 0, [], False
 
@@ -171,11 +162,11 @@ class _Bisection:
         return t0, t1
 
 
-def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
-    """Let each part take the values _gauss read on its pieces(), the parts
-    of one equation and Tolerances at once: per part the QuadratureStall it
-    meets, once a level would hold more pieces than a convergent integral
-    needs, or None.
+def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray], quad_tol: float) -> list:
+    """Let each part take the values _gauss read on its pieces(), all the
+    parts at once under one quad_tol: per part the QuadratureStall it meets,
+    once a level would hold more pieces than a convergent integral needs, or
+    None.
 
     A part's first read holds its whole pieces in its first rows, which it
     takes as whole before the test, and the halves of its halves in its last
@@ -200,7 +191,7 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray]) -> list:
     bounds = _bounds([p.t0 for p in parts])
     tol_abs = np.array([p.tol_abs for p in parts]).repeat([len(p.t0) for p in parts])[:, None]
     ok = _by_row(np.logical_and,
-                 errs <= tol_abs * (t1 - t0)[:, None] + parts[0].quad_tol * np.abs(halves))
+                 errs <= tol_abs * (t1 - t0)[:, None] + quad_tol * np.abs(halves))
     split = ~ok
     at = np.concatenate(([0], split.cumsum()))
     next_t0 = np.array((t0, tm)).T.compress(split, axis=0).ravel()
@@ -236,22 +227,16 @@ class _Lift:
     start fiber by tracker._walk, each with its bisection. walked, a segment
     already walked, is the whole path when given."""
 
-    __slots__ = ("eq", "tol", "roots", "path", "shares", "parts")
+    __slots__ = ("roots", "parts")
 
     def __init__(self, eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
                  tol: Tolerances, walked: Optional[_WalkedSegment] = None):
-        self.eq, self.tol, self.roots, self.path = eq, tol, list(roots), path
-        self.shares, self.parts = _shares(path), []
+        self.roots, self.parts = list(roots), []
         if walked is not None:
             self.parts.append(_Bisection(walked, 1.0, tol))
         elif path.segments:
-            self.chain(0, self.roots)
-
-    def chain(self, j: int, fiber: Sequence[complex]):
-        """Walk the segments from the j-th on, the j-th from fiber."""
-        del self.parts[j:]
-        for _, _, walked in _walk(self.eq, fiber, BasePath(self.path.segments[j:]), self.tol):
-            self.parts.append(_Bisection(walked, self.shares[len(self.parts)], self.tol))
+            self.parts = [_Bisection(seg, share, tol)
+                          for _, share, seg in _walk(eq, self.roots, path, tol)]
 
     def result(self) -> tuple[list[complex], list[float], list[complex]]:
         """(values, error estimates, end fiber) in position order, summed
@@ -265,50 +250,26 @@ class _Lift:
 
 
 def _integrate(lifts: Sequence[_Lift]) -> list:
-    """Integrals of w dz on every fiber position along each lift: per lift
-    its _Lift.result.
+    """Integrals of w dz on every fiber position along each lift, all of one
+    equation under one Tolerances: per lift its _Lift.result.
 
     The next pieces of every pending segment of every lift (the whole
     segment, its halves and its quarters at first, then the halves of the
-    failed pieces) are read in one _gauss call and tested in one _take pass
-    per equation; a segment that holds its next level's rows ahead is left
-    out of the read, and a level that every pending segment holds is not
-    read. A segment is integrated exactly as alone: its reads, stops and
-    re-walks are its own. A segment walked again whose end fiber moves walks
-    the rest of its path again from there, since one after another each
-    segment is walked from the end of the one before once that is
-    integrated. The first refusal met is raised.
+    failed pieces) are read in one _gauss call and tested in one _take pass;
+    a segment that holds its next level's rows ahead is left out of the
+    read, and a level that every pending segment holds is not read. The
+    first refusal met is raised.
     """
     while True:
-        active = [(lift, j, part) for lift in lifts
-                  for j, part in enumerate(lift.parts) if not part.done]
+        active = [part for lift in lifts for part in lift.parts if not part.done]
         if not active:
             return [lift.result() for lift in lifts]
-        ends = [part.walked.end for _, _, part in active]
-        due = [part for _, _, part in active if part.ahead is None]
+        due = [part for part in active if part.ahead is None]
         got = iter(_gauss([p.walked for p in due], *zip(*(p.pieces() for p in due))) if due else [])
-        reads = [next(got) if part.ahead is None else part.ahead for _, _, part in active]
-        moved = [part.walked.end != end and j + 1 < len(lift.path.segments)
-                 for (lift, j, part), end in zip(active, ends)]
-        # a segment whose end moved walks the rest of its path again, so the
-        # later segments of that path take nothing at this level
-        live, rewalked = [], set()
-        for n, (lift, _, _) in enumerate(active):
-            if id(lift) not in rewalked:
-                live.append(n)
-                if moved[n]:
-                    rewalked.add(id(lift))
-        stalls = [None] * len(active)
-        for group in _by_equation([part.walked for _, _, part in active], live):
-            taken = _take([active[n][2] for n in group], [reads[n] for n in group])
-            for n, stall in zip(group, taken):
-                stalls[n] = stall
-        for n in live:
-            if stalls[n] is not None:
-                raise stalls[n]
-            if moved[n]:
-                lift, j, part = active[n]
-                lift.chain(j + 1, part.walked.end)
+        reads = [next(got) if part.ahead is None else part.ahead for part in active]
+        for stall in _take(active, reads, active[0].walked.tol.quad_tol):
+            if stall is not None:
+                raise stall
 
 
 def _fiber_integrals(eq: DefiningEquation, starts: Sequence, tol: Tolerances) -> list:

@@ -7,29 +7,27 @@ z and gated by rootfind.residual_scale. The adaptive step keeps per-step
 root movement below a quarter of the current minimal pairwise root
 separation, and each corrected root within a quarter of it from its
 prediction, which is what prevents two sheets from silently swapping.
-A step clipped to land on a target t (a stop, the segment's end) may grow
+A step clipped to land on a target t (a sample, the segment's end) may grow
 the step size but never shrinks it, so closely spaced targets do not make
 the tracker relearn its step after each one.
 
 Every reader of a fiber along a path reads one walk per segment,
-_WalkedSegment: it keeps the knots (t, z, fiber) of the accepted steps and
-the end fiber. _read gives the fiber at any parameters of many walked
-segments at once, in one array pass per equation: the nodes of every
-segment (Line.ats, Arc.ats, bit for bit the scalar at), the knot slopes
-dw/dt of every segment not read before (_knot_slopes), one cubic Hermite
-prediction over the knots of them all, each node placed among its own
-segment's knots (_hermite), then one batched Newton pass
-(rootfind.newton_polish_pairs) over all the rows, each sample held to the
-gates of an accepted step: residual, no collision, and a drift within a
-quarter of the root separation of both the predicted and the corrected row.
-A sample that fails becomes a stop of its own segment's tracker, whose
-fiber there is the sample, and that segment alone is walked again and read
-again. rows is the one-segment call of _read. _walk checks once that a path
-keeps the path margin (_path_margin) from the critical set and walks its
-segments in turn: continue_fiber reads the end fibers, continue_branch the
-knots and quad the Gauss nodes of its pieces, for many paths in one _read
-per bisection level. puiseux walks its circles and radial legs as segments,
-without that check, and reads the turns of all its centers in one _read.
+_WalkedSegment: the knots (t, z, fiber) of the accepted steps and the end
+fiber, which no read changes. _read gives the fiber at any parameters of
+many walked segments of one equation under one Tolerances in one array
+pass: the nodes of every segment (Line.ats, Arc.ats, bit for bit the scalar
+at), a cubic Hermite prediction from the knots and their slopes dw/dt, each
+node placed among its own segment's knots, and one batched Newton pass
+(rootfind.newton_polish_pairs) with each sample held to the gates of an
+accepted step: residual, no collision, and a drift within a quarter of the
+root separation of both the predicted and the corrected row. A sample that
+fails takes the fiber a tracker reaches when it steps there from the last
+knot before it. _walk checks once that a path keeps the path margin
+(_path_margin) from the critical set and walks its segments in turn:
+continue_fiber reads the end fibers, continue_branch the knots and quad the
+Gauss nodes of its pieces, for many paths in one _read per bisection level.
+puiseux walks its circles and radial legs as segments, without that check,
+and reads the turns of all its centers in one _read.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import PathTooCloseToCritical, StepUnderflow, TrackingCollision
+from .errors import NearCriticalPoint, PathTooCloseToCritical, StepUnderflow, TrackingCollision
 from .rootfind import (
     newton_polish,
     newton_polish_pairs,
@@ -285,8 +283,14 @@ class TrackResult:
 
 
 def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFAULT) -> SurfacePoint:
-    """Polish and validate a germ; rejects irregular (critical) germs."""
-    coeffs = eq.psi_coeffs_at(z)
+    """Polish and validate a germ; rejects irregular (critical) germs, and a
+    z at a pole of a coefficient with NearCriticalPoint."""
+    try:
+        coeffs = eq.psi_coeffs_at(z)
+    except ZeroDivisionError:  # z is a pole of a coefficient
+        coeffs = [math.inf]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NearCriticalPoint(f"germ at z={z} is at or next to a pole of a coefficient")
     polished = _polish(coeffs, list(map(abs, coeffs)), w, tol)
     if polished is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
@@ -411,113 +415,70 @@ class SegmentTracker:
 
 class _WalkedSegment:
     """One segment walked from a start fiber with the tracker's own steps:
-    the knots (t, z, fiber) of its accepted steps, its end fiber, and rows,
-    the fiber at any parameters read from those knots."""
+    the knots (t, z, fiber) of its accepted steps and its end fiber. A read
+    never changes it."""
 
-    __slots__ = ("eq", "seg", "tol", "start", "stops", "t", "z", "fibers", "_dense")
+    __slots__ = ("eq", "seg", "tol", "start", "t", "z", "fibers", "_dense")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
         self.eq, self.seg, self.tol, self.start = eq, seg, tol, list(fiber)
-        self.stops: dict[float, list[complex]] = {}  # parameter -> tracked fiber; 1.0 too
-        self._walk()
-
-    def _walk(self):
-        trk = SegmentTracker(self.eq, self.seg, self.start, self.tol)
-        self.t, self.z, self.fibers, self._dense = [0.0], [self.seg.at(0.0)], [trk.fiber], None
-        for stop in sorted({*self.stops, 1.0}):
-            while trk.t < stop - 1e-15:
-                self.z.append(trk._step(stop))
-                self.t.append(trk.t)
-                self.fibers.append(trk.fiber)
-            self.stops[stop] = trk.fiber
+        trk = SegmentTracker(eq, seg, self.start, tol)
+        self.t, self.z, self.fibers, self._dense = [0.0], [seg.at(0.0)], [trk.fiber], None
+        while trk.t < 1.0 - 1e-15:
+            self.z.append(trk._step(1.0))
+            self.t.append(trk.t)
+            self.fibers.append(trk.fiber)
 
     @property
     def end(self) -> list[complex]:
         return self.fibers[-1]
 
-    def rows(self, ts: Sequence[float]) -> np.ndarray:
-        """The fiber at each parameter of ts in [0, 1], one row per parameter
-        in position order: the one-segment call of _read."""
-        return _read([self], [ts])[0]
+    def tracked(self, t: float) -> list[complex]:
+        """The fiber at parameter t that a tracker reaches when it starts at
+        the last knot at or before t and steps to t; its refusal if it
+        refuses."""
+        i = bisect.bisect_right(self.t, t) - 1
+        trk = SegmentTracker(self.eq, self.seg, self.fibers[i], self.tol)
+        trk.t = self.t[i]
+        trk.advance_to(t)
+        return trk.fiber
 
 
 def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> list:
     """The fiber at each parameter of tss[i] in [0, 1] on walked[i], one row
-    per parameter in position order.
+    per parameter in position order, for walked segments of one equation
+    under one Tolerances (ValueError otherwise).
 
-    The segments of one equation are read in one array pass: their nodes
-    (Line.ats, Arc.ats), the knot slopes of those not yet read (_knot_slopes),
-    one Hermite prediction over all their knots (_hermite) and one batched
-    Newton pass under the gates of an accepted step (_correct). A parameter
-    that is a stop of its segment reads the tracked fiber there; the stops
-    and the failed samples of all the segments are found in one pass
-    (_take_stops). A sample that fails becomes a stop of its segment's
-    tracker; that segment alone is walked again and all its parameters read
-    again, in one pass with the other segments that failed, until every
-    sample passes its gates or is a stop, which at worst is the tracker
-    stepping to each sample in turn. A walk that fails again raises its
-    refusal at once.
+    All the segments are read in one array pass: their nodes (Line.ats,
+    Arc.ats), the knot slopes of those not yet read (_knot_slopes), one
+    Hermite prediction over all their knots (_hermite) and one batched Newton
+    pass under the gates of an accepted step (_correct). A sample that fails
+    its gates takes the fiber its segment's tracker reaches from the last
+    knot before it (_WalkedSegment.tracked), whose refusal is raised at once.
     """
+    if not walked:
+        return []
+    eq, tol = walked[0].eq, walked[0].tol
+    if any(seg.eq is not eq or seg.tol != tol for seg in walked):
+        raise ValueError("a read takes the segments of one equation under one Tolerances")
     tss = [np.asarray(ts, dtype=float) for ts in tss]
-    out: list = [None] * len(walked)
-    todo = list(range(len(walked)))
-    while todo:
-        again = []
-        for group in _by_equation(walked, todo):
-            segs, ts_group = [walked[i] for i in group], [tss[i] for i in group]
-            with np.errstate(all="ignore"):  # a sample gone astray fails its gates
-                _knot_slopes(segs)
-                zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(segs, ts_group)])
-                pred = _hermite([seg._dense for seg in segs], ts_group)
-                rows, ok = _correct(segs[0].eq, zs, pred, segs[0].tol)
-            bounds = _bounds(ts_group)
-            _take_stops(segs, np.concatenate(ts_group), bounds, rows, ok)
-            failed = set() if ok.all() else set(  # the segments of the failed samples
-                (np.searchsorted(bounds, np.flatnonzero(~ok), side="right") - 1).tolist())
-            for n, (i, seg, ts) in enumerate(zip(group, segs, ts_group)):
-                lo, hi = bounds[n], bounds[n + 1]
-                if n not in failed:
-                    out[i] = rows[lo:hi]
-                    continue
-                seg.stops.update(dict.fromkeys(ts[~ok[lo:hi]]))
-                seg._walk()
-                again.append(i)
-        todo = again
-    return out
-
-
-def _take_stops(segs: Sequence[_WalkedSegment], ts: np.ndarray, bounds: Sequence[int],
-                rows: np.ndarray, ok: np.ndarray):
-    """Give each row whose parameter is a stop of its own segment the tracked
-    fiber there, and mark it as passing. The rows of segs[n] are those from
-    bounds[n] to bounds[n + 1], at the parameters ts."""
-    stops = np.array(sorted({t for seg in segs for t in seg.stops}) + [np.inf])
-    for j in (stops[stops.searchsorted(ts)] == ts).nonzero()[0].tolist():
-        seg = segs[bisect.bisect_right(bounds, j) - 1]
-        if ts[j] in seg.stops:
-            rows[j], ok[j] = seg.stops[ts[j]], True
+    with np.errstate(all="ignore"):  # a sample gone astray fails its gates
+        _knot_slopes(walked)
+        zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(walked, tss)])
+        pred = _hermite([seg._dense for seg in walked], tss)
+        rows, ok = _correct(eq, zs, pred, tol)
+    bounds = _bounds(tss)
+    for j in np.flatnonzero(~ok).tolist():
+        n = bisect.bisect_right(bounds, j) - 1
+        rows[j] = walked[n].tracked(float(tss[n][j - bounds[n]]))
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _bounds(parts: Sequence) -> list[int]:
     """Where each of parts starts and the last ends once they are
     concatenated."""
     return list(itertools.accumulate(map(len, parts), initial=0))
-
-
-def _by_equation(walked: Sequence[_WalkedSegment], indices: Sequence[int]) -> list[list[int]]:
-    """The indices grouped by the equation and Tolerances of their walked
-    segments, each group in the given order."""
-    groups: dict = {}
-    by_identity: dict = {}  # (equation, Tolerances) objects -> their group
-    for i in indices:
-        seg = walked[i]
-        group = by_identity.get((id(seg.eq), id(seg.tol)))
-        if group is None:
-            group = by_identity[id(seg.eq), id(seg.tol)] = groups.setdefault(
-                (id(seg.eq), seg.tol), [])
-        group.append(i)
-    return list(groups.values())
 
 
 def _knot_slopes(segs: Sequence[_WalkedSegment]):

@@ -294,6 +294,30 @@ def test_unreadable_problem_file_is_a_schema_error(capsys, tmp_path, make, reaso
     assert reason in report["error"]["message"]
 
 
+# paths of W^2 - 1/z that start or end at the pole 0 of its coefficient
+POLE_PATHS = {"out": [{"line": [[0, 0], [1, 0]]}], "in": [{"line": [[1, 0], [0, 0]]}],
+              "around": [{"line": [[1, 0], [0, 1]]}, {"line": [[0, 1], [0, 0]]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["antiderivative"],
+    ["integrate", "--path", "out"],
+    ["audit", "--start-z", "1", "--start-w", "1", "--target-z", "0", "--target-w", "1",
+     "--paths", "in,around"],
+])
+def test_a_germ_at_a_coefficient_pole_is_near_a_critical_point(capsys, tmp_path, argv):
+    # the base germ, or the audit's target, sits at the pole of -1/z; it is
+    # refused as fiber --z 0 is, with a report
+    f = tmp_path / "pole.json"
+    f.write_text(json.dumps({**RECIP_SQRT_Z, "base": {"z": [0, 0], "w": [1, 0]},
+                             "paths": POLE_PATHS}))
+    code, report = run_cli(capsys, argv[0], str(f), *argv[1:])
+    assert code == 7
+    assert report["command"] == argv[0]
+    assert report["error"]["type"] == "NearCriticalPoint"
+    assert "pole of a coefficient" in report["error"]["message"]
+
+
 def test_exit_code_schema_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"k": 2, "coefficients": ["0"]}))
@@ -493,6 +517,14 @@ def test_integral_tolerance_accepts_integral_value(capsys, sqrt_file):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["results"]["cycles"][0]["expansion"]["m"] == 2
+
+
+def test_a_window_that_leaves_float_range_is_a_schema_error(capsys, sqrt_file):
+    # 1100 |ln 0.5| > 700: eps^(n/m) would overflow at the default radius 0.5
+    code, report = run_cli(capsys, "--tol", "n_max=1100", "puiseux", sqrt_file, "--point", "0")
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith("--tol n_max: n_max 1100 takes")
 
 
 @pytest.mark.parametrize("n_max, code", [(2, 20), (3, 0)])

@@ -1,7 +1,8 @@
 """The array kernels behind one fiber read and one quadrature level give
 the IEEE bits of their former forms, kept here as references: the
-gathering batched Newton, the k x k row separations, the per-segment stop
-lookup of a read, the per-segment bisection take and Gauss sum. (The
+gathering batched Newton, the k x k row separations, the per-segment read
+of a batch with its tracked samples, the per-segment bisection take and
+Gauss sum. (The
 tracker step's carried state is checked in test_tracker.)"""
 
 import numpy as np
@@ -13,7 +14,8 @@ from algebroid.errors import QuadratureStall
 from algebroid.quad import _GL_W, _GL_X, _MAX_DEPTH, _MAX_PIECES, _Bisection, _gauss, _take
 from algebroid.rootfind import newton_polish_pairs, poly_eval_pairs, residual_scale
 from algebroid.surface import DefiningEquation, fiber_at
-from algebroid.tracker import Arc, Line, _by_equation, _read, _row_separations, _WalkedSegment
+from algebroid.tracker import (Arc, Line, SegmentTracker, _read, _row_separations,
+                               _WalkedSegment)
 
 
 def _bits(values) -> list:
@@ -91,73 +93,81 @@ def test_row_separations_are_bit_identical_to_the_full_table(k):
 
 
 def _read_reference(walked, tss):
-    """tracker._read with its former per-segment stop lookup (np.isin) and
-    per-segment pass and re-walk loop."""
-    tss = [np.asarray(ts, dtype=float) for ts in tss]
-    out = [None] * len(walked)
-    todo = list(range(len(walked)))
-    while todo:
-        again = []
-        for group in _by_equation(walked, todo):
-            segs, ts_group = [walked[i] for i in group], [tss[i] for i in group]
-            with np.errstate(all="ignore"):
-                tracker._knot_slopes(segs)
-                zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(segs, ts_group)])
-                pred = tracker._hermite([seg._dense for seg in segs], ts_group)
-                rows, ok = tracker._correct(segs[0].eq, zs, pred, segs[0].tol)
-            bounds = tracker._bounds(ts_group)
-            for i, seg, ts, lo, hi in zip(group, segs, ts_group, bounds, bounds[1:]):
-                seg_rows, seg_ok = rows[lo:hi], ok[lo:hi]
-                for j in np.flatnonzero(np.isin(ts, list(seg.stops))):
-                    seg_rows[j], seg_ok[j] = seg.stops[ts[j]], True
-                if seg_ok.all():
-                    out[i] = seg_rows
-                    continue
-                seg.stops.update(dict.fromkeys(ts[~seg_ok]))
-                seg._walk()
-                again.append(i)
-        todo = again
+    """tracker._read as one pass per segment alone, with each sample that
+    fails its gates taken by a tracker that starts at the last knot at or
+    before it and steps there."""
+    out = []
+    for seg, ts in zip(walked, tss):
+        ts = np.asarray(ts, dtype=float)
+        with np.errstate(all="ignore"):
+            tracker._knot_slopes([seg])
+            pred = tracker._hermite([seg._dense], [ts])
+            rows, ok = tracker._correct(seg.eq, seg.seg.ats(ts), pred, seg.tol)
+        for j in np.flatnonzero(~ok):
+            i = np.searchsorted(seg.t, ts[j], side="right") - 1
+            trk = SegmentTracker(seg.eq, seg.seg, seg.fibers[i], seg.tol)
+            trk.t = seg.t[i]
+            trk.advance_to(float(ts[j]))
+            rows[j] = trk.fiber
+        out.append(rows)
     return out
 
 
-def test_read_takes_the_stops_of_each_segment_as_the_per_segment_lookup(monkeypatch, sqrt_z):
+def _knots(walked):
+    """The knots of each walked segment, as plain lists."""
+    return [(list(seg.t), list(seg.z), [list(f) for f in seg.fibers]) for seg in walked]
+
+
+def test_read_tracks_each_failed_sample_as_the_per_segment_form(monkeypatch, sqrt_z):
     # the sample at 0.4 of the first arc is pushed to the other sheet: it
-    # fails its gates, becomes a stop in the middle of the arc, and the arc
-    # is walked again and read again; 0.3 is a stop of the cubic's line
-    # only, though the cubic's arc reads it too, and 1.0 ends every segment
+    # fails its gates and takes the fiber tracked from the knot before it,
+    # while the other segments read 0.4 from their knots; the cubic's line
+    # reads 0.3 twice, and 1.0 ends every segment; one batch per equation
     cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
-    starts = [(sqrt_z, Arc(0j, 2.0, 0.5, 3.0)), (cubic, Line(2 + 1j, 3 - 1j)),
-              (sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0))]
-    tss = [np.array([0.1, 0.4, 0.7, 1.0]), np.array([0.3, 0.05, 1.0, 0.3]),
-           np.array([0.3, 0.4, 0.9]), np.append(np.linspace(0.0, 1.0, 9), 0.3)]
+    batches = [[(sqrt_z, Arc(0j, 2.0, 0.5, 3.0)), (sqrt_z, Line(1, 4))],
+               [(cubic, Line(2 + 1j, 3 - 1j)), (cubic, Arc(0j, 3.0, 2.0, -3.0))]]
+    tsss = [[np.array([0.1, 0.4, 0.7, 1.0]), np.array([0.3, 0.4, 0.9, 1.0])],
+            [np.array([0.3, 0.05, 1.0, 0.3]), np.append(np.linspace(0.0, 1.0, 9), 0.4)]]
     hermite = tracker._hermite
 
     def perturbed(dense, ts_group):
         pred = hermite(dense, ts_group)
         lo = 0
         for ts in ts_group:
-            if ts is tss[0]:
+            if ts is tsss[0][0]:
                 hit = lo + np.flatnonzero(ts == 0.4)
                 pred[hit, 0] += 0.7 * (pred[hit, 1] - pred[hit, 0])
             lo += len(ts)
         return pred
 
     monkeypatch.setattr(tracker, "_hermite", perturbed)
+    tracked, calls = _WalkedSegment.tracked, []
 
-    def walked():
-        segs = [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
-                for eq, seg in starts]
-        segs[1].stops[0.3] = None
-        segs[1]._walk()
-        return segs
+    def counting_tracked(self, t):
+        calls.append((self.seg, t))
+        return tracked(self, t)
 
-    new, old = walked(), walked()
-    got, want = _read(new, tss), _read_reference(old, tss)
-    assert [_bits(rows) for rows in got] == [_bits(rows) for rows in want]
-    assert 0.4 in new[0].stops and 0.4 not in new[2].stops and 0.3 not in new[3].stops
-    assert got[0][1].tolist() == new[0].stops[0.4]
-    assert got[1][0].tolist() == got[1][3].tolist() == new[1].stops[0.3]
-    assert got[0][3].tolist() == new[0].end
+    monkeypatch.setattr(_WalkedSegment, "tracked", counting_tracked)
+    reads = []
+    for batch, tss in zip(batches, tsss):
+        def walked():
+            return [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                    for eq, seg in batch]
+
+        new, old = walked(), walked()
+        knots = _knots(new)
+        got, want = _read(new, tss), _read_reference(old, tss)
+        assert [_bits(rows) for rows in got] == [_bits(rows) for rows in want]
+        assert _knots(new) == knots  # the read leaves every walk as it was
+        for seg, rows, ts in zip(new, got, tss):
+            end = rows[ts == 1.0]
+            assert np.abs(end - seg.end).max() <= 1e-15 * max(1.0, *map(abs, seg.end))
+        reads.append((new, got))
+    assert calls == [(batches[0][0][1], 0.4)]  # the one failed sample
+    (arc, _), (arc_rows, _) = reads[0]
+    assert arc_rows[1].tolist() == arc.tracked(0.4)
+    _, (cubic_line_rows, _) = reads[1]
+    assert cubic_line_rows[0].tolist() == cubic_line_rows[3].tolist()  # 0.3 twice
 
 
 def _gauss_reference(walked, t0s, t1s):
@@ -177,23 +187,25 @@ def _gauss_reference(walked, t0s, t1s):
 
 
 def test_gauss_values_are_bit_identical_to_the_per_segment_form(sqrt_z):
+    # one batch per equation: two segments of W^2 - z, one of each other
     cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
     poles = DefiningEquation.from_strings(["z/(z-3)", "-3", "-z^2+1/(z+2)"])
-    starts = [(sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0)),
-              (sqrt_z, Arc(0j, 2.0, 0.5, 7.0)), (poles, Line(1j, -1 + 2j))]
+    batches = [[(sqrt_z, Line(1, 4)), (sqrt_z, Arc(0j, 2.0, 0.5, 7.0))],
+               [(cubic, Arc(0j, 3.0, 2.0, -3.0))], [(poles, Line(1j, -1 + 2j))]]
     rng = np.random.default_rng(7)
-    t0s, t1s = [], []
-    for n in (1, 3, 2, 5):
-        t0 = np.sort(rng.uniform(size=n))
-        t0s.append(t0)
-        t1s.append(t0 + rng.uniform(0.01, 1.0, size=n) * (1.0 - t0))
+    for batch, counts in zip(batches, [(1, 2), (3,), (5,)]):
+        t0s, t1s = [], []
+        for n in counts:
+            t0 = np.sort(rng.uniform(size=n))
+            t0s.append(t0)
+            t1s.append(t0 + rng.uniform(0.01, 1.0, size=n) * (1.0 - t0))
 
-    def walked():
-        return [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
-                for eq, seg in starts]
+        def walked():
+            return [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                    for eq, seg in batch]
 
-    got, want = _gauss(walked(), t0s, t1s), _gauss_reference(walked(), t0s, t1s)
-    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        got, want = _gauss(walked(), t0s, t1s), _gauss_reference(walked(), t0s, t1s)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 class _Reference:
@@ -295,7 +307,7 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
                 ref_reads.append(np.concatenate((values[:3], values[3:][_left_first(4)])))
             else:
                 ref_reads.append(values[_left_first(len(t0))])
-        stalls = _take([parts[n] for n in live], reads)
+        stalls = _take([parts[n] for n in live], reads, DEFAULT.quad_tol)
         for n, values, stall in zip(live, ref_reads, stalls):
             try:
                 refs[n].take(values)

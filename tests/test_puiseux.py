@@ -354,6 +354,21 @@ def test_puiseux_expand_refuses_n_max_below_cycle_length(sqrt_z, recip_z):
     assert exp.residue == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n_max, epsilon, match", [
+    (1100, None, "out of float range at radius 0.5"),  # 1100 |ln 0.5| > 700
+    (32, 1e-12, "out of float range at radius 1e-12"),  # 32 |ln 1e-12| > 700
+    (8193, None, "would sample 131072 points per turn"),  # 2^17 > 2^16
+])
+def test_a_window_that_cannot_be_sampled_is_refused_before_any_walk(monkeypatch, sqrt_z, n_max,
+                                                                      epsilon, match):
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(puiseux, "_walk_turns", no_walk)
+    with pytest.raises(ValueError, match=match):
+        puiseux_expand(sqrt_z, 0j, (0, 1), epsilon, tol=DEFAULT.replace(n_max=n_max))
+
+
 TURN_CASES = [
     (["0", "-z"], 0j),
     (["0", "-3", "-z"], 2.0 + 0j),

@@ -36,7 +36,9 @@ from algebroid.tracker import (
     Line,
     SegmentTracker,
     SurfacePoint,
+    _read,
     _walk,
+    _WalkedSegment,
     continue_fiber,
     loop_path,
     polyline,
@@ -288,9 +290,9 @@ def _plant_refusals(monkeypatch, stalled, message, walk_refused):
     walk_refused."""
     take, walk_turns = quad._take, puiseux._walk_turns
 
-    def planted_take(parts, reads):
+    def planted_take(parts, reads, quad_tol):
         return [QuadratureStall(message) if stalled(part.walked.seg) else stall
-                for part, stall in zip(parts, take(parts, reads))]
+                for part, stall in zip(parts, take(parts, reads, quad_tol))]
 
     def planted_walk(eq, a, epsilon, tol):
         if a == walk_refused:
@@ -515,7 +517,7 @@ def test_walked_rows_match_a_stop_per_gauss_node(coeffs, path):
                 trk.advance_to(t)
                 ref.append(trk.fiber)
             ref = np.array(ref)
-            assert np.abs(walked.rows(ts) - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(_read([walked], [ts])[0] - ref).max() <= 1e-13 * np.abs(ref).max()
     values, end = fiber_integral(eq, roots, path)
     assert all(type(v) is complex for v in values)
     assert end == continue_fiber(eq, roots, path)
@@ -601,7 +603,7 @@ def test_an_integral_whose_halves_pass_at_the_second_test_takes_one_read(monkeyp
     assert sorted(values, key=lambda v: v.real) == pytest.approx(want, abs=1e-10)
 
 
-def _level_at_a_time(lifts):
+def _level_at_a_time(lifts, quad_tol):
     """quad._integrate for lifts of one segment each, read a level at a
     time: a read of every whole segment alone, one of their halves and one
     of their quarters, the first read's three levels, then one read of the
@@ -615,12 +617,7 @@ def _level_at_a_time(lifts):
         t0s, t1s = zip(*(quad._halves(t0, t1) for t0, t1 in zip(t0s, t1s)))
     live, reads = parts, [np.concatenate(rows) for rows in zip(*levels)]
     while True:
-        stalls = [None] * len(live)
-        for group in tracker._by_equation([p.walked for p in live], range(len(live))):
-            taken = quad._take([live[n] for n in group], [reads[n] for n in group])
-            for n, stall in zip(group, taken):
-                stalls[n] = stall
-        for stall in stalls:
+        for stall in quad._take(live, reads, quad_tol):
             if stall is not None:
                 raise stall
         live = [part for part in parts if not part.done]
@@ -631,32 +628,36 @@ def _level_at_a_time(lifts):
             assert part.ahead is None or _bits(part.ahead) == _bits(rows)
 
 
-def test_first_read_of_whole_and_halves_is_bit_identical_to_a_level_at_a_time(sqrt_z):
-    # one segment stalls below round-off, after another has taken 8 levels
-    # and a third passed at its first test
+def test_first_read_of_whole_and_halves_is_bit_identical_to_a_level_at_a_time():
+    # batches of two segments of W^2 - 1/z: one passes at its first test;
+    # the other takes 8 levels, or stalls below round-off after them
     eq = DefiningEquation.from_strings(["0", "-1/z"])
     roots = fiber_at(eq, 1.0).roots
-    path = polyline(1, -1 + 0.01j)
+    for quad_tol, stalls, accepted in [(1e-17, True, [9, 1]), (DEFAULT.quad_tol, False, [8, 1])]:
+        tol = DEFAULT.replace(quad_tol=quad_tol)
 
-    def lifts():
-        return [quad._Lift(eq, roots, path, DEFAULT.replace(quad_tol=1e-17)),
-                quad._Lift(eq, roots, path, DEFAULT),
-                quad._Lift(sqrt_z, fiber_at(sqrt_z, 1).roots, polyline(1, 4), DEFAULT)]
+        def lifts():
+            return [quad._Lift(eq, roots, polyline(1, -1 + 0.01j), tol),
+                    quad._Lift(eq, roots, polyline(1, 2), tol)]
 
-    got, want = lifts(), lifts()
-    with pytest.raises(QuadratureStall) as merged:
-        quad._integrate(got)
-    with pytest.raises(QuadratureStall) as levels:
-        _level_at_a_time(want)
-    assert str(merged.value) == str(levels.value)
-    for a, b in zip(got, want):
-        (pa,), (pb,) = a.parts, b.parts
-        assert (pa.done, pa.depth) == (pb.done, pb.depth)
-        assert [(_bits(v), _bits(e)) for v, e in pa.accepted] == [
-            (_bits(v), _bits(e)) for v, e in pb.accepted]
-        assert _bits(pa.t0) == _bits(pb.t0) and _bits(pa.whole) == _bits(pb.whole)
-        assert _bits(a.result()[0]) == _bits(b.result()[0])
-    assert [len(lift.parts[0].accepted) for lift in got] == [9, 8, 1]
+        got, want = lifts(), lifts()
+        if stalls:
+            with pytest.raises(QuadratureStall) as merged:
+                quad._integrate(got)
+            with pytest.raises(QuadratureStall) as levels:
+                _level_at_a_time(want, quad_tol)
+            assert str(merged.value) == str(levels.value)
+        else:
+            quad._integrate(got)
+            _level_at_a_time(want, quad_tol)
+        for a, b in zip(got, want):
+            (pa,), (pb,) = a.parts, b.parts
+            assert (pa.done, pa.depth) == (pb.done, pb.depth)
+            assert [(_bits(v), _bits(e)) for v, e in pa.accepted] == [
+                (_bits(v), _bits(e)) for v, e in pb.accepted]
+            assert _bits(pa.t0) == _bits(pb.t0) and _bits(pa.whole) == _bits(pb.whole)
+            assert _bits(a.result()[0]) == _bits(b.result()[0])
+        assert [len(lift.parts[0].accepted) for lift in got] == accepted
 
 
 def _bits(values) -> list:
@@ -688,7 +689,7 @@ def test_tolerance_below_round_off_stalls_within_bounded_work(monkeypatch):
 def _refuse_one_sample(monkeypatch, start, bad):
     """Push the prediction at parameter bad of the segment that starts at
     the fiber start most of the way to another sheet, so that sample fails
-    its gates and that segment alone is walked again."""
+    its gates and is tracked from the knot before it."""
     hermite = tracker._hermite
 
     def perturbed(dense, tss):
@@ -705,31 +706,54 @@ def _refuse_one_sample(monkeypatch, start, bad):
 
 
 def test_batched_integrals_equal_each_path_alone(monkeypatch):
-    # W^3 - z around a loop spoked from 4: the refused sample re-walks the
-    # spoke and moves its end fiber by an ulp, so the arc is walked again
-    # from the new end, as integrating the spoke first and then the arc does
+    # one batch per equation, each path with its reverse; W^3 - z also
+    # around a loop spoked from 4, whose refused sample on the spoke is
+    # tracked from its knot: the spoke's end does not move, and the arc is
+    # walked once, from that end
     spoked = (["0", "0", "-z"], loop_path(0, 3.0, 1, anchor=4))
-    cases = NODE_CASES + [spoked]
-    starts = []
-    for coeffs, path in cases:
-        eq = DefiningEquation.from_strings(coeffs)
-        starts.append((eq, fiber_at(eq, path.start_z).roots, path))
+    batches: dict = {}
+    for coeffs, path in NODE_CASES + [spoked]:
+        eq = batches.setdefault(tuple(coeffs), (DefiningEquation.from_strings(coeffs), []))[0]
+        for p in (path, reverse(path)):
+            batches[tuple(coeffs)][1].append((eq, fiber_at(eq, p.start_z).roots, p))
+    starts = batches[tuple(spoked[0])][1]
+    spoke_start = starts[-2][1]  # the spoked loop, before its reverse
     bad = _gauss_nodes(0.0, 1.0)[4]
-    _refuse_one_sample(monkeypatch, starts[-1][1], bad)
+    _refuse_one_sample(monkeypatch, spoke_start, bad)
+    tracked, calls = _WalkedSegment.tracked, []
 
-    def lifts():
-        return [quad._Lift(eq, roots, path, DEFAULT) for eq, roots, path in starts]
+    def counting_tracked(self, t):
+        calls.append((self.seg, t))
+        return tracked(self, t)
 
-    first_spoke_end = lifts()[-1].parts[0].walked.end
-    alone = [quad._integrate([lift])[0] for lift in lifts()]
-    batch = lifts()
-    assert quad._integrate(batch) == alone
-    spoke, arc = batch[-1].parts[:2]
-    assert bad in spoke.walked.stops
-    assert spoke.walked.end != first_spoke_end
-    assert arc.walked.start == spoke.walked.end
-    for (eq, roots, path), (values, _, end) in zip(starts, alone):
-        assert (values, end) == fiber_integral(eq, roots, path)
+    monkeypatch.setattr(_WalkedSegment, "tracked", counting_tracked)
+    walks = []
+    init = _WalkedSegment.__init__
+
+    def counting_init(self, eq, seg, fiber, tol):
+        walks.append(seg)
+        init(self, eq, seg, fiber, tol)
+
+    monkeypatch.setattr(_WalkedSegment, "__init__", counting_init)
+    for key, (_, starts) in batches.items():
+        def lifts():
+            return [quad._Lift(eq, roots, path, DEFAULT) for eq, roots, path in starts]
+
+        alone = [quad._integrate([lift])[0] for lift in lifts()]
+        batch = lifts()
+        del walks[:], calls[:]
+        assert quad._integrate(batch) == alone
+        assert walks == []  # the batch walks nothing again
+        for (eq, roots, path), (values, _, end) in zip(starts, alone):
+            assert (values, end) == fiber_integral(eq, roots, path)
+        if key != tuple(spoked[0]):
+            continue
+        spoke, arc = batch[-2].parts[:2]
+        # the spoke of the loop and of its reverse each track their sample at bad
+        assert {t for _, t in calls} == {bad} and (spoke.walked.seg, bad) in calls
+        eq = starts[-2][0]
+        assert spoke.walked.end == _WalkedSegment(eq, spoke.walked.seg, spoke_start, DEFAULT).end
+        assert arc.walked.start == spoke.walked.end
 
 
 def test_batch_raises_the_refusal_of_the_first_path_that_fails():

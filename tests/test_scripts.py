@@ -6,6 +6,7 @@ source trees against each other."""
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -189,6 +190,21 @@ def test_profile_cases_reports_a_directory_without_cases(tmp_path, capsys):
     (tmp_path / "cases").mkdir()
     assert profile_cases.main([str(ROOT), str(tmp_path)]) == 1
     assert capsys.readouterr().out == "cases 0\n"
+
+
+def test_profile_cases_counts_the_calls_per_case_of_matching_functions(tmp_path, capsys):
+    directory = _critical_case_dir(tmp_path)
+    (directory / "cases" / "001.json").write_text(
+        json.dumps({"k": 2, "coefficients": ["0", "-z^3"]}))
+    (directory / "cases" / "001.argv").write_text(
+        "algebroid critical benchmark/out/critical-seed1-trace0/cases/001.json\n")
+    assert profile_cases.main([str(ROOT), str(directory), "--top", "1",
+                               "--counts", "^(critical_points|fiber_at)$"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cases 2, raised 0\n")
+    counts = out.split("calls per case of the functions named like '^(critical_points|fiber_at)$'\n")[1]
+    # one critical set per case; critical reads no fiber, so fiber_at is not listed
+    assert re.fullmatch(r" +1\.000  surface\.py:\d+\(critical_points\)\n", counts)
 
 
 def test_profile_cases_sorts_by_cumulative_time_on_request(tmp_path, capsys):

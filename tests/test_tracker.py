@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from algebroid import tracker
 from algebroid.config import DEFAULT
-from algebroid.errors import PathTooCloseToCritical, TrackingCollision
+from algebroid.errors import PathTooCloseToCritical, StepUnderflow, TrackingCollision
 from algebroid.quad import fiber_integral
 from algebroid.rootfind import poly_eval_pair
 from algebroid.surface import DefiningEquation, fiber_at, min_pairwise_distance
@@ -201,28 +202,89 @@ def test_array_forms_equal_the_scalar_forms_bit_for_bit():
         assert deriv.tolist() == [seg.deriv(t) for t in ts.tolist()]
 
 
+def _knots(walked):
+    """A walked segment's knots (t, z, fibers), as plain lists."""
+    return list(walked.t), list(walked.z), list(map(list, walked.fibers))
+
+
 def test_one_read_of_many_segments_equals_each_read_alone(sqrt_z):
-    # two equations; the W^3 - 3W - z arc already holds a stop at 0.3
+    # one read per equation, and no read moves a walk; the cubic's arc reads
+    # 0.3 twice and ends at 1.0
     cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
-    starts = [(sqrt_z, Line(1, 4)), (cubic, Arc(0j, 3.0, 2.0, -3.0)),
-              (sqrt_z, Arc(0j, 2.0, 0.5, 7.0))]
+    batches = [[(sqrt_z, Line(1, 4)), (sqrt_z, Arc(0j, 2.0, 0.5, 7.0))],
+               [(cubic, Arc(0j, 3.0, 2.0, -3.0)), (cubic, Line(2 + 1j, 3 - 1j))]]
+    tsss = [[np.linspace(0.0, 1.0, 7), np.linspace(0.01, 0.99, 12)],
+            [np.array([0.3, 0.05, 0.71, 1.0, 0.3]), np.linspace(0.0, 1.0, 5)]]
+    for batch, tss in zip(batches, tsss):
+        def walked():
+            return [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+                    for eq, seg in batch]
 
-    def walked():
-        segs = [_WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
-                for eq, seg in starts]
-        segs[1].stops[0.3] = None
-        segs[1]._walk()
-        return segs
+        segs = walked()
+        knots = list(map(_knots, segs))
+        rows = _read(segs, tss)
+        alone = [_read([seg], [ts])[0] for seg, ts in zip(walked(), tss)]
+        assert [r.tolist() for r in rows] == [r.tolist() for r in alone]
+        assert list(map(_knots, segs)) == knots
+    arc_rows, arc = rows[0], segs[0]
+    assert arc_rows[0].tolist() == arc_rows[4].tolist()
+    assert np.abs(arc_rows[3] - arc.end).max() <= 1e-15 * max(1.0, *map(abs, arc.end))
 
-    tss = [np.linspace(0.0, 1.0, 7), np.array([0.3, 0.05, 0.71, 1.0, 0.3]),
-           np.linspace(0.01, 0.99, 12)]
-    segs = walked()
-    stop = segs[1].stops[0.3]
-    batch = _read(segs, tss)
-    alone = [seg.rows(ts) for seg, ts in zip(walked(), tss)]
-    assert [rows.tolist() for rows in batch] == [rows.tolist() for rows in alone]
-    assert batch[1][0].tolist() == batch[1][4].tolist() == stop
-    assert batch[1][3].tolist() == segs[1].end
+
+def test_a_failed_sample_is_tracked_from_its_knot_and_moves_no_walk(monkeypatch, sqrt_z):
+    # the prediction at 0.37 is pushed most of the way to the other sheet
+    arc = Arc(0j, 2.0, 0.5, 7.0)
+    walked = _WalkedSegment(sqrt_z, arc, fiber_at(sqrt_z, arc.start).roots, DEFAULT)
+    knots = _knots(walked)
+    ts = np.array([0.1, 0.37, 0.8])
+    hermite = tracker._hermite
+
+    def perturbed(dense, tss):
+        pred = hermite(dense, tss)
+        pred[1, 0] += 0.7 * (pred[1, 1] - pred[1, 0])
+        return pred
+
+    monkeypatch.setattr(tracker, "_hermite", perturbed)
+    rows = _read([walked], [ts])[0]
+    assert _knots(walked) == knots
+    assert rows[1].tolist() == walked.tracked(0.37)
+    # the tracker from the knot before 0.37 reaches the fiber a walk to 0.37 does
+    trk = SegmentTracker(sqrt_z, walked.seg, walked.start, DEFAULT)
+    trk.advance_to(0.37)
+    assert np.abs(rows[1] - trk.fiber).max() <= 1e-12
+    monkeypatch.setattr(tracker, "_hermite", hermite)
+    assert np.abs(rows - _read([walked], [ts])[0]).max() <= 1e-12
+
+
+def test_a_refusal_in_a_tracked_sample_is_raised_by_the_read(monkeypatch, sqrt_z):
+    walked = _WalkedSegment(sqrt_z, Line(1, 4), [-1.0 + 0j, 1.0 + 0j], DEFAULT)
+    hermite = tracker._hermite
+
+    def perturbed(dense, tss):
+        pred = hermite(dense, tss)
+        pred[0, 0] = pred[0, 1]  # two sheets predicted on one root
+        return pred
+
+    def refusing_step(self, t_target):
+        raise StepUnderflow(f"continuation step underflow near t={t_target}")
+
+    monkeypatch.setattr(tracker, "_hermite", perturbed)
+    monkeypatch.setattr(SegmentTracker, "_step", refusing_step)
+    with pytest.raises(StepUnderflow, match="near t=0.6"):  # the knots are 0.25 apart
+        _read([walked], [[0.6, 0.8]])
+
+
+@pytest.mark.parametrize("other", ["equation", "tolerances"])
+def test_a_batch_of_two_equations_or_two_tolerances_is_refused(sqrt_z, other):
+    cubic = DefiningEquation.from_strings(["0", "-3", "-z"])
+    eq, tol = (cubic, DEFAULT) if other == "equation" else (sqrt_z, DEFAULT.replace(eps_root=1e-11))
+    segs = [_WalkedSegment(sqrt_z, Line(1, 4), fiber_at(sqrt_z, 1).roots, DEFAULT),
+            _WalkedSegment(eq, Line(3, 4), fiber_at(eq, 3).roots, tol)]
+    with pytest.raises(ValueError, match="one equation under one Tolerances"):
+        _read(segs, [[0.5], [0.5]])
+    # an equal Tolerances is the same setting
+    same = _WalkedSegment(sqrt_z, Line(2, 3), fiber_at(sqrt_z, 2).roots, DEFAULT.replace())
+    assert len(_read([segs[0], same], [[0.5], [0.5]])) == 2
 
 
 def test_continue_branch_principal_sqrt(sqrt_z):
