@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, in_order
-from .puiseux import _local_data, _n_samples, _radius, singular_elements
+from .puiseux import _local_data, singular_elements
 from .quad import _integrated, _residue_lifts, path_independence_audit, surface_integral
 from .surface import DefiningEquation, fiber_at, monodromy
 from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
@@ -117,6 +117,8 @@ def parse_path_json(segments, where="path") -> BasePath:
     try:
         return BasePath(tuple(_segment_json(seg, f"{where}[{idx}]")
                               for idx, seg in enumerate(segments)))
+    except SchemaError:
+        raise
     except ValueError as exc:  # an arc radius <= 0, or segments that do not join
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -202,9 +204,10 @@ def load_problem(filename: str) -> Problem:
 
 def _parse_reals(parts: Sequence[str], flag: str, text: str) -> Sequence[float]:
     try:
-        return _finite([float(p) for p in parts], flag)
+        values = [float(p) for p in parts]
     except ValueError:
         raise SchemaError(f"{flag} expects numbers, got {text!r}") from None
+    return _finite(values, flag)
 
 
 def _parse_complex_flag(text: str, flag: str) -> complex:
@@ -230,24 +233,6 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
             raise SchemaError(f"--tol {name} expects an integer, got {text!r}")
         tol = tol.replace(**{name: kind(value)})
     return tol
-
-
-def _check_radius(problem: Problem, centers: Sequence[complex],
-                  radius: Optional[float], tol: Tolerances) -> None:
-    """--radius must be finite, positive and below half the gap at every
-    center, and --tol n_max must give a window that can be sampled there."""
-    if radius is not None and not (math.isfinite(radius) and radius > 0):
-        raise SchemaError(f"--radius must be a finite positive number, got {radius}")
-    radii = []
-    for a in centers:
-        try:
-            radii.append(_radius(problem.eq, a, radius, tol))
-        except ValueError as exc:
-            raise SchemaError(f"--radius: {exc}") from exc
-    try:
-        _n_samples(radii, tol.n_max)
-    except ValueError as exc:
-        raise SchemaError(f"--tol n_max: {exc}") from exc
 
 
 def _check_ends(where: str, path: BasePath, start: complex,
@@ -391,7 +376,6 @@ def _monodromy(args, problem, tol, rng, inputs):
 def _puiseux(args, problem, tol, rng, inputs):
     point = _parse_complex_flag(args.point, "--point")
     inputs["point"] = _cpx(point)
-    _check_radius(problem, [point], args.radius, tol)
     report = singular_elements(problem.eq, point, args.radius, tol)
     return {
         "center": _cpx(report.center),
@@ -416,7 +400,6 @@ def _puiseux(args, problem, tol, rng, inputs):
 
 def _residues(args, problem, tol, rng, inputs):
     crit = problem.eq.critical(tol)
-    _check_radius(problem, crit.locations, args.radius, tol)
     locations = [cp.location for cp in crit.points]
     # the turns of every center read in one pass, and with --contour-check
     # every center's outer turn integrated in one batch; the first refusal

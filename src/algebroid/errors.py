@@ -12,8 +12,9 @@ class AlgebroidError(Exception):
     exit_code = 1
 
 
-class SchemaError(AlgebroidError):
-    """Problem or path file does not match the published schema."""
+class SchemaError(AlgebroidError, ValueError):
+    """Problem file, flag or tolerance outside the published schema, or a
+    sampling radius or Puiseux window that cannot be used (a ValueError)."""
 
     exit_code = 3
 
@@ -149,8 +150,7 @@ def in_order(batch, jobs) -> list:
     """batch(jobs), for a batch that gives each job the values it gets alone.
     On a refusal each job is run again alone, in order, so the refusal raised
     is the first job's that refuses, as doing the jobs one after another
-    raises; a batch of one job is not run again. batch must build what it
-    walks from its jobs, since a read changes what it walked."""
+    raises; a batch of one job is not run again."""
     jobs = list(jobs)
     try:
         return batch(jobs)

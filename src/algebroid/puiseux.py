@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import AnnulusTooWide, PrincipalPartTruncated
+from .errors import AnnulusTooWide, PrincipalPartTruncated, SchemaError
 from .surface import (DefiningEquation, Fiber, SheetPermutation, _lift_sheets, _sheet_permutation,
                       fiber_at)
 from .tracker import Arc, Line, _read, _WalkedSegment
@@ -125,14 +125,15 @@ def default_radius(eq: DefiningEquation, a: complex, tol: Tolerances = DEFAULT) 
 def _radius(eq: DefiningEquation, a: complex, epsilon: Optional[float],
             tol: Tolerances) -> float:
     """The given sampling radius, or default_radius when it is None, checked
-    to be positive and below half the gap to the nearest other critical point."""
+    to be positive and below half the gap to the nearest other critical
+    point (SchemaError otherwise)."""
     if epsilon is None:
         epsilon = default_radius(eq, a, tol)
     if not epsilon > 0:
-        raise ValueError("sampling radius must be positive")
+        raise SchemaError(f"sampling radius must be positive, got {epsilon}")
     d = eq.critical(tol).nearest_other_dist(a)
     if not epsilon < 0.5 * d:
-        raise ValueError(
+        raise SchemaError(
             f"sampling radius {epsilon} is not below half the distance "
             f"{d} to the nearest other critical point"
         )
@@ -154,17 +155,17 @@ def _permutation(turn: _WalkedSegment) -> SheetPermutation:
 
 
 def _n_samples(radii: Sequence[float], n_max: int) -> int:
-    """The samples per turn of the window -n_max..n_max; ValueError when they
+    """The samples per turn of the window -n_max..n_max; SchemaError when they
     are more than 2^16, or when radius^(n/m) leaves float range over the
     window (n_max |ln r| above 700) at a radius r of radii or at half of it."""
     # positive orders alias into the bins below -n_max from order
     # n_samples / 2 on; 256 samples keep them under the noise floor at any n_max
     n_samples = max(256, 1 << math.ceil(math.log2(8 * n_max)))
     if n_samples > 1 << 16:
-        raise ValueError(f"n_max {n_max} would sample {n_samples} points per turn, above 2^16")
+        raise SchemaError(f"n_max {n_max} would sample {n_samples} points per turn, above 2^16")
     for r in (r for eps in radii for r in (eps, 0.5 * eps)):
         if n_max * abs(math.log(r)) > 700:
-            raise ValueError(f"n_max {n_max} takes radius^n_max out of float range at radius {r}")
+            raise SchemaError(f"n_max {n_max} takes radius^n_max out of float range at radius {r}")
     return n_samples
 
 

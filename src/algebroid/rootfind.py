@@ -2,7 +2,8 @@
 
 all_roots takes the eigenvalues of the companion matrix (numpy.roots, which
 is backward stable; Edelman & Murakami, Math. Comp. 1995) and Newton-polishes
-each one.
+each one (polish_roots); surface.fiber_at takes its roots as they are, and
+only surface.critical_points polishes them once more.
 newton_polish and residual_scale are also the corrector and residual gate
 that surface and tracker apply to the coefficients of Psi(., z).
 newton_polish_pairs is the same iteration, with the same stopping rule, run
@@ -30,6 +31,8 @@ the coefficient tables):
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -154,13 +157,16 @@ def polish_roots(coeffs, roots) -> list[complex]:
 
 
 def _trim(coeffs) -> list[complex]:
+    """coeffs without their zero leading coefficients; RootFindingFailure
+    when a coefficient, or one over the leading one (an entry of the
+    companion matrix), is not finite."""
     cs = [complex(c) for c in coeffs]
     if not np.isfinite(cs).all():
         raise RootFindingFailure(f"non-finite polynomial coefficient in {cs}")
-    biggest = max((abs(c) for c in cs), default=0.0)
-    cutoff = biggest * 1e-300
-    while cs and abs(cs[-1]) <= cutoff:
+    while cs and cs[-1] == 0:
         cs.pop()
+    if cs and not all(cmath.isfinite(c / cs[-1]) for c in cs):
+        raise RootFindingFailure(f"the companion matrix of {cs} leaves float range")
     return cs
 
 

@@ -93,10 +93,6 @@ class DefiningEquation:
         rows[:, -1] = 1.0
         return rows
 
-    def psi_z_coeffs_on(self, zs: np.ndarray) -> np.ndarray:
-        """psi_z_coeffs_at of each z in an array, one row per z."""
-        return self._tables[1].on(zs).T
-
     def psi(self, w: complex, z: complex) -> complex:
         return poly_eval(self.psi_coeffs_at(z), w)
 
@@ -350,7 +346,7 @@ def fiber_at(eq: DefiningEquation, z: complex, tol: Tolerances = DEFAULT) -> Fib
     if crit.min_dist(z) < tol.tol_cluster * crit.scale:
         raise NearCriticalPoint(f"z={z} is within the critical-point exclusion zone")
     coeffs = eq.psi_coeffs_at(z)
-    polished = polish_roots(coeffs, all_roots(coeffs))
+    polished = all_roots(coeffs)
     for w in polished:
         if not abs(poly_eval(coeffs, w)) <= tol.eps_root * residual_scale(coeffs, w):
             raise RootFindingFailure(f"fiber root residual too large at z={z}")

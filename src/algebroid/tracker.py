@@ -6,18 +6,18 @@ rootfind.newton_polish on the coefficients of Psi(., z), evaluated once per
 z and gated by rootfind.residual_scale. The adaptive step keeps per-step
 root movement below a quarter of the current minimal pairwise root
 separation, and each corrected root within a quarter of it from its
-prediction, which is what prevents two sheets from silently swapping.
-A step clipped to land on a target t (a sample, the segment's end) may grow
-the step size but never shrinks it, so closely spaced targets do not make
-the tracker relearn its step after each one.
+prediction, which is what prevents two sheets from silently swapping. A
+step spans at most half the segment, and on an arc of more than one turn
+at most half a turn, so that no step returns to the z it left.
 
 Every reader of a fiber along a path reads one walk per segment,
-_WalkedSegment: the knots (t, z, fiber) of the accepted steps and the end
-fiber, which no read changes. _read gives the fiber at any parameters of
-many walked segments of one equation under one Tolerances in one array
-pass: the nodes of every segment (Line.ats, Arc.ats, bit for bit the scalar
-at), a cubic Hermite prediction from the knots and their slopes dw/dt, each
-node placed among its own segment's knots, and one batched Newton pass
+_WalkedSegment: the knots (t, z, fiber) of the accepted steps, the slopes
+dw/dz the steps predicted with, and the end fiber, which no read changes.
+_read gives the fiber at any parameters of many walked segments of one
+equation under one Tolerances in one array pass: the nodes of every segment
+(Line.ats, Arc.ats, bit for bit the scalar at), a cubic Hermite prediction
+from the knots and their slopes dw/dt, each node placed among its own
+segment's knots, and one batched Newton pass
 (rootfind.newton_polish_pairs) with each sample held to the gates of an
 accepted step: residual, no collision, and a drift within a quarter of the
 root separation of both the predicted and the corrected row. A sample that
@@ -50,7 +50,6 @@ from .rootfind import (
     newton_polish_pairs,
     poly_eval,
     poly_eval_pair,
-    poly_eval_pairs,
     poly_evals,
     residual_scale,
     residual_scales,
@@ -76,6 +75,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_NAN = complex("nan")
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ class SegmentTracker:
     separation, Psi_W at each root and the fiber scale 1 + max|w| there to
     the next step, which starts there (_carry)."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "steps", "_carry")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "h_max", "steps", "_carry")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
@@ -340,7 +340,10 @@ class SegmentTracker:
         self.fiber = list(fiber)
         if len(self.fiber) != eq.k:
             raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
-        self.h = 0.25
+        sweep = abs(seg.theta_to - seg.theta_from) if isinstance(seg, Arc) else 0.0
+        # half a turn; an arc of one turn whose sweep rounds above 2 pi keeps 0.5
+        self.h_max = math.pi / sweep if sweep > _TWO_PI * (1.0 + 1e-9) else 0.5
+        self.h = 0.5 * self.h_max
         self.steps = 0
         self._carry = None
 
@@ -355,8 +358,9 @@ class SegmentTracker:
         while self.t < t_target - 1e-15:
             self._step(t_target)
 
-    def _step(self, t_target: float) -> complex:
-        """One accepted step towards t_target; returns the z it reaches."""
+    def _step(self, t_target: float) -> tuple[complex, list[complex]]:
+        """One accepted step towards t_target; returns the z it reaches and
+        the slope dw/dz of each root at the z it started from."""
         eq, seg, tol = self.eq, self.seg, self.tol
         carry = self._carry
         if carry is None:
@@ -373,14 +377,10 @@ class SegmentTracker:
         if carry is None:
             coeffs0 = eq.psi_coeffs_at(z0)
             dws = [poly_eval_pair(coeffs0, w)[1] for w in self.fiber]  # Psi_W at each root
-        zcoeffs0 = eq.psi_z_coeffs_at(z0)
-        slopes = []  # dw/dz of each root at z0
-        for w, dw in zip(self.fiber, dws):
-            if dw == 0:  # no step can be predicted; halving h cannot help
-                raise StepUnderflow(f"continuation step underflow near z={z0}")
-            slopes.append(-poly_eval(zcoeffs0, w) / dw)
+        if 0 in dws:  # no step can be predicted; halving h cannot help
+            raise StepUnderflow(f"continuation step underflow near z={z0}")
+        slopes = _slopes(eq, z0, self.fiber, dws)
         h = min(self.h, t_target - self.t)
-        clipped = h < self.h
         while True:
             z1 = seg.at(self.t + h)
             dz = z1 - z0
@@ -402,37 +402,57 @@ class SegmentTracker:
                     self._carry = (z1, coeffs1, min_sep1, [dw for _, dw, _ in polished],
                                    1.0 + max(map(operator.itemgetter(2), polished)))
                     self.steps += 1
-                    grown = min(0.5, h * 1.5) if move < 0.1 * cap else h
-                    # a step cut short to land on the target says nothing
-                    # about the step the path allows
-                    self.h = max(self.h, grown) if clipped else grown
-                    return z1
+                    if move < 0.1 * cap:
+                        self.h = min(self.h_max, h * 1.5)
+                    return z1, slopes
             if h <= tol.h_min_frac:
                 raise StepUnderflow(f"continuation step underflow near z={z0}")
             h *= 0.5
             self.h = h
 
 
+def _slopes(eq: DefiningEquation, z: complex, fiber: Sequence[complex],
+            dws: Sequence[complex]) -> list[complex]:
+    """dw/dz = -Psi_z/Psi_W at each root of fiber over z, with dws Psi_W at
+    each root; NaN where it is zero."""
+    zcoeffs = eq.psi_z_coeffs_at(z)
+    return [-poly_eval(zcoeffs, w) / dw if dw else _NAN for w, dw in zip(fiber, dws)]
+
+
 class _WalkedSegment:
     """One segment walked from a start fiber with the tracker's own steps:
-    the knots (t, z, fiber) of its accepted steps and its end fiber. A read
-    never changes it."""
+    the knots (t, z, fiber) of its accepted steps with the slope dw/dz of
+    each root there, and its end fiber. A read never changes it."""
 
-    __slots__ = ("eq", "seg", "tol", "start", "t", "z", "fibers", "_dense")
+    __slots__ = ("eq", "seg", "tol", "start", "t", "z", "fibers", "dwdz", "_dense")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
         self.eq, self.seg, self.tol, self.start = eq, seg, tol, list(fiber)
         trk = SegmentTracker(eq, seg, self.start, tol)
-        self.t, self.z, self.fibers, self._dense = [0.0], [seg.at(0.0)], [trk.fiber], None
+        self.t, self.z, self.fibers, self.dwdz = [0.0], [seg.at(0.0)], [trk.fiber], []
         while trk.t < 1.0 - 1e-15:
-            self.z.append(trk._step(1.0))
+            z, slopes = trk._step(1.0)
+            self.z.append(z)
             self.t.append(trk.t)
             self.fibers.append(trk.fiber)
+            self.dwdz.append(slopes)
+        z, _, _, dws, _ = trk._carry  # the end knot's row, with no step after it
+        self.dwdz.append(_slopes(eq, z, trk.fiber, dws))
+        self._dense = None
 
     @property
     def end(self) -> list[complex]:
         return self.fibers[-1]
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The knot parameters, the knot fibers and their slopes dw/dt =
+        dw/dz * dz/dt as arrays, one row per knot; taken on the first read."""
+        if self._dense is None:
+            ts = np.array(self.t)
+            slopes = np.array(self.dwdz) * self.seg.derivs(ts)[:, None]
+            self._dense = ts, np.array(self.fibers), slopes
+        return self._dense
 
     def tracked(self, t: float) -> list[complex]:
         """The fiber at parameter t that a tracker reaches when it starts at
@@ -451,9 +471,9 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
     under one Tolerances (ValueError otherwise).
 
     All the segments are read in one array pass: their nodes (Line.ats,
-    Arc.ats), the knot slopes of those not yet read (_knot_slopes), one
-    Hermite prediction over all their knots (_hermite) and one batched Newton
-    pass under the gates of an accepted step (_correct). A sample that fails
+    Arc.ats), one Hermite prediction over all their knots and the slopes
+    their walks stepped with (_hermite) and one batched Newton pass under the
+    gates of an accepted step (_correct). A sample that fails
     its gates takes the fiber its segment's tracker reaches from the last
     knot before it (_WalkedSegment.tracked), whose refusal is raised at once.
     """
@@ -464,9 +484,8 @@ def _read(walked: Sequence[_WalkedSegment], tss: Sequence[Sequence[float]]) -> l
         raise ValueError("a read takes the segments of one equation under one Tolerances")
     tss = [np.asarray(ts, dtype=float) for ts in tss]
     with np.errstate(all="ignore"):  # a sample gone astray fails its gates
-        _knot_slopes(walked)
         zs = np.concatenate([seg.seg.ats(ts) for seg, ts in zip(walked, tss)])
-        pred = _hermite([seg._dense for seg in walked], tss)
+        pred = _hermite([seg.dense() for seg in walked], tss)
         rows, ok = _correct(eq, zs, pred, tol)
     bounds = _bounds(tss)
     for j in np.flatnonzero(~ok).tolist():
@@ -479,27 +498,6 @@ def _bounds(parts: Sequence) -> list[int]:
     """Where each of parts starts and the last ends once they are
     concatenated."""
     return list(itertools.accumulate(map(len, parts), initial=0))
-
-
-def _knot_slopes(segs: Sequence[_WalkedSegment]):
-    """Set _dense, the knot parameters and fibers with their slopes dw/dt, on
-    each walked segment of segs, all of one equation, that lacks it, in one
-    pass over the knots of them all."""
-    segs = [seg for seg in segs if seg._dense is None]
-    if not segs:
-        return
-    eq, k = segs[0].eq, len(segs[0].start)
-    knots = np.array([fiber for seg in segs for fiber in seg.fibers])
-    zs = np.array([z for seg in segs for z in seg.z])
-    w = knots.ravel()
-    _, dpsi_w = poly_eval_pairs(eq.psi_coeffs_on(zs).repeat(k, axis=0), w)
-    psi_z = poly_evals(eq.psi_z_coeffs_on(zs).repeat(k, axis=0), w)
-    knot_ts = [np.array(seg.t) for seg in segs]
-    dzdt = np.concatenate([seg.seg.derivs(ts) for seg, ts in zip(segs, knot_ts)])[:, None]
-    slopes = (-psi_z / dpsi_w).reshape(knots.shape) * dzdt
-    bounds = _bounds(knot_ts)
-    for seg, ts, lo, hi in zip(segs, knot_ts, bounds, bounds[1:]):
-        seg._dense = ts, knots[lo:hi], slopes[lo:hi]
 
 
 def _hermite(dense: Sequence[tuple], tss: Sequence[np.ndarray]) -> np.ndarray:

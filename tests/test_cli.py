@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from algebroid import errors
 from algebroid.cli import dumps_report, load_problem, main, parse_path_json
 from algebroid.errors import SchemaError
 
@@ -519,12 +520,42 @@ def test_integral_tolerance_accepts_integral_value(capsys, sqrt_file):
     assert report["results"]["cycles"][0]["expansion"]["m"] == 2
 
 
+# W^2 - 1/z with two paths from its base to the germ (4, 1/2)
+RECIP_SQRT_PATHS = dict(RECIP_SQRT_Z, paths={
+    "direct": [{"line": [[1, 0], [4, 0]]}],
+    "bent": [{"line": [[1, 0], [2, 1]]}, {"line": [[2, 1], [4, 0]]}],
+})
+AUDIT_FLAGS = ["--target-z=4", "--target-w=0.5", "--paths=direct,bent"]
+
+
+@pytest.mark.parametrize("n_max", ["1100", "8193"])
+@pytest.mark.parametrize("argv", [["audit", *AUDIT_FLAGS], ["antiderivative"],
+                                  ["family", "--shift", "1"]],
+                         ids=["audit", "antiderivative", "family"])
+def test_a_window_that_cannot_be_sampled_is_a_schema_error_on_every_command(
+        capsys, tmp_path, monkeypatch, argv, n_max):
+    # the Puiseux sampler refuses the window itself, reached through the
+    # audit's residue lifts and the residue gate, before it samples anything
+    from algebroid import puiseux
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(puiseux, "_walk_turns", no_walk)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(RECIP_SQRT_PATHS))
+    code, report = run_cli(capsys, "--tol", f"n_max={n_max}", argv[0], str(f), *argv[1:])
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(f"n_max {n_max} ")
+
+
 def test_a_window_that_leaves_float_range_is_a_schema_error(capsys, sqrt_file):
     # 1100 |ln 0.5| > 700: eps^(n/m) would overflow at the default radius 0.5
     code, report = run_cli(capsys, "--tol", "n_max=1100", "puiseux", sqrt_file, "--point", "0")
     assert code == 3
     assert report["error"]["type"] == "SchemaError"
-    assert report["error"]["message"].startswith("--tol n_max: n_max 1100 takes")
+    assert report["error"]["message"].startswith("n_max 1100 takes")
 
 
 @pytest.mark.parametrize("n_max, code", [(2, 20), (3, 0)])
@@ -617,3 +648,50 @@ def test_dumps_report_float_formatting():
     text = dumps_report({"x": 1.0 / 3.0, "n": 3, "flag": True, "none": None})
     assert "0.33333333333333331" in text
     assert json.loads(text) == {"x": 1 / 3, "n": 3, "flag": True, "none": None}
+
+
+CUBE_ROOT = {"k": 3, "coefficients": ["0", "0", "-z"]}
+
+
+@pytest.mark.parametrize("problem, argv", [
+    # a loop of several turns
+    (CUBE_ROOT, ["monodromy", PROBLEM, "--loop", "0,0,1,4"]),
+    (CUBE_ROOT, ["monodromy", PROBLEM, "--loop", "0,0,1,7"]),
+    (RECIP_SQRT_Z, ["integrate", PROBLEM, "--loop", "0,0,1,4"]),
+    # a Puiseux window that cannot be sampled, on every command that samples
+    *[(RECIP_SQRT_PATHS, ["--tol", f"n_max={n_max}", command, PROBLEM, *flags])
+      for n_max in (1100, 8193)
+      for command, flags in [("audit", AUDIT_FLAGS), ("antiderivative", []),
+                             ("family", ["--shift", "1"]), ("puiseux", ["--point", "0"]),
+                             ("residues", ["--contour-check"])]],
+    # a fiber over a huge |z|
+    (SQRT_Z, ["fiber", PROBLEM, "--z", "1e300"]),
+    ({"k": 1, "coefficients": ["-z"]}, ["fiber", PROBLEM, "--z", "1e300,1e300"]),
+    (CUBE_ROOT, ["fiber", PROBLEM, "--z=-1e308"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1e300,1"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "1e300"]),
+    # flag values that are legal but hostile
+    (RECIP_SQRT_Z, ["--tol", "quad_tol=1e-17", "integrate", PROBLEM,
+                    "--path-json", '[{"line": [[1, 0], [-1, 0.01]]}]']),
+    ({"k": 1, "coefficients": ["-1/z^3"]}, ["--tol", "n_max=2", "puiseux", PROBLEM, "--point", "0"]),
+    (SQRT_Z, ["puiseux", PROBLEM, "--point", "0", "--radius", "1e-300"]),
+    (SQRT_Z, ["residues", PROBLEM, "--radius", "1e300", "--contour-check"]),
+    (SQRT_Z, ["fiber", PROBLEM, "--z", "1e-300"]),
+    (SQRT_Z, ["--tol", "h_min_frac=0.9", "monodromy", PROBLEM, "--loop", "0,0,1,1"]),
+    (SQRT_Z, ["--tol", "delta_sep=1e300", "fiber", PROBLEM, "--z", "4"]),
+    (SQRT_Z, ["--tol", "delta_path_factor=1e300", "monodromy", PROBLEM, "--loop", "0,0,1,1"]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1e-300,1,1,0"]),
+    ({"k": 2, "coefficients": ["0", "-z^5"]}, ["fiber", PROBLEM, "--z", "1e80,0"]),
+    (SQRT_Z, ["--tol", "fit_tol=1e-300", "antiderivative", PROBLEM]),
+])
+def test_every_run_ends_in_one_report(capsys, tmp_path, problem, argv):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(problem))
+    code = main([str(f) if a == PROBLEM else a for a in argv])
+    report = json.loads(capsys.readouterr().out)  # one JSON document, no traceback
+    assert report["command"] in argv
+    if "error" in report:
+        assert issubclass(getattr(errors, report["error"]["type"]), errors.AlgebroidError)
+        assert code == report["error"]["exit_code"] > 0
+    else:
+        assert code == 0

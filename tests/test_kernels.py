@@ -100,8 +100,7 @@ def _read_reference(walked, tss):
     for seg, ts in zip(walked, tss):
         ts = np.asarray(ts, dtype=float)
         with np.errstate(all="ignore"):
-            tracker._knot_slopes([seg])
-            pred = tracker._hermite([seg._dense], [ts])
+            pred = tracker._hermite([seg.dense()], [ts])
             rows, ok = tracker._correct(seg.eq, seg.seg.ats(ts), pred, seg.tol)
         for j in np.flatnonzero(~ok):
             i = np.searchsorted(seg.t, ts[j], side="right") - 1

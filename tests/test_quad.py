@@ -777,3 +777,15 @@ def test_batch_raises_the_refusal_of_the_first_path_that_fails():
         path_independence_audit(eq, base, target, [stalls, detour], tol)
     with pytest.raises(PathTooCloseToCritical):
         path_independence_audit(eq, base, target, [detour, stalls], tol)
+
+
+def test_a_four_turn_integral_is_twice_the_two_turn_one():
+    # W^2 - 1/z from w(1) = 1: w = z^(-1/2) integrates to 2 z^(1/2), so an odd
+    # number of turns gives -4 and an even one 0
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    start = SurfacePoint(1.0 + 0j, 1.0 + 0j)
+    one, two, three, four = (surface_integral(eq, start, loop_path(0, 1.0, turns)).value
+                             for turns in (1, 2, 3, 4))
+    assert one == pytest.approx(-4.0, abs=1e-10) and three == pytest.approx(-4.0, abs=1e-10)
+    assert four == pytest.approx(2 * two, abs=1e-12)
+    assert abs(two) < 1e-12

@@ -73,6 +73,22 @@ def test_non_finite_coefficient_is_refused(coeffs):
         all_roots(coeffs)
 
 
+@pytest.mark.parametrize("coeffs, roots", [
+    ([-1e300, 0, 1], [-1e150, 1e150]),  # W^2 - z at z = 1e300: the 1 is no round-off
+    ([-1e300, 1], [1e300]),
+    ([-1e300, 0, 1, 0, 0], [-1e150, 1e150]),  # zero leading coefficients are dropped
+])
+def test_a_leading_coefficient_small_against_the_others_is_kept(coeffs, roots):
+    assert sorted(all_roots(coeffs), key=lambda r: r.real) == pytest.approx(roots, rel=1e-15)
+
+
+def test_a_companion_matrix_beyond_float_range_is_refused():
+    # 1e300 / 1e-300 overflows: numpy's eigenvalue solver would refuse the
+    # matrix with a bare error
+    with pytest.raises(RootFindingFailure, match="leaves float range"):
+        all_roots([1e300, 0, 1e-300])
+
+
 def test_double_root_is_merged_onto_the_root_of_the_derivative():
     cs = _expand([(1, 1), (1, 1), (-2, 0)])  # (z - 1 - i)^2 (z + 2)
     roots = [1 + 1j + 1e-8, -2, 1 + 1j - 3e-9j]  # scattered as round-off leaves them

@@ -11,7 +11,8 @@ from algebroid.config import DEFAULT
 from algebroid.errors import PathTooCloseToCritical, StepUnderflow, TrackingCollision
 from algebroid.quad import fiber_integral
 from algebroid.rootfind import poly_eval_pair
-from algebroid.surface import DefiningEquation, fiber_at, min_pairwise_distance
+from algebroid.surface import (DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance,
+                               monodromy)
 from algebroid.tracker import (
     Arc,
     BasePath,
@@ -112,30 +113,6 @@ def test_germ_rejects_irregular_point(sqrt_z):
         germ_at(sqrt_z, 1e-20 + 0j, 1e-10 + 0j)
 
 
-@pytest.mark.parametrize("coeffs, seg", [
-    (["0", "-z"], Line(1, 4)),
-    (["0", "0", "-z"], Line(1, 3 + 2j)),
-    (["0", "-1/z"], Line(1, -1 + 0.5j)),
-])
-def test_clipped_step_keeps_step_size(coeffs, seg):
-    eq = DefiningEquation.from_strings(coeffs)
-    fiber = fiber_at(eq, seg.start).roots
-
-    def fresh():
-        return SegmentTracker(eq, seg, fiber, DEFAULT)
-
-    direct = fresh()
-    direct.advance_to(1.0)
-    trk = fresh()
-    h0 = trk.h
-    trk.advance_to(1e-6)
-    assert trk.h == h0  # a step cut short to land on t = 1e-6 leaves h alone
-    before = trk.steps
-    trk.advance_to(1.0)
-    assert trk.steps - before <= direct.steps + 1
-    assert max(abs(a - b) for a, b in zip(trk.fiber, direct.fiber)) < 1e-12
-
-
 class _Recomputing(SegmentTracker):
     """A tracker whose every step recomputes its z, the coefficients, the
     root separation, Psi_W at each root and the fiber scale at its start,
@@ -164,8 +141,8 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
         walk = []
         for stop in (0.3, 0.3 + 1e-9, 1.0):  # clipped steps too
             while trk.t < stop - 1e-15:
-                z = trk._step(stop)
-                walk.append(_bits([trk.t, z, *trk.fiber, trk.h]))
+                z, slopes = trk._step(stop)
+                walk.append(_bits([trk.t, z, *trk.fiber, *slopes, trk.h]))
                 # the z, Psi_W and scale carried to the next step are the ones
                 # it would recompute
                 z1, coeffs1, _, dws, scale = trk._carry
@@ -403,3 +380,60 @@ def test_partial_start_fiber_is_refused():
         continue_fiber(eq, [roots[0]], path)
     with pytest.raises(ValueError, match="k = 3 roots, got 1"):
         fiber_integral(eq, [roots[0]], path)
+
+
+@pytest.mark.parametrize("coeffs, seg", [
+    (["0", "-z"], Line(1, 4)),
+    (["0", "-3", "-z"], Arc(2.0, 0.5, 0.0, 2 * math.pi)),  # about a branch point
+    (["0", "0", "-z"], Arc(0j, 1.0, 0.0, 8 * math.pi)),  # four turns
+    (["z/(z-3)", "-3", "-z^2+1/(z+2)"], Line(1j, -1 + 2j)),
+])
+def test_a_walk_keeps_the_slopes_it_stepped_with(coeffs, seg):
+    # one row of dw/dz = -Psi_z/Psi_W per knot, the end knot's too, and the
+    # read's slopes dw/dt = dw/dz * dz/dt
+    eq = DefiningEquation.from_strings(coeffs)
+    walked = _WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
+    assert len(walked.dwdz) == len(walked.t) > 2
+    for z, fiber, row in zip(walked.z, walked.fibers, walked.dwdz):
+        assert _bits(row) == _bits([-eq.psi_z(w, z) / eq.psi_w(w, z) for w in fiber])
+    ts, knots, slopes = walked.dense()
+    assert _bits(knots) == _bits(walked.fibers)
+    assert _bits(slopes) == _bits(np.array(walked.dwdz) * seg.derivs(ts)[:, None])
+
+
+def test_a_zero_psi_w_gives_a_nan_slope(sqrt_z):
+    # the end knot's row is taken with no step after it: its samples fail
+    # their gates and are tracked instead
+    row = tracker._slopes(sqrt_z, 4.0, [2.0, -2.0], [0j, -4.0])
+    assert cmath.isnan(row[0]) and row[1] == -0.25
+
+
+def test_a_step_sweeps_at_most_half_a_turn(sqrt_z):
+    # lines and arcs of one turn keep the steps 0.25 and 0.5 exactly, also
+    # when the sweep of one turn rounds above 2 pi
+    one_turn = Arc(0j, 1.0, -3.3, -3.3 - 2 * math.pi)
+    assert abs(one_turn.theta_to - one_turn.theta_from) > 2 * math.pi
+    for seg in (Line(1, 4), Arc(0j, 1.0, 0.0, math.pi), loop_path(0, 1.0, 1).segments[0],
+                one_turn):
+        trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
+        assert (trk.h, trk.h_max) == (0.25, 0.5)
+    for turns in (2, 3, 4, 8):
+        seg = loop_path(0, 1.0, turns).segments[0]
+        trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
+        assert trk.h_max == pytest.approx(0.5 / turns) and trk.h == 0.5 * trk.h_max
+        walked = _WalkedSegment(sqrt_z, seg, trk.fiber, DEFAULT)
+        assert max(np.diff(walked.t)) <= trk.h_max
+
+
+@pytest.mark.parametrize("turns", range(1, 9))
+def test_a_loop_of_several_turns_gives_the_power_of_one_turn(turns):
+    # W^3 - z: one turn about 0 gives sigma = [2, 0, 1], so T turns give
+    # sigma^T; a step of a whole turn would skip one
+    eq = DefiningEquation.from_strings(["0", "0", "-z"])
+    loop = loop_path(0, 1.0, turns)
+    want = [0, 1, 2]
+    for _ in range(turns):
+        want = [[2, 0, 1][j] for j in want]
+    assert list(monodromy(eq, loop).image) == want
+    fiber = fiber_at(eq, loop.start_z)
+    assert [match_to_fiber(w, fiber) for w in continue_fiber(eq, fiber.roots, loop)] == want
