@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time two source trees against each other on benchmark cases, in one process.
 
-    python3 scripts/ab_cases.py SRC_A SRC_B DIR... [--reps N] [--slots]
+    python3 scripts/ab_cases.py SRC_A SRC_B DIR... [--reps N] [--slots] [--only REGEX]
 
 Imports algebroid from SRC_A/src and from SRC_B/src, each only from there (as
 ``replay_cases.py run`` does), and keeps each tree's algebroid modules apart:
 before every call the modules of the tree that runs it are put into
 sys.modules. Each DIR is a benchmark/out/<workload>-seed<n>-trace<t>
-directory, and its cases are the argvs of DIR/cases/*.argv. Each of the N
+directory, and its cases are the argvs of DIR/cases/*.argv, or with --only
+those whose stem matches REGEX (re.search). Each of the N
 reps (default 3) runs every case on both trees, A first on even cases of
 even reps and B first on the others, and times each ``algebroid.cli.main``
 call alone.
@@ -75,10 +76,10 @@ def run(tree, argv: list) -> tuple[float, tuple]:
     return seconds, (code, out.getvalue())
 
 
-def compare(trees: tuple, dirs: list, reps: int) -> dict:
+def compare(trees: tuple, dirs: list, reps: int, only: str | None = None) -> dict:
     """Per workload: the seconds of every call on A and on B, per case, and
     the cases whose outcomes differ between the trees in some rep."""
-    cases = list(replay_cases.case_argvs(dirs))
+    cases = list(replay_cases.case_argvs(dirs, only))
     found: dict = {}
     for rep in range(reps):
         for n, (case, argv) in enumerate(cases):
@@ -128,9 +129,10 @@ def main(argv: list) -> int:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--slots", action="store_true",
                         help="also summarize each slot of a workload")
+    parser.add_argument("--only", help="time only the cases whose stem matches this regex")
     args = parser.parse_args(argv)
     trees = load(args.src_a), load(args.src_b)
-    print(*summary(compare(trees, args.dirs, args.reps), args.slots), sep="\n")
+    print(*summary(compare(trees, args.dirs, args.reps, args.only), args.slots), sep="\n")
     return 0
 
 

@@ -2,7 +2,7 @@
 """Profile algebroid.cli.main alone over benchmark cases.
 
     python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--sort KEY] [--callers REGEX]
-                                     [--counts REGEX]
+                                     [--counts REGEX] [--only REGEX]
 
 Imports algebroid from SRC_ROOT/src only, as ``replay_cases.py run`` does,
 and runs cProfile around each ``algebroid.cli.main`` call on the argv of
@@ -14,7 +14,8 @@ the number of cases, each case whose call raised, and the top N functions
 them and all they call, with --callers the callers of every function
 whose name matches REGEX, and with --counts the calls per case of every
 function whose own name matches REGEX (re.search), such as ``^_read$``.
-With no case it prints ``cases 0`` and exits 1.
+With --only it profiles only the cases whose stem matches REGEX
+(re.search). With no case it prints ``cases 0`` and exits 1.
 Standard library only.
 """
 
@@ -31,11 +32,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import replay_cases  # noqa: E402
 
 
-def profile(cli, dirs: list) -> tuple[int, list, cProfile.Profile]:
+def profile(cli, dirs: list, only: str | None = None) -> tuple[int, list, cProfile.Profile]:
     """The number of cases, the cases whose cli.main call raised, and the
     profile of all their cli.main calls."""
     prof, count, raised = cProfile.Profile(), 0, []
-    for case, argv in replay_cases.case_argvs(dirs):
+    for case, argv in replay_cases.case_argvs(dirs, only):
         with contextlib.redirect_stdout(io.StringIO()):
             prof.enable()
             try:
@@ -65,8 +66,9 @@ def main(argv: list) -> int:
     parser.add_argument("--sort", choices=("tottime", "cumulative"), default="tottime")
     parser.add_argument("--callers")
     parser.add_argument("--counts")
+    parser.add_argument("--only")
     args = parser.parse_args(argv)
-    count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs)
+    count, raised, prof = profile(replay_cases._import_cli(args.src_root), args.dirs, args.only)
     if not count:  # pstats has no profile to read
         print("cases 0")
         return 1

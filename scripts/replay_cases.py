@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Replay benchmark cases in process and compare two replays number by number.
 
-    python3 scripts/replay_cases.py run SRC_ROOT OUT.json DIR...
+    python3 scripts/replay_cases.py run SRC_ROOT OUT.json DIR... [--only REGEX]
     python3 scripts/replay_cases.py compare A.json B.json
 
 ``run`` imports algebroid from SRC_ROOT/src only, and refuses any other copy,
@@ -10,6 +10,8 @@ DIR/cases/*.argv, where each DIR is a benchmark/out/<workload>-seed<n>-trace<t>
 directory, and writes each case's exit code and standard output to OUT.json.
 Problem files are read from DIR/cases, with DIR made absolute, so replays of
 one DIR against two source trees see the same inputs however DIR is typed.
+With --only it replays only the cases whose stem matches REGEX (re.search),
+such as ``-k2-j`` for one slot.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
 the exit-code differences, the tally of exit codes on each side (a is A.json,
@@ -24,6 +26,7 @@ import collections
 import contextlib
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -43,20 +46,23 @@ def _import_cli(src_root: Path):
     return algebroid.cli
 
 
-def case_argvs(dirs: list):
+def case_argvs(dirs: list, only: str | None = None):
     """(DIR name/case stem, argv of algebroid.cli.main) for every
-    DIR/cases/*.argv, each problem file read from DIR/cases."""
+    DIR/cases/*.argv whose stem matches the regex only (re.search) when it
+    is given, each problem file read from DIR/cases."""
     for directory in (Path(d).resolve() for d in dirs):
         for argv_file in sorted((directory / "cases").glob("*.argv")):
+            if only is not None and not re.search(only, argv_file.stem):
+                continue
             _, *argv = shlex.split(argv_file.read_text())
             argv = [str(argv_file.parent / Path(a).name)
                     if (argv_file.parent / Path(a).name).is_file() else a for a in argv]
             yield f"{directory.name}/{argv_file.stem}", argv
 
 
-def replay(cli, dirs: list) -> dict:
+def replay(cli, dirs: list, only: str | None = None) -> dict:
     cases = {}
-    for case, argv in case_argvs(dirs):
+    for case, argv in case_argvs(dirs, only):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             try:
@@ -122,9 +128,12 @@ def compare(a: dict, b: dict) -> dict:
 
 
 def main(argv: list) -> int:
+    only = None
+    if len(argv) >= 2 and argv[-2] == "--only":
+        argv, only = argv[:-2], argv[-1]
     if len(argv) >= 4 and argv[0] == "run":
         cli = _import_cli(Path(argv[1]))
-        Path(argv[2]).write_text(json.dumps(replay(cli, argv[3:]), indent=1))
+        Path(argv[2]).write_text(json.dumps(replay(cli, argv[3:], only), indent=1))
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         a, b = (json.loads(Path(f).read_text()) for f in argv[1:])

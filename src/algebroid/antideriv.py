@@ -5,8 +5,10 @@ periods is a meromorphic function on the same Riemann surface, so it lies in
 the function field: M = C + sum_{i<k} r_i(z) W^i with every r_i in Q(i)(z)
 (Trager 1984). build_antiderivative samples the k branch integrals
 F_s(z) = c + integral from the base germ to the s-th germ over z on a small
-grid, solves the k x k Vandermonde system sum_i r_i W_s^i = F_s at each grid
-point, and fits each r_i as a rational function. The fit is then certified
+grid, each with the root W_s that its connector's walk ends on, solves the
+k x k Vandermonde systems sum_i r_i W_s^i = F_s of every grid point in one
+batched pass, and fits each r_i as a rational function. No grid fiber is
+solved apart from its walk. The fit is then certified
 exactly in Q(i)(z)[W]/(Psi): R' = W holds for R = sum r_i W^i if and only if
 
     Psi_W * sum r_i' W^i - Psi_z * sum i r_i W^(i-1) - W * Psi_W = 0 mod Psi,
@@ -25,7 +27,7 @@ single-valuedness audit from SheetRouter's one whole-fiber integral per
 monodromy generator, and expands residues only where a coefficient has a
 pole. The router integrates all its loops in one batch (quad._integrate,
 one batched fiber read per bisection level), and the fit all its grid
-connectors in one more.
+connectors in one more, whose end fibers are the fit's W roots.
 """
 
 from __future__ import annotations
@@ -152,15 +154,17 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
-    return _fiber_and_branch_integrals(eq, [z], router, tol, rng)[0][1]
+    ((ends, values),) = _walked_branch_integrals(eq, [z], router, tol, rng)
+    inverse = _sheet_permutation(ends, fiber_at(eq, z, tol), tol).inverse()
+    return [values[s] for s in inverse.image]
 
 
-def _fiber_and_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
-                                router: SheetRouter, tol: Tolerances, rng) -> list:
-    """Per z of zs: (fiber_at(eq, z), the branch integrals of branch_integrals_at
-    over it). The connectors of all z are routed first, since routing may
-    draw from rng, then integrated in one batch (_branch_integrals), which
-    raises the first refusal in the order of zs (errors.in_order)."""
+def _walked_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
+                             router: SheetRouter, tol: Tolerances, rng) -> list:
+    """Per z of zs: the end fiber of its connector and the branch integrals
+    over it, both in lift order (_branch_integrals). The connectors of all z
+    are routed first, since routing may draw from rng, then integrated in one
+    batch, which raises the first refusal in the order of zs (errors.in_order)."""
     missing = [s for s in range(eq.k) if s not in router.values]
     if missing:
         raise UnreachableSheet(
@@ -171,22 +175,22 @@ def _fiber_and_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
     locations = eq.critical(tol).locations
     paths = [BasePath(()) if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z))
              else safe_line(router.base.z, z, locations, margin, rng) for z in zs]
-    return in_order(lambda jobs: _branch_integrals(eq, jobs, router, tol), list(zip(zs, paths)))
+    return in_order(lambda jobs: _branch_integrals(eq, jobs, router, tol), paths)
 
 
-def _branch_integrals(eq: DefiningEquation, jobs: Sequence, router: SheetRouter,
+def _branch_integrals(eq: DefiningEquation, paths: Sequence[BasePath], router: SheetRouter,
                       tol: Tolerances) -> list:
-    """_fiber_and_branch_integrals for each (z, connector) of jobs, all the
-    connectors integrated in one batch."""
-    fibers = [fiber_at(eq, z, tol) for z, _ in jobs]
-    integrals = _fiber_integrals(eq, [(router.germs, path) for _, path in jobs], tol)
+    """For each connector of paths, all integrated in one batch: the roots its
+    lift ends on and the branch integrals there, entry j reached from
+    router.germs[j]. The walk's collision and residual gates and its path
+    margin make the end roots k distinct polished roots of Psi over the end."""
     out = []
-    for (_, path), fiber_t, (values, _, ends) in zip(jobs, fibers, integrals):
+    for path, (values, _, ends) in zip(paths, _fiber_integrals(
+            eq, [(router.germs, path) for path in paths], tol)):
         if not path.segments:
-            out.append((fiber_t, [router.values[s] for s in range(eq.k)]))
-            continue
-        inverse = _sheet_permutation(ends, fiber_t, tol).inverse()
-        out.append((fiber_t, [router.values[s] + values[s] for s in inverse.image]))
+            out.append((list(router.germs), [router.values[s] for s in range(eq.k)]))
+        else:
+            out.append((list(ends), [router.values[s] + v for s, v in enumerate(values)]))
     return out
 
 
@@ -352,17 +356,22 @@ def _without_constant(r0: RatFunc) -> RatFunc:
     return RatFunc(poly) + RatFunc(Poly([_coarse(x) for x in rem.coeffs]), r0.den)
 
 
-def _interpolate(ws: Sequence[complex], fs: Sequence[complex]) -> np.ndarray:
-    """Coefficients r, ascending, of the polynomial with sum_i r_i w^i = f at
-    each (w, f). This is the Vandermonde solve in Lagrange form, because
-    np.linalg.solve maps LAPACK code that nothing else here touches: about
-    0.4 MB more peak resident memory per process."""
-    ws = np.asarray(ws)
-    out = np.zeros(len(ws), dtype=complex)
-    for s, f in enumerate(fs):
-        others = np.delete(ws, s)
-        out += f * np.atleast_1d(np.poly(others))[::-1] / np.prod(ws[s] - others)
-    return out
+def _interpolate(ws, fs) -> np.ndarray:
+    """Per row of the n x k arrays ws and fs, the coefficients r, ascending,
+    of the polynomial with sum_i r_i w^i = f at each (w, f) of the row: the
+    Vandermonde solve in Lagrange form, every row at once. Not
+    np.linalg.solve, which maps LAPACK code that nothing else here touches:
+    about 0.4 MB more peak resident memory per process."""
+    ws, fs = np.asarray(ws, dtype=complex), np.asarray(fs, dtype=complex)
+    k = ws.shape[1]
+    others = ws[:, [[t for t in range(k) if t != s] for s in range(k)]]  # n x k x (k - 1)
+    basis = np.zeros(ws.shape + (k,), dtype=complex)  # prod_{t != s} (w - w_t), ascending
+    basis[..., 0] = 1.0
+    for t in range(k - 1):
+        basis[..., 1:] = basis[..., :-1] - others[..., t, None] * basis[..., 1:]
+        basis[..., 0] *= -others[..., t]
+    weights = fs / np.prod(ws[..., None] - others, axis=-1)
+    return (weights[..., None] * basis).sum(axis=1)
 
 
 def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
@@ -370,14 +379,14 @@ def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
            rng) -> tuple[list[RatFunc], list[float], float, bool, dict]:
     """The r_i of M = sum r_i W^i from the branch integrals on the grid (C in
     r_0), each r_i's fit residual, |C - snapped C|, whether C needed the fine
-    denominator and each grid point's fiber. Raises FitNotConverged naming
-    the r_i whose scan failed, or all of them when the certificate fails."""
-    samples, fibers = [], {}
-    for z, (fiber, values) in zip(grid, _fiber_and_branch_integrals(eq, grid, router, tol, rng)):
-        fibers[z] = fiber
-        samples.append(_interpolate(fiber.roots, [c + v for v in values]))
+    denominator and the W roots over each grid point. Each grid point's roots
+    are the end fiber its connector walked to, in lift order, so no grid
+    fiber is solved again. Raises FitNotConverged naming the r_i whose scan
+    failed, or all of them when the certificate fails."""
+    ends, values = zip(*_walked_branch_integrals(eq, grid, router, tol, rng))
+    samples = _interpolate(ends, c + np.asarray(values, dtype=complex))
     r, residuals = [], []
-    for i, column in enumerate(np.asarray(samples).T):
+    for i, column in enumerate(samples.T):
         try:
             rf, resid = fit_rational(list(zip(grid, column)), bounds, tol)
         except FitNotConverged as exc:
@@ -403,7 +412,7 @@ def _fit_r(eq: DefiningEquation, router: SheetRouter, c: complex,
             + " fail the exact certificate R' = W"
         )
     fine = constant != _coarse(complex(exact))
-    return r, residuals, abs(complex(exact - constant)), fine, fibers
+    return r, residuals, abs(complex(exact - constant)), fine, dict(zip(grid, ends))
 
 
 def _psi(eq: DefiningEquation) -> list[RatFunc]:
@@ -572,7 +581,9 @@ def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
                           probes: Optional[Sequence[complex]] = None,
                           tol: Tolerances = DEFAULT, fibers: Optional[dict] = None) -> float:
     """Max defect of the implicit derivative identity M'(z) = W(z); fibers
-    may map probes to their fiber_at(eq, z, tol), already solved."""
+    may map probes to the k roots of Psi over them, already found in any
+    order (build_antiderivative passes the end fibers its grid connectors
+    walked to), and fiber_at solves the other probes."""
     meq = model.as_equation()
     if probes is None:
         grid = model.diagnostics.sample_grid
@@ -583,11 +594,11 @@ def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
     for z in probes:
         try:
             mf = fiber_at(meq, z, tol)
-            wf = fibers[z] if fibers and z in fibers else fiber_at(eq, z, tol)
+            wf = fibers[z] if fibers and z in fibers else fiber_at(eq, z, tol).roots
         except NearCriticalPoint:
             continue
         derivs = [-meq.psi_z(m, z) / meq.psi_w(m, z) for m in mf.roots]
-        worst = max(worst, _multiset_defect(derivs, list(wf.roots)))
+        worst = max(worst, _multiset_defect(derivs, list(wf)))
         used += 1
     if used == 0:
         raise ValueError("no probe was regular for both equations")

@@ -38,39 +38,57 @@ __all__ = ["main", "load_problem", "dumps_report"]
 # --- deterministic JSON ------------------------------------------------------
 
 
+# what json.dumps calls for a str under its default ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
-        return json.dumps(str(x))
+        return _quote(str(x))
     if x == int(x) and abs(x) < 1e16:
         return repr(float(x))
     return format(x, ".17g")
 
 
 def dumps_report(obj, indent: int = 2, level: int = 0) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+    """obj as JSON with one entry a line, indented by indent spaces a level
+    from level on: the parts are appended into one list and joined once."""
+    out: list[str] = []
+    _write(obj, indent, level, out)
+    return "".join(out)
+
+
+def _write(obj, indent: int, level: int, out: list) -> None:
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        rows = [
-            f"{pad_in}{json.dumps(str(k))}: {dumps_report(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append("{}")
+            return
+        pad_in, opener = "\n" + " " * (indent * (level + 1)), "{"
+        for k, v in obj.items():
+            out += (opener, pad_in, _quote(str(k)), ": ")
+            _write(v, indent, level + 1, out)
+            opener = ","
+        out += ("\n", " " * (indent * level), "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        rows = [f"{pad_in}{dumps_report(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+            out.append("[]")
+            return
+        pad_in, opener = "\n" + " " * (indent * (level + 1)), "["
+        for v in obj:
+            out += (opener, pad_in)
+            _write(v, indent, level + 1, out)
+            opener = ","
+        out += ("\n", " " * (indent * level), "]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        out.append(_quote(str(obj)))
 
 
 def _cpx(z: complex) -> list[float]:

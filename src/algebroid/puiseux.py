@@ -125,12 +125,19 @@ def default_radius(eq: DefiningEquation, a: complex, tol: Tolerances = DEFAULT) 
 def _radius(eq: DefiningEquation, a: complex, epsilon: Optional[float],
             tol: Tolerances) -> float:
     """The given sampling radius, or default_radius when it is None, checked
-    to be positive and below half the gap to the nearest other critical
-    point (SchemaError otherwise)."""
+    to be positive, at least 64 times the float spacing at |a| (a smaller
+    circle collapses onto its center) and below half the gap to the nearest
+    other critical point (SchemaError otherwise)."""
     if epsilon is None:
         epsilon = default_radius(eq, a, tol)
     if not epsilon > 0:
         raise SchemaError(f"sampling radius must be positive, got {epsilon}")
+    spacing = math.ulp(abs(a))
+    if epsilon < 64 * spacing:
+        raise SchemaError(
+            f"sampling radius {epsilon} is below 64 times the float spacing "
+            f"{spacing} at the center {a}"
+        )
     d = eq.critical(tol).nearest_other_dist(a)
     if not epsilon < 0.5 * d:
         raise SchemaError(

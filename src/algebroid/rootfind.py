@@ -33,6 +33,7 @@ the coefficient tables):
 from __future__ import annotations
 
 import cmath
+from typing import Callable
 
 import numpy as np
 
@@ -191,7 +192,8 @@ def all_roots(coeffs) -> list[complex]:
     return roots
 
 
-def merge_double_roots(coeffs, roots, radius: float, eps: float) -> list[complex]:
+def merge_double_roots(coeffs, roots, radius: float, eps: float,
+                       squarefree: Callable[[], bool] = lambda: False) -> list[complex]:
     """roots with each isolated double root given once.
 
     A double root is fixed by a residual at eps only to about sqrt(eps), so
@@ -200,17 +202,22 @@ def merge_double_roots(coeffs, roots, radius: float, eps: float) -> list[complex
     other and of no third root are one double root m when Newton on p' from
     their midpoint converges and |p(m)| passes the eps residual gate; m takes
     the place of the first. Three or more roots within ``radius`` of each
-    other are kept as given.
+    other are kept as given. squarefree is asked only when there is such a
+    pair, and when it proves that p has no multiple root none is merged.
     """
     near = [[j for j, s in enumerate(roots) if j != i and abs(r - s) <= radius]
             for i, r in enumerate(roots)]
+    pairs = {i: js[0] for i, js in enumerate(near)
+             if len(js) == 1 and js[0] > i and near[js[0]] == [i]}
+    if not pairs or squarefree():
+        return list(roots)
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     merged, dropped = [], set()
     for i, r in enumerate(roots):
         if i in dropped:
             continue
-        if len(near[i]) == 1 and near[i][0] > i and near[near[i][0]] == [i]:
-            j = near[i][0]
+        if i in pairs:
+            j = pairs[i]
             m = newton_polish(dcoeffs, (r + roots[j]) / 2)
             if m is not None and abs(poly_eval(coeffs, m)) <= eps * residual_scale(coeffs, m):
                 merged.append(m)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import LiftNotClosed, NearCriticalPoint, RootFindingFailure, TrackingCollision
-from .exactalg import GaussianRational, RatFunc, discriminant, parse_coefficient
+from .exactalg import GaussianRational, RatFunc, _coprime_mod_p, discriminant, parse_coefficient
 from .rootfind import (all_roots, merge_double_roots, poly_eval, poly_eval_pair, polish_roots,
                        residual_scale)
 
@@ -300,7 +300,8 @@ class SheetPermutation:
 
 def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> CriticalSet:
     """Discriminant zeros and coefficient poles, isolated double roots merged,
-    clustered and tagged."""
+    clustered and tagged. Two roots of a polynomial that is squarefree by
+    exactalg._coprime_mod_p are never merged as one double root."""
     candidates: list[tuple[complex, str]] = []
     polys = [(eq.disc.num, KIND_DISC)] + [(c.den, KIND_POLE) for c in eq.coeffs]
     for poly, kind in polys:
@@ -309,7 +310,8 @@ def critical_points(eq: DefiningEquation, tol: Tolerances = DEFAULT) -> Critical
             roots = polish_roots(fc, all_roots(fc))
             # a double root comes back as two points up to sqrt(eps_root) apart
             radius = math.sqrt(tol.eps_root) * max(1.0, max(abs(r) for r in roots))
-            roots = merge_double_roots(fc, roots, radius, tol.eps_root)
+            roots = merge_double_roots(fc, roots, radius, tol.eps_root,
+                                       lambda: _coprime_mod_p(poly.q, poly.derivative().q))
             candidates.extend((r, kind) for r in roots)
 
     if not candidates:

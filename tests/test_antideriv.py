@@ -20,6 +20,7 @@ from algebroid.antideriv import (
 )
 from algebroid.config import DEFAULT
 from algebroid.errors import (
+    AlgebroidError,
     FitNotConverged,
     RefusedNonzeroResidue,
     RefusedReducible,
@@ -81,6 +82,20 @@ def test_symmetric_coeffs_roots_reconstruct(values):
     from algebroid.antideriv import _multiset_defect
 
     assert _multiset_defect(roots, values) < 1e-10
+
+
+@pytest.mark.parametrize("delta_squared", ["1/10^14", "1/10^16"], ids=["delta-1e-7", "delta-1e-8"])
+def test_two_close_branch_points_are_not_refused_as_reducible(delta_squared):
+    # W^2 - (z^2 - delta^2) is irreducible: a refusal may name the close
+    # pair, but not reducibility
+    eq = DefiningEquation.from_strings(["0", f"-(z^2-{delta_squared})"])
+    base = SurfacePoint(1 + 1j, fiber_at(eq, 1 + 1j).roots[0])
+    try:
+        build_antiderivative(eq, base)
+    except RefusedReducible as exc:
+        pytest.fail(f"refused as reducible: {exc}")
+    except AlgebroidError:
+        pass
 
 
 # --- branch integrals ---------------------------------------------------------
@@ -444,7 +459,8 @@ def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
 
 
 def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
-    # the Vandermonde solve reads the fiber that ordered the connector's sheets
+    # the Vandermonde solve reads the fiber each connector's walk ended on,
+    # so no grid fiber is solved by fiber_at
     import algebroid.antideriv as antideriv
 
     zs = []
@@ -458,7 +474,7 @@ def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
     model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
     grid = model.diagnostics.sample_grid
     assert len(grid) == 8
-    assert [zs.count(z) for z in grid] == [1] * 8
+    assert [zs.count(z) for z in grid] == [0] * 8
 
 
 def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
@@ -473,13 +489,35 @@ def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
 
     monkeypatch.setattr(antideriv, "fiber_at", counted)
     model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
-    # the base fiber, 8 grid fibers, and M's fiber at each of the 6 probes:
-    # W's fiber at a probe is the grid fiber _fit_r solved
-    assert len(zs) == 1 + 8 + 6
+    # the base fiber and M's fiber at each of the 6 probes: W's roots at a
+    # probe are the end fiber of the grid connector _fit_r walked
+    assert len(zs) == 1 + 6
     monkeypatch.undo()
     plain = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
     assert model.coeffs == plain.coeffs
-    assert model.diagnostics.derivative_defect == verify_antiderivative(plain, sqrt_z)
+    # walked and freshly solved roots agree to rounding, not bit for bit
+    assert model.diagnostics.derivative_defect == pytest.approx(
+        verify_antiderivative(plain, sqrt_z), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [["0", "0", "-z"], ["0", "-1/z"]],
+                         ids=["cube-root", "sqrt-of-inverse"])
+def test_walked_pairs_are_the_canonical_pairs(coeffs):
+    # the fit reads (end root, integral) in lift order; as a set of pairs it
+    # is branch_integrals_at's canonical order
+    from algebroid.antideriv import _walked_branch_integrals
+
+    eq = DefiningEquation.from_strings(coeffs)
+    base = SurfacePoint(1.5 + 0.5j, fiber_at(eq, 1.5 + 0.5j).roots[0])
+    router = SheetRouter(eq, base)
+    zs = [2 + 1j, -3 + 0.2j, 0.5 - 2j, base.z]
+    for z, (ends, values) in zip(zs, _walked_branch_integrals(eq, zs, router, DEFAULT, None)):
+        canonical = dict(zip(fiber_at(eq, z).roots, branch_integrals_at(eq, base, z, router)))
+        assert len(ends) == len(values) == eq.k
+        for w, v in zip(ends, values):
+            nearest = min(canonical, key=lambda r: abs(r - w))
+            assert abs(nearest - w) < 1e-12
+            assert abs(canonical[nearest] - v) < 1e-12
 
 
 def test_failed_certificate_retries_once_on_the_full_grid(sqrt_z, monkeypatch):
@@ -510,16 +548,23 @@ def test_failed_certificate_is_refused_naming_the_r_i(sqrt_z, monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=3, allow_nan=False,
-                                   allow_infinity=False), min_size=1, max_size=4),
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5),
        st.randoms(use_true_random=False))
-def test_interpolate_is_the_vandermonde_solve(ws, rand):
+def test_interpolate_is_the_vandermonde_solve(k, n, rand):
+    # one batched call over n rows of k roots each, every row against its own solve
     from algebroid.antideriv import _interpolate
 
-    assume(all(abs(a - b) > 0.3 for i, a in enumerate(ws) for b in ws[i + 1:]))
-    fs = [complex(rand.uniform(-2, 2), rand.uniform(-2, 2)) for _ in ws]
-    reference = np.linalg.solve(np.vander(ws, len(ws), increasing=True), fs)
-    assert np.allclose(_interpolate(ws, fs), reference, rtol=0, atol=1e-12)
+    rows = []
+    while len(rows) < n:
+        ws = [complex(rand.uniform(-3, 3), rand.uniform(-3, 3)) for _ in range(k)]
+        if all(abs(a - b) > 0.3 for i, a in enumerate(ws) for b in ws[i + 1:]):
+            rows.append(ws)
+    fs = [[complex(rand.uniform(-2, 2), rand.uniform(-2, 2)) for _ in range(k)] for _ in rows]
+    out = _interpolate(rows, fs)
+    assert out.shape == (n, k)
+    for ws, f, r in zip(rows, fs, out):
+        reference = np.linalg.solve(np.vander(ws, k, increasing=True), f)
+        assert np.allclose(r, reference, rtol=0, atol=1e-12)
 
 
 # --- the exact certificate R' = W ---------------------------------------------

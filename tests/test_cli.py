@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroid import errors
 from algebroid.cli import dumps_report, load_problem, main, parse_path_json
@@ -644,10 +646,86 @@ def test_import_builds_no_parser():
     assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
 
+def test_a_sampling_radius_below_the_float_spacing_is_refused(tmp_path, capsys):
+    # the float spacing at 1e17 is 16: the default radius 0.5 circle would
+    # collapse onto its center
+    problem = tmp_path / "far.json"
+    problem.write_text(json.dumps({"k": 2, "coefficients": ["0", "-(z-10^17)"]}))
+    code, report = run_cli(capsys, "puiseux", str(problem), "--point", "1e17")
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"] == (
+        "sampling radius 0.5 is below 64 times the float spacing 16.0 at the center (1e+17+0j)")
+
+
 def test_dumps_report_float_formatting():
     text = dumps_report({"x": 1.0 / 3.0, "n": 3, "flag": True, "none": None})
     assert "0.33333333333333331" in text
     assert json.loads(text) == {"x": 1 / 3, "n": 3, "flag": True, "none": None}
+
+
+def _recursive_dumps(obj, indent=2, level=0):
+    """The report writer as it was before it appended into one list: each
+    container joins the strings of its entries, and strings go through json.dumps."""
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [f"{pad_in}{json.dumps(str(k))}: {_recursive_dumps(v, indent, level + 1)}"
+                for k, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{pad_in}{_recursive_dumps(v, indent, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            return json.dumps(str(obj))
+        if obj == int(obj) and abs(obj) < 1e16:
+            return repr(float(obj))
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+_report_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-10**20, max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e16, -1e16, 2.0**53, 1e16 - 2, 3e20, 1e300, -0.0, 0.0, 12.0]),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(["", "é", "\u2603 snow", 'quote " and \\', "tab\tnewline\n", "\U0001f600"]),
+)
+_reports = st.recursive(
+    _report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reports, st.sampled_from([0, 2, 4]))
+def test_dumps_report_is_byte_identical_to_the_recursive_writer(obj, indent):
+    assert dumps_report(obj, indent) == _recursive_dumps(obj, indent)
+    assert dumps_report(obj, indent, 1) == _recursive_dumps(obj, indent, 1)
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
+def test_dumps_report_fixed_cases(indent):
+    obj = {"nested": {"list": [1, (2.5, [], {}), {"t": True, "f": False}], "empty": {}},
+           "floats": [float("nan"), float("inf"), -float("inf"), 1e16, 1e17, 123.0, 0.1],
+           "text": "caf\u00e9 \u03c0", "\u00fc": None, "big": 10**30}
+    assert dumps_report(obj, indent) == _recursive_dumps(obj, indent)
 
 
 CUBE_ROOT = {"k": 3, "coefficients": ["0", "0", "-z"]}

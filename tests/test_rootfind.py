@@ -101,6 +101,22 @@ def test_two_simple_roots_are_not_merged():
     assert merge_double_roots(cs, [1, 1.1], 0.5, 1e-12) == [1, 1.1]
 
 
+def test_a_squarefree_polynomial_keeps_its_close_pair():
+    # z^2 - 1e-14: two simple roots 2e-7 apart, and |p| at their midpoint
+    # passes the eps gate; only the exact squarefree answer keeps them
+    cs, roots = [-1e-14, 0, 1], [-1e-7, 1e-7]
+    asked = []
+
+    def squarefree(answer):
+        return lambda: asked.append(answer) or answer
+
+    assert merge_double_roots(cs, roots, 1e-6, 1e-12, squarefree(True)) == roots
+    assert merge_double_roots(cs, roots, 1e-6, 1e-12, squarefree(False)) == [0]
+    # no pair, no question
+    assert merge_double_roots(cs, [-1, 1], 1e-6, 1e-12, squarefree(True)) == [-1, 1]
+    assert asked == [True, False]
+
+
 def test_three_close_roots_are_kept_as_given():
     cs = _expand([(1, 0)] * 3)  # a triple root scatters into three points
     roots = [1 + 1e-7, 1 - 1e-7, 1 + 1e-7j]

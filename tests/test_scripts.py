@@ -275,3 +275,33 @@ def test_ab_cases_summarizes_each_slot_of_a_workload(tmp_path):
     workload, slot = proc.stdout.splitlines()
     assert workload.startswith("critical: cases 1, ") and workload.endswith(", identical 1 of 1")
     assert slot.startswith("  k2: cases 1, A median ") and "per-case B/A median " in slot
+
+
+def test_only_keeps_the_cases_whose_stem_matches(tmp_path, capsys):
+    directory = _critical_case_dir(tmp_path)
+    for stem, coefficients in (("000-00-k2-a", ["0", "-z"]), ("001-00-k2-b", ["0", "-z^3"])):
+        (directory / "cases" / f"{stem}.json").write_text(
+            json.dumps({"k": 2, "coefficients": coefficients}))
+        (directory / "cases" / f"{stem}.argv").write_text(
+            f"algebroid critical benchmark/out/critical-seed1-trace0/cases/{stem}.json\n")
+    a, plain, b = (f"critical-seed1-trace0/{stem}" for stem in ("000-00-k2-a", "000", "001-00-k2-b"))
+    assert [case for case, _ in replay_cases.case_argvs([directory])] == [a, plain, b]
+    assert [case for case, _ in replay_cases.case_argvs([directory], r"-b$")] == [b]
+    # replay_cases run
+    out = tmp_path / "replay.json"
+    assert replay_cases.main(["run", str(ROOT), str(out), str(directory), "--only", "k2"]) == 0
+    assert list(json.loads(out.read_text())) == [a, b]
+    # profile_cases
+    assert profile_cases.main([str(ROOT), str(directory), "--top", "1", "--only", "^000"]) == 0
+    assert capsys.readouterr().out.startswith("cases 2, raised 0\n")
+    # ab_cases
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(tmp_path / "a"),
+         str(tmp_path / "b"), str(directory), "--reps", "1", "--only", "k2-a$"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("critical: cases 1, A median ")

@@ -7,6 +7,7 @@ import pytest
 
 from algebroid.config import DEFAULT
 from algebroid.errors import (
+    AlgebroidError,
     IdenticallyZeroDiscriminant,
     NearCriticalPoint,
 )
@@ -23,6 +24,30 @@ from algebroid.surface import (
     monodromy,
 )
 from algebroid.tracker import loop_path
+
+
+# W^2 - (z^2 - delta^2) is irreducible for every delta != 0: its discriminant
+# 4 (z^2 - delta^2) has two simple roots, 2 delta apart
+_DELTAS = pytest.mark.parametrize("delta, delta_squared", [(1e-7, "1/10^14"), (1e-8, "1/10^16")],
+                                  ids=["delta-1e-7", "delta-1e-8"])
+
+
+@_DELTAS
+def test_two_close_simple_discriminant_roots_stay_two_points(delta, delta_squared):
+    eq = DefiningEquation.from_strings(["0", f"-(z^2-{delta_squared})"])
+    locations = sorted(eq.critical().locations, key=lambda z: z.real)
+    assert len(locations) == 2
+    assert locations == [pytest.approx(-delta, abs=1e-20), pytest.approx(delta, abs=1e-20)]
+
+
+@_DELTAS
+def test_two_close_branch_points_are_never_called_reducible(delta, delta_squared):
+    eq = DefiningEquation.from_strings(["0", f"-(z^2-{delta_squared})"])
+    try:
+        result = irreducibility_check(eq, 1 + 1j)
+    except AlgebroidError:
+        return  # a typed refusal is an allowed answer
+    assert result.transitive
 
 
 def test_equation_rejects_repeated_factor():
