@@ -3,12 +3,12 @@
 Continuation tracks the whole fiber at once: a first-order predictor from
 the implicit derivative dw/dz = -Psi_z/Psi_W, and a corrector that is
 rootfind.newton_polish on the coefficients of Psi(., z), evaluated once per
-z and gated by rootfind.residual_scale. The adaptive step keeps per-step
-root movement below a quarter of the current minimal pairwise root
-separation, and each corrected root within a quarter of it from its
-prediction, which is what prevents two sheets from silently swapping. A
-step spans at most half the segment, and on an arc of more than one turn
-at most half a turn, so that no step returns to the z it left.
+z and gated by rootfind.residual_scale. Each step is sized, not searched for,
+so that the predicted move of every root just meets its cap, a quarter of the
+minimal pairwise root separation; each corrected root must land within a
+quarter of it from its prediction, which is what prevents two sheets from
+silently swapping. A step spans at most half the segment, and on an arc of
+more than one turn at most half a turn, so that no step returns to its z.
 
 Every reader of a fiber along a path reads one walk per segment,
 _WalkedSegment: the knots (t, z, fiber) of the accepted steps, the slopes
@@ -324,32 +324,27 @@ def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
 
 
 class SegmentTracker:
-    """Continues a fiber monotonically along one segment. An accepted step
-    hands the z it reached, the coefficients of Psi(., z), the root
-    separation, Psi_W at each root and the fiber scale 1 + max|w| there to
-    the next step, which starts there (_carry)."""
+    """Continues a fiber monotonically along one segment in steps of the
+    largest h up to h_max whose predicted move meets the cap. A step hands the
+    z it reached, the coefficients of Psi(., z), the root separation, Psi_W at
+    each root and the fiber scale 1 + max|w| there to the next (_carry)."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h", "h_max", "steps", "_carry")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h_max", "steps", "_carry")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
-        self.eq = eq
-        self.seg = seg
-        self.tol = tol
-        self.t = 0.0
-        self.fiber = list(fiber)
+        self.eq, self.seg, self.tol, self.t, self.fiber = eq, seg, tol, 0.0, list(fiber)
         if len(self.fiber) != eq.k:
             raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
         sweep = abs(seg.theta_to - seg.theta_from) if isinstance(seg, Arc) else 0.0
         # half a turn; an arc of one turn whose sweep rounds above 2 pi keeps 0.5
         self.h_max = math.pi / sweep if sweep > _TWO_PI * (1.0 + 1e-9) else 0.5
-        self.h = 0.5 * self.h_max
         self.steps = 0
         self._carry = None
 
     def clone(self) -> "SegmentTracker":
         c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol)
-        c.t, c.h, c.steps, c._carry = self.t, self.h, self.steps, self._carry
+        c.t, c.steps, c._carry = self.t, self.steps, self._carry
         return c
 
     def advance_to(self, t_target: float):
@@ -378,16 +373,21 @@ class SegmentTracker:
             coeffs0 = eq.psi_coeffs_at(z0)
             dws = [poly_eval_pair(coeffs0, w)[1] for w in self.fiber]  # Psi_W at each root
         if 0 in dws:  # no step can be predicted; halving h cannot help
-            raise StepUnderflow(f"continuation step underflow near z={z0}")
+            raise StepUnderflow(f"continuation step underflow near z={z0}: Psi_W is 0 at a root")
         slopes = _slopes(eq, z0, self.fiber, dws)
-        h = min(self.h, t_target - self.t)
-        while True:
+        # the move meets the cap with 1% to spare: |dz/dt| is the length on a
+        # Line and an Arc, whose chord is shorter than the arc; t + h == t for
+        # h under ulp(t) / 2
+        speed = max(map(abs, slopes)) * seg.length
+        size = min(self.h_max, 0.99 * cap / speed) if speed else self.h_max
+        floor = max(tol.h_min_frac, math.ulp(self.t))
+        h = min(size, t_target - self.t)
+        while size > floor:  # h is halved only when a polish or the drift bound fails
             z1 = seg.at(self.t + h)
             dz = z1 - z0
             moves = [d * dz for d in slopes]
-            move = max(map(abs, moves))
             polished = None
-            if move <= cap:
+            if max(map(abs, moves)) <= cap:
                 coeffs1 = eq.psi_coeffs_at(z1)
                 sizes = list(map(abs, coeffs1))
                 preds = [w + m for w, m in zip(self.fiber, moves)]
@@ -402,13 +402,12 @@ class SegmentTracker:
                     self._carry = (z1, coeffs1, min_sep1, [dw for _, dw, _ in polished],
                                    1.0 + max(map(operator.itemgetter(2), polished)))
                     self.steps += 1
-                    if move < 0.1 * cap:
-                        self.h = min(self.h_max, h * 1.5)
                     return z1, slopes
-            if h <= tol.h_min_frac:
-                raise StepUnderflow(f"continuation step underflow near z={z0}")
+            size = h
             h *= 0.5
-            self.h = h
+        raise StepUnderflow(f"continuation step underflow near z={z0}: h={size:.3e} predicts a "
+                            f"root move of {speed * size:.3e} against the cap {cap:.3e} "
+                            f"(root separation {min_sep0:.3e})")
 
 
 def _slopes(eq: DefiningEquation, z: complex, fiber: Sequence[complex],

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -342,6 +343,17 @@ def test_exit_code_domain_error(capsys, sqrt_file):
     report = json.loads(capsys.readouterr().out)
     assert code == 7
     assert report["error"]["type"] == "NearCriticalPoint"
+
+
+def test_a_step_floor_above_every_step_is_a_step_underflow(capsys, sqrt_file):
+    # on the unit loop of W^2 - z a step sized from its cap takes h = 0.99 / (2 pi)
+    code = main(["--tol", "h_min_frac=0.9", "monodromy", sqrt_file, "--loop", "0,0,1,1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 10
+    assert report["error"]["type"] == "StepUnderflow"
+    assert re.search(r"near z=\(1\+0j\): h=1\.576e-01 predicts a root move of 4\.950e-01 "
+                     r"against the cap 5\.000e-01 \(root separation 2\.000e\+00\)",
+                     report["error"]["message"])
 
 
 def test_non_finite_fiber_coefficients_are_a_root_finding_failure(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """The demonstration scripts run to completion and print their verdicts;
-bench_summary condenses benchmark reports; replay_cases compares replays;
-profile_cases profiles the CLI over benchmark cases; ab_cases times two
-source trees against each other."""
+step_table prints tracker step counts; bench_summary condenses benchmark
+reports; replay_cases compares replays; profile_cases profiles the CLI over
+benchmark cases; ab_cases times two source trees against each other."""
 
 import importlib.util
 import json
@@ -45,6 +45,24 @@ def test_script_runs(script, expected):
     assert proc.returncode == 0, proc.stderr
     for line in expected:
         assert line in proc.stdout
+
+
+def test_step_table_prints_one_row(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "step_table.py"), "--only", "4,3"],
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header == "k degree steps seconds exit"
+    k, degree, steps, seconds, code = row.split()
+    assert (k, degree, code) == ("4", "3", "0")
+    assert int(steps) > 0 and float(seconds) > 0
+    assert list(tmp_path.iterdir()) == []  # the problem file is removed
 
 
 def _fake_report(directory, seed, p50, solved):

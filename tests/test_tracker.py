@@ -1,7 +1,10 @@
 """Paths and analytic continuation."""
 
 import cmath
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,11 @@ from algebroid.tracker import (
     reverse,
     safe_line,
 )
+
+_SPEC = importlib.util.spec_from_file_location(
+    "step_table", Path(__file__).resolve().parents[1] / "scripts" / "step_table.py")
+step_table = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(step_table)
 
 
 def test_loop_path_unit_circle():
@@ -125,13 +133,16 @@ class _Recomputing(SegmentTracker):
         return super()._step(t_target)
 
 
-@pytest.mark.parametrize("coeffs, seg", [
+STEP_CASES = [
     (["0", "-z"], Line(1, 4)),
     (["0", "-3", "-z"], Arc(2.0, 0.5, 0.0, 2 * math.pi)),  # about a branch point
     (["0", "-1/z"], Arc(0j, 1.0, 0.3, 0.3 + 4 * math.pi)),  # two turns about a pole
     (["z/(z-3)", "-3", "-z^2+1/(z+2)"], Line(1j, -1 + 2j)),
     (["1", "0", "-z", "z^2/(z-4)"], Arc(1 + 1j, 0.5, 0.0, 2 * math.pi)),
-])
+]
+
+
+@pytest.mark.parametrize("coeffs, seg", STEP_CASES)
 def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
     eq = DefiningEquation.from_strings(coeffs)
     fiber = fiber_at(eq, seg.start).roots
@@ -142,7 +153,7 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
         for stop in (0.3, 0.3 + 1e-9, 1.0):  # clipped steps too
             while trk.t < stop - 1e-15:
                 z, slopes = trk._step(stop)
-                walk.append(_bits([trk.t, z, *trk.fiber, *slopes, trk.h]))
+                walk.append(_bits([trk.t, z, *trk.fiber, *slopes]))
                 # the z, Psi_W and scale carried to the next step are the ones
                 # it would recompute
                 z1, coeffs1, _, dws, scale = trk._carry
@@ -153,6 +164,48 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
         knots.append(walk)
     assert knots[0] == knots[1]
     assert len(knots[0]) > 3
+
+
+@pytest.mark.parametrize("coeffs, seg", STEP_CASES)
+def test_no_step_attempt_fails_the_move_check(monkeypatch, coeffs, seg):
+    # a step sized from its cap passes the move check on its first try: every
+    # attempt, a z at t > 0, goes on to polish all k roots
+    eq = DefiningEquation.from_strings(coeffs)
+    fiber = fiber_at(eq, seg.start).roots
+    calls = {"attempt": 0, "polish": 0}
+    at, polish = type(seg).at, tracker._polish
+
+    def counting_at(self, t):
+        calls["attempt"] += t > 0  # the walk's start and the first step's z0 are at 0
+        return at(self, t)
+
+    def counting_polish(*args):
+        calls["polish"] += 1
+        return polish(*args)
+
+    monkeypatch.setattr(type(seg), "at", counting_at)
+    monkeypatch.setattr(tracker, "_polish", counting_polish)
+    walked = _WalkedSegment(eq, seg, fiber, DEFAULT)
+    assert calls["polish"] == eq.k * calls["attempt"] >= eq.k * (len(walked.t) - 1) > 0
+
+
+def test_the_k6_degree5_contour_check_takes_few_steps():
+    # 24,767 steps when each step halved from h = 0.25 until its move met the
+    # cap and kept that h; step counts are deterministic, so nothing is timed
+    (coeffs,) = [coeffs for row, coeffs in step_table.problems() if row == (6, 5)]
+    steps, _, code = step_table.run_row(coeffs)
+    assert code == 0
+    assert steps <= 14_000
+
+
+def test_a_walk_into_a_branch_point_underflows_and_does_not_hang(sqrt_z, time_limit):
+    # the cap shrinks with the root separation towards z = 0, so the steps
+    # shrink towards the ulp of t; with no h_min_frac floor a step that no
+    # longer advances t ends the walk
+    time_limit(10)
+    tol = DEFAULT.replace(h_min_frac=0.0)
+    with pytest.raises(StepUnderflow, match=r"h=.* predicts a root move of .* against the cap"):
+        _WalkedSegment(sqrt_z, Line(1, -1), [1.0 + 0j, -1.0 + 0j], tol)
 
 
 def _bits(values) -> list:
@@ -409,20 +462,23 @@ def test_a_zero_psi_w_gives_a_nan_slope(sqrt_z):
 
 
 def test_a_step_sweeps_at_most_half_a_turn(sqrt_z):
-    # lines and arcs of one turn keep the steps 0.25 and 0.5 exactly, also
-    # when the sweep of one turn rounds above 2 pi
+    # lines and arcs of one turn keep h_max 0.5 exactly, also when the sweep
+    # of one turn rounds above 2 pi; about 100 the cap allows more than half
+    # a turn, so there the half turn sets the steps
     one_turn = Arc(0j, 1.0, -3.3, -3.3 - 2 * math.pi)
     assert abs(one_turn.theta_to - one_turn.theta_from) > 2 * math.pi
     for seg in (Line(1, 4), Arc(0j, 1.0, 0.0, math.pi), loop_path(0, 1.0, 1).segments[0],
                 one_turn):
         trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
-        assert (trk.h, trk.h_max) == (0.25, 0.5)
-    for turns in (2, 3, 4, 8):
-        seg = loop_path(0, 1.0, turns).segments[0]
+        assert trk.h_max == 0.5
+    for center, turns in itertools.product((0, 100), (1, 2, 3, 4, 8)):
+        seg = loop_path(center, 1.0, turns).segments[0]
         trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
-        assert trk.h_max == pytest.approx(0.5 / turns) and trk.h == 0.5 * trk.h_max
+        assert trk.h_max == pytest.approx(0.5 / turns)
         walked = _WalkedSegment(sqrt_z, seg, trk.fiber, DEFAULT)
-        assert max(np.diff(walked.t)) <= trk.h_max
+        assert max(np.diff(walked.t)) <= trk.h_max * (1 + 1e-12)  # t rounds at each knot
+        if center:
+            assert len(walked.t) == 2 * turns + 1
 
 
 @pytest.mark.parametrize("turns", range(1, 9))
