@@ -4,7 +4,8 @@
 Both singular elements (at +-i) have residue zero, yet sqrt(1+z^2) behaves
 like z + 1/(2z) at infinity, so a large loop picks up the period pi*i and
 the would-be antiderivative coefficients fail to be single-valued. The
-builder detects this and refuses with a diagnostic.
+builder refuses, naming the generator, the sheet and the period of the
+closed lift that does not close up.
 
     python3 scripts/period_counterexample.py
 """
@@ -42,9 +43,11 @@ def main():
         build_antiderivative(eq, SurfacePoint(0, 1))
         print("  unexpectedly succeeded")
     except SingleValuednessViolation as exc:
-        print(f"  refused: defect {exc.defect:.3e} around generator {exc.generator}")
-        print("  (all finite residues vanish, but the period at infinity "
-              "breaks single-valuedness of the symmetric coefficients)")
+        print(f"  refused: {exc}")
+        print(f"  period {exc.period:.12g}")
+        print(f"  versus -pi*i = {-1j * math.pi:.12g}")
+        print("  (all finite residues vanish, but a closed lift around both "
+              "branch points picks up the period at infinity)")
 
 
 if __name__ == "__main__":

@@ -15,11 +15,13 @@ such as ``-k2-j`` for one slot.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
 the exit-code differences, the tally of exit codes on each side (a is A.json,
-b is B.json), the non-numeric differences, the largest |dx| / max(1, |x|)
-over the numbers of the JSON reports, and every key path (list indices
-dropped) whose number moves by more than 1e-13 * max(1, |x|), with the count
-of cases in which it moves. It exits 1 on any exit-code or non-numeric
-difference, or on such a move. Standard library only.
+b is B.json), the number of non-numeric differences with one line per key
+path (the case and the list indices dropped): the first case's full path,
+then "and N more at KEY" when there are more, the largest |dx| / max(1, |x|)
+over the numbers of the JSON reports, and every key path whose number moves
+by more than 1e-13 * max(1, |x|), with the count of cases in which it moves.
+It exits 1 on any exit-code or non-numeric difference, or on such a move.
+Standard library only.
 """
 
 import collections
@@ -79,9 +81,9 @@ def _is_number(x) -> bool:
 
 def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
     """Record in found the largest relative number move, the cases in which
-    each key path moves by more than REL_TOL, and every non-numeric
-    difference between two parsed reports. key is where without the case
-    and the list indices."""
+    each key path moves by more than REL_TOL, and the full path of every
+    non-numeric difference between two parsed reports under its key path.
+    key is where without the case and the list indices."""
     if _is_number(a) and _is_number(b):
         rel = abs(a - b) / max(1.0, abs(a))
         if rel > found["largest"][0]:
@@ -96,7 +98,7 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
         for i, (x, y) in enumerate(zip(a, b)):
             _diff(x, y, f"{where}[{i}]", found, case, key)
     elif a != b or type(a) is not type(b):
-        found["non_numeric"].append(where)
+        found["non_numeric"].setdefault(key, []).append(where)
 
 
 def exit_tally(cases: dict) -> str:
@@ -109,10 +111,11 @@ def exit_tally(cases: dict) -> str:
 
 def compare(a: dict, b: dict) -> dict:
     found = {"cases": len(a.keys() | b.keys()), "identical": 0, "exit": [],
-             "non_numeric": [], "largest": (0.0, None), "moved": {}}
+             "non_numeric": {}, "largest": (0.0, None), "moved": {}}
     for case in sorted(a.keys() | b.keys()):
         if case not in a or case not in b:
-            found["non_numeric"].append(f"{case}: replayed on one side only")
+            found["non_numeric"].setdefault("replayed on one side only", []).append(
+                f"{case}: replayed on one side only")
             continue
         x, y = a[case], b[case]
         if x["exit"] != y["exit"]:
@@ -123,7 +126,8 @@ def compare(a: dict, b: dict) -> dict:
         try:
             _diff(json.loads(x["stdout"]), json.loads(y["stdout"]), case, found, case)
         except json.JSONDecodeError:
-            found["non_numeric"].append(f"{case}: stdout is not JSON")
+            found["non_numeric"].setdefault("stdout is not JSON", []).append(
+                f"{case}: stdout is not JSON")
     return found
 
 
@@ -142,8 +146,10 @@ def main(argv: list) -> int:
         print(f"cases {found['cases']}, byte-identical {found['identical']}")
         print(f"exit-code differences {len(found['exit'])}", *found["exit"], sep="\n  ")
         print(f"exit codes in a: {exit_tally(a)}", f"exit codes in b: {exit_tally(b)}", sep="\n")
-        print(f"non-numeric differences {len(found['non_numeric'])}",
-              *found["non_numeric"], sep="\n  ")
+        non_numeric = found["non_numeric"]
+        print(f"non-numeric differences {sum(map(len, non_numeric.values()))}",
+              *(paths[0] + (f" and {len(paths) - 1} more at {key}" if len(paths) > 1 else "")
+                for key, paths in non_numeric.items()), sep="\n  ")
         print(f"largest |dx| / max(1, |x|) {rel:.3e}" + (f" at {where}" if where else ""))
         moved = found["moved"]
         print(f"key paths moved by more than {REL_TOL:g} * max(1, |x|) {len(moved)}",

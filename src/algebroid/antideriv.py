@@ -22,12 +22,11 @@ number snapped from a float. The defining coefficients B_j of M,
 prod_s (M - F_s) = M^k + sum B_j M^(k-j), follow exactly from the power sums
 Tr((C + R)^n) and Newton's identities.
 
-build_antiderivative reads irreducibility, the sheet values and the
-single-valuedness audit from SheetRouter's one whole-fiber integral per
-monodromy generator, and expands residues only where a coefficient has a
-pole. The router integrates all its loops in one batch (quad._integrate,
-one batched fiber read per bisection level), and the fit all its grid
-connectors in one more, whose end fibers are the fit's W roots.
+build_antiderivative reads its three refusals off SheetRouter's sheet graph
+(Tretkoff & Tretkoff 1984), with no Puiseux expansion: transitivity,
+loop-orbit residues at poles and edge periods. The router integrates all its
+loops in one batch (quad._integrate, one batched fiber read per bisection
+level), the fit its grid connectors in one more, whose end fibers are its W roots.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .errors import (
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
-from .puiseux import singular_elements
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import _fiber_integrals, surface_integral  # noqa: F401
 from .surface import KIND_DISC, DefiningEquation, SheetPermutation, fiber_at, match_to_fiber
@@ -79,7 +77,8 @@ class FitDiagnostics:
     """residuals: the fit residual of each r_i; degrees: (num, den) of each
     exact B_j; sample_grid: the grid the certified fit came from;
     constant_snap: |C - snapped C| for the float constant C, and
-    constant_fine_den whether C needed a denominator above 10**6.
+    constant_fine_den whether C needed a denominator above 10**6;
+    single_valuedness_defect: _sv_audit's largest relative edge period.
     """
 
     residuals: tuple[float, ...]
@@ -105,11 +104,12 @@ class AntiderivativeModel:
 
 class SheetRouter:
     """Every sheet over the base point, from one whole-fiber pass per
-    monodromy generator loop g: gens[g] is its sheet permutation and
-    periods[g][s] its loop integral from germs[s], the base fiber with base.w
-    at the base sheet. Breadth-first search over gens, shortest word first
-    with ties broken by generator index, sums periods into values[s], the
-    c-value of sheet s's germ.
+    monodromy generator loop g: centers[g] is the critical point it
+    encircles, gens[g] its sheet permutation and periods[g][s] its loop
+    integral from germs[s], the base fiber with base.w at the base sheet.
+    Breadth-first search over gens, shortest word first with ties broken by
+    generator index, sums periods into values[s], the c-value of sheet s's
+    germ. Its tree spans the sheet graph of _sv_audit.
     """
 
     def __init__(self, eq: DefiningEquation, base: SurfacePoint,
@@ -123,10 +123,11 @@ class SheetRouter:
         self.germs[self.base_sheet] = base.w
 
         loops = generator_loops(eq, base.z, tol, rng)  # every loop integrated in one batch
+        self.centers = [cp for cp, _ in loops]
         gens = in_order(lambda gs: [
             (_sheet_permutation(ends, fiber, tol), periods)
             for periods, _, ends in _fiber_integrals(eq, [(self.germs, g) for g in gs], tol)
-        ], loops)
+        ], [loop for _, loop in loops])
         self.gens: list[SheetPermutation] = [sigma for sigma, _ in gens]
         self.periods: list[list[complex]] = [periods for _, periods in gens]
         self.values: dict[int, complex] = {self.base_sheet: 0j}
@@ -317,27 +318,28 @@ def _default_grid(eq: DefiningEquation, points_per_circle: int,
     return [complex(z) for z in grid]
 
 
-def _sv_audit(router: SheetRouter, c: complex, tol: Tolerances) -> float:
-    """Largest relative drift of the symmetric values around any generator."""
-    k = router.eq.k
-    values = [c + router.values[s] for s in range(k)]
-    e_ref = symmetric_coeffs(values)
-    worst = 0.0
-    worst_gen = -1
-    for gi, (sigma, periods) in enumerate(zip(router.gens, router.periods)):
-        e_new = symmetric_coeffs([values[s] + periods[s] for s in sigma.inverse().image])
-        defect = max(
-            abs(a - b) / max(1.0, abs(b)) for a, b in zip(e_new, e_ref)
-        )
-        if defect > worst:
-            worst, worst_gen = defect, gi
+def _sv_audit(router: SheetRouter, tol: Tolerances) -> float:
+    """The largest |e(g, s)| = |values[s] + periods[g][s] - values[sigma_g(s)]|
+    over the edges (sheet s, generator g) of the router's sheet graph,
+    relative to max(1, max_s |values[s]|); a tree edge of the router's
+    search gives exactly 0. M takes sheet s to sheet sigma_g(s) around g, so
+    it is single-valued just when every edge has period 0."""
+    values = router.values
+    scale = max(1.0, max(abs(v) for v in values.values()))
+    worst, edge = 0.0, None
+    for g, (sigma, periods) in enumerate(zip(router.gens, router.periods)):
+        for s, period in enumerate(periods):
+            e = values[s] + period - values[sigma(s)]
+            if abs(e) / scale > worst:
+                worst, edge = abs(e) / scale, (g, s, e)
     if worst > tol.sv_tol:
+        g, s, e = edge
         raise SingleValuednessViolation(
-            f"symmetric coefficient functions drift by {worst:.3e} around "
-            f"monodromy generator {worst_gen}; the branch integrals do not "
-            "define single-valued coefficients",
-            defect=worst,
-            generator=worst_gen,
+            f"the lift of sheet {s} around monodromy generator {g}, which "
+            f"encircles the critical point {router.centers[g].location}, has "
+            f"period {e}; the branch integrals do not define single-valued "
+            "coefficients",
+            defect=worst, generator=g, sheet=s, period=e,
         )
     return worst
 
@@ -503,11 +505,12 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
                          verify: bool = True) -> AntiderivativeModel:
     """Build the defining equation of the antiderivative of W(z).
 
-    Refuses reducible equations and nonzero residues, audits single-
-    valuedness of the symmetric values around every monodromy generator,
-    then fits the r_i of M = C + sum r_i W^i on a grid and certifies
-    R' = W exactly. The default grid has 8 points, with one retry on
-    4 * max(bounds) points per circle; a given grid is used as is.
+    Refuses, in this order, a reducible equation, a nonzero residue at a
+    pole and a nonzero edge period, all read from the router's loops with
+    no Puiseux expansion (n_max and tol_coeff do not apply), then fits the
+    r_i of M = C + sum r_i W^i on a grid and certifies R' = W exactly. The
+    default grid has 8 points, with one retry on 4 * max(bounds) points per
+    circle; a given grid is used as is.
     """
     base = germ_at(eq, base.z, base.w, tol)
     router = SheetRouter(eq, base, tol, rng)
@@ -518,20 +521,23 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
             "equation is reducible and the theorem does not apply",
             orbits=orbits,
         )
+    # a cycle's residue: its orbit's loop periods over 2 pi i, since the spokes
+    # cancel over the orbit and the loop's circle encloses its pole alone
     offenders = []
-    for cp in eq.critical(tol).points:
+    for cp, sigma, periods in zip(router.centers, router.gens, router.periods):
         if cp.kind == KIND_DISC:
             continue  # no A_j has a pole: the branches are bounded, the residue is 0
-        for cyc in singular_elements(eq, cp.location, tol=tol).cycles:
-            if abs(cyc.residue) > tol.residue_tol:
-                offenders.append((cp.location, cyc.sheets, cyc.residue))
+        for orbit in _orbits(eq.k, [sigma]):
+            residue = sum(periods[s] for s in orbit) / (2j * math.pi)
+            if abs(residue) > tol.residue_tol:
+                offenders.append((cp.location, orbit, residue))
     if offenders:
         raise RefusedNonzeroResidue(
             "singular elements with nonzero residue: "
             + ", ".join(f"center {z}, cycle {cyc}, residue {r}" for z, cyc, r in offenders),
             offenders=offenders,
         )
-    sv_defect = _sv_audit(router, c, tol)
+    sv_defect = _sv_audit(router, tol)
 
     if bounds is None:
         d = eq.k * max(eq.max_coeff_degree, 1) + 4

@@ -29,7 +29,8 @@ class Tolerances:
     # scale max(1, max|w|).
     n_max: int = 32
     tol_coeff: float = 1e-9
-    # Single-valuedness audit threshold for symmetric coefficients.
+    # Single-valuedness threshold: the largest period of an edge of the sheet
+    # graph, relative to max(1, the largest branch value at the base).
     sv_tol: float = 1e-6
     # Rational fit residual target (relative).
     fit_tol: float = 1e-8

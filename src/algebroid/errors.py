@@ -120,7 +120,8 @@ class RefusedReducible(AlgebroidError):
 
 
 class RefusedNonzeroResidue(AlgebroidError):
-    """Antiderivative construction refused: a singular element has nonzero residue."""
+    """Antiderivative construction refused: a cycle about a pole has nonzero
+    residue. offenders: (center, sheets in base-fiber positions, residue)."""
 
     exit_code = 17
 
@@ -136,14 +137,17 @@ class FitNotConverged(AlgebroidError):
 
 
 class SingleValuednessViolation(AlgebroidError):
-    """Symmetric coefficient functions do not close up around a monodromy loop."""
+    """The lift of base sheet `sheet` around monodromy generator `generator`
+    has the nonzero period `period`; defect is |period| relative."""
 
     exit_code = 19
 
-    def __init__(self, message, defect=None, generator=None):
+    def __init__(self, message, defect=None, generator=None, sheet=None, period=None):
         super().__init__(message)
         self.defect = defect
         self.generator = generator
+        self.sheet = sheet
+        self.period = period
 
 
 def in_order(batch, jobs) -> list:

@@ -422,13 +422,10 @@ class IrreducibilityResult:
         return self.transitive
 
 
-def generator_loops(
-    eq: DefiningEquation,
-    base_z: complex,
-    tol: Tolerances = DEFAULT,
-    rng=None,
-) -> list:
-    """One closed loop per critical point, anchored at base_z.
+def generator_loops(eq: DefiningEquation, base_z: complex, tol: Tolerances = DEFAULT,
+                    rng=None) -> list:
+    """One closed loop per critical point, anchored at base_z: a (point,
+    loop) pair per point of eq.critical(tol), in its order.
 
     Each loop is a circle of half the distance to the nearest other critical
     point (falling back to half the distance from the base when the point is
@@ -450,16 +447,8 @@ def generator_loops(
         if d_base > 0:
             # keep the base strictly outside the circle
             radius = min(radius, 0.9 * d_base)
-        loops.append(
-            tracker.anchored_loop(
-                cp.location,
-                radius,
-                base_z,
-                crit.locations,
-                margin,
-                rng=rng,
-            )
-        )
+        loops.append((cp, tracker.anchored_loop(
+            cp.location, radius, base_z, crit.locations, margin, rng=rng)))
     return loops
 
 
@@ -471,7 +460,7 @@ def irreducibility_check(
     """Transitivity of the monodromy group generated by critical-point loops."""
     if eq.k == 1:
         return IrreducibilityResult(True, ((0,),), ())
-    gens = tuple(monodromy(eq, loop, tol) for loop in generator_loops(eq, base, tol))
+    gens = tuple(monodromy(eq, loop, tol) for _, loop in generator_loops(eq, base, tol))
     orbits = _orbits(eq.k, gens)
     return IrreducibilityResult(len(orbits) == 1, orbits, gens)
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from algebroid.antideriv import (
     SheetRouter,
+    _sv_audit,
     branch_integrals_at,
     build_antiderivative,
     constant_family,
@@ -28,7 +30,8 @@ from algebroid.errors import (
     UnreachableSheet,
 )
 from algebroid.exactalg import GaussianRational, Poly, RatFunc, parse_coefficient
-from algebroid.surface import DefiningEquation, fiber_at, irreducibility_check
+from algebroid.surface import KIND_DISC, CriticalPoint, DefiningEquation, SheetPermutation
+from algebroid.surface import fiber_at, irreducibility_check
 from algebroid.tracker import SurfacePoint
 
 
@@ -243,22 +246,74 @@ def test_build_refuses_reducible_before_nonzero_residue():
     assert info.value.orbits == ((0,), (1,))
 
 
-def test_residue_gate_skips_points_where_no_coefficient_has_a_pole(sqrt_z, monkeypatch):
-    # W^2 - z has only a discriminant zero: its residue is exactly 0 and the
-    # gate computes no local expansion
-    import algebroid.antideriv as antideriv
+def test_residue_gate_skips_points_where_no_coefficient_has_a_pole(sqrt_z):
+    # W^2 - z has only a discriminant zero: its residue is exactly 0, so the
+    # gate reads no loop period there; at residue_tol -1 any it read would refuse
+    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0,
+                                 tol=DEFAULT.replace(residue_tol=-1.0))
+    assert model.diagnostics.derivative_defect < 1e-7
+
+
+def test_build_antiderivative_reaches_no_puiseux_code(monkeypatch):
+    # the residue gate reads the router's loop periods: W^2 - 1/z (residue 0
+    # at its pole 0) builds, and the pole 1.5 still has residue 1 + i
+    from algebroid import puiseux
 
     def refuse(*args, **kwargs):
-        raise AssertionError("singular_elements called at a discriminant-only point")
+        raise AssertionError("Puiseux code called")
 
-    monkeypatch.setattr(antideriv, "singular_elements", refuse)
-    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
+    monkeypatch.setattr(puiseux, "_walk_turns", refuse)
+    monkeypatch.setattr(puiseux, "singular_elements", refuse)
+    recip_sqrt = DefiningEquation.from_strings(["0", "-1/z"])
+    model = build_antiderivative(recip_sqrt, SurfacePoint(1, 1))
     assert model.diagnostics.derivative_defect < 1e-7
+    eq = DefiningEquation.from_strings(["(-2+2*i)/(3*i - 2*i*z)", "(1-2*i) + i*z + (-2+2*i)*z^2"])
+    z0 = 3 + 1j
+    with pytest.raises(RefusedNonzeroResidue) as info:
+        build_antiderivative(eq, SurfacePoint(z0, fiber_at(eq, z0).roots[0]))
+    ((center, _, residue),) = info.value.offenders
+    assert center == 1.5 and residue == pytest.approx(1 + 1j, abs=1e-9)
+
+
+def test_residue_at_a_pole_far_from_the_base_survives_its_long_spokes():
+    # W = z^3 + 1/z^2 from base 100: each spoke of the loop about the pole 0
+    # integrates to about 2.5e7, yet the loop gives residue 0, and
+    # M = z^4/4 - 1/z, so B_1 = -M
+    eq = DefiningEquation.from_strings(["-(z^3 + 1/z^2)"])
+    model = build_antiderivative(eq, SurfacePoint(100, 100**3 + 100**-2), c=100**4 / 4 - 1 / 100)
+    assert model.coeffs == (rf("((-1/4)*z^5 + 1)/z"),)
 
 
 def test_build_flags_period_at_infinity(circle_eq):
     with pytest.raises(SingleValuednessViolation):
         build_antiderivative(circle_eq, SurfacePoint(0, 1))
+
+
+def test_period_at_infinity_is_named_by_generator_sheet_and_period(circle_eq):
+    # criterion 9: the residues at +-i are 0, but a closed lift around both
+    # branch points has the period +-pi i of the loop at infinity
+    with pytest.raises(SingleValuednessViolation) as info:
+        build_antiderivative(circle_eq, SurfacePoint(0, 1))
+    exc = info.value
+    assert abs(exc.period) == pytest.approx(math.pi, abs=1e-9)
+    center = SheetRouter(circle_eq, SurfacePoint(0, 1)).centers[exc.generator].location
+    assert f"sheet {exc.sheet} around monodromy generator {exc.generator}" in str(exc)
+    assert f"critical point {center}" in str(exc) and f"period {exc.period}" in str(exc)
+
+
+def test_sv_audit_refuses_a_loop_that_only_permutes_the_values():
+    # k = 2, sigma the identity, and a loop that carries sheet 0 onto sheet
+    # 1's value and back: the symmetric functions of the values close up,
+    # but the edges (0, 0) and (1, 0) have periods 1 and -1
+    router = SimpleNamespace(eq=SimpleNamespace(k=2), gens=[SheetPermutation((0, 1))],
+                             periods=[[1 + 0j, -1 + 0j]], values={0: 0j, 1: 1 + 0j},
+                             centers=[CriticalPoint(0j, KIND_DISC)])
+    after = [router.values[s] + router.periods[0][s] for s in range(2)]
+    assert symmetric_coeffs(after) == pytest.approx(symmetric_coeffs([0j, 1 + 0j]))
+    with pytest.raises(SingleValuednessViolation) as info:
+        _sv_audit(router, DEFAULT)
+    exc = info.value
+    assert (exc.defect, exc.generator, exc.sheet, exc.period) == (1.0, 0, 0, 1)
 
 
 def test_uniqueness_under_grid_change(sqrt_z):

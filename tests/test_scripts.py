@@ -31,7 +31,7 @@ _SPEC.loader.exec_module(ab_cases)
 
 @pytest.mark.parametrize("script, expected", [
     ("sqrt_z_walkthrough.py", ["verdict=independent", "B_2(z) = (-4/9)*z^3"]),
-    ("period_counterexample.py", ["refused:"]),
+    ("period_counterexample.py", ["refused:", "has period"]),
 ])
 def test_script_runs(script, expected):
     env = dict(os.environ)
@@ -163,6 +163,22 @@ def test_replay_compare_counts_cases_per_moved_key_path(tmp_path, capsys):
             "  results.diagnostics.grid_size: 2 cases\n") in out
     # a move within 1e-13 * max(1, |x|) is no key path of its own
     assert "residuals" not in out.split("largest")[1]
+
+
+def test_replay_compare_prints_one_line_per_non_numeric_key_path(tmp_path, capsys):
+    def report(message, sheets):
+        return {"error": {"type": "SingleValuednessViolation", "message": message},
+                "sheets": sheets}
+
+    a = _replay(tmp_path, "a.json", {f"r/{i}": (19, report("drift", [0, "1"])) for i in range(3)})
+    b = _replay(tmp_path, "b.json", {"r/0": (19, report("period", [0, "1"])),
+                                     "r/1": (19, report("period", [0, "2"])),
+                                     "r/2": (19, report("period", [0, "1"]))})
+    assert replay_cases.main(["compare", a, b]) == 1
+    out = capsys.readouterr().out
+    assert ("non-numeric differences 4\n"
+            "  r/0.error.message and 2 more at error.message\n"
+            "  r/1.sheets[1]\n") in out
 
 
 def _critical_case_dir(tmp_path):
