@@ -12,8 +12,8 @@ profiled: not the benchmark's calibration kernel, not the imports. Prints
 the number of cases, each case whose call raised, and the top N functions
 (default 25) by self time, or with --sort cumulative by the time spent in
 them and all they call, with --callers the callers of every function
-whose name matches REGEX, and with --counts the calls per case of every
-function whose own name matches REGEX (re.search), such as ``^_read$``.
+whose own name matches REGEX, and with --counts the calls per case of every
+such function (both re.search on the name alone), such as ``^_read$``.
 With --only it profiles only the cases whose stem matches REGEX
 (re.search). With no case it prints ``cases 0`` and exits 1.
 Standard library only.
@@ -49,6 +49,21 @@ def profile(cli, dirs: list, only: str | None = None) -> tuple[int, list, cProfi
     return count, raised, prof
 
 
+def print_callers(stats: pstats.Stats, pattern: str) -> None:
+    """pstats' callers listing of every profiled function whose name
+    matches pattern, in the stats' sort order; nothing when none does.
+    Stats.print_callers would match the whole file:line(name) string."""
+    regex = re.compile(pattern)
+    funcs = [func for func in stats.fcn_list if regex.search(func[2])]
+    if not funcs:
+        return
+    width = 2 + max(len(pstats.func_std_string(func)) for func in funcs)
+    stats.print_call_heading(width, "was called by...")
+    for func in funcs:
+        stats.print_call_line(width, func, stats.stats[func][4], "<-")
+    print(file=stats.stream)
+
+
 def call_counts(stats: pstats.Stats, pattern: str, cases: int) -> list[tuple[str, float]]:
     """(file:line(name), calls per case) of every profiled function whose
     name matches pattern, in that order."""
@@ -76,7 +91,7 @@ def main(argv: list) -> int:
     stats = pstats.Stats(prof, stream=sys.stdout).strip_dirs().sort_stats(args.sort)
     stats.print_stats(args.top)
     if args.callers:
-        stats.print_callers(args.callers)
+        print_callers(stats, args.callers)
     if args.counts:
         print(f"calls per case of the functions named like {args.counts!r}")
         for where, per_case in call_counts(stats, args.counts, count):

@@ -26,7 +26,13 @@ build_antiderivative reads its three refusals off SheetRouter's sheet graph
 (Tretkoff & Tretkoff 1984), with no Puiseux expansion: transitivity,
 loop-orbit residues at poles and edge periods. The router integrates all its
 loops in one batch (quad._integrate, one batched fiber read per bisection
-level), the fit its grid connectors in one more, whose end fibers are its W roots.
+level), each as spoke + circle: the circle is lifted from the spoke's end
+fiber, and the return spoke's integral is taken from the spoke, never
+walked. The fit integrates its grid connectors in one more batch, whose end
+fibers are its W roots. The connectors form a tree, as the router's search
+does over the sheets: each grid point is reached from the nearest of the
+base and the points before it, its lift continuing its parent's, so no
+stretch of the base paths is walked twice.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import _fiber_integrals, surface_integral  # noqa: F401
-from .surface import KIND_DISC, DefiningEquation, SheetPermutation, fiber_at, match_to_fiber
-from .surface import _orbits, _sheet_permutation, generator_loops
-from .tracker import BasePath, SurfacePoint, germ_at, safe_line
+from .surface import KIND_DISC, DefiningEquation, Fiber, SheetPermutation, fiber_at
+from .surface import _orbits, _sheet_permutation, generator_loops, match_to_fiber
+from .tracker import Arc, BasePath, SurfacePoint, germ_at, safe_line
 from .tracker import _path_margin
 
 __all__ = [
@@ -107,9 +113,15 @@ class SheetRouter:
     monodromy generator loop g: centers[g] is the critical point it
     encircles, gens[g] its sheet permutation and periods[g][s] its loop
     integral from germs[s], the base fiber with base.w at the base sheet.
-    Breadth-first search over gens, shortest word first with ties broken by
-    generator index, sums periods into values[s], the c-value of sheet s's
-    germ. Its tree spans the sheet graph of _sv_audit.
+    Each loop is walked and integrated as a spoke and a circle: the spoke's
+    lift from germs, then the circle's from the spoke's end fiber. The return
+    spoke retraces the spoke, so it is never walked: sigma_g matches the
+    circle's end fiber to the spoke's, and periods[g][s] = spoke[s] +
+    circle[s] - spoke[sigma_g(s)], the return spoke's integral taken from
+    the spoke (_loop_periods). Breadth-first search over gens, shortest word
+    first with ties broken by generator index, sums periods into values[s],
+    the c-value of sheet s's germ. Its tree spans the sheet graph of
+    _sv_audit.
     """
 
     def __init__(self, eq: DefiningEquation, base: SurfacePoint,
@@ -124,10 +136,8 @@ class SheetRouter:
 
         loops = generator_loops(eq, base.z, tol, rng)  # every loop integrated in one batch
         self.centers = [cp for cp, _ in loops]
-        gens = in_order(lambda gs: [
-            (_sheet_permutation(ends, fiber, tol), periods)
-            for periods, _, ends in _fiber_integrals(eq, [(self.germs, g) for g in gs], tol)
-        ], [loop for _, loop in loops])
+        gens = in_order(lambda gs: _loop_periods(eq, self.germs, gs, tol),
+                        [loop for _, loop in loops])
         self.gens: list[SheetPermutation] = [sigma for sigma, _ in gens]
         self.periods: list[list[complex]] = [periods for _, periods in gens]
         self.values: dict[int, complex] = {self.base_sheet: 0j}
@@ -143,6 +153,27 @@ class SheetRouter:
             queue = frontier
 
 
+def _loop_periods(eq: DefiningEquation, germs: Sequence[complex], loops: Sequence[BasePath],
+                  tol: Tolerances) -> list:
+    """Per loop of loops (tracker.anchored_loop: a spoke, the circle and the
+    spoke back, or the circle alone): its sheet permutation and its integral
+    from each of germs, read as SheetRouter says. The spokes and circles are
+    integrated in one batch, each circle continuing its spoke's lift
+    (quad._Lift), so its values are spoke[s] + circle[s]."""
+    starts = []
+    for loop in loops:
+        i = next(n for n, seg in enumerate(loop.segments) if isinstance(seg, Arc))
+        starts.append((germs, BasePath(loop.segments[:i])))
+        starts.append((len(starts) - 1, BasePath(loop.segments[i:i + 1])))
+    integrals = _fiber_integrals(eq, starts, tol)
+    out = []
+    for (_, circle), (spoke, _, spoke_end), (values, _, ends) in zip(
+            starts[1::2], integrals[::2], integrals[1::2]):
+        sigma = _sheet_permutation(ends, Fiber(circle.start_z, tuple(spoke_end)), tol)
+        out.append((sigma, [v - spoke[sigma(s)] for s, v in enumerate(values)]))
+    return out
+
+
 def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
                         router: Optional[SheetRouter] = None,
                         tol: Tolerances = DEFAULT, rng=None) -> list[complex]:
@@ -150,8 +181,9 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
 
     Entry j is c_{a, b_j} for the j-th germ of fiber_at(eq, z), reached by
     the router's loop word followed by a straight (detoured if necessary)
-    connector from the base point; one whole-fiber integral carries all k
-    sheets along the connector.
+    connector from the base point: the connector tree of
+    _walked_branch_integrals with z its one node. One whole-fiber integral
+    carries all k sheets along the connector.
     """
     if router is None:
         router = SheetRouter(eq, base, tol, rng)
@@ -163,9 +195,16 @@ def branch_integrals_at(eq: DefiningEquation, base: SurfacePoint, z: complex,
 def _walked_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
                              router: SheetRouter, tol: Tolerances, rng) -> list:
     """Per z of zs: the end fiber of its connector and the branch integrals
-    over it, both in lift order (_branch_integrals). The connectors of all z
-    are routed first, since routing may draw from rng, then integrated in one
-    batch, which raises the first refusal in the order of zs (errors.in_order)."""
+    over it, both in lift order (_branch_integrals). The connectors form a
+    tree: each z is reached from its parent, the nearest of the base and the
+    z listed before it (the first of them on a tie), by a safe_line, or by
+    no path when it sits there. On the default grid each outer point is so
+    reached by a radial leg from the inner point on its ray. The connectors
+    are routed first, in the order of zs, since routing may draw from rng,
+    then integrated in one batch, which raises the first refusal in the
+    order of zs (errors.in_order). A grid point's pair of end root and value
+    does not depend on its path's homotopy class once the router's audits
+    have passed, so the tree gives the pairs of straight connectors."""
     missing = [s for s in range(eq.k) if s not in router.values]
     if missing:
         raise UnreachableSheet(
@@ -174,24 +213,40 @@ def _walked_branch_integrals(eq: DefiningEquation, zs: Sequence[complex],
         )
     margin = _path_margin(eq, tol)
     locations = eq.critical(tol).locations
-    paths = [BasePath(()) if abs(z - router.base.z) <= 1e-12 * (1.0 + abs(z))
-             else safe_line(router.base.z, z, locations, margin, rng) for z in zs]
-    return in_order(lambda jobs: _branch_integrals(eq, jobs, router, tol), paths)
+    reached, parents, paths = [router.base.z], [], []
+    for z in zs:
+        n = min(range(len(reached)), key=lambda m: abs(z - reached[m]))
+        parents.append(n - 1 if n else None)  # None for the base, else an index in zs
+        paths.append(BasePath(()) if abs(z - reached[n]) <= 1e-12 * (1.0 + abs(z))
+                     else safe_line(reached[n], z, locations, margin, rng))
+        reached.append(z)
+    return in_order(lambda jobs: _branch_integrals(eq, jobs, parents, paths, router, tol),
+                    range(len(zs)))
 
 
-def _branch_integrals(eq: DefiningEquation, paths: Sequence[BasePath], router: SheetRouter,
-                      tol: Tolerances) -> list:
-    """For each connector of paths, all integrated in one batch: the roots its
-    lift ends on and the branch integrals there, entry j reached from
-    router.germs[j]. The walk's collision and residual gates and its path
-    margin make the end roots k distinct polished roots of Psi over the end."""
+def _branch_integrals(eq: DefiningEquation, jobs: Sequence[int], parents: Sequence,
+                      paths: Sequence[BasePath], router: SheetRouter, tol: Tolerances) -> list:
+    """For the connector paths[n] of each n of jobs, the tree edge from its
+    parent (parents[n], an index in paths or None for the base): the roots
+    its lift ends on and the branch integrals there, entry j reached from
+    router.germs[j]. The connectors of jobs and of all their ancestors are
+    integrated in one batch, parents first, each lift continuing its
+    parent's from its end fiber and adding to its integrals (quad._Lift).
+    The walk's collision and residual gates and its path margin make the end
+    roots k distinct polished roots of Psi over the end."""
+    needed = set()
+    for n in jobs:
+        while n is not None and n not in needed:
+            needed.add(n)
+            n = parents[n]
+    order = sorted(needed)
+    at = {n: i for i, n in enumerate(order)}
+    integrals = _fiber_integrals(eq, [(router.germs if parents[n] is None else at[parents[n]],
+                                       paths[n]) for n in order], tol)
     out = []
-    for path, (values, _, ends) in zip(paths, _fiber_integrals(
-            eq, [(router.germs, path) for path in paths], tol)):
-        if not path.segments:
-            out.append((list(router.germs), [router.values[s] for s in range(eq.k)]))
-        else:
-            out.append((list(ends), [router.values[s] + v for s, v in enumerate(values)]))
+    for n in jobs:
+        values, _, ends = integrals[at[n]]
+        out.append((list(ends), [router.values[s] + v for s, v in enumerate(values)]))
     return out
 
 

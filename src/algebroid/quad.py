@@ -19,18 +19,23 @@ nodes of every pending piece of every segment of every path in one batch
 the Newton correction, with dz/dt from the segments' array form (derivs),
 so quadrature takes the tracker's own steps and no step per node. No read
 changes a walk, so every value is the one a path integrated alone gets, and
-one path is a batch of one. A batch raises the first refusal it meets; the
-callers that batch their paths (SheetRouter's loops, the grid connectors,
-the contour residues of all centers, the audit's c_ab paths with its
-centers' turns) run the batch through errors.in_order, which then runs each
-job alone in turn, so the refusal raised is the first in job order: the one
-doing the jobs one after another raises. Each kind of integral is staged as
-its lifts and the function that finishes their integrals (_surface_lifts,
-_c_ab_lifts, _cycle_lifts, _residue_lifts), so one batch can hold several
-kinds. Residue checks take the local data of all their centers from
-puiseux._local_data, which reads every Puiseux turn of every center in one
-pass, and integrate every center's outer turn in one batch for the m-turn
-loop integrals, as residue_by_contour and the CLI do.
+one path is a batch of one. A lift may continue an earlier lift of its
+batch from that lift's end fiber, its integrals added to that lift's
+(_Lift). A batch raises the first refusal it meets; the callers that batch
+their paths (SheetRouter's loops, each a spoke and a circle that continues
+it with the return spoke taken from the spoke; the grid connectors, a
+nearest-point tree whose every connector continues its parent's; the
+contour residues of all centers; the audit's c_ab paths with its centers'
+turns) run the batch through errors.in_order, which then runs each job
+alone in turn (a connector with its ancestors), so the refusal raised is
+the first in job order: the one doing the jobs one after another raises.
+Each kind of integral is staged as its lifts and the function that finishes
+their integrals (_surface_lifts, _c_ab_lifts, _cycle_lifts,
+_residue_lifts), so one batch can hold several kinds. Residue checks take
+the local data of all their centers from puiseux._local_data, which reads
+every Puiseux turn of every center in one pass, and integrate every
+center's outer turn in one batch for the m-turn loop integrals, as
+residue_by_contour and the CLI do.
 """
 
 from __future__ import annotations
@@ -225,28 +230,46 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray], quad_tol: fl
 class _Lift:
     """One path's lift for _integrate: its segments walked in a chain from the
     start fiber by tracker._walk, each with its bisection. walked, a segment
-    already walked, is the whole path when given."""
+    already walked, is the whole path when given. A start that is an earlier
+    lift stands for that lift's end fiber, and this lift continues it: its
+    integrals add to that lift's, which must be integrated in the same batch."""
 
-    __slots__ = ("roots", "parts")
+    __slots__ = ("roots", "parts", "before", "sums")
 
-    def __init__(self, eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
+    def __init__(self, eq: DefiningEquation, start, path: BasePath,
                  tol: Tolerances, walked: Optional[_WalkedSegment] = None):
-        self.roots, self.parts = list(roots), []
+        self.before, self.sums = start if isinstance(start, _Lift) else None, None
+        self.roots, self.parts = list(start if self.before is None else start.end), []
         if walked is not None:
             self.parts.append(_Bisection(walked, 1.0, tol))
         elif path.segments:
             self.parts = [_Bisection(seg, share, tol)
                           for _, share, seg in _walk(eq, self.roots, path, tol)]
 
+    @property
+    def end(self) -> list[complex]:
+        """The end fiber in position order, known from the walk before any read."""
+        return self.parts[-1].walked.end if self.parts else self.roots
+
+    def _totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The summed values and error estimates, kept once summed, so that a
+        chain of lifts sums each lift once."""
+        if self.sums is None:
+            if self.before is None:
+                total, err = np.zeros(len(self.roots), dtype=complex), np.zeros(len(self.roots))
+            else:
+                total, err = self.before._totals()
+            for part in self.parts:
+                for value, error in part.accepted:
+                    total, err = total + value, err + error
+            self.sums = total, err
+        return self.sums
+
     def result(self) -> tuple[list[complex], list[float], list[complex]]:
         """(values, error estimates, end fiber) in position order, summed
-        segment by segment and level by level."""
-        total, err = np.zeros(len(self.roots), dtype=complex), np.zeros(len(self.roots))
-        for part in self.parts:
-            for value, error in part.accepted:
-                total, err = total + value, err + error
-        end = self.parts[-1].walked.end if self.parts else self.roots
-        return total.tolist(), err.tolist(), end
+        segment by segment and level by level onto the lift it continues."""
+        total, err = self._totals()
+        return total.tolist(), err.tolist(), self.end
 
 
 def _integrate(lifts: Sequence[_Lift]) -> list:
@@ -273,10 +296,16 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
 
 
 def _fiber_integrals(eq: DefiningEquation, starts: Sequence, tol: Tolerances) -> list:
-    """For each (roots, path) of starts, the integrals of w dz along the lifts
+    """For each (start, path) of starts, the integrals of w dz along the lifts
     of the path from every root, their error estimates and the end roots, in
-    position order. All the paths are integrated in one batch (_integrate)."""
-    return _integrate([_Lift(eq, roots, path, tol) for roots, path in starts])
+    position order. A start is the roots, or the index in starts of an
+    earlier entry, whose lift this one continues from its end fiber, adding
+    to its integrals (_Lift). All the paths are integrated in one batch
+    (_integrate)."""
+    lifts: list[_Lift] = []
+    for start, path in starts:
+        lifts.append(_Lift(eq, lifts[start] if isinstance(start, int) else start, path, tol))
+    return _integrate(lifts)
 
 
 def _integrated(lifts: Sequence[_Lift], finish):

@@ -220,6 +220,17 @@ def test_profile_cases_profiles_the_cli_over_a_case_directory(tmp_path, capsys):
     assert "(critical_points)" in out.split("was called by...")[1]
 
 
+def test_profile_cases_selects_callers_by_function_name(tmp_path, capsys):
+    # an anchored pattern matches the name alone, not file:line(name)
+    directory = _critical_case_dir(tmp_path)
+    assert profile_cases.main([str(ROOT), str(directory), "--top", "1",
+                               "--callers", "^critical_points$"]) == 0
+    callers = capsys.readouterr().out.split("was called by...")[1]
+    listed = re.findall(r"^(\S+:\d+\(\w+\))  ", callers, re.MULTILINE)
+    assert len(listed) == 1 and listed[0].endswith("(critical_points)")
+    assert "<-" in callers
+
+
 def test_profile_cases_reports_a_directory_without_cases(tmp_path, capsys):
     (tmp_path / "cases").mkdir()
     assert profile_cases.main([str(ROOT), str(tmp_path)]) == 1
