@@ -20,6 +20,10 @@ path (the case and the list indices dropped): the first case's full path,
 then "and N more at KEY" when there are more, the largest |dx| / max(1, |x|)
 over the numbers of the JSON reports, and every key path whose number moves
 by more than 1e-13 * max(1, |x|), with the count of cases in which it moves.
+Two strings that differ only in their decimal floats (those written with a
+"." or an exponent, such as the digits of a period in a refusal message)
+are compared float by float, as report numbers are; an integer stays part of
+the text, so "generator 1" against "generator 2" is a non-numeric difference.
 It exits 1 on any exit-code or non-numeric difference, or on such a move.
 Standard library only.
 """
@@ -34,6 +38,8 @@ import sys
 from pathlib import Path
 
 REL_TOL = 1e-13
+# a decimal float inside a string: digits with a fraction, an exponent or both
+FLOAT = re.compile(r"[-+]?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 
 
 def _import_cli(src_root: Path):
@@ -83,7 +89,8 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
     """Record in found the largest relative number move, the cases in which
     each key path moves by more than REL_TOL, and the full path of every
     non-numeric difference between two parsed reports under its key path.
-    key is where without the case and the list indices."""
+    key is where without the case, the list indices and the float indices
+    within a string, whose floats are numbers when its text is the same."""
     if _is_number(a) and _is_number(b):
         rel = abs(a - b) / max(1.0, abs(a))
         if rel > found["largest"][0]:
@@ -97,6 +104,9 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             _diff(x, y, f"{where}[{i}]", found, case, key)
+    elif isinstance(a, str) and isinstance(b, str) and FLOAT.split(a) == FLOAT.split(b):
+        for i, (x, y) in enumerate(zip(FLOAT.findall(a), FLOAT.findall(b))):
+            _diff(float(x), float(y), f"{where}<float {i}>", found, case, key)
     elif a != b or type(a) is not type(b):
         found["non_numeric"].setdefault(key, []).append(where)
 

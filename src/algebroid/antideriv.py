@@ -60,9 +60,9 @@ from .exactalg import w_poly_derivative, w_poly_mul
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import _fiber_integrals, surface_integral  # noqa: F401
 from .surface import KIND_DISC, DefiningEquation, Fiber, SheetPermutation, fiber_at
-from .surface import _orbits, _sheet_permutation, generator_loops, match_to_fiber
+from .surface import _orbits, _sheet_permutation, generator_loops
 from .tracker import Arc, BasePath, SurfacePoint, germ_at, safe_line
-from .tracker import _path_margin
+from .tracker import _path_margin, _start_fiber
 
 __all__ = [
     "AntiderivativeModel",
@@ -112,29 +112,25 @@ class SheetRouter:
     """Every sheet over the base point, from one whole-fiber pass per
     monodromy generator loop g: centers[g] is the critical point it
     encircles, gens[g] its sheet permutation and periods[g][s] its loop
-    integral from germs[s], the base fiber with base.w at the base sheet.
-    Each loop is walked and integrated as a spoke and a circle: the spoke's
-    lift from germs, then the circle's from the spoke's end fiber. The return
-    spoke retraces the spoke, so it is never walked: sigma_g matches the
-    circle's end fiber to the spoke's, and periods[g][s] = spoke[s] +
-    circle[s] - spoke[sigma_g(s)], the return spoke's integral taken from
-    the spoke (_loop_periods). Breadth-first search over gens, shortest word
-    first with ties broken by generator index, sums periods into values[s],
-    the c-value of sheet s's germ. Its tree spans the sheet graph of
-    _sv_audit.
+    integral from germs[s], the base fiber with base.w at the base sheet,
+    the start of every walk from the germ base, polished once
+    (tracker._start_fiber). Each loop is walked and integrated as a spoke
+    and a circle: the spoke's lift from germs, then the circle's from the
+    spoke's end fiber. The return spoke retraces the spoke, so it is never
+    walked: sigma_g matches the circle's end fiber to the spoke's, and
+    periods[g][s] = spoke[s] + circle[s] - spoke[sigma_g(s)], the return
+    spoke's integral taken from the spoke (_loop_periods). Breadth-first
+    search over gens, shortest word first with ties broken by generator
+    index, sums periods into values[s], the c-value of sheet s's germ. Its
+    tree spans the sheet graph of _sv_audit.
     """
 
     def __init__(self, eq: DefiningEquation, base: SurfacePoint,
                  tol: Tolerances = DEFAULT, rng=None):
-        base = germ_at(eq, base.z, base.w, tol)
-        self.eq = eq
-        self.base = base
-        fiber = fiber_at(eq, base.z, tol)
-        self.base_sheet = match_to_fiber(base.w, fiber, tol)
-        self.germs = list(fiber.roots)
-        self.germs[self.base_sheet] = base.w
+        self.eq, self.base = eq, germ_at(eq, base.z, base.w, tol)
+        _, self.base_sheet, self.germs = _start_fiber(eq, self.base, [], tol)
 
-        loops = generator_loops(eq, base.z, tol, rng)  # every loop integrated in one batch
+        loops = generator_loops(eq, self.base.z, tol, rng)  # every loop integrated in one batch
         self.centers = [cp for cp, _ in loops]
         gens = in_order(lambda gs: _loop_periods(eq, self.germs, gs, tol),
                         [loop for _, loop in loops])
@@ -378,17 +374,18 @@ def _sv_audit(router: SheetRouter, tol: Tolerances) -> float:
     over the edges (sheet s, generator g) of the router's sheet graph,
     relative to max(1, max_s |values[s]|); a tree edge of the router's
     search gives exactly 0. M takes sheet s to sheet sigma_g(s) around g, so
-    it is single-valued just when every edge has period 0."""
+    it is single-valued just when every edge has period 0. A refusal names
+    the first edge in (generator, sheet) order with |e| within 1e-12 relative
+    of the largest, so rounding never picks among equal |e| (conjugates)."""
     values = router.values
     scale = max(1.0, max(abs(v) for v in values.values()))
-    worst, edge = 0.0, None
-    for g, (sigma, periods) in enumerate(zip(router.gens, router.periods)):
-        for s, period in enumerate(periods):
-            e = values[s] + period - values[sigma(s)]
-            if abs(e) / scale > worst:
-                worst, edge = abs(e) / scale, (g, s, e)
+    edges = [(g, s, values[s] + period - values[sigma(s)])
+             for g, (sigma, periods) in enumerate(zip(router.gens, router.periods))
+             for s, period in enumerate(periods)]
+    largest = max((abs(e) for _, _, e in edges), default=0.0)
+    worst = largest / scale
     if worst > tol.sv_tol:
-        g, s, e = edge
+        g, s, e = next(edge for edge in edges if abs(edge[2]) >= largest * (1.0 - 1e-12))
         raise SingleValuednessViolation(
             f"the lift of sheet {s} around monodromy generator {g}, which "
             f"encircles the critical point {router.centers[g].location}, has "
@@ -567,7 +564,6 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
     default grid has 8 points, with one retry on 4 * max(bounds) points per
     circle; a given grid is used as is.
     """
-    base = germ_at(eq, base.z, base.w, tol)
     router = SheetRouter(eq, base, tol, rng)
     orbits = _orbits(eq.k, router.gens)
     if len(orbits) > 1:
@@ -617,7 +613,7 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
         constant_snap=snap,
         constant_fine_den=fine,
     )
-    model = AntiderivativeModel(eq.k, base, c, tuple(coeffs), diag)
+    model = AntiderivativeModel(eq.k, router.base, c, tuple(coeffs), diag)
     if verify:
         defect = verify_antiderivative(model, eq, tol=tol, fibers=fibers)
         model = replace(model, diagnostics=replace(diag, derivative_defect=defect))
@@ -625,17 +621,17 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
 
 
 def _multiset_defect(left: Sequence[complex], right: Sequence[complex]) -> float:
-    """min over pairings of the max pointwise distance (k is small)."""
-    k = len(left)
-    if k <= 6:
-        best = float("inf")
-        for perm in itertools.permutations(range(k)):
-            d = max(abs(left[i] - right[perm[i]]) for i in range(k))
-            best = min(best, d)
-        return best
-    ls = sorted(left, key=lambda w: (w.real, w.imag))
-    rs = sorted(right, key=lambda w: (w.real, w.imag))
-    return max(abs(a - b) for a, b in zip(ls, rs))
+    """The largest distance of the pairing of left with right that pairs the
+    closest remaining entries first, greedy over the sorted pairwise
+    distances: the min-max pairing whenever each entry's nearest partner is
+    its own, and never below it."""
+    free_left, free_right, worst = [True] * len(left), [True] * len(right), 0.0
+    for d, i, j in sorted((abs(a - b), i, j) for i, a in enumerate(left)
+                          for j, b in enumerate(right)):
+        if free_left[i] and free_right[j]:
+            free_left[i] = free_right[j] = False
+            worst = d
+    return worst
 
 
 def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,

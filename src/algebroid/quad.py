@@ -29,11 +29,15 @@ contour residues of all centers; the audit's c_ab paths with its centers'
 turns) run the batch through errors.in_order, which then runs each job
 alone in turn (a connector with its ancestors), so the refusal raised is
 the first in job order: the one doing the jobs one after another raises.
-Each kind of integral is staged as its lifts and the function that finishes
-their integrals (_surface_lifts, _c_ab_lifts, _cycle_lifts,
-_residue_lifts), so one batch can hold several kinds. Residue checks take
-the local data of all their centers from puiseux._local_data, which reads
-every Puiseux turn of every center in one pass, and integrate every
+Each kind of integral that shares a batch with others is staged as its
+lifts and the function that finishes their integrals (_c_ab_lifts,
+_cycle_lifts, _residue_lifts). Every walk from a germ starts from the one
+fiber solved over it (tracker._start_fiber): c_ab lifts all its paths from
+the base germ's, an empty path as a lift of length 0, and checks its
+target by matching the target's w in each lift's walked end fiber against
+the lift's position, so an audit solves no target fiber. Residue checks
+take the local data of all their centers from puiseux._local_data, which
+reads every Puiseux turn of every center in one pass, and integrate every
 center's outer turn in one batch for the m-turn loop integrals, as
 residue_by_contour and the CLI do.
 """
@@ -49,10 +53,10 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall, in_order
 from .puiseux import _local_data
-from .surface import DefiningEquation, _lift_sheets, fiber_at, match_to_fiber
+from .surface import DefiningEquation, Fiber, _lift_sheets, match_to_fiber
 from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
 from .tracker import _WalkedSegment, _bounds, _by_row, _path_margin, _read
-from .tracker import _start_fibers, _walk
+from .tracker import _start_fiber, _walk
 
 __all__ = [
     "SurfaceIntegralResult",
@@ -79,7 +83,7 @@ class SurfaceIntegralResult:
     error_estimate: float
     endpoint: SurfacePoint
     closed_on_surface: bool
-    end_sheet: Optional[int] = None  # closed nonempty path: the lift's end in fiber_at(start)
+    end_sheet: Optional[int] = None  # closed nonempty path: the lift's end in the start fiber
 
 
 @dataclass(frozen=True)
@@ -313,34 +317,19 @@ def _integrated(lifts: Sequence[_Lift], finish):
     return finish(_integrate(lifts))
 
 
-def _surface_lifts(eq: DefiningEquation, jobs: Sequence, tol: Tolerances) -> tuple:
-    """The lifts of surface_integral for each (start germ, path) of jobs, and
-    the function that makes their SurfaceIntegralResults of their integrals."""
-    germs = [germ_at(eq, germ.z, germ.w, tol) for germ, _ in jobs]
-    starts = _start_fibers(eq, [(germ, path) for germ, (_, path) in zip(germs, jobs)], tol)
-    lifts = [_Lift(eq, roots, path, tol) for (*_, roots), (_, path) in zip(starts, jobs)]
-
-    def results(integrals: Sequence) -> list:
-        out = []
-        for germ, (fiber0, pos, _), (_, path), integral in zip(germs, starts, jobs, integrals):
-            if not path.segments:
-                out.append(SurfaceIntegralResult(0j, 0.0, germ, True))
-                continue
-            values, errs, fiber = integral
-            end_sheet = match_to_fiber(fiber[pos], fiber0, tol) if path.is_closed() else None
-            out.append(SurfaceIntegralResult(values[pos], errs[pos],
-                                             SurfacePoint(path.end_z, fiber[pos]),
-                                             end_sheet == pos, end_sheet))
-        return out
-
-    return lifts, results
-
-
 def surface_integral(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
                      tol: Tolerances = DEFAULT) -> SurfaceIntegralResult:
-    """Integral of w(z) dz along the lift of the path from the start germ;
+    """Integral of w(z) dz along the lift of the path from the start germ; a
+    closed path's end_sheet is the lift's end in the start fiber.
     PathTooCloseToCritical when the path enters tracker._path_margin."""
-    return _integrated(*_surface_lifts(eq, [(start, path)], tol))[0]
+    germ = germ_at(eq, start.z, start.w, tol)
+    if not path.segments:
+        return SurfaceIntegralResult(0j, 0.0, germ, True)
+    fiber0, pos, roots = _start_fiber(eq, germ, [path], tol)
+    ((values, errs, fiber),) = _fiber_integrals(eq, [(roots, path)], tol)
+    end_sheet = match_to_fiber(fiber[pos], fiber0, tol) if path.is_closed() else None
+    return SurfaceIntegralResult(values[pos], errs[pos], SurfacePoint(path.end_z, fiber[pos]),
+                                 end_sheet == pos, end_sheet)
 
 
 def fiber_integral(eq: DefiningEquation, roots: Sequence[complex], path: BasePath,
@@ -421,32 +410,26 @@ def residue_theorem_check(eq: DefiningEquation, a: complex,
 
 def _c_ab_lifts(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
                 paths: Sequence[BasePath], tol: Tolerances) -> tuple:
-    """The lifts of c_ab along each path, and the function that makes their
-    IntegralElements of their integrals; the fiber over the target is solved
-    once, after the integrals."""
+    """The lifts of c_ab along each path from the base germ's one start fiber
+    (tracker._start_fiber), an empty path a lift of length 0, and the
+    function that makes their IntegralElements of their integrals. A lift
+    reaches the target when the target's w takes its position in the end
+    fiber it walked to, so no target fiber is solved."""
     b, t = germ_at(eq, base.z, base.w, tol), germ_at(eq, target.z, target.w, tol)
     for path in paths:
-        if not path.segments:
-            if not same_z(b.z, t.z):
-                raise ValueError("empty path but distinct base and target points")
-            fiber = fiber_at(eq, b.z, tol)
-            if match_to_fiber(b.w, fiber, tol) != match_to_fiber(t.w, fiber, tol):
-                raise EndpointGermMismatch("empty path cannot connect different sheets")
-        elif not same_z(path.end_z, t.z):
-            raise ValueError(f"path ends at {path.end_z}, target sits at {t.z}")
-    lifts, results = _surface_lifts(eq, [(b, path) for path in paths], tol)
+        end_z = path.end_z if path.segments else b.z
+        if not same_z(end_z, t.z):
+            raise ValueError(f"path ends at {end_z}, target sits at {t.z}")
+    # a batch of the audit's centers alone starts no walk
+    _, pos, roots = _start_fiber(eq, b, paths, tol) if paths else (None, None, [])
+    lifts = [_Lift(eq, roots, path, tol) for path in paths]
 
     def elements(integrals: Sequence) -> list:
-        ends = results(integrals)
-        fiber = fiber_at(eq, t.z, tol) if any(path.segments for path in paths) else None
-        for path, res in zip(paths, ends):
-            if path.segments:
-                got = match_to_fiber(res.endpoint.w, fiber, tol)
-                want = match_to_fiber(t.w, fiber, tol)
-                if got != want:
-                    raise EndpointGermMismatch(f"lift reaches z={t.z} on sheet {got}, "
-                                               f"target germ is sheet {want}")
-        return [IntegralElement(b, t, res.value) for res in ends]  # 0j on an empty path
+        for values, _, end in integrals:
+            if match_to_fiber(t.w, Fiber(t.z, tuple(end)), tol) != pos:
+                raise EndpointGermMismatch(f"lift reaches z={t.z} at w={end[pos]}, "
+                                           f"target germ has w={t.w}")
+        return [IntegralElement(b, t, values[pos]) for values, _, _ in integrals]
 
     return lifts, elements
 

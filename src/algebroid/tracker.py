@@ -54,7 +54,7 @@ from .rootfind import (
     residual_scale,
     residual_scales,
 )
-from .surface import DefiningEquation, fiber_at, match_to_fiber, min_pairwise_distance
+from .surface import DefiningEquation, Fiber, fiber_at, match_to_fiber, min_pairwise_distance
 
 __all__ = [
     "Line",
@@ -592,29 +592,20 @@ def _shares(path: BasePath) -> list[float]:
             for seg in path.segments]
 
 
-def _start_fibers(eq: DefiningEquation, starts: Sequence[tuple[SurfacePoint, BasePath]],
-                  tol: Tolerances) -> list[tuple]:
-    """For each (polished germ, path) of starts: the fiber over the germ at
-    which the path starts, the germ's position in it, and its roots with the
-    germ's value at that position; (None, None, []) for an empty path. Each
-    distinct germ z is solved once; ValueError when a path does not start at
-    its germ."""
-    fibers: dict = {}
-    out = []
-    for germ, path in starts:
-        if not path.segments:
-            out.append((None, None, []))
-            continue
-        if not same_z(path.start_z, germ.z):
+def _start_fiber(eq: DefiningEquation, germ: SurfacePoint, paths: Sequence[BasePath],
+                 tol: Tolerances) -> tuple[Fiber, int, list[complex]]:
+    """The one start of every walk from a polished germ along paths: the
+    fiber over it, solved once, the germ's position in it and its roots with
+    the germ's value at that position. ValueError when a path of paths does
+    not start at the germ; an empty path starts anywhere."""
+    for path in paths:
+        if path.segments and not same_z(path.start_z, germ.z):
             raise ValueError(f"path starts at {path.start_z}, germ sits at {germ.z}")
-        if germ.z not in fibers:
-            fibers[germ.z] = fiber_at(eq, germ.z, tol)
-        fiber = fibers[germ.z]
-        pos = match_to_fiber(germ.w, fiber, tol)
-        roots = list(fiber.roots)
-        roots[pos] = germ.w  # keep the polished germ value
-        out.append((fiber, pos, roots))
-    return out
+    fiber = fiber_at(eq, germ.z, tol)
+    pos = match_to_fiber(germ.w, fiber, tol)
+    roots = list(fiber.roots)
+    roots[pos] = germ.w  # keep the polished germ value
+    return fiber, pos, roots
 
 
 def continue_fiber(eq: DefiningEquation, fiber: Sequence[complex], path: BasePath,
@@ -634,7 +625,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     start = germ_at(eq, start.z, start.w, tol)
     if not path.segments:
         return TrackResult(start, ((0.0, start.z, start.w),), 0, float("inf"))
-    ((_, pos, roots),) = _start_fibers(eq, [(start, path)], tol)
+    _, pos, roots = _start_fiber(eq, start, [path], tol)
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
     for done, share, walked in _walk(eq, roots, path, tol):

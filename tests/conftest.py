@@ -1,7 +1,9 @@
 import signal
+import sys
 
 import pytest
 
+from algebroid import tracker
 from algebroid.surface import DefiningEquation
 
 
@@ -43,3 +45,25 @@ def time_limit():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) gives the list that collects the z of every later
+    call name(eq, z, ...) of the algebroid function name (fiber_at, germ_at),
+    patched in every algebroid module that imports it."""
+
+    def start(name):
+        zs = []
+        real = getattr(tracker, name)
+
+        def counted(eq, z, *args, **kwargs):
+            zs.append(z)
+            return real(eq, z, *args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "algebroid" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+        return zs
+
+    return start

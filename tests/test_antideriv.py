@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from algebroid.antideriv import (
     SheetRouter,
+    _multiset_defect,
     _sv_audit,
     branch_integrals_at,
     build_antiderivative,
@@ -82,8 +83,6 @@ def test_symmetric_coeffs_roots_reconstruct(values):
     b = symmetric_coeffs(values)
     poly = np.array([1.0 + 0j] + list(b))
     roots = [complex(r) for r in np.roots(poly)]
-    from algebroid.antideriv import _multiset_defect
-
     assert _multiset_defect(roots, values) < 1e-10
 
 
@@ -369,6 +368,35 @@ def test_sv_audit_refuses_a_loop_that_only_permutes_the_values():
     assert (exc.defect, exc.generator, exc.sheet, exc.period) == (1.0, 0, 0, 1)
 
 
+@pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["second-larger", "first-larger"])
+def test_sv_audit_names_the_first_of_two_equal_periods(direction):
+    # conjugate periods whose moduli differ in the last bit, as rounding
+    # leaves those of a real equation: the refusal names generator 0 whichever
+    # is larger, and its defect is the larger
+    period = 11.561670942517242 + 3.25j
+    other = complex(math.nextafter(period.real, direction), -period.imag)
+    assert (abs(other) > abs(period)) == (direction > 0)
+    router = SimpleNamespace(eq=SimpleNamespace(k=1), gens=[SheetPermutation((0,))] * 2,
+                             periods=[[period], [other]], values={0: 0j},
+                             centers=[CriticalPoint(1 + 1j, KIND_DISC),
+                                      CriticalPoint(1 - 1j, KIND_DISC)])
+    with pytest.raises(SingleValuednessViolation) as info:
+        _sv_audit(router, DEFAULT)
+    exc = info.value
+    assert (exc.generator, exc.sheet, exc.period) == (0, 0, period)
+    assert exc.defect == max(abs(period), abs(other))
+
+
+def test_multiset_defect_pairs_close_conjugates_at_k7():
+    # five roots on a circle and a conjugate pair whose real parts move by
+    # 1e-14: sorting by (real, imag) would pair 0.3 + 0.8i with 0.3 - 0.8i
+    ring = [2 * cmath.exp(2j * math.pi * j / 7) for j in range(5)]
+    left = ring + [0.3 + 0.8j, 0.3 - 0.8j]
+    right = ring + [complex(0.3 - 1e-14, 0.8), complex(0.3 + 1e-14, -0.8)]
+    assert _multiset_defect(left, right) < 2e-14
+    assert _multiset_defect(left, right[::-1]) < 2e-14
+
+
 def test_uniqueness_under_grid_change(sqrt_z):
     model_a = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
     grid = [1.3 * np.exp(2j * math.pi * j / 23) for j in range(23)]
@@ -605,8 +633,15 @@ def test_default_grid_solves_each_grid_fiber_once(sqrt_z, monkeypatch):
     assert [zs.count(z) for z in grid] == [0] * 8
 
 
+def test_build_polishes_its_base_once(sqrt_z, count_calls):
+    zs = count_calls("germ_at")
+    build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
+    assert zs == [1]
+
+
 def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
     import algebroid.antideriv as antideriv
+    from algebroid import tracker
 
     zs = []
     real = antideriv.fiber_at
@@ -616,6 +651,7 @@ def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
         return real(eq, z, *args, **kwargs)
 
     monkeypatch.setattr(antideriv, "fiber_at", counted)
+    monkeypatch.setattr(tracker, "fiber_at", counted)  # the router's base fiber
     model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
     # the base fiber and M's fiber at each of the 6 probes: W's roots at a
     # probe are the end fiber of the grid connector _fit_r walked

@@ -102,13 +102,12 @@ def test_closed_loop_lift_not_closed(sqrt_z):
 
 def test_lift_not_closed_names_the_end_sheet_from_one_fiber_solve(sqrt_z, monkeypatch):
     zs = []
-    real = quad.fiber_at
+    real = tracker.fiber_at
 
     def counted(eq, z, *args, **kwargs):
         zs.append(z)
         return real(eq, z, *args, **kwargs)
 
-    monkeypatch.setattr(quad, "fiber_at", counted)
     monkeypatch.setattr(tracker, "fiber_at", counted)
     with pytest.raises(LiftNotClosed) as info:
         closed_loop_integral(sqrt_z, SurfacePoint(1, 1), loop_path(0, 1.0, 1))
@@ -178,6 +177,13 @@ def test_c_ab_rejects_wrong_sheet(sqrt_z):
         c_ab(sqrt_z, SurfacePoint(1, 1), SurfacePoint(4, -2), BasePath((Line(1, 4),)))
 
 
+def test_c_ab_empty_path_to_the_other_sheet_names_both_w(sqrt_z):
+    with pytest.raises(EndpointGermMismatch) as info:
+        c_ab(sqrt_z, SurfacePoint(1, 1), SurfacePoint(1, -1), BasePath(()))
+    assert "w=(1+0j)" in str(info.value)
+    assert "w=(-1+0j)" in str(info.value)
+
+
 def test_audit_independent_sqrt(sqrt_z):
     base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
     paths = [
@@ -191,20 +197,22 @@ def test_audit_independent_sqrt(sqrt_z):
     assert all(abs(rc.residue) < 1e-9 for rc in report.enclosed_residue_data)
 
 
-def test_audit_solves_the_target_fiber_once_for_all_its_paths(sqrt_z, monkeypatch):
-    zs = []
-    real = quad.fiber_at
-
-    def counted(eq, z, *args, **kwargs):
-        zs.append(z)
-        return real(eq, z, *args, **kwargs)
-
-    monkeypatch.setattr(quad, "fiber_at", counted)
+def test_audit_solves_no_target_fiber(sqrt_z, count_calls):
+    # each lift's walked end fiber holds the target's w: no fiber over 4 is solved
+    zs = count_calls("fiber_at")
     base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
     paths = [polyline(1, 4), polyline(1, 1 + 2j, 4 + 2j, 4), polyline(1, 1 - 2j, 4 - 2j, 4)]
     report = path_independence_audit(sqrt_z, base, target, paths)
     assert report.verdict == "independent"
-    assert zs == [4]
+    assert zs.count(4) == 0
+
+
+def test_audit_polishes_each_germ_once(sqrt_z, count_calls):
+    zs = count_calls("germ_at")
+    base, target = SurfacePoint(1, 1), SurfacePoint(4, 2)
+    paths = [polyline(1, 4), polyline(1, 1 + 2j, 4 + 2j, 4), polyline(1, 1 - 2j, 4 - 2j, 4)]
+    path_independence_audit(sqrt_z, base, target, paths)
+    assert zs == [1, 4]
 
 
 def test_audit_solves_the_start_fiber_once_for_all_its_paths(sqrt_z, monkeypatch):

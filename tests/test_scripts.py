@@ -181,6 +181,29 @@ def test_replay_compare_prints_one_line_per_non_numeric_key_path(tmp_path, capsy
             "  r/1.sheets[1]\n") in out
 
 
+def _violation(generator, period):
+    return {"error": {"type": "SingleValuednessViolation",
+                      "message": f"the lift of sheet 0 around monodromy generator {generator} "
+                                 f"has period {period}"}}
+
+
+def test_replay_compare_reads_the_floats_inside_a_string(tmp_path, capsys):
+    a = _replay(tmp_path, "a.json", {"r/0": (19, _violation(1, (11.561670942517242 - 2e-15j)))})
+    b = _replay(tmp_path, "b.json", {"r/0": (19, _violation(1, (11.561670942517244 - 2e-15j)))})
+    assert replay_cases.main(["compare", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "non-numeric differences 0\n" in out
+    assert "max(1, |x|) 1.536e-16 at r/0.error.message<float 0>" in out
+
+
+def test_replay_compare_keeps_the_integers_of_a_string_as_text(tmp_path, capsys):
+    a = _replay(tmp_path, "a.json", {"r/0": (19, _violation(1, 11.561670942517242))})
+    b = _replay(tmp_path, "b.json", {"r/0": (19, _violation(2, 11.561670942517242))})
+    assert replay_cases.main(["compare", a, b]) == 1
+    out = capsys.readouterr().out
+    assert "non-numeric differences 1\n  r/0.error.message\n" in out
+
+
 def _critical_case_dir(tmp_path):
     """A benchmark output directory holding one `critical` case of W^2 - z."""
     cases = tmp_path / "critical-seed1-trace0" / "cases"
