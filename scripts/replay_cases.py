@@ -20,6 +20,10 @@ path (the case and the list indices dropped): the first case's full path,
 then "and N more at KEY" when there are more, the largest |dx| / max(1, |x|)
 over the numbers of the JSON reports, and every key path whose number moves
 by more than 1e-13 * max(1, |x|), with the count of cases in which it moves.
+An audit's discrepancies (results.pairs[].discrepancy and
+results.max_discrepancy), each a difference of two c values, are measured
+against max(1, the largest |c value| of the same report) in place of
+max(1, |x|): the scale of the numbers whose rounding they carry.
 Two strings that differ only in their decimal floats (those written with a
 "." or an exponent, such as the digits of a period in a refusal message)
 are compared float by float, as report numbers are; an integer stays part of
@@ -85,14 +89,28 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
+def _scales(report) -> dict:
+    """The scale of each key path that is not max(1, |x|): for an audit
+    report, its discrepancies' max(1, the largest |c value|)."""
+    results = report.get("results") if isinstance(report, dict) else None
+    if not isinstance(results, dict) or "c_values" not in results:
+        return {}
+    scale = max([1.0] + [abs(complex(*c)) for c in results["c_values"]])
+    return {"results.pairs.discrepancy": scale, "results.max_discrepancy": scale}
+
+
+def _diff(a, b, where: str, found: dict, case: str, key: str = "",
+          scales: dict | None = None) -> None:
     """Record in found the largest relative number move, the cases in which
     each key path moves by more than REL_TOL, and the full path of every
     non-numeric difference between two parsed reports under its key path.
     key is where without the case, the list indices and the float indices
-    within a string, whose floats are numbers when its text is the same."""
+    within a string, whose floats are numbers when its text is the same. A
+    number moves relative to scales[key] when there is one (_scales), else
+    to max(1, |x|)."""
+    scales = scales or {}
     if _is_number(a) and _is_number(b):
-        rel = abs(a - b) / max(1.0, abs(a))
+        rel = abs(a - b) / scales.get(key, max(1.0, abs(a)))
         if rel > found["largest"][0]:
             found["largest"] = (rel, where)
         if rel > REL_TOL:
@@ -100,13 +118,13 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "") -> None:
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for name in a:
             _diff(a[name], b[name], f"{where}.{name}", found, case,
-                  f"{key}.{name}" if key else name)
+                  f"{key}.{name}" if key else name, scales)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff(x, y, f"{where}[{i}]", found, case, key)
+            _diff(x, y, f"{where}[{i}]", found, case, key, scales)
     elif isinstance(a, str) and isinstance(b, str) and FLOAT.split(a) == FLOAT.split(b):
         for i, (x, y) in enumerate(zip(FLOAT.findall(a), FLOAT.findall(b))):
-            _diff(float(x), float(y), f"{where}<float {i}>", found, case, key)
+            _diff(float(x), float(y), f"{where}<float {i}>", found, case, key, scales)
     elif a != b or type(a) is not type(b):
         found["non_numeric"].setdefault(key, []).append(where)
 
@@ -134,7 +152,8 @@ def compare(a: dict, b: dict) -> dict:
             found["identical"] += 1
             continue
         try:
-            _diff(json.loads(x["stdout"]), json.loads(y["stdout"]), case, found, case)
+            report = json.loads(x["stdout"])
+            _diff(report, json.loads(y["stdout"]), case, found, case, scales=_scales(report))
         except json.JSONDecodeError:
             found["non_numeric"].setdefault("stdout is not JSON", []).append(
                 f"{case}: stdout is not JSON")

@@ -20,7 +20,9 @@ whose gcds have no cost bound. The constant C (the constant term of r_0's
 polynomial part) is fixed once by M = c at the base germ and is the only
 number snapped from a float. The defining coefficients B_j of M,
 prod_s (M - F_s) = M^k + sum B_j M^(k-j), follow exactly from the power sums
-Tr((C + R)^n) and Newton's identities.
+Tr((C + R)^n) and Newton's identities. verify_antiderivative checks them at
+the roots the fit walked: each w_i over a grid point z gives M's value
+m_i = sum r_i(z) w_i^i, which the B_j must annihilate with slope dM/dz = w_i.
 
 build_antiderivative reads its three refusals off SheetRouter's sheet graph
 (Tretkoff & Tretkoff 1984), with no Puiseux expansion: transitivity,
@@ -59,6 +61,7 @@ from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import _fiber_integrals, surface_integral  # noqa: F401
+from .rootfind import poly_eval, poly_eval_pair, residual_scale
 from .surface import KIND_DISC, DefiningEquation, Fiber, SheetPermutation, fiber_at
 from .surface import _orbits, _sheet_permutation, generator_loops
 from .tracker import Arc, BasePath, SurfacePoint, germ_at, safe_line
@@ -98,14 +101,14 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class AntiderivativeModel:
+    """coeffs: the B_j of M's equation; r: the certified r_i, C in r_0."""
+
     k: int
     base: SurfacePoint
     c: complex
     coeffs: tuple[RatFunc, ...]
+    r: tuple[RatFunc, ...]
     diagnostics: FitDiagnostics
-
-    def as_equation(self) -> DefiningEquation:
-        return DefiningEquation(self.k, self.coeffs)
 
 
 class SheetRouter:
@@ -613,53 +616,49 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
         constant_snap=snap,
         constant_fine_den=fine,
     )
-    model = AntiderivativeModel(eq.k, router.base, c, tuple(coeffs), diag)
+    model = AntiderivativeModel(eq.k, router.base, c, tuple(coeffs), tuple(r), diag)
     if verify:
         defect = verify_antiderivative(model, eq, tol=tol, fibers=fibers)
         model = replace(model, diagnostics=replace(diag, derivative_defect=defect))
     return model
 
 
-def _multiset_defect(left: Sequence[complex], right: Sequence[complex]) -> float:
-    """The largest distance of the pairing of left with right that pairs the
-    closest remaining entries first, greedy over the sorted pairwise
-    distances: the min-max pairing whenever each entry's nearest partner is
-    its own, and never below it."""
-    free_left, free_right, worst = [True] * len(left), [True] * len(right), 0.0
-    for d, i, j in sorted((abs(a - b), i, j) for i, a in enumerate(left)
-                          for j, b in enumerate(right)):
-        if free_left[i] and free_right[j]:
-            free_left[i] = free_right[j] = False
-            worst = d
-    return worst
-
-
 def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
                           probes: Optional[Sequence[complex]] = None,
                           tol: Tolerances = DEFAULT, fibers: Optional[dict] = None) -> float:
-    """Max defect of the implicit derivative identity M'(z) = W(z); fibers
-    may map probes to the k roots of Psi over them, already found in any
-    order (build_antiderivative passes the end fibers its grid connectors
-    walked to), and fiber_at solves the other probes."""
-    meq = model.as_equation()
+    """The largest defect of the B_j at the values of M over the probes (by
+    default 6 grid points): each root w_i of Psi over a probe z gives
+    m_i = sum r_i(z) w_i^i, and the defect is the larger of
+    |Psi_M(m_i)| / residual_scale and |-Psi_M,z(m_i) / Psi_M,W(m_i) - w_i|,
+    Psi_M = M^k + sum B_j M^(k-j), so the B_j must annihilate M and give it
+    the derivative W. Each m_i comes from its own w_i: nothing is paired.
+    fibers may map probes to their k roots (build_antiderivative passes the
+    end fibers its grid connectors walked to); fiber_at solves the others.
+    A probe is skipped where fiber_at raises NearCriticalPoint or two m_i
+    fail its separation gate; ValueError when every probe is."""
     if probes is None:
         grid = model.diagnostics.sample_grid
         step = max(1, len(grid) // 5)
         probes = grid[::step][:6]
-    worst = 0.0
-    used = 0
+    d_coeffs = [b.derivative() for b in model.coeffs]
+    defects = []
     for z in probes:
         try:
-            mf = fiber_at(meq, z, tol)
-            wf = fibers[z] if fibers and z in fibers else fiber_at(eq, z, tol).roots
+            ws = fibers[z] if fibers and z in fibers else fiber_at(eq, z, tol).roots
         except NearCriticalPoint:
             continue
-        derivs = [-meq.psi_z(m, z) / meq.psi_w(m, z) for m in mf.roots]
-        worst = max(worst, _multiset_defect(derivs, list(wf)))
-        used += 1
-    if used == 0:
+        r = [ri.eval_complex(z) for ri in model.r]
+        m_fiber = Fiber(z, tuple(poly_eval(r, w) for w in ws))
+        if m_fiber.min_separation < tol.delta_sep * m_fiber.scale:
+            continue
+        psi = [b.eval_complex(z) for b in reversed(model.coeffs)] + [1.0]  # ascending in M
+        psi_z = [b.eval_complex(z) for b in reversed(d_coeffs)]
+        for m, w in zip(m_fiber.roots, ws):
+            value, slope = poly_eval_pair(psi, m)
+            defects += [abs(value) / residual_scale(psi, m), abs(-poly_eval(psi_z, m) / slope - w)]
+    if not defects:
         raise ValueError("no probe was regular for both equations")
-    return worst
+    return float(np.max(defects))  # NaN-safe
 
 
 def constant_family(model: AntiderivativeModel, c_new) -> list[RatFunc]:

@@ -44,6 +44,7 @@ residue_by_contour and the CLI do.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,11 +89,13 @@ class SurfaceIntegralResult:
 
 @dataclass(frozen=True)
 class IntegralElement:
-    """Integral function element data: c_ab plus its base and target germs."""
+    """Integral function element data: c_ab plus its base and target germs,
+    and the quadrature's error estimate of c_ab."""
 
     base: SurfacePoint
     target: SurfacePoint
     c_ab: complex
+    error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -429,7 +432,7 @@ def _c_ab_lifts(eq: DefiningEquation, base: SurfacePoint, target: SurfacePoint,
             if match_to_fiber(t.w, Fiber(t.z, tuple(end)), tol) != pos:
                 raise EndpointGermMismatch(f"lift reaches z={t.z} at w={end[pos]}, "
                                            f"target germ has w={t.w}")
-        return [IntegralElement(b, t, values[pos]) for values, _, _ in integrals]
+        return [IntegralElement(b, t, values[pos], errs[pos]) for values, errs, _ in integrals]
 
     return lifts, elements
 
@@ -449,7 +452,10 @@ def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
     all critical points (_residue_lifts), and all of them are integrated in
     one batch; that batch runs through errors.in_order over the jobs [paths,
     then centers], so the refusal raised is the first path's, else the first
-    center's."""
+    center's. A pair is "dependent" when |c_i - c_j| exceeds audit_tol plus
+    both c values' error estimates and 4 eps (|c_i| + |c_j|), the rounding of
+    their difference: a discrepancy the quadrature cannot tell from 0 decides
+    nothing."""
     jobs = [*paths, *(cp.location for cp in eq.critical(tol).points)]
 
     def batch(todo: list) -> list:
@@ -461,14 +467,14 @@ def path_independence_audit(eq: DefiningEquation, base: SurfacePoint,
 
     done = in_order(batch, jobs)
     values = tuple(e.c_ab for e in done[:len(paths)])
-    pairs = []
-    max_disc = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            d = abs(values[i] - values[j])
-            pairs.append((i, j, d))
-            max_disc = max(max_disc, d)
-    verdict = "independent" if max_disc < tol.audit_tol else "dependent"
+    # per c value: its error estimate and its share 4 eps |c| of a difference's rounding
+    slack = [e.error_estimate + 4 * float(np.finfo(float).eps) * abs(e.c_ab)
+             for e in done[:len(paths)]]
+    pairs = [(i, j, abs(values[i] - values[j]))
+             for i, j in itertools.combinations(range(len(values)), 2)]
+    max_disc = max((d for _, _, d in pairs), default=0.0)
+    dependent = any(not d <= tol.audit_tol + slack[i] + slack[j] for i, j, d in pairs)
+    verdict = "dependent" if dependent else "independent"
     residue_data = []
     for a, (report, loops) in zip(jobs[len(paths):], done[len(paths):]):
         residue_data.extend(_residue_checks(a, report, loops))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from algebroid import tracker
+from algebroid import exactalg, tracker
 from algebroid.surface import DefiningEquation
 
 
@@ -51,15 +51,16 @@ def time_limit():
 def count_calls(monkeypatch):
     """count_calls(name) gives the list that collects the z of every later
     call name(eq, z, ...) of the algebroid function name (fiber_at, germ_at),
-    patched in every algebroid module that imports it."""
+    or the argument of a call name(arg) (discriminant), patched in every
+    algebroid module that imports it."""
 
     def start(name):
         zs = []
-        real = getattr(tracker, name)
+        real = getattr(tracker, name, None) or getattr(exactalg, name)
 
-        def counted(eq, z, *args, **kwargs):
-            zs.append(z)
-            return real(eq, z, *args, **kwargs)
+        def counted(first, *args, **kwargs):
+            zs.append(args[0] if args else first)
+            return real(first, *args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "algebroid" and getattr(module, name, None) is real:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from algebroid.antideriv import (
     SheetRouter,
-    _multiset_defect,
     _sv_audit,
     branch_integrals_at,
     build_antiderivative,
@@ -83,7 +82,10 @@ def test_symmetric_coeffs_roots_reconstruct(values):
     b = symmetric_coeffs(values)
     poly = np.array([1.0 + 0j] + list(b))
     roots = [complex(r) for r in np.roots(poly)]
-    assert _multiset_defect(roots, values) < 1e-10
+    # the values are over 0.1 apart, so each root's nearest value is its own
+    assert sorted(min(range(len(values)), key=lambda i: abs(r - values[i])) for r in roots) \
+        == list(range(len(values)))
+    assert all(min(abs(r - v) for v in values) < 1e-10 for r in roots)
 
 
 @pytest.mark.parametrize("delta_squared", ["1/10^14", "1/10^16"], ids=["delta-1e-7", "delta-1e-8"])
@@ -387,16 +389,6 @@ def test_sv_audit_names_the_first_of_two_equal_periods(direction):
     assert exc.defect == max(abs(period), abs(other))
 
 
-def test_multiset_defect_pairs_close_conjugates_at_k7():
-    # five roots on a circle and a conjugate pair whose real parts move by
-    # 1e-14: sorting by (real, imag) would pair 0.3 + 0.8i with 0.3 - 0.8i
-    ring = [2 * cmath.exp(2j * math.pi * j / 7) for j in range(5)]
-    left = ring + [0.3 + 0.8j, 0.3 - 0.8j]
-    right = ring + [complex(0.3 - 1e-14, 0.8), complex(0.3 + 1e-14, -0.8)]
-    assert _multiset_defect(left, right) < 2e-14
-    assert _multiset_defect(left, right[::-1]) < 2e-14
-
-
 def test_uniqueness_under_grid_change(sqrt_z):
     model_a = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
     grid = [1.3 * np.exp(2j * math.pi * j / 23) for j in range(23)]
@@ -417,7 +409,7 @@ def test_verify_catches_sign_error(sqrt_z):
 
     broken = AntiderivativeModel(
         model.k, model.base, model.c,
-        (model.coeffs[0], -model.coeffs[1]), model.diagnostics,
+        (model.coeffs[0], -model.coeffs[1]), model.r, model.diagnostics,
     )
     assert verify_antiderivative(broken, sqrt_z) > 1e-3
 
@@ -430,9 +422,23 @@ def test_verify_k1_sign_sanity():
     assert verify_antiderivative(model, eq) < 1e-8
     from algebroid.antideriv import AntiderivativeModel
 
-    wrong = AntiderivativeModel(1, model.base, model.c, (-model.coeffs[0],),
+    wrong = AntiderivativeModel(1, model.base, model.c, (-model.coeffs[0],), model.r,
                                 model.diagnostics)
     assert verify_antiderivative(wrong, eq) > 1e-2
+
+
+@pytest.mark.parametrize("coeffs, base", [(["-z^2"], SurfacePoint(0, 0)),
+                                          (["0", "-z"], SurfacePoint(1, 1))], ids=["k1", "k2"])
+def test_verify_catches_a_shifted_constant(coeffs, base):
+    # B_k + 1 leaves Psi_M,z and Psi_M,W as they are, so the derivative
+    # identity alone misses it: the B_j must also annihilate R
+    from dataclasses import replace
+
+    eq = DefiningEquation.from_strings(coeffs)
+    model = build_antiderivative(eq, base, verify=False)
+    shifted = replace(model, coeffs=model.coeffs[:-1] + (model.coeffs[-1] + RatFunc.one(),))
+    assert verify_antiderivative(model, eq) < 1e-8
+    assert verify_antiderivative(shifted, eq) > 1e-3
 
 
 def test_fit_not_converged_on_transcendental():
@@ -639,23 +645,16 @@ def test_build_polishes_its_base_once(sqrt_z, count_calls):
     assert zs == [1]
 
 
-def test_verify_reuses_the_grid_fibers(sqrt_z, monkeypatch):
-    import algebroid.antideriv as antideriv
-    from algebroid import tracker
-
-    zs = []
-    real = antideriv.fiber_at
-
-    def counted(eq, z, *args, **kwargs):
-        zs.append(z)
-        return real(eq, z, *args, **kwargs)
-
-    monkeypatch.setattr(antideriv, "fiber_at", counted)
-    monkeypatch.setattr(tracker, "fiber_at", counted)  # the router's base fiber
-    model = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
-    # the base fiber and M's fiber at each of the 6 probes: W's roots at a
-    # probe are the end fiber of the grid connector _fit_r walked
-    assert len(zs) == 1 + 6
+def test_verify_reuses_the_grid_fibers(sqrt_z, count_calls, monkeypatch):
+    zs = count_calls("fiber_at")
+    discriminants = count_calls("discriminant")
+    eq = DefiningEquation.from_strings(["0", "-z"])
+    model = build_antiderivative(eq, SurfacePoint(1, 1), c=2.0 / 3.0)
+    # the base fiber only: W's roots at a probe are the end fiber of the grid
+    # connector _fit_r walked, and M's values there come from them, so no
+    # equation of M is built or solved and W's is the one discriminant
+    assert len(zs) == 1
+    assert len(discriminants) == 1
     monkeypatch.undo()
     plain = build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0, verify=False)
     assert model.coeffs == plain.coeffs

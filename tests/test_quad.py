@@ -197,6 +197,16 @@ def test_audit_independent_sqrt(sqrt_z):
     assert all(abs(rc.residue) < 1e-9 for rc in report.enclosed_residue_data)
 
 
+def test_audit_of_an_entire_integrand_to_a_far_target_is_independent():
+    # W = z^5 is entire; its c values near 1.7e11 differ by about 5e-5, below
+    # their own error estimates, so the discrepancy decides nothing
+    eq = DefiningEquation.from_strings(["-z^5"])
+    paths = [BasePath((Line(1, 100),)), polyline(1, 1 + 100j, 100)]
+    report = path_independence_audit(eq, SurfacePoint(1, 1), SurfacePoint(100, 100**5), paths)
+    assert report.max_discrepancy > DEFAULT.audit_tol
+    assert report.verdict == "independent"
+
+
 def test_audit_solves_no_target_fiber(sqrt_z, count_calls):
     # each lift's walked end fiber holds the target's w: no fiber over 4 is solved
     zs = count_calls("fiber_at")

@@ -5,6 +5,7 @@ benchmark cases; ab_cases times two source trees against each other."""
 
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -202,6 +203,24 @@ def test_replay_compare_keeps_the_integers_of_a_string_as_text(tmp_path, capsys)
     assert replay_cases.main(["compare", a, b]) == 1
     out = capsys.readouterr().out
     assert "non-numeric differences 1\n  r/0.error.message\n" in out
+
+
+def test_replay_compare_measures_a_discrepancy_against_its_c_values(tmp_path, capsys):
+    # two c values near 820 each move by an ulp (1.1e-13), so their
+    # discrepancy moves by 2.3e-13: nothing against the c values' scale
+    def audit(c0, c1):
+        d = abs(c0 - c1)
+        return {"results": {"c_values": [[c0, 0.0], [c1, 0.0]],
+                            "pairs": [{"first": 0, "second": 1, "discrepancy": d}],
+                            "max_discrepancy": d, "verdict": "independent"}}
+
+    c0, c1 = 820.0, 820.0 + 3e-13
+    a = _replay(tmp_path, "a.json", {"p/0": (0, audit(c0, c1))})
+    moved = audit(math.nextafter(c0, 0), math.nextafter(c1, 1e3))
+    b = _replay(tmp_path, "b.json", {"p/0": (0, moved)})
+    assert replay_cases.main(["compare", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "key paths moved by more than 1e-13 * max(1, |x|) 0\n" in out
 
 
 def _critical_case_dir(tmp_path):
