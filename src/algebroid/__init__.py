@@ -5,123 +5,43 @@ equation in W with rational-function coefficients. This package classifies
 its singular elements through numeric Puiseux expansions, computes residues,
 integrates along paths on the function's Riemann surface, audits path
 independence, and reconstructs the defining equation of the antiderivative.
+
+Importing the package imports none of its modules: each public name is
+looked up in its home module (_EXPORTS) on first use, so a process that
+runs one CLI subcommand loads only the layers that subcommand reaches.
 """
 
-from .antideriv import (
-    AntiderivativeModel,
-    SheetRouter,
-    branch_integrals_at,
-    build_antiderivative,
-    constant_family,
-    fit_rational,
-    symmetric_coeffs,
-    verify_antiderivative,
-)
-from .config import DEFAULT, Tolerances
-from .exactalg import (
-    GaussianRational,
-    Poly,
-    RatFunc,
-    discriminant,
-    laurent_order,
-    parse_coefficient,
-    resultant_w,
-)
-from .puiseux import (
-    PuiseuxExpansion,
-    cycle_structure,
-    growth_bound,
-    puiseux_expand,
-    residue,
-    residue_by_contour,
-    singular_elements,
-)
-from .quad import (
-    AuditReport,
-    IntegralElement,
-    SurfaceIntegralResult,
-    c_ab,
-    closed_loop_integral,
-    fiber_integral,
-    integral_element_continuation_check,
-    path_independence_audit,
-    residue_theorem_check,
-    surface_integral,
-)
-from .surface import (
-    CriticalSet,
-    DefiningEquation,
-    Fiber,
-    SheetPermutation,
-    critical_points,
-    fiber_at,
-    irreducibility_check,
-    monodromy,
-)
-from .tracker import (
-    Arc,
-    BasePath,
-    Line,
-    SurfacePoint,
-    TrackResult,
-    continue_branch,
-    loop_path,
-    polyline,
-    reverse,
-)
+import importlib
 
-__all__ = [
-    "AntiderivativeModel",
-    "Arc",
-    "AuditReport",
-    "BasePath",
-    "CriticalSet",
-    "DEFAULT",
-    "DefiningEquation",
-    "Fiber",
-    "GaussianRational",
-    "IntegralElement",
-    "Line",
-    "Poly",
-    "PuiseuxExpansion",
-    "RatFunc",
-    "SheetPermutation",
-    "SheetRouter",
-    "SurfaceIntegralResult",
-    "SurfacePoint",
-    "Tolerances",
-    "TrackResult",
-    "branch_integrals_at",
-    "build_antiderivative",
-    "c_ab",
-    "closed_loop_integral",
-    "constant_family",
-    "continue_branch",
-    "critical_points",
-    "cycle_structure",
-    "discriminant",
-    "fiber_at",
-    "fiber_integral",
-    "fit_rational",
-    "growth_bound",
-    "integral_element_continuation_check",
-    "irreducibility_check",
-    "laurent_order",
-    "loop_path",
-    "monodromy",
-    "parse_coefficient",
-    "path_independence_audit",
-    "polyline",
-    "puiseux_expand",
-    "residue",
-    "residue_by_contour",
-    "residue_theorem_check",
-    "resultant_w",
-    "reverse",
-    "singular_elements",
-    "surface_integral",
-    "symmetric_coeffs",
-    "verify_antiderivative",
-]
+_EXPORTS = {
+    "antideriv": ("AntiderivativeModel", "SheetRouter", "branch_integrals_at",
+                  "build_antiderivative", "constant_family", "fit_rational",
+                  "symmetric_coeffs", "verify_antiderivative"),
+    "config": ("DEFAULT", "Tolerances"),
+    "exactalg": ("GaussianRational", "Poly", "RatFunc", "discriminant", "laurent_order",
+                 "parse_coefficient", "resultant_w"),
+    "paths": ("Arc", "BasePath", "Line", "SurfacePoint", "loop_path", "polyline", "reverse"),
+    "puiseux": ("PuiseuxExpansion", "cycle_structure", "growth_bound", "puiseux_expand",
+                "residue", "residue_by_contour", "singular_elements"),
+    "quad": ("AuditReport", "IntegralElement", "SurfaceIntegralResult", "c_ab",
+             "closed_loop_integral", "fiber_integral", "integral_element_continuation_check",
+             "path_independence_audit", "residue_theorem_check", "surface_integral"),
+    "surface": ("CriticalSet", "DefiningEquation", "Fiber", "SheetPermutation",
+                "critical_points", "fiber_at", "irreducibility_check", "monodromy"),
+    "tracker": ("TrackResult", "continue_branch"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

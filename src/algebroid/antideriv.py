@@ -59,12 +59,13 @@ from .errors import (
 )
 from .exactalg import GaussianRational, Poly, RatFunc, snap_to_gaussian
 from .exactalg import w_poly_derivative, w_poly_mul
+from .paths import Arc, BasePath, SurfacePoint
 # surface_integral: read here by benchmark/test_benchmark.py::test_tracer_rebinds_names_imported_elsewhere
 from .quad import _fiber_integrals, surface_integral  # noqa: F401
 from .rootfind import poly_eval, poly_eval_pair, residual_scale
 from .surface import KIND_DISC, DefiningEquation, Fiber, SheetPermutation, fiber_at
 from .surface import _orbits, _sheet_permutation, generator_loops
-from .tracker import Arc, BasePath, SurfacePoint, germ_at, safe_line
+from .tracker import germ_at, safe_line
 from .tracker import _path_margin, _start_fiber
 
 __all__ = [

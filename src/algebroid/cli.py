@@ -8,12 +8,18 @@ warnings). Shared flag groups are parent parsers. A global flag, such as
 Reports are deterministic: fixed field order, floats at 17 significant
 digits, no timestamps unless --timing is requested. Complex numbers
 serialize as [re, im] pairs.
+
+A command line run is one fresh process for one subcommand, so this module
+imports at its top only what every subcommand needs: config, errors, paths
+and surface, which load a problem and its critical set. A subcommand that
+uses the tracker, Puiseux, quadrature or antiderivative layer imports it
+when it runs, reading each name off the layer's module at that moment, so a
+patch of a module attribute reaches the call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -24,13 +30,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .antideriv import build_antiderivative, constant_family
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, in_order
-from .puiseux import _local_data, singular_elements
-from .quad import _integrated, _residue_lifts, path_independence_audit, surface_integral
+from .paths import Arc, BasePath, Line, SurfacePoint, loop_path, same_z
 from .surface import DefiningEquation, fiber_at, monodromy
-from .tracker import Arc, BasePath, Line, SurfacePoint, continue_branch, loop_path, same_z
 
 __all__ = ["main", "load_problem", "dumps_report"]
 
@@ -256,7 +259,7 @@ def _resolve_tol(pairs: Optional[Sequence[str]]) -> Tolerances:
 def _check_ends(where: str, path: BasePath, start: complex,
                 target: Optional[complex] = None) -> None:
     """The path must start at start and, given a target, end there, by the
-    rule (tracker.same_z) the continuation and the integrals apply."""
+    rule (paths.same_z) the continuation and the integrals apply."""
     first, last = (path.start_z, path.end_z) if path.segments else (start, start)
     if not same_z(first, start):
         raise SchemaError(f"{where} starts at {first}, the start germ sits at {start}")
@@ -351,6 +354,10 @@ def _model_report(model) -> tuple[dict, list[str]]:
 def _plot_track(filename: str, eq: DefiningEquation, start: SurfacePoint, path: BasePath,
                 tol: Tolerances) -> None:
     """--plot-data: the lift of the path from start, one CSV row per track sample."""
+    import csv
+
+    from .tracker import continue_branch
+
     samples = continue_branch(eq, start, path, tol).samples
     with open(filename, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -392,6 +399,8 @@ def _monodromy(args, problem, tol, rng, inputs):
 
 
 def _puiseux(args, problem, tol, rng, inputs):
+    from .puiseux import singular_elements
+
     point = _parse_complex_flag(args.point, "--point")
     inputs["point"] = _cpx(point)
     report = singular_elements(problem.eq, point, args.radius, tol)
@@ -417,12 +426,16 @@ def _puiseux(args, problem, tol, rng, inputs):
 
 
 def _residues(args, problem, tol, rng, inputs):
+    from .puiseux import _local_data
+
     crit = problem.eq.critical(tol)
     locations = [cp.location for cp in crit.points]
     # the turns of every center read in one pass, and with --contour-check
     # every center's outer turn integrated in one batch; the first refusal
     # in center order is raised
     if args.contour_check:
+        from .quad import _integrated, _residue_lifts
+
         local = in_order(lambda cs: _integrated(*_residue_lifts(problem.eq, cs, args.radius, tol)),
                          locations)
     else:
@@ -449,6 +462,8 @@ def _residues(args, problem, tol, rng, inputs):
 
 
 def _integrate(args, problem, tol, rng, inputs):
+    from .quad import surface_integral
+
     path, where = _resolve_path(problem, args)
     inputs["path"] = path_to_json(path)
     start = _resolve_start(problem, args, inputs)
@@ -465,6 +480,8 @@ def _integrate(args, problem, tol, rng, inputs):
 
 
 def _audit(args, problem, tol, rng, inputs):
+    from .quad import path_independence_audit
+
     start = _resolve_start(problem, args, inputs)
     target = SurfacePoint(
         _parse_complex_flag(args.target_z, "--target-z"),
@@ -507,12 +524,16 @@ def _audit(args, problem, tol, rng, inputs):
 
 
 def _antiderivative(args, problem, tol, rng, inputs):
+    from .antideriv import build_antiderivative
+
     start, c, bounds = _fit_flags(problem, args, inputs)
     model = build_antiderivative(problem.eq, start, c, bounds=bounds, tol=tol, rng=rng)
     return _model_report(model)
 
 
 def _family(args, problem, tol, rng, inputs):
+    from .antideriv import build_antiderivative, constant_family
+
     start, c, bounds = _fit_flags(problem, args, inputs)
     shift = _parse_complex_flag(args.shift, "--shift")
     inputs["shift"] = _cpx(shift)

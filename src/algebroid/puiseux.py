@@ -50,9 +50,10 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import AnnulusTooWide, PrincipalPartTruncated, SchemaError
+from .paths import Arc, Line
 from .surface import (DefiningEquation, Fiber, SheetPermutation, _lift_sheets, _sheet_permutation,
                       fiber_at)
-from .tracker import Arc, Line, _read, _WalkedSegment
+from .tracker import _read, _WalkedSegment
 
 __all__ = [
     "PuiseuxExpansion",

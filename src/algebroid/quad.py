@@ -53,9 +53,10 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import EndpointGermMismatch, LiftNotClosed, QuadratureStall, in_order
+from .paths import BasePath, SurfacePoint, same_z
 from .puiseux import _local_data
 from .surface import DefiningEquation, Fiber, _lift_sheets, match_to_fiber
-from .tracker import BasePath, SurfacePoint, germ_at, safe_line, same_z
+from .tracker import germ_at, safe_line
 from .tracker import _WalkedSegment, _bounds, _by_row, _path_margin, _read
 from .tracker import _start_fiber, _walk
 
@@ -73,7 +74,22 @@ __all__ = [
     "integral_element_continuation_check",
 ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule, the (node, weight) pairs of
+# np.polynomial.legendre.leggauss(16) with node > 0, mirrored: numpy's rule is
+# exactly symmetric, so these are its arrays bit for bit, and no start
+# imports numpy.polynomial
+_GL_HALF = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GL_X = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 _MAX_DEPTH = 30
 _MAX_PIECES = 1 << 6
 

@@ -606,17 +606,20 @@ def test_load_problem_round_trip(tmp_path):
     assert set(problem.paths) == {"upper", "lower"}
 
 
-def test_module_entry_point(tmp_path):
-    f = tmp_path / "p.json"
-    f.write_text(json.dumps(SQRT_Z))
+def _fresh_interpreter(*args):
+    """A new interpreter run with this checkout's src/ first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "algebroid", "critical", str(f)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_module_entry_point(tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(SQRT_Z))
+    proc = _fresh_interpreter("-m", "algebroid", "critical", str(f))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "critical"
@@ -654,14 +657,66 @@ def test_main_reuses_one_parser_and_carries_nothing_over(capsys, sqrt_file):
 
 
 def test_import_builds_no_parser():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
-    )
     code = "import algebroid.cli as c; print(c._build_parser.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = _fresh_interpreter("-c", code)
     assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
+def test_import_loads_only_the_layers_every_subcommand_needs():
+    # the package imports no module of its own, and the CLI only what loading
+    # a problem and its critical set needs: no continuation, Puiseux,
+    # quadrature or antiderivative layer, no numpy.polynomial and no csv
+    code = "\n".join([
+        "import json, sys",
+        "ours = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'algebroid')",
+        "import algebroid",
+        "package = ours()",
+        "import algebroid.cli",
+        "print(json.dumps([package, ours(), 'numpy.polynomial' in sys.modules,",
+        "                  'csv' in sys.modules]))",
+    ])
+    proc = _fresh_interpreter("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    package, cli, polynomial, csv = json.loads(proc.stdout)
+    assert package == ["algebroid"]
+    assert cli == ["algebroid"] + [f"algebroid.{m}" for m in (
+        "cli", "config", "errors", "exactalg", "paths", "rootfind", "surface")]
+    assert not polynomial and not csv
+
+
+def test_the_package_namespace_resolves_every_public_name_from_its_home():
+    import algebroid
+
+    for name in algebroid.__all__:
+        obj = getattr(algebroid, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    star: dict = {}
+    exec("from algebroid import *", star)
+    assert all(star[name] is getattr(algebroid, name) for name in algebroid.__all__)
+    assert set(algebroid.__all__) <= set(dir(algebroid))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        algebroid.no_such_name
+
+
+def test_a_subcommand_reaches_its_layer_through_the_module_attribute(
+        capsys, monkeypatch, sqrt_file, recip_file):
+    # the layer is imported when the subcommand runs, so a patch of its module
+    # reaches the call: benchmark/spans.Patch times the layers this way
+    from algebroid import antideriv, quad
+
+    called = []
+    for module, name in ((quad, "path_independence_audit"), (antideriv, "build_antiderivative")):
+        def patched(*args, real=getattr(module, name), name=name, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, patched)
+    code, _ = run_cli(capsys, "audit", recip_file,
+                      "--target-z=-1,0", "--target-w=-1,0", "--paths", "upper,lower")
+    assert code == 0
+    code, _ = run_cli(capsys, "antiderivative", sqrt_file)
+    assert code == 0
+    assert called == ["path_independence_audit", "build_antiderivative"]
 
 
 def test_a_sampling_radius_below_the_float_spacing_is_refused(tmp_path, capsys):

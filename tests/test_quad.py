@@ -807,3 +807,11 @@ def test_a_four_turn_integral_is_twice_the_two_turn_one():
     assert one == pytest.approx(-4.0, abs=1e-10) and three == pytest.approx(-4.0, abs=1e-10)
     assert four == pytest.approx(2 * two, abs=1e-12)
     assert abs(two) < 1e-12
+
+
+def test_the_gauss_legendre_rule_is_numpys():
+    # written out as literals so that no start imports numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(16)
+    np.testing.assert_array_max_ulp(quad._GL_X, x, maxulp=1)
+    np.testing.assert_array_max_ulp(quad._GL_W, w, maxulp=1)
+    assert math.fsum(quad._GL_W) == pytest.approx(2.0, rel=1e-15, abs=0)

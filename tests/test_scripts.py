@@ -1,7 +1,8 @@
 """The demonstration scripts run to completion and print their verdicts;
 step_table prints tracker step counts; bench_summary condenses benchmark
 reports; replay_cases compares replays; profile_cases profiles the CLI over
-benchmark cases; ab_cases times two source trees against each other."""
+benchmark cases; ab_cases times two source trees against each other, and
+cold_start their cold interpreter starts."""
 
 import importlib.util
 import json
@@ -392,3 +393,17 @@ def test_only_keeps_the_cases_whose_stem_matches(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("critical: cases 1, A median ")
+
+
+def test_cold_start_times_the_import_and_one_case_of_each_subcommand(tmp_path):
+    directory = _critical_case_dir(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cold_start.py"), str(ROOT), str(ROOT),
+         str(directory), "--pairs", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, critical = proc.stdout.splitlines()
+    assert imported.startswith("import algebroid.cli: A median ")
+    assert critical.startswith("critical: A median ")
+    assert " B/A " in critical and critical.endswith(" of 1 pairs, exit 0/0")
