@@ -17,6 +17,7 @@ parent's interquartile range over those seeds. Standard library only.
 """
 
 import json
+import signal
 import statistics
 import sys
 from pathlib import Path
@@ -96,4 +97,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # piped to head: stop quietly
     sys.exit(main(sys.argv[1:]))

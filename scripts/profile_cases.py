@@ -25,6 +25,7 @@ import cProfile
 import io
 import pstats
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -100,4 +101,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # piped to head: stop quietly
     sys.exit(main(sys.argv[1:]))

@@ -38,6 +38,7 @@ import io
 import json
 import re
 import shlex
+import signal
 import sys
 from pathlib import Path
 
@@ -189,4 +190,5 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # piped to head: stop quietly
     sys.exit(main(sys.argv[1:]))

@@ -23,11 +23,21 @@ def _bits(values) -> list:
     return np.ascontiguousarray(values).view(np.int64).tolist()
 
 
+def _passes_reference_gate(coeffs, w):
+    """|p(w)| <= 1e-10 residual_scale(p, w) for each row of coeffs at the
+    matching entry of w, the scale one row at a time."""
+    p, _ = poly_eval_pairs(coeffs, w)
+    scales = np.array([residual_scale(list(c), x) for c, x in zip(coeffs, w)])
+    return np.abs(p) <= 1e-10 * scales
+
+
 def _newton_reference(coeffs, w, max_iter=40, tol=1e-15):
     """newton_polish_pairs as it gathered the entries still iterating on
-    every iteration."""
+    every iteration, and gated each entry whose step did not shrink right
+    after that step."""
     w = np.array(w, dtype=complex)
     active = np.arange(len(w))
+    last = np.full(len(w), np.inf)
     for _ in range(max_iter):
         if not len(active):
             return w
@@ -37,10 +47,14 @@ def _newton_reference(coeffs, w, max_iter=40, tol=1e-15):
         active, p, dp = active[~stalled], p[~stalled], dp[~stalled]
         step = p / dp
         w[active] -= step
-        active = active[~(np.abs(step) <= tol * (1.0 + np.abs(w[active])))]
-    p, _ = poly_eval_pairs(coeffs[active], w[active])
-    scales = np.array([residual_scale(list(c), x) for c, x in zip(coeffs[active], w[active])])
-    w[active[~(np.abs(p) <= 1e-10 * scales)]] = np.nan
+        size = np.abs(step)
+        go = ~(size <= tol * (1.0 + np.abs(w[active])))
+        stuck = go & (size >= last[active])
+        last[active] = size
+        floor = active[stuck]
+        go[stuck] = ~_passes_reference_gate(coeffs[floor], w[floor])
+        active = active[go]
+    w[active[~_passes_reference_gate(coeffs[active], w[active])]] = np.nan
     return w
 
 
@@ -64,6 +78,9 @@ def test_batched_newton_is_bit_identical_to_the_gathering_form(k, max_iter):
                4: ([1.0, 0.0, 0.0, 0.0, 1.0], 0.3)}
     if k in cycling:
         coeffs[2], starts[2] = cycling[k]
+    # (W - 1)^k from 0.7 + 0.2i (k > 1): steps shrink linearly to the
+    # rounding floor of the multiple root, where they stop shrinking
+    coeffs[3], starts[3] = np.poly(np.ones(k))[::-1], 0.7 + 0.2j
     got = newton_polish_pairs(coeffs, starts, max_iter=max_iter)
     want = _newton_reference(coeffs, starts, max_iter=max_iter)
     assert _bits(got) == _bits(want)

@@ -139,6 +139,20 @@ def test_replay_compare(tmp_path, capsys, changed, code, shown):
     assert shown in out
 
 
+def test_replay_compare_piped_to_head_stops_without_a_traceback(tmp_path):
+    # one exit-code line per case: 5,000 lines outgrow the pipe, so compare
+    # is still writing when its reader closes the pipe after one line
+    cases = {f"c/{i}": (0, {}) for i in range(5000)}
+    a = _replay(tmp_path, "a.json", cases)
+    b = _replay(tmp_path, "b.json", {case: (1, {}) for case in cases})
+    script = ROOT / "scripts" / "replay_cases.py"
+    with subprocess.Popen([sys.executable, str(script), "compare", a, b],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"cases 5000, byte-identical 5000\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+
+
 def test_replay_compare_tallies_the_exit_codes_of_each_side(tmp_path, capsys):
     a = _replay(tmp_path, "a.json", dict(BASE, **{"c/2": (19, {}), "c/3": (19, {})}))
     b = _replay(tmp_path, "b.json", dict(BASE, **{"c/2": (19, {}), "c/3": ("raised:KeyError", {})}))

@@ -12,7 +12,7 @@ from algebroid.errors import (
     NearCriticalPoint,
 )
 from algebroid.exactalg import GaussianRational, parse_coefficient
-from algebroid.rootfind import newton_polish, newton_polish_pairs, residual_scale
+from algebroid.rootfind import newton_polish, newton_polish_pairs, poly_eval, residual_scale
 from algebroid.surface import (
     KIND_DISC,
     KIND_POLE,
@@ -124,6 +124,34 @@ def test_batched_newton_matches_newton_polish(seed):
         else:
             # the two may stop one step apart; a last step is <= 1e-15 (1 + |w|)
             assert abs(b - w1) <= 2e-15 * (1.0 + abs(w1))
+
+
+def test_newton_stops_at_the_rounding_floor():
+    # each companion root of Wilkinson's prod (W - j), j = 1..18, reaches its
+    # rounding floor within a few steps; from there the steps jitter without
+    # shrinking, and Newton returns the iterate the gate passes there
+    coeffs = np.poly(np.arange(1, 19))[::-1].astype(complex)
+    roots = np.roots(coeffs[::-1]).astype(complex)
+    cs = list(coeffs)
+    scalar = [newton_polish(cs, r) for r in roots.tolist()]
+    assert scalar == [newton_polish(cs, r, max_iter=6) for r in roots.tolist()]
+    rows = np.tile(coeffs, (len(roots), 1))
+    batched = newton_polish_pairs(rows, roots)
+    assert batched.tolist() == newton_polish_pairs(rows, roots, max_iter=6).tolist()
+    # numpy's complex division rounds apart from Python's, so the two forms
+    # stop at two points of one root's noise ball, both within the gate
+    for w1, b in zip(scalar, batched):
+        assert round(w1.real) == round(b.real) and abs(b - w1) <= 1e-3
+        for w in (w1, b):
+            assert abs(poly_eval(cs, w)) <= 1e-16 * residual_scale(cs, w)
+
+
+def test_newton_iterates_on_past_a_step_that_does_not_shrink_off_the_root():
+    # W^3 - 1 from -1.6 steps 0.66, 0.69, 5.7, ...: the second step does not
+    # shrink but fails the gate, so Newton goes on and reaches 1
+    coeffs = [-1.0, 0.0, 0.0, 1.0]
+    assert newton_polish(coeffs, -1.6 + 0j) == 1.0
+    assert newton_polish_pairs(np.array([coeffs], dtype=complex), np.array([-1.6 + 0j]))[0] == 1.0
 
 
 def test_batched_newton_reports_a_stall_as_nan():
