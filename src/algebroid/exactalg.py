@@ -19,14 +19,20 @@ JACM 1971); otherwise it is Euclid's algorithm on primitive
 pseudo-remainders, and the cofactors come from exact long division by the
 primitive gcd, valid by Gauss's lemma (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 6).
-A resultant clears the denominators of its Sylvester matrix once per block
-and takes the determinant over Z[i][z] by fraction-free Bareiss
-elimination, run over Z[i] at the one point z = 2**B, with B from a bound
-on every minor: each pivot decision is the polynomial one, and the
-determinant unpacks into the same polynomial. Every factor of the block
-multiplier divides the product of the two block factors, so the
-determinant's shared factors are stripped, over Z[i][z], by gcds against
-that low-degree product alone.
+A resultant Res(f, g), m = deg f >= deg g = n, clears f and g into F and G
+over Z[i][z], one factor each, and takes Res(F, G) from the m x m Bezout
+matrix of the coefficients of (F(x)G(y) - F(y)G(x))/(x - y), by the
+identity det Bez(F, G) = (-1)**(m(m-1)/2) lc(F)**(m-n) Res(F, G) (Cox,
+Little & O'Shea, *Using Algebraic Geometry*, ch. 3), in place of the
+(m + n) x (m + n) Sylvester determinant. The determinant is taken by
+fraction-free Bareiss elimination (Math. Comp. 1968), run over Z[i] at the
+one point z = 2**B, with B from a bound on every minor of the Bezout matrix
+and on Res(F, G): each pivot decision is the polynomial one, and Res(F, G)
+unpacks into the same polynomial. Every factor of the multiplier
+fscale**n gscale**m divides the product of the two clearing factors, so
+the shared factors are stripped, over Z[i][z], by exact division by whole
+powers of the two factors and then by gcds against their low-degree
+product alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
 parentheses. A power whose numerator or denominator would pass degree 512
@@ -1000,55 +1006,106 @@ def w_poly_derivative(f: WPoly) -> list:
                     else c * n for n, c in enumerate(_trim_w(f)) if n > 0])
 
 
-def _bareiss_det(mat: list[list[list[tuple[int, int]]]]) -> list[tuple[int, int]]:
-    """Fraction-free determinant (Bareiss) of a square matrix over Z[i][z].
+def _bareiss(mat: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """Fraction-free determinant (Bareiss, Math. Comp. 1968) of a square
+    matrix over Z[i], given as rows of (re, im) pairs; the rows are consumed.
 
-    The elimination runs over Z[i] at the one point z = 2**B (Kronecker
-    substitution). Every Bareiss entry is a minor of the matrix, and the sum
-    over its coefficients of |re| + |im| is at most M, the product over rows
-    of max(1, the row's sum over entries and coefficients of |re| + |im|).
-    With B = bitlen(M) + 2, every coefficient of every entry lies below
-    2**(B-1) in absolute value, so z -> 2**B is one-to-one on the entries:
-    each zero test and pivot choice is the one the polynomial elimination
-    makes, each division by the previous pivot, exact over Z[i][z] by
-    Sylvester's identity, is exact over Z[i] too (it is checked all the same
-    and raises ArithmeticError if not), and the determinant unpacks by
-    signed B-bit digits into the same polynomial.
+    Each entry after step c is the minor on rows 0..c and its own row, and
+    columns 0..c and its own column, so every division by the previous
+    pivot is exact (Sylvester's identity); it is checked all the same and
+    raises ArithmeticError if not. A zero pivot takes the first row below
+    it with a nonzero entry in its column.
     """
     n = len(mat)
     if n == 0:
-        return [(1, 0)]
-    bits = math.prod(max(1, sum(abs(r) + abs(i) for entry in row for r, i in entry))
-                     for row in mat).bit_length() + 2
-    mat = [[_gz_pack(entry, bits) for entry in row] for row in mat]
+        return 1, 0
     sign = 1
     vr, vi = 1, 0  # the previous pivot
     for col in range(n - 1):
         if mat[col][col] == (0, 0):
             r = next((r for r in range(col + 1, n) if mat[r][col] != (0, 0)), None)
             if r is None:
-                return []
+                return 0, 0
             mat[col], mat[r], sign = mat[r], mat[col], -sign
         pivot_row = mat[col]
         pr, pi = pivot_row[col]
+        unit = vr == 1 and vi == 0  # nothing to divide by, as at the first step
         for row in mat[col + 1:]:
             lr, li = row[col]
             for j in range(col + 1, n):
                 (xr, xi), (yr, yi) = row[j], pivot_row[j]
-                row[j] = _gi_exact_div(pr * xr - pi * xi - lr * yr + li * yi,
-                                       pr * xi + pi * xr - lr * yi - li * yr, vr, vi)
+                xr, xi = pr * xr - pi * xi - lr * yr + li * yi, pr * xi + pi * xr - lr * yi - li * yr
+                row[j] = (xr, xi) if unit else _gi_exact_div(xr, xi, vr, vi)
         vr, vi = pr, pi
     re, im = mat[n - 1][n - 1]
-    return _gz_unpack(sign * re, sign * im, bits)
+    return sign * re, sign * im
+
+
+def _bezout_res(a: list, b: list) -> list:
+    """Res(F, G) over Z[i][z] from the Bezout determinant, for F = sum a_p W^p
+    and G = sum b_q W^q with a_p, b_q over Z[i][z] and m = deg F >= deg G = n.
+
+    With b padded to m + 1 terms, the Bezoutian (F(x)G(y) - F(y)G(x))/(x - y)
+    is sum B_ij x^i y^j over 0 <= i, j < m, and each p > q adds
+    a_p b_q - a_q b_p to B[q+s][p-1-s], s = 0..p-q-1. Its determinant is
+    det Bez(F, G) = (-1)**(m(m-1)/2) lc(F)**(m-n) Res(F, G) (Cox, Little &
+    O'Shea, *Using Algebraic Geometry*, ch. 3).
+
+    Everything runs over Z[i] at the one point z = 2**bits (Kronecker
+    substitution), a ring map, so the entries are formed from the packed
+    a_p and b_q, the determinant is taken by _bareiss, and lc(F)**(m-n) is
+    divided out as one Gaussian integer. Every Bareiss entry is a minor of
+    Bez, and its sum of |re| + |im| over the coefficients is at most the
+    product over rows of max(1, r_i), where r_i, the sum over the terms
+    landing in row i of |a_p| |b_q| + |a_q| |b_p| in that norm, bounds the
+    row's; Res(F, G) is at most |F|**n |G|**m, the bound over the rows of
+    its Sylvester matrix. With bits = bitlen(the larger bound) + 2, every
+    coefficient of every entry and of Res(F, G) lies below 2**(bits-1) in
+    absolute value, so each zero test and pivot choice is the one the
+    polynomial elimination makes and Res(F, G) unpacks by signed digits
+    into the same polynomial.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    na, nb = [_gz_norm1(x) for x in a], [_gz_norm1(x) for x in b] + [0] * (m - n)
+    # the terms landing in row i are those with q <= i < p, so r_i is
+    # |a_>i| |b_<=i| + |a_<=i| |b_>i| over the norms' partial sums
+    hi_a, hi_b = sfa, sfb = sum(na), sum(nb)
+    lo_a = lo_b = 0
+    minors = 1
+    for x, y in zip(na, nb[:m]):
+        lo_a, lo_b, hi_a, hi_b = lo_a + x, lo_b + y, hi_a - x, hi_b - y
+        minors *= max(1, hi_a * lo_b + lo_a * hi_b)
+    bits = max(minors, sfa**n * sfb**m).bit_length() + 2
+    a, b = [_gz_pack(x, bits) for x in a], [_gz_pack(x, bits) for x in b] + [(0, 0)] * (m - n)
+    re, im = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+    for p in range(1, m + 1):
+        (apr, api), (bpr, bpi) = a[p], b[p]
+        for q in range(p):
+            (aqr, aqi), (bqr, bqi) = a[q], b[q]
+            cr = apr * bqr - api * bqi - aqr * bpr + aqi * bpi
+            ci = apr * bqi + api * bqr - aqr * bpi - aqi * bpr
+            if cr or ci:
+                for s in range(p - q):
+                    re[q + s][p - 1 - s] += cr
+                    im[q + s][p - 1 - s] += ci
+    dr, di = _bareiss([list(zip(x, y)) for x, y in zip(re, im)])
+    lr, li = a[m]
+    if m > n and (lr, li) != (1, 0):
+        pr, pi = lr, li
+        for _ in range(m - n - 1):
+            pr, pi = pr * lr - pi * li, pr * li + pi * lr
+        dr, di = _gi_exact_div(dr, di, pr, pi)
+    if m * (m - 1) // 2 % 2:
+        dr, di = -dr, -di
+    return _gz_unpack(dr, di, bits)
 
 
 def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], list]:
-    """One Sylvester block's entries over Z[i][z], and the factor over
-    Z[i][z] that cleared them.
+    """The coefficients of one polynomial in W over Z[i][z], and the factor
+    over Z[i][z] that cleared them.
 
-    Every row of a block is a shift of the same coefficients, so one factor
-    clears the whole block: the lcm of their denominators (none for a
-    polynomial block), times the integer lcm of the Gaussian-rational
+    One factor clears them all: the lcm of their denominators (none for a
+    polynomial), times the integer lcm of the Gaussian-rational
     denominators left after it.
     """
     lcm = _P_ONE
@@ -1068,43 +1125,56 @@ def _clear_block(coeffs: list[RatFunc]) -> tuple[list[list[tuple[int, int]]], li
     return entries, factor
 
 
-def _cleared_det(fc: list[RatFunc], gc: list[RatFunc]) -> tuple[list, list, list]:
-    """The Sylvester determinant of fc and gc (ascending in W, of degrees m
-    and n) with each block cleared of denominators, and the two block
-    factors, all over Z[i][z]: the resultant is det / (fscale**n * gscale**m)."""
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    fdesc, fscale = _clear_block(fc[::-1])
-    gdesc, gscale = _clear_block(gc[::-1])
-    rows = []
-    for sh in range(n):
-        rows.append([[]] * sh + fdesc + [[]] * (size - sh - m - 1))
-    for sh in range(m):
-        rows.append([[]] * sh + gdesc + [[]] * (size - sh - n - 1))
-    return _bareiss_det(rows), fscale, gscale
-
-
 def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
     """Resultant in W of two polynomials with rational-function coefficients.
 
-    Computed as the Sylvester determinant over Q(i)(z): the f rows and the
-    g rows are each cleared of denominators by one factor per block, the
-    determinant is taken by fraction-free Bareiss elimination over Z[i][z]
-    (run at one packed point, see _bareiss_det), and the block factors'
-    shared factors are divided back out over Z[i][z].
+    Res(f, g) is the Sylvester determinant over Q(i)(z). A constant side
+    gives its closed form c**deg. Otherwise, for m = deg f >= n = deg g
+    (else Res(f, g) = (-1)**(mn) Res(g, f)), f and g are cleared of
+    denominators into F = fscale f and G = gscale g over Z[i][z], and
+    Res(f, g) = Res(F, G) / (fscale**n gscale**m) (see _cleared_resultant).
     """
     fc, gc = _trim_w(f), _trim_w(g)
     if not fc or not gc:
         raise ValueError("resultant of a zero polynomial in W")
     m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 and n == 0:
-        return _R_ONE
-    num, fscale, gscale = _cleared_det(fc, gc)
+    if n == 0:
+        return gc[0] ** m
+    if m == 0:
+        return fc[0] ** n
+    if m < n:
+        res = _cleared_resultant(*_clear_block(gc), *_clear_block(fc))
+        return -res if m * n % 2 else res
+    return _cleared_resultant(*_clear_block(fc), *_clear_block(gc))
+
+
+def _cleared_resultant(fq: list, fscale: list, gq: list, gscale: list) -> RatFunc:
+    """Res(f, g) = Res(F, G) / (fscale**n gscale**m) in lowest terms, for
+    F = fscale f and G = gscale g over Z[i][z] of degrees m >= n in W.
+
+    Res(F, G) comes from the m x m Bezout determinant (_bezout_res). The
+    denominator is a constant times pf**n pg**m, pf and pg the primitive
+    forms of fscale and gscale: whole powers of them are divided out first
+    by exact division, each a pass over the numerator far cheaper than a
+    gcd against it. Every factor of the denominator left divides
+    fscale * gscale, so the shared factors left are stripped by gcds
+    against that low-degree product, never against the denominator itself.
+    """
+    m, n = len(fq) - 1, len(gq) - 1
+    num = _bezout_res(fq, gq)
     if not num:
         return _R_ZERO
     den = _gz_mul(_gz_pow(fscale, n), _gz_pow(gscale, m))
-    # every factor of den divides fscale * gscale: strip the shared ones
-    # with gcds against that low-degree product, never against den itself
+    for h, e in ((fscale, n), (gscale, m)):
+        if len(num) < len(h) or len(h) == 1:
+            continue
+        h = _gz_primitive(h)
+        while e and len(num) >= len(h):
+            try:
+                q = _gz_exact_div(num, h)
+            except ArithmeticError:
+                break
+            num, den, e = q, _gz_exact_div(den, h), e - 1
     g = _gz_gcd(_gz_mul(fscale, gscale), num)
     while len(g) > 1:
         g = _gz_gcd(den, g)
@@ -1114,14 +1184,24 @@ def resultant_w(f: WPoly, g: WPoly) -> RatFunc:
 
 
 def discriminant(eq) -> RatFunc:
-    """Resultant of the defining polynomial and its W-derivative.
+    """Res(Psi, Psi_W) = (-1)**(k(k-1)/2) disc(Psi) for the monic defining
+    polynomial Psi of degree k in W.
 
     Accepts a DefiningEquation-like object (with .coeffs listing A_1..A_k)
-    or a plain sequence of RatFunc coefficients.
+    or a plain sequence of RatFunc coefficients. Psi is cleared into
+    F = fscale Psi. With no denominator in z, fscale is a constant and
+    F_W = fscale Psi_W is Psi_W cleared; otherwise Psi_W is cleared on its
+    own, by the lcm of its fewer denominators, which keeps the determinant
+    and the factors to strip smaller.
     """
     coeffs = list(getattr(eq, "coeffs", eq))
     psi = list(reversed(coeffs)) + [_R_ONE]  # ascending in W
-    res = resultant_w(psi, w_poly_derivative(psi))
+    fq, fscale = _clear_block(psi)
+    if len(fscale) == 1:
+        gq, gscale = [[(p * r, p * i) for r, i in c] for p, c in enumerate(fq) if p], fscale
+    else:
+        gq, gscale = _clear_block(w_poly_derivative(psi))
+    res = _cleared_resultant(fq, fscale, gq, gscale)
     if res.is_zero():
         raise IdenticallyZeroDiscriminant(
             "discriminant vanishes identically: the defining equation has a repeated factor"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from algebroid import exactalg
 from algebroid.errors import (
     DivisionByZeroPoly,
     IdenticallyZeroDiscriminant,
@@ -24,8 +25,9 @@ from algebroid.exactalg import (
     _MAX_DEPTH,
     _MAX_EXPONENT,
     _MOD_P,
-    _bareiss_det,
-    _cleared_det,
+    _bareiss,
+    _bezout_res,
+    _clear_block,
     _gi_exact_div,
     _gz_euclid,
     _gz_exact_div,
@@ -649,12 +651,14 @@ def test_discriminant_matches_scalar_sylvester_oracle(case):
 
 
 def test_resultant_strips_shared_and_repeated_denominators():
-    # (z - 1) divides the numerator of the cleared determinant more often
+    # (z - 1) divides the numerator of the cleared resultant more often
     # than it divides fscale * gscale, so one gcd round cannot strip it
     coeffs = [rf("z"), rf("1/3 + i/2"), rf("1/(z-1)^2"), rf("(z+2)/((z-1)*(z-i))")]
     psi = list(reversed(coeffs)) + [ONE]
     psi_w = w_poly_derivative(psi)
-    det, fscale, gscale = map(gz_poly, _cleared_det(psi, psi_w))
+    (fq, fscale), (gq, gscale) = _clear_block(psi), _clear_block(psi_w)
+    fscale, gscale = gz_poly(fscale), gz_poly(gscale)
+    det = gz_poly(_bezout_res(fq, gq))  # Res(F, G) for F = fscale Psi, G = gscale Psi_W
     generic = RatFunc(det, fscale**3 * gscale**4)
     one = GaussianRational.of(1)
     assert det.root_multiplicity(one) > (fscale * gscale).root_multiplicity(one)
@@ -668,7 +672,8 @@ def test_resultant_strips_shared_and_repeated_denominators():
 
 
 def test_resultant_constant_first_argument():
-    # m = 0: the Sylvester matrix is n copies of the constant on the diagonal
+    # m = 0: the Sylvester matrix is n copies of the constant on the diagonal,
+    # so the resultant is its closed form c^n
     c = rf("(1/3 + i/2)*z + 1/(z-1)")
     g = [rf("z"), rf("2/3"), rf("-i"), ONE]
     assert resultant_w([c], g) == c**3
@@ -711,44 +716,67 @@ def gz_poly(p):
     return Poly([GaussianRational(re, im) for re, im in p])
 
 
-def laplace_det(mat):
-    """Determinant over Poly by cofactor expansion along the first row (independent oracle)."""
+def laplace_det(mat, one=Poly([1])):
+    """Determinant by cofactor expansion along the first row (independent
+    oracle), over Poly or, with one=GaussianRational.of(1), over Q(i)."""
     if not mat:
-        return Poly([1])
-    total = Poly()
+        return one
+    total = one - one
     for j, entry in enumerate(mat[0]):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = gz_poly(entry) * laplace_det(minor)
+        term = entry * laplace_det(minor, one)
         total = total + term if j % 2 == 0 else total - term
     return total
 
 
 def bareiss(mat):
-    return gz_poly(_bareiss_det(mat))
+    """_bareiss over Z[i] as a GaussianRational, the matrix left untouched."""
+    return GaussianRational(*_bareiss([list(row) for row in mat]))
+
+
+def gi_laplace(mat):
+    return laplace_det([[GaussianRational(*x) for x in row] for row in mat],
+                       GaussianRational.of(1))
 
 
 def test_bareiss_swaps_rows_past_a_zero_pivot():
-    p, q, r = [(1, 2), (0, -3)], [(-5, 0), (0, 0), (2, 1)], [(7, -1)]
+    p, q, r = (1, 2), (-5, 3), (7, -1)
     # a zero first pivot, then a zero second pivot once the first column is cleared
-    mat = [[[], p, q], [r, [], p], [r, q, q]]
+    mat = [[(0, 0), p, q], [r, (0, 0), p], [r, q, q]]
     got = bareiss(mat)
-    assert got == laplace_det(mat) and not got.is_zero()
-    assert bareiss([[[], p], [q, r]]) == -(gz_poly(p) * gz_poly(q))
+    assert got == gi_laplace(mat) and got
+    assert bareiss([[(0, 0), p], [q, r]]) == -(GaussianRational(*p) * GaussianRational(*q))
 
 
 def test_bareiss_singular_matrix_is_zero():
-    p, q = [(1, 1), (-2, 0)], [(0, -3), (4, 0), (1, 0)]
-    assert _bareiss_det([[p, q], [p, q]]) == []  # cancels to zero
-    assert _bareiss_det([[[], p], [[], q]]) == []  # no pivot in the first column
-    assert _bareiss_det([[p, q, q], [q, [], p], [p, q, q]]) == []
+    p, q, o = (1, 1), (0, -3), (0, 0)
+    assert _bareiss([[p, q], [p, q]]) == (0, 0)  # cancels to zero
+    assert _bareiss([[o, p], [o, q]]) == (0, 0)  # no pivot in the first column
+    assert _bareiss([[p, q, q], [q, o, p], [p, q, q]]) == (0, 0)
+    assert _bareiss([]) == (1, 0)
+
+
+def poly_sylvester(f, g):
+    """Sylvester matrix over Poly of two polynomials given ascending in W."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[Poly()] * sh + f[::-1] + [Poly()] * (n - 1 - sh) for sh in range(n)]
+    rows += [[Poly()] * sh + g[::-1] + [Poly()] * (m - 1 - sh) for sh in range(m)]
+    return rows
 
 
 def test_bareiss_reaches_the_packing_bound():
-    # a diagonal determinant's one coefficient is the whole bound M, negative
+    # Res(F, G) = a_1 b_0 - a_0 b_1 = (a b - 1) z^4 for F = a z^3 W + z^3 and
+    # G = z W + b z: its one coefficient is the whole row bound |a| |b| + 1,
+    # negative, and the packing is sized to the Sylvester bound just above it
     a, b = -(2**61 - 1), 2**50 + 3
-    mat = [[[(0, 0), (0, 0), (0, 0), (a, 0)], []], [[], [(0, 0), (b, 0)]]]
-    assert _bareiss_det(mat) == [(0, 0)] * 4 + [(a * b, 0)]
-    assert bareiss(mat) == laplace_det(mat)
+    f, g = [[(0, 0)] * 3 + [(1, 0)], [(0, 0)] * 3 + [(a, 0)]], [[(0, 0), (b, 0)], [(0, 0), (1, 0)]]
+    assert _bezout_res(f, g) == [(0, 0)] * 4 + [(a * b - 1, 0)]
+    assert gz_poly(_bezout_res(f, g)) == laplace_det(
+        poly_sylvester([gz_poly(p) for p in f], [gz_poly(p) for p in g]))
+    # F = a z^3 W^2, G = b z: Bez = [[0, a b z^4], [a b z^4, 0]] has a zero
+    # pivot, and det Bez = -(a b)^2 z^8 = (-1)^1 lc(F)^2 Res(F, G)
+    f, g = [[], [], [(0, 0)] * 3 + [(a, 0)]], [[(0, 0), (b, 0)]]
+    assert _bezout_res(f, g) == [(0, 0)] * 2 + [(b * b, 0)]
 
 
 def test_signed_digits_round_trip_near_the_digit_limit():
@@ -763,21 +791,94 @@ gz_coeffs = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 
 
 @st.composite
-def gz_matrices(draw):
-    """Square Z[i][z] matrices with many zero entries, so pivots are zero often."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    entry = st.one_of(
-        st.just([]),
-        st.lists(st.tuples(gz_coeffs, gz_coeffs), min_size=1, max_size=3)
-        .filter(lambda p: p[-1] != (0, 0)),
-    )
+def gi_matrices(draw):
+    """Square Z[i] matrices with many zero entries, so pivots are zero often."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just((0, 0)), st.tuples(gz_coeffs, gz_coeffs))
     return [[draw(entry) for _ in range(n)] for _ in range(n)]
 
 
 @settings(max_examples=80, deadline=None)
-@given(gz_matrices())
+@given(gi_matrices())
 def test_bareiss_matches_cofactor_expansion(mat):
-    assert bareiss(mat) == laplace_det(mat)
+    assert bareiss(mat) == gi_laplace(mat)
+
+
+nonzero_gz_polys = (st.lists(st.tuples(gz_coeffs, gz_coeffs), min_size=1, max_size=3)
+                    .filter(lambda p: p[-1] != (0, 0)))
+# polynomials in W over Z[i][z] with a nonzero leading coefficient
+gz_w_polys = st.builds(operator.add, st.lists(st.one_of(st.just([]), nonzero_gz_polys), max_size=3),
+                       st.lists(nonzero_gz_polys, min_size=1, max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gz_w_polys, gz_w_polys)
+def test_bezout_res_matches_the_sylvester_determinant(f, g):
+    # zero coefficients are common, so the Bezout matrix has zero pivots
+    if len(g) > len(f):
+        f, g = g, f
+    got = gz_poly(_bezout_res(f, g))
+    assert got == laplace_det(poly_sylvester([gz_poly(p) for p in f], [gz_poly(p) for p in g]))
+
+
+@st.composite
+def resultant_sides(draw, m, n):
+    """f and g of degrees m and n in W whose coefficients share and repeat
+    two linear denominators, and a point z0 where none of them vanishes."""
+    factors = [Poly([-draw(non_integer_gaussians()), 1]) for _ in range(2)]
+
+    def side(deg):
+        out = []
+        for _ in range(deg + 1):
+            num = Poly(draw(st.lists(non_integer_gaussians(), min_size=1, max_size=3)))
+            den = Poly([1])
+            for h in factors:
+                den = den * h ** draw(st.integers(0, 2))
+            out.append(RatFunc(num, den))
+        return out
+
+    f, g, z0 = side(m), side(n), draw(non_integer_gaussians())
+    assume(all(c.den.eval_exact(z0) for c in f + g))
+    return f, g, z0
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 5), (3, 3), (3, 2), (5, 2), (4, 1),
+                                  (0, 3), (3, 0), (0, 0)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_resultant_matches_scalar_sylvester_oracle_in_every_degree_order(m, n, data):
+    # Res(f, g)(z0) is the Sylvester determinant of f(., z0) and g(., z0),
+    # kept at the formal degrees m and n
+    f, g, z0 = data.draw(resultant_sides(m, n))
+    expected = scalar_det(scalar_sylvester([c.eval_exact(z0) for c in f],
+                                           [c.eval_exact(z0) for c in g]))
+    assert resultant_w(f, g).eval_exact(z0) == expected
+
+
+def test_a_k4_discriminant_eliminates_one_4x4_matrix(monkeypatch):
+    # the Bezout matrix of Psi and Psi_W has order k; the Sylvester one had 2k - 1
+    orders, bareiss_at = [], exactalg._bareiss
+
+    def spy(mat):
+        orders.append(len(mat))
+        return bareiss_at(mat)
+
+    monkeypatch.setattr(exactalg, "_bareiss", spy)
+    discriminant([rf("z"), rf("1/3 + i/2"), rf("1/(z-1)^2"), rf("(z+2)/((z-1)*(z-i))")])
+    discriminant([rf("z^3 - i"), rf("2*z"), rf("(1 - i)*z^2"), rf("5")])
+    assert orders == [4, 4]
+
+
+def test_discriminant_k8_degree5_matches_scalar_sylvester_oracle():
+    coeffs = [rf("(1/3 + i/2)*z^5 - 2*z + 5"), rf("-z^5 + (2 - i)*z^3 + 1/7"),
+              rf("3*i*z^5 - z^2 + 1"), rf("(z^5 - 4)/(z - 1/2)"),
+              rf("(-2 + 3*i)*z^5 + z^4 - (5/4)*z"), rf("z^5 + i*z^4 - 3"),
+              rf("(z^5 + 2*z - i)/((z + i)*(z - 1/2))"), rf("(2 - i)*z^5 - z^3 + 1/3")]
+    disc = discriminant(coeffs)
+    for z0 in (GaussianRational(Fraction(1, 3), Fraction(-2, 5)), GaussianRational(-2, 1)):
+        psi = [c.eval_exact(z0) for c in reversed(coeffs)] + [GaussianRational.of(1)]
+        psi_w = [c * n for n, c in enumerate(psi) if n > 0]
+        assert disc.eval_exact(z0) == scalar_det(scalar_sylvester(psi, psi_w))
 
 
 def test_discriminant_k5_degree4_matches_scalar_sylvester_oracle():

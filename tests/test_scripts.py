@@ -320,6 +320,29 @@ def test_profile_cases_sorts_by_cumulative_time_on_request(tmp_path, capsys):
         profile_cases.main([str(ROOT), str(directory), "--sort", "ncalls"])
 
 
+def test_profile_cases_times_matching_functions_by_wall_clock(tmp_path, capsys):
+    import algebroid.exactalg
+
+    directory = _critical_case_dir(tmp_path)
+    before = algebroid.exactalg.discriminant
+    assert profile_cases.main([str(ROOT), str(directory), "--wall",
+                               "^(discriminant|_bareiss|critical_points)$", "--reps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert re.match(r"cases 1, cli\.main \d+\.\d{3} ms per case, best of 2 reps\n", out)
+    assert "Ordered by" not in out  # no profiler ran
+    rows = re.findall(r"^ +(\d+\.\d{3}) +(\d+\.\d)% +(\d+\.\d{3})  (\S+)$", out, re.MULTILINE)
+    by_name = {where: (float(ms), float(share), float(calls)) for ms, share, calls, where in rows}
+    # one critical set and one discriminant per case, whose Bezout matrix is eliminated once
+    assert set(by_name) == {"exactalg.discriminant", "exactalg._bareiss", "surface.critical_points"}
+    assert all(calls == 1.0 for _, _, calls in by_name.values())
+    assert by_name["exactalg._bareiss"][0] <= by_name["exactalg.discriminant"][0]
+    assert all(0 < share <= 100 for _, share, _ in by_name.values())
+    # the wrappers are taken out again
+    assert algebroid.exactalg.discriminant is before
+    assert profile_cases.main([str(ROOT), str(tmp_path / "critical-seed1-trace0" / "none"),
+                               "--wall", "x"]) == 1
+
+
 def _ab_cases(directory, a, b) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(a), str(b),
