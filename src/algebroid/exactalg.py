@@ -30,9 +30,9 @@ one point z = 2**B, with B from a bound on every minor of the Bezout matrix
 and on Res(F, G): each pivot decision is the polynomial one, and Res(F, G)
 unpacks into the same polynomial. Every factor of the multiplier
 fscale**n gscale**m divides the product of the two clearing factors, so
-the shared factors are stripped, over Z[i][z], by exact division by whole
-powers of the two factors and then by gcds against their low-degree
-product alone.
+the shared factors are stripped, over Z[i][z], first by exact division by
+whole powers of each clearing factor the multiplier holds at least twice,
+then by gcds against the low-degree product of the two factors alone.
 The expression grammar accepts integers, `i`, `z`, the binary operators
 `+ - * /`, `^` with a nonnegative integer exponent of at most 64, and
 parentheses. A power whose numerator or denominator would pass degree 512
@@ -1029,13 +1029,12 @@ def _bareiss(mat: list[list[tuple[int, int]]]) -> tuple[int, int]:
             mat[col], mat[r], sign = mat[r], mat[col], -sign
         pivot_row = mat[col]
         pr, pi = pivot_row[col]
-        unit = vr == 1 and vi == 0  # nothing to divide by, as at the first step
         for row in mat[col + 1:]:
             lr, li = row[col]
             for j in range(col + 1, n):
                 (xr, xi), (yr, yi) = row[j], pivot_row[j]
-                xr, xi = pr * xr - pi * xi - lr * yr + li * yi, pr * xi + pi * xr - lr * yi - li * yr
-                row[j] = (xr, xi) if unit else _gi_exact_div(xr, xi, vr, vi)
+                row[j] = _gi_exact_div(pr * xr - pi * xi - lr * yr + li * yi,
+                                       pr * xi + pi * xr - lr * yi - li * yr, vr, vi)
         vr, vi = pr, pi
     re, im = mat[n - 1][n - 1]
     return sign * re, sign * im
@@ -1154,11 +1153,14 @@ def _cleared_resultant(fq: list, fscale: list, gq: list, gscale: list) -> RatFun
 
     Res(F, G) comes from the m x m Bezout determinant (_bezout_res). The
     denominator is a constant times pf**n pg**m, pf and pg the primitive
-    forms of fscale and gscale: whole powers of them are divided out first
-    by exact division, each a pass over the numerator far cheaper than a
-    gcd against it. Every factor of the denominator left divides
-    fscale * gscale, so the shared factors left are stripped by gcds
-    against that low-degree product, never against the denominator itself.
+    forms of fscale and gscale: where one appears to a power e >= 2, whole
+    powers of it are divided out first by exact division, each a pass over
+    the numerator far cheaper than a gcd against it. A single power is left
+    to the gcds, whose modular test settles a coprime pair at once, where a
+    division that fails would cost a pass. Every factor of the
+    denominator left divides fscale * gscale, so the shared factors left
+    are stripped by gcds against that low-degree product, never against the
+    denominator itself.
     """
     m, n = len(fq) - 1, len(gq) - 1
     num = _bezout_res(fq, gq)
@@ -1166,7 +1168,7 @@ def _cleared_resultant(fq: list, fscale: list, gq: list, gscale: list) -> RatFun
         return _R_ZERO
     den = _gz_mul(_gz_pow(fscale, n), _gz_pow(gscale, m))
     for h, e in ((fscale, n), (gscale, m)):
-        if len(num) < len(h) or len(h) == 1:
+        if e < 2 or len(h) == 1 or len(num) < len(h):
             continue
         h = _gz_primitive(h)
         while e and len(num) >= len(h):
@@ -1188,20 +1190,17 @@ def discriminant(eq) -> RatFunc:
     polynomial Psi of degree k in W.
 
     Accepts a DefiningEquation-like object (with .coeffs listing A_1..A_k)
-    or a plain sequence of RatFunc coefficients. Psi is cleared into
-    F = fscale Psi. With no denominator in z, fscale is a constant and
-    F_W = fscale Psi_W is Psi_W cleared; otherwise Psi_W is cleared on its
-    own, by the lcm of its fewer denominators, which keeps the determinant
-    and the factors to strip smaller.
+    or a plain sequence of RatFunc coefficients. Psi = sum psi_p W**p is
+    cleared into F. Psi_W is cleared into G without being formed over
+    Q(i)(z): the sum over p >= 1 of psi_p W**(p-1) is cleared, and its
+    coefficient of W**(p-1) is multiplied by p. Res(Psi, Psi_W) then comes
+    from F and G, of degrees k and k - 1 (see _cleared_resultant).
     """
     coeffs = list(getattr(eq, "coeffs", eq))
     psi = list(reversed(coeffs)) + [_R_ONE]  # ascending in W
-    fq, fscale = _clear_block(psi)
-    if len(fscale) == 1:
-        gq, gscale = [[(p * r, p * i) for r, i in c] for p, c in enumerate(fq) if p], fscale
-    else:
-        gq, gscale = _clear_block(w_poly_derivative(psi))
-    res = _cleared_resultant(fq, fscale, gq, gscale)
+    gq, gscale = _clear_block(psi[1:])
+    gq = [[(p * r, p * i) for r, i in c] for p, c in enumerate(gq, 1)]
+    res = _cleared_resultant(*_clear_block(psi), gq, gscale)
     if res.is_zero():
         raise IdenticallyZeroDiscriminant(
             "discriminant vanishes identically: the defining equation has a repeated factor"

@@ -555,6 +555,19 @@ def test_discriminant_circle_equation():
     assert discriminant([RatFunc.zero(), -(ONE + Z * Z)]) == rf("-4*(1+z^2)")
 
 
+def test_discriminant_clears_psi_w_without_forming_it():
+    # k = 2: Res(Psi, Psi_W) = 4 A_2 - A_1^2 for Psi = W^2 + A_1 W + A_2. The
+    # cleared denominator is fscale * gscale^2: (z - i) once with no shared
+    # factor, and (z - 1)^3 of which one power is spurious
+    assert discriminant([RatFunc.zero(), rf("(z^3 + 1)/(z - i)")]) == rf("4*(z^3 + 1)/(z - i)")
+    assert discriminant([rf("1/(z-1)"), rf("1/(z-1)")]) == rf("(4*z - 5)/(z - 1)^2")
+    # k = 3: Psi_W's coefficient 2 * (1/2) has no denominator left, while
+    # the W-part of Psi is cleared with the factor 2
+    coeffs = [rf("1/2"), rf("z/(z - 1)"), rf("(z + i)/(3*z - 1)")]
+    psi = list(reversed(coeffs)) + [ONE]
+    assert discriminant(coeffs) == resultant_w(psi, w_poly_derivative(psi))
+
+
 def test_discriminant_rejects_repeated_factor():
     # (W - z)^2 = W^2 - 2zW + z^2
     with pytest.raises(IdenticallyZeroDiscriminant):
