@@ -18,23 +18,27 @@ such function (both re.search on the name alone), such as ``^_read$``.
 With --only it profiles only the cases whose stem matches REGEX
 (re.search). With no case it prints ``cases 0`` and exits 1.
 
-With --wall it runs no profiler. It wraps every algebroid function and
-method whose own name matches REGEX (re.search) in a perf_counter timer,
-replays the cases N times (--reps, default 3) and prints, for each wrapped
-function, its wall milliseconds per case in the best rep, that time's share
-of the cli.main calls' own best, and its calls per case. A call inside
-another call of the same function is counted but not timed again, so a
-recursive function is not counted twice. cProfile charges a cost to every
-call it sees, which inflates a layer of many small calls such as the exact
-arithmetic; a wrapper costs one timer pair per call of a wrapped function
-only. Standard library only.
+With --wall it runs no profiler. It imports every algebroid module but
+__main__ (the CLI imports some only when a command needs them) and wraps
+every algebroid function and method whose own name matches REGEX
+(re.search) in a perf_counter timer, replays the cases N times (--reps,
+default 3) and prints, for each wrapped function, its wall milliseconds
+per case in the best rep, that time's share of the cli.main calls' own
+best, and its calls per case. A call inside another call of the same
+function is counted but not timed again, so a recursive function is not
+counted twice. cProfile charges a cost to every call it sees, which
+inflates a layer of many small calls such as the exact arithmetic; a
+wrapper costs one timer pair per call of a wrapped function only.
+Standard library only.
 """
 
 import argparse
 import contextlib
 import cProfile
+import importlib
 import inspect
 import io
+import pkgutil
 import pstats
 import re
 import signal
@@ -139,6 +143,15 @@ def _wrap_matching(pattern: str, acc: dict) -> list:
     return restore
 
 
+def _import_submodules(cli) -> None:
+    """Import every module of cli's package but __main__, which runs the
+    CLI, so that the modules the CLI imports lazily can be wrapped too."""
+    package = sys.modules[cli.__package__]
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"{package.__name__}.{info.name}")
+
+
 def wall_times(cli, dirs: list, pattern: str, reps: int,
                only: str | None = None) -> tuple[int, float, dict]:
     """The number of cases, the best over reps of the summed wall seconds of
@@ -146,6 +159,7 @@ def wall_times(cli, dirs: list, pattern: str, reps: int,
     seconds in that best rep and its calls in one rep."""
     cases = list(replay_cases.case_argvs(dirs, only))
     acc: dict = {}
+    _import_submodules(cli)
     restore = _wrap_matching(pattern, acc)
     best = None
     try:

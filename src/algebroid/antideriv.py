@@ -515,8 +515,8 @@ def _certify(eq: DefiningEquation, r: Sequence[RatFunc]) -> bool:
     first taken at the first of _CHECK_POINTS where no A_j, r_i or their
     derivatives has a pole. The defect of a right fit vanishes there, so
     only a zero there leads to the exact check, whose cost has no bound."""
-    psi = _psi(eq)
-    forms = (psi, [a.derivative() for a in psi], list(r), [ri.derivative() for ri in r])
+    dpsi = list(reversed(eq._dcoeffs)) + [RatFunc.zero()]  # the derivatives Psi_z reads
+    forms = (_psi(eq), dpsi, list(r), [ri.derivative() for ri in r])
     for z0 in _CHECK_POINTS:
         try:
             values = [[c.eval_exact(z0) for c in cs] for cs in forms]

@@ -359,7 +359,11 @@ def _plot_track(filename: str, eq: DefiningEquation, start: SurfacePoint, path: 
     from .tracker import continue_branch
 
     samples = continue_branch(eq, start, path, tol).samples
-    with open(filename, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(filename, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"--plot-data {filename}: cannot be written: {exc.strerror}") from exc
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "re_z", "im_z", "re_w", "im_w"])
         writer.writerows([format(v, ".17g") for v in (t, z.real, z.imag, w.real, w.imag)]

@@ -7,9 +7,13 @@ refusal is the one doing the jobs one after another would raise.
 
 
 class AlgebroidError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors; keeps each keyword detail as an attribute."""
 
     exit_code = 1
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
 
 
 class SchemaError(AlgebroidError, ValueError):
@@ -90,11 +94,7 @@ class LiftNotClosed(AlgebroidError):
     """Closed base loop whose surface lift ends on a different sheet."""
 
     exit_code = 13
-
-    def __init__(self, message, value=None, end_sheet=None):
-        super().__init__(message)
-        self.value = value
-        self.end_sheet = end_sheet
+    value = end_sheet = None
 
 
 class EndpointGermMismatch(AlgebroidError):
@@ -113,10 +113,7 @@ class RefusedReducible(AlgebroidError):
     """Antiderivative construction refused: monodromy is intransitive."""
 
     exit_code = 16
-
-    def __init__(self, message, orbits=None):
-        super().__init__(message)
-        self.orbits = orbits
+    orbits = None
 
 
 class RefusedNonzeroResidue(AlgebroidError):
@@ -124,10 +121,7 @@ class RefusedNonzeroResidue(AlgebroidError):
     residue. offenders: (center, sheets in base-fiber positions, residue)."""
 
     exit_code = 17
-
-    def __init__(self, message, offenders=None):
-        super().__init__(message)
-        self.offenders = offenders
+    offenders = None
 
 
 class FitNotConverged(AlgebroidError):
@@ -141,13 +135,7 @@ class SingleValuednessViolation(AlgebroidError):
     has the nonzero period `period`; defect is |period| relative."""
 
     exit_code = 19
-
-    def __init__(self, message, defect=None, generator=None, sheet=None, period=None):
-        super().__init__(message)
-        self.defect = defect
-        self.generator = generator
-        self.sheet = sheet
-        self.period = period
+    defect = generator = sheet = period = None
 
 
 def in_order(batch, jobs) -> list:

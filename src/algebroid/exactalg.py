@@ -1216,17 +1216,17 @@ def laurent_order(rf: RatFunc, z0: GaussianRational) -> int:
     return rf.num.root_multiplicity(z0) - rf.den.root_multiplicity(z0)
 
 
-def snap_to_gaussian(x: complex, coarse_den: int = 10**6, fine_den: int = 10**12,
+def snap_to_gaussian(x: complex, fine_den: int = 10**12,
                      rel_tol: float = 1e-9) -> GaussianRational:
     """Nearest Gaussian rational, preferring small denominators.
 
-    Components within rel_tol of a fraction with denominator <= coarse_den
+    Components within rel_tol of a fraction with denominator <= 10^6
     snap to it; otherwise a denominator up to fine_den is used.
     """
 
     def snap(v: float) -> Fraction:
         fv = Fraction(v)
-        coarse = fv.limit_denominator(coarse_den)
+        coarse = fv.limit_denominator(10**6)
         if abs(float(coarse) - v) <= rel_tol * max(1.0, abs(v)):
             return coarse
         return fv.limit_denominator(fine_den)

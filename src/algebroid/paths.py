@@ -166,11 +166,11 @@ class BasePath:
     def length(self) -> float:
         return sum(s.length for s in self.segments)
 
-    def is_closed(self, rel_tol: float = 1e-9) -> bool:
+    def is_closed(self) -> bool:
         if not self.segments:
             return True
         scale = max(1.0, abs(self.start_z))
-        return abs(self.end_z - self.start_z) <= rel_tol * scale
+        return abs(self.end_z - self.start_z) <= 1e-9 * scale
 
     def min_dist_to(self, p: complex) -> float:
         if not self.segments:

@@ -10,7 +10,7 @@ newton_polish_pairs is the same iteration, with the same stopping rule, run
 at once on many (polynomial, start) pairs held in numpy arrays.
 merge_double_roots turns the two scattered copies of a double root into one.
 
-The stopping rule. Newton returns w when a step is within tol (1 + |w|).
+The stopping rule. Newton returns w when a step is within 1e-15 (1 + |w|).
 It also returns w at its rounding floor: when a step does not shrink the
 one before it and w already passes the gate that a run reaching max_iter
 faces, |p(w)| <= 1e-10 residual_scale(p, w) (Bini & Robol, MPSolve, 2014;
@@ -18,7 +18,7 @@ Higham, Accuracy and Stability of Numerical Algorithms, 5.1). A root at the
 floor of a high-degree p otherwise jitters between steps of 1e-14 and 1e-11
 until max_iter and is then accepted by that same gate. A step that does not
 shrink where the gate fails (W^3 - 1 from -1.6 steps 0.66, 0.69, 5.7, ...)
-iterates on, and a run whose steps shrink to the tol stop returns the same
+iterates on, and a run whose steps shrink to that stop returns the same
 bits as without the rule.
 
 Arithmetic rule for array kernels. A numpy kernel that replaces another must
@@ -117,9 +117,9 @@ def _passes_gate(coeffs, w: complex) -> bool:
     return abs(poly_eval(coeffs, w)) <= 1e-10 * residual_scale(coeffs, w)
 
 
-def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
+def newton_polish(coeffs, w: complex, max_iter: int = 40):
     """Newton iteration on p; returns the refined root or None on stall.
-    It stops at a step within tol (1 + |w|), or at the rounding floor: after
+    It stops at a step within 1e-15 (1 + |w|), or at the rounding floor: after
     a step no smaller than the one before it, when w passes _passes_gate,
     the gate a run that reaches max_iter faces too. Each iteration is
     poly_eval_pair's Horner pass, inline."""
@@ -134,7 +134,7 @@ def newton_polish(coeffs, w: complex, max_iter: int = 40, tol: float = 1e-15):
         step = p / dp
         w = w - step
         size = abs(step)
-        if size <= tol * (1.0 + abs(w)) or size >= last and _passes_gate(coeffs, w):
+        if size <= 1e-15 * (1.0 + abs(w)) or size >= last and _passes_gate(coeffs, w):
             return w
         last = size
     return w if _passes_gate(coeffs, w) else None
@@ -145,8 +145,7 @@ def _pass_gates(cs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.abs(poly_evals(cs, x)) <= 1e-10 * residual_scales(np.abs(cs), np.abs(x))
 
 
-def newton_polish_pairs(coeffs: np.ndarray, w: np.ndarray, max_iter: int = 40,
-                        tol: float = 1e-15) -> np.ndarray:
+def newton_polish_pairs(coeffs: np.ndarray, w: np.ndarray, max_iter: int = 40) -> np.ndarray:
     """newton_polish of each row of coeffs from the matching entry of w, all
     at once, with the same stopping rule entry by entry; NaN where
     newton_polish returns None. Each entry keeps its last |step|, and only
@@ -165,7 +164,7 @@ def newton_polish_pairs(coeffs: np.ndarray, w: np.ndarray, max_iter: int = 40,
             step = p / dp
             x = x - step
             size = np.abs(step)
-            stop = stalled | (size <= tol * (1.0 + np.abs(x)))
+            stop = stalled | (size <= 1e-15 * (1.0 + np.abs(x)))
             stuck = size >= last
             if stuck.any():
                 stop[stuck] |= _pass_gates(cs[stuck], x[stuck])

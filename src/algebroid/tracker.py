@@ -10,20 +10,20 @@ quarter of it from its prediction, which is what prevents two sheets from
 silently swapping. A step spans at most half the segment, and on an arc of
 more than one turn at most half a turn, so that no step returns to its z.
 
-Every reader of a fiber along a path reads one walk per segment,
-_WalkedSegment: the knots (t, z, fiber) of the accepted steps, the slopes
-dw/dz the steps predicted with, and the end fiber, which no read changes.
-_read gives the fiber at any parameters of many walked segments of one
-equation under one Tolerances in one array pass: the nodes of every segment
-(Line.ats, Arc.ats, bit for bit the scalar at), a cubic Hermite prediction
-from the knots and their slopes dw/dt, each node placed among its own
-segment's knots, and one batched Newton pass
-(rootfind.newton_polish_pairs) with each sample held to the gates of an
-accepted step: residual, no collision, and a drift within a quarter of the
-root separation of both the predicted and the corrected row. A sample that
-fails takes the fiber a tracker reaches when it steps there from the last
-knot before it. _walk checks once that a path keeps the path margin
-(_path_margin) from the critical set and walks its segments in turn:
+A tracker keeps the knots (t, z, fiber, dw/dz) of its accepted steps, and
+SegmentTracker.advance_to is the one stepping loop. Every reader of a fiber
+along a path reads one walk per segment, _WalkedSegment: a tracker advanced
+from t = 0 to 1, which no read changes. _read gives the fiber at any
+parameters of many walked segments of one equation under one Tolerances in
+one array pass: the nodes of every segment (Line.ats, Arc.ats, bit for bit
+the scalar at), a cubic Hermite prediction from the knots and their slopes
+dw/dt, each node placed among its own segment's knots, and one batched
+Newton pass (rootfind.newton_polish_pairs) with each sample held to the
+gates of an accepted step: residual, no collision, and a drift within a
+quarter of the root separation of both the predicted and the corrected row.
+A sample that fails takes the fiber a tracker reaches when it steps there
+from the last knot before it. _walk checks once that a path keeps the path
+margin (_path_margin) from the critical set and walks its segments in turn:
 continue_fiber reads the end fibers, continue_branch the knots and quad the
 Gauss nodes of its pieces, for many paths in one _read per bisection level.
 puiseux walks its circles and radial legs as segments, without that check,
@@ -129,27 +129,29 @@ def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
 
 
 class SegmentTracker:
-    """Continues a fiber monotonically along one segment in steps of the
-    largest h up to h_max whose predicted move meets the cap. A step hands the
-    z it reached, the coefficients of Psi(., z), the root separation, Psi_W at
-    each root and the fiber scale 1 + max|w| there to the next (_carry)."""
+    """Continues a fiber monotonically along one segment from t in steps of
+    the largest h up to h_max whose predicted move meets the cap, and keeps
+    the knots ts, zs, fibers and the slopes dw/dz (dwdz) each step predicted
+    with. A step hands on (_carry) the z it reached, the coefficients of
+    Psi(., z), the root separation, Psi_W at each root and 1 + max|w|."""
 
-    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h_max", "steps", "_carry")
+    __slots__ = ("eq", "seg", "tol", "t", "fiber", "h_max", "ts", "zs", "fibers", "dwdz", "_carry")
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
-                 tol: Tolerances):
-        self.eq, self.seg, self.tol, self.t, self.fiber = eq, seg, tol, 0.0, list(fiber)
+                 tol: Tolerances, t: float = 0.0):
+        self.eq, self.seg, self.tol, self.t, self.fiber = eq, seg, tol, t, list(fiber)
         if len(self.fiber) != eq.k:
             raise ValueError(f"a start fiber needs all k = {eq.k} roots, got {len(self.fiber)}")
         sweep = abs(seg.theta_to - seg.theta_from) if isinstance(seg, Arc) else 0.0
         # half a turn; an arc of one turn whose sweep rounds above 2 pi keeps 0.5
         self.h_max = math.pi / sweep if sweep > _TWO_PI * (1.0 + 1e-9) else 0.5
-        self.steps = 0
+        self.ts, self.zs, self.fibers, self.dwdz = [t], [seg.at(t)], [self.fiber], []
         self._carry = None
 
     def clone(self) -> "SegmentTracker":
-        c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol)
-        c.t, c.steps, c._carry = self.t, self.steps, self._carry
+        c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol, self.t)
+        c.ts, c.zs, c.fibers, c.dwdz = self.ts[:], self.zs[:], self.fibers[:], self.dwdz[:]
+        c._carry = self._carry
         return c
 
     def advance_to(self, t_target: float):
@@ -159,8 +161,8 @@ class SegmentTracker:
             self._step(t_target)
 
     def _step(self, t_target: float) -> tuple[complex, list[complex]]:
-        """One accepted step towards t_target; returns the z it reaches and
-        the slope dw/dz of each root at the z it started from."""
+        """One accepted step towards t_target, kept as a knot; returns the z
+        it reaches and the slope dw/dz of each root at the z it started from."""
         eq, seg, tol = self.eq, self.seg, self.tol
         carry = self._carry
         if carry is None:
@@ -206,7 +208,10 @@ class SegmentTracker:
                     self.fiber = corrected
                     self._carry = (z1, coeffs1, min_sep1, [dw for _, dw, _ in polished],
                                    1.0 + max(map(operator.itemgetter(2), polished)))
-                    self.steps += 1
+                    self.ts.append(self.t)
+                    self.zs.append(z1)
+                    self.fibers.append(corrected)
+                    self.dwdz.append(slopes)
                     return z1, slopes
             size = h
             h *= 0.5
@@ -223,27 +228,23 @@ def _slopes(eq: DefiningEquation, z: complex, fiber: Sequence[complex],
     return [-poly_eval(zcoeffs, w) / dw if dw else _NAN for w, dw in zip(fiber, dws)]
 
 
-class _WalkedSegment:
-    """One segment walked from a start fiber with the tracker's own steps:
-    the knots (t, z, fiber) of its accepted steps with the slope dw/dz of
-    each root there, and its end fiber. A read never changes it."""
+class _WalkedSegment(SegmentTracker):
+    """A tracker built at t = 0 and advanced to 1, with the slope row of its
+    end knot. Neither a read nor advance_to(1.0) changes it."""
 
-    __slots__ = ("eq", "seg", "tol", "start", "t", "z", "fibers", "dwdz", "_dense")
+    __slots__ = ("_dense",)
 
     def __init__(self, eq: DefiningEquation, seg: Segment, fiber: Sequence[complex],
                  tol: Tolerances):
-        self.eq, self.seg, self.tol, self.start = eq, seg, tol, list(fiber)
-        trk = SegmentTracker(eq, seg, self.start, tol)
-        self.t, self.z, self.fibers, self.dwdz = [0.0], [seg.at(0.0)], [trk.fiber], []
-        while trk.t < 1.0 - 1e-15:
-            z, slopes = trk._step(1.0)
-            self.z.append(z)
-            self.t.append(trk.t)
-            self.fibers.append(trk.fiber)
-            self.dwdz.append(slopes)
-        z, _, _, dws, _ = trk._carry  # the end knot's row, with no step after it
-        self.dwdz.append(_slopes(eq, z, trk.fiber, dws))
+        super().__init__(eq, seg, fiber, tol)
+        self.advance_to(1.0)
+        z, _, _, dws, _ = self._carry  # the end knot's row, with no step after it
+        self.dwdz.append(_slopes(eq, z, self.fiber, dws))
         self._dense = None
+
+    @property
+    def start(self) -> list[complex]:
+        return self.fibers[0]
 
     @property
     def end(self) -> list[complex]:
@@ -253,7 +254,7 @@ class _WalkedSegment:
         """The knot parameters, the knot fibers and their slopes dw/dt =
         dw/dz * dz/dt as arrays, one row per knot; taken on the first read."""
         if self._dense is None:
-            ts = np.array(self.t)
+            ts = np.array(self.ts)
             slopes = np.array(self.dwdz) * self.seg.derivs(ts)[:, None]
             self._dense = ts, np.array(self.fibers), slopes
         return self._dense
@@ -262,9 +263,8 @@ class _WalkedSegment:
         """The fiber at parameter t that a tracker reaches when it starts at
         the last knot at or before t and steps to t; its refusal if it
         refuses."""
-        i = bisect.bisect_right(self.t, t) - 1
-        trk = SegmentTracker(self.eq, self.seg, self.fibers[i], self.tol)
-        trk.t = self.t[i]
+        i = bisect.bisect_right(self.ts, t) - 1
+        trk = SegmentTracker(self.eq, self.seg, self.fibers[i], self.tol, self.ts[i])
         trk.advance_to(t)
         return trk.fiber
 
@@ -434,7 +434,7 @@ def continue_branch(eq: DefiningEquation, start: SurfacePoint, path: BasePath,
     samples = [(0.0, start.z, start.w)]
     min_sep = min_pairwise_distance(roots)
     for done, share, walked in _walk(eq, roots, path, tol):
-        for t, z, fiber in zip(walked.t[1:], walked.z[1:], walked.fibers[1:]):
+        for t, z, fiber in zip(walked.ts[1:], walked.zs[1:], walked.fibers[1:]):
             samples.append((done + t * share, z, fiber[pos]))
             min_sep = min(min_sep, min_pairwise_distance(fiber))
     endpoint = SurfacePoint(path.end_z, samples[-1][2])

@@ -119,6 +119,18 @@ def test_integrate_plot_data(capsys, tmp_path, sqrt_file):
     assert len(lines) > 3
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_plot_data_that_cannot_be_written_is_a_schema_error(capsys, tmp_path, sqrt_file, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "track.csv"
+    code, report = run_cli(
+        capsys, "--plot-data", str(out), "integrate", sqrt_file,
+        "--path-json", '[{"line": [[1, 0], [4, 0]]}]',
+    )
+    assert code == 3
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(f"--plot-data {out}: cannot be written")
+
+
 def test_monodromy_plot_data_starts_at_the_loop_start(capsys, tmp_path, sqrt_file):
     out = tmp_path / "loop.csv"
     code, _ = run_cli(capsys, "--plot-data", str(out), "monodromy", sqrt_file,

@@ -120,9 +120,8 @@ def _read_reference(walked, tss):
             pred = tracker._hermite([seg.dense()], [ts])
             rows, ok = tracker._correct(seg.eq, seg.seg.ats(ts), pred, seg.tol)
         for j in np.flatnonzero(~ok):
-            i = np.searchsorted(seg.t, ts[j], side="right") - 1
-            trk = SegmentTracker(seg.eq, seg.seg, seg.fibers[i], seg.tol)
-            trk.t = seg.t[i]
+            i = np.searchsorted(seg.ts, ts[j], side="right") - 1
+            trk = SegmentTracker(seg.eq, seg.seg, seg.fibers[i], seg.tol, seg.ts[i])
             trk.advance_to(float(ts[j]))
             rows[j] = trk.fiber
         out.append(rows)
@@ -131,7 +130,7 @@ def _read_reference(walked, tss):
 
 def _knots(walked):
     """The knots of each walked segment, as plain lists."""
-    return [(list(seg.t), list(seg.z), [list(f) for f in seg.fibers]) for seg in walked]
+    return [(list(seg.ts), list(seg.zs), [list(f) for f in seg.fibers]) for seg in walked]
 
 
 def test_read_tracks_each_failed_sample_as_the_per_segment_form(monkeypatch, sqrt_z):

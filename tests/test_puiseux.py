@@ -202,8 +202,8 @@ def test_turns_of_many_centers_read_in_one_batch_equal_each_turn_read_alone():
         for (rows, sigma, walked), turn in zip(turns, _walk_turns(eq, a, eps, DEFAULT)):
             ((ref_rows, ref_sigma, ref_walked),) = _sampled([turn], len(rows))
             assert rows.tolist() == ref_rows.tolist() and sigma == ref_sigma
-            assert (walked.t, walked.z, walked.fibers) == (ref_walked.t, ref_walked.z,
-                                                            ref_walked.fibers)
+            assert (walked.ts, walked.zs, walked.fibers) == (ref_walked.ts, ref_walked.zs,
+                                                              ref_walked.fibers)
 
 
 def test_a_refused_center_keeps_its_place_and_the_first_refusal_is_raised(monkeypatch):

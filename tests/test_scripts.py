@@ -343,6 +343,25 @@ def test_profile_cases_times_matching_functions_by_wall_clock(tmp_path, capsys):
                                "--wall", "x"]) == 1
 
 
+def test_profile_cases_wall_times_the_lazily_imported_modules(tmp_path):
+    # the CLI imports tracker, puiseux and quad only when a command needs
+    # them; in a fresh interpreter the timers must reach them all the same
+    cases = tmp_path / "periods-seed1-trace0" / "cases"
+    cases.mkdir(parents=True)
+    (cases / "000.json").write_text(json.dumps({"k": 2, "coefficients": ["0", "-z^3+1"]}))
+    (cases / "000.argv").write_text(
+        "algebroid residues benchmark/out/periods-seed1-trace0/cases/000.json --contour-check\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "profile_cases.py"), str(ROOT), str(cases.parent),
+         "--wall", "^(_read|_step|_integrate)$", "--reps", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^ +\d+\.\d{3} +\d+\.\d% +(\d+\.\d{3})  (\S+)$", proc.stdout, re.MULTILINE)
+    calls = {where: float(n) for n, where in rows}
+    assert calls["tracker._read"] > 0 and calls["tracker.SegmentTracker._step"] > 0
+
+
 def _ab_cases(directory, a, b) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(a), str(b),

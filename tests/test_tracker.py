@@ -186,7 +186,7 @@ def test_no_step_attempt_fails_the_move_check(monkeypatch, coeffs, seg):
     monkeypatch.setattr(type(seg), "at", counting_at)
     monkeypatch.setattr(tracker, "_polish", counting_polish)
     walked = _WalkedSegment(eq, seg, fiber, DEFAULT)
-    assert calls["polish"] == eq.k * calls["attempt"] >= eq.k * (len(walked.t) - 1) > 0
+    assert calls["polish"] == eq.k * calls["attempt"] >= eq.k * (len(walked.ts) - 1) > 0
 
 
 def test_the_k6_degree5_contour_check_takes_few_steps():
@@ -234,7 +234,7 @@ def test_array_forms_equal_the_scalar_forms_bit_for_bit():
 
 def _knots(walked):
     """A walked segment's knots (t, z, fibers), as plain lists."""
-    return list(walked.t), list(walked.z), list(map(list, walked.fibers))
+    return list(walked.ts), list(walked.zs), list(map(list, walked.fibers))
 
 
 def test_one_read_of_many_segments_equals_each_read_alone(sqrt_z):
@@ -446,12 +446,81 @@ def test_a_walk_keeps_the_slopes_it_stepped_with(coeffs, seg):
     # read's slopes dw/dt = dw/dz * dz/dt
     eq = DefiningEquation.from_strings(coeffs)
     walked = _WalkedSegment(eq, seg, fiber_at(eq, seg.start).roots, DEFAULT)
-    assert len(walked.dwdz) == len(walked.t) > 2
-    for z, fiber, row in zip(walked.z, walked.fibers, walked.dwdz):
+    assert len(walked.dwdz) == len(walked.ts) > 2
+    for z, fiber, row in zip(walked.zs, walked.fibers, walked.dwdz):
         assert _bits(row) == _bits([-eq.psi_z(w, z) / eq.psi_w(w, z) for w in fiber])
     ts, knots, slopes = walked.dense()
     assert _bits(knots) == _bits(walked.fibers)
     assert _bits(slopes) == _bits(np.array(walked.dwdz) * seg.derivs(ts)[:, None])
+
+
+def test_a_walk_is_one_tracker_advanced_once(monkeypatch):
+    # the walk steps in SegmentTracker.advance_to, the one stepping loop
+    eq = DefiningEquation.from_strings(["0", "-3", "-z"])
+    seg = Arc(2.0, 0.5, 0.0, 2 * math.pi)
+    fiber = fiber_at(eq, seg.start).roots
+    calls = {"init": 0, "advance_to": 0}
+    init, advance_to = SegmentTracker.__init__, SegmentTracker.advance_to
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_advance_to(self, t_target):
+        calls["advance_to"] += 1
+        advance_to(self, t_target)
+
+    monkeypatch.setattr(SegmentTracker, "__init__", counting_init)
+    monkeypatch.setattr(SegmentTracker, "advance_to", counting_advance_to)
+    walked = _WalkedSegment(eq, seg, fiber, DEFAULT)
+    assert calls == {"init": 1, "advance_to": 1}
+    assert len(walked.ts) > 3
+
+
+def test_a_walked_segment_is_a_tracker_at_its_end(sqrt_z):
+    # a tracker advanced from 0 to 1 takes the knots of the walk; a walk has
+    # one more slope row, its end knot's, and advance_to(1.0) moves nothing
+    seg = Arc(0j, 2.0, 0.5, 7.0)
+    fiber = fiber_at(sqrt_z, seg.start).roots
+    walked = _WalkedSegment(sqrt_z, seg, fiber, DEFAULT)
+    assert isinstance(walked, SegmentTracker)
+    assert walked.t == pytest.approx(1.0, abs=1e-15)
+    assert walked.start == list(fiber) and walked.end == walked.fiber
+    trk = SegmentTracker(sqrt_z, seg, fiber, DEFAULT)
+    trk.advance_to(1.0)
+    assert _knots(trk) == _knots(walked)
+    assert _bits(trk.dwdz) == _bits(walked.dwdz[:-1])
+    knots, rows = _knots(walked), _bits(walked.dwdz)
+    dense = [a.copy() for a in walked.dense()]
+    walked.advance_to(1.0)
+    assert _knots(walked) == knots and _bits(walked.dwdz) == rows
+    assert all(np.array_equal(a, b) for a, b in zip(walked.dense(), dense))
+
+
+def test_stepping_a_clone_leaves_the_original_as_it_was(sqrt_z):
+    seg = Line(1, 4)
+    trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, 1).roots, DEFAULT)
+    trk.advance_to(0.3)
+    knots, rows = _knots(trk), _bits(trk.dwdz)
+    twin = trk.clone()
+    assert (_knots(twin), _bits(twin.dwdz)) == (knots, rows)
+    twin.advance_to(1.0)
+    assert (_knots(trk), _bits(trk.dwdz)) == (knots, rows)
+    assert trk.t == 0.3 and len(twin.ts) > len(knots[0])
+    # the clone goes on as the original would have
+    trk.advance_to(1.0)
+    assert (_knots(twin), _bits(twin.dwdz)) == (_knots(trk), _bits(trk.dwdz))
+
+
+def test_a_tracker_started_at_a_knot_takes_the_later_knots_of_the_walk(sqrt_z):
+    # the start parameter of a tracker: from knot i it reaches the knots after
+    # i, as the walk did
+    seg = Arc(0j, 2.0, 0.5, 7.0)
+    walked = _WalkedSegment(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
+    i = len(walked.ts) // 2
+    trk = SegmentTracker(sqrt_z, seg, walked.fibers[i], DEFAULT, walked.ts[i])
+    trk.advance_to(1.0)
+    assert _knots(trk) == tuple(part[i:] for part in _knots(walked))
 
 
 def test_a_zero_psi_w_gives_a_nan_slope(sqrt_z):
@@ -476,9 +545,9 @@ def test_a_step_sweeps_at_most_half_a_turn(sqrt_z):
         trk = SegmentTracker(sqrt_z, seg, fiber_at(sqrt_z, seg.start).roots, DEFAULT)
         assert trk.h_max == pytest.approx(0.5 / turns)
         walked = _WalkedSegment(sqrt_z, seg, trk.fiber, DEFAULT)
-        assert max(np.diff(walked.t)) <= trk.h_max * (1 + 1e-12)  # t rounds at each knot
+        assert max(np.diff(walked.ts)) <= trk.h_max * (1 + 1e-12)  # t rounds at each knot
         if center:
-            assert len(walked.t) == 2 * turns + 1
+            assert len(walked.ts) == 2 * turns + 1
 
 
 @pytest.mark.parametrize("turns", range(1, 9))
