@@ -4,6 +4,7 @@
     python3 scripts/profile_cases.py SRC_ROOT DIR... [--top N] [--sort KEY] [--callers REGEX]
                                      [--counts REGEX] [--only REGEX]
     python3 scripts/profile_cases.py SRC_ROOT DIR... --wall REGEX [--reps N] [--only REGEX]
+    python3 scripts/profile_cases.py SRC_ROOT DIR... --rows [--only REGEX]
 
 Imports algebroid from SRC_ROOT/src only, as ``replay_cases.py run`` does,
 and runs cProfile around each ``algebroid.cli.main`` call on the argv of
@@ -29,6 +30,14 @@ function is counted but not timed again, so a recursive function is not
 counted twice. cProfile charges a cost to every call it sees, which
 inflates a layer of many small calls such as the exact arithmetic; a
 wrapper costs one timer pair per call of a wrapped function only.
+
+With --rows it runs no profiler and times nothing. It replays the cases of
+each DIR once and prints, per DIR, per case: the tracker._read calls and the
+rows they read (one row per fiber asked for), and the quadrature's reads
+(quad._gauss calls) and rows (its pieces times the rule's nodes), those rows
+split by segment kind (Line, Arc). The quadrature's reads go through
+tracker._read, so its rows are among the tracker's. The counts are
+deterministic, so two source trees can be compared by them alone.
 Standard library only.
 """
 
@@ -43,6 +52,7 @@ import pstats
 import re
 import signal
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -135,12 +145,20 @@ def _wrap_matching(pattern: str, acc: dict) -> list:
                 new = staticmethod(wrapped[fn]) if isinstance(obj, staticmethod) else wrapped[fn]
                 restore.append((holder, name, obj))
                 setattr(holder, name, new)
-    for module in modules:  # the names other modules imported
-        for name, obj in list(vars(module).items()):
-            if inspect.isfunction(obj) and obj in wrapped:
-                restore.append((module, name, obj))
-                setattr(module, name, wrapped[obj])
+    _replace_everywhere(wrapped, restore)  # the names other modules imported
     return restore
+
+
+def _replace_everywhere(new: dict, restore: list) -> None:
+    """Put new[fn] in place of every function fn of new in each loaded
+    algebroid module namespace that holds it, adding the (module, name, fn)
+    triples to restore."""
+    for name, module in list(sys.modules.items()):
+        if name == "algebroid" or name.startswith("algebroid."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in new:
+                    restore.append((module, attr, obj))
+                    setattr(module, attr, new[obj])
 
 
 def _import_submodules(cli) -> None:
@@ -191,6 +209,59 @@ def print_wall(count: int, total: float, times: dict, reps: int, pattern: str) -
         print(f"{1e3 * seconds / count:10.3f}  {seconds / total:6.1%}  {calls / count:10.3f}  {where}")
 
 
+def row_counts(cli, directory: str, only: str | None = None) -> tuple[int, Counter]:
+    """The number of cases of directory and the counts their cli.main calls
+    summed: "read calls" and "read rows" of tracker._read, "quad reads" of
+    quad._gauss and "quad rows <kind>" of its rows per segment kind."""
+    _import_submodules(cli)
+    package = cli.__package__
+    tracker, quad = sys.modules[f"{package}.tracker"], sys.modules[f"{package}.quad"]
+    read, gauss, nodes = tracker._read, quad._gauss, len(quad._GL_X)
+    counts: Counter = Counter()
+
+    def counting_read(walked, tss):
+        counts["read calls"] += 1
+        counts["read rows"] += sum(len(ts) for ts in tss)
+        return read(walked, tss)
+
+    def counting_gauss(walked, t0s, t1s):
+        counts["quad reads"] += 1
+        for seg, t0 in zip(walked, t0s):
+            counts[f"quad rows {type(seg.seg).__name__}"] += nodes * len(t0)
+        return gauss(walked, t0s, t1s)
+
+    restore: list = []
+    _replace_everywhere({read: counting_read, gauss: counting_gauss}, restore)
+    count = 0
+    try:
+        for _, argv in replay_cases.case_argvs([directory], only):
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    cli.main(argv)
+                except (Exception, SystemExit):  # counted like any outcome
+                    pass
+            count += 1
+    finally:
+        for module, attr, obj in restore:
+            setattr(module, attr, obj)
+    return count, counts
+
+
+def print_rows(directory: str, count: int, counts: Counter) -> None:
+    if not count:
+        print(f"{Path(directory).name}: cases 0")
+        return
+    per = 1.0 / count
+    kinds = sorted(key for key in counts if key.startswith("quad rows "))
+    print(f"{Path(directory).name}: cases {count}, per case")
+    print(f"  tracker._read  calls {per * counts['read calls']:10.3f}  "
+          f"rows {per * counts['read rows']:10.1f}")
+    print(f"  quadrature     reads {per * counts['quad reads']:10.3f}  "
+          f"rows {per * sum(counts[key] for key in kinds):10.1f}")
+    for key in kinds:
+        print(f"    {key[len('quad rows '):]:<23}rows {per * counts[key]:10.1f}")
+
+
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src_root", type=Path)
@@ -202,7 +273,15 @@ def main(argv: list) -> int:
     parser.add_argument("--only")
     parser.add_argument("--wall")
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--rows", action="store_true")
     args = parser.parse_args(argv)
+    if args.rows:
+        cli, total = replay_cases._import_cli(args.src_root), 0
+        for directory in args.dirs:
+            count, counts = row_counts(cli, directory, args.only)
+            print_rows(directory, count, counts)
+            total += count
+        return 0 if total else 1
     if args.wall:
         reps = max(1, args.reps)
         cli = replay_cases._import_cli(args.src_root)

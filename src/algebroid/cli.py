@@ -43,6 +43,10 @@ __all__ = ["main", "load_problem", "dumps_report"]
 
 # what json.dumps calls for a str under its default ensure_ascii
 _quote = json.encoder.encode_basestring_ascii
+# --json-indent: its default and its largest value
+_INDENT, _MAX_INDENT = 2, 64
+# the digits of the largest integer a float holds
+_INT_DIGITS = len(str(int(sys.float_info.max)))
 
 
 def _fmt_float(x: float) -> str:
@@ -53,7 +57,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_report(obj, indent: int = 2, level: int = 0) -> str:
+def dumps_report(obj, indent: int = _INDENT, level: int = 0) -> str:
     """obj as JSON with one entry a line, indented by indent spaces a level
     from level on: the parts are appended into one list and joined once."""
     out: list[str] = []
@@ -166,6 +170,29 @@ def _segment_json(seg, spot):
     raise SchemaError(f"{spot} must be a line or an arc")
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer a float holds; OverflowError for a larger one, before
+    int() meets its limit on the digits it converts."""
+    size = len(digits.lstrip("-"))
+    if size > _INT_DIGITS or abs(value := int(digits)) > sys.float_info.max:
+        raise OverflowError(f"an integer of {size} digits is beyond float range")
+    return value
+
+
+def _parse_json(text: str, where: str):
+    """JSON from outside the program: SchemaError naming where (the file or
+    the flag it came from) when text is not JSON, nests deeper than the
+    parser recurses, or holds an integer a float cannot hold."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{where}: JSON nested too deeply") from None
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def path_to_json(path: BasePath) -> list:
     out = []
     for seg in path.segments:
@@ -183,13 +210,12 @@ def load_problem(filename: str) -> Problem:
     FileNotFoundError)."""
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except IsADirectoryError as exc:
         raise SchemaError(f"{filename}: is a directory, not a problem file") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{filename}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{filename}: not valid JSON: {exc}") from exc
+    raw = _parse_json(text, filename)
     if not isinstance(raw, dict):
         raise SchemaError(f"{filename}: top level must be an object")
     k = _want(raw, "k", int, filename)
@@ -278,11 +304,8 @@ def _resolve_path(problem: Problem, args) -> tuple[BasePath, str]:
             raise SchemaError(f"path {name!r} not defined in the problem file")
         return problem.paths[name], f"path {name!r}"
     if inline:
-        try:
-            data = json.loads(inline)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--path-json is not valid JSON: {exc}") from exc
-        return parse_path_json(data, where="--path-json"), "--path-json"
+        path = parse_path_json(_parse_json(inline, "--path-json"), where="--path-json")
+        return path, "--path-json"
     parts = loop.split(",")
     if len(parts) not in (4, 6):
         raise SchemaError("--loop expects CX,CY,R,TURNS[,AX,AY]")
@@ -560,7 +583,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write CSV track samples for path commands")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized path perturbations")
-    parser.add_argument("--json-indent", type=int, default=2)
+    parser.add_argument("--json-indent", type=int, default=_INDENT, metavar="N",
+                        help=f"spaces per level of the report, 0 to {_MAX_INDENT} "
+                             f"(default {_INDENT})")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report "
                              "(breaks byte-for-byte determinism)")
@@ -629,7 +654,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     report = {"schema": "algebroid-report-v1", "command": args.command}
     code = 0
+    indent = args.json_indent if 0 <= args.json_indent <= _MAX_INDENT else _INDENT
     try:
+        if indent != args.json_indent:  # a vast indent pads every line of the report
+            raise SchemaError(f"--json-indent must be 0 to {_MAX_INDENT}, got {args.json_indent}")
         inputs, results, warnings = _run(args)
     except (AlgebroidError, FileNotFoundError) as exc:
         name, code = ((type(exc).__name__, exc.exit_code) if isinstance(exc, AlgebroidError)
@@ -639,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report.update(inputs=inputs, results=results, warnings=warnings)
         if args.timing:
             report["timing_seconds"] = time.perf_counter() - started
-    print(dumps_report(report, args.json_indent))
+    print(dumps_report(report, indent))
     return code
 
 

@@ -3,12 +3,15 @@
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
 until the whole-piece and two-half estimates agree. Bisection runs over
-the whole fiber: the first read takes the whole segment, its halves and
-its quarters, so a segment whose whole fails takes its second level with
-no read; each later read takes the halves of the pieces that failed, and
-a piece is split until every sheet passes its own test. fiber_integral
-returns the whole fiber's integrals, and surface_integral is one sheet's
-column of them. Because admissible paths keep a margin from the critical
+the whole fiber: the first read takes the whole segment and its halves,
+and also its quarters when the segment was walked in at least
+_QUARTER_STEPS steps, so a long segment, whose whole almost always fails,
+takes its second level with no read, while a short one, whose whole almost
+always passes, reads no quarters it does not use; each later read takes
+the halves of the pieces that failed, and a piece is split until every
+sheet passes its own test. When a row is read changes no value.
+fiber_integral returns the whole fiber's integrals, and surface_integral is
+one sheet's column of them. Because admissible paths keep a margin from the critical
 set, the integrand is analytic and the per-piece rule converges spectrally.
 
 _integrate takes many paths of one equation under one Tolerances at once.
@@ -92,6 +95,11 @@ _GL_X = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
 _GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 _MAX_DEPTH = 30
 _MAX_PIECES = 1 << 6
+# a walk of at least this many accepted steps, half the rule's nodes, almost
+# always fails its whole-piece test (on the seed-1 benchmark cases every arc
+# walked in 8 or more steps split, and 252 of 253 shorter walks passed), so
+# only such a walk's first read takes its quarters
+_QUARTER_STEPS = len(_GL_X) // 2
 
 
 @dataclass(frozen=True)
@@ -167,26 +175,38 @@ def _halves(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Bisection:
     """Adaptive bisection of one walked segment: its pending pieces [t0, t1]
     with their whole-piece values (None before the first read, which takes
-    the whole segment, its halves and its quarters), the rows of its next
-    level when the first read took them ahead (else None), and the sums of
-    values and error estimates it accepted at each level (_take). A piece is
-    split until every fiber position passes its own test."""
+    the whole segment and its halves, and its quarters too when the walk
+    took at least _QUARTER_STEPS accepted steps), the rows of its next level
+    when the first read took them ahead (else None), and the sums of values
+    and error estimates it accepted at each level (_take). A piece is split
+    until every fiber position passes its own test.
 
-    __slots__ = ("walked", "tol_abs", "t0", "t1", "whole", "ahead", "depth", "accepted", "done")
+    Almost every short walk passes at its first test, and almost every long
+    one fails it, so only a long walk's first read takes its quarters; a
+    short walk whose whole fails reads them in the next read, as any later
+    level. Which pieces pass, and the order their values are summed in, do
+    not depend on when a row is read."""
+
+    __slots__ = ("walked", "tol_abs", "quarters", "t0", "t1", "whole", "ahead", "depth",
+                 "accepted", "done")
 
     def __init__(self, walked: _WalkedSegment, share: float, tol: Tolerances):
         self.walked, self.tol_abs = walked, tol.quad_tol * max(share, 1e-3)
+        self.quarters = len(walked.ts) - 1 >= _QUARTER_STEPS
         self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
         self.depth, self.accepted, self.done = 0, [], False
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """The pieces its next read needs: the two halves of each pending
         piece in turn; on the first read the pending pieces themselves before
-        them and the halves of those halves after them."""
+        them, and the halves of those halves after them when it reads its
+        quarters."""
         t0, t1 = _halves(self.t0, self.t1)
         if self.whole is None:
-            q0, q1 = _halves(t0, t1)
-            return np.concatenate((self.t0, t0, q0)), np.concatenate((self.t1, t1, q1))
+            levels = [(self.t0, self.t1), (t0, t1)]
+            if self.quarters:
+                levels.append(_halves(t0, t1))
+            return tuple(map(np.concatenate, zip(*levels)))
         return t0, t1
 
 
@@ -197,19 +217,21 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray], quad_tol: fl
     None.
 
     A part's first read holds its whole pieces in its first rows, which it
-    takes as whole before the test, and the halves of its halves in its last
-    rows. The test of every pending piece of every part is one array pass;
-    each part then sums the values and error estimates of its accepted pieces
-    (the same sums, in the same order, as a part taken alone) and keeps its
-    failed pieces, halves as wholes, for the next level, with the rows of
-    their halves in ahead when its first read took them.
+    takes as whole before the test, and, when it reads its quarters, the
+    halves of its halves in its last rows. The test of every pending piece
+    of every part is one array pass; each part then sums the values and
+    error estimates of its accepted pieces (the same sums, in the same order,
+    as a part taken alone) and keeps its failed pieces, halves as wholes, for
+    the next level, with the rows of their halves in ahead when its first
+    read took them; a part whose first read took no quarters holds none.
     """
     stalls = [None] * len(parts)
     reads, quarters = list(reads), [None] * len(parts)
     for n, part in enumerate(parts):
         if part.whole is None:
             p = len(part.t0)
-            part.whole, reads[n], quarters[n] = np.split(reads[n], [p, 3 * p])
+            part.whole, reads[n], ahead = np.split(reads[n], [p, 3 * p])
+            quarters[n] = ahead if part.quarters else None
         part.ahead = None
     t0, t1 = np.concatenate([p.t0 for p in parts]), np.concatenate([p.t1 for p in parts])
     tm = 0.5 * (t0 + t1)
@@ -300,11 +322,11 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
     equation under one Tolerances: per lift its _Lift.result.
 
     The next pieces of every pending segment of every lift (the whole
-    segment, its halves and its quarters at first, then the halves of the
-    failed pieces) are read in one _gauss call and tested in one _take pass;
-    a segment that holds its next level's rows ahead is left out of the
-    read, and a level that every pending segment holds is not read. The
-    first refusal met is raised.
+    segment and its halves at first, with its quarters when its walk was
+    long, then the halves of the failed pieces) are read in one _gauss call
+    and tested in one _take pass; a segment that holds its next level's rows
+    ahead is left out of the read, and a level that every pending segment
+    holds is not read. The first refusal met is raised.
     """
     while True:
         active = [part for lift in lifts for part in lift.parts if not part.done]

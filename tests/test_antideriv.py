@@ -583,10 +583,11 @@ def test_default_grid_has_eight_connectors(sqrt_z, monkeypatch):
 
 
 def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
-    # one Newton pass per bisection level over the spoke and circle of all
-    # the router's loops, then over all connectors, each segment's first read
-    # taking its whole, halves and quarters (7 pieces of 16 nodes): 2 loop
-    # segments and 8 connectors; one pass per segment per level took 26
+    # one Newton pass over the spoke and circle of all the router's loops,
+    # then one over all connectors: 2 loop segments and 8 connectors, each
+    # walked in fewer than 8 steps and passing at its first test, so its one
+    # read takes its whole and halves (3 pieces of 16 nodes); one pass per
+    # segment per level took 26
     from algebroid import tracker
 
     passes = []
@@ -598,8 +599,7 @@ def test_loops_and_connectors_are_read_in_few_batches(sqrt_z, monkeypatch):
 
     monkeypatch.setattr(tracker, "_correct", counting_correct)
     build_antiderivative(sqrt_z, SurfacePoint(1, 1), c=2.0 / 3.0)
-    assert len(passes) <= 6
-    assert sum(passes) == 1120
+    assert passes == [2 * 3 * 16, 8 * 3 * 16]
 
 
 def test_build_walks_each_stretch_of_its_paths_once(sqrt_z, monkeypatch):

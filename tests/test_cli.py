@@ -610,6 +610,59 @@ def test_path_json_schema_error():
         parse_path_json([{"segment": []}])
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json's parser recurses
+LONG_INT = "1" * 5001  # beyond int()'s 4,300-digit limit
+HUGE_INT = "1" + "0" * 400  # beyond float range
+
+
+def _arc(radius: str) -> str:
+    return f'[{{"arc": {{"center": [0, 0], "radius": {radius}, "theta_from": 0, "theta_to": 1}}}}]'
+
+
+def _sqrt_z_with(base_z: str = "1", paths: str = "{}") -> str:
+    return (f'{{"k": 2, "coefficients": ["0", "-z"], '
+            f'"base": {{"z": [{base_z}, 0], "w": [1, 0]}}, "paths": {paths}}}')
+
+
+@pytest.mark.parametrize("problem, path_json", [
+    (_sqrt_z_with(paths=f'{{"deep": {DEEP}}}'), None),
+    (_sqrt_z_with(base_z=LONG_INT), None),
+    (_sqrt_z_with(base_z=HUGE_INT), None),
+    (_sqrt_z_with(paths=f'{{"arc": {_arc(HUGE_INT)}}}'), None),
+    (_sqrt_z_with(), DEEP),
+    (_sqrt_z_with(), f'[{{"line": [[1, 0], [{LONG_INT}, 0]]}}]'),
+    (_sqrt_z_with(), f'[{{"line": [[1, 0], [{HUGE_INT}, 0]]}}]'),
+    (_sqrt_z_with(), _arc(HUGE_INT)),
+], ids=["file-nested", "file-base-z-digits", "file-base-z-huge", "file-arc-radius-huge",
+        "path-json-nested", "path-json-digits", "path-json-huge", "path-json-arc-radius-huge"])
+def test_json_the_parser_or_a_float_cannot_hold_is_a_schema_error(capsys, tmp_path, problem,
+                                                                  path_json):
+    # json.loads recursing too deep, int() refusing over 4,300 digits and an
+    # integer overflowing a float each ended in a traceback and no report
+    f = tmp_path / "p.json"
+    f.write_text(problem)
+    argv = (["critical", str(f)] if path_json is None
+            else ["integrate", str(f), "--path-json", path_json])
+    code, report = run_cli(capsys, *argv)
+    assert code == 3 and report["error"]["type"] == "SchemaError"
+    where = f"{f}: " if path_json is None else "--path-json: "
+    assert report["error"]["message"].startswith(where)
+
+
+@pytest.mark.parametrize("indent, code", [(-1, 3), (0, 0), (64, 0), (65, 3), (1000, 3)])
+def test_json_indent_outside_0_to_64_is_a_schema_error_at_the_default_indent(
+        capsys, sqrt_file, indent, code):
+    # a vast indent pads every line of the report: 10^13 ended in a
+    # MemoryError; only values the unchecked writer could print are tried
+    assert main(["--json-indent", str(indent), "critical", sqrt_file]) == code
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == dumps_report(report, indent if code == 0 else 2) + "\n"
+    if code:
+        assert report["error"] == {"type": "SchemaError", "exit_code": 3,
+                                   "message": f"--json-indent must be 0 to 64, got {indent}"}
+
+
 def test_load_problem_round_trip(tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(RECIP_Z))

@@ -5,6 +5,8 @@ of a batch with its tracked samples, the per-segment bisection take and
 Gauss sum. (The
 tracker step's carried state is checked in test_tracker.)"""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -226,11 +228,13 @@ def test_gauss_values_are_bit_identical_to_the_per_segment_form(sqrt_z):
 class _Reference:
     """_Bisection as it took its values alone, a level at a time: pieces()
     with every left half before every right half, after the whole segment on
-    the first read and before the halves of those halves, which that read
-    takes ahead; and take, of the whole, then of each level's halves, the
-    second level's from the rows taken ahead."""
+    the first read, and before the halves of those halves, which that read
+    takes ahead when the walk took at least 8 steps; and take, of the whole,
+    then of each level's halves, the second level's from the rows taken
+    ahead when there are any."""
 
-    def __init__(self, share, tol):
+    def __init__(self, steps, share, tol):
+        self.quarters = steps >= 8
         self.quad_tol, self.tol_abs = tol.quad_tol, tol.quad_tol * max(share, 1e-3)
         self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
         self.depth, self.accepted, self.done = 0, [], False
@@ -242,16 +246,19 @@ class _Reference:
 
     def pieces(self):
         t0, t1 = self._halves(self.t0, self.t1)
-        if self.whole is None:
+        if self.whole is None and self.quarters:
             q0, q1 = self._halves(t0, t1)
             return np.concatenate((self.t0, t0, q0)), np.concatenate((self.t1, t1, q1))
+        if self.whole is None:
+            return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
         return t0, t1
 
     def take(self, values=None):
         if values is None:  # the level taken ahead
             values, self.ahead = self.ahead, None
-        elif self.whole is None:  # one whole piece, its halves, their halves
-            self.whole, values, self.ahead = np.split(values, [1, 3])
+        elif self.whole is None:  # one whole piece, its halves, maybe their halves
+            self.whole, values, ahead = np.split(values, [1, 3])
+            self.ahead = ahead if self.quarters else None
         t0, t1 = self.t0, self.t1
         tm = 0.5 * (t0 + t1)
         left, right = np.split(values, 2)
@@ -288,16 +295,28 @@ def _integrand(t, k):
     return (np.exp(1j * j * t[:, None]) - np.exp(1j * j * 0.0)) / (1j * j) * (1 + 0.3 * j)
 
 
+def _noise(k, n, t0, t1):
+    """Normal noise of k columns on the pieces [t0, t1] of segment n, each
+    piece's drawn from its own ends: the same whichever read takes it."""
+    ends = np.round(np.column_stack((t0, t1)) * 2.0 ** 40).astype(np.int64)
+    return np.array([np.random.default_rng([k, n, *map(int, e)]).normal(size=k) for e in ends])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
-    # four segments of one equation, read level by level: each piece's value
-    # is its exact integral plus a noise of amp * length**power, so a piece
-    # passes once it is short enough; the first segment's noise never lets a
-    # piece pass, until a level would hold too many pieces
-    rng = np.random.default_rng(k)
-    shares, amp, power = [0.5, 0.25, 0.2, 0.05], [1e-6, 3e-11, 1e-10, 1e-17], [0.5, 2, 2, 0]
-    parts = [_Bisection(None, share, DEFAULT) for share in shares]
-    refs = [_Reference(share, DEFAULT) for share in shares]
+    # four segments of one equation, walked in 21, 5, 8 and 7 steps, read
+    # level by level: each piece's value is its exact integral plus a noise
+    # of amp * length**power, so a piece passes once it is short enough; the
+    # first segment's noise never lets a piece pass, until a level would
+    # hold too many pieces. Only the walks of 21 and 8 steps read their
+    # quarters in their first read; the walk of 5, whose whole fails, reads
+    # them in its second
+    steps, shares = [21, 5, 8, 7], [0.5, 0.25, 0.2, 0.05]
+    amp, power = [1e-6, 3e-10, 3e-10, 1e-17], [0.5, 2, 2, 0]
+    parts = [_Bisection(SimpleNamespace(ts=np.linspace(0.0, 1.0, n + 1)), share, DEFAULT)
+             for n, share in zip(steps, shares)]
+    refs = [_Reference(n, share, DEFAULT) for n, share in zip(steps, shares)]
+    read = [[] for _ in parts]  # per segment the pieces of each of its reads
     stalled = 0
     for level in range(_MAX_DEPTH):
         live = [n for n, part in enumerate(parts) if not part.done]
@@ -314,12 +333,13 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
             t0, t1 = parts[n].pieces()
             r0, r1 = refs[n].pieces()
             assert sorted(zip(_bits(t0), _bits(t1))) == sorted(zip(_bits(r0), _bits(r1)))
-            noise = rng.normal(size=(len(t0), k)) * amp[n] * (t1 - t0)[:, None] ** power[n]
+            read[n].append(len(t0))
+            noise = _noise(k, n, t0, t1) * amp[n] * (t1 - t0)[:, None] ** power[n]
             values = _integrand(t1, k) - _integrand(t0, k) + noise
             reads.append(values)
             # the reference reads the same pieces with every left half first
-            if parts[n].whole is None:  # the whole, its halves, their halves
-                ref_reads.append(np.concatenate((values[:3], values[3:][_left_first(4)])))
+            if parts[n].whole is None:  # the whole, its halves, maybe their halves
+                ref_reads.append(np.concatenate((values[:3], values[3:][_left_first(len(t0) - 3)])))
             else:
                 ref_reads.append(values[_left_first(len(t0))])
         stalls = _take([parts[n] for n in live], reads, DEFAULT.quad_tol)
@@ -332,6 +352,13 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
                 stalled += 1
             else:
                 assert stall is None
+    # the first read of a walk of 8 or more steps takes 7 pieces, of a
+    # shorter walk 3; the walk of 5 steps reads its 4 quarters next
+    assert read == {
+        1: [[7, 8, 16, 32, 64, 128], [3, 4, 4, 8, 12, 16, 4], [7, 4, 4, 4, 4], [3]],
+        2: [[7, 8, 16, 32, 64, 128], [3, 4, 8, 16, 24, 40, 24], [7, 8, 16, 32, 40, 4], [3]],
+        3: [[7, 8, 16, 32, 64, 128], [3, 4, 8, 16, 32, 44, 24], [7, 8, 16, 28, 44, 8], [3]],
+    }[k]
     assert stalled == 1 and parts[0].depth == 6  # 64 failed pieces at depth 6
     assert len(parts[2].accepted) > 3 and len(parts[3].accepted) == 1
     for part, ref in zip(parts, refs):

@@ -576,57 +576,128 @@ def _count_rows(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("coeffs, path, nodes, most", [
-    (["0", "-z"], polyline(1, 4), 112, 2),
+@pytest.mark.parametrize("coeffs, path, nodes, levels", [
+    (["0", "-z"], polyline(1, 4), 48, 2),
     (["0", "-1/z"], polyline(1, -1 + 0.5j), 176, 4),
     (["0", "-1/z"], polyline(1, -1 + 0.01j), 880, 9),
-    (["0", "0", "-z"], loop_path(0, 1.0, 1), 112, 2),
+    (["0", "0", "-z"], loop_path(0, 1.0, 1), 48, 2),
 ])
-def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, most):
+def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, levels):
     # nodes: as many as the recursive per-piece bisection read, so every
-    # accept decision is the same, and on a segment whose whole passes the
-    # 64 quarter nodes its first read took ahead; it took 3, 11, 55 and 3 reads
+    # accept decision is the same, and no node goes unused; levels: the
+    # levels of pieces read, the whole segment's first. The first read takes
+    # two levels, three on the walk of 17 steps, and each later read one;
+    # the per-piece bisection took 3, 11, 55 and 3 reads
     eq = DefiningEquation.from_strings(coeffs)
-    start = SurfacePoint(path.start_z, fiber_at(eq, path.start_z).roots[0])
+    lift = quad._Lift(eq, fiber_at(eq, path.start_z).roots, path, DEFAULT)
+    (part,) = lift.parts
+    long = len(part.walked.ts) - 1 >= quad._QUARTER_STEPS
+    assert long == (levels == 9)
     reads = _count_rows(monkeypatch)
-    surface_integral(eq, start, path)
-    assert reads["nodes"] == nodes
-    assert reads["calls"] <= most
+    quad._integrate([lift])
+    assert part.depth + 2 == levels
+    assert reads == {"calls": levels - 2 if long else levels - 1, "nodes": nodes}
 
 
 def test_an_integral_that_passes_at_the_first_test_takes_one_read(monkeypatch, sqrt_z):
-    # the first read takes the whole segment, its two halves and its four
-    # quarters; read a level at a time, the whole and the halves took a read each
+    # a walk of 3 steps: the first read takes the whole segment and its two
+    # halves, and no quarters, which it does not need
     reads = _count_rows(monkeypatch)
     values, _ = fiber_integral(sqrt_z, fiber_at(sqrt_z, 1).roots, polyline(1, 4))
-    assert (reads["calls"], reads["nodes"]) == (1, 7 * len(quad._GL_X))
+    assert (reads["calls"], reads["nodes"]) == (1, 3 * len(quad._GL_X))
     assert sorted(v.real for v in values) == pytest.approx([-14.0 / 3.0, 14.0 / 3.0], abs=1e-10)
 
 
 def test_an_integral_whose_halves_pass_at_the_second_test_takes_one_read(monkeypatch):
-    # 1/z from 1 to -1 + i: the whole fails its first test and both halves
-    # pass theirs, which the quarters read ahead decide with no second read
-    eq = DefiningEquation.from_strings(["0", "-1/z"])
-    path = polyline(1, -1 + 1j)
-    lift = quad._Lift(eq, fiber_at(eq, 1).roots, path, DEFAULT)
+    # W^2 = 1/z^3 from 1 to 9 is walked in 8 steps, so the first read takes
+    # the whole, its halves and its quarters; the whole fails its first test
+    # and both halves pass theirs, which the quarters read ahead decide with
+    # no second read
+    eq = DefiningEquation.from_strings(["0", "-1/z^3"])
+    lift = quad._Lift(eq, fiber_at(eq, 1).roots, polyline(1, 9), DEFAULT)
+    (part,) = lift.parts
+    assert len(part.walked.ts) - 1 == quad._QUARTER_STEPS == 8
     reads = _count_rows(monkeypatch)
     ((values, _, _),) = quad._integrate([lift])
-    (part,) = lift.parts
     assert (part.depth, len(part.accepted), part.ahead) == (1, 2, None)
     assert [len(v) for v, _ in part.accepted] == [2, 2]
     assert (reads["calls"], reads["nodes"]) == (1, 7 * len(quad._GL_X))
+    # the branch z^(-3/2) integrates to -2 z^(-1/2): from 1 to 9, 4/3
+    assert sorted(v.real for v in values) == pytest.approx([-4.0 / 3.0, 4.0 / 3.0], abs=1e-10)
+    assert all(abs(v.imag) <= 1e-12 for v in values)
+
+
+def test_a_short_walk_whose_whole_fails_reads_its_quarters_next(monkeypatch):
+    # 1/z from 1 to -1 + i is walked in 4 steps, so the first read takes the
+    # whole and its halves; the whole fails its first test, and its quarters,
+    # held by no read ahead, take a second read, in which both halves pass
+    eq = DefiningEquation.from_strings(["0", "-1/z"])
+    path = polyline(1, -1 + 1j)
+    lift = quad._Lift(eq, fiber_at(eq, 1).roots, path, DEFAULT)
+    (part,) = lift.parts
+    assert len(part.walked.ts) - 1 == 4
+    reads = _count_rows(monkeypatch)
+    ((values, _, _),) = quad._integrate([lift])
+    assert (part.depth, len(part.accepted), part.ahead) == (1, 2, None)
+    assert [len(v) for v, _ in part.accepted] == [2, 2]
+    assert (reads["calls"], reads["nodes"]) == (2, (3 + 4) * len(quad._GL_X))
     # W^2 = 1/z: the branch 1/sqrt(z) integrates to 2 sqrt(z)
     want = sorted([2 * (cmath.sqrt(-1 + 1j) - 1), -2 * (cmath.sqrt(-1 + 1j) - 1)],
                   key=lambda v: v.real)
     assert sorted(values, key=lambda v: v.real) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("quad_tol, calls, nodes", [
+    (DEFAULT.quad_tol, (14, 12, 14), (1776, 1968, 1712)),
+    (1e-17, (32, 28, 32), (25392, 25456, 25392)),
+])
+def test_integrals_do_not_depend_on_which_walks_read_their_quarters_ahead(
+        monkeypatch, quad_tol, calls, nodes):
+    # per equation one batch of walks of 3 to 17 steps, short and long ones
+    # passing at their first test and others splitting up to 8 levels deep;
+    # below round-off the deepest stalls. Every walk, none, or the rule's
+    # long walks read their quarters ahead: the reads differ, the values,
+    # error estimates and refusals do not. calls and nodes: the reads under
+    # the rule, with every walk and with none reading ahead; below round-off
+    # no piece passes its first test, so no quarters read ahead go unused
+    tol = DEFAULT.replace(quad_tol=quad_tol)
+    eqs = [DefiningEquation.from_strings(c)
+           for c in (["0", "-1/z"], ["0", "-1/z^3"], ["0", "-1/z^2"], ["0", "-z"])]
+    jobs = [(eqs[0], polyline(1, -1 + 0.01j)), (eqs[0], polyline(1, 2)),
+            (eqs[0], polyline(1, -1 + 1j)), (eqs[1], polyline(1, 9, 5j)),
+            (eqs[1], polyline(1, -3 + 1j)), (eqs[2], loop_path(0, 2.0, 1)),
+            (eqs[2], polyline(1, 4)), (eqs[3], loop_path(0, 1.0, 1))]
+
+    def run(threshold):
+        monkeypatch.setattr(quad, "_QUARTER_STEPS", threshold)
+        reads = _count_rows(monkeypatch)
+        out = []
+        for eq in eqs:
+            lifts = [quad._Lift(eq, fiber_at(eq, path.start_z).roots, path, tol)
+                     for e, path in jobs if e is eq]
+            try:
+                out.append([(_bits(v), _bits(e)) for v, e, _ in quad._integrate(lifts)])
+            except QuadratureStall as exc:
+                out.append(str(exc))
+        monkeypatch.undo()
+        return out, reads
+
+    rule, rule_reads = run(quad._QUARTER_STEPS)
+    every, every_reads = run(0)
+    none, none_reads = run(10 ** 9)
+    assert rule == every == none
+    assert any(isinstance(o, str) for o in rule) == (quad_tol < DEFAULT.quad_tol)
+    assert (rule_reads["calls"], every_reads["calls"], none_reads["calls"]) == calls
+    assert (rule_reads["nodes"], every_reads["nodes"], none_reads["nodes"]) == nodes
+
+
 def _level_at_a_time(lifts, quad_tol):
     """quad._integrate for lifts of one segment each, read a level at a
     time: a read of every whole segment alone, one of their halves and one
-    of their quarters, the first read's three levels, then one read of the
-    halves of every pending piece per level. A level whose rows a segment
-    holds ahead is read again, and the rows held must be the ones read."""
+    of their quarters, the most a first read takes (_take drops the quarters
+    of a segment that reads none ahead), then one read of the halves of
+    every pending piece per level. A level whose rows a segment holds ahead
+    is read again, and the rows held must be the ones read."""
     parts = [lift.parts[0] for lift in lifts]
     walked = [p.walked for p in parts]
     t0s, t1s, levels = [p.t0 for p in parts], [p.t1 for p in parts], []

@@ -362,6 +362,33 @@ def test_profile_cases_wall_times_the_lazily_imported_modules(tmp_path):
     assert calls["tracker._read"] > 0 and calls["tracker.SegmentTracker._step"] > 0
 
 
+def test_profile_cases_counts_the_rows_of_the_reads_per_case(tmp_path):
+    # a fresh interpreter, where the CLI imports tracker and quad only when
+    # the command runs: a contour check reads its circles' Gauss nodes, and
+    # the critical case in a second directory reads nothing
+    cases = tmp_path / "periods-seed1-trace0" / "cases"
+    cases.mkdir(parents=True)
+    (cases / "000.json").write_text(json.dumps({"k": 2, "coefficients": ["0", "-z^3+1"]}))
+    (cases / "000.argv").write_text(
+        "algebroid residues benchmark/out/periods-seed1-trace0/cases/000.json --contour-check\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "profile_cases.py"), str(ROOT), str(cases.parent),
+         str(_critical_case_dir(tmp_path)), "--rows"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    periods, critical = proc.stdout.split("critical-seed1-trace0: ")
+    assert periods.startswith("periods-seed1-trace0: cases 1, per case\n")
+    read = re.search(r"tracker\._read +calls +(\S+) +rows +(\S+)\n", periods)
+    quad = re.search(r"quadrature +reads +(\S+) +rows +(\S+)\n", periods)
+    arc = re.search(r"^ +Arc +rows +(\S+)$", periods, re.MULTILINE)
+    assert float(read[1]) > 0 and float(quad[1]) > 0
+    assert float(read[2]) >= float(quad[2]) == float(arc[1]) > 0
+    assert float(quad[2]) % 16 == 0  # whole pieces of the 16-point rule
+    assert critical.startswith("cases 1, per case\n")
+    assert re.search(r"quadrature +reads +0\.000 +rows +0\.0\n", critical)
+
+
 def _ab_cases(directory, a, b) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_cases.py"), str(a), str(b),
