@@ -14,12 +14,14 @@ With --only it replays only the cases whose stem matches REGEX (re.search),
 such as ``-k2-j`` for one slot.
 
 ``compare`` prints the number of cases, how many have byte-identical output,
-the exit-code differences, the tally of exit codes on each side (a is A.json,
-b is B.json), the number of non-numeric differences with one line per key
-path (the case and the list indices dropped): the first case's full path,
-then "and N more at KEY" when there are more, the largest |dx| / max(1, |x|)
-over the numbers of the JSON reports, and every key path whose number moves
-by more than 1e-13 * max(1, |x|), with the count of cases in which it moves.
+the names of the first SHOWN cases whose output is not byte-identical, then
+"and N more" when there are more, the exit-code differences, the tally of
+exit codes on each side (a is A.json, b is B.json), the number of
+non-numeric differences with one line per key path (the case and the list
+indices dropped): the first case's full path, then "and N more at KEY" when
+there are more, the largest |dx| / max(1, |x|) over the numbers of the JSON
+reports, and every key path whose number moves by more than
+1e-13 * max(1, |x|), with the count of cases in which it moves.
 An audit's discrepancies (results.pairs[].discrepancy and
 results.max_discrepancy), each a difference of two c values, are measured
 against max(1, the largest |c value| of the same report) in place of
@@ -43,6 +45,7 @@ import sys
 from pathlib import Path
 
 REL_TOL = 1e-13
+SHOWN = 10  # the most cases compare names of those whose output differs
 # a decimal float inside a string: digits with a fraction, an exponent or both
 FLOAT = re.compile(r"[-+]?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 
@@ -139,7 +142,7 @@ def exit_tally(cases: dict) -> str:
 
 
 def compare(a: dict, b: dict) -> dict:
-    found = {"cases": len(a.keys() | b.keys()), "identical": 0, "exit": [],
+    found = {"cases": len(a.keys() | b.keys()), "identical": 0, "different": [], "exit": [],
              "non_numeric": {}, "largest": (0.0, None), "moved": {}}
     for case in sorted(a.keys() | b.keys()):
         if case not in a or case not in b:
@@ -152,6 +155,7 @@ def compare(a: dict, b: dict) -> dict:
         if x["stdout"] == y["stdout"]:
             found["identical"] += 1
             continue
+        found["different"].append(case)
         try:
             report = json.loads(x["stdout"])
             _diff(report, json.loads(y["stdout"]), case, found, case, scales=_scales(report))
@@ -174,6 +178,11 @@ def main(argv: list) -> int:
         found = compare(a, b)
         rel, where = found["largest"]
         print(f"cases {found['cases']}, byte-identical {found['identical']}")
+        different = found["different"]
+        if different:
+            more = len(different) - SHOWN
+            print(f"not byte-identical {len(different)}", *different[:SHOWN],
+                  *([f"and {more} more"] if more > 0 else []), sep="\n  ")
         print(f"exit-code differences {len(found['exit'])}", *found["exit"], sep="\n  ")
         print(f"exit codes in a: {exit_tally(a)}", f"exit codes in b: {exit_tally(b)}", sep="\n")
         non_numeric = found["non_numeric"]

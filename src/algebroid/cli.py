@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 from .config import DEFAULT, Tolerances
 from .errors import AlgebroidError, SchemaError, in_order
+from .exactalg import _MAX_DEGREE
 from .paths import Arc, BasePath, Line, SurfacePoint, loop_path, same_z
 from .surface import DefiningEquation, fiber_at, monodromy
 
@@ -144,7 +145,7 @@ def parse_path_json(segments, where="path") -> BasePath:
                               for idx, seg in enumerate(segments)))
     except SchemaError:
         raise
-    except ValueError as exc:  # an arc radius <= 0, or segments that do not join
+    except ValueError as exc:  # a bad arc radius or sweep, or segments that do not join
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -340,9 +341,12 @@ def _fit_flags(problem: Problem, args,
     dn, dd = args.num_degree, args.den_degree
     if (dn is None) != (dd is None):
         raise SchemaError("--num-degree and --den-degree must be given together")
+    # at most the parser's degree cap: a fit's retry grid holds 4 points per
+    # circle per unit of the larger bound, and a fit that converges nowhere
+    # scans every pair of degrees
     for flag, value in (("--num-degree", dn), ("--den-degree", dd)):
-        if value is not None and value < 0:
-            raise SchemaError(f"{flag} must be at least 0, got {value}")
+        if value is not None and not 0 <= value <= _MAX_DEGREE:
+            raise SchemaError(f"{flag} must be from 0 to {_MAX_DEGREE}, got {value}")
     inputs["constant"] = _cpx(c)
     return start, c, None if dn is None else (dn, dd)
 
@@ -600,8 +604,10 @@ def _build_parser() -> argparse.ArgumentParser:
     start_flags.add_argument("--start-w", metavar="RE[,IM]")
     fit_flags = argparse.ArgumentParser(add_help=False, parents=[start_flags])
     fit_flags.add_argument("--constant", default="0", metavar="RE[,IM]")
-    fit_flags.add_argument("--num-degree", type=int, default=None)
-    fit_flags.add_argument("--den-degree", type=int, default=None)
+    fit_flags.add_argument("--num-degree", type=int, default=None,
+                           help=f"0 to {_MAX_DEGREE}; with --den-degree")
+    fit_flags.add_argument("--den-degree", type=int, default=None,
+                           help=f"0 to {_MAX_DEGREE}; with --num-degree")
 
     def add(name, run, help_text, *flag_groups):
         p = sub.add_parser(name, help=help_text, parents=flag_groups)

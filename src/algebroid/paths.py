@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# an arc may sweep at most this many turns: its walk keeps every knot, about
+# 2.5 KB a turn on W^2 = z
+_MAX_TURNS = 4096
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ class Line:
 
 @dataclass(frozen=True)
 class Arc:
-    """Circular arc; theta runs monotonically and may sweep several turns."""
+    """Circular arc; theta runs monotonically and may sweep several turns,
+    at most _MAX_TURNS."""
 
     center: complex
     radius: float
@@ -86,6 +90,8 @@ class Arc:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("arc radius must be positive")
+        if abs(self.theta_to - self.theta_from) > _TWO_PI * _MAX_TURNS:
+            raise ValueError(f"arc sweeps more than {_MAX_TURNS} turns")
 
     @property
     def start(self) -> complex:

@@ -3,13 +3,12 @@
 The integrand w(z) dz is evaluated on the tracked branch; each segment is
 integrated by 16-point Gauss-Legendre quadrature with adaptive bisection
 until the whole-piece and two-half estimates agree. Bisection runs over
-the whole fiber: the first read takes the whole segment and its halves,
-and also its quarters when the segment was walked in at least
-_QUARTER_STEPS steps, so a long segment, whose whole almost always fails,
-takes its second level with no read, while a short one, whose whole almost
-always passes, reads no quarters it does not use; each later read takes
-the halves of the pieces that failed, and a piece is split until every
-sheet passes its own test. When a row is read changes no value.
+the whole fiber: a segment walked in fewer than _SPLIT_STEPS steps, whose
+whole almost always passes, starts at its whole piece, and a longer one,
+whose whole almost always fails, starts at its two halves; the first read
+takes the starting pieces and their halves, each later read the halves of
+the pieces that failed, and a piece is split until every sheet passes its
+own test.
 fiber_integral returns the whole fiber's integrals, and surface_integral is
 one sheet's column of them. Because admissible paths keep a margin from the critical
 set, the integrand is analytic and the per-piece rule converges spectrally.
@@ -96,10 +95,10 @@ _GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 _MAX_DEPTH = 30
 _MAX_PIECES = 1 << 6
 # a walk of at least this many accepted steps, half the rule's nodes, almost
-# always fails its whole-piece test (on the seed-1 benchmark cases every arc
-# walked in 8 or more steps split, and 252 of 253 shorter walks passed), so
-# only such a walk's first read takes its quarters
-_QUARTER_STEPS = len(_GL_X) // 2
+# always fails its whole-piece test (on the seed-1 periods and antiderivative
+# benchmark cases 661 of 671 such walks split, and 1,941 of 1,966 shorter
+# walks passed), so such a walk starts its bisection at its halves
+_SPLIT_STEPS = len(_GL_X) // 2
 
 
 @dataclass(frozen=True)
@@ -174,39 +173,35 @@ def _halves(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _Bisection:
     """Adaptive bisection of one walked segment: its pending pieces [t0, t1]
-    with their whole-piece values (None before the first read, which takes
-    the whole segment and its halves, and its quarters too when the walk
-    took at least _QUARTER_STEPS accepted steps), the rows of its next level
-    when the first read took them ahead (else None), and the sums of values
-    and error estimates it accepted at each level (_take). A piece is split
-    until every fiber position passes its own test.
+    at level depth with their whole-piece values (None before the first
+    read), and the sums of values and error estimates it accepted at each
+    level (_take). A piece is split until every fiber position passes its
+    own test.
 
     Almost every short walk passes at its first test, and almost every long
-    one fails it, so only a long walk's first read takes its quarters; a
-    short walk whose whole fails reads them in the next read, as any later
-    level. Which pieces pass, and the order their values are summed in, do
-    not depend on when a row is read."""
+    one fails it, so a walk of at least _SPLIT_STEPS accepted steps starts at
+    its two halves, at depth 1, and is never tested whole: where its whole
+    would have passed, it takes the value of its halves, within the same
+    tolerance. Its halves and quarters are the pieces, and their sums the
+    sums, that a start at the whole takes once the whole fails."""
 
-    __slots__ = ("walked", "tol_abs", "quarters", "t0", "t1", "whole", "ahead", "depth",
-                 "accepted", "done")
+    __slots__ = ("walked", "tol_abs", "t0", "t1", "whole", "depth", "accepted", "done")
 
     def __init__(self, walked: _WalkedSegment, share: float, tol: Tolerances):
         self.walked, self.tol_abs = walked, tol.quad_tol * max(share, 1e-3)
-        self.quarters = len(walked.ts) - 1 >= _QUARTER_STEPS
-        self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
+        self.t0, self.t1, self.whole = np.zeros(1), np.ones(1), None
         self.depth, self.accepted, self.done = 0, [], False
+        if len(walked.ts) - 1 >= _SPLIT_STEPS:
+            self.t0, self.t1 = _halves(self.t0, self.t1)
+            self.depth = 1
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """The pieces its next read needs: the two halves of each pending
-        piece in turn; on the first read the pending pieces themselves before
-        them, and the halves of those halves after them when it reads its
-        quarters."""
+        piece in turn, after the pending pieces themselves on the first
+        read."""
         t0, t1 = _halves(self.t0, self.t1)
         if self.whole is None:
-            levels = [(self.t0, self.t1), (t0, t1)]
-            if self.quarters:
-                levels.append(_halves(t0, t1))
-            return tuple(map(np.concatenate, zip(*levels)))
+            return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
         return t0, t1
 
 
@@ -216,23 +211,18 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray], quad_tol: fl
     once a level would hold more pieces than a convergent integral needs, or
     None.
 
-    A part's first read holds its whole pieces in its first rows, which it
-    takes as whole before the test, and, when it reads its quarters, the
-    halves of its halves in its last rows. The test of every pending piece
-    of every part is one array pass; each part then sums the values and
-    error estimates of its accepted pieces (the same sums, in the same order,
-    as a part taken alone) and keeps its failed pieces, halves as wholes, for
-    the next level, with the rows of their halves in ahead when its first
-    read took them; a part whose first read took no quarters holds none.
+    A part's first read holds its pending pieces in its first rows, which it
+    takes as whole before the test. The test of every pending piece of every
+    part is one array pass; each part then sums the values and error
+    estimates of its accepted pieces (the same sums, in the same order, as a
+    part taken alone) and keeps its failed pieces, halves as wholes, for the
+    next level.
     """
     stalls = [None] * len(parts)
-    reads, quarters = list(reads), [None] * len(parts)
+    reads = list(reads)
     for n, part in enumerate(parts):
         if part.whole is None:
-            p = len(part.t0)
-            part.whole, reads[n], ahead = np.split(reads[n], [p, 3 * p])
-            quarters[n] = ahead if part.quarters else None
-        part.ahead = None
+            part.whole, reads[n] = np.split(reads[n], [len(part.t0)])
     t0, t1 = np.concatenate([p.t0 for p in parts]), np.concatenate([p.t1 for p in parts])
     tm = 0.5 * (t0 + t1)
     pairs = np.concatenate(reads).reshape(len(t0), 2, -1)
@@ -267,8 +257,6 @@ def _take(parts: Sequence[_Bisection], reads: Sequence[np.ndarray], quad_tol: fl
         part.depth += 1
         keep = slice(2 * at[lo], 2 * at[hi])
         part.t0, part.t1, part.whole = next_t0[keep], next_t1[keep], next_whole[keep]
-        if quarters[n] is not None:
-            part.ahead = quarters[n].reshape(len(good), 4, -1)[~good].reshape(-1, pairs.shape[2])
     return stalls
 
 
@@ -321,20 +309,18 @@ def _integrate(lifts: Sequence[_Lift]) -> list:
     """Integrals of w dz on every fiber position along each lift, all of one
     equation under one Tolerances: per lift its _Lift.result.
 
-    The next pieces of every pending segment of every lift (the whole
-    segment and its halves at first, with its quarters when its walk was
-    long, then the halves of the failed pieces) are read in one _gauss call
-    and tested in one _take pass; a segment that holds its next level's rows
-    ahead is left out of the read, and a level that every pending segment
-    holds is not read. The first refusal met is raised.
+    The next pieces of every pending segment of every lift (its starting
+    pieces and their halves at first, then the halves of the failed pieces)
+    are read in one _gauss call and tested in one _take pass. The first
+    refusal met is raised: a segment that starts at its halves takes each
+    level a read before one that starts whole, so of two that stall at one
+    level, it meets its refusal first.
     """
     while True:
         active = [part for lift in lifts for part in lift.parts if not part.done]
         if not active:
             return [lift.result() for lift in lifts]
-        due = [part for part in active if part.ahead is None]
-        got = iter(_gauss([p.walked for p in due], *zip(*(p.pieces() for p in due))) if due else [])
-        reads = [next(got) if part.ahead is None else part.ahead for part in active]
+        reads = _gauss([p.walked for p in active], *zip(*(p.pieces() for p in active)))
         for stall in _take(active, reads, active[0].walked.tol.quad_tol):
             if stall is not None:
                 raise stall

@@ -452,6 +452,13 @@ def _with_arc_radius(radius):
     return dict(SQRT_Z, paths={"bad": [arc]})
 
 
+# the arc sweeps: 10^9 turns, and just over the 4,096 an arc may take
+SWEEP_OF_1E9_TURNS = dict(SQRT_Z, paths={"long": [{"arc": {
+    "center": [0, 0], "radius": 1.0, "theta_from": 0.0, "theta_to": 2e9 * math.pi}}]})
+SWEEP_OVER_THE_CAP = json.dumps([{"arc": {
+    "center": [0, 0], "radius": 1.0, "theta_from": 0.0, "theta_to": 2 * math.pi * 4096 + 1e-9}}])
+
+
 @pytest.mark.parametrize("problem, argv", [
     (SQRT_Z, ["--tol", "quad_tol=abc", "critical", PROBLEM]),
     (SQRT_Z, ["--tol", "replace=1", "critical", PROBLEM]),
@@ -479,6 +486,13 @@ def _with_arc_radius(radius):
     (_with_arc_radius(True), ["critical", PROBLEM]),
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "-1", "--den-degree", "2"]),
     (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "2", "--den-degree", "-1"]),
+    # refused before a grid of 4 * 513 points per circle is built
+    (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "513", "--den-degree", "1"]),
+    (SQRT_Z, ["antiderivative", PROBLEM, "--num-degree", "1", "--den-degree", "513"]),
+    # refused before any walk: a walk of 4,097 turns takes about a second
+    (SWEEP_OF_1E9_TURNS, ["critical", PROBLEM]),
+    (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,1,4097"]),
+    (SQRT_Z, ["integrate", PROBLEM, "--path-json", SWEEP_OVER_THE_CAP]),
     # refused before the power is computed, which would exhaust memory
     ({"k": 2, "coefficients": ["0", "-z^100000000"]}, ["critical", PROBLEM]),
     ({"k": 2, "coefficients": ["0", "-((z+1)^64)^64"]}, ["critical", PROBLEM]),
@@ -507,7 +521,9 @@ def _with_arc_radius(radius):
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
         "puiseux-radius-over-gap", "residues-radius-over-gap", "tol-n-max-below-k",
         "tol-zero", "tol-negative", "k-bool", "json-base-bool", "json-arc-radius-bool",
-        "num-degree-negative", "den-degree-negative", "exponent-above-cap",
+        "num-degree-negative", "den-degree-negative", "num-degree-above-cap",
+        "den-degree-above-cap", "arc-sweep-above-cap", "loop-turns-above-cap",
+        "path-json-sweep-above-cap", "exponent-above-cap",
         "nested-power-above-degree-cap", "parentheses-too-deep", "integer-literal-too-long",
         "monodromy-empty-path", "monodromy-open-path", "integrate-path-off-start",
         "audit-path-off-start", "audit-path-off-target", "audit-empty-path-off-target",

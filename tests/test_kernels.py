@@ -226,18 +226,19 @@ def test_gauss_values_are_bit_identical_to_the_per_segment_form(sqrt_z):
 
 
 class _Reference:
-    """_Bisection as it took its values alone, a level at a time: pieces()
-    with every left half before every right half, after the whole segment on
-    the first read, and before the halves of those halves, which that read
-    takes ahead when the walk took at least 8 steps; and take, of the whole,
-    then of each level's halves, the second level's from the rows taken
-    ahead when there are any."""
+    """_Bisection as it took its values alone, a level at a time, from the
+    whole segment, or from its two halves at depth 1 when the walk took at
+    least 8 steps: pieces() with every left half before every right half,
+    after the starting pieces on the first read; and take, of the starting
+    pieces, then of each level's halves."""
 
     def __init__(self, steps, share, tol):
-        self.quarters = steps >= 8
         self.quad_tol, self.tol_abs = tol.quad_tol, tol.quad_tol * max(share, 1e-3)
-        self.t0, self.t1, self.whole, self.ahead = np.zeros(1), np.ones(1), None, None
+        self.t0, self.t1, self.whole = np.zeros(1), np.ones(1), None
         self.depth, self.accepted, self.done = 0, [], False
+        if steps >= 8:
+            self.t0, self.t1 = self._halves(self.t0, self.t1)
+            self.depth = 1
 
     @staticmethod
     def _halves(t0, t1):
@@ -246,19 +247,13 @@ class _Reference:
 
     def pieces(self):
         t0, t1 = self._halves(self.t0, self.t1)
-        if self.whole is None and self.quarters:
-            q0, q1 = self._halves(t0, t1)
-            return np.concatenate((self.t0, t0, q0)), np.concatenate((self.t1, t1, q1))
         if self.whole is None:
             return np.concatenate((self.t0, t0)), np.concatenate((self.t1, t1))
         return t0, t1
 
-    def take(self, values=None):
-        if values is None:  # the level taken ahead
-            values, self.ahead = self.ahead, None
-        elif self.whole is None:  # one whole piece, its halves, maybe their halves
-            self.whole, values, ahead = np.split(values, [1, 3])
-            self.ahead = ahead if self.quarters else None
+    def take(self, values):
+        if self.whole is None:  # the starting pieces, then their halves
+            self.whole, values = np.split(values, [len(self.t0)])
         t0, t1 = self.t0, self.t1
         tm = 0.5 * (t0 + t1)
         left, right = np.split(values, 2)
@@ -308,9 +303,9 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
     # level by level: each piece's value is its exact integral plus a noise
     # of amp * length**power, so a piece passes once it is short enough; the
     # first segment's noise never lets a piece pass, until a level would
-    # hold too many pieces. Only the walks of 21 and 8 steps read their
-    # quarters in their first read; the walk of 5, whose whole fails, reads
-    # them in its second
+    # hold too many pieces. The walks of 21 and 8 steps start at their
+    # halves, and read their quarters in their first read; the walk of 5,
+    # whose whole fails, reads them in its second
     steps, shares = [21, 5, 8, 7], [0.5, 0.25, 0.2, 0.05]
     amp, power = [1e-6, 3e-10, 3e-10, 1e-17], [0.5, 2, 2, 0]
     parts = [_Bisection(SimpleNamespace(ts=np.linspace(0.0, 1.0, n + 1)), share, DEFAULT)
@@ -324,12 +319,6 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
             break
         reads, ref_reads = [], []
         for n in live:
-            if parts[n].ahead is not None:  # the level its first read took ahead
-                assert refs[n].ahead is not None
-                reads.append(parts[n].ahead)
-                ref_reads.append(None)
-                continue
-            assert refs[n].ahead is None
             t0, t1 = parts[n].pieces()
             r0, r1 = refs[n].pieces()
             assert sorted(zip(_bits(t0), _bits(t1))) == sorted(zip(_bits(r0), _bits(r1)))
@@ -338,8 +327,9 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
             values = _integrand(t1, k) - _integrand(t0, k) + noise
             reads.append(values)
             # the reference reads the same pieces with every left half first
-            if parts[n].whole is None:  # the whole, its halves, maybe their halves
-                ref_reads.append(np.concatenate((values[:3], values[3:][_left_first(len(t0) - 3)])))
+            if parts[n].whole is None:  # the starting pieces, then their halves
+                p = len(parts[n].t0)
+                ref_reads.append(np.concatenate((values[:p], values[p:][_left_first(len(t0) - p)])))
             else:
                 ref_reads.append(values[_left_first(len(t0))])
         stalls = _take([parts[n] for n in live], reads, DEFAULT.quad_tol)
@@ -352,14 +342,17 @@ def test_bisection_levels_are_bit_identical_to_the_per_segment_take(k):
                 stalled += 1
             else:
                 assert stall is None
-    # the first read of a walk of 8 or more steps takes 7 pieces, of a
-    # shorter walk 3; the walk of 5 steps reads its 4 quarters next
+    # the first read of a walk of 8 or more steps takes 6 pieces, its halves
+    # and quarters, of a shorter walk 3; the walk of 5 steps reads its 4
+    # quarters next
     assert read == {
-        1: [[7, 8, 16, 32, 64, 128], [3, 4, 4, 8, 12, 16, 4], [7, 4, 4, 4, 4], [3]],
-        2: [[7, 8, 16, 32, 64, 128], [3, 4, 8, 16, 24, 40, 24], [7, 8, 16, 32, 40, 4], [3]],
-        3: [[7, 8, 16, 32, 64, 128], [3, 4, 8, 16, 32, 44, 24], [7, 8, 16, 28, 44, 8], [3]],
+        1: [[6, 8, 16, 32, 64, 128], [3, 4, 4, 8, 12, 16, 4], [6, 4, 4, 4, 4], [3]],
+        2: [[6, 8, 16, 32, 64, 128], [3, 4, 8, 16, 24, 40, 24], [6, 8, 16, 32, 40, 4], [3]],
+        3: [[6, 8, 16, 32, 64, 128], [3, 4, 8, 16, 32, 44, 24], [6, 8, 16, 28, 44, 8], [3]],
     }[k]
     assert stalled == 1 and parts[0].depth == 6  # 64 failed pieces at depth 6
+    # a level accepted per read: the walk of 8 steps, from its halves, more than 3
+    assert [len(part.accepted) for part in parts[1:]] == [len(r) for r in read[1:]]
     assert len(parts[2].accepted) > 3 and len(parts[3].accepted) == 1
     for part, ref in zip(parts, refs):
         assert part.done == ref.done and part.depth == ref.depth

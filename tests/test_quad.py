@@ -579,24 +579,25 @@ def _count_rows(monkeypatch):
 @pytest.mark.parametrize("coeffs, path, nodes, levels", [
     (["0", "-z"], polyline(1, 4), 48, 2),
     (["0", "-1/z"], polyline(1, -1 + 0.5j), 176, 4),
-    (["0", "-1/z"], polyline(1, -1 + 0.01j), 880, 9),
+    (["0", "-1/z"], polyline(1, -1 + 0.01j), 864, 8),
     (["0", "0", "-z"], loop_path(0, 1.0, 1), 48, 2),
 ])
 def test_bisection_reads_one_batch_per_level(monkeypatch, coeffs, path, nodes, levels):
-    # nodes: as many as the recursive per-piece bisection read, so every
-    # accept decision is the same, and no node goes unused; levels: the
-    # levels of pieces read, the whole segment's first. The first read takes
-    # two levels, three on the walk of 17 steps, and each later read one;
-    # the per-piece bisection took 3, 11, 55 and 3 reads
+    # nodes: as many as the recursive per-piece bisection read below its
+    # starting level, so every accept decision is the same, and no node goes
+    # unused; levels: the levels of pieces read, the starting one first: the
+    # whole segment, or its halves on the walk of 17 steps. The first read
+    # takes two levels, and each later read one; the per-piece bisection
+    # took 3, 11, 55 and 3 reads
     eq = DefiningEquation.from_strings(coeffs)
     lift = quad._Lift(eq, fiber_at(eq, path.start_z).roots, path, DEFAULT)
     (part,) = lift.parts
-    long = len(part.walked.ts) - 1 >= quad._QUARTER_STEPS
-    assert long == (levels == 9)
+    long = len(part.walked.ts) - 1 >= quad._SPLIT_STEPS
+    assert long == (levels == 8) and part.depth == long
     reads = _count_rows(monkeypatch)
     quad._integrate([lift])
-    assert part.depth + 2 == levels
-    assert reads == {"calls": levels - 2 if long else levels - 1, "nodes": nodes}
+    assert part.depth + 2 == levels + long
+    assert reads == {"calls": levels - 1, "nodes": nodes}
 
 
 def test_an_integral_that_passes_at_the_first_test_takes_one_read(monkeypatch, sqrt_z):
@@ -609,36 +610,38 @@ def test_an_integral_that_passes_at_the_first_test_takes_one_read(monkeypatch, s
 
 
 def test_an_integral_whose_halves_pass_at_the_second_test_takes_one_read(monkeypatch):
-    # W^2 = 1/z^3 from 1 to 9 is walked in 8 steps, so the first read takes
-    # the whole, its halves and its quarters; the whole fails its first test
-    # and both halves pass theirs, which the quarters read ahead decide with
-    # no second read
+    # W^2 = 1/z^3 from 1 to 9 is walked in 8 steps, so its bisection starts
+    # at its halves, at depth 1, and the first read takes its halves and its
+    # quarters; the halves pass the second level's test, its first, with no
+    # second read
     eq = DefiningEquation.from_strings(["0", "-1/z^3"])
     lift = quad._Lift(eq, fiber_at(eq, 1).roots, polyline(1, 9), DEFAULT)
     (part,) = lift.parts
-    assert len(part.walked.ts) - 1 == quad._QUARTER_STEPS == 8
+    assert len(part.walked.ts) - 1 == quad._SPLIT_STEPS == 8
+    assert (part.depth, part.whole) == (1, None)
     reads = _count_rows(monkeypatch)
     ((values, _, _),) = quad._integrate([lift])
-    assert (part.depth, len(part.accepted), part.ahead) == (1, 2, None)
-    assert [len(v) for v, _ in part.accepted] == [2, 2]
-    assert (reads["calls"], reads["nodes"]) == (1, 7 * len(quad._GL_X))
+    assert (part.depth, len(part.accepted)) == (1, 1)
+    assert [len(v) for v, _ in part.accepted] == [2]
+    assert (reads["calls"], reads["nodes"]) == (1, 6 * len(quad._GL_X))
     # the branch z^(-3/2) integrates to -2 z^(-1/2): from 1 to 9, 4/3
     assert sorted(v.real for v in values) == pytest.approx([-4.0 / 3.0, 4.0 / 3.0], abs=1e-10)
     assert all(abs(v.imag) <= 1e-12 for v in values)
 
 
 def test_a_short_walk_whose_whole_fails_reads_its_quarters_next(monkeypatch):
-    # 1/z from 1 to -1 + i is walked in 4 steps, so the first read takes the
-    # whole and its halves; the whole fails its first test, and its quarters,
-    # held by no read ahead, take a second read, in which both halves pass
+    # 1/z from 1 to -1 + i is walked in 4 steps, so its bisection starts at
+    # its whole, and the first read takes the whole and its halves; the whole
+    # fails its first test, and its quarters take a second read, in which
+    # both halves pass
     eq = DefiningEquation.from_strings(["0", "-1/z"])
     path = polyline(1, -1 + 1j)
     lift = quad._Lift(eq, fiber_at(eq, 1).roots, path, DEFAULT)
     (part,) = lift.parts
-    assert len(part.walked.ts) - 1 == 4
+    assert len(part.walked.ts) - 1 == 4 and part.depth == 0
     reads = _count_rows(monkeypatch)
     ((values, _, _),) = quad._integrate([lift])
-    assert (part.depth, len(part.accepted), part.ahead) == (1, 2, None)
+    assert (part.depth, len(part.accepted)) == (1, 2)
     assert [len(v) for v, _ in part.accepted] == [2, 2]
     assert (reads["calls"], reads["nodes"]) == (2, (3 + 4) * len(quad._GL_X))
     # W^2 = 1/z: the branch 1/sqrt(z) integrates to 2 sqrt(z)
@@ -647,61 +650,110 @@ def test_a_short_walk_whose_whole_fails_reads_its_quarters_next(monkeypatch):
     assert sorted(values, key=lambda v: v.real) == pytest.approx(want, abs=1e-10)
 
 
-@pytest.mark.parametrize("quad_tol, calls, nodes", [
-    (DEFAULT.quad_tol, (14, 12, 14), (1776, 1968, 1712)),
-    (1e-17, (32, 28, 32), (25392, 25456, 25392)),
+# per equation one batch: its walks in order, each named and with its step count
+START_BATCHES = {
+    "1/z": [(polyline(1, -1 + 0.01j), [("1 -> -1+0.01i", 17)]),
+            (polyline(1, 2), [("1 -> 2", 2)]),
+            (polyline(1, -1 + 1j), [("1 -> -1+i", 4)])],
+    "1/z^3": [(polyline(1, 9, 5j), [("1 -> 9", 8), ("9 -> 5i", 6)]),
+              (polyline(1, -3 + 1j), [("1 -> -3+i", 17)])],
+    "1/z^2": [(loop_path(0, 2.0, 1), [("circle of radius 2", 13)]),
+              (polyline(1, 4), [("1 -> 4", 4)])],
+    "z": [(loop_path(0, 1.0, 1), [("circle of radius 1", 7)])],
+}
+
+
+@pytest.mark.parametrize("quad_tol, calls, nodes, stalls", [
+    (DEFAULT.quad_tol, (12, 14, 12), (1712, 1712, 1824), None),
+    (1e-17, (30, 32, 28), (24624, 25392, 25312), {
+        "1/z": "1 -> -1+i", "1/z^3": "9 -> 5i", "1/z^2": "circle of radius 2",
+        "z": "circle of radius 1"}),
 ])
-def test_integrals_do_not_depend_on_which_walks_read_their_quarters_ahead(
-        monkeypatch, quad_tol, calls, nodes):
-    # per equation one batch of walks of 3 to 17 steps, short and long ones
-    # passing at their first test and others splitting up to 8 levels deep;
-    # below round-off the deepest stalls. Every walk, none, or the rule's
-    # long walks read their quarters ahead: the reads differ, the values,
-    # error estimates and refusals do not. calls and nodes: the reads under
-    # the rule, with every walk and with none reading ahead; below round-off
-    # no piece passes its first test, so no quarters read ahead go unused
+def test_the_start_moves_only_a_walk_whose_whole_passes(
+        monkeypatch, quad_tol, calls, nodes, stalls):
+    # each batch runs with the rule, with every walk starting at its whole
+    # and with every walk starting at its halves. A walk whose whole fails
+    # its first test takes the same pieces from either start, so the same
+    # values and error estimates, bit for bit; one whose whole passes takes
+    # the value of its halves from its whole, and from its halves a value no
+    # further from that than the two error estimates summed. Below
+    # round-off every batch stalls: starting every walk a level deeper
+    # raises the same refusal, while under the rule a long walk, a level
+    # ahead of the short ones in every read, may meet its refusal first.
+    # calls and nodes: the reads under the rule, from the whole and from the
+    # halves; stalls: the walk whose refusal each batch raises in the last
+    # two runs
     tol = DEFAULT.replace(quad_tol=quad_tol)
-    eqs = [DefiningEquation.from_strings(c)
-           for c in (["0", "-1/z"], ["0", "-1/z^3"], ["0", "-1/z^2"], ["0", "-z"])]
-    jobs = [(eqs[0], polyline(1, -1 + 0.01j)), (eqs[0], polyline(1, 2)),
-            (eqs[0], polyline(1, -1 + 1j)), (eqs[1], polyline(1, 9, 5j)),
-            (eqs[1], polyline(1, -3 + 1j)), (eqs[2], loop_path(0, 2.0, 1)),
-            (eqs[2], polyline(1, 4)), (eqs[3], loop_path(0, 1.0, 1))]
 
     def run(threshold):
-        monkeypatch.setattr(quad, "_QUARTER_STEPS", threshold)
+        monkeypatch.setattr(quad, "_SPLIT_STEPS", threshold)
         reads = _count_rows(monkeypatch)
-        out = []
-        for eq in eqs:
-            lifts = [quad._Lift(eq, fiber_at(eq, path.start_z).roots, path, tol)
-                     for e, path in jobs if e is eq]
-            try:
-                out.append([(_bits(v), _bits(e)) for v, e, _ in quad._integrate(lifts)])
-            except QuadratureStall as exc:
-                out.append(str(exc))
-        monkeypatch.undo()
-        return out, reads
+        take, first = quad._take, []
 
-    rule, rule_reads = run(quad._QUARTER_STEPS)
-    every, every_reads = run(0)
-    none, none_reads = run(10 ** 9)
-    assert rule == every == none
-    assert any(isinstance(o, str) for o in rule) == (quad_tol < DEFAULT.quad_tol)
-    assert (rule_reads["calls"], every_reads["calls"], none_reads["calls"]) == calls
-    assert (rule_reads["nodes"], every_reads["nodes"], none_reads["nodes"]) == nodes
+        def taking(parts, rows, quad_tol):  # the part whose refusal the read raises
+            stalls = take(parts, rows, quad_tol)
+            first[:] = [(p, str(e)) for p, e in zip(parts, stalls) if e is not None][:1]
+            return stalls
+
+        monkeypatch.setattr(quad, "_take", taking)
+        walks, raised = {}, {}
+        for name, batch in START_BATCHES.items():
+            eq = DefiningEquation.from_strings(["0", "-" + name])
+            lifts = [quad._Lift(eq, fiber_at(eq, path.start_z).roots, path, tol)
+                     for path, _ in batch]
+            parts = [part for lift in lifts for part in lift.parts]
+            walked = [walk for _, segs in batch for walk in segs]
+            assert [len(part.walked.ts) - 1 for part in parts] == [steps for _, steps in walked]
+            try:
+                quad._integrate(lifts)
+            except QuadratureStall as exc:
+                ((part, message),) = first
+                assert str(exc) == message
+                raised[name] = (walked[parts.index(part)][0], message)
+                continue
+            for part, (label, steps) in zip(parts, walked):
+                value = sum((v for v, _ in part.accepted), np.zeros(eq.k, dtype=complex))
+                err = sum((e for _, e in part.accepted), np.zeros(eq.k))
+                walks[f"{name}: {label}"] = (steps, part.depth, value, err)
+        monkeypatch.undo()
+        return walks, raised, (reads["calls"], reads["nodes"])
+
+    rule, rule_raised, rule_reads = run(quad._SPLIT_STEPS)
+    whole, whole_raised, whole_reads = run(10 ** 9)
+    halves, halves_raised, halves_reads = run(0)
+    assert (rule_reads, whole_reads, halves_reads) == tuple(zip(calls, nodes))
+    if stalls is not None:
+        assert (rule, whole, halves) == ({}, {}, {})
+        assert whole_raised == halves_raised
+        assert {name: label for name, (label, _) in whole_raised.items()} == stalls
+        # the walk of 17 steps from 1 to -3+i starts at its halves under the
+        # rule and meets its refusal a read before the walk of 6 steps
+        assert rule_raised["1/z^3"][0] == "1 -> -3+i"
+        assert dict(rule_raised, **{"1/z^3": whole_raised["1/z^3"]}) == whole_raised
+        return
+    assert rule_raised == whole_raised == halves_raised == {}
+    passed = sorted(label for label, (_, depth, _, _) in whole.items() if depth == 0)
+    assert passed == ["1/z: 1 -> 2", "1/z^2: 1 -> 4", "1/z^2: circle of radius 2",
+                      "z: circle of radius 1"]
+    for label, (steps, _, value, err) in whole.items():
+        _, _, split_value, split_err = halves[label]
+        if label in passed:
+            assert np.all(np.abs(split_value - value) <= err + split_err)
+        else:
+            assert (_bits(split_value), _bits(split_err)) == (_bits(value), _bits(err))
+        want = halves[label] if steps >= quad._SPLIT_STEPS else whole[label]
+        assert (_bits(rule[label][2]), _bits(rule[label][3])) == (_bits(want[2]), _bits(want[3]))
 
 
 def _level_at_a_time(lifts, quad_tol):
     """quad._integrate for lifts of one segment each, read a level at a
-    time: a read of every whole segment alone, one of their halves and one
-    of their quarters, the most a first read takes (_take drops the quarters
-    of a segment that reads none ahead), then one read of the halves of
-    every pending piece per level. A level whose rows a segment holds ahead
-    is read again, and the rows held must be the ones read."""
+    time: a read of every segment's starting pieces alone and one of their
+    halves, which make its first read, then one read of the halves of every
+    pending piece per level."""
     parts = [lift.parts[0] for lift in lifts]
     walked = [p.walked for p in parts]
     t0s, t1s, levels = [p.t0 for p in parts], [p.t1 for p in parts], []
-    for _ in range(3):
+    for _ in range(2):
         levels.append(quad._gauss(walked, t0s, t1s))
         t0s, t1s = zip(*(quad._halves(t0, t1) for t0, t1 in zip(t0s, t1s)))
     live, reads = parts, [np.concatenate(rows) for rows in zip(*levels)]
@@ -713,16 +765,15 @@ def _level_at_a_time(lifts, quad_tol):
         if not live:
             return [lift.result() for lift in lifts]
         reads = quad._gauss([p.walked for p in live], *zip(*(p.pieces() for p in live)))
-        for part, rows in zip(live, reads):
-            assert part.ahead is None or _bits(part.ahead) == _bits(rows)
 
 
 def test_first_read_of_whole_and_halves_is_bit_identical_to_a_level_at_a_time():
     # batches of two segments of W^2 - 1/z: one passes at its first test;
-    # the other takes 8 levels, or stalls below round-off after them
+    # the other, walked in 17 steps, starts at its halves and takes 7 levels,
+    # or stalls below round-off after them
     eq = DefiningEquation.from_strings(["0", "-1/z"])
     roots = fiber_at(eq, 1.0).roots
-    for quad_tol, stalls, accepted in [(1e-17, True, [9, 1]), (DEFAULT.quad_tol, False, [8, 1])]:
+    for quad_tol, stalls, accepted in [(1e-17, True, [8, 1]), (DEFAULT.quad_tol, False, [7, 1])]:
         tol = DEFAULT.replace(quad_tol=quad_tol)
 
         def lifts():

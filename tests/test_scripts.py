@@ -137,6 +137,22 @@ def test_replay_compare(tmp_path, capsys, changed, code, shown):
     out = capsys.readouterr().out
     assert out.startswith("cases 2, byte-identical ")
     assert shown in out
+    # the cases whose output is not byte-identical are named after the counts
+    moved = sorted(case for case, (_, report) in changed.items() if report != BASE[case][1])
+    named = f"\nnot byte-identical {len(moved)}\n" + "".join(f"  {case}\n" for case in moved)
+    assert (named in out) == bool(moved) and ("not byte-identical" in out) == bool(moved)
+
+
+def test_replay_compare_names_the_first_ten_cases_that_differ(tmp_path, capsys):
+    cases = {f"c/{i:02d}": (0, {"value": i}) for i in range(15)}
+    a = _replay(tmp_path, "a.json", cases)
+    b = _replay(tmp_path, "b.json", dict(cases, **{f"c/{i:02d}": (0, {"value": i + 1e-15})
+                                                  for i in range(2, 15)}))
+    assert replay_cases.main(["compare", a, b]) == 0
+    out = capsys.readouterr().out
+    names = "".join(f"  c/{i:02d}\n" for i in range(2, 12))
+    assert out.startswith(f"cases 15, byte-identical 2\nnot byte-identical 13\n{names}"
+                          "  and 3 more\nexit-code differences 0\n")
 
 
 def test_replay_compare_piped_to_head_stops_without_a_traceback(tmp_path):

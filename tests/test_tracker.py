@@ -90,6 +90,19 @@ def test_path_rejects_disconnected():
         BasePath((Line(0, 1), Line(2, 3)))
 
 
+def test_an_arc_sweeps_at_most_4096_turns_either_way():
+    # built only: no walk of the sweep
+    cap = 2 * math.pi * 4096
+    for theta_to in (cap, -cap):
+        assert Arc(0, 1.0, 0.0, theta_to).length == cap
+    assert loop_path(0, 1.0, -4096, anchor=1j).segments[0].length == pytest.approx(cap)
+    for theta_to in (math.nextafter(cap, math.inf), -math.nextafter(cap, math.inf), 2e9 * math.pi):
+        with pytest.raises(ValueError, match="more than 4096 turns"):
+            Arc(0, 1.0, 0.0, theta_to)
+    with pytest.raises(ValueError, match="more than 4096 turns"):
+        loop_path(0, 1.0, 4097)
+
+
 def test_arc_min_dist_full_turn():
     arc = Arc(0, 1.0, 0.0, 2 * math.pi)
     assert arc.min_dist_to(0) == pytest.approx(1.0)
