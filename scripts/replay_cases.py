@@ -28,8 +28,11 @@ against max(1, the largest |c value| of the same report) in place of
 max(1, |x|): the scale of the numbers whose rounding they carry.
 Two strings that differ only in their decimal floats (those written with a
 "." or an exponent, such as the digits of a period in a refusal message)
-are compared float by float, as report numbers are; an integer stays part of
-the text, so "generator 1" against "generator 2" is a non-numeric difference.
+and their complex literals as Python prints them ("bj", "(a+bj)" and
+"(a-bj)", whose parts may be whole: "1j", "(2+1.9999999999999993j)") are
+compared float by float, as report numbers are, a complex literal part by
+part with "bj" read as "(0+bj)"; every other integer stays part of the
+text, so "generator 1" against "generator 2" is a non-numeric difference.
 It exits 1 on any exit-code or non-numeric difference, or on such a move.
 Standard library only.
 """
@@ -46,8 +49,12 @@ from pathlib import Path
 
 REL_TOL = 1e-13
 SHOWN = 10  # the most cases compare names of those whose output differs
-# a decimal float inside a string: digits with a fraction, an exponent or both
-FLOAT = re.compile(r"[-+]?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
+# a number inside a string: a complex literal as Python prints it, "bj",
+# "(a+bj)" or "(a-bj)", its parts whole or not; else a decimal float, digits
+# with a fraction, an exponent or both
+_PART = r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+NUMBER = re.compile(rf"\([-+]?{_PART}[-+]{_PART}j\)|(?<![\w.])[-+]?{_PART}j(?!\w)"
+                    r"|[-+]?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
 
 
 def _import_cli(src_root: Path):
@@ -103,13 +110,31 @@ def _scales(report) -> dict:
     return {"results.pairs.discrepancy": scale, "results.max_discrepancy": scale}
 
 
+def _numbers(text: str) -> tuple[str, list]:
+    """text with each number (NUMBER) replaced by a mark of its kind, and the
+    float parts of those numbers in turn: a complex literal's real and
+    imaginary parts, "bj" read as "(0+bj)", or a decimal float itself."""
+    parts = []
+
+    def mark(match) -> str:
+        if match[0].endswith(("j", "j)")):
+            z = complex(match[0])
+            parts.extend((z.real, z.imag))
+            return "\0complex\0"
+        parts.append(float(match[0]))
+        return "\0float\0"
+
+    return NUMBER.sub(mark, text), parts
+
+
 def _diff(a, b, where: str, found: dict, case: str, key: str = "",
           scales: dict | None = None) -> None:
     """Record in found the largest relative number move, the cases in which
     each key path moves by more than REL_TOL, and the full path of every
     non-numeric difference between two parsed reports under its key path.
     key is where without the case, the list indices and the float indices
-    within a string, whose floats are numbers when its text is the same. A
+    within a string, whose numbers' float parts are numbers when its text
+    and the kinds of its numbers are the same (_numbers). A
     number moves relative to scales[key] when there is one (_scales), else
     to max(1, |x|)."""
     scales = scales or {}
@@ -126,9 +151,9 @@ def _diff(a, b, where: str, found: dict, case: str, key: str = "",
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             _diff(x, y, f"{where}[{i}]", found, case, key, scales)
-    elif isinstance(a, str) and isinstance(b, str) and FLOAT.split(a) == FLOAT.split(b):
-        for i, (x, y) in enumerate(zip(FLOAT.findall(a), FLOAT.findall(b))):
-            _diff(float(x), float(y), f"{where}<float {i}>", found, case, key, scales)
+    elif isinstance(a, str) and isinstance(b, str) and _numbers(a)[0] == _numbers(b)[0]:
+        for i, (x, y) in enumerate(zip(_numbers(a)[1], _numbers(b)[1])):
+            _diff(x, y, f"{where}<float {i}>", found, case, key, scales)
     elif a != b or type(a) is not type(b):
         found["non_numeric"].setdefault(key, []).append(where)
 

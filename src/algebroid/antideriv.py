@@ -33,8 +33,8 @@ fiber, and the return spoke's integral is taken from the spoke, never
 walked. The fit integrates its grid connectors in one more batch, whose end
 fibers are its W roots. The connectors form a tree, as the router's search
 does over the sheets: each grid point is reached from the nearest of the
-base and the points before it, its lift continuing its parent's, so no
-stretch of the base paths is walked twice.
+base and the points before it, from its parent's end fiber, and adds its
+own lift's integrals to its parent's, so no stretch is walked twice.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class SheetRouter:
     and a circle: the spoke's lift from germs, then the circle's from the
     spoke's end fiber. The return spoke retraces the spoke, so it is never
     walked: sigma_g matches the circle's end fiber to the spoke's, and
-    periods[g][s] = spoke[s] + circle[s] - spoke[sigma_g(s)], the return
-    spoke's integral taken from the spoke (_loop_periods). Breadth-first
+    periods[g][s] = circle[s] + (spoke[s] - spoke[sigma_g(s)]), exactly the
+    circle's for a sheet sigma_g fixes (_loop_periods). Breadth-first
     search over gens, shortest word first with ties broken by generator
     index, sums periods into values[s], the c-value of sheet s's germ. Its
     tree spans the sheet graph of _sv_audit.
@@ -158,8 +158,8 @@ def _loop_periods(eq: DefiningEquation, germs: Sequence[complex], loops: Sequenc
     """Per loop of loops (tracker.anchored_loop: a spoke, the circle and the
     spoke back, or the circle alone): its sheet permutation and its integral
     from each of germs, read as SheetRouter says. The spokes and circles are
-    integrated in one batch, each circle continuing its spoke's lift
-    (quad._Lift), so its values are spoke[s] + circle[s]."""
+    integrated in one batch, each circle lifted from its spoke's end fiber
+    (quad._Lift), and each lift's integrals are its own path's alone."""
     starts = []
     for loop in loops:
         i = next(n for n, seg in enumerate(loop.segments) if isinstance(seg, Arc))
@@ -167,10 +167,10 @@ def _loop_periods(eq: DefiningEquation, germs: Sequence[complex], loops: Sequenc
         starts.append((len(starts) - 1, BasePath(loop.segments[i:i + 1])))
     integrals = _fiber_integrals(eq, starts, tol)
     out = []
-    for (_, circle), (spoke, _, spoke_end), (values, _, ends) in zip(
+    for (_, circle), (spoke, _, spoke_end), (own, _, ends) in zip(
             starts[1::2], integrals[::2], integrals[1::2]):
         sigma = _sheet_permutation(ends, Fiber(circle.start_z, tuple(spoke_end)), tol)
-        out.append((sigma, [v - spoke[sigma(s)] for s, v in enumerate(values)]))
+        out.append((sigma, [c + (spoke[s] - spoke[sigma(s)]) for s, c in enumerate(own)]))
     return out
 
 
@@ -230,24 +230,25 @@ def _branch_integrals(eq: DefiningEquation, jobs: Sequence[int], parents: Sequen
     parent (parents[n], an index in paths or None for the base): the roots
     its lift ends on and the branch integrals there, entry j reached from
     router.germs[j]. The connectors of jobs and of all their ancestors are
-    integrated in one batch, parents first, each lift continuing its
-    parent's from its end fiber and adding to its integrals (quad._Lift).
-    The walk's collision and residual gates and its path margin make the end
-    roots k distinct polished roots of Psi over the end."""
+    integrated in one batch, each from its parent's end fiber (quad._Lift),
+    and, parents first, each one's branch integrals are its parent's
+    (router.values for the base) plus its own. The walk's collision and
+    residual gates and its path margin make the end roots k distinct
+    polished roots of Psi over the end."""
     needed = set()
     for n in jobs:
         while n is not None and n not in needed:
             needed.add(n)
             n = parents[n]
-    order = sorted(needed)
+    order = sorted(needed)  # a parent's index is smaller than its child's
     at = {n: i for i, n in enumerate(order)}
     integrals = _fiber_integrals(eq, [(router.germs if parents[n] is None else at[parents[n]],
                                        paths[n]) for n in order], tol)
-    out = []
-    for n in jobs:
-        values, _, ends = integrals[at[n]]
-        out.append((list(ends), [router.values[s] + v for s, v in enumerate(values)]))
-    return out
+    totals = {}
+    for n, (own, _, _) in zip(order, integrals):
+        before = router.values if parents[n] is None else totals[parents[n]]
+        totals[n] = [before[s] + v for s, v in enumerate(own)]
+    return [(list(integrals[at[n]][2]), totals[n]) for n in jobs]
 
 
 def symmetric_coeffs(values: Sequence[complex]) -> list[complex]:

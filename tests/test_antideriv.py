@@ -30,9 +30,11 @@ from algebroid.errors import (
     UnreachableSheet,
 )
 from algebroid.exactalg import GaussianRational, Poly, RatFunc, parse_coefficient
-from algebroid.surface import KIND_DISC, CriticalPoint, DefiningEquation, SheetPermutation
-from algebroid.surface import fiber_at, generator_loops, irreducibility_check, monodromy
-from algebroid.tracker import SurfacePoint, loop_path
+from algebroid.quad import fiber_integral
+from algebroid.surface import KIND_DISC, KIND_POLE, CriticalPoint, DefiningEquation
+from algebroid.surface import SheetPermutation, fiber_at, generator_loops, irreducibility_check
+from algebroid.surface import monodromy
+from algebroid.tracker import Arc, BasePath, SurfacePoint, loop_path
 
 
 def rf(text):
@@ -193,6 +195,24 @@ def test_router_period_of_a_loop_that_starts_on_its_circle(sqrt_z, monkeypatch):
     assert len(loop.segments) == 1
     monkeypatch.setattr(antideriv, "generator_loops", lambda *args: [(cp, loop)])
     _assert_router_reads_the_whole_loops(sqrt_z, SurfacePoint(1, 1), [loop])
+
+
+def test_the_period_of_a_fixed_sheet_is_its_circle_integral():
+    # W^2 = (z + 1)/z^2: about the pole 0 the branches +-sqrt(z + 1)/z are
+    # single-valued, so its loop fixes both sheets. From base 1000i the
+    # rounding of spoke + circle - spoke shows; the period is the circle's
+    # own integral, bit for bit
+    eq = DefiningEquation.from_strings(["0", "-(z + 1)/z^2"])
+    base = SurfacePoint(1000j, fiber_at(eq, 1000j).roots[0])
+    router = SheetRouter(eq, base)
+    (g,) = [g for g, cp in enumerate(router.centers) if cp.kind == KIND_POLE]
+    assert router.gens[g].is_identity()
+    loop = generator_loops(eq, base.z)[g][1]
+    i = next(n for n, seg in enumerate(loop.segments) if isinstance(seg, Arc))
+    spoke, spoke_end = fiber_integral(eq, router.germs, BasePath(loop.segments[:i]))
+    circle, _ = fiber_integral(eq, spoke_end, BasePath(loop.segments[i:i + 1]))
+    assert [s + c - s for s, c in zip(spoke, circle)] != circle
+    assert router.periods[g] == circle
 
 
 # --- rational fitting ---------------------------------------------------------

@@ -463,6 +463,7 @@ SWEEP_OVER_THE_CAP = json.dumps([{"arc": {
     (SQRT_Z, ["--tol", "quad_tol=abc", "critical", PROBLEM]),
     (SQRT_Z, ["--tol", "replace=1", "critical", PROBLEM]),
     ({"k": 0, "coefficients": []}, ["critical", PROBLEM]),
+    ({"k": 17, "coefficients": ["0"] * 16 + ["-z"]}, ["critical", PROBLEM]),
     (_with_arc_radius(0.0), ["critical", PROBLEM]),
     (_with_arc_radius(-1.0), ["critical", PROBLEM]),
     (SQRT_Z, ["monodromy", PROBLEM, "--loop", "0,0,-1,1"]),
@@ -515,7 +516,7 @@ SWEEP_OVER_THE_CAP = json.dumps([{"arc": {
     (RECIP_Z, ["audit", PROBLEM, "--target-z=-1,0", "--target-w=-1,0", "--paths=upper"]),
     (RECIP_Z, ["audit", PROBLEM, "--target-z=-1,0", "--target-w=-1,0",
                "--paths=upper,upper"]),
-], ids=["tol-not-a-number", "tol-method-name", "k-zero", "arc-radius-zero",
+], ids=["tol-not-a-number", "tol-method-name", "k-zero", "k-above-cap", "arc-radius-zero",
         "arc-radius-negative", "loop-radius-negative", "loop-zero-turns",
         "loop-turns-not-a-number", "loop-anchor-at-center", "puiseux-radius-zero",
         "puiseux-radius-negative", "residues-radius-zero", "residues-radius-negative",
@@ -530,6 +531,16 @@ SWEEP_OVER_THE_CAP = json.dumps([{"arc": {
         "audit-no-paths", "audit-one-path", "audit-one-distinct-path"])
 def test_malformed_input_is_a_schema_error(capsys, tmp_path, problem, argv):
     _schema_error_exit(capsys, tmp_path, problem, argv)
+
+
+def test_the_sheet_count_cap_is_16(capsys, tmp_path):
+    # W^16 - z loads and runs; W^17 - z, as cheap, is refused by the cap alone
+    f = tmp_path / "p.json"
+    for k, code in ((16, 0), (17, 3)):
+        f.write_text(json.dumps({"k": k, "coefficients": ["0"] * (k - 1) + ["-z"]}))
+        assert main(["critical", str(f)]) == code
+        report = json.loads(capsys.readouterr().out)
+    assert report["error"]["message"].endswith("sheet count k must be from 1 to 16, got 17")
 
 
 @pytest.mark.parametrize("problem, argv", [

@@ -541,6 +541,19 @@ def test_walked_rows_match_a_stop_per_gauss_node(coeffs, path):
     assert end == continue_fiber(eq, roots, path)
 
 
+@pytest.mark.parametrize("coeffs, first, then", [
+    (["0", "0", "-z"], polyline(1, 3 + 2j), polyline(3 + 2j, -2 + 0.5j)),
+    (["0", "-1/z"], polyline(1, 2j), loop_path(0, 2.0, 1, anchor=2j)),
+])
+def test_a_lift_from_an_earlier_lift_integrates_its_own_path(coeffs, first, then):
+    # the earlier lift gives only its end fiber: the integrals are the later
+    # path's alone, not the chain's running total
+    eq = DefiningEquation.from_strings(coeffs)
+    roots = fiber_at(eq, first.start_z).roots
+    earlier, chained = quad._fiber_integrals(eq, [(roots, first), (0, then)], DEFAULT)
+    assert chained == quad._fiber_integrals(eq, [(earlier[2], then)], DEFAULT)[0]
+
+
 @pytest.mark.parametrize("path, most", [(polyline(1, 4), 8), (loop_path(0, 1.0, 1), 16)])
 def test_fiber_integral_takes_only_the_tracker_steps(monkeypatch, sqrt_z, path, most):
     # one step per Gauss node took 51 steps and 3 clones on either path

@@ -236,6 +236,23 @@ def test_replay_compare_keeps_the_integers_of_a_string_as_text(tmp_path, capsys)
     assert "non-numeric differences 1\n  r/0.error.message\n" in out
 
 
+@pytest.mark.parametrize("before, after", [
+    ("-0.7853981633974492j", "(-1.7763568394002505e-15-0.7853981633974492j)"),
+    ("(2+1.9999999999999993j)", "(1.9999999999999993+2j)"),
+    ("(-2.9495995926506205e-18+1j)", "(8.586824237736191e-17+0.9999999999999999j)"),
+    ("(1-1j)", "(1-0.9999999999999999j)"),
+], ids=["imaginary-only", "whole-real-part", "whole-imaginary-part", "whole-parts"])
+def test_replay_compare_reads_a_complex_literal_part_by_part(tmp_path, capsys, before, after):
+    # Python prints bj for a real part of +0.0 and drops the decimal point of a
+    # whole part: one number printed two ways is a move, not a change of text
+    a = _replay(tmp_path, "a.json", {"r/0": (19, _violation(1, before))})
+    b = _replay(tmp_path, "b.json", {"r/0": (19, _violation(1, after))})
+    assert replay_cases.main(["compare", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "non-numeric differences 0\n" in out
+    assert "at r/0.error.message<float " in out
+
+
 def test_replay_compare_measures_a_discrepancy_against_its_c_values(tmp_path, capsys):
     # two c values near 820 each move by an ulp (1.1e-13), so their
     # discrepancy moves by 2.3e-13: nothing against the c values' scale
