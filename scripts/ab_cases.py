@@ -130,7 +130,7 @@ def main(argv: list) -> int:
     parser.add_argument("--slots", action="store_true",
                         help="also summarize each slot of a workload")
     parser.add_argument("--only", help="time only the cases whose stem matches this regex")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(replay_cases.join_only(argv))
     trees = load(args.src_a), load(args.src_b)
     print(*summary(compare(trees, args.dirs, args.reps, args.only), args.slots), sep="\n")
     return 0

@@ -274,7 +274,7 @@ def main(argv: list) -> int:
     parser.add_argument("--wall")
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--rows", action="store_true")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(replay_cases.join_only(argv))
     if args.rows:
         cli, total = replay_cases._import_cli(args.src_root), 0
         for directory in args.dirs:

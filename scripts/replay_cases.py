@@ -83,6 +83,17 @@ def case_argvs(dirs: list, only: str | None = None):
             yield f"{directory.name}/{argv_file.stem}", argv
 
 
+def join_only(argv: list) -> list:
+    """argv with ``--only REGEX`` written ``--only=REGEX``, so that argparse
+    takes a REGEX that starts with - (such as -k2-j) as the value and not as
+    a flag."""
+    argv = list(argv)
+    if "--only" in argv[:-1]:
+        i = argv.index("--only")
+        argv[i:i + 2] = [f"--only={argv[i + 1]}"]
+    return argv
+
+
 def replay(cli, dirs: list, only: str | None = None) -> dict:
     cases = {}
     for case, argv in case_argvs(dirs, only):

@@ -115,15 +115,16 @@ class AntiderivativeModel:
 class SheetRouter:
     """Every sheet over the base point, from one whole-fiber pass per
     monodromy generator loop g: centers[g] is the critical point it
-    encircles, gens[g] its sheet permutation and periods[g][s] its loop
-    integral from germs[s], the base fiber with base.w at the base sheet,
-    the start of every walk from the germ base, polished once
+    encircles, gens[g] its sheet permutation, periods[g][s] its loop
+    integral from germs[s] and circles[g][s] the part of that integral on
+    the circle. germs is the base fiber with base.w at the base sheet, the
+    start of every walk from the germ base, polished once
     (tracker._start_fiber). Each loop is walked and integrated as a spoke
     and a circle: the spoke's lift from germs, then the circle's from the
     spoke's end fiber. The return spoke retraces the spoke, so it is never
     walked: sigma_g matches the circle's end fiber to the spoke's, and
-    periods[g][s] = circle[s] + (spoke[s] - spoke[sigma_g(s)]), exactly the
-    circle's for a sheet sigma_g fixes (_loop_periods). Breadth-first
+    periods[g][s] = circles[g][s] + (spoke[s] - spoke[sigma_g(s)]), exactly
+    the circle's for a sheet sigma_g fixes (_loop_periods). Breadth-first
     search over gens, shortest word first with ties broken by generator
     index, sums periods into values[s], the c-value of sheet s's germ. Its
     tree spans the sheet graph of _sv_audit.
@@ -138,8 +139,9 @@ class SheetRouter:
         self.centers = [cp for cp, _ in loops]
         gens = in_order(lambda gs: _loop_periods(eq, self.germs, gs, tol),
                         [loop for _, loop in loops])
-        self.gens: list[SheetPermutation] = [sigma for sigma, _ in gens]
-        self.periods: list[list[complex]] = [periods for _, periods in gens]
+        self.gens: list[SheetPermutation] = [sigma for sigma, _, _ in gens]
+        self.periods: list[list[complex]] = [periods for _, periods, _ in gens]
+        self.circles: list[list[complex]] = [circles for _, _, circles in gens]
         self.values: dict[int, complex] = {self.base_sheet: 0j}
         queue = [self.base_sheet]
         while queue:
@@ -156,10 +158,11 @@ class SheetRouter:
 def _loop_periods(eq: DefiningEquation, germs: Sequence[complex], loops: Sequence[BasePath],
                   tol: Tolerances) -> list:
     """Per loop of loops (tracker.anchored_loop: a spoke, the circle and the
-    spoke back, or the circle alone): its sheet permutation and its integral
-    from each of germs, read as SheetRouter says. The spokes and circles are
-    integrated in one batch, each circle lifted from its spoke's end fiber
-    (quad._Lift), and each lift's integrals are its own path's alone."""
+    spoke back, or the circle alone): its sheet permutation, its integral
+    from each of germs, read as SheetRouter says, and the circle's part of
+    it. The spokes and circles are integrated in one batch, each circle
+    lifted from its spoke's end fiber (quad._Lift), and each lift's
+    integrals are its own path's alone."""
     starts = []
     for loop in loops:
         i = next(n for n, seg in enumerate(loop.segments) if isinstance(seg, Arc))
@@ -170,7 +173,7 @@ def _loop_periods(eq: DefiningEquation, germs: Sequence[complex], loops: Sequenc
     for (_, circle), (spoke, _, spoke_end), (own, _, ends) in zip(
             starts[1::2], integrals[::2], integrals[1::2]):
         sigma = _sheet_permutation(ends, Fiber(circle.start_z, tuple(spoke_end)), tol)
-        out.append((sigma, [c + (spoke[s] - spoke[sigma(s)]) for s, c in enumerate(own)]))
+        out.append((sigma, [c + (spoke[s] - spoke[sigma(s)]) for s, c in enumerate(own)], own))
     return out
 
 
@@ -577,14 +580,15 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
             "equation is reducible and the theorem does not apply",
             orbits=orbits,
         )
-    # a cycle's residue: its orbit's loop periods over 2 pi i, since the spokes
-    # cancel over the orbit and the loop's circle encloses its pole alone
+    # a cycle's residue: its orbit's circle integrals over 2 pi i, since the
+    # loop's circle encloses its pole alone; the spokes, which cancel over the
+    # orbit, are left out, and so is their rounding
     offenders = []
-    for cp, sigma, periods in zip(router.centers, router.gens, router.periods):
+    for cp, sigma, circles in zip(router.centers, router.gens, router.circles):
         if cp.kind == KIND_DISC:
             continue  # no A_j has a pole: the branches are bounded, the residue is 0
         for orbit in _orbits(eq.k, [sigma]):
-            residue = sum(periods[s] for s in orbit) / (2j * math.pi)
+            residue = sum(circles[s] for s in orbit) / (2j * math.pi)
             if abs(residue) > tol.residue_tol:
                 offenders.append((cp.location, orbit, residue))
     if offenders:
@@ -626,11 +630,10 @@ def build_antiderivative(eq: DefiningEquation, base: SurfacePoint,
 
 
 def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
-                          probes: Optional[Sequence[complex]] = None,
                           tol: Tolerances = DEFAULT, fibers: Optional[dict] = None) -> float:
-    """The largest defect of the B_j at the values of M over the probes (by
-    default 6 grid points): each root w_i of Psi over a probe z gives
-    m_i = sum r_i(z) w_i^i, and the defect is the larger of
+    """The largest defect of the B_j at the values of M over the probes, 6
+    points of the model's sample grid: each root w_i of Psi over a probe z
+    gives m_i = sum r_i(z) w_i^i, and the defect is the larger of
     |Psi_M(m_i)| / residual_scale and |-Psi_M,z(m_i) / Psi_M,W(m_i) - w_i|,
     Psi_M = M^k + sum B_j M^(k-j), so the B_j must annihilate M and give it
     the derivative W. Each m_i comes from its own w_i: nothing is paired.
@@ -638,10 +641,8 @@ def verify_antiderivative(model: AntiderivativeModel, eq: DefiningEquation,
     end fibers its grid connectors walked to); fiber_at solves the others.
     A probe is skipped where fiber_at raises NearCriticalPoint or two m_i
     fail its separation gate; ValueError when every probe is."""
-    if probes is None:
-        grid = model.diagnostics.sample_grid
-        step = max(1, len(grid) // 5)
-        probes = grid[::step][:6]
+    grid = model.diagnostics.sample_grid
+    probes = grid[::max(1, len(grid) // 5)][:6]
     d_coeffs = [b.derivative() for b in model.coeffs]
     defects = []
     for z in probes:

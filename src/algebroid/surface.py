@@ -427,10 +427,12 @@ def generator_loops(eq: DefiningEquation, base_z: complex, tol: Tolerances = DEF
     """One closed loop per critical point, anchored at base_z: a (point,
     loop) pair per point of eq.critical(tol), in its order.
 
-    Each loop is a circle of half the distance to the nearest other critical
-    point (falling back to half the distance from the base when the point is
-    alone), reached by a straight spoke that detours around other exclusion
-    disks when necessary.
+    Each loop is a circle about its point, of radius half the distance to
+    the nearest other critical point or, when the point is alone,
+    max(0.5, 4 * the path margin): a radius that does not grow with the
+    base's distance and keeps the circle clear of the margin. Either radius
+    stays within 0.9 times the base's distance. A straight spoke reaches
+    the circle, detouring around other exclusion disks when necessary.
     """
     from . import tracker
 
@@ -439,10 +441,7 @@ def generator_loops(eq: DefiningEquation, base_z: complex, tol: Tolerances = DEF
     margin = tracker._path_margin(eq, tol)
     for cp in crit.points:
         d_other = crit.nearest_other_dist(cp.location)
-        if d_other < float("inf"):
-            radius = 0.5 * d_other
-        else:
-            radius = 0.5 * max(1.0, abs(base_z - cp.location))
+        radius = 0.5 * d_other if d_other < float("inf") else max(0.5, 4.0 * margin)
         d_base = abs(base_z - cp.location)
         if d_base > 0:
             # keep the base strictly outside the circle

@@ -3,15 +3,17 @@
 Continuation tracks the whole fiber at once: a first-order predictor from
 the implicit derivative dw/dz = -Psi_z/Psi_W, and a corrector that is
 rootfind.newton_polish on the coefficients of Psi(., z), evaluated once per
-z and gated by rootfind.residual_scale. Each step is sized, not searched for,
+z, whose residual (rootfind.poly_eval_pair) is gated by
+rootfind.residual_scale. Each step is sized, not searched for,
 so that the predicted move of every root just meets its cap, a quarter of the
 minimal pairwise root separation; each corrected root must land within a
 quarter of it from its prediction, which is what prevents two sheets from
 silently swapping. A step spans at most half the segment, and on an arc of
 more than one turn at most half a turn, so that no step returns to its z.
 
-A tracker keeps the knots (t, z, fiber, dw/dz) of its accepted steps, and
-SegmentTracker.advance_to is the one stepping loop. Every reader of a fiber
+A tracker starts with the state its first step needs and keeps the knots
+(t, z, fiber, dw/dz) of its accepted steps; each step hands on the state of
+the next, and SegmentTracker.advance_to is the one stepping loop. Every reader of a fiber
 along a path reads one walk per segment, _WalkedSegment: a tracker advanced
 from t = 0 to 1, which no read changes. _read gives the fiber at any
 parameters of many walked segments of one equation under one Tolerances in
@@ -96,44 +98,37 @@ def germ_at(eq: DefiningEquation, z: complex, w: complex, tol: Tolerances = DEFA
         coeffs = [math.inf]
     if not all(map(cmath.isfinite, coeffs)):
         raise NearCriticalPoint(f"germ at z={z} is at or next to a pole of a coefficient")
-    polished = _polish(coeffs, list(map(abs, coeffs)), w, tol)
+    polished = _polish(coeffs, w, tol)
     if polished is None:
         raise TrackingCollision(f"({w}, {z}) does not polish to a root of the equation")
-    refined, dw, size = polished
+    refined, dw = polished
     dcoeffs = [j * c for j, c in enumerate(coeffs)][1:]  # Psi_W ascending in W
-    if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, size)):
+    if abs(dw) <= 1e-8 * residual_scale(dcoeffs, max(1.0, abs(refined))):
         raise TrackingCollision(f"germ at ({refined}, {z}) is not regular: Psi_W too small")
     return SurfacePoint(z, refined)
 
 
-def _polish(coeffs: Sequence[complex], sizes: Sequence[float], w: complex,
-            tol: Tolerances) -> Optional[tuple[complex, complex, float]]:
-    """Newton-corrected root near w, Psi_W and |w| there, or None when Newton
-    stalls or the residual exceeds eps_root times the residual scale
-    (poly_eval_pair and residual_scale, inline, with sizes the |c| of
-    coeffs)."""
+def _polish(coeffs: Sequence[complex], w: complex,
+            tol: Tolerances) -> Optional[tuple[complex, complex]]:
+    """Newton-corrected root near w and Psi_W there (poly_eval_pair), or None
+    when Newton stalls or the residual is not within eps_root times
+    residual_scale (NaN fails)."""
     w = newton_polish(coeffs, w, max_iter=30)
     if w is None:
         return None
-    p = dp = 0j
-    for c in reversed(coeffs):
-        dp = dp * w + p
-        p = p * w + c
-    s, aw, power = 0.0, abs(w), 1.0
-    for size in sizes:
-        s += size * power
-        power *= aw
-    if abs(p) > tol.eps_root * max(s, 1.0):
+    p, dp = poly_eval_pair(coeffs, w)
+    if not abs(p) <= tol.eps_root * residual_scale(coeffs, w):
         return None
-    return w, dp, aw
+    return w, dp
 
 
 class SegmentTracker:
     """Continues a fiber monotonically along one segment from t in steps of
     the largest h up to h_max whose predicted move meets the cap, and keeps
     the knots ts, zs, fibers and the slopes dw/dz (dwdz) each step predicted
-    with. A step hands on (_carry) the z it reached, the coefficients of
-    Psi(., z), the root separation, Psi_W at each root and 1 + max|w|."""
+    with. It starts with the state of its next step (_carry), which each
+    step hands on from the z it reached: z = seg.at(t), the root separation,
+    Psi_W at each root and 1 + max|w|."""
 
     __slots__ = ("eq", "seg", "tol", "t", "fiber", "h_max", "ts", "zs", "fibers", "dwdz", "_carry")
 
@@ -145,13 +140,16 @@ class SegmentTracker:
         sweep = abs(seg.theta_to - seg.theta_from) if isinstance(seg, Arc) else 0.0
         # half a turn; an arc of one turn whose sweep rounds above 2 pi keeps 0.5
         self.h_max = math.pi / sweep if sweep > _TWO_PI * (1.0 + 1e-9) else 0.5
-        self.ts, self.zs, self.fibers, self.dwdz = [t], [seg.at(t)], [self.fiber], []
-        self._carry = None
+        z = seg.at(t)
+        self.ts, self.zs, self.fibers, self.dwdz = [t], [z], [self.fiber], []
+        coeffs = eq.psi_coeffs_at(z)
+        self._carry = (z, min_pairwise_distance(self.fiber),
+                       [poly_eval_pair(coeffs, w)[1] for w in self.fiber],
+                       1.0 + max(map(abs, self.fiber)))
 
     def clone(self) -> "SegmentTracker":
         c = SegmentTracker(self.eq, self.seg, self.fiber, self.tol, self.t)
         c.ts, c.zs, c.fibers, c.dwdz = self.ts[:], self.zs[:], self.fibers[:], self.dwdz[:]
-        c._carry = self._carry
         return c
 
     def advance_to(self, t_target: float):
@@ -160,25 +158,16 @@ class SegmentTracker:
         while self.t < t_target - 1e-15:
             self._step(t_target)
 
-    def _step(self, t_target: float) -> tuple[complex, list[complex]]:
-        """One accepted step towards t_target, kept as a knot; returns the z
-        it reaches and the slope dw/dz of each root at the z it started from."""
+    def _step(self, t_target: float) -> None:
+        """One accepted step towards t_target, kept as a knot with the slope
+        dw/dz of each root at the z it started from."""
         eq, seg, tol = self.eq, self.seg, self.tol
-        carry = self._carry
-        if carry is None:
-            z0 = seg.at(self.t)
-            min_sep0 = min_pairwise_distance(self.fiber)
-            scale = 1.0 + max(map(abs, self.fiber))
-        else:  # z0 is, bit for bit, seg.at(self.t)
-            z0, coeffs0, min_sep0, dws, scale = carry
+        z0, min_sep0, dws, scale = self._carry
         if min_sep0 < tol.delta_sep * scale:
             raise TrackingCollision(
                 f"tracked roots collided near z={z0} (separation {min_sep0:.3e})"
             )
         cap = min(0.25 * min_sep0, 0.5 * scale)
-        if carry is None:
-            coeffs0 = eq.psi_coeffs_at(z0)
-            dws = [poly_eval_pair(coeffs0, w)[1] for w in self.fiber]  # Psi_W at each root
         if 0 in dws:  # no step can be predicted; halving h cannot help
             raise StepUnderflow(f"continuation step underflow near z={z0}: Psi_W is 0 at a root")
         slopes = _slopes(eq, z0, self.fiber, dws)
@@ -196,23 +185,22 @@ class SegmentTracker:
             polished = None
             if max(map(abs, moves)) <= cap:
                 coeffs1 = eq.psi_coeffs_at(z1)
-                sizes = list(map(abs, coeffs1))
                 preds = [w + m for w, m in zip(self.fiber, moves)]
-                polished = [_polish(coeffs1, sizes, p, tol) for p in preds]
+                polished = [_polish(coeffs1, p, tol) for p in preds]
             if polished is not None and None not in polished:
-                corrected = [w for w, _, _ in polished]
+                corrected = [w for w, _ in polished]
                 min_sep1 = min_pairwise_distance(corrected)
                 drift = max(map(abs, map(operator.sub, corrected, preds)))
                 if drift <= 0.25 * min(min_sep0, min_sep1):
-                    self.t += h
+                    self.t += h  # z1 is, bit for bit, seg.at(self.t)
                     self.fiber = corrected
-                    self._carry = (z1, coeffs1, min_sep1, [dw for _, dw, _ in polished],
-                                   1.0 + max(map(operator.itemgetter(2), polished)))
+                    self._carry = (z1, min_sep1, [dw for _, dw in polished],
+                                   1.0 + max(map(abs, corrected)))
                     self.ts.append(self.t)
                     self.zs.append(z1)
                     self.fibers.append(corrected)
                     self.dwdz.append(slopes)
-                    return z1, slopes
+                    return
             size = h
             h *= 0.5
         raise StepUnderflow(f"continuation step underflow near z={z0}: h={size:.3e} predicts a "
@@ -238,7 +226,7 @@ class _WalkedSegment(SegmentTracker):
                  tol: Tolerances):
         super().__init__(eq, seg, fiber, tol)
         self.advance_to(1.0)
-        z, _, _, dws, _ = self._carry  # the end knot's row, with no step after it
+        z, _, dws, _ = self._carry  # the end knot's row, with no step after it
         self.dwdz.append(_slopes(eq, z, self.fiber, dws))
         self._dense = None
 

@@ -34,7 +34,7 @@ from algebroid.quad import fiber_integral
 from algebroid.surface import KIND_DISC, KIND_POLE, CriticalPoint, DefiningEquation
 from algebroid.surface import SheetPermutation, fiber_at, generator_loops, irreducibility_check
 from algebroid.surface import monodromy
-from algebroid.tracker import Arc, BasePath, SurfacePoint, loop_path
+from algebroid.tracker import Arc, BasePath, SurfacePoint, _path_margin, loop_path
 
 
 def rf(text):
@@ -212,7 +212,32 @@ def test_the_period_of_a_fixed_sheet_is_its_circle_integral():
     spoke, spoke_end = fiber_integral(eq, router.germs, BasePath(loop.segments[:i]))
     circle, _ = fiber_integral(eq, spoke_end, BasePath(loop.segments[i:i + 1]))
     assert [s + c - s for s, c in zip(spoke, circle)] != circle
-    assert router.periods[g] == circle
+    assert router.periods[g] == router.circles[g] == circle
+
+
+def test_a_lone_points_loop_radius_does_not_grow_with_the_base_distance():
+    # W = z^3 + 1/z^2: the pole 0 is the one critical point, and its circle
+    # keeps radius 0.5 from near and far bases alike
+    eq = DefiningEquation.from_strings(["-(z^5 + 1)/z^2"])
+    radii = set()
+    for base in (3, 100, 1000, 3000j):
+        ((cp, loop),) = generator_loops(eq, base)
+        (arc,) = [seg for seg in loop.segments if isinstance(seg, Arc)]
+        assert arc.center == cp.location == 0
+        radii.add(arc.radius)
+    assert radii == {0.5}
+
+
+def test_a_lone_point_far_from_0_keeps_its_loop_outside_the_margin():
+    # W^2 = z - 1000: the path margin is 1e-3 * 1000 = 1, so a circle of
+    # radius 0.5 would lie inside it; the loop from 1100 keeps 4 margins
+    eq = DefiningEquation.from_strings(["0", "-(z - 1000)"])
+    margin = _path_margin(eq, DEFAULT)
+    ((cp, loop),) = generator_loops(eq, 1100)
+    assert margin == 1.0
+    assert loop.min_dist_to(cp.location) == 4 * margin
+    assert loop.is_closed() and loop.start_z == 1100
+    assert list(monodromy(eq, loop).image) == [1, 0]
 
 
 # --- rational fitting ---------------------------------------------------------
@@ -342,11 +367,6 @@ def test_residue_at_a_pole_far_from_the_base_survives_its_long_spokes():
     assert model.coeffs == (rf("((-1/4)*z^5 + 1)/z"),)
 
 
-@pytest.mark.xfail(strict=True, raises=RefusedNonzeroResidue, reason=(
-    "the loop about the pole 0, alone, has radius 0.5 * |base - 0| = 500, and the "
-    "circle's own quadrature rounding reads a residue of about 5e-6 from the circle "
-    "integral alone, above residue_tol 1e-8; walking the loop as spoke + circle "
-    "does not remove it"))
 def test_a_zero_residue_far_from_the_base_is_not_refused():
     # W = z^3 + 1/z^2 has residue 0 at its pole 0
     eq = DefiningEquation.from_strings(["-(z^5 + 1)/z^2"])

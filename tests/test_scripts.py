@@ -481,13 +481,20 @@ def test_ab_cases_summarizes_each_slot_of_a_workload(tmp_path):
     assert slot.startswith("  k2: cases 1, A median ") and "per-case B/A median " in slot
 
 
-def test_only_keeps_the_cases_whose_stem_matches(tmp_path, capsys):
+def _named_case_dir(tmp_path):
+    """_critical_case_dir with two more cases, named as the benchmark names
+    them: 000-00-k2-a and 001-00-k2-b."""
     directory = _critical_case_dir(tmp_path)
     for stem, coefficients in (("000-00-k2-a", ["0", "-z"]), ("001-00-k2-b", ["0", "-z^3"])):
         (directory / "cases" / f"{stem}.json").write_text(
             json.dumps({"k": 2, "coefficients": coefficients}))
         (directory / "cases" / f"{stem}.argv").write_text(
             f"algebroid critical benchmark/out/critical-seed1-trace0/cases/{stem}.json\n")
+    return directory
+
+
+def test_only_keeps_the_cases_whose_stem_matches(tmp_path, capsys):
+    directory = _named_case_dir(tmp_path)
     a, plain, b = (f"critical-seed1-trace0/{stem}" for stem in ("000-00-k2-a", "000", "001-00-k2-b"))
     assert [case for case, _ in replay_cases.case_argvs([directory])] == [a, plain, b]
     assert [case for case, _ in replay_cases.case_argvs([directory], r"-b$")] == [b]
@@ -509,6 +516,30 @@ def test_only_keeps_the_cases_whose_stem_matches(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("critical: cases 1, A median ")
+
+
+def test_only_takes_a_regex_that_starts_with_a_dash(tmp_path):
+    # argparse reads a lone value that starts with - as a flag
+    directory = _named_case_dir(tmp_path)
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    out = tmp_path / "replay.json"
+    scripts = ROOT / "scripts"
+    runs = {
+        "replay_cases.py": ["run", str(ROOT), str(out), str(directory)],
+        "profile_cases.py": [str(ROOT), str(directory), "--top", "1"],
+        "ab_cases.py": [str(tmp_path / "a"), str(tmp_path / "b"), str(directory), "--reps", "1"],
+    }
+    stdout = {}
+    for script, argv in runs.items():
+        proc = subprocess.run([sys.executable, str(scripts / script), *argv, "--only", "-k2-a$"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stdout[script] = proc.stdout
+    assert list(json.loads(out.read_text())) == ["critical-seed1-trace0/000-00-k2-a"]
+    assert stdout["profile_cases.py"].startswith("cases 1, raised 0\n")
+    assert stdout["ab_cases.py"].startswith("critical: cases 1, A median ")
 
 
 def test_cold_start_times_the_import_and_one_case_of_each_subcommand(tmp_path):

@@ -135,15 +135,15 @@ def test_germ_rejects_irregular_point(sqrt_z):
 
 
 class _Recomputing(SegmentTracker):
-    """A tracker whose every step recomputes its z, the coefficients, the
-    root separation, Psi_W at each root and the fiber scale at its start,
-    instead of taking those of the step before."""
+    """A tracker whose every step starts from the state of a tracker built at
+    its current knot (z, the root separation, Psi_W at each root and the
+    fiber scale), instead of the state the step before handed on."""
 
     __slots__ = ()
 
     def _step(self, t_target):
-        self._carry = None
-        return super()._step(t_target)
+        self._carry = SegmentTracker(self.eq, self.seg, self.fiber, self.tol, self.t)._carry
+        super()._step(t_target)
 
 
 STEP_CASES = [
@@ -165,14 +165,16 @@ def test_a_step_that_passes_its_state_on_takes_the_same_knots(coeffs, seg):
         walk = []
         for stop in (0.3, 0.3 + 1e-9, 1.0):  # clipped steps too
             while trk.t < stop - 1e-15:
-                z, slopes = trk._step(stop)
+                trk._step(stop)
+                z, slopes = trk.zs[-1], trk.dwdz[-1]
                 walk.append(_bits([trk.t, z, *trk.fiber, *slopes]))
-                # the z, Psi_W and scale carried to the next step are the ones
-                # it would recompute
-                z1, coeffs1, _, dws, scale = trk._carry
+                # the z, separation, Psi_W and scale carried to the next step
+                # are the ones it would recompute
+                z1, sep, dws, scale = trk._carry
                 assert _bits([z1]) == _bits([z]) == _bits([seg.at(trk.t)])
-                assert _bits(coeffs1) == _bits(eq.psi_coeffs_at(z))
-                assert _bits(dws) == _bits([poly_eval_pair(coeffs1, w)[1] for w in trk.fiber])
+                assert _bits([sep]) == _bits([min_pairwise_distance(trk.fiber)])
+                coeffs = eq.psi_coeffs_at(z)
+                assert _bits(dws) == _bits([poly_eval_pair(coeffs, w)[1] for w in trk.fiber])
                 assert _bits([scale]) == _bits([1.0 + max(map(abs, trk.fiber))])
         knots.append(walk)
     assert knots[0] == knots[1]
